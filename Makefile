@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench experiments faults fuzz fmt cover serve smoke pipeline platforms plantable jobs fleet tiling topology
+.PHONY: all build vet test race bench perf-micro experiments faults fuzz fmt cover serve smoke pipeline platforms plantable jobs fleet tiling topology
 
 all: build vet test
 
@@ -23,6 +23,16 @@ race:
 # POLYUFC_BENCH_SIZE=bench for evaluation shapes).
 bench:
 	$(GO) test -bench=. -benchmem
+
+# Micro-benchmarks of the exact-counting back end, layer by layer, at
+# bench size with allocation counts: polynomial summation, isl counting,
+# PolyUFC-CM per kernel, Pluto dependence analysis. CI runs them at
+# PERF_BENCHTIME=1x so they cannot rot; the defaults are for reading.
+PERF_BENCHTIME ?= 20x
+perf-micro:
+	$(GO) test -run '^$$' -bench 'SumVar|Count(Lu|Cholesky|SdpaBert)|Analyze(Lu|Ludcmp|Conv2dWideresnet)|Deps(Lu|Conv2d|Adi)' \
+		-benchmem -benchtime $(PERF_BENCHTIME) \
+		./internal/poly ./internal/isl ./internal/cachemodel ./internal/pluto
 
 # Regenerate every table and figure at evaluation size.
 experiments:

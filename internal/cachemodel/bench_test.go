@@ -1,0 +1,57 @@
+package cachemodel
+
+import (
+	"testing"
+
+	"polyufc/internal/hw"
+	"polyufc/internal/ir"
+	"polyufc/internal/pluto"
+	"polyufc/internal/workloads"
+)
+
+// eachTiledNest calls visit with every nest of one workload kernel at bench
+// size after Pluto's transformation with the given options — what PolyUFC-CM
+// analyzes — and the label the nest had before it.
+func eachTiledNest(t testing.TB, kernel string, opts pluto.Options, visit func(label string, nest *ir.Nest)) {
+	k, err := workloads.ByName(kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := k.BuildAffine(workloads.Bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range mod.Funcs {
+		for _, op := range f.Ops {
+			if nest, ok := op.(*ir.Nest); ok {
+				res, err := pluto.Optimize(nest, opts)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", kernel, nest.Label, err)
+				}
+				visit(nest.Label, res.Nest)
+			}
+		}
+	}
+}
+
+// benchAnalyze times PolyUFC-CM over the Pluto-tiled nests of one kernel
+// at bench size on the BDW hierarchy: the cachemodel stage of one cold
+// compile.
+func benchAnalyze(b *testing.B, kernel string) {
+	var nests []*ir.Nest
+	eachTiledNest(b, kernel, pluto.DefaultOptions(), func(_ string, nest *ir.Nest) { nests = append(nests, nest) })
+	cache := hw.BDW().Cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for _, nest := range nests {
+			if _, err := Analyze(nest, cache, DefaultOptions()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+func BenchmarkAnalyzeLu(b *testing.B)               { benchAnalyze(b, "lu") }
+func BenchmarkAnalyzeLudcmp(b *testing.B)           { benchAnalyze(b, "ludcmp") }
+func BenchmarkAnalyzeConv2dWideresnet(b *testing.B) { benchAnalyze(b, "conv2d-wideresnet") }

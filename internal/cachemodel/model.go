@@ -5,6 +5,7 @@ import (
 
 	"polyufc/internal/cachesim"
 	"polyufc/internal/ir"
+	"polyufc/internal/isl"
 )
 
 // Options configures a PolyUFC-CM analysis.
@@ -97,8 +98,11 @@ func Analyze(nest *ir.Nest, cfg cachesim.Config, opts Options) (*Result, error) 
 		}
 	}
 
+	// The statements of a nest share their outer loops, so most of the sets
+	// they count are the same sets; the memo lives for this call only.
+	var counts isl.CountMemo
 	for _, si := range nest.Statements() {
-		if err := analyzeStatement(si, cfg, opts, res); err != nil {
+		if err := analyzeStatement(si, cfg, opts, &counts, res); err != nil {
 			return nil, fmt.Errorf("cachemodel: statement %s: %w", si.Stmt.Name, err)
 		}
 	}
@@ -156,28 +160,15 @@ func Analyze(nest *ir.Nest, cfg cachesim.Config, opts Options) (*Result, error) 
 // (the paper's per-set model). This realizes the reuse-distance criterion
 // RD > k of Sec. IV-B: a reuse carried by loop l has distance equal to one
 // body execution's footprint, and survives iff that footprint fits.
-func analyzeStatement(si ir.StatementInfo, cfg cachesim.Config, opts Options, res *Result) error {
+func analyzeStatement(si ir.StatementInfo, cfg cachesim.Config, opts Options, counts *isl.CountMemo, res *Result) error {
 	n := len(si.Loops)
 	ivs := si.IVNames()
 
-	// Prefix cardinalities: cnt[k] = |projection of D onto the k outermost
-	// IVs|; cnt[n] = |D|.
-	cnt := make([]int64, n+1)
-	cnt[0] = 1
-	proj := si.Domain
-	full, err := proj.CountInt(opts.CountBudget)
+	cnt, err := prefixCounts(si.Domain, n, counts, opts.CountBudget)
 	if err != nil {
 		return err
 	}
-	cnt[n] = full
-	for k := n - 1; k >= 1; k-- {
-		proj, _ = proj.ProjectOutVar(k) // drop innermost remaining dim
-		c, err := proj.CountInt(opts.CountBudget)
-		if err != nil {
-			return err
-		}
-		cnt[k] = c
-	}
+	full := cnt[n]
 	if full == 0 {
 		return nil
 	}
@@ -301,6 +292,35 @@ func analyzeStatement(si ir.StatementInfo, cfg cachesim.Config, opts Options, re
 	return nil
 }
 
+// prefixCounts returns the prefix cardinalities of an n-dimensional domain:
+// cnt[k] = |projection of dom onto its k outermost dims|, so cnt[0] = 1 and
+// cnt[n] = |dom|.
+func prefixCounts(dom isl.Set, n int, counts *isl.CountMemo, budget int) ([]int64, error) {
+	cnt := make([]int64, n+1)
+	cnt[0] = 1
+	proj := dom
+	for k := n; k >= 1; k-- {
+		if k < n {
+			// Drop the innermost remaining dim. Where Fourier-Motzkin would
+			// over-approximate (non-unit coefficients on both sides of the
+			// dim) the prefix count would come out too large: keep the dim
+			// as an existential instead, which is exact and which Count
+			// handles by bounded enumeration.
+			next, exact := proj.ProjectOutVar(k)
+			if !exact {
+				next = proj.QuantifyVar(k)
+			}
+			proj = next
+		}
+		c, err := counts.CountInt(proj, budget)
+		if err != nil {
+			return nil, err
+		}
+		cnt[k] = c
+	}
+	return cnt, nil
+}
+
 // StatementResult is a per-statement analysis outcome (the granularity
 // the affine-dialect phase study of Sec. VI-A inspects).
 type StatementResult struct {
@@ -322,13 +342,14 @@ func AnalyzeStatements(nest *ir.Nest, cfg cachesim.Config, opts Options) ([]Stat
 	}
 	lineSize := cfg.Levels[0].LineSize
 	var out []StatementResult
+	var counts isl.CountMemo
 	for _, si := range nest.Statements() {
 		res := &Result{Levels: make([]LevelResult, len(cfg.Levels))}
 		for i, lc := range cfg.Levels {
 			res.Levels[i].Name = lc.Name
 			res.Levels[i].FitWindow = -1
 		}
-		if err := analyzeStatement(si, cfg, opts, res); err != nil {
+		if err := analyzeStatement(si, cfg, opts, &counts, res); err != nil {
 			return nil, fmt.Errorf("cachemodel: statement %s: %w", si.Stmt.Name, err)
 		}
 		if opts.Threads > 1 {

@@ -1,11 +1,13 @@
 package cachemodel
 
 import (
+	"reflect"
 	"testing"
 
 	"polyufc/internal/cachesim"
 	"polyufc/internal/interp"
 	"polyufc/internal/ir"
+	"polyufc/internal/isl"
 	"polyufc/internal/pluto"
 )
 
@@ -428,5 +430,40 @@ func TestHybridExactThreadDivision(t *testing.T) {
 	lo := res1.LLC().Misses / 4
 	if res.LLC().Misses < lo || res.LLC().Misses > lo+4 {
 		t.Fatalf("divided misses %d, want about %d", res.LLC().Misses, lo)
+	}
+}
+
+// TestPrefixCountsHonourInexactProjection is the regression test for the
+// dropped exactness flag. In
+//
+//	for i in [0, 10]: for j in [ceil(i/2), floor((i+4)/3)]
+//
+// both bounds on j have a non-unit coefficient, so Fourier-Motzkin can only
+// say which i admit a rational j: {0..8}, nine values. The loop body runs
+// for i in {0..6, 8} — at i = 7 the range [3.5, 3.67] holds no integer — so
+// the exact prefix count is eight; nine would shrink the modeled trip count
+// of the j loop.
+func TestPrefixCountsHonourInexactProjection(t *testing.T) {
+	stmt := &ir.Statement{Name: "S"}
+	j := &ir.Loop{IV: "j",
+		Lo:   []ir.Bound{ir.BDiv(ir.AffVar("i"), 2)},
+		Hi:   []ir.Bound{ir.BDiv(ir.AffVar("i").AddConst(4), 3)},
+		Body: []ir.Node{stmt}}
+	nest := &ir.Nest{Label: "skew", Root: ir.SimpleLoop("i", ir.AffConst(0), ir.AffConst(10), j)}
+	dom := nest.Statements()[0].Domain
+	if _, exact := dom.ProjectOutVar(1); exact {
+		t.Fatal("test domain projects exactly; it no longer exercises the fallback")
+	}
+	var counts isl.CountMemo
+	cnt, err := prefixCounts(dom, 2, &counts, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int64{1, 8, 10}; !reflect.DeepEqual(cnt, want) {
+		t.Fatalf("prefix counts = %v, want %v", cnt, want)
+	}
+	// A budget too small to enumerate the prefix is an error, not a guess.
+	if _, err := prefixCounts(dom, 2, new(isl.CountMemo), 3); err == nil {
+		t.Fatal("prefix enumeration over budget did not fail")
 	}
 }

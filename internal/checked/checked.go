@@ -1,0 +1,28 @@
+// Package checked provides overflow-detecting int64 arithmetic for the
+// exact polyhedral back end: internal/poly promotes a polynomial to
+// math/big when an operation reports overflow, and internal/isl falls back
+// to the sound answer (projection not exact, set not known empty).
+package checked
+
+import "math/bits"
+
+// Add returns a + b and whether the sum fits an int64.
+func Add(a, b int64) (int64, bool) {
+	c := a + b
+	return c, (a^c)&(b^c) >= 0
+}
+
+// Mul returns a * b and whether the product fits an int64.
+func Mul(a, b int64) (int64, bool) {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	// Correct the unsigned high word to the signed one.
+	if a < 0 {
+		hi -= uint64(b)
+	}
+	if b < 0 {
+		hi -= uint64(a)
+	}
+	// The 128-bit product fits iff its high word is the sign extension of
+	// the low word.
+	return int64(lo), hi == uint64(int64(lo)>>63)
+}

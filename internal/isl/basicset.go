@@ -266,62 +266,6 @@ func (b BasicSet) InstantiateParams(vals []int64) BasicSet {
 	return r
 }
 
-// fmEliminate performs Fourier-Motzkin elimination of column col, returning
-// the projected basic set and whether the projection is integrally exact.
-// Equalities involving col with a unit coefficient are substituted exactly.
-func (b BasicSet) fmEliminate(col int) (BasicSet, bool) {
-	// Prefer an equality substitution with unit coefficient: exact.
-	for idx, c := range b.cons {
-		if c.kind == EQ && (c.coef[col] == 1 || c.coef[col] == -1) {
-			return b.substituteOut(idx, col), true
-		}
-	}
-	exact := true
-	var lowers, uppers, rest []con
-	for _, c := range b.cons {
-		switch {
-		case c.coef[col] > 0:
-			lowers = append(lowers, c)
-			if c.kind == EQ {
-				// Non-unit equality: treat as pair of inequalities.
-				neg := con{kind: GE, coef: negRow(c.coef), c: -c.c}
-				uppers = append(uppers, neg)
-				lowers[len(lowers)-1].kind = GE
-			}
-		case c.coef[col] < 0:
-			uppers = append(uppers, c)
-			if c.kind == EQ {
-				neg := con{kind: GE, coef: negRow(c.coef), c: -c.c}
-				lowers = append(lowers, neg)
-				uppers[len(uppers)-1].kind = GE
-			}
-		default:
-			rest = append(rest, c)
-		}
-	}
-	r := BasicSet{Sp: b.Sp, NExist: b.NExist, markedEmpty: b.markedEmpty}
-	for _, c := range rest {
-		r.addRaw(c.kind, zeroCol(c.coef, col), c.c)
-	}
-	for _, lo := range lowers {
-		a := lo.coef[col] // > 0: a*x >= -(rest_lo)
-		for _, up := range uppers {
-			bb := -up.coef[col] // > 0: b*x <= rest_up
-			if a != 1 && bb != 1 {
-				exact = false
-			}
-			// Combine: b*(lo) + a*(up) eliminates x.
-			row := make([]int64, len(lo.coef))
-			for i := range row {
-				row[i] = bb*lo.coef[i] + a*up.coef[i]
-			}
-			row[col] = 0
-			r.addRaw(GE, row, bb*lo.c+a*up.c)
-		}
-	}
-	return r, exact
-}
-
 func negRow(row []int64) []int64 {
 	out := make([]int64, len(row))
 	for i, v := range row {
@@ -330,105 +274,95 @@ func negRow(row []int64) []int64 {
 	return out
 }
 
-func zeroCol(row []int64, col int) []int64 {
-	out := append([]int64(nil), row...)
-	out[col] = 0
-	return out
-}
-
-// substituteOut uses equality constraint eqIdx (with unit coefficient on
-// col) to substitute col away in all other constraints.
-func (b BasicSet) substituteOut(eqIdx, col int) BasicSet {
-	eq := b.cons[eqIdx]
-	s := eq.coef[col] // +-1
-	// col = -s * (rest + c)  where rest excludes col.
-	r := BasicSet{Sp: b.Sp, NExist: b.NExist, markedEmpty: b.markedEmpty}
-	for i, c := range b.cons {
-		if i == eqIdx {
-			continue
-		}
-		f := c.coef[col]
-		if f == 0 {
-			r.addRaw(c.kind, append([]int64(nil), c.coef...), c.c)
-			continue
-		}
-		// Since s is +-1, col = -s*(rest + const); substituting gives
-		// new = c - (f*s)*eq, which zeroes the col column exactly.
-		row := make([]int64, len(c.coef))
-		for j := range row {
-			row[j] = c.coef[j] - f*s*eq.coef[j]
-		}
-		row[col] = 0
-		r.addRaw(c.kind, row, c.c-f*s*eq.c)
-	}
-	return r
+// fromSys builds the basic set over sp whose constraints are the first
+// sp.NumCols()+nexist columns of the system's rows.
+func fromSys(sp Space, nexist int, s *sys) BasicSet {
+	return BasicSet{Sp: sp, NExist: nexist, markedEmpty: s.empty, cons: s.cons(sp.NumCols() + nexist)}
 }
 
 // EliminateExists projects away all existential dimensions with
 // Fourier-Motzkin, reporting whether the result is integrally exact.
+// Equalities with a unit coefficient on the eliminated column are
+// substituted, which is exact; a coefficient that overflows an int64 drops
+// its row and makes the projection inexact.
 func (b BasicSet) EliminateExists() (BasicSet, bool) {
-	exact := true
-	r := b
-	for r.NExist > 0 {
-		col := r.totalCols() - 1
-		var ex bool
-		r, ex = r.fmEliminate(col)
-		exact = exact && ex
-		// Drop the now-unused trailing column.
-		for i := range r.cons {
-			r.cons[i].coef = r.cons[i].coef[:col]
-		}
-		r.NExist--
+	if b.NExist == 0 {
+		return b, true
 	}
-	return r, exact
+	f := fmPool.Get().(*fmScratch)
+	defer fmPool.Put(f)
+	f.cur.load(b.totalCols(), b.cons)
+	f.cur.empty = f.cur.empty || b.markedEmpty
+	exact := true
+	for col := b.totalCols() - 1; col >= b.Sp.NumCols(); col-- {
+		exact = f.project(col) && exact
+	}
+	return fromSys(b.Sp, 0, &f.cur), exact
 }
 
 // ProjectOutVar projects away variable i (0-based across in+out dims),
 // returning a basic set over the reduced space and whether the projection
 // is integrally exact.
 func (b BasicSet) ProjectOutVar(i int) (BasicSet, bool) {
-	np := b.Sp.NumParams()
-	col := np + i
-	r, exact := b.fmEliminate(col)
-	// Remove the column and the dimension from the space.
-	nsp := Space{Params: b.Sp.Params}
-	nin := append([]string(nil), b.Sp.In...)
-	nout := append([]string(nil), b.Sp.Out...)
-	if i < len(nin) {
-		nin = append(nin[:i], nin[i+1:]...)
-	} else {
-		j := i - len(b.Sp.In)
-		nout = append(nout[:j], nout[j+1:]...)
-	}
-	nsp.In, nsp.Out = nin, nout
-	out := BasicSet{Sp: nsp, NExist: r.NExist, markedEmpty: r.markedEmpty}
-	for _, c := range r.cons {
-		row := make([]int64, 0, len(c.coef)-1)
-		row = append(row, c.coef[:col]...)
-		row = append(row, c.coef[col+1:]...)
-		out.addRaw(c.kind, row, c.c)
+	col := b.Sp.NumParams() + i
+	f := fmPool.Get().(*fmScratch)
+	defer fmPool.Put(f)
+	f.cur.load(b.totalCols(), b.cons)
+	f.cur.empty = f.cur.empty || b.markedEmpty
+	exact := f.project(col)
+	out := fromSys(b.Sp, b.NExist, &f.cur)
+	out.Sp = b.Sp.withoutVar(i)
+	for r := range out.cons {
+		coef := out.cons[r].coef
+		out.cons[r].coef = append(coef[:col], coef[col+1:]...)
 	}
 	return out, exact
 }
 
+// QuantifyVar turns variable i into an existential dimension: the result is
+// the exact integer projection of b along i over the reduced space,
+// whatever the coefficients on i. It is the form to fall back on when
+// ProjectOutVar reports an inexact elimination; counting it enumerates.
+func (b BasicSet) QuantifyVar(i int) BasicSet {
+	col := b.Sp.NumParams() + i
+	out := BasicSet{Sp: b.Sp.withoutVar(i), NExist: b.NExist + 1, markedEmpty: b.markedEmpty, cons: make([]con, len(b.cons))}
+	for r, c := range b.cons {
+		coef := make([]int64, 0, len(c.coef))
+		coef = append(append(append(coef, c.coef[:col]...), c.coef[col+1:]...), c.coef[col])
+		out.cons[r] = con{kind: c.kind, coef: coef, c: c.c}
+	}
+	return out
+}
+
 // IsEmptyRational reports whether b is empty over the rationals. A true
 // result implies integer emptiness; a false result is inconclusive for the
-// integers (the caller may fall back to enumeration).
-func (b BasicSet) IsEmptyRational() bool {
+// integers (the caller may fall back to enumeration). Constraints over the
+// parameters alone are not decided.
+func (b BasicSet) IsEmptyRational() bool { return b.emptyRationalWith(nil) }
+
+// IsEmptyRationalWith is IsEmptyRational of b ∧ o without building the
+// intersection, for callers that test one set against many small ones. o
+// must be over b's space and free of existentials.
+func (b BasicSet) IsEmptyRationalWith(o BasicSet) bool {
+	if !b.Sp.Equal(o.Sp) || o.NExist != 0 {
+		panic("isl: IsEmptyRationalWith needs an existential-free set over the same space")
+	}
+	return o.markedEmpty || b.emptyRationalWith(o.cons)
+}
+
+// emptyRationalWith tests b's constraints together with extra ones over
+// b's leading columns.
+func (b BasicSet) emptyRationalWith(extra []con) bool {
 	if b.markedEmpty {
 		return true
 	}
-	r := b
-	for col := r.totalCols() - 1; col >= r.Sp.NumParams(); col-- {
-		r, _ = r.fmEliminate(col)
-		if r.markedEmpty {
-			return true
-		}
+	f := fmPool.Get().(*fmScratch)
+	defer fmPool.Put(f)
+	f.cur.load(b.totalCols(), b.cons)
+	for _, c := range extra {
+		f.cur.push(c)
 	}
-	// Remaining constraints involve parameters only; with no parameters they
-	// are constants and trivial() already flagged contradictions. With
-	// parameters we cannot decide; report not-known-empty.
-	return r.markedEmpty
+	return f.infeasible(b.Sp.NumParams())
 }
 
 // EvalPoint reports whether the given parameter/variable assignment

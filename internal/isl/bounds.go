@@ -7,67 +7,21 @@ package isl
 // enumeration because every candidate point is verified against the full
 // constraint system.
 type boundSystems struct {
-	rows [][]con
+	rows []sys
 }
 
 // buildBoundSystems computes the per-column projected systems for b.
 func (b BasicSet) buildBoundSystems() *boundSystems {
 	n := b.totalCols()
-	bs := &boundSystems{rows: make([][]con, n)}
-	cur := make([]con, len(b.cons))
-	for i, c := range b.cons {
-		cur[i] = con{kind: c.kind, coef: append([]int64(nil), c.coef...), c: c.c}
+	bs := &boundSystems{rows: make([]sys, n)}
+	if n == 0 {
+		return bs
 	}
-	for col := n - 1; col >= 0; col-- {
-		bs.rows[col] = cur
-		cur = fmRows(cur, col)
+	bs.rows[n-1].load(n, b.cons)
+	for col := n - 1; col > 0; col-- {
+		bs.rows[col].eliminate(col, &bs.rows[col-1])
 	}
 	return bs
-}
-
-// fmRows eliminates column col from rows via Fourier-Motzkin (rational).
-func fmRows(rows []con, col int) []con {
-	var lowers, uppers, rest []con
-	for _, c := range rows {
-		a := c.coef[col]
-		switch {
-		case a == 0:
-			rest = append(rest, c)
-		case c.kind == EQ:
-			lo := con{kind: GE, coef: append([]int64(nil), c.coef...), c: c.c}
-			up := con{kind: GE, coef: negRow(c.coef), c: -c.c}
-			if a > 0 {
-				lowers = append(lowers, lo)
-				uppers = append(uppers, up)
-			} else {
-				lowers = append(lowers, up)
-				uppers = append(uppers, lo)
-			}
-		case a > 0:
-			lowers = append(lowers, c)
-		default:
-			uppers = append(uppers, c)
-		}
-	}
-	out := rest
-	for _, lo := range lowers {
-		a := lo.coef[col]
-		for _, up := range uppers {
-			bb := -up.coef[col]
-			row := make([]int64, len(lo.coef))
-			for i := range row {
-				row[i] = bb*lo.coef[i] + a*up.coef[i]
-			}
-			row[col] = 0
-			cc := con{kind: GE, coef: row, c: bb*lo.c + a*up.c}
-			normalizeCon(&cc)
-			if trivial(cc) == trivTrue {
-				continue
-			}
-			out = append(out, cc)
-		}
-	}
-	return out
 }
 
 // DimRange returns rational lower/upper bounds for set dimension d over
@@ -83,47 +37,30 @@ func (s Set) DimRange(d int) (lo, hi int64, ok bool) {
 		if b.markedEmpty {
 			continue
 		}
-		rows := make([]con, len(b.cons))
-		for i, c := range b.cons {
-			rows[i] = con{kind: c.kind, coef: append([]int64(nil), c.coef...), c: c.c}
-		}
+		f := fmPool.Get().(*fmScratch)
+		f.cur.load(b.totalCols(), b.cons)
 		target := np + d
 		for col := b.totalCols() - 1; col >= 0; col-- {
-			if col == target {
-				continue
+			if col != target && f.cur.uses(col) {
+				f.cur.eliminate(col, &f.alt)
+				f.swap()
 			}
-			rows = fmRows(rows, col)
 		}
 		blo, bhi := -inf, inf
-		infeasible := false
-		for _, c := range rows {
-			a := c.coef[target]
-			if a == 0 {
-				if trivial(c) == trivFalse {
-					infeasible = true
-				}
-				continue
-			}
-			if c.kind == EQ {
-				v := -c.c / a
-				if v > blo {
-					blo = v
-				}
-				if v < bhi {
-					bhi = v
-				}
-				continue
-			}
-			if a > 0 {
-				if v := ceilDiv(-c.c, a); v > blo {
-					blo = v
-				}
+		infeasible := f.cur.empty
+		for r, eq := range f.cur.eq {
+			row := f.cur.row(r)
+			a, c := row[target], row[f.cur.n]
+			if eq {
+				v := -c / a
+				blo, bhi = max(blo, v), min(bhi, v)
+			} else if a > 0 {
+				blo = max(blo, ceilDiv(-c, a))
 			} else {
-				if v := floorDiv(c.c, -a); v < bhi {
-					bhi = v
-				}
+				bhi = min(bhi, floorDiv(c, -a))
 			}
 		}
+		fmPool.Put(f)
 		if infeasible || blo > bhi {
 			continue
 		}
@@ -146,44 +83,34 @@ func (s Set) DimRange(d int) (lo, hi int64, ok bool) {
 func (bs *boundSystems) colBounds(full []int64, col int) (lo, hi int64, ok bool) {
 	const inf = int64(1) << 62
 	lo, hi = -inf, inf
-	for _, c := range bs.rows[col] {
-		a := c.coef[col]
+	sys := &bs.rows[col]
+	if sys.empty {
+		return 0, 0, false
+	}
+	for r, eq := range sys.eq {
+		row := sys.row(r)
+		a := row[col]
+		rest := row[sys.n]
+		for j := 0; j < col; j++ {
+			rest += row[j] * full[j]
+		}
 		if a == 0 {
 			// A constraint over earlier columns only: check it now to prune.
-			v := c.c
-			for j := 0; j < col; j++ {
-				v += c.coef[j] * full[j]
-			}
-			if (c.kind == EQ && v != 0) || (c.kind == GE && v < 0) {
+			if (eq && rest != 0) || (!eq && rest < 0) {
 				return 0, 0, false
 			}
 			continue
 		}
-		rest := c.c
-		for j := 0; j < col; j++ {
-			rest += c.coef[j] * full[j]
-		}
-		if c.kind == EQ {
+		if eq {
 			if rest%a != 0 {
 				return 0, 0, false
 			}
 			v := -rest / a
-			if v > lo {
-				lo = v
-			}
-			if v < hi {
-				hi = v
-			}
-			continue
-		}
-		if a > 0 {
-			if v := ceilDiv(-rest, a); v > lo {
-				lo = v
-			}
+			lo, hi = max(lo, v), min(hi, v)
+		} else if a > 0 {
+			lo = max(lo, ceilDiv(-rest, a))
 		} else {
-			if v := floorDiv(rest, -a); v < hi {
-				hi = v
-			}
+			hi = min(hi, floorDiv(rest, -a))
 		}
 	}
 	if lo > hi {

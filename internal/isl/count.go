@@ -22,11 +22,16 @@ func (s Set) Count(enumLimit int) (*big.Rat, error) {
 	if s.Sp.NumParams() != 0 {
 		return nil, errors.New("isl: Count requires instantiated parameters")
 	}
+	return s.Coalesce().countCoalesced(enumLimit)
+}
+
+// countCoalesced is Count on a parameter-free set whose basic sets are
+// already deduplicated.
+func (s Set) countCoalesced(enumLimit int) (*big.Rat, error) {
 	total := new(big.Rat)
 	// Disjointify: piece_i = basic_i minus basics already counted.
-	remaining := s.Coalesce()
 	var counted []BasicSet
-	for _, b := range remaining.Basics {
+	for _, b := range s.Basics {
 		piece := FromBasic(b)
 		if len(counted) > 0 {
 			prior := Set{Sp: s.Sp, Basics: counted}
@@ -61,6 +66,10 @@ func (s Set) CountInt(enumLimit int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return ratInt64(r)
+}
+
+func ratInt64(r *big.Rat) (int64, error) {
 	if !r.IsInt() || !r.Num().IsInt64() {
 		return 0, fmt.Errorf("isl: non-integer count %s", r.RatString())
 	}
@@ -104,26 +113,15 @@ func (b BasicSet) countByEnumeration(limit int) (*big.Rat, error) {
 	return big.NewRat(n, 1), nil
 }
 
-// crow is a counting-time constraint over nv variable columns.
-type crow struct {
-	kind ConKind
-	coef []int64
-	c    int64
-}
-
 // countSymbolic counts a parameter-free, existential-free basic set by
 // recursive symbolic summation: variables are eliminated innermost-first;
 // multiple lower (upper) bounds induce a chamber split on which bound is
 // maximal (minimal); the per-variable sum uses Faulhaber's closed form.
 func countSymbolic(b BasicSet) (*big.Rat, error) {
 	nv := b.Sp.NumVars()
-	rows := make([]crow, 0, len(b.cons))
-	for _, c := range b.cons {
-		rows = append(rows, crow{kind: c.kind, coef: append([]int64(nil), c.coef...), c: c.c})
-	}
-	body := poly.ConstInt(nv, 1)
+	// countRec never writes to a row, so the set's own rows serve.
 	budget := maxCountNodes
-	return countRec(rows, nv, nv, body, 0, &budget)
+	return countRec(b.cons, nv, nv, poly.ConstInt(nv, 1), 0, &budget)
 }
 
 const (
@@ -133,7 +131,7 @@ const (
 	maxCountNodes = 200000
 )
 
-func countRec(rows []crow, nv, remaining int, body poly.Poly, depth int, budget *int) (*big.Rat, error) {
+func countRec(rows []con, nv, remaining int, body poly.Poly, depth int, budget *int) (*big.Rat, error) {
 	if depth > maxChamberDepth {
 		return nil, ErrNotCountable
 	}
@@ -171,9 +169,12 @@ func countRec(rows []crow, nv, remaining int, body poly.Poly, depth int, budget 
 		}
 		a := r.coef[d]
 		if a == 1 || a == -1 {
-			expr := rowToPoly(r, nv, d, -a) // x_d = -a*(rest + c)
+			// x_d = -a*(rest + c): the bound the row puts on x_d, as a
+			// lower bound for a = 1 and an upper one for a = -1.
+			coef := make([]int64, nv)
+			c, _ := makeBound(r, d, a > 0, coef)
 			nrows := substituteRows(rows, i, d, a)
-			nbody := body.SubstPoly(d, expr)
+			nbody := body.SubstPoly(d, affinePoly(nv, coef, c))
 			return countRec(nrows, nv, remaining-1, nbody, depth, budget)
 		}
 		// Non-unit equality a*x = -(rest+c): countable only when rest is
@@ -190,84 +191,37 @@ func countRec(rows []crow, nv, remaining int, body poly.Poly, depth int, budget 
 		return nil, ErrNotCountable
 	}
 
-	var lowers, uppers []boundExpr
-	var rest []crow
-	for _, r := range rows {
-		a := r.coef[d]
-		switch {
-		case a == 0:
-			rest = append(rest, r)
-		case a > 0: // a*x + rest + c >= 0  ->  x >= ceil(-(rest+c)/a)
-			be, ok := makeBound(r, d, nv, true)
-			if !ok {
-				return nil, ErrNotCountable
-			}
-			lowers = append(lowers, be)
-		default: // a < 0: x <= floor((rest+c)/(-a))
-			be, ok := makeBound(r, d, nv, false)
-			if !ok {
-				return nil, ErrNotCountable
-			}
-			uppers = append(uppers, be)
-		}
+	lowers, uppers, rest, ok := splitBounds(rows, d, nv)
+	if !ok {
+		return nil, ErrNotCountable
 	}
 	if len(lowers) == 0 || len(uppers) == 0 {
 		return nil, ErrUnbounded
 	}
+	f := fmPool.Get().(*fmScratch)
+	defer fmPool.Put(f)
 	// Prune dominated bounds to avoid chamber blow-up on tiled domains
 	// (e.g. the lower bound 0 is redundant against 32*t once t >= 0).
-	lowers = pruneDominated(lowers, rest, nv, true)
-	uppers = pruneDominated(uppers, rest, nv, false)
+	lowers = f.pruneDominated(lowers, rest, nv, true)
+	uppers = f.pruneDominated(uppers, rest, nv, false)
+	setPolys(lowers, nv)
+	setPolys(uppers, nv)
 
 	total := new(big.Rat)
+	// With two chambers both are feasible, or pruning would have dropped a
+	// bound (a rectangular tile is interior or on the far edge). With more,
+	// as in the triangular solvers, about two in five are empty, and one
+	// elimination is cheaper than summing a subtree to zero.
+	skipEmpty := len(lowers)*len(uppers) > 2
 	for li, L := range lowers {
 		for ui, U := range uppers {
-			// Chamber where L is the max lower bound and U the min upper.
-			chamber := append([]crow(nil), rest...)
-			okCh := true
-			for j, L2 := range lowers {
-				if j == li {
+			chamber := chamberRows(lowers, uppers, li, ui, rest, nv)
+			if skipEmpty {
+				f.cur.load(nv, chamber)
+				if f.infeasible(0) {
 					continue
 				}
-				// L >= L2 (strict for j < li to break ties).
-				strict := int64(0)
-				if j < li {
-					strict = 1
-				}
-				row, ok := diffRow(L, L2, strict, nv)
-				if !ok {
-					okCh = false
-					break
-				}
-				chamber = append(chamber, row)
 			}
-			if okCh {
-				for j, U2 := range uppers {
-					if j == ui {
-						continue
-					}
-					strict := int64(0)
-					if j < ui {
-						strict = 1
-					}
-					// U <= U2 (strict for j < ui): U2 - U - strict >= 0.
-					row, ok := diffRow(U2, U, strict, nv)
-					if !ok {
-						okCh = false
-						break
-					}
-					chamber = append(chamber, row)
-				}
-			}
-			if !okCh {
-				return nil, ErrNotCountable
-			}
-			// Guard: U >= L.
-			guard, ok := diffRow(U, L, 0, nv)
-			if !ok {
-				return nil, ErrNotCountable
-			}
-			chamber = append(chamber, guard)
 			nbody := poly.SumVar(body, d, L.poly, U.poly)
 			c, err := countRec(chamber, nv, remaining-1, nbody, depth+1, budget)
 			if err != nil {
@@ -279,35 +233,115 @@ func countRec(rows []crow, nv, remaining int, body poly.Poly, depth int, budget 
 	return total, nil
 }
 
+// boundExpr is a lower or upper bound on the eliminated variable: an
+// integer row over the outer variables (for chamber constraints) and, once
+// the bound has survived pruning, the same affine form as a polynomial (for
+// summation).
+type boundExpr struct {
+	poly poly.Poly
+	coef []int64 // over nv columns, the eliminated one zero
+	c    int64
+}
+
+// splitBounds sorts rows into lower bounds on column d, upper bounds on it,
+// and the rest. ok is false when a bound is outside the countable class.
+func splitBounds(rows []con, d, nv int) (lowers, uppers []boundExpr, rest []con, ok bool) {
+	nl, nu := 0, 0
+	for _, r := range rows {
+		switch a := r.coef[d]; {
+		case a > 0:
+			nl++
+		case a < 0:
+			nu++
+		}
+	}
+	rest = make([]con, 0, len(rows)-nl-nu)
+	bounds := make([]boundExpr, 0, nl+nu)
+	slab := make([]int64, (nl+nu)*nv)
+	lowers, uppers = bounds[:0:nl], bounds[nl:nl:nl+nu]
+	for _, r := range rows {
+		a := r.coef[d]
+		if a == 0 {
+			rest = append(rest, r)
+			continue
+		}
+		be := boundExpr{coef: slab[:nv:nv]}
+		slab = slab[nv:]
+		if be.c, ok = makeBound(r, d, a > 0, be.coef); !ok {
+			return nil, nil, nil, false
+		}
+		if a > 0 { // a*x + rest + c >= 0  ->  x >= ceil(-(rest+c)/a)
+			lowers = append(lowers, be)
+		} else { // x <= floor((rest+c)/(-a))
+			uppers = append(uppers, be)
+		}
+	}
+	return lowers, uppers, rest, true
+}
+
+// chamberRows returns the constraints of the chamber where lowers[li] is the
+// greatest lower bound and uppers[ui] the least upper bound (ties go to the
+// earlier bound, so chambers are disjoint), and the range between them is
+// not empty.
+func chamberRows(lowers, uppers []boundExpr, li, ui int, rest []con, nv int) []con {
+	extra := len(lowers) + len(uppers) - 1
+	chamber := append(make([]con, 0, len(rest)+extra), rest...)
+	slab := make([]int64, extra*nv)
+	row := func() []int64 {
+		coef := slab[:nv:nv]
+		slab = slab[nv:]
+		return coef
+	}
+	L, U := lowers[li], uppers[ui]
+	for j, L2 := range lowers {
+		if j != li {
+			chamber = append(chamber, diffRow(L, L2, strictBefore(j, li), row())) // L >= L2
+		}
+	}
+	for j, U2 := range uppers {
+		if j != ui {
+			chamber = append(chamber, diffRow(U2, U, strictBefore(j, ui), row())) // U <= U2
+		}
+	}
+	return append(chamber, diffRow(U, L, 0, row()))
+}
+
+// strictBefore makes the comparison against an earlier bound strict.
+func strictBefore(j, i int) int64 {
+	if j < i {
+		return 1
+	}
+	return 0
+}
+
 // pruneDominated removes bounds that can never be the binding one under
 // the outer constraints: lower bound L_i is redundant when L_i <= L_j
 // everywhere (some other bound is always at least as tight), established
 // by the rational infeasibility of rest ∧ L_i >= L_j + 1. Upper bounds are
 // symmetric.
-func pruneDominated(bounds []boundExpr, rest []crow, nv int, lower bool) []boundExpr {
+func (f *fmScratch) pruneDominated(bounds []boundExpr, rest []con, nv int, lower bool) []boundExpr {
 	if len(bounds) <= 1 {
 		return bounds
 	}
+	f.base.load(nv, rest)
 	dropped := make([]bool, len(bounds))
 	for i := range bounds {
-		if dropped[i] {
-			continue
-		}
 		for j := range bounds {
 			if i == j || dropped[j] || dropped[i] {
 				continue
 			}
-			// Does bound j always dominate bound i?
-			var witness crow
-			if lower {
-				// i redundant if L_i <= L_j always: infeasible(L_i >= L_j+1).
-				witness, _ = diffRow(bounds[i], bounds[j], 1, nv)
-			} else {
-				// i redundant if U_i >= U_j always: infeasible(U_i <= U_j-1).
-				witness, _ = diffRow(bounds[j], bounds[i], 1, nv)
+			// Does bound j always dominate bound i? A lower bound i is
+			// redundant if L_i >= L_j + 1 is infeasible, an upper bound if
+			// U_i <= U_j - 1 is.
+			hi, lo := bounds[i], bounds[j]
+			if !lower {
+				hi, lo = lo, hi
 			}
-			sys := append(append([]crow(nil), rest...), witness)
-			if rowsInfeasibleRational(sys, nv) {
+			f.cur.copyFrom(&f.base)
+			row := f.cur.next()
+			row[nv] = diffRow(hi, lo, 1, row[:nv]).c
+			f.cur.add(false)
+			if f.infeasible(0) {
 				dropped[i] = true
 			}
 		}
@@ -321,41 +355,12 @@ func pruneDominated(bounds []boundExpr, rest []crow, nv int, lower bool) []bound
 	return out
 }
 
-// rowsInfeasibleRational reports whether the constraint rows are rationally
-// infeasible, via Fourier-Motzkin elimination of every column.
-func rowsInfeasibleRational(rows []crow, nv int) bool {
-	cons := make([]con, len(rows))
-	for i, r := range rows {
-		cons[i] = con{kind: r.kind, coef: append([]int64(nil), r.coef...), c: r.c}
-	}
-	for col := nv - 1; col >= 0; col-- {
-		cons = fmRows(cons, col)
-		for _, c := range cons {
-			if trivial(c) == trivFalse {
-				return true
-			}
-		}
-	}
-	for _, c := range cons {
-		if trivial(c) == trivFalse {
-			return true
-		}
-	}
-	return false
-}
-
-// boundExpr is a lower or upper bound on the eliminated variable, as both a
-// polynomial (for summation) and an integer row (for chamber constraints).
-type boundExpr struct {
-	poly poly.Poly
-	coef []int64 // over nv columns, col d zeroed
-	c    int64
-}
-
-// makeBound extracts the bound from a GE row. For unit coefficients the
-// bound is affine in the outer variables; for non-unit coefficients only
-// constant bounds are supported (floor/ceil evaluated numerically).
-func makeBound(r crow, d, nv int, lower bool) (boundExpr, bool) {
+// makeBound extracts the bound a GE row puts on column d as an affine form
+// over the other columns: the coefficients go to coef (zeroed, length nv)
+// and the constant is returned. For unit coefficients on d the bound is
+// the rest of the row; for non-unit coefficients it must be constant
+// (floor/ceil evaluated numerically) or have every coefficient divisible.
+func makeBound(r con, d int, lower bool, coef []int64) (c int64, ok bool) {
 	a := r.coef[d]
 	if a == 1 || a == -1 {
 		// lower: x >= -(rest+c); upper: x <= rest+c (with a = -1).
@@ -363,69 +368,62 @@ func makeBound(r crow, d, nv int, lower bool) (boundExpr, bool) {
 		if !lower {
 			sign = 1
 		}
-		coef := make([]int64, nv)
-		p := poly.New(nv)
-		for i := 0; i < nv; i++ {
-			if i == d {
-				continue
-			}
-			coef[i] = sign * r.coef[i]
-			if coef[i] != 0 {
-				p = p.Add(poly.Var(nv, i).ScaleInt(coef[i]))
+		for i, ci := range r.coef {
+			if i != d {
+				coef[i] = sign * ci
 			}
 		}
-		c := sign * r.c
-		p = p.Add(poly.ConstInt(nv, c))
-		return boundExpr{poly: p, coef: coef, c: c}, true
+		return sign * r.c, true
 	}
-	mag := a
-	if mag < 0 {
-		mag = -mag
-	}
-	if rowRestConst(r, d) {
-		var v int64
-		if lower {
-			v = ceilDiv(-r.c, a) // a > 0
-		} else {
-			v = floorDiv(r.c, -a) // a < 0
-		}
-		return boundExpr{poly: poly.ConstInt(nv, v), coef: make([]int64, nv), c: v}, true
-	}
-	// Non-unit coefficient with variable rest: exact when every variable
-	// coefficient is divisible by |a| (the constant-tile-size pattern:
-	// floor((a*w + c)/a) = w + floor(c/a), and symmetrically with ceil).
-	coef := make([]int64, nv)
-	for i := 0; i < nv; i++ {
+	// Non-unit coefficient: exact when every variable coefficient is
+	// divisible by |a| (the constant-tile-size pattern:
+	// floor((a*w + c)/a) = w + floor(c/a), and symmetrically with ceil);
+	// a constant rest is the case with nothing to divide.
+	mag := max(a, -a)
+	for i, ci := range r.coef {
 		if i == d {
 			continue
 		}
-		ci := r.coef[i]
 		if ci%mag != 0 {
-			return boundExpr{}, false
+			return 0, false
 		}
-		if lower {
-			coef[i] = -ci / a // a > 0
-		} else {
-			coef[i] = ci / -a // a < 0, flip sign
-		}
+		coef[i] = ci / -a // lower (a > 0): -ci/a; upper (a < 0): ci/-a
 	}
-	var c int64
 	if lower {
-		c = ceilDiv(-r.c, a)
-	} else {
-		c = floorDiv(r.c, -a)
+		return ceilDiv(-r.c, a), true
 	}
+	return floorDiv(r.c, -a), true
+}
+
+// setPolys fills in the polynomial form of each bound.
+func setPolys(bounds []boundExpr, nv int) {
+	for i, b := range bounds {
+		bounds[i].poly = affinePoly(nv, b.coef, b.c)
+	}
+}
+
+// affinePoly returns c + sum_i coef[i]*x_i.
+func affinePoly(nv int, coef []int64, c int64) poly.Poly {
 	p := poly.ConstInt(nv, c)
-	for i := 0; i < nv; i++ {
-		if coef[i] != 0 {
-			p = p.Add(poly.Var(nv, i).ScaleInt(coef[i]))
+	for i, ci := range coef {
+		if ci != 0 {
+			p = p.Add(poly.Var(nv, i).ScaleInt(ci))
 		}
 	}
-	return boundExpr{poly: p, coef: coef, c: c}, true
+	return p
+}
+
+// diffRow builds the constraint a - b - strict >= 0 with its coefficients
+// in coef.
+func diffRow(a, b boundExpr, strict int64, coef []int64) con {
+	for i := range coef {
+		coef[i] = a.coef[i] - b.coef[i]
+	}
+	return con{kind: GE, coef: coef, c: a.c - b.c - strict}
 }
 
 // rowRestConst reports whether row r involves no variable other than d.
-func rowRestConst(r crow, d int) bool {
+func rowRestConst(r con, d int) bool {
 	for i, co := range r.coef {
 		if i != d && co != 0 {
 			return false
@@ -434,33 +432,11 @@ func rowRestConst(r crow, d int) bool {
 	return true
 }
 
-// diffRow builds the constraint a - b - strict >= 0 as a crow.
-func diffRow(a, b boundExpr, strict int64, nv int) (crow, bool) {
-	coef := make([]int64, nv)
-	for i := 0; i < nv; i++ {
-		coef[i] = a.coef[i] - b.coef[i]
-	}
-	return crow{kind: GE, coef: coef, c: a.c - b.c - strict}, true
-}
-
-// rowToPoly converts +-(rest + c) of an equality row into a polynomial
-// (excluding column d); sign is the multiplier applied to (rest + c).
-func rowToPoly(r crow, nv, d int, sign int64) poly.Poly {
-	p := poly.ConstInt(nv, sign*r.c)
-	for i := 0; i < nv; i++ {
-		if i == d || r.coef[i] == 0 {
-			continue
-		}
-		p = p.Add(poly.Var(nv, i).ScaleInt(sign * r.coef[i]))
-	}
-	return p
-}
-
 // substituteRows eliminates column d from all rows using equality row eqIdx
 // (unit coefficient a on d).
-func substituteRows(rows []crow, eqIdx, d int, a int64) []crow {
+func substituteRows(rows []con, eqIdx, d int, a int64) []con {
 	eq := rows[eqIdx]
-	out := make([]crow, 0, len(rows)-1)
+	out := make([]con, 0, len(rows)-1)
 	for i, r := range rows {
 		if i == eqIdx {
 			continue
@@ -475,14 +451,14 @@ func substituteRows(rows []crow, eqIdx, d int, a int64) []crow {
 			coef[j] = r.coef[j] - f*a*eq.coef[j]
 		}
 		coef[d] = 0
-		out = append(out, crow{kind: r.kind, coef: coef, c: r.c - f*a*eq.c})
+		out = append(out, con{kind: r.kind, coef: coef, c: r.c - f*a*eq.c})
 	}
 	return out
 }
 
 // fixRows substitutes the constant v for column d in all rows.
-func fixRows(rows []crow, d int, v int64) []crow {
-	out := make([]crow, 0, len(rows))
+func fixRows(rows []con, d int, v int64) []con {
+	out := make([]con, 0, len(rows))
 	for _, r := range rows {
 		f := r.coef[d]
 		if f == 0 {
@@ -491,7 +467,7 @@ func fixRows(rows []crow, d int, v int64) []crow {
 		}
 		coef := append([]int64(nil), r.coef...)
 		coef[d] = 0
-		out = append(out, crow{kind: r.kind, coef: coef, c: r.c + f*v})
+		out = append(out, con{kind: r.kind, coef: coef, c: r.c + f*v})
 	}
 	return out
 }

@@ -83,13 +83,8 @@ func (b BasicSet) CountSymbolic() ([]Piece, error) {
 	np := b.Sp.NumParams()
 	nd := b.Sp.NumVars()
 	nv := np + nd
-	rows := make([]crow, 0, len(b.cons))
-	for _, c := range b.cons {
-		rows = append(rows, crow{kind: c.kind, coef: append([]int64(nil), c.coef...), c: c.c})
-	}
-	body := poly.ConstInt(nv, 1)
 	budget := maxCountNodes
-	pieces, err := countSymRec(rows, nv, np, nd, body, 0, &budget)
+	pieces, err := countSymRec(b.cons, nv, np, nd, poly.ConstInt(nv, 1), 0, &budget)
 	if err != nil {
 		return nil, err
 	}
@@ -194,12 +189,12 @@ func transferPoly(p poly.Poly, np, nv int) poly.Poly {
 // symPiece is an internal chamber during recursion.
 type symPiece struct {
 	body   poly.Poly
-	guards []crow
+	guards []con
 }
 
 // countSymRec mirrors countRec but keeps parameter columns symbolic and
 // returns chamber pieces instead of a number.
-func countSymRec(rows []crow, nv, np, remaining int, body poly.Poly, depth int, budget *int) ([]symPiece, error) {
+func countSymRec(rows []con, nv, np, remaining int, body poly.Poly, depth int, budget *int) ([]symPiece, error) {
 	if depth > maxChamberDepth {
 		return nil, ErrNotCountable
 	}
@@ -219,69 +214,33 @@ func countSymRec(rows []crow, nv, np, remaining int, body poly.Poly, depth int, 
 		}
 		a := r.coef[d]
 		if a == 1 || a == -1 {
-			expr := rowToPoly(r, nv, d, -a)
+			coef := make([]int64, nv)
+			c, _ := makeBound(r, d, a > 0, coef)
 			nrows := substituteRows(rows, i, d, a)
-			nbody := body.SubstPoly(d, expr)
+			nbody := body.SubstPoly(d, affinePoly(nv, coef, c))
 			return countSymRec(nrows, nv, np, remaining-1, nbody, depth, budget)
 		}
 		return nil, ErrNotCountable
 	}
 
-	var lowers, uppers []boundExpr
-	var rest []crow
-	for _, r := range rows {
-		a := r.coef[d]
-		switch {
-		case a == 0:
-			rest = append(rest, r)
-		case a > 0:
-			be, ok := makeBound(r, d, nv, true)
-			if !ok {
-				return nil, ErrNotCountable
-			}
-			lowers = append(lowers, be)
-		default:
-			be, ok := makeBound(r, d, nv, false)
-			if !ok {
-				return nil, ErrNotCountable
-			}
-			uppers = append(uppers, be)
-		}
+	lowers, uppers, rest, ok := splitBounds(rows, d, nv)
+	if !ok {
+		return nil, ErrNotCountable
 	}
 	if len(lowers) == 0 || len(uppers) == 0 {
 		return nil, ErrUnbounded
 	}
-	lowers = pruneDominated(lowers, rest, nv, true)
-	uppers = pruneDominated(uppers, rest, nv, false)
+	f := fmPool.Get().(*fmScratch)
+	lowers = f.pruneDominated(lowers, rest, nv, true)
+	uppers = f.pruneDominated(uppers, rest, nv, false)
+	fmPool.Put(f)
+	setPolys(lowers, nv)
+	setPolys(uppers, nv)
 
 	var out []symPiece
 	for li, L := range lowers {
 		for ui, U := range uppers {
-			chamber := append([]crow(nil), rest...)
-			for j, L2 := range lowers {
-				if j == li {
-					continue
-				}
-				strict := int64(0)
-				if j < li {
-					strict = 1
-				}
-				row, _ := diffRow(L, L2, strict, nv)
-				chamber = append(chamber, row)
-			}
-			for j, U2 := range uppers {
-				if j == ui {
-					continue
-				}
-				strict := int64(0)
-				if j < ui {
-					strict = 1
-				}
-				row, _ := diffRow(U2, U, strict, nv)
-				chamber = append(chamber, row)
-			}
-			guard, _ := diffRow(U, L, 0, nv)
-			chamber = append(chamber, guard)
+			chamber := chamberRows(lowers, uppers, li, ui, rest, nv)
 			nbody := poly.SumVar(body, d, L.poly, U.poly)
 			pieces, err := countSymRec(chamber, nv, np, remaining-1, nbody, depth+1, budget)
 			if err != nil {

@@ -332,6 +332,62 @@ func TestCoalesceDedup(t *testing.T) {
 	}
 }
 
+// TestCanonicalKeyAndCountMemo pins what the count memo relies on: the key
+// ignores the order of constraints and of basic sets and repeated basic
+// sets, and tells apart everything else.
+func TestCanonicalKeyAndCountMemo(t *testing.T) {
+	key := func(s Set) string {
+		_, k := s.coalesce(nil)
+		return string(k)
+	}
+	sp := NewSetSpace(nil, []string{"i", "j"})
+	tri := func(order []int, n int64) Set {
+		b := Universe(sp)
+		adds := []func(){
+			func() { b.AddGE(sp.VarExpr(0)) },
+			func() { b.AddGE(sp.ConstExpr(n).Sub(sp.VarExpr(0))) },
+			func() { b.AddGE(sp.VarExpr(1)) },
+			func() { b.AddGE(sp.VarExpr(0).Sub(sp.VarExpr(1))) },
+		}
+		for _, i := range order {
+			adds[i]()
+		}
+		return FromBasic(b)
+	}
+	a, b := tri([]int{0, 1, 2, 3}, 9), tri([]int{3, 1, 0, 2}, 9)
+	other := box([]string{"i", "j"}, []int64{0, 0}, []int64{9, 9})
+	if key(a) != key(b) {
+		t.Error("constraint order changed the key")
+	}
+	if key(a.Union(other)) != key(other.Union(b).Union(a)) {
+		t.Error("basic-set order or a repeated basic set changed the key")
+	}
+	distinct := []Set{a, tri([]int{0, 1, 2, 3}, 10), other, a.Union(other),
+		box([]string{"i", "j"}, []int64{0, 0}, []int64{9, -9}),
+		box([]string{"i"}, []int64{0}, []int64{9}), box([]string{"i"}, []int64{0}, []int64{64})}
+	seen := map[string]int{}
+	for i, s := range distinct {
+		if j, dup := seen[key(s)]; dup {
+			t.Errorf("sets %d and %d share a key", j, i)
+		}
+		seen[key(s)] = i
+	}
+
+	var memo CountMemo
+	for _, s := range append(distinct, b, other.Union(b).Union(a)) {
+		got, err := memo.CountInt(s, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := mustCount(t, s); got != want {
+			t.Errorf("memo count of %s = %d, want %d", s, got, want)
+		}
+	}
+	if len(memo.counts) != len(distinct) {
+		t.Errorf("memo holds %d entries for %d distinct sets", len(memo.counts), len(distinct))
+	}
+}
+
 func TestPropertyCountMatchesEnumeration(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	f := func(seed int64) bool {

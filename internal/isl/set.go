@@ -1,7 +1,11 @@
 package isl
 
 import (
-	"fmt"
+	"cmp"
+	"encoding/binary"
+	"errors"
+	"slices"
+	"sort"
 	"strings"
 )
 
@@ -160,24 +164,25 @@ func (s Set) EvalPoint(params, vars []int64) bool {
 // ProjectOutVar projects away variable i from every basic set.
 func (s Set) ProjectOutVar(i int) (Set, bool) {
 	exact := true
-	var r Set
-	for idx, b := range s.Basics {
+	r := Set{Sp: s.Sp.withoutVar(i)}
+	for _, b := range s.Basics {
 		nb, ex := b.ProjectOutVar(i)
 		exact = exact && ex
-		if idx == 0 {
-			r = Set{Sp: nb.Sp}
-		}
 		if !nb.markedEmpty {
 			r.Basics = append(r.Basics, nb)
 		}
 	}
-	if len(s.Basics) == 0 {
-		// Build the reduced space from scratch.
-		b := Universe(s.Sp)
-		nb, _ := b.ProjectOutVar(i)
-		r = Set{Sp: nb.Sp}
-	}
 	return r, exact
+}
+
+// QuantifyVar turns variable i into an existential dimension in every basic
+// set (see BasicSet.QuantifyVar).
+func (s Set) QuantifyVar(i int) Set {
+	r := Set{Sp: s.Sp.withoutVar(i), Basics: make([]BasicSet, len(s.Basics))}
+	for j, b := range s.Basics {
+		r.Basics[j] = b.QuantifyVar(i)
+	}
+	return r
 }
 
 func (s Set) String() string {
@@ -191,40 +196,123 @@ func (s Set) String() string {
 	return strings.Join(parts, " ;; ")
 }
 
-// Coalesce removes basic sets that are rationally empty and deduplicates
-// structurally identical basic sets. This is the duplicate-elimination step
-// PolyUFC applies before symbolic counting (paper footnote 17).
+// Coalesce removes basic sets marked empty and deduplicates structurally
+// identical basic sets. This is the duplicate-elimination step PolyUFC
+// applies before symbolic counting (paper footnote 17).
 func (s Set) Coalesce() Set {
-	seen := map[string]bool{}
+	r, _ := s.coalesce(nil)
+	return r
+}
+
+// coalesce is Coalesce that also appends the canonical key of the result to
+// key: the keys of its basic sets in sorted order, so two unions of the same
+// basic sets — in any order, with any duplicates — share a key. A set of at
+// most one basic set, the common case, needs no table and no sort.
+func (s Set) coalesce(key []byte) (Set, []byte) {
+	live := 0
+	for _, b := range s.Basics {
+		if !b.markedEmpty {
+			live++
+		}
+	}
 	r := Set{Sp: s.Sp}
+	if live <= 1 {
+		for _, b := range s.Basics {
+			if !b.markedEmpty {
+				r.Basics = []BasicSet{b}
+				key = b.appendKey(key)
+			}
+		}
+		return r, key
+	}
+	seen := make(map[string]bool, live)
+	keys := make([]string, 0, live)
+	var buf []byte
 	for _, b := range s.Basics {
 		if b.markedEmpty {
 			continue
 		}
-		key := basicKey(b)
-		if seen[key] {
+		buf = b.appendKey(buf[:0])
+		if seen[string(buf)] {
 			continue
 		}
-		seen[key] = true
+		k := string(buf)
+		seen[k] = true
+		keys = append(keys, k)
 		r.Basics = append(r.Basics, b)
 	}
-	return r
-}
-
-func basicKey(b BasicSet) string {
-	rows := make([]string, len(b.cons))
-	for i, c := range b.cons {
-		rows[i] = fmt.Sprintf("%d|%v|%d", c.kind, c.coef, c.c)
+	sort.Strings(keys)
+	for _, k := range keys {
+		key = append(key, k...)
 	}
-	// Order-insensitive: sort rows.
-	sortStrings(rows)
-	return fmt.Sprintf("%d;%s", b.NExist, strings.Join(rows, "&"))
+	return r, key
 }
 
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
+// appendKey appends b's canonical binary key: its column and existential
+// counts, then every constraint (kind, coefficients, constant, as varints)
+// in sorted row order, so the order constraints were added in does not
+// matter. Every field is self-delimiting, so distinct constraint systems
+// have distinct keys.
+func (b BasicSet) appendKey(key []byte) []byte {
+	key = binary.AppendUvarint(key, uint64(b.totalCols()))
+	key = binary.AppendUvarint(key, uint64(b.NExist))
+	key = binary.AppendUvarint(key, uint64(len(b.cons)))
+	order := make([]int, len(b.cons))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(x, y int) int {
+		cx, cy := b.cons[x], b.cons[y]
+		if c := cmp.Compare(cx.kind, cy.kind); c != 0 {
+			return c
 		}
+		if c := slices.Compare(cx.coef, cy.coef); c != 0 {
+			return c
+		}
+		return cmp.Compare(cx.c, cy.c)
+	})
+	for _, i := range order {
+		c := b.cons[i]
+		key = append(key, byte(c.kind))
+		for _, v := range c.coef {
+			key = binary.AppendVarint(key, v)
+		}
+		key = binary.AppendVarint(key, c.c)
 	}
+	return key
+}
+
+// CountMemo counts sets and remembers each cardinality under the set's
+// canonical constraint key, for callers that count many sets of which most
+// are repeats: the statements of one nest share their outer loops, so their
+// prefix projections are the same sets. It is meant to live as long as one
+// analysis does.
+type CountMemo struct {
+	counts map[string]int64
+	key    []byte
+}
+
+// CountInt is Set.CountInt through the memo.
+func (m *CountMemo) CountInt(s Set, enumLimit int) (int64, error) {
+	if s.Sp.NumParams() != 0 {
+		return 0, errors.New("isl: Count requires instantiated parameters")
+	}
+	var co Set
+	co, m.key = s.coalesce(m.key[:0])
+	if n, ok := m.counts[string(m.key)]; ok {
+		return n, nil
+	}
+	r, err := co.countCoalesced(enumLimit)
+	if err != nil {
+		return 0, err
+	}
+	n, err := ratInt64(r)
+	if err != nil {
+		return 0, err
+	}
+	if m.counts == nil {
+		m.counts = map[string]int64{}
+	}
+	m.counts[string(m.key)] = n
+	return n, nil
 }

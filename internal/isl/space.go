@@ -12,6 +12,7 @@ package isl
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -93,6 +94,19 @@ func (s Space) VarName(i int) string {
 		return s.In[i]
 	}
 	return s.Out[i-len(s.In)]
+}
+
+// withoutVar returns the space with variable i (0-based across in+out
+// dims) removed.
+func (s Space) withoutVar(i int) Space {
+	r := Space{Params: s.Params, In: s.In, Out: s.Out}
+	if i < len(s.In) {
+		r.In = slices.Delete(slices.Clone(s.In), i, i+1)
+	} else {
+		j := i - len(s.In)
+		r.Out = slices.Delete(slices.Clone(s.Out), j, j+1)
+	}
+	return r
 }
 
 // Equal reports whether two spaces have identical dimension lists.

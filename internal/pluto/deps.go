@@ -8,7 +8,9 @@
 package pluto
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"polyufc/internal/ir"
 	"polyufc/internal/isl"
@@ -84,24 +86,37 @@ func Analyze(nest *ir.Nest) (*DepInfo, error) {
 		}
 	}
 	info := &DepInfo{Depth: depth}
+	solved := map[string]solvedPair{}
 	for si1 := range sts {
 		for si2 := range sts {
-			deps, err := pairDeps(sts[si1], sts[si2], si1, si2)
-			if err != nil {
-				return nil, err
-			}
-			info.Deps = append(info.Deps, deps...)
+			info.Deps = append(info.Deps, pairDeps(sts[si1], sts[si2], si1 < si2, solved)...)
 		}
 	}
 	return info, nil
 }
 
+// solvedPair is the outcome of one dependence system: the per-level
+// summary (endpoints and kind left blank) and whether any instance exists.
+type solvedPair struct {
+	dep      Dependence
+	nonEmpty bool
+}
+
 // pairDeps computes the dependences from accesses of s1 to accesses of s2,
 // where s1's instance precedes s2's in execution order (lexicographic over
-// the shared IVs; for equal iterations, textual order pos1 < pos2).
-func pairDeps(s1, s2 ir.StatementInfo, pos1, pos2 int) ([]Dependence, error) {
+// the shared IVs; for equal iterations, only when s1 comes first in the
+// text: allowEqual).
+//
+// The dependence system of an access pair is determined by the two
+// iteration domains, the two index functions and allowEqual — not by which
+// textual accesses they came from, nor by which is the write. A statement
+// like C[i][j] = C[i][j] + A[i][k]*B[k][j] poses the C-against-C system
+// three times (flow, anti, output); solved remembers each system's outcome
+// for the nest so it is eliminated once.
+func pairDeps(s1, s2 ir.StatementInfo, allowEqual bool, solved map[string]solvedPair) []Dependence {
 	var out []Dependence
 	ivs := s1.IVNames()
+	var key []byte
 	for _, a1 := range s1.Stmt.Accesses {
 		for _, a2 := range s2.Stmt.Accesses {
 			if a1.Array != a2.Array {
@@ -117,17 +132,41 @@ func pairDeps(s1, s2 ir.StatementInfo, pos1, pos2 int) ([]Dependence, error) {
 			case !a1.Write && a2.Write:
 				kind = "anti"
 			}
-			dep, nonEmpty := analyzeAccessPair(ivs, s1, s2, a1, a2, pos1 < pos2)
-			if nonEmpty {
-				dep.Array = a1.Array
-				dep.SrcStmt = s1.Stmt.Name
-				dep.DstStmt = s2.Stmt.Name
-				dep.Kind = kind
-				out = append(out, dep)
+			key = systemKey(key[:0], ivs, s1, s2, a1, a2, allowEqual)
+			sp, ok := solved[string(key)]
+			if !ok {
+				sp.dep, sp.nonEmpty = analyzeAccessPair(ivs, s1, s2, a1, a2, allowEqual)
+				solved[string(key)] = sp
+			}
+			if sp.nonEmpty {
+				out = append(out, Dependence{
+					Array: a1.Array, SrcStmt: s1.Stmt.Name, DstStmt: s2.Stmt.Name, Kind: kind,
+					NonNegative: slices.Clone(sp.dep.NonNegative),
+					Zero:        slices.Clone(sp.dep.Zero),
+					Carried:     slices.Clone(sp.dep.Carried),
+				})
 			}
 		}
 	}
-	return out, nil
+	return out
+}
+
+// systemKey appends what identifies the dependence system of an access
+// pair within one nest: the statements' innermost loops (statements under
+// the same loop have the same domain), the array, both index functions as
+// coefficient rows over ivs, and allowEqual.
+func systemKey(key []byte, ivs []string, s1, s2 ir.StatementInfo, a1, a2 ir.Access, allowEqual bool) []byte {
+	key = fmt.Appendf(key, "%p %p %p %t", s1.Loops[len(s1.Loops)-1], s2.Loops[len(s2.Loops)-1], a1.Array, allowEqual)
+	for _, a := range []ir.Access{a1, a2} {
+		key = append(key, '|')
+		for _, e := range a.Index {
+			for _, iv := range ivs {
+				key = binary.AppendVarint(key, e.Coef[iv])
+			}
+			key = binary.AppendVarint(key, e.Const)
+		}
+	}
+	return key
 }
 
 // analyzeAccessPair builds the dependence relation
@@ -137,36 +176,44 @@ func pairDeps(s1, s2 ir.StatementInfo, pos1, pos2 int) ([]Dependence, error) {
 func analyzeAccessPair(ivs []string, s1, s2 ir.StatementInfo, a1, a2 ir.Access, allowEqual bool) (Dependence, bool) {
 	n := len(ivs)
 	base := depBase(ivs, s1, s2, a1, a2)
+	sp := base.Sp
 
-	// Lexicographic pieces: for k in [0,n): prefix equal, i'_k > i_k; plus
+	// Per level k: i'_k > i_k, i'_k < i_k, and "carried at k" — i and i'
+	// agree on the levels above k and i'_k > i_k.
+	gt := make([]isl.BasicSet, n)
+	lt := make([]isl.BasicSet, n)
+	carried := make([]isl.BasicSet, n)
+	equal := isl.Universe(sp) // the prefix equalities so far
+	for k := 0; k < n; k++ {
+		ik, jk := sp.VarExpr(k), sp.VarExpr(n+k)
+		gt[k], lt[k] = isl.Universe(sp), isl.Universe(sp)
+		gt[k].AddGE(jk.Sub(ik).AddConst(-1))
+		lt[k].AddGE(ik.Sub(jk).AddConst(-1))
+		carried[k] = equal.Intersect(gt[k])
+		equal.AddEquals(ik, jk)
+	}
+
+	// "i before i'" in lexicographic pieces: carried at some level, plus
 	// the all-equal piece when textual order allows it.
 	pieces := make([]isl.BasicSet, 0, n+1)
 	for k := 0; k < n; k++ {
-		p := base.Clone()
-		sp := p.Sp
-		for j := 0; j < k; j++ {
-			p.AddEquals(sp.VarExpr(j), sp.VarExpr(n+j))
-		}
-		p.AddGE(sp.VarExpr(n + k).Sub(sp.VarExpr(k)).AddConst(-1))
-		pieces = append(pieces, p)
+		pieces = append(pieces, base.Intersect(carried[k]))
 	}
 	if allowEqual {
-		p := base.Clone()
-		sp := p.Sp
-		for j := 0; j < n; j++ {
-			p.AddEquals(sp.VarExpr(j), sp.VarExpr(n+j))
+		pieces = append(pieces, base.Intersect(equal))
+	}
+	// possible reports whether some instance of the dependence satisfies
+	// test as well.
+	possible := func(test isl.BasicSet) bool {
+		for _, p := range pieces {
+			if !p.IsEmptyRationalWith(test) {
+				return true
+			}
 		}
-		pieces = append(pieces, p)
+		return false
 	}
 
-	anyNonEmpty := false
-	for _, p := range pieces {
-		if !p.IsEmptyRational() {
-			anyNonEmpty = true
-			break
-		}
-	}
-	if !anyNonEmpty {
+	if !possible(isl.Universe(sp)) {
 		return Dependence{}, false
 	}
 
@@ -176,51 +223,10 @@ func analyzeAccessPair(ivs []string, s1, s2 ir.StatementInfo, a1, a2 ir.Access, 
 		Carried:     make([]bool, n),
 	}
 	for k := 0; k < n; k++ {
-		// Negative component possible at k?
-		neg := false
-		for _, p := range pieces {
-			q := p.Clone()
-			sp := q.Sp
-			// i'_k - i_k <= -1
-			q.AddGE(sp.VarExpr(k).Sub(sp.VarExpr(n + k)).AddConst(-1))
-			if !q.IsEmptyRational() {
-				neg = true
-				break
-			}
-		}
+		neg := possible(lt[k])
 		dep.NonNegative[k] = !neg
-
-		// Nonzero component possible at k?
-		nonzero := neg
-		if !nonzero {
-			for _, p := range pieces {
-				q := p.Clone()
-				sp := q.Sp
-				// i'_k - i_k >= 1
-				q.AddGE(sp.VarExpr(n + k).Sub(sp.VarExpr(k)).AddConst(-1))
-				if !q.IsEmptyRational() {
-					nonzero = true
-					break
-				}
-			}
-		}
-		dep.Zero[k] = !nonzero
-
-		// Carried at k: prefix equal, positive at k.
-		carried := false
-		for _, p := range pieces {
-			q := p.Clone()
-			sp := q.Sp
-			for j := 0; j < k; j++ {
-				q.AddEquals(sp.VarExpr(j), sp.VarExpr(n+j))
-			}
-			q.AddGE(sp.VarExpr(n + k).Sub(sp.VarExpr(k)).AddConst(-1))
-			if !q.IsEmptyRational() {
-				carried = true
-				break
-			}
-		}
-		dep.Carried[k] = carried
+		dep.Zero[k] = !neg && !possible(gt[k])
+		dep.Carried[k] = possible(carried[k])
 	}
 	return dep, true
 }

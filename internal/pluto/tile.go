@@ -42,10 +42,19 @@ type Result struct {
 // modified. Nests outside the supported class are returned unchanged
 // (untiled) with Tiled=false, matching Pluto's bail-out behaviour.
 func Optimize(nest *ir.Nest, opts Options) (Result, error) {
-	res := Result{Nest: nest, TileSize: opts.TileSize}
 	info, err := Analyze(nest)
 	if err != nil {
-		// Imperfect nests pass through untransformed.
+		info = nil // imperfect nests pass through untransformed
+	}
+	return Transform(nest, info, opts)
+}
+
+// Transform is Optimize given the nest's dependences: callers that try
+// several option sets on one nest analyze it once. A nil info stands for a
+// nest Analyze rejected, which is returned as it is.
+func Transform(nest *ir.Nest, info *DepInfo, opts Options) (Result, error) {
+	res := Result{Nest: nest, TileSize: opts.TileSize}
+	if info == nil {
 		return res, nil
 	}
 	res.NumDeps = len(info.Deps)

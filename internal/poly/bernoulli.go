@@ -53,6 +53,35 @@ func Bernoulli(n int) *big.Rat {
 	return new(big.Rat).Set(bernoulliCache.vals[n])
 }
 
+// faulhaberCache memoizes the coefficients of the Faulhaber polynomials:
+// every summation of a given degree reads the same few rationals.
+var faulhaberCache struct {
+	sync.Mutex
+	coefs [][]*big.Rat
+}
+
+// faulhaber returns the coefficients of S_k: f[j] multiplies n^j, for
+// j = 0..k+1 (f[0] is zero). The slice is shared and must not be modified.
+func faulhaber(k int) []*big.Rat {
+	faulhaberCache.Lock()
+	defer faulhaberCache.Unlock()
+	for d := len(faulhaberCache.coefs); d <= k; d++ {
+		// S_d(n) = 1/(d+1) * sum_{j=0}^{d} C(d+1, j) B+_j n^{d+1-j}
+		f := make([]*big.Rat, d+2)
+		f[0] = new(big.Rat)
+		c := big.NewInt(1) // C(d+1, j)
+		dp1 := big.NewInt(int64(d + 1))
+		for j := 0; j <= d; j++ {
+			coef := new(big.Rat).Mul(new(big.Rat).SetInt(c), Bernoulli(j))
+			f[d+1-j] = coef.Quo(coef, new(big.Rat).SetInt(dp1))
+			c.Mul(c, new(big.Int).Sub(dp1, big.NewInt(int64(j))))
+			c.Quo(c, big.NewInt(int64(j+1)))
+		}
+		faulhaberCache.coefs = append(faulhaberCache.coefs, f)
+	}
+	return faulhaberCache.coefs[k]
+}
+
 // SumPow returns the Faulhaber polynomial S_k in one variable n such that
 // S_k(n) = sum_{x=1}^{n} x^k for all integers n >= 0, and, as a polynomial
 // identity, S_k(n) - S_k(n-1) = n^k for every integer n. The latter makes
@@ -62,20 +91,11 @@ func SumPow(k int) Poly {
 	if k < 0 {
 		panic("poly: negative power in SumPow")
 	}
-	// S_k(n) = 1/(k+1) * sum_{j=0}^{k} C(k+1, j) B+_j n^{k+1-j}
 	res := New(1)
-	c := big.NewInt(1) // C(k+1, j)
-	kp1 := big.NewInt(int64(k + 1))
-	for j := 0; j <= k; j++ {
-		bj := Bernoulli(j)
-		if bj.Sign() != 0 {
-			coef := new(big.Rat).Mul(new(big.Rat).SetInt(c), bj)
-			coef.Quo(coef, new(big.Rat).SetInt64(int64(k+1)))
-			term := Var(1, 0).Pow(k + 1 - j).Scale(coef)
-			res = res.Add(term)
-		}
-		c.Mul(c, new(big.Int).Sub(kp1, big.NewInt(int64(j))))
-		c.Quo(c, big.NewInt(int64(j+1)))
+	pow := ConstInt(1, 1)
+	for _, c := range faulhaber(k) {
+		res = res.Add(pow.Scale(c))
+		pow = pow.Mul(Var(1, 0))
 	}
 	return res
 }
@@ -94,41 +114,30 @@ func SumVar(p Poly, i int, L, U Poly) Poly {
 	if L.n != n || U.n != n {
 		panic("poly: bound variable space mismatch")
 	}
+	// p = sum_d parts[d] * x_i^d sums to
+	// sum_d parts[d] * (S_d(U) - S_d(L-1)), and
+	// S_d(U) - S_d(L-1) = sum_j f_d[j] * (U^j - (L-1)^j): the power
+	// differences are shared by every degree.
+	parts := p.split(i)
 	Lm1 := L.Sub(ConstInt(n, 1))
-	// Decompose p by powers of x_i.
-	byDeg := map[int]Poly{}
-	for k, c := range p.terms {
-		d := int(k[i])
-		rest := []byte(k)
-		rest[i] = 0
-		cp, ok := byDeg[d]
-		if !ok {
-			cp = New(n)
-			byDeg[d] = cp
-		}
-		cp.addTerm(string(rest), c)
+	diffs := make([]Poly, len(parts)+1) // diffs[0] is never read: f_d[0] = 0
+	upow, lpow := ConstInt(n, 1), ConstInt(n, 1)
+	for j := 1; j < len(diffs); j++ {
+		upow, lpow = upow.Mul(U), lpow.Mul(Lm1)
+		diffs[j] = upow.Sub(lpow)
 	}
 	result := New(n)
-	for d, coef := range byDeg {
-		sk := SumPow(d) // in one variable
-		// Lift S_k into the n-variable space with its variable at index i,
-		// then substitute the bounds.
-		skN := liftUni(sk, n, i)
-		atU := skN.SubstPoly(i, U)
-		atL := skN.SubstPoly(i, Lm1)
-		result = result.Add(coef.Mul(atU.Sub(atL)))
+	for d, part := range parts {
+		if part.IsZero() {
+			continue
+		}
+		span := New(n)
+		for j, f := range faulhaber(d) {
+			if f.Sign() != 0 {
+				span = span.Add(diffs[j].Scale(f))
+			}
+		}
+		result = result.Add(part.Mul(span))
 	}
 	return result
-}
-
-// liftUni re-expresses a univariate polynomial in an n-variable space with
-// its variable placed at index i.
-func liftUni(p Poly, n, i int) Poly {
-	r := New(n)
-	for k, c := range p.terms {
-		key := make([]byte, n)
-		key[i] = k[0]
-		r.terms[string(key)] = new(big.Rat).Set(c)
-	}
-	return r
 }

@@ -40,6 +40,24 @@ type Context struct {
 	// the volume score for that candidate. Populated by core's tile
 	// stage; nil keeps the legacy volume-only selection.
 	CapEDP func(nest *ir.Nest, cm *cachemodel.Result) (edp float64, ok bool)
+
+	// analysed and deps carry a nest's dependence analysis from the
+	// strategy that ran it to the candidates it tries (see withDeps).
+	analysed *ir.Nest
+	deps     *pluto.DepInfo
+}
+
+// withDeps returns ctx carrying nest's dependence analysis, running it
+// unless an enclosing strategy already has: the analysis does not depend on
+// tile size, so a strategy that tiles one nest several ways — latency's
+// ladder, auto's race — pays for it once per Apply. Nests the analysis
+// rejects carry nil, which pluto.Transform passes through untiled.
+func (ctx Context) withDeps(nest *ir.Nest) Context {
+	if ctx.analysed != nest {
+		ctx.analysed = nest
+		ctx.deps, _ = pluto.Analyze(nest) // the error means "outside the class": deps stay nil
+	}
+	return ctx
 }
 
 // NestInfo is the per-nest tiling metadata a strategy reports; it is
@@ -115,7 +133,7 @@ func (s *plutoStrategy) Apply(nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo, e
 	if s.spec.Size > 0 {
 		opts.TileSize = s.spec.Size
 	}
-	return runPluto(nest, opts, NamePluto)
+	return runPluto(nest, ctx, opts, NamePluto)
 }
 
 // cobStrategy approximates PCOT-style cache-oblivious tiling: a
@@ -141,7 +159,7 @@ func (s *cobStrategy) Apply(nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo, err
 	}
 	opts := ctx.Pluto
 	opts.TileSize = leafTile(nest, base)
-	return runPluto(nest, opts, NameCacheOblivious)
+	return runPluto(nest, ctx, opts, NameCacheOblivious)
 }
 
 // leafTile computes the recursive-bisection leaf size for a nest: the
@@ -221,6 +239,7 @@ func (s *latencyStrategy) Apply(nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo,
 		probe = len(latencyLadder)
 	}
 
+	ctx = ctx.withDeps(nest)
 	var (
 		best     *ir.Nest
 		bestInfo NestInfo
@@ -230,7 +249,7 @@ func (s *latencyStrategy) Apply(nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo,
 	for _, size := range latencyLadder[:probe] {
 		opts := ctx.Pluto
 		opts.TileSize = size
-		out, info, err := runPluto(nest, opts, NameLatency)
+		out, info, err := runPluto(nest, ctx, opts, NameLatency)
 		if err != nil {
 			lastErr = err
 			continue
@@ -328,6 +347,7 @@ func (s *autoStrategy) Apply(nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo, er
 		&cobStrategy{spec: Spec{Name: NameCacheOblivious}},
 		&latencyStrategy{spec: Spec{Name: NameLatency}},
 	}
+	ctx = ctx.withDeps(nest)
 	var (
 		best      *ir.Nest
 		bestInfo  NestInfo
@@ -372,8 +392,8 @@ func (s *autoStrategy) Apply(nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo, er
 // runPluto funnels every strategy through the shared pluto legality and
 // transform machinery with the given options, translating the pluto
 // result into strategy metadata.
-func runPluto(nest *ir.Nest, opts pluto.Options, name string) (*ir.Nest, NestInfo, error) {
-	res, err := pluto.Optimize(nest, opts)
+func runPluto(nest *ir.Nest, ctx Context, opts pluto.Options, name string) (*ir.Nest, NestInfo, error) {
+	res, err := pluto.Transform(nest, ctx.withDeps(nest).deps, opts)
 	if err != nil {
 		return nil, NestInfo{}, fmt.Errorf("tiling: %s on %s: %w", name, nest.Label, err)
 	}

@@ -327,3 +327,42 @@ func TestAutoCapEDPFallback(t *testing.T) {
 			oneInfo.Strategy, NameCacheOblivious)
 	}
 }
+
+// A nest's dependence analysis does not depend on tile size, so it travels
+// in the Context: a strategy that tiles one nest several ways (latency's
+// ladder, auto's race) analyses once per Apply. The shared analysis must
+// not leak to another nest.
+func TestDependenceAnalysisTravelsInContext(t *testing.T) {
+	gemm, lu := nestFrom(t, "gemm", 1), nestFrom(t, "lu", 0)
+	ctx := testCtx().withDeps(gemm)
+	if ctx.deps == nil {
+		t.Fatal("gemm was not analysed")
+	}
+	if again := ctx.withDeps(gemm); again.deps != ctx.deps {
+		t.Fatal("second withDeps on the same nest re-ran the analysis")
+	}
+	other := ctx.withDeps(lu)
+	want, err := pluto.Analyze(lu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.deps == ctx.deps || !reflect.DeepEqual(other.deps, want) {
+		t.Fatal("a context carrying gemm's dependences served them for lu")
+	}
+	// Candidates inside auto see the shared analysis and still produce what
+	// each produces alone.
+	for _, name := range []string{NamePluto, NameCacheOblivious, NameLatency} {
+		s := MustNew(Spec{Name: name})
+		alone, infoAlone, err := s.Apply(lu, testCtx())
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared, infoShared, err := s.Apply(lu, other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(alone, shared) || infoAlone != infoShared {
+			t.Fatalf("%s: result with a shared analysis differs", name)
+		}
+	}
+}
