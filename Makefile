@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench perf-micro experiments faults fuzz fmt cover serve smoke pipeline platforms plantable jobs fleet tiling topology
+.PHONY: all build vet test race bench perf-micro experiments faults fuzz fmt cover diet serve smoke pipeline platforms plantable jobs fleet tiling topology
 
 all: build vet test
 
@@ -146,3 +146,11 @@ fmt:
 
 cover:
 	$(GO) test -cover ./internal/...
+
+# Design-diet ledger: non-test Go lines per package under internal/ and
+# cmd/, largest first, with the total. A simplification PR quotes the
+# total before and after.
+diet:
+	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs wc -l | \
+		awk '$$2 != "total" { n = split($$2, p, "/"); dir = p[1]; for (i = 2; i < n; i++) dir = dir "/" p[i]; loc[dir] += $$1; sum += $$1 } \
+		END { for (d in loc) printf "%7d %s\n", loc[d], d; printf "%7d total\n", sum }' | sort -rn

@@ -215,7 +215,7 @@ func BenchmarkTab4CompileTime(b *testing.B) {
 		if i == 0 {
 			var cm float64
 			for _, r := range rows {
-				cm += float64(r.Timings.CM.Milliseconds())
+				cm += float64(r.Timings.Of(core.StageCacheModel).Milliseconds())
 			}
 			b.ReportMetric(cm, "total_cm_ms")
 		}

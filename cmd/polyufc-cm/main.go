@@ -5,8 +5,8 @@
 //
 // Usage:
 //
-//	polyufc-cm -kernel gemm -arch bdw -validate
-//	polyufc-cm -kernel mvt -arch rpl -fully-assoc
+//	polyufc-cm -kernel gemm -platform bdw -validate
+//	polyufc-cm -kernel mvt -platform rpl -fully-assoc
 package main
 
 import (
@@ -28,8 +28,7 @@ import (
 func main() {
 	var (
 		kernel     = flag.String("kernel", "", "kernel name (see polyufc -list)")
-		platName   = flag.String("platform", "", "platform backend name or alias from the registry")
-		arch       = flag.String("arch", "bdw", "legacy spelling of -platform")
+		platName   = flag.String("platform", "bdw", "platform backend name or alias from the registry")
 		platFiles  = flag.String("platform-file", "", "comma-separated backend description files (platforms/*.json) to register before lookup")
 		size       = flag.String("size", "test", "size class: test, bench, full")
 		fullyAssoc = flag.Bool("fully-assoc", false, "use the fully-associative model (Fig. 8 ablation)")
@@ -40,9 +39,6 @@ func main() {
 	)
 	flag.Parse()
 	name := *platName
-	if name == "" {
-		name = *arch
-	}
 	if *topo {
 		if err := printTopology(name, *platFiles); err != nil {
 			fmt.Fprintln(os.Stderr, "polyufc-cm:", err)

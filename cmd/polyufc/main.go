@@ -6,8 +6,8 @@
 //
 // Usage:
 //
-//	polyufc -kernel gemm -arch rpl -objective edp
-//	polyufc -kernel sdpa-bert -arch bdw -cap-level torch -print-ir
+//	polyufc -kernel gemm -platform rpl -objective edp
+//	polyufc -kernel sdpa-bert -platform bdw -cap-level torch -print-ir
 package main
 
 import (
@@ -37,8 +37,7 @@ func main() {
 	var (
 		kernel    = flag.String("kernel", "", "kernel name from the registry (see -list)")
 		file      = flag.String("file", "", "compile an affine kernel source file instead of a registry kernel")
-		platName  = flag.String("platform", "", "platform backend name or alias from the registry (see -list-platforms)")
-		arch      = flag.String("arch", "rpl", "legacy spelling of -platform")
+		platName  = flag.String("platform", "rpl", "platform backend name or alias from the registry (see -list-platforms)")
 		platFiles = flag.String("platform-file", "", "comma-separated backend description files (platforms/*.json) to register before lookup")
 		calPath   = flag.String("calibration", "", "load a persisted calibration artifact instead of re-running the roofline fit")
 		saveCal   = flag.String("save-calibration", "", "write the calibration artifact (constants + fit provenance) to this file")
@@ -81,9 +80,6 @@ func main() {
 		return
 	}
 	name := *platName
-	if name == "" {
-		name = *arch
-	}
 	if *topo {
 		b, err := platform.Lookup(name)
 		if err != nil {
@@ -482,8 +478,10 @@ func run(kernel, file, platName, objective, size, capLevel, degrade, fault, jpat
 		fmt.Printf("plan tables: %d loaded, %d hits, %d fallbacks to live search, %d stale\n",
 			st.Loaded, st.Hits, st.Fallbacks, st.Stale)
 	}
+	t := res.Timings
+	pre, tile, cm := t.Of(core.StagePreprocess), t.Of(core.StageTile), t.Of(core.StageCacheModel)
 	fmt.Printf("\ncompile time: preprocess %v, pluto %v, polyufc-cm %v, steps4-6 %v\n",
-		res.Timings.Preprocess, res.Timings.Pluto, res.Timings.CM, res.Timings.Steps46)
+		pre, tile, cm, t.Total()-pre-tile-cm)
 	if jrnl != nil {
 		if err := jrnl.Record(jkey, &rec); err != nil {
 			return err

@@ -2,6 +2,10 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"strings"
 
 	"polyufc/internal/ir"
 	"polyufc/internal/parallel"
@@ -13,6 +17,7 @@ import (
 // the compiled artifact (cap granularity, cache-model associativity, the
 // profitability gate). Two compilations with equal keys produce deep-equal
 // Results, because Compile is pure and deterministic for a fixed input.
+// KeyOf is the one derivation; build keys through it.
 type CacheKey struct {
 	Kernel   string
 	Platform string
@@ -43,6 +48,60 @@ type CacheKey struct {
 	// only in the presence of stage failures, but they must not share
 	// cache entries — a degraded Result is a different artifact.
 	Degrade DegradePolicy
+	// Plans is the short hash of the configured plan-table set's
+	// fingerprint ("" without a set). A table-served cap can differ from
+	// live bisection within the interpolation tolerance, so installing,
+	// replacing or re-fitting a table must miss, not replay.
+	Plans string
+}
+
+// KeyOf derives the identity of compiling kernel at a size class under
+// cfg, reading every result-changing bit from the Config: the target and
+// its calibration, the tiling, cache-model, search and cap settings, the
+// degrade policy and the plan-table set. It is the single place a
+// compilation's identity is decided — the whole-result cache, the daemon's
+// response journal and its CAS all key on it.
+func KeyOf(kernel string, size int, cfg Config) CacheKey {
+	key := CacheKey{
+		Kernel:     kernel,
+		Size:       size,
+		CapLevel:   cfg.CapLevel,
+		FullyAssoc: cfg.CM.FullyAssoc,
+		Tiling:     cfg.Tiling.Fingerprint(),
+		NoAmortize: cfg.AmortizeFactor == 0,
+		Objective:  cfg.Search.Objective,
+		Epsilon:    cfg.Search.Epsilon,
+		Degrade:    cfg.Degrade,
+	}
+	if p := cfg.Platform(); p != nil { // a target-less Config fails in CompilePipeline
+		key.Platform = p.Name
+		key.CalHash = cfg.Constants().Hash()
+	}
+	if cfg.Plans != nil {
+		sum := sha256.Sum256([]byte(cfg.Plans.Fingerprint()))
+		key.Plans = hex.EncodeToString(sum[:8])
+	}
+	return key
+}
+
+// String renders the key in the response journal's wire layout:
+// platform/cal<hash>/kernel/sz<n>/objective/lvl<n>/eps<g>/tiling=<fp>,
+// plus /plans<hash> when a plan-table set is configured. Only the
+// components a served request can vary are rendered — FullyAssoc,
+// NoAmortize and Degrade are process-wide settings of the daemon and were
+// never part of the layout — so journals written before KeyOf existed
+// still replay. It is a wire format, not a substitute for key equality.
+func (k CacheKey) String() string {
+	s := strings.Join([]string{
+		k.Platform, "cal" + k.CalHash, k.Kernel,
+		fmt.Sprintf("sz%d", k.Size), k.Objective.String(),
+		fmt.Sprintf("lvl%d", int(k.CapLevel)), fmt.Sprintf("eps%g", k.Epsilon),
+		"tiling=" + k.Tiling,
+	}, "/")
+	if k.Plans != "" {
+		s += "/plans" + k.Plans
+	}
+	return s
 }
 
 // Cache memoizes PolyUFC compilations across evaluation sweeps. It is safe
@@ -50,9 +109,11 @@ type CacheKey struct {
 // share the Result (singleflight). Shared Results must be treated as
 // immutable by callers — the experiment renderers only read them.
 //
-// The zero value is ready to use.
+// The embedded Memo supplies SetLimit, the counters and Reset; long-running
+// processes must SetLimit — an unbounded memo is a memory leak under
+// open-ended traffic. The zero value is ready to use.
 type Cache struct {
-	memo parallel.Memo[CacheKey, *Result]
+	parallel.Memo[CacheKey, *Result]
 }
 
 // Compile returns the memoized Result for key, building the module and
@@ -68,29 +129,21 @@ func (c *Cache) Compile(ctx context.Context, key CacheKey, cfg Config, build fun
 // snapshots (opts.Stages) and reports stage events (opts.Observe), so
 // e.g. a search request after a characterize request on the same kernel
 // skips preprocess, tile and the cache model.
+//
+// Two kinds of compilation bypass the memo and run directly: one with
+// armed faults (see Config.memoizable), and a prefix run (opts.Until) —
+// a prefix Result is a different artifact than the full compile under the
+// same key, and leans on the stage cache instead.
 func (c *Cache) CompileStaged(ctx context.Context, key CacheKey, cfg Config, opts PipelineOptions, build func() (*ir.Module, error)) (*Result, error) {
-	return c.memo.Do(ctx, key, func() (*Result, error) {
+	compile := func() (*Result, error) {
 		mod, err := build()
 		if err != nil {
 			return nil, err
 		}
 		return CompilePipeline(ctx, mod, cfg, opts)
-	})
+	}
+	if !cfg.memoizable() || opts.Until != "" {
+		return compile()
+	}
+	return c.Do(ctx, key, compile)
 }
-
-// SetLimit bounds the cache to n compilations with LRU eviction (n <= 0
-// restores the unbounded default). Long-running processes must set a
-// limit — an unbounded memo is a memory leak under open-ended traffic.
-func (c *Cache) SetLimit(n int) { c.memo.SetLimit(n) }
-
-// Stats returns cache hits and misses so far.
-func (c *Cache) Stats() (hits, misses int64) { return c.memo.Stats() }
-
-// Evictions returns how many compilations the LRU bound has dropped.
-func (c *Cache) Evictions() int64 { return c.memo.Evictions() }
-
-// Len returns the number of cached compilations.
-func (c *Cache) Len() int { return c.memo.Len() }
-
-// Reset drops all cached compilations.
-func (c *Cache) Reset() { c.memo.Reset() }

@@ -126,6 +126,12 @@ func (c Config) Constants() *roofline.Constants {
 	return c.Target.Constants
 }
 
+// memoizable reports whether compilations under c may be memoized — whole
+// Results and stage snapshots alike. Armed faults forbid it: injection
+// points are call-ordered state, so replaying a memoized outcome would
+// repeat one injection across compilations and skip the others.
+func (c Config) memoizable() bool { return c.Faults == nil }
+
 // DefaultConfig returns the paper's evaluation configuration for a
 // resolved backend target.
 func DefaultConfig(t *roofline.Target) Config {
@@ -139,32 +145,35 @@ func DefaultConfig(t *roofline.Target) Config {
 	}
 }
 
-// Timings is the Table-IV compile-time breakdown. The legacy fields
-// aggregate the recorded stage events into the paper's four buckets;
-// Stages keeps the full per-stage record.
+// Timings is the Table-IV compile-time breakdown: every executed pipeline
+// stage in order. The paper's four columns are sums over stage names —
+// Of(StagePreprocess), Of(StageTile), Of(StageCacheModel), and the rest.
 type Timings struct {
-	Preprocess time.Duration // "preprocess": lowering (stage 2 prep)
-	Pluto      time.Duration // "tile": stage 2 optimizer
-	CM         time.Duration // "cachemodel": stages 3a-3b (PolyUFC-CM + OI)
-	Steps46    time.Duration // remaining stages 4-6 (characterize through cleanup)
-	// Stages records every executed pipeline stage in order, including
-	// stages added after the four buckets above were named.
 	Stages []StageTiming
 }
 
-// Total returns the end-to-end compile time. It derives from the
-// recorded stage events when present, so a stage added to the pipeline
-// can never silently under-report the Table-IV breakdown; the field sum
-// is the fallback for hand-built values.
-func (t Timings) Total() time.Duration {
-	if len(t.Stages) > 0 {
-		var sum time.Duration
-		for _, s := range t.Stages {
-			sum += s.Duration
+// Of sums the recorded time of the named stages.
+func (t Timings) Of(stages ...string) time.Duration {
+	var sum time.Duration
+	for _, s := range t.Stages {
+		for _, name := range stages {
+			if s.Stage == name {
+				sum += s.Duration
+			}
 		}
-		return sum
 	}
-	return t.Preprocess + t.Pluto + t.CM + t.Steps46
+	return sum
+}
+
+// Total returns the end-to-end compile time: the sum over every recorded
+// stage event, so a stage added to the pipeline can never silently
+// under-report the Table-IV breakdown.
+func (t Timings) Total() time.Duration {
+	var sum time.Duration
+	for _, s := range t.Stages {
+		sum += s.Duration
+	}
+	return sum
 }
 
 // KernelReport is the per-nest analysis outcome.

@@ -9,6 +9,7 @@ import (
 	"polyufc/internal/hw"
 	"polyufc/internal/ir"
 	"polyufc/internal/pipeline"
+	"polyufc/internal/tiling"
 	"polyufc/internal/workloads"
 )
 
@@ -27,40 +28,70 @@ func buildModule(t *testing.T, name string, size workloads.SizeClass) *ir.Module
 
 // The memo-equivalence property: per-stage memoization on vs. off yields
 // deep-equal Results (modulo wall-clock Timings), both on a cold cache
-// and when every memoizable stage is served from a snapshot.
+// and when every memoizable stage is served from a snapshot. The
+// configurations cover everything a stage snapshot's per-nest records
+// carry: tiling metadata, topology placement and per-socket cap vectors,
+// plan-table hits, and the torch cap-merge tail.
 func TestStageMemoOnVsOffIdenticalResults(t *testing.T) {
-	p := hw.BDW()
-	cfg := DefaultConfig(targetFor(t, p))
-	cfg.AmortizeFactor = 0
-	for _, name := range []string{"gemm", "2mm", "sdpa-bert"} {
-		mod := buildModule(t, name, workloads.Test)
-		plain, err := CompileCtx(context.Background(), mod, cfg)
-		if err != nil {
-			t.Fatalf("%s plain: %v", name, err)
-		}
-		cache := &pipeline.Cache{}
-		cold, err := CompilePipeline(context.Background(), mod, cfg, PipelineOptions{Stages: cache})
-		if err != nil {
-			t.Fatalf("%s cold: %v", name, err)
-		}
-		warm, err := CompilePipeline(context.Background(), mod, cfg, PipelineOptions{Stages: cache})
-		if err != nil {
-			t.Fatalf("%s warm: %v", name, err)
-		}
-		hits := 0
-		for _, s := range warm.Timings.Stages {
-			if s.CacheHit {
-				hits++
+	base := DefaultConfig(targetFor(t, hw.BDW()))
+	base.AmortizeFactor = 0
+	torch := base
+	torch.CapLevel = ir.DialectTorch
+	auto := base
+	auto.Tiling = tiling.Spec{Name: tiling.NameAuto}
+	twoSocket := DefaultConfig(twoSocketTarget(t, 0))
+	twoSocket.AmortizeFactor = 0
+	planned := base
+	planned.Plans = planSetFor(t, planned)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"default", base}, {"torch-caps", torch}, {"auto-tiling", auto},
+		{"two-socket", twoSocket}, {"plan-table", planned},
+	} {
+		for _, name := range []string{"gemm", "2mm", "sdpa-bert"} {
+			mod := buildModule(t, name, workloads.Test)
+			plain, err := CompileCtx(context.Background(), mod, tc.cfg)
+			if err != nil {
+				t.Fatalf("%s/%s plain: %v", tc.name, name, err)
 			}
-		}
-		if hits == 0 {
-			t.Fatalf("%s: warm run recorded no stage-cache hits", name)
-		}
-		if !reflect.DeepEqual(zeroTimings(plain), zeroTimings(cold)) {
-			t.Fatalf("%s: memo-off vs cold-cache Results diverge", name)
-		}
-		if !reflect.DeepEqual(zeroTimings(plain), zeroTimings(warm)) {
-			t.Fatalf("%s: memo-off vs warm-cache Results diverge", name)
+			cache := &pipeline.Cache{}
+			cold, err := CompilePipeline(context.Background(), mod, tc.cfg, PipelineOptions{Stages: cache})
+			if err != nil {
+				t.Fatalf("%s/%s cold: %v", tc.name, name, err)
+			}
+			if !reflect.DeepEqual(zeroTimings(plain), zeroTimings(cold)) {
+				t.Fatalf("%s/%s: memo-off vs cold-cache Results diverge", tc.name, name)
+			}
+			// A snapshot owns its module: scribbling over a Result built
+			// from the cache must not leak into the next warm compile.
+			for _, f := range cold.Module.Funcs {
+				for _, op := range f.Ops {
+					if n, ok := op.(*ir.Nest); ok {
+						n.Label, n.Root = "scribbled", nil
+					}
+				}
+			}
+			for round := 0; round < 2; round++ {
+				warm, err := CompilePipeline(context.Background(), mod, tc.cfg, PipelineOptions{Stages: cache})
+				if err != nil {
+					t.Fatalf("%s/%s warm: %v", tc.name, name, err)
+				}
+				hits := 0
+				for _, s := range warm.Timings.Stages {
+					if s.CacheHit {
+						hits++
+					}
+				}
+				if hits == 0 {
+					t.Fatalf("%s/%s: warm run recorded no stage-cache hits", tc.name, name)
+				}
+				if !reflect.DeepEqual(zeroTimings(plain), zeroTimings(warm)) {
+					t.Fatalf("%s/%s: memo-off vs warm-cache Results diverge (round %d)", tc.name, name, round)
+				}
+				warm.Module.Funcs[0].Ops = nil
+			}
 		}
 	}
 }
@@ -197,9 +228,12 @@ func TestTimingsTotalDerivesFromStageEvents(t *testing.T) {
 	if got := int64(res.Timings.Total()); got != sum {
 		t.Fatalf("Total() = %d, want event sum %d", got, sum)
 	}
-	// The legacy four-bucket fields still partition the same total.
-	tm := res.Timings
-	if bucket := tm.Preprocess + tm.Pluto + tm.CM + tm.Steps46; int64(bucket) != sum {
-		t.Fatalf("bucket sum %d != event sum %d", bucket, sum)
+	// Of over every declared stage partitions the same total, and a
+	// Table-IV bucket is exactly its stage's event.
+	if got := int64(res.Timings.Of(names...)); got != sum {
+		t.Fatalf("Of(all stages) = %d, want event sum %d", got, sum)
+	}
+	if got := res.Timings.Of(StageCacheModel); got != res.Timings.Stages[2].Duration {
+		t.Fatalf("Of(cachemodel) = %v, want the cachemodel event's %v", got, res.Timings.Stages[2].Duration)
 	}
 }

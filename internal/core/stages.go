@@ -52,47 +52,58 @@ const (
 	StagePhases = "phases"
 )
 
-// compileState is the shared state the compile pipeline's stages operate
-// on: the module under transformation plus per-nest artifacts, indexed by
-// nest position in module order (stable across tiling, which replaces
-// nests in place).
-type compileState struct {
-	cfg Config
-	res *Result
-
-	// nests lists the module's loop nests in walk order; tile updates
-	// entries in place as it swaps optimized nests into the module.
-	nests []*ir.Nest
-	// tinfo is the per-nest tiling metadata the strategy reported
-	// (strategy name, tiled flag, tile size); zero-valued for nests whose
-	// tile stage degraded.
-	tinfo []tiling.NestInfo
-	// nerr records the first BestEffort stage error per nest (tile or
-	// cachemodel); such nests are compiled degraded.
-	nerr []error
-	// cms holds the PolyUFC-CM result per nest (nil when degraded).
-	cms []*cachemodel.Result
-	// class is the roofline CB/BB classification per nest.
-	class []roofline.Class
-	// threads is the per-nest thread count reported and modeled.
-	threads []int
+// nestState is everything the pipeline knows about one loop nest, filled
+// in stage by stage; fields a stage has not reached yet are zero-valued.
+// Pointered artifacts (cache-model result, model, errors) are immutable
+// once produced, so stage snapshots share them.
+type nestState struct {
+	// nest is the loop nest in the module; tile swaps the optimized nest
+	// in here and in the module together.
+	nest *ir.Nest
+	// tile is the tiling metadata the strategy reported (strategy name,
+	// tiled flag, tile size); zero-valued when the tile stage degraded.
+	tile tiling.NestInfo
+	// err records the first BestEffort stage error (tile or cachemodel);
+	// such a nest is compiled degraded.
+	err error
+	// cm is the PolyUFC-CM result (nil when degraded) and class its
+	// roofline CB/BB classification.
+	cm    *cachemodel.Result
+	class roofline.Class
+	// threads is the thread count reported and modeled.
+	threads int
 	// socket and remote are the topology placement (multi-socket targets
-	// only; zero-valued otherwise): the home socket per nest (-1 for
-	// parallel nests spanning every socket) and the modeled remote share
-	// of its DRAM traffic.
-	socket []int
-	remote []float64
-	// models and defEst hold the fitted Sec. V model and its estimate at
+	// only; zero-valued otherwise): the home socket (-1 for a parallel
+	// nest spanning every socket) and the modeled remote share of its DRAM
+	// traffic.
+	socket int
+	remote float64
+	// model and defEst hold the fitted Sec. V model and its estimate at
 	// the driver-default (maximum) uncore frequency.
-	models []*model.Model
-	defEst []model.Estimate
+	model  *model.Model
+	defEst model.Estimate
 	// sres and serr hold the PolyUFC-SEARCH outcome or its BestEffort
-	// failure per nest.
-	sres []search.Result
-	serr []error
-	// plan marks nests whose sres was answered from a plan table; the
-	// search stage skips them and the report records the hit.
-	plan []bool
+	// failure (a failed model fit lands in serr too).
+	sres search.Result
+	serr error
+	// plan marks sres as answered from a plan table; the search stage
+	// skips the nest and the report records the hit.
+	plan bool
+}
+
+// searched reports whether the nest came through analysis, model fit and
+// cap selection intact — only then does it carry a cap of its own.
+func (ns *nestState) searched() bool {
+	return ns.cm != nil && ns.serr == nil && ns.model != nil
+}
+
+// compileState is the shared state the compile pipeline's stages operate
+// on: the module under transformation plus one record per nest, in module
+// walk order (stable across tiling, which replaces nests in place).
+type compileState struct {
+	cfg   Config
+	res   *Result
+	nests []nestState
 
 	// phases is the PhaseStudy output (phase pipeline only).
 	phases map[ir.Dialect][]Phase
@@ -102,98 +113,54 @@ func newCompileState(mod *ir.Module, cfg Config) *compileState {
 	return &compileState{cfg: cfg, res: &Result{Module: mod}}
 }
 
-// refreshNests rebuilds the nest index from the module in walk order.
-func (st *compileState) refreshNests() {
-	st.nests = st.nests[:0]
-	for _, f := range st.res.Module.Funcs {
+// bindNests points recs[i].nest at the i-th nest of mod in walk order,
+// growing recs with zero records as needed, and returns the bound slice.
+func bindNests(mod *ir.Module, recs []nestState) []nestState {
+	i := 0
+	for _, f := range mod.Funcs {
 		for _, op := range f.Ops {
 			if n, ok := op.(*ir.Nest); ok {
-				st.nests = append(st.nests, n)
+				if i == len(recs) {
+					recs = append(recs, nestState{})
+				}
+				recs[i].nest = n
+				i++
 			}
 		}
 	}
-}
-
-// alloc sizes every per-nest artifact slice to the nest count.
-func (st *compileState) alloc() {
-	n := len(st.nests)
-	st.tinfo = make([]tiling.NestInfo, n)
-	st.nerr = make([]error, n)
-	st.cms = make([]*cachemodel.Result, n)
-	st.class = make([]roofline.Class, n)
-	st.threads = make([]int, n)
-	st.socket = make([]int, n)
-	st.remote = make([]float64, n)
-	st.models = make([]*model.Model, n)
-	st.defEst = make([]model.Estimate, n)
-	st.sres = make([]search.Result, n)
-	st.serr = make([]error, n)
-	st.plan = make([]bool, n)
+	return recs[:i]
 }
 
 // stageSnap is the memoized snapshot of a stage's outputs: the module as
-// of the stage plus every per-nest artifact slice. One snapshot type
-// serves all memoizable stages — slices a stage has not reached yet are
-// zero-valued. Pointered artifacts (cache-model results, models, errors)
-// are immutable once produced, so snapshots share them.
+// of the stage plus the per-nest records, bound to that module's nests.
+// One snapshot type serves all memoizable stages.
 type stageSnap struct {
-	mod     *ir.Module
-	tinfo   []tiling.NestInfo
-	nerr    []error
-	cms     []*cachemodel.Result
-	class   []roofline.Class
-	threads []int
-	socket  []int
-	remote  []float64
-	models  []*model.Model
-	defEst  []model.Estimate
-	sres    []search.Result
-	serr    []error
-	plan    []bool
+	mod   *ir.Module
+	nests []nestState
+}
+
+// clone deep-copies the module and rebinds a copy of the records to it, so
+// neither side of a save or load can mutate the other's nests.
+func (sn stageSnap) clone() *stageSnap {
+	mod := sn.mod.Clone()
+	return &stageSnap{mod: mod, nests: bindNests(mod, append([]nestState(nil), sn.nests...))}
 }
 
 func snapSave(st *compileState) any {
-	return &stageSnap{
-		mod:     st.res.Module.Clone(),
-		tinfo:   append([]tiling.NestInfo(nil), st.tinfo...),
-		nerr:    append([]error(nil), st.nerr...),
-		cms:     append([]*cachemodel.Result(nil), st.cms...),
-		class:   append([]roofline.Class(nil), st.class...),
-		threads: append([]int(nil), st.threads...),
-		socket:  append([]int(nil), st.socket...),
-		remote:  append([]float64(nil), st.remote...),
-		models:  append([]*model.Model(nil), st.models...),
-		defEst:  append([]model.Estimate(nil), st.defEst...),
-		sres:    append([]search.Result(nil), st.sres...),
-		serr:    append([]error(nil), st.serr...),
-		plan:    append([]bool(nil), st.plan...),
-	}
+	return stageSnap{st.res.Module, st.nests}.clone()
 }
 
 func snapLoad(st *compileState, v any) {
-	snap := v.(*stageSnap)
-	st.res.Module = snap.mod.Clone()
-	st.refreshNests()
-	st.tinfo = append([]tiling.NestInfo(nil), snap.tinfo...)
-	st.nerr = append([]error(nil), snap.nerr...)
-	st.cms = append([]*cachemodel.Result(nil), snap.cms...)
-	st.class = append([]roofline.Class(nil), snap.class...)
-	st.threads = append([]int(nil), snap.threads...)
-	st.socket = append([]int(nil), snap.socket...)
-	st.remote = append([]float64(nil), snap.remote...)
-	st.models = append([]*model.Model(nil), snap.models...)
-	st.defEst = append([]model.Estimate(nil), snap.defEst...)
-	st.sres = append([]search.Result(nil), snap.sres...)
-	st.serr = append([]error(nil), snap.serr...)
-	st.plan = append([]bool(nil), snap.plan...)
+	snap := v.(*stageSnap).clone()
+	st.res.Module, st.nests = snap.mod, snap.nests
 }
 
 // stageBaseKey is the content hash anchoring the stage memo key chain:
 // the module text plus everything every stage reads from the config.
-// Fault-injection runs return "" — injection points are call-ordered
-// state, so replaying a snapshot would silently skip them.
+// Fault-injection runs return "", which disables stage memoization (see
+// Config.memoizable).
 func stageBaseKey(mod *ir.Module, cfg Config) string {
-	if cfg.Faults != nil {
+	if !cfg.memoizable() {
 		return ""
 	}
 	h := sha256.New()
@@ -248,8 +215,7 @@ func stagePreprocess() pipeline.Stage[*compileState] {
 			if err := lower.LinalgToAffine(st.res.Module); err != nil {
 				return err
 			}
-			st.refreshNests()
-			st.alloc()
+			st.nests = bindNests(st.res.Module, nil)
 			return nil
 		},
 	}
@@ -307,13 +273,13 @@ func stageTile() pipeline.Stage[*compileState] {
 						if st.cfg.Degrade != BestEffort {
 							return err
 						}
-						st.nerr[idx] = err
+						st.nests[idx].err = err
 						idx++
 						continue
 					}
 					f.Ops[i] = out
-					st.nests[idx] = out
-					st.tinfo[idx] = info
+					st.nests[idx].nest = out
+					st.nests[idx].tile = info
 					idx++
 				}
 			}
@@ -350,7 +316,9 @@ func stageCacheModel() pipeline.Stage[*compileState] {
 		Run: func(ctx context.Context, st *compileState) error {
 			// Pluto-degraded nests are analyzed too: they fell back to the
 			// untiled form but can still be characterized and capped.
-			for idx, nest := range st.nests {
+			for idx := range st.nests {
+				ns := &st.nests[idx]
+				nest := ns.nest
 				if err := ctx.Err(); err != nil {
 					return err
 				}
@@ -367,12 +335,12 @@ func stageCacheModel() pipeline.Stage[*compileState] {
 					if st.cfg.Degrade != BestEffort {
 						return err
 					}
-					if st.nerr[idx] == nil {
-						st.nerr[idx] = err
+					if ns.err == nil {
+						ns.err = err
 					}
 					continue
 				}
-				st.cms[idx] = cm
+				ns.cm = cm
 			}
 			return nil
 		},
@@ -391,19 +359,20 @@ func stageCharacterize() pipeline.Stage[*compileState] {
 			// entirely (socket 0, remote 0: the pre-topology state).
 			S := st.cfg.Target.NumSockets()
 			serial := 0
-			for idx, nest := range st.nests {
-				st.threads[idx] = nestThreads(st.cfg, nest)
+			for idx := range st.nests {
+				ns := &st.nests[idx]
+				ns.threads = nestThreads(st.cfg, ns.nest)
 				if S > 1 {
-					if nest.Root != nil && nest.Root.Parallel {
-						st.socket[idx] = -1
-						st.remote[idx] = float64(S-1) / float64(S)
+					if ns.nest.Root != nil && ns.nest.Root.Parallel {
+						ns.socket = -1
+						ns.remote = float64(S-1) / float64(S)
 					} else {
-						st.socket[idx] = serial % S
+						ns.socket = serial % S
 						serial++
 					}
 				}
-				if cm := st.cms[idx]; cm != nil {
-					st.class[idx] = st.cfg.Constants().Classify(cm.OI)
+				if ns.cm != nil {
+					ns.class = st.cfg.Constants().Classify(ns.cm.OI)
 				}
 			}
 			return nil
@@ -416,26 +385,26 @@ func stageModelFit() pipeline.Stage[*compileState] {
 		Name: StageModelFit,
 		Save: snapSave, Load: snapLoad,
 		Run: func(ctx context.Context, st *compileState) error {
-			for idx, nest := range st.nests {
-				cm := st.cms[idx]
-				if cm == nil {
+			for idx := range st.nests {
+				ns := &st.nests[idx]
+				if ns.cm == nil {
 					continue
 				}
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				err := pipeline.Unit(StageModelFit, nest.Label, func() error {
-					ks := model.FromCacheModel(cm, st.threads[idx])
+				err := pipeline.Unit(StageModelFit, ns.nest.Label, func() error {
+					ks := model.FromCacheModel(ns.cm, ns.threads)
 					c := st.cfg.Constants()
 					var m *model.Model
-					if rho := st.remote[idx]; rho > 0 {
+					if rho := ns.remote; rho > 0 {
 						// Multi-socket placement: arm the inter-socket
 						// traffic term with the backend's declared link.
 						ks.RemoteRatio = rho
 						sec, jpb := st.cfg.Target.RemotePenalty()
 						m = model.NewNUMA(c, ks, &model.RemoteCost{SecPerByte: sec, JoulesPerByte: jpb})
 					} else {
-						if s := st.socket[idx]; s > 0 {
+						if s := ns.socket; s > 0 {
 							// Serial nest pinned off socket 0: model it with
 							// that socket's calibration (same pointer on
 							// homogeneous topologies).
@@ -443,16 +412,16 @@ func stageModelFit() pipeline.Stage[*compileState] {
 						}
 						m = model.New(c, ks)
 					}
-					st.models[idx] = m
-					st.defEst[idx] = m.At(st.cfg.Platform().UncoreMax)
+					ns.model = m
+					ns.defEst = m.At(st.cfg.Platform().UncoreMax)
 					return nil
 				})
 				if err != nil {
 					if st.cfg.Degrade != BestEffort {
 						return err
 					}
-					st.models[idx] = nil
-					st.serr[idx] = err
+					ns.model = nil
+					ns.serr = err
 				}
 			}
 			return nil
@@ -474,19 +443,20 @@ func stagePlanLookup() pipeline.Stage[*compileState] {
 		},
 		Save: snapSave, Load: snapLoad,
 		Run: func(ctx context.Context, st *compileState) error {
-			for idx, nest := range st.nests {
-				m := st.models[idx]
+			for idx := range st.nests {
+				ns := &st.nests[idx]
+				m := ns.model
 				if m == nil {
 					continue
 				}
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				err := pipeline.Unit(StagePlanLookup, nest.Label, func() error {
+				err := pipeline.Unit(StagePlanLookup, ns.nest.Label, func() error {
 					// The nest's socket domain picks the table; spanning
 					// nests (socket -1) answer from socket 0's, whose
 					// rho-extended surface carries their remote share.
-					socket := st.socket[idx]
+					socket := ns.socket
 					if socket < 0 {
 						socket = 0
 					}
@@ -494,10 +464,10 @@ func stagePlanLookup() pipeline.Stage[*compileState] {
 					if !ok {
 						return nil
 					}
-					st.sres[idx] = search.Result{
+					ns.sres = search.Result{
 						BestGHz: f, Best: m.At(f), Class: m.Class(),
 					}
-					st.plan[idx] = true
+					ns.plan = true
 					return nil
 				})
 				if err != nil {
@@ -516,14 +486,15 @@ func stageSearch() pipeline.Stage[*compileState] {
 		Save: snapSave, Load: snapLoad,
 		Run: func(ctx context.Context, st *compileState) error {
 			freqs := st.cfg.Platform().UncoreSteps()
-			for idx, nest := range st.nests {
-				m := st.models[idx]
-				if m == nil || st.plan[idx] {
+			for idx := range st.nests {
+				ns := &st.nests[idx]
+				m := ns.model
+				if m == nil || ns.plan {
 					continue
 				}
-				err := pipeline.Unit(StageSearch, nest.Label, func() error {
+				err := pipeline.Unit(StageSearch, ns.nest.Label, func() error {
 					var serr error
-					st.sres[idx], serr = search.Run(ctx, m, freqs, st.cfg.Search)
+					ns.sres, serr = search.Run(ctx, m, freqs, st.cfg.Search)
 					return serr
 				})
 				if err != nil {
@@ -536,7 +507,7 @@ func stageSearch() pipeline.Stage[*compileState] {
 					if st.cfg.Degrade != BestEffort {
 						return err
 					}
-					st.serr[idx] = err
+					ns.serr = err
 				}
 			}
 			return nil
@@ -544,31 +515,67 @@ func stageSearch() pipeline.Stage[*compileState] {
 	}
 }
 
+// report builds the nest's KernelReport from what the executed stages
+// produced — the one place a KernelReport is constructed. A prefix run
+// (final false) reports the analysis so far with zero cap fields. At cap
+// insertion (final true) a nest that came through search carries its
+// selected cap, estimates and per-socket cap vector; a degraded one stays
+// uncapped at activeCap, whatever frequency is in force when it runs.
+func (st *compileState) report(ns *nestState, final bool, activeCap float64) KernelReport {
+	rep := KernelReport{
+		Label: ns.nest.Label, Origin: ns.nest.Origin(),
+		Tiled: ns.tile.Tiled, Tiling: ns.tile.Strategy, TileSize: ns.tile.TileSize,
+		Threads: ns.threads,
+		Socket:  ns.socket, RemoteRatio: ns.remote,
+		Degraded: ns.err != nil, Err: ns.err,
+	}
+	if ns.cm != nil {
+		rep.OI, rep.CM = ns.cm.OI, ns.cm
+	}
+	switch {
+	case !final:
+		rep.Class = ns.class
+	case ns.cm == nil:
+		// Cache model degraded (BestEffort).
+		rep.CapGHz, rep.Degraded = activeCap, true
+	case !ns.searched():
+		// Model fit or search degraded: characterized but uncapped.
+		rep.CapGHz, rep.Degraded, rep.Err = activeCap, true, ns.serr
+	default:
+		rep.Class, rep.CapGHz = ns.sres.Class, ns.sres.BestGHz
+		rep.Est, rep.EstDefault = ns.sres.Best, ns.defEst
+		rep.SearchEvals, rep.PlanHit = ns.sres.Evaluated, ns.plan
+		rep.SocketCaps = st.socketCaps(ns)
+	}
+	return rep
+}
+
+// socketCaps builds the per-socket cap vector of a capped nest: the
+// searched cap on every socket the nest runs on, idle sockets parked at
+// their grid minimum (nil on single-socket targets, keeping v1 reports
+// unchanged).
+func (st *compileState) socketCaps(ns *nestState) []float64 {
+	S := st.cfg.Target.NumSockets()
+	if S <= 1 {
+		return nil
+	}
+	topo := st.cfg.Target.Backend.Topology()
+	caps := make([]float64, S)
+	for k := range caps {
+		if ns.socket < 0 || ns.socket == k {
+			caps[k] = ns.sres.BestGHz
+		} else {
+			caps[k] = topo[k].UncoreMinGHz
+		}
+	}
+	return caps
+}
+
 func stageCapInsert() pipeline.Stage[*compileState] {
 	return pipeline.Stage[*compileState]{
 		Name: StageCapInsert,
 		Run: func(_ context.Context, st *compileState) error {
 			cfg := st.cfg
-			S := cfg.Target.NumSockets()
-			// socketCaps builds the per-socket cap vector of a capped nest:
-			// the searched cap on every socket the nest runs on, idle
-			// sockets parked at their grid minimum (nil on single-socket
-			// targets, keeping v1 reports unchanged).
-			socketCaps := func(i int, capGHz float64) []float64 {
-				if S <= 1 {
-					return nil
-				}
-				topo := cfg.Target.Backend.Topology()
-				caps := make([]float64, S)
-				for k := range caps {
-					if st.socket[i] < 0 || st.socket[i] == k {
-						caps[k] = capGHz
-					} else {
-						caps[k] = topo[k].UncoreMinGHz
-					}
-				}
-				return caps
-			}
 			idx := 0
 			for _, f := range st.res.Module.Funcs {
 				var out []ir.Op
@@ -579,57 +586,17 @@ func stageCapInsert() pipeline.Stage[*compileState] {
 						out = append(out, op)
 						continue
 					}
-					i := idx
+					ns := &st.nests[idx]
 					idx++
-					cm := st.cms[i]
-					if cm == nil {
-						// Cache model degraded (BestEffort): the nest stays
-						// uncapped — it runs at whatever frequency is active.
-						st.res.Reports = append(st.res.Reports, KernelReport{
-							Label: nest.Label, Origin: nest.Origin(),
-							CapGHz: activeCap, Tiled: st.tinfo[i].Tiled,
-							Tiling: st.tinfo[i].Strategy, TileSize: st.tinfo[i].TileSize,
-							Threads: st.threads[i],
-							Socket:  st.socket[i], RemoteRatio: st.remote[i],
-							Degraded: true, Err: st.nerr[i],
-						})
-						out = append(out, nest)
-						continue
-					}
-					if st.serr[i] != nil || st.models[i] == nil {
-						// Model fit or search degraded: characterized but
-						// uncapped.
-						st.res.Reports = append(st.res.Reports, KernelReport{
-							Label: nest.Label, Origin: nest.Origin(),
-							OI: cm.OI, CapGHz: activeCap, Tiled: st.tinfo[i].Tiled,
-							Tiling: st.tinfo[i].Strategy, TileSize: st.tinfo[i].TileSize,
-							Threads: st.threads[i], CM: cm,
-							Socket: st.socket[i], RemoteRatio: st.remote[i],
-							Degraded: true, Err: st.serr[i],
-						})
-						out = append(out, nest)
-						continue
-					}
-					sres := st.sres[i]
-					st.res.Reports = append(st.res.Reports, KernelReport{
-						Label: nest.Label, Origin: nest.Origin(),
-						OI: cm.OI, Class: sres.Class, CapGHz: sres.BestGHz,
-						Tiled:  st.tinfo[i].Tiled,
-						Tiling: st.tinfo[i].Strategy, TileSize: st.tinfo[i].TileSize,
-						Threads: st.threads[i],
-						Est:     sres.Best, EstDefault: st.defEst[i],
-						CM: cm, SearchEvals: sres.Evaluated, PlanHit: st.plan[i],
-						Socket: st.socket[i], RemoteRatio: st.remote[i],
-						SocketCaps: socketCaps(i, sres.BestGHz),
-						Degraded:   st.nerr[i] != nil, Err: st.nerr[i],
-					})
+					st.res.Reports = append(st.res.Reports, st.report(ns, true, activeCap))
 					// Profitability gate (Sec. VII-F): switching the cap costs
 					// CapLatency; only worthwhile when the kernel runs long
 					// enough. A non-positive BestGHz (degenerate frequency
 					// grid) never inserts a cap.
+					sres := ns.sres
 					profitable := cfg.AmortizeFactor <= 0 ||
 						sres.Best.Seconds >= cfg.AmortizeFactor*cfg.Platform().CapLatency
-					if profitable && sres.BestGHz > 0 && sres.BestGHz != activeCap {
+					if ns.searched() && profitable && sres.BestGHz > 0 && sres.BestGHz != activeCap {
 						out = append(out,
 							&ir.SetUncoreCap{GHz: sres.BestGHz, Level: cfg.CapLevel, From: nest.Label})
 						st.res.CapsInserted++
@@ -732,8 +699,8 @@ func stagePhases() pipeline.Stage[*compileState] {
 				qdram int64
 			}
 			var torchAggs []agg
-			for i, nest := range st.nests {
-				cm := st.cms[i]
+			for _, ns := range st.nests {
+				nest, cm := ns.nest, ns.cm
 				if cm == nil {
 					continue // degraded under BestEffort: no phase entry
 				}
@@ -843,31 +810,6 @@ func stagePos(stages []pipeline.Stage[*compileState], name string) int {
 	return -1
 }
 
-// partialReports synthesizes per-nest reports for a prefix run that
-// stopped before cap insertion: label, tiling, threads, OI and class as
-// far as the executed stages computed them, with zero cap fields.
-func (st *compileState) partialReports() {
-	for i, nest := range st.nests {
-		rep := KernelReport{
-			Label: nest.Label, Origin: nest.Origin(),
-			Tiled:  st.tinfo[i].Tiled,
-			Tiling: st.tinfo[i].Strategy, TileSize: st.tinfo[i].TileSize,
-			Threads: st.threads[i],
-			Socket:  st.socket[i], RemoteRatio: st.remote[i],
-		}
-		if cm := st.cms[i]; cm != nil {
-			rep.OI = cm.OI
-			rep.Class = st.class[i]
-			rep.CM = cm
-		}
-		if st.nerr[i] != nil {
-			rep.Degraded = true
-			rep.Err = st.nerr[i]
-		}
-		st.res.Reports = append(st.res.Reports, rep)
-	}
-}
-
 // StageTiming is one recorded stage event of a compilation.
 type StageTiming struct {
 	Stage    string
@@ -876,23 +818,12 @@ type StageTiming struct {
 	CacheHit bool
 }
 
-// timingsFromEvents maps the pipeline event stream onto the Table-IV
-// breakdown: the legacy fields aggregate their stages, Stages keeps the
-// full record.
+// timingsFromEvents records the pipeline event stream as the Table-IV
+// breakdown.
 func timingsFromEvents(evs []pipeline.Event) Timings {
 	t := Timings{Stages: make([]StageTiming, 0, len(evs))}
 	for _, e := range evs {
 		t.Stages = append(t.Stages, StageTiming{Stage: e.Stage, Duration: e.Duration, CacheHit: e.CacheHit})
-		switch e.Stage {
-		case StagePreprocess:
-			t.Preprocess += e.Duration
-		case StageTile:
-			t.Pluto += e.Duration
-		case StageCacheModel:
-			t.CM += e.Duration
-		default:
-			t.Steps46 += e.Duration
-		}
 	}
 	return t
 }
@@ -942,7 +873,11 @@ func CompilePipeline(ctx context.Context, mod *ir.Module, cfg Config, opts Pipel
 	st.res.Timings = timingsFromEvents(events)
 	if opts.Until != "" {
 		if p := stagePos(stages, opts.Until); p >= 0 && p < stagePos(stages, StageCapInsert) {
-			st.partialReports()
+			// A prefix run stopped before cap insertion: report the analysis
+			// as far as the executed stages computed it.
+			for i := range st.nests {
+				st.res.Reports = append(st.res.Reports, st.report(&st.nests[i], false, 0))
+			}
 		}
 	}
 	return st.res, nil

@@ -86,7 +86,7 @@ func (s *Suite) ClusterSweep(t *roofline.Target, kernels []string, nodes []int) 
 	for _, name := range kernels {
 		cfg := core.DefaultConfig(t)
 		cfg.Degrade = s.Degrade
-		res, err := s.compileCfg(name, t.Platform, cfg)
+		res, err := s.compileCfg(name, cfg)
 		if err != nil {
 			if s.bestEffort() {
 				s.noteDegraded(name, err)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"polyufc/internal/core"
 	"polyufc/internal/workloads"
 )
 
@@ -160,7 +161,7 @@ func TestTab4Breakdown(t *testing.T) {
 		if r.Timings.Total() <= 0 {
 			t.Fatalf("%s: no time recorded", r.Kernel)
 		}
-		if r.Timings.CM <= 0 {
+		if r.Timings.Of(core.StageCacheModel) <= 0 {
 			t.Fatalf("%s: no cache-model time", r.Kernel)
 		}
 	}

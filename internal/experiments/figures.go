@@ -517,7 +517,7 @@ func (s *Suite) Fig8(kernelName string, p *hw.Platform) (*Fig8Result, error) {
 	build := func(fullyAssoc bool) ([]*model.Model, error) {
 		cfg := core.DefaultConfig(s.targets[p.Name])
 		cfg.CM.FullyAssoc = fullyAssoc
-		res, err := s.compileCfg(kernelName, p, cfg)
+		res, err := s.compileCfg(kernelName, cfg)
 		if err != nil {
 			return nil, err
 		}

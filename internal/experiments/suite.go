@@ -49,8 +49,8 @@ type Suite struct {
 	// degrade per nest.
 	Degrade core.DegradePolicy
 	// Faults, when non-nil, arms the injectable failure modes on every
-	// machine and compilation the suite runs. Injection state is mutable
-	// and call-ordered, so the compile cache is bypassed while armed.
+	// machine and compilation the suite runs (core bypasses its memos
+	// while armed).
 	Faults *faults.Registry
 	// Tiling selects the tile-stage strategy every sweep compiles with
 	// (internal/tiling); the zero value is the paper's Pluto baseline, so
@@ -228,46 +228,25 @@ func (s *Suite) printf(format string, args ...interface{}) {
 // compile builds, lowers and PolyUFC-compiles one kernel for a platform
 // through the suite's memo cache with the paper's default configuration.
 func (s *Suite) compile(kernelName string, p *hw.Platform) (*core.Result, error) {
-	cfg := core.DefaultConfig(s.targets[p.Name])
-	return s.compileCfg(kernelName, p, cfg)
+	return s.compileCfg(kernelName, core.DefaultConfig(s.targets[p.Name]))
 }
 
 // compileCfg is the cache-wired compile for any of the evaluation's
-// configurations; the cache key captures every config bit the sweeps vary.
-func (s *Suite) compileCfg(kernelName string, p *hw.Platform, cfg core.Config) (*core.Result, error) {
+// configurations. core.KeyOf reads the key off the final Config, so every
+// bit a sweep varies is in it; core bypasses the memo while faults are
+// armed.
+func (s *Suite) compileCfg(kernelName string, cfg core.Config) (*core.Result, error) {
 	k, err := workloads.ByName(kernelName)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Degrade = s.Degrade
+	cfg.Faults = s.Faults
 	if cfg.Tiling == (tiling.Spec{}) {
 		cfg.Tiling = s.Tiling
 	}
 	opts := core.PipelineOptions{Stages: &s.stages, Observe: s.stageStats.Observe}
-	if s.Faults != nil {
-		// Injection state advances per call: memoizing a faulted Result
-		// would replay one injection outcome across the sweep. Compile
-		// directly while armed (stage memoization disarms itself too).
-		cfg.Faults = s.Faults
-		mod, err := k.Build(s.Size)
-		if err != nil {
-			return nil, err
-		}
-		return core.CompilePipeline(s.ctx(), mod, cfg, opts)
-	}
-	key := core.CacheKey{
-		Kernel:     kernelName,
-		Platform:   p.Name,
-		Size:       int(s.Size),
-		CapLevel:   cfg.CapLevel,
-		Tiling:     cfg.Tiling.Fingerprint(),
-		FullyAssoc: cfg.CM.FullyAssoc,
-		NoAmortize: cfg.AmortizeFactor == 0,
-		Objective:  cfg.Search.Objective,
-		Epsilon:    cfg.Search.Epsilon,
-		Degrade:    s.Degrade,
-	}
-	return s.cache.CompileStaged(s.ctx(), key, cfg, opts, func() (*ir.Module, error) {
+	return s.cache.CompileStaged(s.ctx(), core.KeyOf(kernelName, int(s.Size), cfg), cfg, opts, func() (*ir.Module, error) {
 		return k.Build(s.Size)
 	})
 }

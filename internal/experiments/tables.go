@@ -111,10 +111,10 @@ func (s *Suite) RenderTab4() error {
 	s.printf("   %-18s %10s %10s %12s %10s %10s\n",
 		"kernel", "preprocess", "pluto", "polyufc-cm", "steps4-6", "total")
 	for _, r := range rows {
+		t := r.Timings
+		pre, tile, cm := t.Of(core.StagePreprocess), t.Of(core.StageTile), t.Of(core.StageCacheModel)
 		s.printf("   %-18s %10.2f %10.2f %12.2f %10.2f %10.2f\n",
-			r.Kernel,
-			ms(r.Timings.Preprocess), ms(r.Timings.Pluto),
-			ms(r.Timings.CM), ms(r.Timings.Steps46), ms(r.Timings.Total()))
+			r.Kernel, ms(pre), ms(tile), ms(cm), ms(t.Total()-pre-tile-cm), ms(t.Total()))
 	}
 	return nil
 }
@@ -137,7 +137,7 @@ type OverheadResult struct {
 func (s *Suite) Overhead(p *hw.Platform) (*OverheadResult, error) {
 	cfg := core.DefaultConfig(s.targets[p.Name])
 	cfg.AmortizeFactor = 0
-	res, err := s.compileCfg("sdpa-gemma2", p, cfg)
+	res, err := s.compileCfg("sdpa-gemma2", cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -92,7 +92,7 @@ func (s *Suite) TilingCapSweep(p *hw.Platform, kernels []string) ([]TilingCapRow
 		for i, spec := range specs {
 			cfg := core.DefaultConfig(s.targets[p.Name])
 			cfg.Tiling = spec
-			res, err := s.compileCfg(kernel, p, cfg)
+			res, err := s.compileCfg(kernel, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("%s under %s: %w", kernel, spec.Name, err)
 			}

@@ -36,7 +36,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -439,20 +438,6 @@ func (c *Client) Stats() Stats {
 		st.BreakerState[p.base] = p.brk.State().String()
 	}
 	return st
-}
-
-// BreakerStates returns peer URL → breaker position, sorted by URL
-// (diagnostics and tests).
-func (c *Client) BreakerStates() []string {
-	if c == nil {
-		return nil
-	}
-	out := make([]string, 0, len(c.peers))
-	for _, p := range c.peers {
-		out = append(out, p.base+"="+p.brk.State().String())
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Close stops accepting new fills and waits for every in-flight

@@ -3,7 +3,6 @@ package frontend
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"polyufc/internal/ir"
 )
@@ -534,13 +533,4 @@ func contains(ss []string, s string) bool {
 		}
 	}
 	return false
-}
-
-// FormatErrors pretty-prints the first line of a source for diagnostics.
-func FormatErrors(src string) string {
-	lines := strings.Split(src, "\n")
-	if len(lines) == 0 {
-		return ""
-	}
-	return lines[0]
 }

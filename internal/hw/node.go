@@ -125,9 +125,6 @@ func (n *Node) Socket(i int) (*Machine, error) {
 	return n.sockets[i], nil
 }
 
-// Machines returns the per-socket machines in socket order.
-func (n *Node) Machines() []*Machine { return n.sockets }
-
 // Interconnect returns the topology's inter-socket link (nil for
 // single-socket backends).
 func (n *Node) Interconnect() *platform.Interconnect { return n.B.Interconnect }

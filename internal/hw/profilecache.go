@@ -24,35 +24,19 @@ type profileKey struct {
 // across machines is the difference between cold and steady-state sweeps.
 //
 // The cache keys by nest pointer and therefore keeps nests alive; reset it
-// together with whatever compile cache owns the nests. The zero value is
-// ready to use.
+// together with whatever compile cache owns the nests. The embedded Memo
+// supplies SetLimit (long-running processes must set one), the counters
+// and Reset. The zero value is ready to use.
 type ProfileCache struct {
-	memo parallel.Memo[profileKey, *CacheProfile]
+	parallel.Memo[profileKey, *CacheProfile]
 }
 
 // profile returns the memoized profile of nest on platform p, simulating
 // it on the first request. Concurrent requests for the same nest run the
 // simulation once.
 func (c *ProfileCache) profile(nest *ir.Nest, p *Platform) (*CacheProfile, error) {
-	return c.memo.Do(context.Background(), profileKey{nest, p.Name},
+	return c.Do(context.Background(), profileKey{nest, p.Name},
 		func() (*CacheProfile, error) {
 			return ProfileNest(nest, p.Cache)
 		})
 }
-
-// SetLimit bounds the cache to n profiles with LRU eviction (n <= 0
-// restores the unbounded default). Long-running processes must set a
-// limit — an unbounded memo is a memory leak under open-ended traffic.
-func (c *ProfileCache) SetLimit(n int) { c.memo.SetLimit(n) }
-
-// Stats returns the hit and miss counts so far.
-func (c *ProfileCache) Stats() (hits, misses int64) { return c.memo.Stats() }
-
-// Evictions returns how many profiles the LRU bound has dropped.
-func (c *ProfileCache) Evictions() int64 { return c.memo.Evictions() }
-
-// Len returns the number of cached profiles.
-func (c *ProfileCache) Len() int { return c.memo.Len() }
-
-// Reset drops every cached profile and zeroes the statistics.
-func (c *ProfileCache) Reset() { c.memo.Reset() }

@@ -57,13 +57,6 @@ type Stats struct {
 	Stores    int64
 }
 
-// BytesAccessed returns total bytes touched by loads and stores, given the
-// element size is uniform per access (already folded into counts by the
-// tracer); this is loads+stores only and is provided for reporting.
-func (s Stats) BytesAccessed(elemSize int64) int64 {
-	return (s.Loads + s.Stores) * elemSize
-}
-
 // compiled form ------------------------------------------------------------
 
 // cBound is a compiled bound: (coef . env + const) div Div.

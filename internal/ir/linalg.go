@@ -190,11 +190,3 @@ type LinalgFill struct {
 	Out   *Array
 	Value float64
 }
-
-// NewLinalgFill builds a linalg.fill.
-func NewLinalgFill(out *Array, v float64) *LinalgFill {
-	return &LinalgFill{
-		linalgBase: linalgBase{name: "fill", args: []*Array{out}},
-		Out:        out, Value: v,
-	}
-}

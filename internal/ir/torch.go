@@ -81,26 +81,10 @@ type TorchRelu struct {
 	In, Out *Array
 }
 
-// NewTorchRelu builds a torch.relu op.
-func NewTorchRelu(in, out *Array) *TorchRelu {
-	return &TorchRelu{
-		torchBase: torchBase{name: "relu", args: []*Array{in, out}},
-		In:        in, Out: out,
-	}
-}
-
 // TorchAdd is torch.add (element-wise, same shapes).
 type TorchAdd struct {
 	torchBase
 	A, B, Out *Array
-}
-
-// NewTorchAdd builds a torch.add op.
-func NewTorchAdd(a, b, out *Array) *TorchAdd {
-	return &TorchAdd{
-		torchBase: torchBase{name: "add", args: []*Array{a, b, out}},
-		A:         a, B: b, Out: out,
-	}
 }
 
 func torchShape(a *Array) string {

@@ -80,9 +80,6 @@ func (b *BasicSet) AddGE(e LinExpr) { b.addRaw(GE, b.rawCoef(e), e.Const) }
 // AddEQ adds the constraint e == 0.
 func (b *BasicSet) AddEQ(e LinExpr) { b.addRaw(EQ, b.rawCoef(e), e.Const) }
 
-// AddLE adds the constraint e <= f, i.e. f - e >= 0.
-func (b *BasicSet) AddLE(e, f LinExpr) { b.AddGE(f.Sub(e)) }
-
 // AddEquals adds the constraint e == f.
 func (b *BasicSet) AddEquals(e, f LinExpr) { b.AddEQ(e.Sub(f)) }
 
@@ -91,11 +88,6 @@ func (b *BasicSet) AddRange(i int, lo, hi int64) {
 	v := b.Sp.VarExpr(i)
 	b.AddGE(v.AddConst(-lo))      // v - lo >= 0
 	b.AddGE(v.Neg().AddConst(hi)) // hi - v >= 0
-}
-
-// FixVar adds the equality var_i == v.
-func (b *BasicSet) FixVar(i int, v int64) {
-	b.AddEQ(b.Sp.VarExpr(i).AddConst(-v))
 }
 
 func (b *BasicSet) addRaw(kind ConKind, coef []int64, c int64) {

@@ -178,10 +178,5 @@ func (s Set) IntersectDomain(d Set) Map {
 	return r
 }
 
-// IntersectRange restricts a relation's range to the given set.
-func (s Set) IntersectRange(rg Set) Map {
-	return s.Inverse().IntersectDomain(rg).Inverse()
-}
-
 // Apply returns the image of set d through relation s.
 func (s Set) Apply(d Set) Set { return s.IntersectDomain(d).Range() }

@@ -23,9 +23,6 @@ type Map = Set
 // EmptySet returns the empty set over the given space.
 func EmptySet(sp Space) Set { return Set{Sp: sp} }
 
-// UniverseSet returns the unconstrained set over the given space.
-func UniverseSet(sp Space) Set { return Set{Sp: sp, Basics: []BasicSet{Universe(sp)}} }
-
 // FromBasic wraps a single basic set as a union.
 func FromBasic(b BasicSet) Set { return Set{Sp: b.Sp, Basics: []BasicSet{b}} }
 

@@ -62,16 +62,6 @@ func (s Space) NumCols() int { return s.NumParams() + s.NumVars() }
 // IsMap reports whether the space has input dimensions.
 func (s Space) IsMap() bool { return len(s.In) > 0 }
 
-// ParamIndex returns the column index of the named parameter, or -1.
-func (s Space) ParamIndex(name string) int {
-	for i, p := range s.Params {
-		if p == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // VarIndex returns the column index (relative to the first variable column)
 // of the named dimension, searching inputs then outputs, or -1.
 func (s Space) VarIndex(name string) int {

@@ -438,6 +438,10 @@ func (m *Manager) Submit(kind Kind, params any) (Status, error) {
 		m.mu.Unlock()
 		return Status{}, err
 	}
+	// Snapshot the status before the hand-off: once queued, a worker may
+	// start the job before Submit returns, and the caller is told what it
+	// submitted (queued), not how far the job has got since.
+	st := jb.Status()
 	select {
 	case m.queue <- jb:
 	default:
@@ -445,7 +449,7 @@ func (m *Manager) Submit(kind Kind, params any) (Status, error) {
 		return jb.Status(), errors.New("jobs: queue full")
 	}
 	jb.emit(Event{Type: EventSubmitted})
-	return jb.Status(), nil
+	return st, nil
 }
 
 // Get returns a job by ID.

@@ -27,11 +27,6 @@ func LinalgToAffine(m *ir.Module) error {
 	return nil
 }
 
-// LinalgToAffinePass wraps LinalgToAffine as a pass.
-func LinalgToAffinePass() ir.Pass {
-	return ir.PassFunc{PassName: "lower-linalg-to-affine", Fn: LinalgToAffine}
-}
-
 // LowerLinalgOp lowers a single linalg op to an affine nest.
 func LowerLinalgOp(op ir.Op, label string) (*ir.Nest, error) {
 	var nest *ir.Nest

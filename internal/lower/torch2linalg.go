@@ -28,11 +28,6 @@ func TorchToLinalg(m *ir.Module) error {
 	return nil
 }
 
-// TorchToLinalgPass wraps TorchToLinalg as a pass.
-func TorchToLinalgPass() ir.Pass {
-	return ir.PassFunc{PassName: "lower-torch-to-linalg", Fn: TorchToLinalg}
-}
-
 func lowerTorchOp(op ir.Op) ([]ir.Op, error) {
 	switch x := op.(type) {
 	case *ir.TorchMatMul:

@@ -214,15 +214,6 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// Sweep evaluates the model over a frequency grid.
-func (m *Model) Sweep(freqs []float64) []Estimate {
-	out := make([]Estimate, len(freqs))
-	for i, f := range freqs {
-		out[i] = m.At(f)
-	}
-	return out
-}
-
 // Deltas are the relative changes PolyUFC-SEARCH steers by (Sec. VI-C).
 type Deltas struct {
 	Perf, BW, EDP float64

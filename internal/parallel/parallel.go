@@ -242,26 +242,33 @@ func (m *Memo[K, V]) SetLimit(n int) {
 	m.evictLocked()
 }
 
-// Stats returns the hit and miss counts so far.
-func (m *Memo[K, V]) Stats() (hits, misses int64) {
+// MemoStats is a point-in-time snapshot of a Memo's counters — the one
+// shape every cache built on Memo reports (statsz, sweep summaries).
+type MemoStats struct {
+	Hits, Misses, Evictions int64
+	// Len counts cached (settled or in-flight) entries.
+	Len int
+}
+
+// Counters snapshots the hit, miss and eviction counts and the entry
+// count under one lock.
+func (m *Memo[K, V]) Counters() MemoStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.hits, m.misses
+	return MemoStats{Hits: m.hits, Misses: m.misses, Evictions: m.evictions, Len: len(m.entries)}
+}
+
+// Stats returns the hit and miss counts so far.
+func (m *Memo[K, V]) Stats() (hits, misses int64) {
+	c := m.Counters()
+	return c.Hits, c.Misses
 }
 
 // Evictions returns how many settled entries the LRU bound has dropped.
-func (m *Memo[K, V]) Evictions() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.evictions
-}
+func (m *Memo[K, V]) Evictions() int64 { return m.Counters().Evictions }
 
 // Len returns the number of cached (settled or in-flight) entries.
-func (m *Memo[K, V]) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.entries)
-}
+func (m *Memo[K, V]) Len() int { return m.Counters().Len }
 
 // Reset drops every cached entry and zeroes the statistics. In-flight
 // computations finish but are not re-registered. The limit persists.

@@ -1,10 +1,6 @@
 package pipeline
 
-import (
-	"context"
-
-	"polyufc/internal/parallel"
-)
+import "polyufc/internal/parallel"
 
 // Cache memoizes stage snapshots across pipeline runs. Keys are the
 // chained content hashes computed by Run, values the opaque snapshots
@@ -13,33 +9,13 @@ import (
 // daemon relies on this when a characterize request and a search request
 // for the same kernel race through the shared prefix.
 //
+// The embedded Memo supplies SetLimit, Counters/Stats/Evictions/Len and
+// Reset, and its Do memoizes arbitrary computations in the same store:
+// callers outside the stage runner (backend calibration, for one) key
+// their entries by content hash so they coexist with chained stage keys.
+//
 // The zero value is ready to use. Long-running processes must SetLimit —
 // an unbounded snapshot cache is a memory leak under open-ended traffic.
 type Cache struct {
-	memo parallel.Memo[string, any]
-}
-
-// SetLimit bounds the cache to n snapshots with LRU eviction (n <= 0
-// restores the unbounded default).
-func (c *Cache) SetLimit(n int) { c.memo.SetLimit(n) }
-
-// Stats returns snapshot hits and misses so far.
-func (c *Cache) Stats() (hits, misses int64) { return c.memo.Stats() }
-
-// Evictions returns how many snapshots the LRU bound has dropped.
-func (c *Cache) Evictions() int64 { return c.memo.Evictions() }
-
-// Len returns the number of cached snapshots.
-func (c *Cache) Len() int { return c.memo.Len() }
-
-// Reset drops every snapshot and zeroes the statistics.
-func (c *Cache) Reset() { c.memo.Reset() }
-
-// Do memoizes an arbitrary computation under the same singleflight store
-// the stage snapshots use: concurrent callers with the same key compute
-// once and share the value. Callers outside the stage runner (backend
-// calibration, for one) key their entries by content hash so they
-// coexist with chained stage keys.
-func (c *Cache) Do(ctx context.Context, key string, compute func() (any, error)) (any, error) {
-	return c.memo.Do(ctx, key, func() (any, error) { return compute() })
+	parallel.Memo[string, any]
 }

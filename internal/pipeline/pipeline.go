@@ -180,7 +180,7 @@ func (p *Pipeline[S]) Run(ctx context.Context, s S, opts RunOptions) ([]Event, e
 		if opts.Cache != nil && opts.BaseKey != "" && st.Memoizable() {
 			var snap any
 			var shared bool
-			snap, shared, err = opts.Cache.memo.DoShared(ctx, key, func() (any, error) {
+			snap, shared, err = opts.Cache.DoShared(ctx, key, func() (any, error) {
 				if rerr := runStage(ctx, st, s); rerr != nil {
 					return nil, rerr
 				}

@@ -4,7 +4,6 @@ import (
 	"embed"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -12,7 +11,7 @@ import (
 
 // The two Table-III evaluation machines ship embedded so the default
 // build needs no files on disk; additional backends register from
-// platforms/*.json via LoadFile/LoadDir.
+// platforms/*.json via LoadFile.
 //
 //go:embed descriptions/*.json
 var embedded embed.FS
@@ -157,23 +156,4 @@ func LoadFile(path string) (*Backend, error) {
 		return nil, fmt.Errorf("%w (file %s)", err, path)
 	}
 	return b, nil
-}
-
-// LoadDir registers every *.json description in a directory, sorted by
-// filename for deterministic registration order.
-func LoadDir(dir string) ([]*Backend, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil {
-		return nil, fmt.Errorf("platform: load dir: %w", err)
-	}
-	sort.Strings(paths)
-	var out []*Backend
-	for _, p := range paths {
-		b, err := LoadFile(p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, b)
-	}
-	return out, nil
 }

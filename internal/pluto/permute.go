@@ -2,7 +2,6 @@ package pluto
 
 import (
 	"fmt"
-	"sort"
 
 	"polyufc/internal/ir"
 )
@@ -181,17 +180,4 @@ func accStrides(acc ir.Access) map[string]int64 {
 	}
 	lin = lin.Scale(acc.Array.ElemSize)
 	return lin.Coef
-}
-
-// sortedByCost is a debugging helper: band IVs ordered as Permute would
-// place them (outermost first), ignoring bound dependences.
-func sortedByCost(band []*ir.Loop, body []ir.Node) []string {
-	costs := loopCosts(band, body)
-	idx := identityPerm(len(band))
-	sort.SliceStable(idx, func(a, b int) bool { return costs[idx[a]] > costs[idx[b]] })
-	out := make([]string, len(band))
-	for i, d := range idx {
-		out[i] = band[d].IV
-	}
-	return out
 }

@@ -2,8 +2,6 @@ package server
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -27,11 +25,8 @@ import (
 // to the paper's defaults (rpl, bench size, EDP objective, linalg caps).
 type Request struct {
 	Kernel string `json:"kernel"`
-	// Platform selects the backend by registry name or alias; Arch is
-	// the legacy spelling of the same field and is honoured when
-	// Platform is empty.
+	// Platform selects the backend by registry name or alias.
 	Platform  string  `json:"platform"`
-	Arch      string  `json:"arch"`
 	Size      string  `json:"size"`
 	Objective string  `json:"objective"`
 	CapLevel  string  `json:"cap_level"`
@@ -255,9 +250,14 @@ func (s *Server) wrap(h func(ctx context.Context, req Request) (any, error)) htt
 			writeJSON(w, http.StatusMethodNotAllowed, errBody{"POST required"})
 			return
 		}
+		// Unknown fields are rejected, not ignored: a typo (or the retired
+		// "arch" spelling) must not silently fall through to the defaults.
 		var req Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, errBody{"bad request body: " + err.Error()})
+		dec := json.NewDecoder(r.Body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
+			writeJSON(w, http.StatusBadRequest, errBody{"bad request body: " + err.Error() +
+				` (fields: kernel, platform, size, objective, cap_level, epsilon, tiling, measure)`})
 			return
 		}
 		// tiling= in the URL overrides the body: curl-side strategy
@@ -309,15 +309,16 @@ func (s *Server) wrap(h func(ctx context.Context, req Request) (any, error)) htt
 	}
 }
 
-// resolved is a validated Request.
+// resolved is a validated Request: the backend it targets, the compile
+// configuration it maps onto, and that compilation's identity.
 type resolved struct {
 	target *roofline.Target
 	p      *hw.Platform
 	sz     workloads.SizeClass
-	obj    search.Objective
-	lvl    ir.Dialect
-	eps    float64
-	tiling tiling.Spec
+	cfg    core.Config
+	// key is core.KeyOf the request: the whole-result cache keys on it and
+	// the response journal on its String form.
+	key core.CacheKey
 }
 
 // servedNames lists the backends this daemon calibrated, in boot order.
@@ -335,9 +336,6 @@ func (s *Server) resolve(req Request) (resolved, error) {
 		return r, badRequest("kernel is required")
 	}
 	name := req.Platform
-	if name == "" {
-		name = req.Arch
-	}
 	if name == "" {
 		name = "rpl"
 	}
@@ -362,112 +360,53 @@ func (s *Server) resolve(req Request) (resolved, error) {
 	default:
 		return r, badRequest("unknown size class %q", req.Size)
 	}
-	obj, ok := search.ParseObjective(req.Objective)
-	if !ok {
+	cfg := core.DefaultConfig(t)
+	if cfg.Search.Objective, ok = search.ParseObjective(req.Objective); !ok {
 		return r, badRequest("unknown objective %q", req.Objective)
 	}
-	r.obj = obj
 	switch req.CapLevel {
 	case "torch":
-		r.lvl = ir.DialectTorch
+		cfg.CapLevel = ir.DialectTorch
 	case "linalg", "":
-		r.lvl = ir.DialectLinalg
+		cfg.CapLevel = ir.DialectLinalg
 	case "affine":
-		r.lvl = ir.DialectAffine
+		cfg.CapLevel = ir.DialectAffine
 	default:
 		return r, badRequest("unknown cap level %q", req.CapLevel)
 	}
-	r.eps = req.Epsilon
-	if r.eps <= 0 {
-		r.eps = 1e-3
+	if cfg.Search.Epsilon = req.Epsilon; cfg.Search.Epsilon <= 0 {
+		cfg.Search.Epsilon = 1e-3
 	}
 	if req.Tiling == "" {
-		r.tiling = s.cfg.Tiling.Normalize()
-	} else {
-		spec, err := tiling.ParseSpec(req.Tiling)
-		if err != nil {
-			return r, badRequest("%v", err)
-		}
-		r.tiling = spec
+		cfg.Tiling = s.cfg.Tiling.Normalize()
+	} else if cfg.Tiling, err = tiling.ParseSpec(req.Tiling); err != nil {
+		return r, badRequest("%v", err)
 	}
+	cfg.Degrade = s.cfg.Degrade
+	cfg.Faults = s.cfg.Faults
+	cfg.Plans = s.planSet() // nil when no tables are loaded or built
+	r.cfg = cfg
+	r.key = core.KeyOf(req.Kernel, int(r.sz), cfg)
 	return r, nil
 }
 
-// requestConfig maps a resolved request onto a compile Config.
-func (s *Server) requestConfig(r resolved) core.Config {
-	cfg := core.DefaultConfig(r.target)
-	cfg.Search.Objective = r.obj
-	cfg.Search.Epsilon = r.eps
-	cfg.CapLevel = r.lvl
-	cfg.Tiling = r.tiling
-	cfg.Degrade = s.cfg.Degrade
-	cfg.Plans = s.planSet() // nil when no tables are loaded or built
-	return cfg
-}
-
-// pipelineOpts wires a compilation to the daemon's shared stage cache
-// and stage-event aggregation. until, when set, bounds the run to the
-// pipeline prefix ending at that stage.
-func (s *Server) pipelineOpts(until string) core.PipelineOptions {
-	return core.PipelineOptions{Stages: &s.stages, Until: until, Observe: s.stageStats.Observe}
-}
-
-// compile runs one request through the shared bounded cache (or directly
-// while faults are armed — injection state is call-ordered, memoizing a
-// faulted Result would replay one injection outcome across requests).
-// Whole-result misses still reuse memoized stage snapshots, so a compile
-// after a characterize of the same kernel skips the analysis prefix.
-func (s *Server) compile(ctx context.Context, req Request, r resolved) (*core.Result, error) {
-	cfg := s.requestConfig(r)
-	k, err := workloads.ByName(req.Kernel)
+// compile runs one resolved request through the shared bounded cache and
+// the daemon's stage cache and stage-event aggregation. until, when set,
+// bounds the run to the pipeline prefix ending at that stage — the
+// characterize endpoint stops at core.StageCharacterize. core decides
+// what the whole-result cache may hold (not prefix runs, nothing while
+// faults are armed); misses still reuse memoized stage snapshots, so a
+// compile after a characterize of the same kernel skips the analysis
+// prefix.
+func (s *Server) compile(ctx context.Context, r resolved, until string) (*core.Result, error) {
+	k, err := workloads.ByName(r.key.Kernel)
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
-	if s.cfg.Faults != nil {
-		cfg.Faults = s.cfg.Faults
-		mod, err := k.Build(r.sz)
-		if err != nil {
-			return nil, err
-		}
-		// Stage memoization disarms itself under faults; events still flow.
-		return core.CompilePipeline(ctx, mod, cfg, s.pipelineOpts(""))
-	}
-	key := core.CacheKey{
-		Kernel:    req.Kernel,
-		Platform:  r.p.Name,
-		CalHash:   r.target.Constants.Hash(),
-		Size:      int(r.sz),
-		CapLevel:  cfg.CapLevel,
-		Tiling:    r.tiling.Fingerprint(),
-		Objective: r.obj,
-		Epsilon:   r.eps,
-		Degrade:   s.cfg.Degrade,
-	}
-	return s.cache.CompileStaged(ctx, key, cfg, s.pipelineOpts(""), func() (*ir.Module, error) {
+	opts := core.PipelineOptions{Stages: &s.stages, Until: until, Observe: s.stageStats.Observe}
+	return s.cache.CompileStaged(ctx, r.key, r.cfg, opts, func() (*ir.Module, error) {
 		return k.Build(r.sz)
 	})
-}
-
-// characterize runs the analysis prefix of the pipeline — preprocess,
-// tile, cachemodel, characterize — and stops before model fitting and
-// search. It bypasses the whole-result cache (a prefix Result is a
-// different artifact than a full compile under the same key) and leans
-// on the stage cache instead: the heavy stages memoize per snapshot, and
-// a later full compile of the same kernel/config resumes from them.
-func (s *Server) characterize(ctx context.Context, req Request, r resolved) (*core.Result, error) {
-	cfg := s.requestConfig(r)
-	if s.cfg.Faults != nil {
-		cfg.Faults = s.cfg.Faults
-	}
-	k, err := workloads.ByName(req.Kernel)
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	mod, err := k.Build(r.sz)
-	if err != nil {
-		return nil, err
-	}
-	return core.CompilePipeline(ctx, mod, cfg, s.pipelineOpts(core.StageCharacterize))
 }
 
 func nestResponses(res *core.Result) []NestResponse {
@@ -507,26 +446,6 @@ func nestResponses(res *core.Result) []NestResponse {
 	return out
 }
 
-// journalKey canonicalizes the deterministic parameters of a request.
-// The calibration hash is part of them: a re-fitted daemon must not
-// replay answers computed against the stale constants. Loaded plan
-// tables are too: a table-served cap can differ from live bisection
-// within the interpolation tolerance, so a daemon rebooted with
-// different tables must recompute, not replay.
-func (s *Server) journalKey(endpoint string, req Request, r resolved) string {
-	key := strings.Join([]string{
-		endpoint, r.p.Name, "cal" + r.target.Constants.Hash(), req.Kernel,
-		fmt.Sprintf("sz%d", int(r.sz)), r.obj.String(),
-		fmt.Sprintf("lvl%d", int(r.lvl)), fmt.Sprintf("eps%g", r.eps),
-		"tiling=" + r.tiling.Fingerprint(),
-	}, "/")
-	if plans := s.planSet(); plans != nil {
-		sum := sha256.Sum256([]byte(plans.Fingerprint()))
-		key += "/plans" + hex.EncodeToString(sum[:8])
-	}
-	return key
-}
-
 // driftGate applies the degrade semantics while a backend's calibration
 // is in a degradation episode (watchdog degraded, or re-fit running): a
 // Strict daemon refuses the request with 503 — the constants are known
@@ -546,26 +465,77 @@ func (s *Server) driftGate(r resolved) (bool, error) {
 	return true, nil
 }
 
-func (s *Server) handleCompile(ctx context.Context, req Request) (any, error) {
+// serve is the spine the three compute endpoints share: resolve the
+// request, apply the drift gate, answer through the degradation ladder
+// (journal -> CAS -> fleet -> compute) under the request's journal key —
+// the endpoint plus core.KeyOf's wire form, so a re-fit or a changed
+// plan-table set recomputes instead of replaying — and count the answer.
+// resp is the endpoint's response struct and flag its CalibrationDegraded
+// field, set outside the ladder because degradation is live state.
+func (s *Server) serve(ctx context.Context, endpoint string, req Request, resp any, flag *bool, compute func(r resolved) error) (resolved, error) {
 	r, err := s.resolve(req)
 	if err != nil {
-		return nil, err
+		return r, err
 	}
 	degraded, err := s.driftGate(r)
 	if err != nil {
-		return nil, err
+		return r, err
 	}
+	if err := s.cached(ctx, endpoint+"/"+r.key.String(), resp, func() error { return compute(r) }); err != nil {
+		return r, err
+	}
+	*flag = degraded
+	s.markServed(r.p.Name)
+	s.markTiling(r.cfg.Tiling)
+	return r, nil
+}
+
+// characterizeResponse runs the analysis prefix of the pipeline —
+// preprocess, tile, cachemodel, characterize — and answers with the
+// calibrated roofline plus each nest's classification.
+func (s *Server) characterizeResponse(ctx context.Context, r resolved) (CharacterizeResponse, error) {
+	res, err := s.compile(ctx, r, core.StageCharacterize)
+	if err != nil {
+		return CharacterizeResponse{}, err
+	}
+	c := r.target.Constants
+	return CharacterizeResponse{
+		Kernel:     r.key.Kernel,
+		Arch:       r.p.Name,
+		PeakGFlops: c.PeakGFlops,
+		PeakGBs:    c.PeakGBs,
+		BtDRAM:     c.BtDRAM,
+		Nests:      nestResponses(res),
+	}, nil
+}
+
+// searchResponse compiles the request and answers with the model half of
+// a search response; the Result comes back too, for the measured half.
+func (s *Server) searchResponse(ctx context.Context, r resolved) (SearchResponse, *core.Result, error) {
+	res, err := s.compile(ctx, r, "")
+	if err != nil {
+		return SearchResponse{}, nil, err
+	}
+	return SearchResponse{
+		Kernel:    r.key.Kernel,
+		Arch:      r.p.Name,
+		Objective: r.cfg.Search.Objective.String(),
+		Nests:     nestResponses(res),
+	}, res, nil
+}
+
+func (s *Server) handleCompile(ctx context.Context, req Request) (any, error) {
 	var resp CompileResponse
-	err = s.cached(ctx, s.journalKey("v1/compile", req, r), &resp, func() error {
-		res, err := s.compile(ctx, req, r)
+	_, err := s.serve(ctx, "v1/compile", req, &resp, &resp.CalibrationDegraded, func(r resolved) error {
+		res, err := s.compile(ctx, r, "")
 		if err != nil {
 			return err
 		}
 		resp = CompileResponse{
 			Kernel:       req.Kernel,
 			Arch:         r.p.Name,
-			Objective:    r.obj.String(),
-			CapLevel:     r.lvl.String(),
+			Objective:    r.cfg.Search.Objective.String(),
+			CapLevel:     r.cfg.CapLevel.String(),
 			CapsInserted: res.CapsInserted,
 			CapsRemoved:  res.CapsRemoved,
 			Nests:        nestResponses(res),
@@ -573,91 +543,36 @@ func (s *Server) handleCompile(ctx context.Context, req Request) (any, error) {
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	resp.CalibrationDegraded = degraded
-	s.markServed(r.p.Name)
-	s.markTiling(r.tiling)
-	return resp, nil
+	return resp, err
 }
 
 func (s *Server) handleCharacterize(ctx context.Context, req Request) (any, error) {
-	r, err := s.resolve(req)
-	if err != nil {
-		return nil, err
-	}
-	degraded, err := s.driftGate(r)
-	if err != nil {
-		return nil, err
-	}
 	var resp CharacterizeResponse
-	err = s.cached(ctx, s.journalKey("v1/characterize", req, r), &resp, func() error {
-		res, err := s.characterize(ctx, req, r)
-		if err != nil {
-			return err
-		}
-		c := r.target.Constants
-		resp = CharacterizeResponse{
-			Kernel:     req.Kernel,
-			Arch:       r.p.Name,
-			PeakGFlops: c.PeakGFlops,
-			PeakGBs:    c.PeakGBs,
-			BtDRAM:     c.BtDRAM,
-			Nests:      nestResponses(res),
-		}
-		return nil
+	_, err := s.serve(ctx, "v1/characterize", req, &resp, &resp.CalibrationDegraded, func(r resolved) (err error) {
+		resp, err = s.characterizeResponse(ctx, r)
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	resp.CalibrationDegraded = degraded
-	s.markServed(r.p.Name)
-	s.markTiling(r.tiling)
-	return resp, nil
+	return resp, err
 }
 
 func (s *Server) handleSearch(ctx context.Context, req Request) (any, error) {
-	r, err := s.resolve(req)
-	if err != nil {
-		return nil, err
-	}
-	degraded, err := s.driftGate(r)
-	if err != nil {
-		return nil, err
-	}
 	// The model half is deterministic and journaled; the measured half
 	// never is — it exercises the live driver every time.
 	var resp SearchResponse
 	var res *core.Result
-	err = s.cached(ctx, s.journalKey("v1/search", req, r), &resp, func() error {
-		var cerr error
-		res, cerr = s.compile(ctx, req, r)
-		if cerr != nil {
-			return cerr
+	r, err := s.serve(ctx, "v1/search", req, &resp, &resp.CalibrationDegraded, func(r resolved) (err error) {
+		if resp, res, err = s.searchResponse(ctx, r); err == nil {
+			resp.Topology = topologyResponse(res)
 		}
-		resp = SearchResponse{
-			Kernel:    req.Kernel,
-			Arch:      r.p.Name,
-			Objective: r.obj.String(),
-			Nests:     nestResponses(res),
-			Topology:  topologyResponse(res),
-		}
-		return nil
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	resp.CalibrationDegraded = degraded
-	s.markServed(r.p.Name)
-	s.markTiling(r.tiling)
-	if !req.Measure {
-		return resp, nil
+	if err != nil || !req.Measure {
+		return resp, err
 	}
 	// A journal replay skipped the compile; the measured path needs the
 	// compiled module regardless.
 	if res == nil {
-		if res, err = s.compile(ctx, req, r); err != nil {
+		if res, err = s.compile(ctx, r, ""); err != nil {
 			return nil, err
 		}
 	}

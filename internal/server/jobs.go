@@ -373,16 +373,7 @@ func (s *Server) runSweepJob(jb *jobs.Job, p JobParams, characterizeOnly bool) (
 		if characterizeOnly {
 			var kr CharacterizeResponse
 			if _, err := jb.Step("kernel/"+kernel, &kr, func() (any, error) {
-				res, err := s.characterize(jb.Context(), req, r)
-				if err != nil {
-					return nil, err
-				}
-				c := r.target.Constants
-				return CharacterizeResponse{
-					Kernel: kernel, Arch: r.p.Name,
-					PeakGFlops: c.PeakGFlops, PeakGBs: c.PeakGBs, BtDRAM: c.BtDRAM,
-					Nests: nestResponses(res),
-				}, nil
+				return s.characterizeResponse(jb.Context(), r)
 			}); err != nil {
 				return nil, err
 			}
@@ -391,21 +382,14 @@ func (s *Server) runSweepJob(jb *jobs.Job, p JobParams, characterizeOnly bool) (
 		}
 		var kr SearchResponse
 		if _, err := jb.Step("kernel/"+kernel, &kr, func() (any, error) {
-			res, err := s.compile(jb.Context(), req, r)
-			if err != nil {
-				return nil, err
-			}
-			out := SearchResponse{
-				Kernel: kernel, Arch: r.p.Name,
-				Objective: r.obj.String(), Nests: nestResponses(res),
-			}
+			out, res, err := s.searchResponse(jb.Context(), r)
 			// The measured half runs the kernel on the live machine
 			// through the breaker — and feeds the drift watchdog, so a
 			// measured sweep is also a calibration health check.
-			if p.Measure {
+			if err == nil && p.Measure {
 				s.measure(res, r, &out)
 			}
-			return out, nil
+			return out, err
 		}); err != nil {
 			return nil, err
 		}

@@ -74,6 +74,37 @@ func TestServerServesFromPlanTable(t *testing.T) {
 	}
 }
 
+// TestRuntimeInstalledPlanTableIsNotMaskedByCompileCache: a table the
+// plantable job installs at runtime must answer requests the daemon has
+// already served. The whole-result cache keys on the plan-table set
+// (core.KeyOf), so the repeated request misses it and the plan-lookup
+// stage runs — instead of the cache replaying the live-search Result
+// under a journal key that says it was table-served.
+func TestRuntimeInstalledPlanTableIsNotMaskedByCompileCache(t *testing.T) {
+	_, tb := buildPlanTable(t, "bdw", t.TempDir())
+	s := newServer(t, testConfig())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	req := Request{Kernel: "gemm", Platform: "bdw", Size: "test"}
+	if resp, data := post(t, ts, "/v1/search", req); resp.StatusCode != http.StatusOK {
+		t.Fatalf("search before the table: %d: %s", resp.StatusCode, data)
+	}
+	if err := s.installPlanTable(tb); err != nil {
+		t.Fatal(err)
+	}
+	if resp, data := post(t, ts, "/v1/search", req); resp.StatusCode != http.StatusOK {
+		t.Fatalf("search after the table: %d: %s", resp.StatusCode, data)
+	}
+	st := s.statsz()
+	if st.PlanTables.Hits == 0 {
+		t.Fatalf("the installed table answered nothing: %+v", st.PlanTables)
+	}
+	if st.CompileCache.Hits != 0 || st.CompileCache.Misses != 2 {
+		t.Fatalf("compile cache %+v, want 0 hits / 2 misses: the table changes the key", st.CompileCache)
+	}
+}
+
 // TestServerCountsFallbacks: a table for one backend does not answer
 // another backend's requests — those fall back to live search and the
 // counter says so.

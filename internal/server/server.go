@@ -282,32 +282,22 @@ func New(cfg Config) (*Server, error) {
 		s.plats = append(s.plats, p)
 		s.targets[p.Name] = t
 		s.platServed[p.Name] = &atomic.Int64{}
-		m := hw.NewMachine(p)
-		m.SetProfileCache(&s.profiles)
-		if cfg.FaultSocket <= 0 {
-			m.SetFaults(cfg.Faults)
+		// Every socket of the backend's topology is its own uncore domain:
+		// its own machine, cap controller (jitter seeds decorrelated per
+		// socket) and breaker, so one socket's UFS fault quarantines only
+		// that socket. Socket 0 keeps the bare platform key, socket k >= 1
+		// is "name#sK" — single-socket daemons are byte-identical to the
+		// pre-topology ones.
+		node, err := hw.NewNode(t.Backend)
+		if err != nil {
+			return nil, fmt.Errorf("server: %s: %w", p.Name, err)
 		}
-		opts := hw.DefaultCapControllerOptions(p)
-		opts.JitterSeed = cfg.FaultSeed
-		s.breakers[p.Name] = hw.NewCapBreaker(hw.NewCapController(m, opts), cfg.Breaker)
-		// Each extra socket of a topology backend is its own uncore
-		// domain: its own machine, cap controller and breaker, keyed
-		// "name#sK" so one socket's UFS fault quarantines only that
-		// socket. Socket 0 keeps the bare platform key — single-socket
-		// daemons are byte-identical to the pre-topology ones.
-		for i := 1; i < t.NumSockets(); i++ {
-			sp, err := hw.SocketPlatform(t.Backend, i)
-			if err != nil {
-				return nil, fmt.Errorf("server: %s socket %d: %w", p.Name, i, err)
-			}
-			sm := hw.NewMachine(sp)
-			sm.SetProfileCache(&s.profiles)
+		for i, ctl := range node.Controllers(hw.CapControllerOptions{JitterSeed: cfg.FaultSeed}) {
+			ctl.Machine().SetProfileCache(&s.profiles)
 			if cfg.FaultSocket < 0 || cfg.FaultSocket == i {
-				sm.SetFaults(cfg.Faults)
+				ctl.Machine().SetFaults(cfg.Faults)
 			}
-			sopts := hw.DefaultCapControllerOptions(sp)
-			sopts.JitterSeed = cfg.FaultSeed + int64(i)
-			s.breakers[socketBreakerName(p.Name, i)] = hw.NewCapBreaker(hw.NewCapController(sm, sopts), cfg.Breaker)
+			s.breakers[socketBreakerName(p.Name, i)] = hw.NewCapBreaker(ctl, cfg.Breaker)
 		}
 	}
 
@@ -538,10 +528,7 @@ func (s *Server) CASStats() cas.Stats { return s.casStore.Stats() }
 func (s *Server) FleetStats() fleet.Stats { return s.fleetCli.Stats() }
 
 // CacheStatsz is one bounded cache's counters.
-type CacheStatsz struct {
-	Hits, Misses, Evictions int64
-	Len                     int
-}
+type CacheStatsz = parallel.MemoStats
 
 // BreakerStatsz is one platform breaker's observable state, including
 // the half-open probe counters recovery assertions (smoke gates) read.
@@ -632,16 +619,13 @@ func (s *Server) statsz() Statsz {
 		Degraded:      s.degraded.Load(),
 		Gate:          s.gate.Stats(),
 		Breakers:      map[string]BreakerStatsz{},
+		CompileCache:  s.cache.Counters(),
+		ProfileCache:  s.profiles.Counters(),
+		StageCache:    s.stages.Counters(),
 		Journal:       s.jrnl.Stats(),
 		CAS:           s.casStore.Stats(),
 		Fleet:         s.fleetCli.Stats(),
 	}
-	ch, cm := s.cache.Stats()
-	out.CompileCache = CacheStatsz{Hits: ch, Misses: cm, Evictions: s.cache.Evictions(), Len: s.cache.Len()}
-	ph, pm := s.profiles.Stats()
-	out.ProfileCache = CacheStatsz{Hits: ph, Misses: pm, Evictions: s.profiles.Evictions(), Len: s.profiles.Len()}
-	sh, sm := s.stages.Stats()
-	out.StageCache = CacheStatsz{Hits: sh, Misses: sm, Evictions: s.stages.Evictions(), Len: s.stages.Len()}
 	if plans := s.planSet(); plans != nil {
 		out.PlanTables = plans.Stats()
 	}

@@ -78,7 +78,7 @@ func TestServerEndpoints(t *testing.T) {
 		}
 	}
 
-	resp, data = post(t, ts, "/v1/characterize", Request{Kernel: "atax", Arch: "bdw", Size: "test"})
+	resp, data = post(t, ts, "/v1/characterize", Request{Kernel: "atax", Platform: "bdw", Size: "test"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("characterize: %d %s", resp.StatusCode, data)
 	}
@@ -135,7 +135,6 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	}{
 		{Request{}, "kernel is required"},
 		{Request{Kernel: "nope", Size: "test"}, "unknown kernel"},
-		{Request{Kernel: "gemm", Arch: "arm"}, "unknown platform"},
 		{Request{Kernel: "gemm", Platform: "sparc"}, "unknown platform"},
 		{Request{Kernel: "gemm", Size: "huge"}, "unknown size"},
 		{Request{Kernel: "gemm", Objective: "joules"}, "unknown objective"},
@@ -162,6 +161,24 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad body -> %d", resp.StatusCode)
+	}
+	// Unknown fields are refused, not ignored: a body still carrying the
+	// retired "arch" spelling (or any typo) must not fall through to the
+	// rpl default — the 400 names the offender and the field to use.
+	for _, body := range []string{
+		`{"kernel":"gemm","arch":"bdw","size":"test"}`,
+		`{"kernel":"gemm","plaform":"bdw","size":"test"}`,
+	} {
+		resp, err = ts.Client().Post(ts.URL+"/v1/compile", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "unknown field") ||
+			!strings.Contains(string(data), "platform") {
+			t.Fatalf("%s -> %d %s, want 400 naming the unknown field and platform", body, resp.StatusCode, data)
+		}
 	}
 }
 
@@ -323,7 +340,7 @@ func TestServerJournalReplayAcrossRestart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "serve.jsonl")
 	reqs := []Request{
 		{Kernel: "gemm", Size: "test"},
-		{Kernel: "atax", Arch: "bdw", Size: "test", Objective: "performance"},
+		{Kernel: "atax", Platform: "bdw", Size: "test", Objective: "performance"},
 	}
 
 	cfg := testConfig()

@@ -59,10 +59,10 @@ func TestServerConcurrentSmokeWithFaultsAndDrain(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			req := Request{
-				Kernel:  kernels[i%len(kernels)],
-				Arch:    archs[i%len(archs)],
-				Size:    "test",
-				Measure: i%3 == 0, // a third of the burst hits the faulty driver
+				Kernel:   kernels[i%len(kernels)],
+				Platform: archs[i%len(archs)],
+				Size:     "test",
+				Measure:  i%3 == 0, // a third of the burst hits the faulty driver
 			}
 			body, _ := json.Marshal(req)
 			resp, err := http.Post(base+"/v1/search", "application/json", bytes.NewReader(body))

@@ -34,7 +34,7 @@ curl_pids=""
 for i in $(seq 1 12); do
     case $((i % 2)) in
         0) body='{"kernel":"gemm","size":"test","measure":true}' ;;
-        *) body='{"kernel":"atax","arch":"bdw","size":"test"}' ;;
+        *) body='{"kernel":"atax","platform":"bdw","size":"test"}' ;;
     esac
     curl -s -X POST "http://$addr/v1/search" -d "$body" >"$tmp/resp.$i.json" &
     curl_pids="$curl_pids $!"
@@ -47,7 +47,7 @@ done
 
 kill -TERM "$serve_pid"
 wait "$serve_pid" || { echo "daemon exited non-zero"; cat "$tmp/serve.log"; exit 1; }
-grep -q "drained, caps restored" "$tmp/serve.log" || { echo "no clean drain:"; cat "$tmp/serve.log"; exit 1; }
+grep -q "drained, .*caps restored" "$tmp/serve.log" || { echo "no clean drain:"; cat "$tmp/serve.log"; exit 1; }
 echo "   drain OK ($(grep -c . "$tmp/serve.jsonl" || true) journal lines)"
 
 echo "== 2/2 bench: SIGKILL mid-sweep, resume, byte-identical figures"
