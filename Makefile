@@ -54,10 +54,10 @@ pipeline:
 		./internal/core ./internal/server ./internal/parallel ./internal/ir
 
 # Platform-backend gate: schema-validate the embedded and platforms/*.json
-# descriptions (round-trip, registry, calibration artifacts), prove the
-# registry-built BDW/RPL platforms equivalent to the legacy constructors,
-# run a JSON-only backend end to end, and re-check the golden figures
-# through the registry path.
+# descriptions (round-trip, registry, calibration artifacts), pin their
+# content hashes and serialized bytes (TestBackendHashesPinned) and the
+# Socket -> Platform field mapping on BDW/RPL, run a JSON-only backend
+# end to end, and re-check the golden figures through the registry path.
 platforms:
 	$(GO) test ./internal/platform
 	$(GO) test -run 'Backend|Grid|Clamp|Platform' ./internal/hw ./internal/server ./internal/experiments
@@ -109,9 +109,10 @@ tiling:
 		./internal/core ./internal/server ./internal/experiments ./internal/plantable
 	$(GO) test -fuzz FuzzParseTilingSpec -fuzztime 5s ./internal/tiling
 
-# Topology gate: the schema-v2 platform suite and backend-decoder fuzz
-# session, the v1-vs-v2 spelling equivalence properties (constants,
-# compile results, plan tables), socket placement and cluster rollups,
+# Topology gate: the platform suite (both document layouts) and
+# backend-decoder fuzz session, the schema-1 vs schema-2 spelling
+# equivalence properties (constants, compile results, plan tables),
+# socket placement and cluster rollups,
 # per-socket breaker isolation under the race detector, and the real
 # daemon end to end on the 2-socket description (socket-scoped fault,
 # only the sick domain's breaker opens).

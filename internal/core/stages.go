@@ -177,14 +177,8 @@ func stageBaseKey(mod *ir.Module, cfg Config) string {
 }
 
 // machineThreads is the whole-machine thread count a parallel nest
-// spans: every socket's threads on a topology target, the platform's on
-// a single-socket one (identical there, so the v1 path is unchanged).
-func machineThreads(cfg Config) int {
-	if cfg.Target.NumSockets() > 1 {
-		return cfg.Target.Backend.TotalThreads()
-	}
-	return cfg.Platform().Threads
-}
+// spans: every socket's threads.
+func machineThreads(cfg Config) int { return cfg.Target.Backend.TotalThreads() }
 
 // cmOptions applies the OpenMP sharing heuristic: a parallel nest's
 // sequential miss counts are divided across the machine's threads.
@@ -291,11 +285,10 @@ func stageTile() pipeline.Stage[*compileState] {
 // capEDPScorer builds the auto-tiling scoring callback: the EDP of the
 // uncore cap PolyUFC-SEARCH would select for a candidate's transformed
 // nest under this configuration's calibration. Concrete strategies
-// ignore it; auto prefers it over the legacy DRAM-volume score. The
-// score intentionally uses the plain single-socket model — candidate
-// ranking happens before placement, and on homogeneous topologies the
-// remote term shifts every candidate's EDP by the same traffic-
-// proportional factor.
+// ignore it; it is auto's score. The score intentionally uses the plain
+// single-socket model — candidate ranking happens before placement, and
+// on homogeneous topologies the remote term shifts every candidate's EDP
+// by the same traffic-proportional factor.
 func capEDPScorer(ctx context.Context, cfg Config) func(nest *ir.Nest, cm *cachemodel.Result) (float64, bool) {
 	return func(nest *ir.Nest, cm *cachemodel.Result) (float64, bool) {
 		ks := model.FromCacheModel(cm, nestThreads(cfg, nest))
@@ -559,7 +552,7 @@ func (st *compileState) socketCaps(ns *nestState) []float64 {
 	if S <= 1 {
 		return nil
 	}
-	topo := st.cfg.Target.Backend.Topology()
+	topo := st.cfg.Target.Backend.Sockets
 	caps := make([]float64, S)
 	for k := range caps {
 		if ns.socket < 0 || ns.socket == k {

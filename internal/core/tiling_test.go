@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"polyufc/internal/cachemodel"
 	"polyufc/internal/faults"
 	"polyufc/internal/hw"
 	"polyufc/internal/ir"
@@ -220,9 +221,10 @@ func TestAutoSelectsByCapEDPNotDRAMVolume(t *testing.T) {
 	cfg := DefaultConfig(targetFor(t, p))
 	cfg.AmortizeFactor = 0
 
-	// Unit level: replicate stageTile's context with and without the
-	// scorer; the winners must differ (otherwise the fix is untestable
-	// on this input and the witness kernel must change).
+	// Unit level: replicate stageTile's context with a constant scorer
+	// (every candidate ties, so the DRAM-volume tie-break decides) and
+	// with the real one; the winners must differ (otherwise the fix is
+	// untestable on this input and the witness kernel must change).
 	mod := buildModule(t, kernel, workloads.Bench)
 	var nest *ir.Nest
 	for _, f := range mod.Funcs {
@@ -236,7 +238,8 @@ func TestAutoSelectsByCapEDPNotDRAMVolume(t *testing.T) {
 		t.Fatalf("%s has no nest", kernel)
 	}
 	auto := tiling.MustNew(tiling.Spec{Name: tiling.NameAuto})
-	tctx := tiling.Context{Cache: cfg.Platform().Cache, Threads: cfg.CM.Threads, Pluto: cfg.Pluto}
+	tctx := tiling.Context{Cache: cfg.Platform().Cache, Threads: cfg.CM.Threads, Pluto: cfg.Pluto,
+		CapEDP: func(*ir.Nest, *cachemodel.Result) (float64, bool) { return 0, true }}
 	_, volInfo, err := auto.Apply(nest, tctx)
 	if err != nil {
 		t.Fatal(err)

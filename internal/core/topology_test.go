@@ -31,7 +31,7 @@ func twoSocketTarget(t *testing.T, nodes int) *roofline.Target {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sock := bdw.Topology()[0]
+	sock := bdw.Sockets[0]
 	b := &platform.Backend{
 		Schema: platform.SchemaVersion, Name: name,
 		CPU: "test 2S", Released: 2026,
@@ -39,7 +39,6 @@ func twoSocketTarget(t *testing.T, nodes int) *roofline.Target {
 		Interconnect: &platform.Interconnect{BWGBs: 19.2, LatencyNs: 120, EnergyPJPerByte: 15},
 		Nodes:        nodes,
 	}
-	b.Normalize()
 	if err := b.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +81,7 @@ func TestTwoSocketPlacementAndCapVectors(t *testing.T) {
 		t.Fatalf("cluster EDP %g inconsistent with node figures %g x %g",
 			tr.ClusterEDP, tr.NodeJoules, tr.NodeSeconds)
 	}
-	topo := tg.Backend.Topology()
+	topo := tg.Backend.Sockets
 	capped := 0
 	for _, rep := range res.Reports {
 		if rep.Degraded || rep.Est.Seconds <= 0 {
@@ -202,9 +201,8 @@ func TestV2SpellingCompileEquivalence(t *testing.T) {
 			Name:     v1b.Name,
 			CPU:      v1b.CPU,
 			Released: v1b.Released,
-			Sockets:  []platform.Socket{v1b.Topology()[0]},
+			Sockets:  v1b.Sockets,
 		}
-		v2b.Normalize()
 		if err := v2b.Validate(); err != nil {
 			t.Fatalf("%s v2 spelling: %v", name, err)
 		}

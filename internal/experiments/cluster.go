@@ -62,14 +62,13 @@ func clusterBackends() ([]*platform.Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	sock := bdw.Topology()[0]
+	sock := bdw.Sockets[0]
 	b := &platform.Backend{
 		Schema: platform.SchemaVersion, Name: "BDW-2S",
 		CPU: "2x " + bdw.CPU, Released: bdw.Released,
 		Sockets:      []platform.Socket{sock, sock},
 		Interconnect: &platform.Interconnect{BWGBs: 19.2, LatencyNs: 120, EnergyPJPerByte: 15},
 	}
-	b.Normalize()
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
@@ -144,7 +143,7 @@ func (s *Suite) RenderCluster() error {
 			link = fmt.Sprintf("link %g GB/s, %g ns", ic.BWGBs, ic.LatencyNs)
 		}
 		s.printf("-- %s: %d sockets x %d threads, %s; calibrated once\n",
-			b.Name, b.NumSockets(), b.Topology()[0].Threads, link)
+			b.Name, b.NumSockets(), b.Sockets[0].Threads, link)
 		rows, err := s.ClusterSweep(t, clusterKernels, clusterNodeCounts)
 		if err != nil {
 			return err

@@ -37,8 +37,8 @@ func TestFileBackendEndToEnd(t *testing.T) {
 	if tg.Calibration == nil || tg.Calibration.BackendHash != b.Hash() {
 		t.Fatalf("target carries no pinned calibration: %+v", tg.Calibration)
 	}
-	if c.CalibThreads != b.Threads {
-		t.Fatalf("CalibThreads = %d, want the description's %d", c.CalibThreads, b.Threads)
+	if c.CalibThreads != b.Sockets[0].Threads {
+		t.Fatalf("CalibThreads = %d, want the description's %d", c.CalibThreads, b.Sockets[0].Threads)
 	}
 
 	// Compile + search: caps must land on the backend's wide 0.05 GHz grid.

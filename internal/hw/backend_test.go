@@ -9,79 +9,35 @@ import (
 	"polyufc/internal/platform"
 )
 
-// legacyBDW and legacyRPL are the pre-registry hardcoded constructors,
-// kept verbatim as the equivalence oracle: the embedded descriptions
-// must reconstruct them field for field.
-func legacyBDW() *Platform {
-	return &Platform{
-		Name: "BDW", CPU: "Xeon E5-1650 v4 (6C/12T)", Released: 2015,
-		Cores: 6, Threads: 12,
-		CoreMin: 1.2, CoreMax: 4.0, CoreBase: 3.6,
-		UncoreMin: 1.2, UncoreMax: 2.8,
-		CapStep: 0.1, CapLatency: 35e-6,
-		HasUncoreRAPL: false,
-		Cache: cachesim.Config{Levels: []cachesim.LevelConfig{
-			{Name: "L1", SizeBytes: 32 << 10, LineSize: 64, Assoc: 8},
-			{Name: "L2", SizeBytes: 256 << 10, LineSize: 64, Assoc: 8},
-			{Name: "LLC", SizeBytes: 15 << 20, LineSize: 64, Assoc: 20},
-		}},
-		truth: Truth{
-			FlopsPerCycle:    16,
-			HitLatencyNs:     []float64{1.1, 3.3, 13.0},
-			DRAMLatCoefNsGHz: 42, DRAMLatBaseNs: 52,
-			BWPeakGBs: 55, BWKneeGHz: 0.55,
-			MLP: 10, MLPSystem: 48, ILP: 4, Overlap: 0.2,
-			PConstW: 30, CoreIdleWPerGHz: 2.2, CoreJPerFlop: 1.6e-10,
-			UncoreIdleWPerGHz: 4.2, UncoreActWPerGHz: 8.5, UncoreActBaseW: 2.0,
-		},
-	}
-}
-
-func legacyRPL() *Platform {
-	return &Platform{
-		Name: "RPL", CPU: "Intel i5-13600 (14C/20T)", Released: 2023,
-		Cores: 14, Threads: 20,
-		CoreMin: 0.8, CoreMax: 5.0, CoreBase: 3.9,
-		UncoreMin: 0.8, UncoreMax: 4.6,
-		CapStep: 0.1, CapLatency: 21e-6,
-		HasUncoreRAPL: true,
-		Cache: cachesim.Config{Levels: []cachesim.LevelConfig{
-			{Name: "L1", SizeBytes: 48 << 10, LineSize: 64, Assoc: 12},
-			{Name: "L2", SizeBytes: 2 << 20, LineSize: 64, Assoc: 16},
-			{Name: "LLC", SizeBytes: 24 << 20, LineSize: 64, Assoc: 12},
-		}},
-		truth: Truth{
-			FlopsPerCycle:    16,
-			HitLatencyNs:     []float64{0.9, 2.8, 15.0},
-			DRAMLatCoefNsGHz: 30, DRAMLatBaseNs: 46,
-			BWPeakGBs: 75, BWKneeGHz: 1.3,
-			MLP: 14, MLPSystem: 64, ILP: 4, Overlap: 0.2,
-			PConstW: 18, CoreIdleWPerGHz: 2.6, CoreJPerFlop: 1.1e-10,
-			UncoreIdleWPerGHz: 2.6, UncoreActWPerGHz: 5.5, UncoreActBaseW: 1.8,
-		},
-	}
-}
-
+// TestBackendEquivalence checks the one Socket -> Platform conversion on
+// the two Table-III machines: every Platform field carries the
+// description field of the same meaning. (The description values
+// themselves are pinned by platform.TestBackendHashesPinned; the scalar
+// literals here are what catches two fields swapped in SocketPlatform.)
 func TestBackendEquivalence(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		want *Platform
-	}{
-		{"BDW", legacyBDW()},
-		{"RPL", legacyRPL()},
+	for _, want := range []*Platform{
+		{Name: "BDW", CPU: "Xeon E5-1650 v4 (6C/12T)", Released: 2015, Cores: 6, Threads: 12,
+			CoreMin: 1.2, CoreMax: 4.0, CoreBase: 3.6, UncoreMin: 1.2, UncoreMax: 2.8,
+			CapStep: 0.1, CapLatency: 35e-6, HasUncoreRAPL: false},
+		{Name: "RPL", CPU: "Intel i5-13600 (14C/20T)", Released: 2023, Cores: 14, Threads: 20,
+			CoreMin: 0.8, CoreMax: 5.0, CoreBase: 3.9, UncoreMin: 0.8, UncoreMax: 4.6,
+			CapStep: 0.1, CapLatency: 21e-6, HasUncoreRAPL: true},
 	} {
-		got, err := PlatformByName(tc.name)
+		got, err := PlatformByName(want.Name)
 		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			t.Fatalf("%s: %v", want.Name, err)
 		}
 		if got.Backend == nil {
-			t.Fatalf("%s: registry platform should carry its backend description", tc.name)
+			t.Fatalf("%s: registry platform should carry its backend description", want.Name)
 		}
-		// The description pointer is new by construction; equivalence is
-		// about every value the simulator and drivers read.
-		tc.want.Backend = got.Backend
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: registry platform differs from legacy constructor:\n got %+v\nwant %+v", tc.name, got, tc.want)
+		s := got.Backend.Sockets[0]
+		want.Backend, want.truth = got.Backend, s.Truth
+		for _, lv := range s.Cache {
+			want.Cache.Levels = append(want.Cache.Levels, cachesim.LevelConfig{
+				Name: lv.Name, SizeBytes: lv.SizeBytes, LineSize: lv.LineSize, Assoc: lv.Assoc})
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: registry platform differs from its description:\n got %+v\nwant %+v", want.Name, got, want)
 		}
 	}
 }
@@ -213,15 +169,21 @@ func TestHalfStepBackendViaRegistry(t *testing.T) {
 }
 
 func TestFromBackendRejectsInvalid(t *testing.T) {
-	good := *BDW().Backend
-	bad := good
-	bad.CapStepGHz = 0
-	if _, err := FromBackend(&bad); err == nil {
+	// mutated returns a copy of the BDW description (its own socket list:
+	// the registry's must stay intact) with socket 0 edited.
+	mutated := func(edit func(*platform.Socket)) *platform.Backend {
+		bad := *BDW().Backend
+		bad.Sockets = append([]platform.Socket(nil), bad.Sockets...)
+		edit(&bad.Sockets[0])
+		return &bad
+	}
+	if _, err := FromBackend(mutated(func(s *platform.Socket) { s.CapStepGHz = 0 })); err == nil {
 		t.Fatal("zero cap step should be rejected")
 	}
-	bad = good
-	bad.Truth.HitLatencyNs = []float64{1.0}
-	if _, err := FromBackend(&bad); err == nil {
+	if _, err := FromBackend(mutated(func(s *platform.Socket) { s.Truth.HitLatencyNs = []float64{1.0} })); err == nil {
 		t.Fatal("hit-latency/cache-level mismatch should be rejected")
+	}
+	if BDW().CapStep != 0.1 {
+		t.Fatal("mutating a copy edited the registered description")
 	}
 }

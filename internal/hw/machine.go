@@ -316,26 +316,7 @@ type RunResult struct {
 // Measure converts a profile into time and energy at the machine's current
 // uncore cap, using the hidden ground-truth model. The RAPL counters
 // accumulate.
-func (m *Machine) Measure(p *CacheProfile) RunResult {
-	threads := 1
-	if p.HasParallel {
-		threads = m.P.Threads
-	}
-	r := m.measureAtJoint(p, m.coreFreq, m.uncoreCap, threads)
-	m.jitter(&r)
-	m.pkgEnergy += r.PkgJoules
-	m.uncoreEnergy += r.UncoreJoules
-	m.busyTime += r.Seconds
-	// Thermal-override fault: the firmware silently raises the cap back to
-	// the maximum during the run. No switch is counted — the driver never
-	// saw it; only a watchdog re-read (CapController.Reassert) catches it.
-	if m.uncoreCap < m.P.UncoreMax && m.faults.Hit(FaultThermalOverride) != nil {
-		m.prevCap = m.uncoreCap
-		m.uncoreCap = m.P.UncoreMax
-		m.thermalOverrides++
-	}
-	return r
-}
+func (m *Machine) Measure(p *CacheProfile) RunResult { return m.MeasureNUMA(p, 0, nil) }
 
 // measureAt measures at the base core clock (the performance governor's
 // pin) and the given uncore frequency.
@@ -457,11 +438,7 @@ func (m *Machine) RunFunc(f *ir.Func) (RunResult, error) {
 // without touching driver state or the RAPL counters — the hook the
 // roofline micro-benchmarks and frequency-domain studies use.
 func (m *Machine) MeasureAt(p *CacheProfile, fCore, fUncore float64) RunResult {
-	threads := 1
-	if p.HasParallel {
-		threads = m.P.Threads
-	}
-	return m.measureAtJoint(p, fCore, fUncore, threads)
+	return m.MeasureAtNUMA(p, fCore, fUncore, 0, nil)
 }
 
 // SweepUncore measures a profile at every allowed uncore frequency without

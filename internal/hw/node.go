@@ -3,7 +3,6 @@ package hw
 import (
 	"fmt"
 
-	"polyufc/internal/faults"
 	"polyufc/internal/platform"
 )
 
@@ -54,8 +53,7 @@ func (m *Machine) addRemote(p *CacheProfile, r *RunResult, remoteRatio float64, 
 
 // MeasureNUMA is Measure with a fraction of the profile's DRAM traffic
 // served by a remote socket across the interconnect. The RAPL counters
-// accumulate as usual; remoteRatio 0 (or a nil interconnect) is exactly
-// Measure.
+// accumulate as usual; remoteRatio 0 (or a nil interconnect) adds nothing.
 func (m *Machine) MeasureNUMA(p *CacheProfile, remoteRatio float64, ic *platform.Interconnect) RunResult {
 	threads := 1
 	if p.HasParallel {
@@ -67,7 +65,9 @@ func (m *Machine) MeasureNUMA(p *CacheProfile, remoteRatio float64, ic *platform
 	m.pkgEnergy += r.PkgJoules
 	m.uncoreEnergy += r.UncoreJoules
 	m.busyTime += r.Seconds
-	// Thermal-override fault: see Measure.
+	// Thermal-override fault: the firmware silently raises the cap back to
+	// the maximum during the run. No switch is counted — the driver never
+	// saw it; only a watchdog re-read (CapController.Reassert) catches it.
 	if m.uncoreCap < m.P.UncoreMax && m.faults.Hit(FaultThermalOverride) != nil {
 		m.prevCap = m.uncoreCap
 		m.uncoreCap = m.P.UncoreMax
@@ -125,22 +125,6 @@ func (n *Node) Socket(i int) (*Machine, error) {
 	return n.sockets[i], nil
 }
 
-// Interconnect returns the topology's inter-socket link (nil for
-// single-socket backends).
-func (n *Node) Interconnect() *platform.Interconnect { return n.B.Interconnect }
-
-// SetSocketFaults arms a fault registry on exactly one socket's machine —
-// the isolation the per-socket cap controllers are tested against: a UFS
-// fault on socket k degrades socket k's controller and no other.
-func (n *Node) SetSocketFaults(i int, r *faults.Registry) error {
-	m, err := n.Socket(i)
-	if err != nil {
-		return err
-	}
-	m.SetFaults(r)
-	return nil
-}
-
 // Controllers builds one independent CapController per socket, each with
 // its own verify/retry/backoff state over its socket's driver. Jitter
 // seeds are decorrelated per socket so concurrent retries do not stampede
@@ -153,34 +137,4 @@ func (n *Node) Controllers(opts CapControllerOptions) []*CapController {
 		out[i] = NewCapController(m, o)
 	}
 	return out
-}
-
-// ApplyCaps applies one cap per socket through freshly built controllers
-// (convenience for tests and one-shot CLI paths; long-lived callers keep
-// their own Controllers). Returns the first error; remaining sockets are
-// still attempted so one faulty domain cannot wedge the others.
-func (n *Node) ApplyCaps(caps []float64, opts CapControllerOptions) ([]float64, error) {
-	if len(caps) != len(n.sockets) {
-		return nil, fmt.Errorf("hw: node %q: got %d caps for %d sockets", n.B.Name, len(caps), len(n.sockets))
-	}
-	ctls := n.Controllers(opts)
-	applied := make([]float64, len(caps))
-	var firstErr error
-	for i, c := range ctls {
-		got, err := c.Apply(caps[i])
-		applied[i] = got
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("hw: node %q socket %d: %w", n.B.Name, i, err)
-		}
-	}
-	return applied, firstErr
-}
-
-// TotalThreads sums hardware threads across sockets.
-func (n *Node) TotalThreads() int {
-	total := 0
-	for _, m := range n.sockets {
-		total += m.P.Threads
-	}
-	return total
 }

@@ -49,56 +49,29 @@ type Platform struct {
 	// (false on BDW, footnote 15).
 	HasUncoreRAPL bool
 	Cache         cachesim.Config
-	// Socket is the topology index this platform views (0 for v1
-	// single-socket descriptions and for FromBackend, which always views
-	// socket 0 — the flattened top-level fields).
+	// Socket is the topology index this platform views (FromBackend
+	// always views socket 0).
 	Socket int
 	// Backend is the description this platform was constructed from.
 	Backend *platform.Backend
 	truth   Truth
 }
 
-// FromBackend constructs a Platform from a validated backend description.
-func FromBackend(b *platform.Backend) (*Platform, error) {
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	levels := make([]cachesim.LevelConfig, len(b.Cache))
-	for i, lv := range b.Cache {
-		levels[i] = cachesim.LevelConfig{
-			Name: lv.Name, SizeBytes: lv.SizeBytes, LineSize: lv.LineSize, Assoc: lv.Assoc,
-		}
-	}
-	return &Platform{
-		Name: b.Name, CPU: b.CPU, Released: b.Released,
-		Cores: b.Cores, Threads: b.Threads,
-		CoreMin: b.CoreMinGHz, CoreMax: b.CoreMaxGHz, CoreBase: b.CoreBaseGHz,
-		UncoreMin: b.UncoreMinGHz, UncoreMax: b.UncoreMaxGHz,
-		CapStep: b.CapStepGHz, CapLatency: b.CapLatencySec,
-		HasUncoreRAPL: b.HasUncoreRAPL,
-		Cache:         cachesim.Config{Levels: levels},
-		Backend:       b,
-		truth:         b.Truth,
-	}, nil
-}
+// FromBackend constructs the Platform of a backend's socket 0 — the whole
+// machine of a single-socket description.
+func FromBackend(b *platform.Backend) (*Platform, error) { return SocketPlatform(b, 0) }
 
 // SocketPlatform constructs the Platform view of one socket of a
-// topology description: the socket's own uncore domain, cap grid, cache
-// hierarchy and truth constants under the backend's name. Socket 0 is
-// identical to FromBackend (v1 descriptions are their own socket 0), so
-// single-socket consumers never see a difference.
+// description: the socket's own uncore domain, cap grid, cache hierarchy
+// and truth constants under the backend's name.
 func SocketPlatform(b *platform.Backend, socket int) (*Platform, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	topo := b.Topology()
-	if socket < 0 || socket >= len(topo) {
-		return nil, fmt.Errorf("hw: backend %q has %d socket(s), no socket %d", b.Name, len(topo), socket)
+	if socket < 0 || socket >= len(b.Sockets) {
+		return nil, fmt.Errorf("hw: backend %q has %d socket(s), no socket %d", b.Name, len(b.Sockets), socket)
 	}
-	if socket == 0 {
-		return FromBackend(b)
-	}
-	s := topo[socket]
+	s := b.Sockets[socket]
 	levels := make([]cachesim.LevelConfig, len(s.Cache))
 	for i, lv := range s.Cache {
 		levels[i] = cachesim.LevelConfig{

@@ -176,7 +176,8 @@ func TestStaleness(t *testing.T) {
 		// driver). The edited backend hashes differently, so the table
 		// swept against the old description must be rejected.
 		b := *tg.Backend
-		b.CapLatencySec /= 2
+		b.Sockets = append([]platform.Socket(nil), b.Sockets...)
+		b.Sockets[0].CapLatencySec /= 2
 		data, err := b.Marshal()
 		if err != nil {
 			t.Fatal(err)

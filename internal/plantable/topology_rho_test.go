@@ -26,14 +26,13 @@ func rhoTarget(t testing.TB) *roofline.Target {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sock := bdw.Topology()[0]
+	sock := bdw.Sockets[0]
 	b := &platform.Backend{
 		Schema: platform.SchemaVersion, Name: "2S-PLAN-TEST",
 		CPU: "test 2S", Released: 2026,
 		Sockets:      []platform.Socket{sock, sock},
 		Interconnect: &platform.Interconnect{BWGBs: 19.2, LatencyNs: 120, EnergyPJPerByte: 15},
 	}
-	b.Normalize()
 	if err := b.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -25,8 +25,10 @@ import (
 
 // SchemaVersion is the current backend-description schema (v2:
 // topology-aware — a sockets array plus an interconnect section).
-// SchemaVersionV1 single-socket files are still read and load as a
-// 1-socket topology; any other "schema" value is rejected at parse time.
+// SchemaVersionV1 single-socket files are still read, load as a
+// 1-socket topology and re-serialize as schema 1 (their content hashes
+// pin artifacts in the wild); any other "schema" value is rejected at
+// parse time.
 const (
 	SchemaVersionV1 = 1
 	SchemaVersion   = 2
@@ -85,51 +87,86 @@ type CacheLevel struct {
 }
 
 // Backend is the declarative description of one machine: everything the
-// constructors in hw hardcoded, as data.
+// constructors in hw hardcoded, as data. In memory a machine is always a
+// socket list — Sockets[0] is the machine of a single-socket description —
+// and only the JSON codec below knows the flat single-socket spelling.
+// Decode with Parse, encode with Marshal.
 type Backend struct {
-	// Schema is the description format version (SchemaVersion).
-	Schema int `json:"schema"`
+	// Schema is the wire layout Marshal emits (SchemaVersionV1: one socket
+	// spelled flat at the top level; SchemaVersion: a sockets array).
+	Schema int
 	// Name is the canonical registry name ("BDW"); Aliases resolve too
 	// (lookups are case-insensitive either way).
-	Name    string   `json:"name"`
-	Aliases []string `json:"aliases,omitempty"`
-	CPU     string   `json:"cpu"`
+	Name    string
+	Aliases []string
+	CPU     string
 	// Released is the launch year (Table III).
-	Released int `json:"released"`
+	Released int
 	// Paper marks the two Table-III evaluation machines; golden outputs
 	// sweep exactly the paper set.
-	Paper   bool `json:"paper,omitempty"`
-	Cores   int  `json:"cores"`
-	Threads int  `json:"threads"`
-	// Core and uncore frequency ranges in GHz.
-	CoreMinGHz   float64 `json:"core_min_ghz"`
-	CoreMaxGHz   float64 `json:"core_max_ghz"`
-	CoreBaseGHz  float64 `json:"core_base_ghz"`
-	UncoreMinGHz float64 `json:"uncore_min_ghz"`
-	UncoreMaxGHz float64 `json:"uncore_max_ghz"`
-	// CapStepGHz is the uncore cap granularity; the cap grid is anchored
-	// at UncoreMinGHz and need not divide the range evenly.
-	CapStepGHz float64 `json:"cap_step_ghz"`
-	// CapLatencySec is the cost of one cap change (Sec. VII-F).
-	CapLatencySec float64 `json:"cap_latency_sec"`
-	// HasUncoreRAPL reports whether the uncore energy zone is readable
-	// (false on BDW, footnote 15).
-	HasUncoreRAPL bool         `json:"has_uncore_rapl"`
-	Cache         []CacheLevel `json:"cache"`
-	Truth         Truth        `json:"truth"`
-	// Sockets is the schema-v2 topology: one entry per socket, each with
-	// its own uncore domain, cap grid and truth constants. Empty for v1
-	// descriptions (the top-level fields above are then the one socket).
-	// Normalize mirrors socket 0 into the top-level fields so v1
-	// consumers keep working; all omitempty, so v1 content hashes are
-	// unchanged by this schema revision.
-	Sockets []Socket `json:"sockets,omitempty"`
+	Paper bool
+	// Sockets is the topology: one entry per socket, each with its own
+	// uncore domain, cap grid and truth constants. Never empty in a valid
+	// description.
+	Sockets []Socket
 	// Interconnect models the inter-socket link; required when the
 	// topology has more than one socket.
-	Interconnect *Interconnect `json:"interconnect,omitempty"`
+	Interconnect *Interconnect
 	// Nodes models an N-node cluster of identical replicas of this
 	// topology sharing one calibration; 0 (absent) means one node.
-	Nodes int `json:"nodes,omitempty"`
+	Nodes int
+}
+
+// wireBackend is the JSON layout of both schema versions. The embedded
+// Socket is the flat top-level block: the whole machine of a schema-1
+// document, a repeat of sockets[0] in a schema-2 one. Field order and
+// omitempty are load-bearing — Hash is taken over these bytes, and it
+// pins calibrations, plan tables, journals and CAS addresses.
+type wireBackend struct {
+	Schema   int      `json:"schema"`
+	Name     string   `json:"name"`
+	Aliases  []string `json:"aliases,omitempty"`
+	CPU      string   `json:"cpu"`
+	Released int      `json:"released"`
+	Paper    bool     `json:"paper,omitempty"`
+	Socket
+	Sockets      []Socket      `json:"sockets,omitempty"`
+	Interconnect *Interconnect `json:"interconnect,omitempty"`
+	Nodes        int           `json:"nodes,omitempty"`
+}
+
+// wire lays the description out for encoding: the flat socket-0 block
+// first, and the sockets array only for schema-2 descriptions.
+func (b *Backend) wire() wireBackend {
+	w := wireBackend{
+		Schema: b.Schema, Name: b.Name, Aliases: b.Aliases, CPU: b.CPU,
+		Released: b.Released, Paper: b.Paper,
+		Interconnect: b.Interconnect, Nodes: b.Nodes,
+	}
+	if len(b.Sockets) > 0 {
+		w.Socket = b.Sockets[0]
+	}
+	if b.Schema != SchemaVersionV1 {
+		w.Sockets = b.Sockets
+	}
+	return w
+}
+
+// flatContradiction checks the flat block of a schema-2 document against
+// socket 0: it may be omitted or repeat socket 0 exactly; anything else
+// is an error naming the first differing field.
+func flatContradiction(backend string, flat, s0 Socket) error {
+	if reflect.DeepEqual(flat, Socket{}) {
+		return nil
+	}
+	fv, sv := reflect.ValueOf(flat), reflect.ValueOf(s0)
+	for i := 0; i < fv.NumField(); i++ {
+		if f, s := fv.Field(i).Interface(), sv.Field(i).Interface(); !reflect.DeepEqual(f, s) {
+			field := fv.Type().Field(i).Tag.Get("json")
+			return fmt.Errorf("platform: backend %q: %s: top-level value %v contradicts sockets[0].%s %v", backend, field, f, field, s)
+		}
+	}
+	return nil
 }
 
 // Validate checks a description for internal consistency and returns a
@@ -138,39 +175,29 @@ func (b *Backend) Validate() error {
 	if b == nil {
 		return fmt.Errorf("platform: nil backend")
 	}
-	switch b.Schema {
-	case SchemaVersionV1:
-		if len(b.Sockets) > 0 || b.Interconnect != nil || b.Nodes != 0 {
-			return fmt.Errorf("platform: backend %q: schema: version %d descriptions cannot carry sockets/interconnect/nodes (re-export as schema %d)",
-				b.Name, SchemaVersionV1, SchemaVersion)
-		}
-	case SchemaVersion:
-		if len(b.Sockets) == 0 {
-			return fmt.Errorf("platform: backend %q: sockets: schema %d descriptions need at least one socket", b.Name, SchemaVersion)
-		}
-	default:
+	if b.Schema != SchemaVersionV1 && b.Schema != SchemaVersion {
 		return fmt.Errorf("platform: backend %q: schema: got version %d, this build reads versions %d and %d (re-export the description or upgrade)",
 			b.Name, b.Schema, SchemaVersionV1, SchemaVersion)
+	}
+	if b.Schema == SchemaVersionV1 && (len(b.Sockets) > 1 || b.Interconnect != nil || b.Nodes != 0) {
+		return fmt.Errorf("platform: backend %q: schema: version %d descriptions cannot carry sockets/interconnect/nodes (re-export as schema %d)",
+			b.Name, SchemaVersionV1, SchemaVersion)
 	}
 	if b.Name == "" {
 		return fmt.Errorf("platform: backend description: name: must be non-empty")
 	}
-	// The flattened top-level view: the whole machine for v1, the
-	// socket-0 mirror for v2.
-	legacy := b.legacySocket()
-	if err := legacy.validate(b.Name, ""); err != nil {
-		return err
-	}
-	if b.Schema == SchemaVersionV1 {
-		return nil
+	if len(b.Sockets) == 0 {
+		return fmt.Errorf("platform: backend %q: sockets: need at least one socket", b.Name)
 	}
 	for i := range b.Sockets {
-		if err := b.Sockets[i].validate(b.Name, fmt.Sprintf("sockets[%d].", i)); err != nil {
+		// Errors name fields the way the document spells them.
+		prefix := ""
+		if b.Schema != SchemaVersionV1 {
+			prefix = fmt.Sprintf("sockets[%d].", i)
+		}
+		if err := b.Sockets[i].validate(b.Name, prefix); err != nil {
 			return err
 		}
-	}
-	if !reflect.DeepEqual(legacy, b.Sockets[0]) {
-		return fmt.Errorf("platform: backend %q: sockets[0]: top-level socket fields must mirror socket 0 (Parse and Register normalize this; call Normalize after editing a description in code)", b.Name)
 	}
 	if len(b.Sockets) > 1 && b.Interconnect == nil {
 		return fmt.Errorf("platform: backend %q: interconnect: required for multi-socket topologies", b.Name)
@@ -188,24 +215,38 @@ func (b *Backend) Validate() error {
 
 // Parse decodes one backend description, rejecting unknown fields (typos
 // in hand-written files surface as errors, not silent zeros) and
-// validating the result.
+// validating the result. A schema-1 document is upgraded to a one-socket
+// topology here, once.
 func Parse(data []byte) (*Backend, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	var b Backend
-	if err := dec.Decode(&b); err != nil {
+	var w wireBackend
+	if err := dec.Decode(&w); err != nil {
 		return nil, fmt.Errorf("platform: parse backend description: %w", err)
 	}
-	b.Normalize()
+	b := &Backend{
+		Schema: w.Schema, Name: w.Name, Aliases: w.Aliases, CPU: w.CPU,
+		Released: w.Released, Paper: w.Paper,
+		Sockets: w.Sockets, Interconnect: w.Interconnect, Nodes: w.Nodes,
+	}
+	if w.Schema == SchemaVersionV1 {
+		// Validate rejects the second socket a smuggled sockets array adds.
+		b.Sockets = append([]Socket{w.Socket}, w.Sockets...)
+	}
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	return &b, nil
+	if w.Schema != SchemaVersionV1 {
+		if err := flatContradiction(w.Name, w.Socket, w.Sockets[0]); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
 }
 
 // Marshal renders the description as indented, field-stable JSON.
 func (b *Backend) Marshal() ([]byte, error) {
-	out, err := json.MarshalIndent(b, "", "  ")
+	out, err := json.MarshalIndent(b.wire(), "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("platform: marshal backend %q: %w", b.Name, err)
 	}
@@ -216,7 +257,7 @@ func (b *Backend) Marshal() ([]byte, error) {
 // used to key memoized calibrations and to pin a Calibration artifact to
 // the exact description it was fitted against.
 func (b *Backend) Hash() string {
-	data, err := json.Marshal(b)
+	data, err := json.Marshal(b.wire())
 	if err != nil {
 		// Backend has no unmarshalable fields; keep the signature clean.
 		panic(fmt.Sprintf("platform: hash backend %q: %v", b.Name, err))

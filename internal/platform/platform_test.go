@@ -13,31 +13,33 @@ import (
 // embedded machines (tests mutate it freely).
 func validBackend() *Backend {
 	return &Backend{
-		Schema:     SchemaVersionV1,
-		Name:       "UNIT-TEST",
-		Aliases:    []string{"ut"},
-		CPU:        "Unit Test CPU",
-		Released:   2026,
-		Cores:      8,
-		Threads:    16,
-		CoreMinGHz: 1.0, CoreMaxGHz: 4.0, CoreBaseGHz: 3.0,
-		UncoreMinGHz: 0.8, UncoreMaxGHz: 3.2,
-		CapStepGHz:    0.1,
-		CapLatencySec: 35e-6,
-		HasUncoreRAPL: true,
-		Cache: []CacheLevel{
-			{Name: "L1", SizeBytes: 32768, LineSize: 64, Assoc: 8},
-			{Name: "L2", SizeBytes: 262144, LineSize: 64, Assoc: 8},
-			{Name: "LLC", SizeBytes: 8388608, LineSize: 64, Assoc: 16},
-		},
-		Truth: Truth{
-			FlopsPerCycle: 16, HitLatencyNs: []float64{1.0, 3.0, 14.0},
-			DRAMLatCoefNsGHz: 40, DRAMLatBaseNs: 50,
-			BWPeakGBs: 60, BWKneeGHz: 0.9,
-			MLP: 10, MLPSystem: 48, ILP: 4, Overlap: 0.2,
-			PConstW: 25, CoreIdleWPerGHz: 2.0, CoreJPerFlop: 1.5e-10,
-			UncoreIdleWPerGHz: 3.0, UncoreActWPerGHz: 7.0, UncoreActBaseW: 1.9,
-		},
+		Schema:   SchemaVersionV1,
+		Name:     "UNIT-TEST",
+		Aliases:  []string{"ut"},
+		CPU:      "Unit Test CPU",
+		Released: 2026,
+		Sockets: []Socket{{
+			Cores:      8,
+			Threads:    16,
+			CoreMinGHz: 1.0, CoreMaxGHz: 4.0, CoreBaseGHz: 3.0,
+			UncoreMinGHz: 0.8, UncoreMaxGHz: 3.2,
+			CapStepGHz:    0.1,
+			CapLatencySec: 35e-6,
+			HasUncoreRAPL: true,
+			Cache: []CacheLevel{
+				{Name: "L1", SizeBytes: 32768, LineSize: 64, Assoc: 8},
+				{Name: "L2", SizeBytes: 262144, LineSize: 64, Assoc: 8},
+				{Name: "LLC", SizeBytes: 8388608, LineSize: 64, Assoc: 16},
+			},
+			Truth: Truth{
+				FlopsPerCycle: 16, HitLatencyNs: []float64{1.0, 3.0, 14.0},
+				DRAMLatCoefNsGHz: 40, DRAMLatBaseNs: 50,
+				BWPeakGBs: 60, BWKneeGHz: 0.9,
+				MLP: 10, MLPSystem: 48, ILP: 4, Overlap: 0.2,
+				PConstW: 25, CoreIdleWPerGHz: 2.0, CoreJPerFlop: 1.5e-10,
+				UncoreIdleWPerGHz: 3.0, UncoreActWPerGHz: 7.0, UncoreActBaseW: 1.9,
+			},
+		}},
 	}
 }
 
@@ -49,19 +51,19 @@ func TestValidateFieldErrors(t *testing.T) {
 	}{
 		{"wrong schema", func(b *Backend) { b.Schema = 99 }, "schema"},
 		{"empty name", func(b *Backend) { b.Name = "" }, "name"},
-		{"zero cores", func(b *Backend) { b.Cores = 0 }, "cores"},
-		{"threads below cores", func(b *Backend) { b.Threads = 4 }, "threads"},
-		{"inverted core range", func(b *Backend) { b.CoreMaxGHz = 0.5 }, "core_min_ghz/core_max_ghz"},
-		{"base outside range", func(b *Backend) { b.CoreBaseGHz = 9 }, "core_base_ghz"},
-		{"inverted uncore range", func(b *Backend) { b.UncoreMaxGHz = 0.1 }, "uncore_min_ghz/uncore_max_ghz"},
-		{"zero cap step", func(b *Backend) { b.CapStepGHz = 0 }, "cap_step_ghz"},
-		{"negative cap latency", func(b *Backend) { b.CapLatencySec = -1 }, "cap_latency_sec"},
-		{"no cache", func(b *Backend) { b.Cache = nil }, "cache"},
-		{"ragged set count", func(b *Backend) { b.Cache[1].SizeBytes = 262145 }, "whole number of sets"},
-		{"shrinking hierarchy", func(b *Backend) { b.Cache[2].SizeBytes = 1024 }, "smaller than inner level"},
-		{"latency per level", func(b *Backend) { b.Truth.HitLatencyNs = []float64{1} }, "hit_latency_ns"},
-		{"mlp below one", func(b *Backend) { b.Truth.MLP = 0.5 }, "mlp"},
-		{"overlap above one", func(b *Backend) { b.Truth.Overlap = 1.5 }, "overlap"},
+		{"zero cores", func(b *Backend) { b.Sockets[0].Cores = 0 }, "cores"},
+		{"threads below cores", func(b *Backend) { b.Sockets[0].Threads = 4 }, "threads"},
+		{"inverted core range", func(b *Backend) { b.Sockets[0].CoreMaxGHz = 0.5 }, "core_min_ghz/core_max_ghz"},
+		{"base outside range", func(b *Backend) { b.Sockets[0].CoreBaseGHz = 9 }, "core_base_ghz"},
+		{"inverted uncore range", func(b *Backend) { b.Sockets[0].UncoreMaxGHz = 0.1 }, "uncore_min_ghz/uncore_max_ghz"},
+		{"zero cap step", func(b *Backend) { b.Sockets[0].CapStepGHz = 0 }, "cap_step_ghz"},
+		{"negative cap latency", func(b *Backend) { b.Sockets[0].CapLatencySec = -1 }, "cap_latency_sec"},
+		{"no cache", func(b *Backend) { b.Sockets[0].Cache = nil }, "cache"},
+		{"ragged set count", func(b *Backend) { b.Sockets[0].Cache[1].SizeBytes = 262145 }, "whole number of sets"},
+		{"shrinking hierarchy", func(b *Backend) { b.Sockets[0].Cache[2].SizeBytes = 1024 }, "smaller than inner level"},
+		{"latency per level", func(b *Backend) { b.Sockets[0].Truth.HitLatencyNs = []float64{1} }, "hit_latency_ns"},
+		{"mlp below one", func(b *Backend) { b.Sockets[0].Truth.MLP = 0.5 }, "mlp"},
+		{"overlap above one", func(b *Backend) { b.Sockets[0].Truth.Overlap = 1.5 }, "overlap"},
 	} {
 		b := validBackend()
 		tc.mutate(b)
@@ -98,6 +100,95 @@ func TestParseRejectsUnknownFieldsAndOldSchema(t *testing.T) {
 	}
 	if _, err := Parse([]byte("{nope")); err == nil {
 		t.Fatal("corrupt JSON accepted")
+	}
+	// A schema-2 document may omit the flat top-level block (the shipped
+	// file does) or repeat socket 0 exactly (Marshal does); a flat block
+	// that contradicts sockets[0] names the first differing field.
+	omitted, err := os.ReadFile(filepath.Join("..", "..", "platforms", "2-socket-bdw.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Parse(omitted)
+	if err != nil {
+		t.Fatalf("schema-2 document without a flat block rejected: %v", err)
+	}
+	repeated, err := b.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Parse(repeated); err != nil {
+		t.Fatalf("schema-2 document repeating socket 0 rejected: %v", err)
+	}
+	const want = `platform: backend "2S-BDW": cores: top-level value 99 contradicts sockets[0].cores 6`
+	if _, err := Parse(contradictFlat(omitted)); err == nil || err.Error() != want {
+		t.Fatalf("contradicting flat block error = %v, want %s", err, want)
+	}
+}
+
+// contradictFlat adds top-level socket fields that disagree with
+// sockets[0] to a schema-2 document that omits the flat block.
+func contradictFlat(doc []byte) []byte {
+	return bytes.Replace(doc, []byte(`"schema": 2,`), []byte(`"schema": 2, "cores": 99, "threads": 1,`), 1)
+}
+
+// TestBackendHashesPinned pins every field of every shipped description:
+// Hash() equals the literal recorded at the commit before the flat
+// single-socket spelling was confined to the codec (calibration
+// artifacts, plan tables, journal keys and CAS addresses in the wild are
+// keyed by it), Marshal() is byte-identical to that commit's output
+// (testdata/*.marshal.json), and Marshal is a fixed point of
+// Parse∘Marshal.
+func TestBackendHashesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		doc, name, hash string
+		schema          int
+	}{
+		{"descriptions/bdw.json", "BDW", "af18c0c9896c9fe2", SchemaVersionV1},
+		{"descriptions/rpl.json", "RPL", "491f1029ea072f49", SchemaVersionV1},
+		{"../../platforms/wide-uncore.json", "WIDE", "3bbba2fb4415d13c", SchemaVersionV1},
+		{"testdata/v1-frozen.json", "FROZEN-V1", "1a176db300ded98f", SchemaVersionV1},
+		{"../../platforms/2-socket-bdw.json", "2S-BDW", "e91e509fb450b97c", SchemaVersion},
+		{"../../platforms/cluster-2s-bdw.json", "2S-BDW-X8", "b4b0b9fa80aaceab", SchemaVersion},
+	} {
+		read := os.ReadFile
+		if strings.HasPrefix(tc.doc, "descriptions/") {
+			read = embedded.ReadFile
+		}
+		data, err := read(tc.doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Parse(data)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.doc, err)
+		}
+		if b.Name != tc.name || b.Schema != tc.schema {
+			t.Fatalf("%s: parsed as %q schema %d, want %q schema %d", tc.doc, b.Name, b.Schema, tc.name, tc.schema)
+		}
+		if got := b.Hash(); got != tc.hash {
+			t.Fatalf("%s: Hash() = %s, want %s — every persisted artifact keyed by it is orphaned", tc.name, got, tc.hash)
+		}
+		out, err := b.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden, err := os.ReadFile(filepath.Join("testdata", strings.ToLower(tc.name)+".marshal.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out, golden) {
+			t.Fatalf("%s: Marshal() differs from the recorded bytes:\n%s", tc.name, out)
+		}
+		again, err := Parse(out)
+		if err != nil {
+			t.Fatalf("%s: own Marshal output rejected: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(b, again) {
+			t.Fatalf("%s: Parse(Marshal(b)) != b", tc.name)
+		}
+		if out2, err := again.Marshal(); err != nil || !bytes.Equal(out, out2) {
+			t.Fatalf("%s: Marshal is not a fixed point of Parse∘Marshal (%v)", tc.name, err)
+		}
 	}
 }
 
@@ -284,7 +375,7 @@ func TestCalibrationRejectsCorruptAndStale(t *testing.T) {
 	// A stale artifact (description edited since the fit) is rejected.
 	cal := testCalibration()
 	edited := validBackend()
-	edited.UncoreMaxGHz = 3.6
+	edited.Sockets[0].UncoreMaxGHz = 3.6
 	if err := cal.Matches(edited); err == nil || !strings.Contains(err.Error(), "re-calibrate") {
 		t.Fatalf("stale artifact error = %v", err)
 	}

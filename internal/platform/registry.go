@@ -63,7 +63,6 @@ func fs() ([]string, error) {
 // ones); a name or alias colliding with a *different* backend's is an
 // error.
 func Register(b *Backend) error {
-	b.Normalize()
 	if err := b.Validate(); err != nil {
 		return err
 	}

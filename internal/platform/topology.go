@@ -6,11 +6,9 @@ import (
 	"strings"
 )
 
-// Socket describes one socket of a topology-aware (schema v2) backend:
-// its cores, frequency ranges, uncore cap grid, cache hierarchy and
-// hidden truth constants. Every field carries the same meaning as the
-// identically-named top-level Backend field — a v1 description *is* one
-// Socket flattened into the Backend.
+// Socket describes one socket of a backend: its cores, frequency ranges,
+// uncore cap grid, cache hierarchy and hidden truth constants. A schema-1
+// document *is* one Socket spelled at the top level.
 type Socket struct {
 	Cores   int `json:"cores"`
 	Threads int `json:"threads"`
@@ -32,9 +30,8 @@ type Socket struct {
 	Truth         Truth        `json:"truth"`
 }
 
-// validate checks the per-socket constraints (the v1 field checks,
-// applied to one socket). prefix scopes field names in errors
-// ("sockets[1]." or "" for the flattened top-level view).
+// validate checks the per-socket constraints. prefix scopes field names
+// in errors ("sockets[1]." or "" for a schema-1 document's flat block).
 func (s *Socket) validate(backend, prefix string) error {
 	bad := func(field, format string, args ...interface{}) error {
 		return fmt.Errorf("platform: backend %q: %s%s: %s", backend, prefix, field, fmt.Sprintf(format, args...))
@@ -134,57 +131,8 @@ func (ic *Interconnect) validate(backend string) error {
 	return nil
 }
 
-// legacySocket is the flattened top-level single-socket view of the
-// description: the whole machine for v1, the socket-0 mirror that
-// Normalize maintains for v2.
-func (b *Backend) legacySocket() Socket {
-	return Socket{
-		Cores: b.Cores, Threads: b.Threads,
-		CoreMinGHz: b.CoreMinGHz, CoreMaxGHz: b.CoreMaxGHz, CoreBaseGHz: b.CoreBaseGHz,
-		UncoreMinGHz: b.UncoreMinGHz, UncoreMaxGHz: b.UncoreMaxGHz,
-		CapStepGHz: b.CapStepGHz, CapLatencySec: b.CapLatencySec,
-		HasUncoreRAPL: b.HasUncoreRAPL,
-		Cache:         b.Cache, Truth: b.Truth,
-	}
-}
-
-// Normalize mirrors socket 0 of a topology (schema v2) description into
-// the legacy top-level fields, so every consumer of the single-socket
-// view (hw.FromBackend, calibration, plan tables) reads socket 0 without
-// knowing about schema v2. v1 descriptions are untouched. Parse and
-// Register normalize automatically; call it by hand only after editing a
-// v2 Backend constructed in code, before Validate or Hash.
-func (b *Backend) Normalize() {
-	if b == nil || len(b.Sockets) == 0 {
-		return
-	}
-	s := b.Sockets[0]
-	b.Cores, b.Threads = s.Cores, s.Threads
-	b.CoreMinGHz, b.CoreMaxGHz, b.CoreBaseGHz = s.CoreMinGHz, s.CoreMaxGHz, s.CoreBaseGHz
-	b.UncoreMinGHz, b.UncoreMaxGHz = s.UncoreMinGHz, s.UncoreMaxGHz
-	b.CapStepGHz, b.CapLatencySec = s.CapStepGHz, s.CapLatencySec
-	b.HasUncoreRAPL = s.HasUncoreRAPL
-	b.Cache, b.Truth = s.Cache, s.Truth
-}
-
-// Topology returns the socket list of the description: the sockets array
-// for v2, or the top-level fields synthesized as a single socket for v1.
-// Every backend therefore has a topology; single-socket code paths are
-// the NumSockets() == 1 special case, not a different schema.
-func (b *Backend) Topology() []Socket {
-	if len(b.Sockets) > 0 {
-		return b.Sockets
-	}
-	return []Socket{b.legacySocket()}
-}
-
-// NumSockets returns the socket count (1 for v1 descriptions).
-func (b *Backend) NumSockets() int {
-	if len(b.Sockets) > 0 {
-		return len(b.Sockets)
-	}
-	return 1
-}
+// NumSockets returns the socket count.
+func (b *Backend) NumSockets() int { return len(b.Sockets) }
 
 // NumNodes returns the cluster node count the description models: the
 // nodes field, or 1 when absent. Nodes are identical replicas of the
@@ -211,7 +159,7 @@ func (b *Backend) Homogeneous() bool {
 // spanning the whole node sees TotalThreads workers).
 func (b *Backend) TotalCores() int {
 	n := 0
-	for _, s := range b.Topology() {
+	for _, s := range b.Sockets {
 		n += s.Cores
 	}
 	return n
@@ -219,21 +167,19 @@ func (b *Backend) TotalCores() int {
 
 func (b *Backend) TotalThreads() int {
 	n := 0
-	for _, s := range b.Topology() {
+	for _, s := range b.Sockets {
 		n += s.Threads
 	}
 	return n
 }
 
 // TopologySummary renders the description's topology for human eyes —
-// the CLIs print it under their -topology flag. Single-socket v1
-// descriptions render as a 1-socket topology, which is exactly what they
-// are.
+// the CLIs print it under their -topology flag.
 func (b *Backend) TopologySummary() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s (%s): %d socket(s), %d node(s), %d cores / %d threads total\n",
 		b.Name, b.CPU, b.NumSockets(), b.NumNodes(), b.TotalCores(), b.TotalThreads())
-	for i, s := range b.Topology() {
+	for i, s := range b.Sockets {
 		steps := int((s.UncoreMaxGHz-s.UncoreMinGHz)/s.CapStepGHz+1e-9) + 1
 		fmt.Fprintf(&sb, "  socket %d: %dC/%dT, core %.2f-%.2f GHz, uncore %.2f-%.2f GHz (step %.2f, %d cap levels)\n",
 			i, s.Cores, s.Threads, s.CoreMinGHz, s.CoreMaxGHz,

@@ -2,17 +2,19 @@ package platform
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 )
 
 // validTopologyBackend returns a well-formed 2-socket schema-v2
-// description whose sockets are the validBackend machine, normalized.
+// description whose sockets are the validBackend machine.
 func validTopologyBackend() *Backend {
-	base := validBackend()
-	sock := base.legacySocket()
-	b := &Backend{
+	sock := validBackend().Sockets[0]
+	return &Backend{
 		Schema:   SchemaVersion,
 		Name:     "TOPO-TEST",
 		Aliases:  []string{"tt"},
@@ -23,8 +25,6 @@ func validTopologyBackend() *Backend {
 			BWGBs: 19.2, LatencyNs: 120, EnergyPJPerByte: 15,
 		},
 	}
-	b.Normalize()
-	return b
 }
 
 func TestTopologyValidation(t *testing.T) {
@@ -39,8 +39,8 @@ func TestTopologyValidation(t *testing.T) {
 		{"negative link latency", func(b *Backend) { b.Interconnect.LatencyNs = -1 }, "interconnect.latency_ns"},
 		{"negative link energy", func(b *Backend) { b.Interconnect.EnergyPJPerByte = -1 }, "interconnect.energy_pj_per_byte"},
 		{"negative nodes", func(b *Backend) { b.Nodes = -2 }, "nodes"},
+		{"bad first socket", func(b *Backend) { b.Sockets[0].CapStepGHz = 0 }, "sockets[0].cap_step_ghz"},
 		{"bad remote socket", func(b *Backend) { b.Sockets[1].Cores = 0 }, "sockets[1].cores"},
-		{"stale mirror", func(b *Backend) { b.CapStepGHz = 0.2 }, "mirror socket 0"},
 	} {
 		b := validTopologyBackend()
 		tc.mutate(b)
@@ -79,37 +79,58 @@ func TestTopologyRoundTrip(t *testing.T) {
 	if b.Hash() != got.Hash() {
 		t.Fatal("hash changed across round trip")
 	}
-	// A v2 file that omits the top-level mirror normalizes to the same
+	// A v2 file that omits the flat top-level block decodes to the same
 	// description (and therefore the same content hash) as one that
 	// spells it out: socket 0 is authoritative either way.
-	stripped := *b
-	stripped.Cores, stripped.Threads = 0, 0
-	stripped.CoreMinGHz, stripped.CoreMaxGHz, stripped.CoreBaseGHz = 0, 0, 0
-	stripped.UncoreMinGHz, stripped.UncoreMaxGHz = 0, 0
-	stripped.CapStepGHz, stripped.CapLatencySec = 0, 0
-	stripped.HasUncoreRAPL = false
-	stripped.Cache, stripped.Truth = nil, Truth{}
-	raw, err := stripped.Marshal()
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := doc["cores"]; !ok {
+		t.Fatal("Marshal no longer repeats socket 0 at the top level")
+	}
+	for field := range doc {
+		switch field {
+		case "schema", "name", "aliases", "cpu", "released", "sockets", "interconnect":
+		default:
+			delete(doc, field)
+		}
+	}
+	raw, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reparsed, err := Parse(raw)
 	if err != nil {
-		t.Fatalf("stripped-mirror description rejected: %v", err)
+		t.Fatalf("stripped-flat-block description rejected: %v", err)
 	}
-	if reparsed.Hash() != b.Hash() {
-		t.Fatal("normalization is not canonical: stripped mirror hashes differently")
+	if !reflect.DeepEqual(reparsed, b) || reparsed.Hash() != b.Hash() {
+		t.Fatal("decoding is not canonical: a stripped flat block loads differently")
 	}
 }
 
-// TestV1LoadsAsSingleSocketTopology is the v1→v2 equivalence guard at the
-// schema layer: every v1 description (the embedded BDW/RPL machines and
-// anything loaded from platforms/) presents exactly one socket whose
-// fields are the flattened top-level view, and its serialized form — and
-// therefore its content hash, which pins calibrations and plan tables —
-// carries none of the new topology keys.
+// TestV1LoadsAsSingleSocketTopology is the schema-1 decode guard: a
+// frozen schema-1 document (and every registered schema-1 description)
+// loads as exactly one socket carrying the document's flat fields, and its
+// serialized form — and therefore its content hash, which pins
+// calibrations and plan tables — stays schema 1 with none of the topology
+// keys.
 func TestV1LoadsAsSingleSocketTopology(t *testing.T) {
-	for _, b := range All() {
+	data, err := os.ReadFile(filepath.Join("testdata", "v1-frozen.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozen, err := Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := frozen.Sockets[0]
+	if s.Cores != 16 || s.Threads != 32 || s.UncoreMinGHz != 0.6 || s.UncoreMaxGHz != 5.2 ||
+		s.CapStepGHz != 0.05 || s.CapLatencySec != 18e-6 || !s.HasUncoreRAPL ||
+		len(s.Cache) != 3 || s.Cache[2].SizeBytes != 33554432 || s.Truth.BWPeakGBs != 90 {
+		t.Fatalf("frozen schema-1 document decoded to the wrong socket: %+v", s)
+	}
+	for _, b := range append(All(), frozen) {
 		if b.Schema != SchemaVersionV1 {
 			continue
 		}
@@ -119,19 +140,18 @@ func TestV1LoadsAsSingleSocketTopology(t *testing.T) {
 		if got := b.NumNodes(); got != 1 {
 			t.Fatalf("%s: NumNodes = %d, want 1", b.Name, got)
 		}
-		topo := b.Topology()
-		if len(topo) != 1 || !reflect.DeepEqual(topo[0], b.legacySocket()) {
-			t.Fatalf("%s: Topology() is not the flattened single socket", b.Name)
-		}
 		if !b.Homogeneous() {
 			t.Fatalf("%s: single socket must be homogeneous", b.Name)
 		}
-		if b.TotalThreads() != b.Threads || b.TotalCores() != b.Cores {
+		if b.TotalThreads() != b.Sockets[0].Threads || b.TotalCores() != b.Sockets[0].Cores {
 			t.Fatalf("%s: totals differ from the single socket", b.Name)
 		}
 		data, err := b.Marshal()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !bytes.Contains(data, []byte(`"schema": 1`)) {
+			t.Fatalf("%s: schema-1 description re-serialized under another version", b.Name)
 		}
 		for _, key := range []string{`"sockets"`, `"interconnect"`, `"nodes"`} {
 			if bytes.Contains(data, []byte(key)) {

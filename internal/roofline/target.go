@@ -25,17 +25,16 @@ type Target struct {
 	// Calibration carries the fit provenance; nil when the constants
 	// were not produced by Resolve or loaded from an artifact.
 	Calibration *platform.Calibration
-	// Sockets holds per-socket constants for topology (schema v2)
-	// backends: Sockets[i] is socket i's calibration. Homogeneous
-	// topologies share the socket-0 fit — one calibration serves the
-	// whole node, the cluster-sweep premise — while heterogeneous
-	// sockets get their own micro-benchmark pass. Nil for single-socket
-	// targets, where Constants is the whole story.
+	// Sockets holds per-socket constants: Sockets[i] is socket i's
+	// calibration and Sockets[0] is Constants. Homogeneous topologies
+	// share the socket-0 fit — one calibration serves the whole node, the
+	// cluster-sweep premise — while heterogeneous sockets get their own
+	// micro-benchmark pass. Nil only on hand-built targets.
 	Sockets []*Constants
 }
 
 // NumSockets returns the socket count of the target's topology (1 for
-// single-socket and hand-built targets).
+// hand-built targets).
 func (t *Target) NumSockets() int {
 	if t == nil || t.Backend == nil {
 		return 1
@@ -43,13 +42,13 @@ func (t *Target) NumSockets() int {
 	return t.Backend.NumSockets()
 }
 
-// SocketConstants returns socket i's calibrated constants; out-of-range
-// and single-socket lookups fall back to the primary Constants.
+// SocketConstants returns socket i's calibrated constants; lookups
+// outside the socket table fall back to the primary Constants.
 func (t *Target) SocketConstants(i int) *Constants {
 	if t == nil {
 		return nil
 	}
-	if i >= 0 && i < len(t.Sockets) && t.Sockets[i] != nil {
+	if i >= 0 && i < len(t.Sockets) {
 		return t.Sockets[i]
 	}
 	return t.Constants
@@ -65,20 +64,14 @@ func (t *Target) RemotePenalty() (secPerByte, joulesPerByte float64) {
 	return hw.RemotePenalty(t.Backend.Interconnect)
 }
 
-// resolveSockets builds the per-socket constants of a topology backend
-// around the already-fitted socket-0 constants: homogeneous sockets
-// share that fit, heterogeneous sockets calibrate their own platform
-// views. Single-socket backends need no socket table at all.
+// resolveSockets builds the per-socket constants of a backend around the
+// already-fitted socket-0 constants: homogeneous sockets share that fit,
+// heterogeneous sockets calibrate their own platform views.
 func resolveSockets(b *platform.Backend, c0 *Constants) ([]*Constants, error) {
-	n := b.NumSockets()
-	if n <= 1 {
-		return nil, nil
-	}
-	out := make([]*Constants, n)
-	out[0] = c0
+	out := make([]*Constants, b.NumSockets())
 	homogeneous := b.Homogeneous()
-	for i := 1; i < n; i++ {
-		if homogeneous {
+	for i := range out {
+		if i == 0 || homogeneous {
 			out[i] = c0
 			continue
 		}

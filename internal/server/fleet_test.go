@@ -433,3 +433,134 @@ func waitJobDone(t *testing.T, ts *httptest.Server, id string) {
 	}
 	t.Fatalf("job %s never finished", id)
 }
+
+// parentState is a snapshot of what daemons built at the commit before
+// the platform codec change wrote to disk (testdata/parent-state/README.md
+// has the recipe): a CAS directory holding four calibration artifacts, a
+// BDW plan table and three responses computed with that table installed;
+// a response journal from a table-less daemon; the served bytes of each
+// request; and that daemon's /v1/platforms answer.
+const parentState = "testdata/parent-state"
+
+var parentStatePlatforms = []string{
+	filepath.Join("..", "..", "platforms", "2-socket-bdw.json"),
+	filepath.Join("..", "..", "platforms", "wide-uncore.json"),
+}
+
+// Every address the parent derived from a backend description — the
+// calibration slot, the plan-table slot, the response key — must still be
+// the address this build derives, on schema-1 and schema-2 backends
+// alike: a boot on the parent's CAS directory re-fits nothing, installs
+// the parent's plan table and answers the parent's requests from warm
+// entries, byte for byte.
+func TestServerCASBootsOnParentWrittenState(t *testing.T) {
+	dir := t.TempDir()
+	ents, err := os.ReadDir(filepath.Join(parentState, "cas"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(parentState, "cas", e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := testConfig()
+	cfg.CASDir = dir
+	cfg.PlatformFiles = parentStatePlatforms
+	s := newServer(t, cfg)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// The four persisted fits warm-start their backends: the platform
+	// entries — description hash, constants, fit date — are the parent's.
+	var want, got struct {
+		Platforms []json.RawMessage `json:"platforms"`
+	}
+	data, err := os.ReadFile(filepath.Join(parentState, "platforms.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustUnmarshal(t, data, &want)
+	resp, err := ts.Client().Get(ts.URL + "/v1/platforms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	served := map[string]bool{}
+	for _, p := range got.Platforms {
+		served[string(p)] = true
+	}
+	for _, p := range want.Platforms {
+		if !served[string(p)] {
+			t.Fatalf("a backend was re-fitted or changed identity; the parent served\n%s", p)
+		}
+	}
+	if set := s.planSet(); set == nil || set.Stats().Loaded != 1 {
+		t.Fatal("the parent's plan table was orphaned instead of installed")
+	}
+	boot := s.CASStats()
+	if boot.WarmHits < int64(len(want.Platforms))+1 {
+		t.Fatalf("boot read %d warm entries, want %d calibrations and a plan table: %+v", boot.WarmHits, len(want.Platforms), boot)
+	}
+
+	for name, req := range map[string]struct{ path, body string }{
+		"cas-gemm-bdw":  {"/v1/compile", `{"kernel":"gemm","platform":"bdw","size":"test"}`},
+		"cas-mvt-2s":    {"/v1/compile", `{"kernel":"mvt","platform":"2s-bdw","size":"test"}`},
+		"cas-bicg-wide": {"/v1/search", `{"kernel":"bicg","platform":"wide","size":"test"}`},
+	} {
+		assertParentResponse(t, ts, name, req.path, req.body)
+	}
+	st := s.CASStats()
+	if st.WarmHits != boot.WarmHits+3 || st.Puts != boot.Puts {
+		t.Fatalf("the parent's responses were recomputed, not replayed: boot %+v, now %+v", boot, st)
+	}
+}
+
+// The journal half: its keys carry the calibration hash, so replaying the
+// parent's journal also proves a fresh fit of the same descriptions lands
+// on the parent's constants.
+func TestServerJournalReplaysParentWrittenState(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join(parentState, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.JournalPath, cfg.Resume = path, true
+	cfg.PlatformFiles = parentStatePlatforms
+	s := newServer(t, cfg)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	assertParentResponse(t, ts, "jrnl-atax-rpl", "/v1/compile", `{"kernel":"atax","platform":"rpl","size":"test"}`)
+	assertParentResponse(t, ts, "jrnl-gemm-2s", "/v1/search", `{"kernel":"gemm","platform":"2s-bdw","size":"test"}`)
+	if st := s.JournalStats(); st.Replayed != 2 || st.Appended != 0 {
+		t.Fatalf("the parent's journal entries were orphaned: %+v", st)
+	}
+}
+
+// assertParentResponse posts one request and compares the served bytes
+// with what the parent daemon served for it.
+func assertParentResponse(t *testing.T, ts *httptest.Server, name, path, body string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join(parentState, "responses", name+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, got := postJSONBody(t, ts, path, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: %d %s", name, resp.StatusCode, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s differs from the parent's bytes:\n  got:  %s\n  want: %s", name, got, want)
+	}
+}

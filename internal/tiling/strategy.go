@@ -30,15 +30,14 @@ type Context struct {
 	Threads int
 	Pluto   pluto.Options
 	Faults  *faults.Registry
-	// CapEDP, when non-nil, scores a transformed nest by the EDP of the
-	// uncore cap PolyUFC-SEARCH would select for it (lower is better) —
-	// the objective the compiler actually optimizes. The auto
-	// meta-strategy prefers it over its raw DRAM-volume score: a
-	// candidate that admits a deeper cap can win even with slightly more
-	// traffic, and minimizing QDRAM alone picks the wrong one exactly
-	// there. ok = false (the model fit or search failed) falls back to
-	// the volume score for that candidate. Populated by core's tile
-	// stage; nil keeps the legacy volume-only selection.
+	// CapEDP scores a transformed nest by the EDP of the uncore cap
+	// PolyUFC-SEARCH would select for it (lower is better) — the
+	// objective the compiler actually optimizes, and the auto
+	// meta-strategy's score: a candidate that admits a deeper cap can win
+	// even with slightly more traffic, and minimizing QDRAM alone picks
+	// the wrong one exactly there. ok = false (the model fit or search
+	// failed) makes auto skip that candidate. Required by auto, ignored by
+	// the concrete strategies; populated by core's tile stage.
 	CapEDP func(nest *ir.Nest, cm *cachemodel.Result) (edp float64, ok bool)
 
 	// analysed and deps carry a nest's dependence analysis from the
@@ -304,35 +303,28 @@ func cmScoreOptions(ctx Context) cachemodel.Options {
 }
 
 // autoStrategy races the three concrete strategies and keeps the winner.
-// With Context.CapEDP armed (the compile pipeline always arms it) a
-// candidate is scored by the EDP of the cap the search selects for its
-// transformed nest — the compiler's actual objective; the raw DRAM miss
-// volume (QDRAM) and total LLC misses only break ties, then candidate
-// order, so an across-the-board tie behaves like pluto. Without CapEDP
-// (or for candidates where it fails) the legacy volume score applies.
-// Candidates that error — including injected tiling.<name> faults — are
-// skipped and never selected; auto errors only when every candidate
-// failed.
+// A candidate is scored by Context.CapEDP — the EDP of the cap the search
+// selects for its transformed nest, the compiler's actual objective; the
+// raw DRAM miss volume (QDRAM) and total LLC misses only break ties, then
+// candidate order, so an across-the-board tie behaves like pluto.
+// Candidates that error or cannot be scored — including injected
+// tiling.<name> faults — are skipped and never selected; auto errors
+// only when every candidate failed.
 type autoStrategy struct{ spec Spec }
 
 func (s *autoStrategy) Name() string        { return NameAuto }
 func (s *autoStrategy) Fingerprint() string { return s.spec.Fingerprint() }
 
-// autoScore orders auto's candidates: EDP-scored candidates beat
-// volume-only ones, lower EDP wins, then lower QDRAM, then fewer total
-// misses.
+// autoScore orders auto's candidates: lower EDP wins, then lower QDRAM,
+// then fewer total misses.
 type autoScore struct {
-	edp    float64
-	hasEDP bool
-	q      int64
-	miss   int64
+	edp  float64
+	q    int64
+	miss int64
 }
 
 func (a autoScore) betterThan(b autoScore) bool {
-	if a.hasEDP != b.hasEDP {
-		return a.hasEDP
-	}
-	if a.hasEDP && a.edp != b.edp {
+	if a.edp != b.edp {
 		return a.edp < b.edp
 	}
 	if a.q != b.q {
@@ -346,6 +338,9 @@ func (s *autoStrategy) Apply(nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo, er
 		&plutoStrategy{spec: Spec{Name: NamePluto}},
 		&cobStrategy{spec: Spec{Name: NameCacheOblivious}},
 		&latencyStrategy{spec: Spec{Name: NameLatency}},
+	}
+	if ctx.CapEDP == nil {
+		return nil, NestInfo{}, fmt.Errorf("tiling: auto on %s: no EDP scorer", nest.Label)
 	}
 	ctx = ctx.withDeps(nest)
 	var (
@@ -370,8 +365,10 @@ func (s *autoStrategy) Apply(nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo, er
 		for _, lv := range cm.Levels {
 			score.miss += lv.Misses
 		}
-		if ctx.CapEDP != nil {
-			score.edp, score.hasEDP = ctx.CapEDP(out, cm)
+		var ok bool
+		if score.edp, ok = ctx.CapEDP(out, cm); !ok {
+			lastErr = fmt.Errorf("%s: no EDP score", cand.Name())
+			continue
 		}
 		if !haveBest || score.betterThan(bestScore) {
 			best = out
@@ -381,9 +378,6 @@ func (s *autoStrategy) Apply(nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo, er
 		}
 	}
 	if !haveBest {
-		if lastErr == nil {
-			lastErr = fmt.Errorf("no candidates")
-		}
 		return nil, NestInfo{}, fmt.Errorf("tiling: auto on %s: all candidates failed: %w", nest.Label, lastErr)
 	}
 	return best, bestInfo, nil

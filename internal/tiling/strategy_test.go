@@ -13,11 +13,14 @@ import (
 	"polyufc/internal/workloads"
 )
 
+// testCtx scores every auto candidate the same, so what the volume tests
+// pin is auto's tie-break order: QDRAM, total misses, candidate order.
 func testCtx() Context {
 	return Context{
 		Cache:   hw.BDW().Cache,
 		Threads: 1,
 		Pluto:   pluto.DefaultOptions(),
+		CapEDP:  func(*ir.Nest, *cachemodel.Result) (float64, bool) { return 0, true },
 	}
 }
 
@@ -197,8 +200,8 @@ func TestUntileableNestPassesThrough(t *testing.T) {
 	}
 }
 
-// auto must score candidates by predicted DRAM volume, never select one
-// that errored, and report the winner's name.
+// auto must break EDP ties by predicted DRAM volume, never select a
+// candidate that errored, and report the winner's name.
 func TestAutoSkipsErroredCandidates(t *testing.T) {
 	nest := nestFrom(t, "gemm", 1)
 	ctx := testCtx()
@@ -250,7 +253,7 @@ func TestApplyDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-// A CapEDP callback overrides the legacy DRAM-volume ranking. The stub
+// The CapEDP score outranks the DRAM-volume tie-break. The stub
 // scores candidates by arrival order (auto tries pluto, cacheoblivious,
 // latency), so the first candidate gets the best EDP and must win even
 // though the volume rule prefers a different strategy for this nest.
@@ -286,11 +289,10 @@ func TestAutoCapEDPOverridesVolumeScore(t *testing.T) {
 	}
 }
 
-// CapEDP failures degrade per candidate, not per nest: a callback that
-// always reports failure reproduces the legacy volume winner exactly,
-// and one that scores only a single candidate makes that candidate win
-// regardless of how bad its EDP is (scored candidates outrank unscored
-// ones).
+// A candidate the scorer cannot score (ok = false) is skipped exactly like
+// one whose transform failed: it is never selected, auto errors only when
+// every candidate was skipped, and auto without a scorer is a programming
+// error.
 func TestAutoCapEDPFallback(t *testing.T) {
 	nest := nestFrom(t, "gemm", 1)
 	ctx := testCtx()
@@ -300,31 +302,33 @@ func TestAutoCapEDPFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctx.CapEDP = func(n *ir.Nest, cm *cachemodel.Result) (float64, bool) { return 0, false }
-	_, fbInfo, err := auto.Apply(nest, ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fbInfo.Strategy != volInfo.Strategy {
-		t.Fatalf("all-failed CapEDP picked %s, want the volume winner %s", fbInfo.Strategy, volInfo.Strategy)
+	ctx.CapEDP = func(*ir.Nest, *cachemodel.Result) (float64, bool) { return 0, false }
+	if _, _, err := auto.Apply(nest, ctx); err == nil || !strings.Contains(err.Error(), "all candidates failed") {
+		t.Fatalf("auto with every candidate unscored: err = %v, want the all-candidates-failed error", err)
 	}
 
-	if volInfo.Strategy == "auto:"+NameCacheOblivious {
-		t.Fatalf("precondition: the volume winner is already cacheoblivious")
-	}
+	// Unscore only the tie-break winner, with the best EDP on offer.
+	candidates := []string{NamePluto, NameCacheOblivious, NameLatency}
 	calls := 0
-	ctx.CapEDP = func(n *ir.Nest, cm *cachemodel.Result) (float64, bool) {
+	ctx.CapEDP = func(*ir.Nest, *cachemodel.Result) (float64, bool) {
 		calls++
-		// Score only the second candidate (cacheoblivious), terribly.
-		return 1e12, calls == 2
+		if "auto:"+candidates[calls-1] == volInfo.Strategy {
+			return -1, false
+		}
+		return 0, true
 	}
 	_, oneInfo, err := auto.Apply(nest, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if oneInfo.Strategy != "auto:"+NameCacheOblivious {
-		t.Fatalf("partially-scored auto picked %s, want the only scored candidate auto:%s",
-			oneInfo.Strategy, NameCacheOblivious)
+	if calls != 3 || oneInfo.Strategy == volInfo.Strategy {
+		t.Fatalf("auto picked %s after %d scorer calls, want any candidate but the unscored %s",
+			oneInfo.Strategy, calls, volInfo.Strategy)
+	}
+
+	ctx.CapEDP = nil
+	if _, _, err := auto.Apply(nest, ctx); err == nil || !strings.Contains(err.Error(), "no EDP scorer") {
+		t.Fatalf("auto without a scorer: err = %v, want the no-EDP-scorer error", err)
 	}
 }
 
