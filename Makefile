@@ -2,7 +2,8 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench perf-micro experiments faults fuzz fmt cover diet serve smoke pipeline platforms plantable jobs fleet tiling topology
+.PHONY: all build vet test race bench perf-micro experiments faults fuzz fmt cover diet serve smoke pipeline platforms plantable jobs fleet tiling topology \
+	e2e plantable-e2e jobs-e2e fleet-e2e tiling-e2e topology-e2e smoke-e2e
 
 all: build vet test
 
@@ -15,7 +16,8 @@ vet:
 test:
 	$(GO) test ./...
 
-# Race-detector gate for the parallel evaluation engine (tier-1 in CI).
+# Every test in the repository, once, under the race detector: CI's one
+# test step. The area gates below add only what it cannot do.
 race:
 	$(GO) test -race ./...
 
@@ -38,105 +40,102 @@ perf-micro:
 experiments:
 	$(GO) run ./cmd/polyufc-bench -exp all -size bench
 
-# Fault-tolerance gate: injection, cap-controller retry/restore and
-# best-effort degradation paths under the race detector.
+# The area gates. `make race` (CI's one test step) already runs every test
+# in the repository once, so a gate holds only what that step does not do:
+#   <gate>      for local use: `go test -race` over the area's WHOLE
+#               packages — no -run pattern, so a renamed test cannot fall
+#               out of a gate — then the gate's -e2e half, if it has one;
+#   <gate>-e2e  the area's short fuzz session(s) and its smoke script
+#               against the real binaries. CI runs `make e2e`: these only.
+
+# Fault tolerance: injection, cap-controller retry/restore and
+# best-effort degradation paths.
 faults:
-	$(GO) test -race ./internal/faults
-	$(GO) test -race -run 'Fault|Degrade|CapController|BestEffort|Tolerates|Grid' \
-		./internal/hw ./internal/core ./internal/experiments ./internal/search
+	$(GO) test -race ./internal/faults ./internal/hw ./internal/core ./internal/experiments ./internal/search
 
-# Staged-pipeline gate: the stage runner unit suite plus the equivalence
-# properties (memo on vs. off byte-identical Results, prefix runs seeding
-# full compiles, server stage reuse) under the race detector.
+# Staged pipeline: the stage runner plus the equivalence properties (memo
+# on vs. off byte-identical Results, prefix runs seeding full compiles,
+# server stage reuse).
 pipeline:
-	$(GO) test -race ./internal/pipeline
-	$(GO) test -race -run 'Pipeline|Stage|Memo|Prefix|Timings' \
-		./internal/core ./internal/server ./internal/parallel ./internal/ir
+	$(GO) test -race ./internal/pipeline ./internal/core ./internal/server ./internal/parallel ./internal/ir
 
-# Platform-backend gate: schema-validate the embedded and platforms/*.json
-# descriptions (round-trip, registry, calibration artifacts), pin their
-# content hashes and serialized bytes (TestBackendHashesPinned) and the
-# Socket -> Platform field mapping on BDW/RPL, run a JSON-only backend
-# end to end, and re-check the golden figures through the registry path.
+# Platform backends: schema validation of the embedded and
+# platforms/*.json descriptions, pinned content hashes and serialized
+# bytes (TestBackendHashesPinned), a JSON-only backend end to end, and the
+# golden figures through the registry path.
 platforms:
-	$(GO) test ./internal/platform
-	$(GO) test -run 'Backend|Grid|Clamp|Platform' ./internal/hw ./internal/server ./internal/experiments
-	$(GO) test -run 'Golden' ./internal/experiments
+	$(GO) test -race ./internal/platform ./internal/hw ./internal/server ./internal/experiments
 
-# Plan-table gate: the table-vs-search equivalence suite, staleness and
-# fractional-grid regressions under the race detector, the pipeline and
-# serve-path integration tests, a short deserializer fuzz session, and
-# the end-to-end smoke script (kill -9 mid-sweep, journal resume, serve
-# boot with /statsz counters — on the fractional-grid backend).
-plantable:
-	$(GO) test -race ./internal/plantable
-	$(GO) test -race -run 'Plan' ./internal/core ./internal/server
+# Plan tables: table-vs-search equivalence, staleness and fractional-grid
+# regressions, pipeline and serve-path integration; e2e is the
+# deserializer fuzz session and the smoke script (kill -9 mid-sweep,
+# journal resume, serve boot with /statsz counters — on the
+# fractional-grid backend).
+plantable: plantable-e2e
+	$(GO) test -race ./internal/plantable ./internal/core ./internal/server
+plantable-e2e:
 	$(GO) test -fuzz FuzzParsePlanTable -fuzztime 5s ./internal/plantable
 	sh scripts/plantable_smoke.sh
 
-# Async-job and drift-watchdog gate: the journal-backed job tier and
-# leak checker under the race detector, the daemon's job/drift suites,
-# then the real binary end to end — SIGKILL mid-job with byte-identical
-# resume, and injected calibration drift triggering an automatic re-fit
-# visible in /statsz.
-jobs:
-	$(GO) test -race ./internal/jobs ./internal/leakcheck
-	$(GO) test -race -run 'Job|Drift|Refit|Quarantine' ./internal/server ./internal/roofline ./internal/journal
+# Async jobs and drift watchdog: the journal-backed job tier, the leak
+# checker and the daemon's job/drift suites; e2e is the real binary —
+# SIGKILL mid-job with byte-identical resume, and injected calibration
+# drift triggering an automatic re-fit visible in /statsz.
+jobs: jobs-e2e
+	$(GO) test -race ./internal/jobs ./internal/leakcheck ./internal/server ./internal/roofline ./internal/journal
+jobs-e2e:
 	sh scripts/jobs_smoke.sh
 
-# Fleet-cache gate: the content-addressed store (bit-flip property and
+# Fleet cache tier: the content-addressed store (bit-flip property and
 # corruption tests), the peer protocol (breakers, hedging, injected
-# faults) and the generalized breaker under the race detector, the
-# daemon's fleet/CAS integration suite, a short fuzz session over the
-# on-disk entry codec, and the end-to-end smoke script — three peers,
-# SIGKILL one mid-fill with zero failed requests, warm-restart cache
-# hits, on-disk corruption quarantined, injected peer faults absorbed.
-fleet:
-	$(GO) test -race ./internal/cas ./internal/fleet ./internal/breaker
-	$(GO) test -race -run 'CAS|Fleet|Compact|RetryAfter' ./internal/server ./internal/journal ./internal/jobs
+# faults), the generalized breaker, and the daemon's ladder/CAS/fleet
+# suites; e2e is the on-disk entry codec fuzz session and the smoke
+# script — three peers, SIGKILL one mid-fill with zero failed requests,
+# warm-restart cache hits, on-disk corruption quarantined, injected peer
+# faults absorbed.
+fleet: fleet-e2e
+	$(GO) test -race ./internal/cas ./internal/fleet ./internal/breaker ./internal/server ./internal/journal ./internal/jobs
+fleet-e2e:
 	$(GO) test -fuzz FuzzDecodeEntry -fuzztime 5s ./internal/cas
 	sh scripts/fleet_smoke.sh
 
-# Tiling-strategy gate: the strategy layer's unit suite under the race
-# detector, the golden equivalence properties (zero-value config
-# byte-identical to explicit pluto, distinct strategies never sharing
-# memo entries), the per-strategy degrade and auto-skips-errored tests,
-# the divergence-witness sweep, and a short fuzz session over the
-# strategy-spec parser.
-tiling:
-	$(GO) test -race ./internal/tiling
-	$(GO) test -race -run 'Tiling|DefaultAndExplicitPluto|DistinctStrategies|Auto' \
-		./internal/core ./internal/server ./internal/experiments ./internal/plantable
+# Tiling strategies: the strategy layer, the golden equivalence
+# properties (zero-value config byte-identical to explicit pluto, distinct
+# strategies never sharing memo entries), per-strategy degrade and
+# auto-skips-errored tests, the divergence-witness sweep; e2e is the
+# strategy-spec parser fuzz session.
+tiling: tiling-e2e
+	$(GO) test -race ./internal/tiling ./internal/core ./internal/server ./internal/experiments ./internal/plantable
+tiling-e2e:
 	$(GO) test -fuzz FuzzParseTilingSpec -fuzztime 5s ./internal/tiling
 
-# Topology gate: the platform suite (both document layouts) and
-# backend-decoder fuzz session, the schema-1 vs schema-2 spelling
-# equivalence properties (constants, compile results, plan tables),
-# socket placement and cluster rollups,
-# per-socket breaker isolation under the race detector, and the real
-# daemon end to end on the 2-socket description (socket-scoped fault,
-# only the sick domain's breaker opens).
-topology:
-	$(GO) test -race ./internal/platform
-	$(GO) test -race -run 'Topology|Socket|Cluster|V2Spelling|Rho|NUMA|Remote' \
-		./internal/roofline ./internal/model ./internal/hw ./internal/core \
+# Topology: both document layouts, the schema-1 vs schema-2 spelling
+# equivalence properties (constants, compile results, plan tables), socket
+# placement and cluster rollups, per-socket breaker isolation; e2e is the
+# backend-decoder fuzz session and the real daemon on the 2-socket
+# description (socket-scoped fault, only the sick domain's breaker opens).
+topology: topology-e2e
+	$(GO) test -race ./internal/platform ./internal/roofline ./internal/model ./internal/hw ./internal/core \
 		./internal/server ./internal/plantable ./internal/experiments
+topology-e2e:
 	$(GO) test -fuzz FuzzParseBackend -fuzztime 5s ./internal/platform
 	sh scripts/topology_smoke.sh
+
+# Service robustness: the in-process daemon suite (admission shedding,
+# breaker degradation, panic isolation, drain, journal replay); e2e is
+# the real binaries — concurrent requests under injected faults, SIGTERM
+# drain, and a SIGKILLed sweep resumed byte-identically.
+smoke: smoke-e2e
+	$(GO) test -race ./internal/server ./internal/journal
+smoke-e2e:
+	sh scripts/smoke.sh
+
+# Everything the race step cannot do, once: CI's second half.
+e2e: plantable-e2e jobs-e2e fleet-e2e tiling-e2e topology-e2e smoke-e2e
 
 # Run the capping service locally with production-shaped defaults.
 serve:
 	$(GO) run ./cmd/polyufc-serve -addr 127.0.0.1:8321
-
-# Service-robustness gate: the in-process daemon suite under the race
-# detector (admission shedding, breaker degradation, panic isolation,
-# drain, journal replay), then the real binaries end to end — concurrent
-# requests under injected faults, SIGTERM drain, and a SIGKILLed sweep
-# resumed byte-identically.
-smoke:
-	$(GO) build ./cmd/polyufc-serve
-	$(GO) test -race ./internal/server ./internal/journal
-	sh scripts/smoke.sh
 
 # Short native fuzz smoke over the affine-kernel parser.
 fuzz:

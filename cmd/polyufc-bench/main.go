@@ -72,15 +72,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	var sz workloads.SizeClass
-	switch *size {
-	case "test":
-		sz = workloads.Test
-	case "bench", "":
-		sz = workloads.Bench
-	case "full":
-		sz = workloads.Full
-	default:
+	sz, ok := workloads.ParseSize(*size)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "polyufc-bench: unknown size %q\n", *size)
 		os.Exit(2)
 	}

@@ -87,15 +87,8 @@ func run(kernel, platName, platFiles, size string, fullyAssoc, noTile, validate,
 	if err != nil {
 		return err
 	}
-	var sz workloads.SizeClass
-	switch size {
-	case "test", "":
-		sz = workloads.Test
-	case "bench":
-		sz = workloads.Bench
-	case "full":
-		sz = workloads.Full
-	default:
+	sz, ok := workloads.ParseSize(size)
+	if !ok {
 		return fmt.Errorf("unknown size %q", size)
 	}
 	k, err := workloads.ByName(kernel)

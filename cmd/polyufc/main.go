@@ -298,26 +298,12 @@ func run(kernel, file, platName, objective, size, capLevel, degrade, fault, jpat
 	if !ok {
 		return fmt.Errorf("unknown objective %q", objective)
 	}
-	var sz workloads.SizeClass
-	switch size {
-	case "test":
-		sz = workloads.Test
-	case "bench", "":
-		sz = workloads.Bench
-	case "full":
-		sz = workloads.Full
-	default:
+	sz, ok := workloads.ParseSize(size)
+	if !ok {
 		return fmt.Errorf("unknown size class %q", size)
 	}
-	var lvl ir.Dialect
-	switch capLevel {
-	case "torch":
-		lvl = ir.DialectTorch
-	case "linalg", "":
-		lvl = ir.DialectLinalg
-	case "affine":
-		lvl = ir.DialectAffine
-	default:
+	lvl, ok := ir.ParseDialect(capLevel)
+	if !ok {
 		return fmt.Errorf("unknown cap level %q", capLevel)
 	}
 
@@ -496,19 +482,10 @@ func run(kernel, file, platName, objective, size, capLevel, degrade, fault, jpat
 	if measure {
 		m := hw.NewMachine(p)
 		m.SetFaults(reg)
-		m.SetUncoreCap(p.UncoreMax)
-		var base hw.RunResult
-		for _, op := range res.Module.Funcs[0].Ops {
-			if nest, ok := op.(*ir.Nest); ok {
-				r, err := m.RunNest(nest)
-				if err != nil {
-					return err
-				}
-				base.Seconds += r.Seconds
-				base.PkgJoules += r.PkgJoules
-			}
+		base, err := m.RunBaseline(res.Module.Funcs[0])
+		if err != nil {
+			return err
 		}
-		base.EDP = base.PkgJoules * base.Seconds
 		var capped hw.RunResult
 		if reg != nil {
 			// Faults armed: run through the hardened controller so cap

@@ -17,7 +17,6 @@ import (
 	"polyufc/internal/core"
 	"polyufc/internal/frontend"
 	"polyufc/internal/hw"
-	"polyufc/internal/ir"
 	"polyufc/internal/roofline"
 )
 
@@ -41,7 +40,7 @@ for i = 0 to N-1 {
 
 func main() {
 	file := flag.String("f", "", "kernel source file (default: a built-in column-normalize kernel)")
-	arch := flag.String("arch", "rpl", "platform: bdw or rpl")
+	platName := flag.String("platform", "rpl", "platform backend name or alias from the registry")
 	flag.Parse()
 
 	src := defaultSrc
@@ -60,7 +59,7 @@ func main() {
 	}
 	fmt.Printf("parsed %s: %d loop nests\n", name, len(mod.Funcs[0].Ops))
 
-	target, err := roofline.ResolveName(*arch)
+	target, err := roofline.ResolveName(*platName)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,19 +75,10 @@ func main() {
 
 	// Measure against the driver default on one machine (shared profiles).
 	m := hw.NewMachine(plat)
-	m.SetUncoreCap(plat.UncoreMax)
-	var base hw.RunResult
-	for _, op := range res.Module.Funcs[0].Ops {
-		if nest, ok := op.(*ir.Nest); ok {
-			r, err := m.RunNest(nest)
-			if err != nil {
-				log.Fatal(err)
-			}
-			base.Seconds += r.Seconds
-			base.PkgJoules += r.PkgJoules
-		}
+	base, err := m.RunBaseline(res.Module.Funcs[0])
+	if err != nil {
+		log.Fatal(err)
 	}
-	base.EDP = base.PkgJoules * base.Seconds
 	capped, err := m.RunFunc(res.Module.Funcs[0])
 	if err != nil {
 		log.Fatal(err)

@@ -24,15 +24,8 @@ func main() {
 	)
 	flag.Parse()
 
-	var sz workloads.SizeClass
-	switch *size {
-	case "test":
-		sz = workloads.Test
-	case "bench":
-		sz = workloads.Bench
-	case "full":
-		sz = workloads.Full
-	default:
+	sz, ok := workloads.ParseSize(*size)
+	if !ok {
 		log.Fatalf("unknown size %q", *size)
 	}
 

@@ -78,20 +78,10 @@ func main() {
 	}
 
 	m := hw.NewMachine(plat)
-	m.SetUncoreCap(plat.UncoreMax)
-	var base hw.RunResult
-	for _, op := range steady.Ops {
-		if nest, ok := op.(*ir.Nest); ok {
-			r, err := m.RunNest(nest)
-			if err != nil {
-				log.Fatal(err)
-			}
-			base.Seconds += r.Seconds
-			base.PkgJoules += r.PkgJoules
-		}
+	base, err := m.RunBaseline(steady)
+	if err != nil {
+		log.Fatal(err)
 	}
-	base.EDP = base.PkgJoules * base.Seconds
-
 	capped, err := m.RunFunc(steady)
 	if err != nil {
 		log.Fatal(err)

@@ -224,29 +224,30 @@ type KernelReport struct {
 // the LULESH-style analysis reports. All figures are model predictions
 // at the selected caps (Est) and at the driver default (EstDefault) —
 // the same quantities the per-kernel reports carry, summed per socket
-// and scaled to the node count.
+// and scaled to the node count. The json tags are the daemon's wire
+// format for the "topology" response block.
 type TopologyResult struct {
 	// Sockets and Nodes mirror the backend topology.
-	Sockets int
-	Nodes   int
+	Sockets int `json:"sockets"`
+	Nodes   int `json:"nodes"`
 	// SocketSeconds[k] and SocketJoules[k] attribute predicted busy time
 	// and energy to socket k: serial nests bill their home socket,
 	// parallel nests bill their wall time to every socket they span and
 	// split their energy evenly.
-	SocketSeconds []float64
-	SocketJoules  []float64
+	SocketSeconds []float64 `json:"socket_seconds"`
+	SocketJoules  []float64 `json:"socket_joules"`
 	// NodeSeconds is the node makespan (the module runs its nests in
 	// order); NodeJoules the node's total predicted energy.
-	NodeSeconds float64
-	NodeJoules  float64
+	NodeSeconds float64 `json:"node_seconds"`
+	NodeJoules  float64 `json:"node_joules"`
 	// Cluster figures scale to Nodes identical replicas running the
 	// module data-parallel: energy sums, the BSP step time is the node
 	// makespan. ClusterEDP = (Nodes x NodeJoules) x NodeSeconds;
 	// ClusterEDPDefault is the same rollup at the driver default.
-	ClusterSeconds    float64
-	ClusterJoules     float64
-	ClusterEDP        float64
-	ClusterEDPDefault float64
+	ClusterSeconds    float64 `json:"cluster_seconds"`
+	ClusterJoules     float64 `json:"cluster_joules"`
+	ClusterEDP        float64 `json:"cluster_edp"`
+	ClusterEDPDefault float64 `json:"cluster_edp_default"`
 }
 
 // Result is the outcome of one PolyUFC compilation.

@@ -57,9 +57,12 @@ const (
 // Pointered artifacts (cache-model result, model, errors) are immutable
 // once produced, so stage snapshots share them.
 type nestState struct {
-	// nest is the loop nest in the module; tile swaps the optimized nest
-	// in here and in the module together.
+	// nest is the loop nest in the module and slot its position in the
+	// owning function's op list; tile swaps the optimized nest into both.
+	// slot is stale once cap insertion rebuilds the op lists — nothing
+	// after the tile stage reads it.
 	nest *ir.Nest
+	slot *ir.Op
 	// tile is the tiling metadata the strategy reported (strategy name,
 	// tiled flag, tile size); zero-valued when the tile stage degraded.
 	tile tiling.NestInfo
@@ -113,17 +116,18 @@ func newCompileState(mod *ir.Module, cfg Config) *compileState {
 	return &compileState{cfg: cfg, res: &Result{Module: mod}}
 }
 
-// bindNests points recs[i].nest at the i-th nest of mod in walk order,
-// growing recs with zero records as needed, and returns the bound slice.
+// bindNests points recs[i] at the i-th nest of mod in walk order (the nest
+// and its slot in the op list), growing recs with zero records as needed,
+// and returns the bound slice.
 func bindNests(mod *ir.Module, recs []nestState) []nestState {
 	i := 0
 	for _, f := range mod.Funcs {
-		for _, op := range f.Ops {
+		for j, op := range f.Ops {
 			if n, ok := op.(*ir.Nest); ok {
 				if i == len(recs) {
 					recs = append(recs, nestState{})
 				}
-				recs[i].nest = n
+				recs[i].nest, recs[i].slot = n, &f.Ops[j]
 				i++
 			}
 		}
@@ -153,6 +157,16 @@ func snapSave(st *compileState) any {
 func snapLoad(st *compileState, v any) {
 	snap := v.(*stageSnap).clone()
 	st.res.Module, st.nests = snap.mod, snap.nests
+}
+
+// memoized arms snapshot support on the stages up to and including cap
+// selection — everything stageSnap captures. The cap-insertion suffix
+// rewrites the module's op lists and always runs.
+func memoized(stages []pipeline.Stage[*compileState]) []pipeline.Stage[*compileState] {
+	for i := range stages {
+		stages[i].Save, stages[i].Load = snapSave, snapLoad
+	}
+	return stages
 }
 
 // stageBaseKey is the content hash anchoring the stage memo key chain:
@@ -198,10 +212,41 @@ func nestThreads(cfg Config, nest *ir.Nest) int {
 	return 1
 }
 
+// eachNest is the per-nest walk the tile, cachemodel, model-fit,
+// plan-lookup and search stages share, and the one place a nest-level
+// failure is judged. Every nest runs as its own pipeline.Unit (a panic
+// surfaces as that nest's error) behind a context check. A failure under
+// Strict aborts the stage; so does one under a dead context, whatever the
+// policy — deadline expiry or cancellation leaves a partial result, not a
+// stage fault BestEffort should paper over. Otherwise the failure is
+// handed to degrade, which records it on the nest, and the walk goes on.
+func (st *compileState) eachNest(ctx context.Context, stage string, run func(ns *nestState) error, degrade func(ns *nestState, err error)) error {
+	for i := range st.nests {
+		ns := &st.nests[i]
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := pipeline.Unit(stage, ns.nest.Label, func() error { return run(ns) }); err != nil {
+			if ctx.Err() != nil || st.cfg.Degrade != BestEffort {
+				return err
+			}
+			degrade(ns, err)
+		}
+	}
+	return nil
+}
+
+// degradeAnalysis records a tile or cachemodel failure: the nest keeps its
+// first error and is compiled degraded.
+func degradeAnalysis(ns *nestState, err error) {
+	if ns.err == nil {
+		ns.err = err
+	}
+}
+
 func stagePreprocess() pipeline.Stage[*compileState] {
 	return pipeline.Stage[*compileState]{
 		Name: StagePreprocess,
-		Save: snapSave, Load: snapLoad,
 		Run: func(_ context.Context, st *compileState) error {
 			if err := lower.TorchToLinalg(st.res.Module); err != nil {
 				return err
@@ -228,7 +273,6 @@ func stageTile() pipeline.Stage[*compileState] {
 			}
 			return salt
 		},
-		Save: snapSave, Load: snapLoad,
 		Run: func(ctx context.Context, st *compileState) error {
 			strat, err := tiling.New(st.cfg.Tiling)
 			if err != nil {
@@ -241,43 +285,19 @@ func stageTile() pipeline.Stage[*compileState] {
 				Faults:  st.cfg.Faults,
 				CapEDP:  capEDPScorer(ctx, st.cfg),
 			}
-			idx := 0
-			for _, f := range st.res.Module.Funcs {
-				for i, op := range f.Ops {
-					nest, ok := op.(*ir.Nest)
-					if !ok {
-						continue
-					}
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-					var out *ir.Nest
-					var info tiling.NestInfo
-					err := pipeline.Unit(StageTile, nest.Label, func() error {
-						if err := st.cfg.Faults.Hit(FaultPluto); err != nil {
-							return err
-						}
-						var err error
-						out, info, err = strat.Apply(nest, tctx)
-						return err
-					})
-					if err != nil {
-						// BestEffort: the nest falls back to its untiled form
-						// and is still analyzed and capped downstream.
-						if st.cfg.Degrade != BestEffort {
-							return err
-						}
-						st.nests[idx].err = err
-						idx++
-						continue
-					}
-					f.Ops[i] = out
-					st.nests[idx].nest = out
-					st.nests[idx].tile = info
-					idx++
+			// BestEffort: a failed nest falls back to its untiled form and
+			// is still analyzed and capped downstream.
+			return st.eachNest(ctx, StageTile, func(ns *nestState) error {
+				if err := st.cfg.Faults.Hit(FaultPluto); err != nil {
+					return err
 				}
-			}
-			return nil
+				out, info, err := strat.Apply(ns.nest, tctx)
+				if err != nil {
+					return err
+				}
+				*ns.slot, ns.nest, ns.tile = out, out, info
+				return nil
+			}, degradeAnalysis)
 		},
 	}
 }
@@ -305,37 +325,20 @@ func stageCacheModel() pipeline.Stage[*compileState] {
 	return pipeline.Stage[*compileState]{
 		Name: StageCacheModel,
 		Salt: func(st *compileState) string { return fmt.Sprintf("%+v", st.cfg.CM) },
-		Save: snapSave, Load: snapLoad,
 		Run: func(ctx context.Context, st *compileState) error {
-			// Pluto-degraded nests are analyzed too: they fell back to the
+			// Tile-degraded nests are analyzed too: they fell back to the
 			// untiled form but can still be characterized and capped.
-			for idx := range st.nests {
-				ns := &st.nests[idx]
-				nest := ns.nest
-				if err := ctx.Err(); err != nil {
+			return st.eachNest(ctx, StageCacheModel, func(ns *nestState) error {
+				if err := st.cfg.Faults.Hit(FaultCacheModel); err != nil {
 					return err
 				}
-				var cm *cachemodel.Result
-				err := pipeline.Unit(StageCacheModel, nest.Label, func() error {
-					if err := st.cfg.Faults.Hit(FaultCacheModel); err != nil {
-						return err
-					}
-					var err error
-					cm, err = cachemodel.Analyze(nest, st.cfg.Platform().Cache, cmOptions(st.cfg, nest))
-					return err
-				})
+				cm, err := cachemodel.Analyze(ns.nest, st.cfg.Platform().Cache, cmOptions(st.cfg, ns.nest))
 				if err != nil {
-					if st.cfg.Degrade != BestEffort {
-						return err
-					}
-					if ns.err == nil {
-						ns.err = err
-					}
-					continue
+					return err
 				}
 				ns.cm = cm
-			}
-			return nil
+				return nil
+			}, degradeAnalysis)
 		},
 	}
 }
@@ -343,7 +346,6 @@ func stageCacheModel() pipeline.Stage[*compileState] {
 func stageCharacterize() pipeline.Stage[*compileState] {
 	return pipeline.Stage[*compileState]{
 		Name: StageCharacterize,
-		Save: snapSave, Load: snapLoad,
 		Run: func(_ context.Context, st *compileState) error {
 			// Topology placement: a parallel nest spans every socket with
 			// memory interleaved across them — (S-1)/S of its DRAM traffic
@@ -376,48 +378,35 @@ func stageCharacterize() pipeline.Stage[*compileState] {
 func stageModelFit() pipeline.Stage[*compileState] {
 	return pipeline.Stage[*compileState]{
 		Name: StageModelFit,
-		Save: snapSave, Load: snapLoad,
 		Run: func(ctx context.Context, st *compileState) error {
-			for idx := range st.nests {
-				ns := &st.nests[idx]
+			return st.eachNest(ctx, StageModelFit, func(ns *nestState) error {
 				if ns.cm == nil {
-					continue
-				}
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				err := pipeline.Unit(StageModelFit, ns.nest.Label, func() error {
-					ks := model.FromCacheModel(ns.cm, ns.threads)
-					c := st.cfg.Constants()
-					var m *model.Model
-					if rho := ns.remote; rho > 0 {
-						// Multi-socket placement: arm the inter-socket
-						// traffic term with the backend's declared link.
-						ks.RemoteRatio = rho
-						sec, jpb := st.cfg.Target.RemotePenalty()
-						m = model.NewNUMA(c, ks, &model.RemoteCost{SecPerByte: sec, JoulesPerByte: jpb})
-					} else {
-						if s := ns.socket; s > 0 {
-							// Serial nest pinned off socket 0: model it with
-							// that socket's calibration (same pointer on
-							// homogeneous topologies).
-							c = st.cfg.Target.SocketConstants(s)
-						}
-						m = model.New(c, ks)
-					}
-					ns.model = m
-					ns.defEst = m.At(st.cfg.Platform().UncoreMax)
 					return nil
-				})
-				if err != nil {
-					if st.cfg.Degrade != BestEffort {
-						return err
-					}
-					ns.model = nil
-					ns.serr = err
 				}
-			}
-			return nil
+				ks := model.FromCacheModel(ns.cm, ns.threads)
+				c := st.cfg.Constants()
+				var m *model.Model
+				if rho := ns.remote; rho > 0 {
+					// Multi-socket placement: arm the inter-socket
+					// traffic term with the backend's declared link.
+					ks.RemoteRatio = rho
+					sec, jpb := st.cfg.Target.RemotePenalty()
+					m = model.NewNUMA(c, ks, &model.RemoteCost{SecPerByte: sec, JoulesPerByte: jpb})
+				} else {
+					if s := ns.socket; s > 0 {
+						// Serial nest pinned off socket 0: model it with
+						// that socket's calibration (same pointer on
+						// homogeneous topologies).
+						c = st.cfg.Target.SocketConstants(s)
+					}
+					m = model.New(c, ks)
+				}
+				ns.model = m
+				ns.defEst = m.At(st.cfg.Platform().UncoreMax)
+				return nil
+			}, func(ns *nestState, err error) {
+				ns.model, ns.serr = nil, err
+			})
 		},
 	}
 }
@@ -434,40 +423,32 @@ func stagePlanLookup() pipeline.Stage[*compileState] {
 		Salt: func(st *compileState) string {
 			return st.cfg.Plans.Fingerprint() + "|" + st.cfg.Search.Fingerprint()
 		},
-		Save: snapSave, Load: snapLoad,
 		Run: func(ctx context.Context, st *compileState) error {
-			for idx := range st.nests {
-				ns := &st.nests[idx]
+			return st.eachNest(ctx, StagePlanLookup, func(ns *nestState) error {
 				m := ns.model
 				if m == nil {
-					continue
-				}
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				err := pipeline.Unit(StagePlanLookup, ns.nest.Label, func() error {
-					// The nest's socket domain picks the table; spanning
-					// nests (socket -1) answer from socket 0's, whose
-					// rho-extended surface carries their remote share.
-					socket := ns.socket
-					if socket < 0 {
-						socket = 0
-					}
-					f, ok := st.cfg.Plans.Lookup(st.cfg.Target, st.cfg.Search, st.cfg.Tiling.Fingerprint(), socket, m)
-					if !ok {
-						return nil
-					}
-					ns.sres = search.Result{
-						BestGHz: f, Best: m.At(f), Class: m.Class(),
-					}
-					ns.plan = true
 					return nil
-				})
-				if err != nil {
-					return err
 				}
-			}
-			return nil
+				// The nest's socket domain picks the table; spanning
+				// nests (socket -1) answer from socket 0's, whose
+				// rho-extended surface carries their remote share.
+				socket := ns.socket
+				if socket < 0 {
+					socket = 0
+				}
+				f, ok := st.cfg.Plans.Lookup(st.cfg.Target, st.cfg.Search, st.cfg.Tiling.Fingerprint(), socket, m)
+				if !ok {
+					return nil
+				}
+				ns.sres = search.Result{
+					BestGHz: f, Best: m.At(f), Class: m.Class(),
+				}
+				ns.plan = true
+				return nil
+			}, func(*nestState, error) {
+				// A lookup that failed is a miss: live search answers the
+				// nest, which is what the table stands in for.
+			})
 		},
 	}
 }
@@ -476,34 +457,15 @@ func stageSearch() pipeline.Stage[*compileState] {
 	return pipeline.Stage[*compileState]{
 		Name: StageSearch,
 		Salt: func(st *compileState) string { return st.cfg.Search.Fingerprint() },
-		Save: snapSave, Load: snapLoad,
 		Run: func(ctx context.Context, st *compileState) error {
 			freqs := st.cfg.Platform().UncoreSteps()
-			for idx := range st.nests {
-				ns := &st.nests[idx]
-				m := ns.model
-				if m == nil || ns.plan {
-					continue
+			return st.eachNest(ctx, StageSearch, func(ns *nestState) (err error) {
+				if ns.model == nil || ns.plan {
+					return nil
 				}
-				err := pipeline.Unit(StageSearch, ns.nest.Label, func() error {
-					var serr error
-					ns.sres, serr = search.Run(ctx, m, freqs, st.cfg.Search)
-					return serr
-				})
-				if err != nil {
-					// Deadline expiry or cancellation aborts the compilation
-					// outright: the partial search result is not a stage
-					// fault BestEffort should paper over.
-					if ctx.Err() != nil {
-						return err
-					}
-					if st.cfg.Degrade != BestEffort {
-						return err
-					}
-					ns.serr = err
-				}
-			}
-			return nil
+				ns.sres, err = search.Run(ctx, ns.model, freqs, st.cfg.Search)
+				return err
+			}, func(ns *nestState, err error) { ns.serr = err })
 		},
 	}
 }
@@ -759,10 +721,8 @@ func compileStages(cfg Config) []pipeline.Stage[*compileState] {
 		// key chain) from before plan tables existed.
 		stages = append(stages, stagePlanLookup())
 	}
-	stages = append(stages,
-		stageSearch(),
-		stageCapInsert(),
-	)
+	stages = memoized(append(stages, stageSearch()))
+	stages = append(stages, stageCapInsert())
 	if cfg.CapLevel == ir.DialectTorch {
 		stages = append(stages, stageCapMerge())
 	}
@@ -772,12 +732,11 @@ func compileStages(cfg Config) []pipeline.Stage[*compileState] {
 // phaseStages declares the PhaseStudy pipeline: the shared analysis
 // prefix followed by the per-dialect phase classification.
 func phaseStages() []pipeline.Stage[*compileState] {
-	return []pipeline.Stage[*compileState]{
+	return append(memoized([]pipeline.Stage[*compileState]{
 		stagePreprocess(),
 		stageTile(),
 		stageCacheModel(),
-		stagePhases(),
-	}
+	}), stagePhases())
 }
 
 // StageNames returns the compile pipeline's stage names in declared

@@ -381,7 +381,7 @@ func (s *Suite) fig7Row(p *hw.Platform, name string) (Fig7Row, error) {
 		return drop(err)
 	}
 	m := s.machine(p)
-	base, err := runBaseline(m, res.Module)
+	base, err := m.RunBaseline(res.Module.Funcs...)
 	if err != nil {
 		return drop(err)
 	}

@@ -264,27 +264,6 @@ func nestsOf(mod *ir.Module) []*ir.Nest {
 	return out
 }
 
-// runBaseline measures the Pluto baseline: every nest at the driver
-// default (maximum uncore frequency).
-func runBaseline(m *hw.Machine, mod *ir.Module) (hw.RunResult, error) {
-	m.SetUncoreCap(m.P.UncoreMax)
-	var agg hw.RunResult
-	for _, nest := range nestsOf(mod) {
-		r, err := m.RunNest(nest)
-		if err != nil {
-			return agg, err
-		}
-		agg.Seconds += r.Seconds
-		agg.PkgJoules += r.PkgJoules
-		agg.UncoreJoules += r.UncoreJoules
-	}
-	agg.EDP = agg.PkgJoules * agg.Seconds
-	if agg.Seconds > 0 {
-		agg.AvgWatts = agg.PkgJoules / agg.Seconds
-	}
-	return agg, nil
-}
-
 // Run executes one experiment by id and renders it.
 func (s *Suite) Run(id string) error {
 	switch id {

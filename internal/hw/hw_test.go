@@ -178,6 +178,38 @@ func TestRunFuncWithCaps(t *testing.T) {
 	}
 }
 
+// RunBaseline is the uncapped reference: whatever cap was in force it
+// runs every nest at the driver default, skips the cap ops, and sums what
+// RunNest reports.
+func TestRunBaselineIgnoresCapsAndSums(t *testing.T) {
+	A := ir.NewArray("A", 8, 64)
+	stmt := &ir.Statement{Name: "S", Flops: 1}
+	stmt.Accesses = []ir.Access{{Array: A, Write: true, Index: []ir.AffExpr{ir.AffVar("i")}}}
+	nest := &ir.Nest{Label: "w", Root: ir.SimpleLoop("i", ir.AffConst(0), ir.AffConst(63), stmt)}
+	f := &ir.Func{Name: "k", Ops: []ir.Op{&ir.SetUncoreCap{GHz: 1.5}, nest, nest}}
+
+	ref := NewMachine(BDW())
+	one, err := ref.RunNest(nest) // a fresh machine sits at the driver default
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMachine(BDW())
+	m.SetUncoreCap(1.5)
+	base, err := m.RunBaseline(f, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.UncoreCap() != BDW().UncoreMax {
+		t.Fatalf("baseline ran at cap %.1f, want the driver default %.1f", m.UncoreCap(), BDW().UncoreMax)
+	}
+	if math.Abs(base.Seconds-4*one.Seconds) > 1e-12 || math.Abs(base.PkgJoules-4*one.PkgJoules) > 1e-9 {
+		t.Fatalf("baseline %+v is not four uncapped runs of %+v", base, one)
+	}
+	if base.EDP != base.PkgJoules*base.Seconds {
+		t.Fatalf("EDP %g != J*s", base.EDP)
+	}
+}
+
 func TestProfileMemoized(t *testing.T) {
 	A := ir.NewArray("A", 8, 128)
 	stmt := &ir.Statement{Name: "S", Flops: 1}

@@ -434,6 +434,35 @@ func (m *Machine) RunFunc(f *ir.Func) (RunResult, error) {
 	return agg, nil
 }
 
+// RunBaseline measures the uncapped baseline every comparison in the
+// paper is made against: the cap is raised to the driver default (the
+// maximum uncore frequency), every nest of the given functions runs in
+// order, cap ops are skipped, and seconds and joules are summed.
+func (m *Machine) RunBaseline(funcs ...*ir.Func) (RunResult, error) {
+	m.SetUncoreCap(m.P.UncoreMax)
+	var agg RunResult
+	for _, f := range funcs {
+		for _, op := range f.Ops {
+			nest, ok := op.(*ir.Nest)
+			if !ok {
+				continue
+			}
+			r, err := m.RunNest(nest)
+			if err != nil {
+				return agg, err
+			}
+			agg.Seconds += r.Seconds
+			agg.PkgJoules += r.PkgJoules
+			agg.UncoreJoules += r.UncoreJoules
+		}
+	}
+	if agg.Seconds > 0 {
+		agg.AvgWatts = agg.PkgJoules / agg.Seconds
+	}
+	agg.EDP = agg.PkgJoules * agg.Seconds
+	return agg, nil
+}
+
 // MeasureAt measures a profile at explicit core and uncore frequencies
 // without touching driver state or the RAPL counters — the hook the
 // roofline micro-benchmarks and frequency-domain studies use.

@@ -33,6 +33,20 @@ func (d Dialect) String() string {
 	return fmt.Sprintf("dialect(%d)", int(d))
 }
 
+// ParseDialect maps a request or flag string to a Dialect; the empty
+// string is linalg, the paper's default cap-insertion level.
+func ParseDialect(s string) (Dialect, bool) {
+	switch s {
+	case "torch":
+		return DialectTorch, true
+	case "linalg", "":
+		return DialectLinalg, true
+	case "affine":
+		return DialectAffine, true
+	}
+	return DialectLinalg, false
+}
+
 // Op is any operation in a function body. Torch ops, linalg ops, affine
 // loop nests and polyufc cap ops all implement it.
 type Op interface {

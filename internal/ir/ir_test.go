@@ -190,3 +190,19 @@ func TestLoopWithMinMaxBounds(t *testing.T) {
 		t.Fatalf("TripCount = %d (%v)", tc, err)
 	}
 }
+
+// ParseDialect inverts String on every level, defaults the empty string
+// to linalg and refuses anything else.
+func TestParseDialect(t *testing.T) {
+	for _, d := range []Dialect{DialectTorch, DialectLinalg, DialectAffine} {
+		if got, ok := ParseDialect(d.String()); !ok || got != d {
+			t.Errorf("ParseDialect(%q) = %v, %v", d.String(), got, ok)
+		}
+	}
+	if got, ok := ParseDialect(""); !ok || got != DialectLinalg {
+		t.Errorf(`ParseDialect("") = %v, %v; want linalg`, got, ok)
+	}
+	if _, ok := ParseDialect("mlir"); ok {
+		t.Error("ParseDialect accepted an unknown level")
+	}
+}

@@ -267,16 +267,27 @@ func (j *Journal) Record(key string, v any) error {
 	if j == nil {
 		return nil
 	}
-	if key == "" {
-		return fmt.Errorf("journal: empty key")
-	}
 	data, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("journal: marshal %q: %w", key, err)
 	}
+	return j.RecordBytes(key, data)
+}
+
+// RecordBytes is Record for a value the caller already marshalled: data
+// must be one JSON value and becomes the entry's recorded bytes (anything
+// else is refused, so a bad payload cannot tear the file). The journal
+// keeps data; the caller must not modify it afterwards.
+func (j *Journal) RecordBytes(key string, data []byte) error {
+	if j == nil {
+		return nil
+	}
+	if key == "" {
+		return fmt.Errorf("journal: empty key")
+	}
 	line, err := json.Marshal(Entry{Key: key, Data: data})
 	if err != nil {
-		return err
+		return fmt.Errorf("journal: marshal %q: %w", key, err)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -300,15 +311,7 @@ func (j *Journal) Record(key string, v any) error {
 // Get replays a completed entry into out (a pointer), reporting whether
 // the key was found. A nil journal never has entries.
 func (j *Journal) Get(key string, out any) (bool, error) {
-	if j == nil {
-		return false, nil
-	}
-	j.mu.Lock()
-	data, ok := j.done[key]
-	if ok {
-		j.replayed++
-	}
-	j.mu.Unlock()
+	data, ok := j.Bytes(key)
 	if !ok {
 		return false, nil
 	}
@@ -318,6 +321,21 @@ func (j *Journal) Get(key string, out any) (bool, error) {
 		}
 	}
 	return true, nil
+}
+
+// Bytes replays a completed entry as the recorded bytes the journal
+// already holds — no decode, no copy; callers must not modify them.
+func (j *Journal) Bytes(key string) ([]byte, bool) {
+	if j == nil {
+		return nil, false
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	data, ok := j.done[key]
+	if ok {
+		j.replayed++
+	}
+	return data, ok
 }
 
 // Has reports whether a key is already checkpointed, without counting a

@@ -408,3 +408,55 @@ func TestJournalCompactRetainNoopAndClosed(t *testing.T) {
 		t.Fatalf("nil journal: dropped=%d err=%v", dropped, err)
 	}
 }
+
+// The bytes surface: RecordBytes stores one JSON value as given, Bytes
+// hands the recorded bytes back (before and after a reopen) and counts a
+// replay, a payload that is not JSON is refused before it reaches the
+// file, and Get decodes what RecordBytes stored.
+func TestJournalBytesRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	j, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const payload = `{"f":1.5,"e":2e-7}`
+	if err := j.RecordBytes("k", []byte(payload)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.RecordBytes("bad", []byte(`{"f":`)); err == nil {
+		t.Fatal("RecordBytes accepted a payload that is not JSON")
+	}
+	if _, ok := j.Bytes("bad"); ok {
+		t.Fatal("a refused payload answers Bytes")
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, jr := range []*Journal{j, mustOpen(t, path)} {
+		got, ok := jr.Bytes("k")
+		if !ok || string(got) != payload {
+			t.Fatalf("Bytes = %q, %v; want the recorded payload", got, ok)
+		}
+		var p point
+		if ok, err := jr.Get("k", &p); !ok || err != nil || p != (point{F: 1.5, E: 2e-7}) {
+			t.Fatalf("Get after RecordBytes = %+v, %v, %v", p, ok, err)
+		}
+	}
+	if st := j.Stats(); st.Appended != 1 || st.Replayed != 2 {
+		t.Fatalf("stats %+v, want 1 appended and 2 replays", st)
+	}
+	var nilJ *Journal
+	if _, ok := nilJ.Bytes("k"); ok || nilJ.RecordBytes("k", []byte(`1`)) != nil {
+		t.Fatal("nil journal is not a no-op on the bytes surface")
+	}
+}
+
+func mustOpen(t *testing.T, path string) *Journal {
+	t.Helper()
+	j, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	return j
+}

@@ -1,14 +1,10 @@
 package server
 
 import (
-	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
-	"strings"
 
 	"polyufc/internal/cas"
 	"polyufc/internal/fleet"
@@ -17,94 +13,17 @@ import (
 	"polyufc/internal/roofline"
 )
 
-// This file is the daemon's side of the fleet cache tier: the
-// degradation ladder serving deterministic responses (in-memory journal
-// -> local CAS -> peer lookup -> compute), the warm-start paths reusing
-// persisted calibration and plan-table artifacts at boot, and the HTTP
-// surface peers fetch and fill entries through.
-
-// casKey derives the content address of an artifact from its identity
-// parts: the full hex SHA-256 of the NUL-joined parts, which is also a
-// valid cas key and URL segment.
-func casKey(parts ...string) string {
-	sum := sha256.Sum256([]byte(strings.Join(parts, "\x00")))
-	return hex.EncodeToString(sum[:])
-}
-
-// cacheable reports whether deterministic-response caching is live.
-// Armed fault points outside the fleet/cas namespaces disarm it —
-// injected compute outcomes are call-ordered, not deterministic, so
-// caching one would replay a single injection across requests. Fleet
-// and cas faults are exactly what the cache tier exists to absorb, so
-// they leave caching on.
-func (s *Server) cacheable() bool {
-	if s.cfg.Faults == nil {
-		return true
-	}
-	for _, p := range s.cfg.Faults.Points() {
-		if !strings.HasPrefix(p, "fleet.") && !strings.HasPrefix(p, "cas.") {
-			return false
-		}
-	}
-	return true
-}
-
-// cached serves one deterministic response through the degradation
-// ladder: the in-memory response journal first, then the local
-// persistent CAS, then the peer fleet, and only then compute. Every
-// tier above the one that answered is back-filled, so the next request
-// (or the next boot, or the next peer) is served higher up. Each tier
-// degrades strictly: a corrupt CAS entry or a dead peer falls through
-// to the next rung with byte-identical results — never a failed
-// request.
-func (s *Server) cached(ctx context.Context, key string, out any, compute func() error) error {
-	if !s.cacheable() {
-		return compute()
-	}
-	if ok, err := s.jrnl.Get(key, out); err != nil {
-		return err
-	} else if ok {
-		return nil
-	}
-	ck := casKey("response", key)
-	if payload, ok := s.casStore.Get(ck); ok {
-		if err := json.Unmarshal(payload, out); err == nil {
-			_ = s.jrnl.Record(key, out)
-			return nil
-		}
-		// A verified entry that does not decode as this response shape:
-		// fall through and recompute (the overwrite below repairs it).
-	}
-	if payload, ok := s.fleetCli.Lookup(ctx, ck); ok {
-		if err := json.Unmarshal(payload, out); err == nil {
-			_ = s.casStore.Put(ck, payload)
-			_ = s.jrnl.Record(key, out)
-			return nil
-		}
-	}
-	if err := compute(); err != nil {
-		return err
-	}
-	if s.jrnl != nil {
-		if err := s.jrnl.Record(key, out); err != nil {
-			return err
-		}
-	}
-	if s.casStore != nil || s.fleetCli != nil {
-		if payload, err := json.Marshal(out); err == nil {
-			_ = s.casStore.Put(ck, payload)
-			s.fleetCli.Fill(ck, payload)
-		}
-	}
-	return nil
-}
+// This file is the daemon's side of the fleet cache tier: the warm-start
+// paths reusing persisted calibration and plan-table artifacts at boot,
+// and the HTTP surface peers fetch and fill entries through. The response
+// ladder and every artifact address live in ladder.go.
 
 // warmCalibration tries to boot a backend from a persisted calibration
 // artifact instead of re-running the micro-benchmarks. Any failure —
 // no entry, undecodable payload, artifact/backend mismatch — returns
 // nil and the caller calibrates from scratch.
 func (s *Server) warmCalibration(b *platform.Backend) *roofline.Target {
-	payload, ok := s.casStore.Get(casKey("calibration", b.Hash()))
+	payload, ok := s.casStore.Get(calibrationAddr(b.Hash()))
 	if !ok {
 		return nil
 	}
@@ -129,16 +48,7 @@ func (s *Server) storeCalibration(t *roofline.Target) {
 	if err != nil {
 		return
 	}
-	key := casKey("calibration", t.Backend.Hash())
-	_ = s.casStore.Put(key, payload)
-	s.fleetCli.Fill(key, payload)
-}
-
-// planTableKey addresses a backend's latest built plan table: one slot
-// per backend and calibration, so a re-fit naturally orphans the stale
-// table instead of serving it.
-func planTableKey(backendHash, calHash string) string {
-	return casKey("plantable", backendHash, calHash)
+	s.persist(calibrationAddr(t.Backend.Hash()), payload)
 }
 
 // storePlanTable persists a freshly built table into the cache tier.
@@ -150,9 +60,7 @@ func (s *Server) storePlanTable(tb *plantable.Table) {
 	if err != nil {
 		return
 	}
-	key := planTableKey(tb.BackendHash, tb.CalHash)
-	_ = s.casStore.Put(key, payload)
-	s.fleetCli.Fill(key, payload)
+	s.persist(planTableAddr(tb.BackendHash, tb.CalHash), payload)
 }
 
 // warmPlanTables probes the CAS for a plan table matching each served
@@ -174,7 +82,7 @@ func (s *Server) warmPlanTables() {
 		if t.Backend == nil {
 			continue
 		}
-		payload, ok := s.casStore.Get(planTableKey(t.Backend.Hash(), t.Constants.Hash()))
+		payload, ok := s.casStore.Get(planTableAddr(t.Backend.Hash(), t.Constants.Hash()))
 		if !ok {
 			continue
 		}

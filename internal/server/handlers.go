@@ -73,33 +73,8 @@ type NestResponse struct {
 
 // TopologyResponse is the cluster-level rollup of a compilation on a
 // multi-socket or multi-node backend (omitted entirely on v1
-// single-socket answers). Mirrors core.TopologyResult.
-type TopologyResponse struct {
-	Sockets           int       `json:"sockets"`
-	Nodes             int       `json:"nodes"`
-	SocketSeconds     []float64 `json:"socket_seconds"`
-	SocketJoules      []float64 `json:"socket_joules"`
-	NodeSeconds       float64   `json:"node_seconds"`
-	NodeJoules        float64   `json:"node_joules"`
-	ClusterSeconds    float64   `json:"cluster_seconds"`
-	ClusterJoules     float64   `json:"cluster_joules"`
-	ClusterEDP        float64   `json:"cluster_edp"`
-	ClusterEDPDefault float64   `json:"cluster_edp_default"`
-}
-
-func topologyResponse(res *core.Result) *TopologyResponse {
-	tp := res.Topology
-	if tp == nil {
-		return nil
-	}
-	return &TopologyResponse{
-		Sockets: tp.Sockets, Nodes: tp.Nodes,
-		SocketSeconds: tp.SocketSeconds, SocketJoules: tp.SocketJoules,
-		NodeSeconds: tp.NodeSeconds, NodeJoules: tp.NodeJoules,
-		ClusterSeconds: tp.ClusterSeconds, ClusterJoules: tp.ClusterJoules,
-		ClusterEDP: tp.ClusterEDP, ClusterEDPDefault: tp.ClusterEDPDefault,
-	}
-}
+// single-socket answers): core's result, served through its json tags.
+type TopologyResponse = core.TopologyResult
 
 // CompileResponse is the /v1/compile payload. CalibrationDegraded marks
 // answers computed while the backend's drift watchdog is in a
@@ -317,8 +292,11 @@ type resolved struct {
 	sz     workloads.SizeClass
 	cfg    core.Config
 	// key is core.KeyOf the request: the whole-result cache keys on it and
-	// the response journal on its String form.
+	// the response journal on its wire form (responseKey).
 	key core.CacheKey
+	// degraded is set by serve when the request was admitted while the
+	// backend's calibration is in a degradation episode (driftGate).
+	degraded bool
 }
 
 // servedNames lists the backends this daemon calibrated, in boot order.
@@ -350,28 +328,14 @@ func (s *Server) resolve(req Request) (resolved, error) {
 	}
 	r.target = t
 	r.p = t.Platform
-	switch req.Size {
-	case "test":
-		r.sz = workloads.Test
-	case "bench", "":
-		r.sz = workloads.Bench
-	case "full":
-		r.sz = workloads.Full
-	default:
+	if r.sz, ok = workloads.ParseSize(req.Size); !ok {
 		return r, badRequest("unknown size class %q", req.Size)
 	}
 	cfg := core.DefaultConfig(t)
 	if cfg.Search.Objective, ok = search.ParseObjective(req.Objective); !ok {
 		return r, badRequest("unknown objective %q", req.Objective)
 	}
-	switch req.CapLevel {
-	case "torch":
-		cfg.CapLevel = ir.DialectTorch
-	case "linalg", "":
-		cfg.CapLevel = ir.DialectLinalg
-	case "affine":
-		cfg.CapLevel = ir.DialectAffine
-	default:
+	if cfg.CapLevel, ok = ir.ParseDialect(req.CapLevel); !ok {
 		return r, badRequest("unknown cap level %q", req.CapLevel)
 	}
 	if cfg.Search.Epsilon = req.Epsilon; cfg.Search.Epsilon <= 0 {
@@ -467,27 +431,47 @@ func (s *Server) driftGate(r resolved) (bool, error) {
 
 // serve is the spine the three compute endpoints share: resolve the
 // request, apply the drift gate, answer through the degradation ladder
-// (journal -> CAS -> fleet -> compute) under the request's journal key —
-// the endpoint plus core.KeyOf's wire form, so a re-fit or a changed
-// plan-table set recomputes instead of replaying — and count the answer.
-// resp is the endpoint's response struct and flag its CalibrationDegraded
-// field, set outside the ladder because degradation is live state.
-func (s *Server) serve(ctx context.Context, endpoint string, req Request, resp any, flag *bool, compute func(r resolved) error) (resolved, error) {
+// under the request's response key, and count the answer. body builds the
+// endpoint's response on a ladder miss. The returned resolved carries the
+// drift gate's degraded flag, which handlers copy into the response
+// OUTSIDE the ladder because degradation is live state.
+func serve[T any](ctx context.Context, s *Server, endpoint string, req Request, body func(context.Context, resolved) (T, error)) (resolved, T, error) {
+	var resp T
 	r, err := s.resolve(req)
 	if err != nil {
-		return r, err
+		return r, resp, err
 	}
-	degraded, err := s.driftGate(r)
-	if err != nil {
-		return r, err
+	if r.degraded, err = s.driftGate(r); err != nil {
+		return r, resp, err
 	}
-	if err := s.cached(ctx, endpoint+"/"+r.key.String(), resp, func() error { return compute(r) }); err != nil {
-		return r, err
+	if resp, err = cached(ctx, s, responseKey(endpoint, r.key), func() (T, error) { return body(ctx, r) }); err != nil {
+		return r, resp, err
 	}
-	*flag = degraded
 	s.markServed(r.p.Name)
 	s.markTiling(r.cfg.Tiling)
-	return r, nil
+	return r, resp, nil
+}
+
+// The three functions below build each endpoint's deterministic body from
+// a resolved request. The HTTP handlers call them on a ladder miss and the
+// sweep and characterize jobs call them per kernel, so a job unit and the
+// endpoint answer the same request with the same bytes.
+
+func (s *Server) compileResponse(ctx context.Context, r resolved) (CompileResponse, error) {
+	res, err := s.compile(ctx, r, "")
+	if err != nil {
+		return CompileResponse{}, err
+	}
+	return CompileResponse{
+		Kernel:       r.key.Kernel,
+		Arch:         r.p.Name,
+		Objective:    r.cfg.Search.Objective.String(),
+		CapLevel:     r.cfg.CapLevel.String(),
+		CapsInserted: res.CapsInserted,
+		CapsRemoved:  res.CapsRemoved,
+		Nests:        nestResponses(res),
+		Topology:     res.Topology,
+	}, nil
 }
 
 // characterizeResponse runs the analysis prefix of the pipeline —
@@ -521,55 +505,35 @@ func (s *Server) searchResponse(ctx context.Context, r resolved) (SearchResponse
 		Arch:      r.p.Name,
 		Objective: r.cfg.Search.Objective.String(),
 		Nests:     nestResponses(res),
+		Topology:  res.Topology,
 	}, res, nil
 }
 
 func (s *Server) handleCompile(ctx context.Context, req Request) (any, error) {
-	var resp CompileResponse
-	_, err := s.serve(ctx, "v1/compile", req, &resp, &resp.CalibrationDegraded, func(r resolved) error {
-		res, err := s.compile(ctx, r, "")
-		if err != nil {
-			return err
-		}
-		resp = CompileResponse{
-			Kernel:       req.Kernel,
-			Arch:         r.p.Name,
-			Objective:    r.cfg.Search.Objective.String(),
-			CapLevel:     r.cfg.CapLevel.String(),
-			CapsInserted: res.CapsInserted,
-			CapsRemoved:  res.CapsRemoved,
-			Nests:        nestResponses(res),
-			Topology:     topologyResponse(res),
-		}
-		return nil
-	})
+	r, resp, err := serve(ctx, s, "v1/compile", req, s.compileResponse)
+	resp.CalibrationDegraded = r.degraded
 	return resp, err
 }
 
 func (s *Server) handleCharacterize(ctx context.Context, req Request) (any, error) {
-	var resp CharacterizeResponse
-	_, err := s.serve(ctx, "v1/characterize", req, &resp, &resp.CalibrationDegraded, func(r resolved) (err error) {
-		resp, err = s.characterizeResponse(ctx, r)
-		return err
-	})
+	r, resp, err := serve(ctx, s, "v1/characterize", req, s.characterizeResponse)
+	resp.CalibrationDegraded = r.degraded
 	return resp, err
 }
 
 func (s *Server) handleSearch(ctx context.Context, req Request) (any, error) {
 	// The model half is deterministic and journaled; the measured half
 	// never is — it exercises the live driver every time.
-	var resp SearchResponse
 	var res *core.Result
-	r, err := s.serve(ctx, "v1/search", req, &resp, &resp.CalibrationDegraded, func(r resolved) (err error) {
-		if resp, res, err = s.searchResponse(ctx, r); err == nil {
-			resp.Topology = topologyResponse(res)
-		}
-		return err
+	r, resp, err := serve(ctx, s, "v1/search", req, func(ctx context.Context, r resolved) (resp SearchResponse, err error) {
+		resp, res, err = s.searchResponse(ctx, r)
+		return resp, err
 	})
+	resp.CalibrationDegraded = r.degraded
 	if err != nil || !req.Measure {
 		return resp, err
 	}
-	// A journal replay skipped the compile; the measured path needs the
+	// A ladder replay skipped the compile; the measured path needs the
 	// compiled module regardless.
 	if res == nil {
 		if res, err = s.compile(ctx, r, ""); err != nil {
@@ -588,24 +552,9 @@ func (s *Server) handleSearch(ctx context.Context, req Request) (any, error) {
 func (s *Server) measure(res *core.Result, r resolved, resp *SearchResponse) {
 	b := s.breakers[r.p.Name]
 	var base hw.RunResult
-	err := b.WithMachine(func(m *hw.Machine) error {
-		m.SetUncoreCap(r.p.UncoreMax)
-		for _, f := range res.Module.Funcs {
-			for _, op := range f.Ops {
-				nest, ok := op.(*ir.Nest)
-				if !ok {
-					continue
-				}
-				rr, err := m.RunNest(nest)
-				if err != nil {
-					return err
-				}
-				base.Seconds += rr.Seconds
-				base.PkgJoules += rr.PkgJoules
-			}
-		}
-		base.EDP = base.PkgJoules * base.Seconds
-		return nil
+	err := b.WithMachine(func(m *hw.Machine) (err error) {
+		base, err = m.RunBaseline(res.Module.Funcs...)
+		return err
 	})
 	if err != nil {
 		s.degraded.Add(1)

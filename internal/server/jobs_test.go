@@ -168,6 +168,55 @@ func TestServerJobsSweepRoundTrip(t *testing.T) {
 	}
 }
 
+// A sweep job unit and /v1/search answer the same request with the same
+// body — including, on a multi-socket backend, the topology rollup.
+func TestServerJobsSweepUnitMatchesSearchEndpoint(t *testing.T) {
+	cfg := topologyConfig()
+	cfg.JobsDir = t.TempDir()
+	s := newServer(t, cfg)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	kernels := []string{"gemm", "mvt"}
+	resp, data := postJSON(t, ts, "/v1/jobs", JobSubmitRequest{
+		Kind:      string(JobSweep),
+		JobParams: JobParams{Kernels: kernels, Platform: "2s-bdw", Size: "test"},
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d: %s", resp.StatusCode, data)
+	}
+	var st struct {
+		ID string `json:"id"`
+	}
+	mustUnmarshal(t, data, &st)
+	waitJobDone(t, ts, st.ID)
+	resp, data = get(t, ts, "/v1/jobs/"+st.ID+"/result")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("result: %d: %s", resp.StatusCode, data)
+	}
+	var sweep SweepJobResult
+	mustUnmarshal(t, data, &sweep)
+	if len(sweep.Kernels) != len(kernels) {
+		t.Fatalf("sweep result: %s", data)
+	}
+	for i, kernel := range kernels {
+		if sweep.Kernels[i].Topology == nil {
+			t.Fatalf("sweep unit %s on a 2-socket backend has no topology rollup", kernel)
+		}
+		resp, body := post(t, ts, "/v1/search", Request{Kernel: kernel, Platform: "2s-bdw", Size: "test"})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("search %s: %d %s", kernel, resp.StatusCode, body)
+		}
+		var sr SearchResponse
+		mustUnmarshal(t, body, &sr)
+		unit, _ := json.Marshal(sweep.Kernels[i])
+		endpoint, _ := json.Marshal(sr)
+		if !bytes.Equal(unit, endpoint) {
+			t.Fatalf("%s answered two ways:\n  sweep:  %s\n  search: %s", kernel, unit, endpoint)
+		}
+	}
+}
+
 // TestServerJobsDisabledWithoutDir: a daemon started without -jobs-dir
 // refuses the job endpoints loudly instead of 404ing.
 func TestServerJobsDisabledWithoutDir(t *testing.T) {

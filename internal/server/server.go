@@ -158,6 +158,9 @@ type Server struct {
 	// the daemon runs without -cas-dir / -peer.
 	casStore *cas.Store
 	fleetCli *fleet.Client
+	// rungs is the response ladder over the three tiers above (ladder.go),
+	// built once at boot from whichever are configured.
+	rungs ladder
 	// plans holds the loaded plan tables; nil when none are configured
 	// and no job has built one, which keeps the compile pipeline's stage
 	// list (and memo keys) exactly as without plan tables. It is an
@@ -337,6 +340,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.jrnl = j
 	}
+	s.rungs = s.buildRungs()
 
 	s.drift = roofline.NewDriftTracker(cfg.Drift)
 	s.drift.OnDegrade(s.onDrift)

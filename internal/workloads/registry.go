@@ -37,6 +37,20 @@ func (s SizeClass) String() string {
 	return "size?"
 }
 
+// ParseSize maps a request or flag string to a SizeClass; the empty
+// string is the benchmark harness default.
+func ParseSize(s string) (SizeClass, bool) {
+	switch s {
+	case "test":
+		return Test, true
+	case "bench", "":
+		return Bench, true
+	case "full":
+		return Full, true
+	}
+	return Bench, false
+}
+
 // Kernel is one registered workload.
 type Kernel struct {
 	Name     string

@@ -171,3 +171,19 @@ func TestSDPAStructure(t *testing.T) {
 		t.Fatalf("sdpa lowered to %d nests, want 9", len(low.Funcs[0].Ops))
 	}
 }
+
+// ParseSize inverts String on every class, defaults the empty string to
+// bench and refuses anything else.
+func TestParseSize(t *testing.T) {
+	for _, c := range []SizeClass{Test, Bench, Full} {
+		if got, ok := ParseSize(c.String()); !ok || got != c {
+			t.Errorf("ParseSize(%q) = %v, %v", c.String(), got, ok)
+		}
+	}
+	if got, ok := ParseSize(""); !ok || got != Bench {
+		t.Errorf(`ParseSize("") = %v, %v; want bench`, got, ok)
+	}
+	if _, ok := ParseSize("huge"); ok {
+		t.Error("ParseSize accepted an unknown class")
+	}
+}
