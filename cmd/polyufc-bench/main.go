@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -78,14 +77,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	for _, f := range strings.Split(*platFiles, ",") {
-		if f = strings.TrimSpace(f); f == "" {
-			continue
-		}
-		if _, err := platform.LoadFile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "polyufc-bench:", err)
-			os.Exit(1)
-		}
+	if err := platform.LoadFiles(*platFiles); err != nil {
+		fmt.Fprintln(os.Stderr, "polyufc-bench:", err)
+		os.Exit(1)
 	}
 	var backends []*platform.Backend
 	switch *platSet {
@@ -118,13 +112,7 @@ func main() {
 	s.Faults = reg
 	s.Tiling = tspec
 	if *jpath != "" {
-		if !*resume {
-			if err := os.Remove(*jpath); err != nil && !os.IsNotExist(err) {
-				fmt.Fprintln(os.Stderr, "polyufc-bench:", err)
-				os.Exit(1)
-			}
-		}
-		j, err := journal.Open(*jpath)
+		j, err := journal.OpenResume(*jpath, *resume)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "polyufc-bench:", err)
 			os.Exit(1)

@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"polyufc/internal/cachemodel"
 	"polyufc/internal/hw"
@@ -58,13 +57,8 @@ func main() {
 
 // printTopology renders the backend's socket/interconnect/node layout.
 func printTopology(platName, platFiles string) error {
-	for _, f := range strings.Split(platFiles, ",") {
-		if f = strings.TrimSpace(f); f == "" {
-			continue
-		}
-		if _, err := platform.LoadFile(f); err != nil {
-			return err
-		}
+	if err := platform.LoadFiles(platFiles); err != nil {
+		return err
 	}
 	b, err := platform.Lookup(platName)
 	if err != nil {
@@ -75,13 +69,8 @@ func printTopology(platName, platFiles string) error {
 }
 
 func run(kernel, platName, platFiles, size string, fullyAssoc, noTile, validate, dumpScop bool) error {
-	for _, f := range strings.Split(platFiles, ",") {
-		if f = strings.TrimSpace(f); f == "" {
-			continue
-		}
-		if _, err := platform.LoadFile(f); err != nil {
-			return err
-		}
+	if err := platform.LoadFiles(platFiles); err != nil {
+		return err
 	}
 	p, err := hw.PlatformByName(platName)
 	if err != nil {

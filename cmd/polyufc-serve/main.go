@@ -81,10 +81,8 @@ func main() {
 	)
 	var peers []string
 	flag.Func("peer", "fleet peer base URL, e.g. http://10.0.0.2:8321 (repeatable, or comma-separated)", func(v string) error {
-		for _, p := range strings.Split(v, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peers = append(peers, strings.TrimSuffix(p, "/"))
-			}
+		for _, p := range platform.SplitList(v) {
+			peers = append(peers, strings.TrimSuffix(p, "/"))
 		}
 		return nil
 	})
@@ -133,22 +131,12 @@ func main() {
 	cfg.Peers = peers
 	cfg.PeerTimeout = *peerTimeout
 	cfg.PeerRetries = *peerRetries
-	for _, f := range strings.Split(*platFiles, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			cfg.PlatformFiles = append(cfg.PlatformFiles, f)
-		}
-	}
-	for _, f := range strings.Split(*planTables, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			cfg.PlanTables = append(cfg.PlanTables, f)
-		}
-	}
+	cfg.PlatformFiles = platform.SplitList(*platFiles)
+	cfg.PlanTables = platform.SplitList(*planTables)
 	if *topo {
-		for _, f := range cfg.PlatformFiles {
-			if _, err := platform.LoadFile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "polyufc-serve:", err)
-				os.Exit(1)
-			}
+		if err := platform.LoadFiles(*platFiles); err != nil {
+			fmt.Fprintln(os.Stderr, "polyufc-serve:", err)
+			os.Exit(1)
 		}
 		for _, b := range platform.All() {
 			fmt.Print(b.TopologySummary())

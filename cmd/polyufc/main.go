@@ -68,7 +68,7 @@ func main() {
 		}
 		return
 	}
-	if err := loadPlatformFiles(*platFiles); err != nil {
+	if err := platform.LoadFiles(*platFiles); err != nil {
 		fmt.Fprintln(os.Stderr, "polyufc:", err)
 		os.Exit(1)
 	}
@@ -126,29 +126,16 @@ func buildPlanTable(out, platName, objective, calPath, jpath string, epsilon flo
 	if !ok {
 		return fmt.Errorf("unknown objective %q", objective)
 	}
-	var target *roofline.Target
-	if calPath != "" {
-		cal, err := platform.LoadCalibration(calPath)
-		if err != nil {
-			return err
-		}
-		if target, err = roofline.FromCalibration(b, cal); err != nil {
-			return err
-		}
-	} else {
+	if calPath == "" {
 		fmt.Printf("calibrating rooflines for %s (one-time microbenchmarks)...\n", b.Name)
-		if target, err = roofline.Resolve(b); err != nil {
-			return err
-		}
+	}
+	target, err := roofline.ResolveOrLoad(b, calPath)
+	if err != nil {
+		return err
 	}
 	opts := plantable.BuildOptions{Search: search.Options{Objective: obj, Epsilon: epsilon}, Tiling: tspec}
 	if jpath != "" {
-		if !resume {
-			if err := os.Remove(jpath); err != nil && !os.IsNotExist(err) {
-				return err
-			}
-		}
-		j, err := journal.Open(jpath)
+		j, err := journal.OpenResume(jpath, resume)
 		if err != nil {
 			return err
 		}
@@ -172,20 +159,6 @@ func buildPlanTable(out, platName, objective, calPath, jpath string, epsilon flo
 	fmt.Printf("  pinned to description %s, calibration %s (%s objective, eps %g, %s tiling)\n",
 		tb.BackendHash, tb.CalHash, tb.Objective, tb.Epsilon, tb.TilingName())
 	fmt.Printf("  written atomically to %s\n", out)
-	return nil
-}
-
-// loadPlatformFiles registers extra backend descriptions given as a
-// comma-separated file list.
-func loadPlatformFiles(list string) error {
-	for _, f := range strings.Split(list, ",") {
-		if f = strings.TrimSpace(f); f == "" {
-			continue
-		}
-		if _, err := platform.LoadFile(f); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -265,16 +238,68 @@ func printRows(rec reportRecord) {
 	}
 }
 
+// buildModule parses the -file kernel source, or builds the registry
+// kernel at the size class.
+func buildModule(kernel, file string, sz workloads.SizeClass) (*ir.Module, error) {
+	if file != "" {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			return nil, err
+		}
+		return frontend.Parse(strings.TrimSuffix(filepath.Base(file), filepath.Ext(file)), string(src))
+	}
+	k, err := workloads.ByName(kernel)
+	if err != nil {
+		return nil, err
+	}
+	return k.Build(sz)
+}
+
+// recordOf reduces a compile result to its journaled, printable report.
+func recordOf(res *core.Result) reportRecord {
+	finalCaps := 0
+	for _, op := range res.Module.Funcs[0].Ops {
+		if _, ok := op.(*ir.SetUncoreCap); ok {
+			finalCaps++
+		}
+	}
+	rec := reportRecord{CapsInserted: res.CapsInserted, CapsRemoved: res.CapsRemoved, FinalCaps: finalCaps}
+	for _, st := range res.Timings.Stages {
+		rec.Stages = append(rec.Stages, stageRow{
+			Name:     st.Stage,
+			MS:       float64(st.Duration) / float64(time.Millisecond),
+			CacheHit: st.CacheHit,
+		})
+	}
+	for _, r := range res.Reports {
+		row := reportRow{
+			Label: r.Label, OI: r.OI, Class: r.Class.String(),
+			Tiled: r.Tiled, Tiling: r.Tiling, TileSize: r.TileSize,
+			CapGHz: r.CapGHz, Degraded: r.Degraded,
+			Plan: r.PlanHit,
+		}
+		if r.Err != nil {
+			row.Err = r.Err.Error()
+		}
+		if r.Degraded && r.CM == nil {
+			row.NoCM = true
+		} else {
+			row.DT = 100 * (1 - r.Est.Seconds/r.EstDefault.Seconds)
+			row.DE = 100 * (1 - r.Est.Joules/r.EstDefault.Joules)
+			row.DEDP = 100 * (1 - r.Est.EDP/r.EstDefault.EDP)
+		}
+		rec.Rows = append(rec.Rows, row)
+	}
+	return rec
+}
+
 func run(kernel, file, platName, objective, size, capLevel, degrade, fault, jpath, calPath, saveCal, planFiles string, faultSeed int64, epsilon float64, printIR, measure, resume bool, tspec tiling.Spec) error {
 	b, err := platform.Lookup(platName)
 	if err != nil {
 		return err
 	}
 	var plans *plantable.Set
-	for _, f := range strings.Split(planFiles, ",") {
-		if f = strings.TrimSpace(f); f == "" {
-			continue
-		}
+	for _, f := range platform.SplitList(planFiles) {
 		tb, err := plantable.Load(f)
 		if err != nil {
 			return err
@@ -307,80 +332,16 @@ func run(kernel, file, platName, objective, size, capLevel, degrade, fault, jpat
 		return fmt.Errorf("unknown cap level %q", capLevel)
 	}
 
-	// The journal replays a completed compile report without recompiling —
-	// or even calibrating. It only covers the deterministic registry path:
-	// -file kernels, -print-ir, -measure and fault injection all need the
-	// live compilation, so they bypass it.
-	var jrnl *journal.Journal
-	var jkey string
-	if jpath != "" && file == "" && !printIR && !measure && reg == nil {
-		if !resume {
-			if err := os.Remove(jpath); err != nil && !os.IsNotExist(err) {
-				return err
-			}
-		}
-		j, err := journal.Open(jpath)
-		if err != nil {
-			return err
-		}
-		defer j.Close()
-		jrnl = j
-		jkey = fmt.Sprintf("polyufc/%s/%s/sz%d/%s/lvl%d/eps%g/%s/tiling=%s",
-			kernel, b.Name, int(sz), obj, int(lvl), epsilon, policy, tspec.Fingerprint())
-		if plans != nil {
-			// Table-served caps may differ from live bisection within the
-			// interpolation tolerance: different tables, different record.
-			jkey += "/plans:" + plans.Fingerprint()
-		}
-		var rec reportRecord
-		if ok, err := j.Get(jkey, &rec); err != nil {
-			return err
-		} else if ok {
-			fmt.Printf("%s on %s (%s objective, %s-level caps, %s size) [replayed from journal]\n",
-				kernel, b.Name, obj, lvl, sz)
-			printRows(rec)
-			return nil
-		}
-	}
-
-	var mod *ir.Module
-	if file != "" {
-		src, err := os.ReadFile(file)
-		if err != nil {
-			return err
-		}
-		mod, err = frontend.Parse(strings.TrimSuffix(filepath.Base(file), filepath.Ext(file)), string(src))
-		if err != nil {
-			return err
-		}
-		kernel = file
-	} else {
-		k, err := workloads.ByName(kernel)
-		if err != nil {
-			return err
-		}
-		mod, err = k.Build(sz)
-		if err != nil {
-			return err
-		}
-	}
-
-	var target *roofline.Target
-	if calPath != "" {
-		cal, err := platform.LoadCalibration(calPath)
-		if err != nil {
-			return err
-		}
-		if target, err = roofline.FromCalibration(b, cal); err != nil {
-			return err
-		}
-		fmt.Printf("loaded calibration for %s (fitted %s by %s)\n",
-			b.Name, cal.Provenance.FitDate, cal.Provenance.Tool)
-	} else {
+	if calPath == "" {
 		fmt.Printf("calibrating rooflines for %s (one-time microbenchmarks)...\n", b.Name)
-		if target, err = roofline.Resolve(b); err != nil {
-			return err
-		}
+	}
+	target, err := roofline.ResolveOrLoad(b, calPath)
+	if err != nil {
+		return err
+	}
+	if calPath != "" {
+		fmt.Printf("loaded calibration for %s (fitted %s by %s)\n",
+			b.Name, target.Calibration.Provenance.FitDate, target.Calibration.Provenance.Tool)
 	}
 	consts, p := target.Constants, target.Platform
 	fmt.Printf("  compute roof %.1f GF/s, memory roof %.1f GB/s, balance %.1f FpB\n",
@@ -417,47 +378,44 @@ func run(kernel, file, platName, objective, size, capLevel, degrade, fault, jpat
 	cfg.Faults = reg
 	cfg.Plans = plans
 
-	res, err := core.Compile(mod, cfg)
+	// The journal replays a completed compile report without recompiling.
+	// It only covers the deterministic registry path: -file kernels,
+	// -print-ir, -measure and fault injection all need the live
+	// compilation, so they bypass it. The target is resolved first because
+	// the report's identity includes the calibration and the description:
+	// a resume after either moved recomputes.
+	var jrnl *journal.Journal
+	if jpath != "" && file == "" && !printIR && !measure && reg == nil {
+		if jrnl, err = journal.OpenResume(jpath, resume); err != nil {
+			return err
+		}
+		defer jrnl.Close()
+	}
+	var res *core.Result
+	rec, replayed, err := journal.Step(jrnl, core.KeyOf(kernel, int(sz), cfg).UnitKey("polyufc", b.Hash()),
+		func() (reportRecord, error) {
+			mod, err := buildModule(kernel, file, sz)
+			if err != nil {
+				return reportRecord{}, err
+			}
+			if res, err = core.Compile(mod, cfg); err != nil {
+				return reportRecord{}, err
+			}
+			return recordOf(res), nil
+		})
 	if err != nil {
 		return err
 	}
-
-	finalCaps := 0
-	for _, op := range res.Module.Funcs[0].Ops {
-		if _, ok := op.(*ir.SetUncoreCap); ok {
-			finalCaps++
-		}
+	if file != "" {
+		kernel = file
 	}
-	rec := reportRecord{CapsInserted: res.CapsInserted, CapsRemoved: res.CapsRemoved, FinalCaps: finalCaps}
-	for _, st := range res.Timings.Stages {
-		rec.Stages = append(rec.Stages, stageRow{
-			Name:     st.Stage,
-			MS:       float64(st.Duration) / float64(time.Millisecond),
-			CacheHit: st.CacheHit,
-		})
+	header := fmt.Sprintf("%s on %s (%s objective, %s-level caps, %s size)", kernel, p.Name, obj, lvl, sz)
+	if replayed {
+		fmt.Printf("\n%s [replayed from journal]\n", header)
+		printRows(rec)
+		return nil
 	}
-	for _, r := range res.Reports {
-		row := reportRow{
-			Label: r.Label, OI: r.OI, Class: r.Class.String(),
-			Tiled: r.Tiled, Tiling: r.Tiling, TileSize: r.TileSize,
-			CapGHz: r.CapGHz, Degraded: r.Degraded,
-			Plan: r.PlanHit,
-		}
-		if r.Err != nil {
-			row.Err = r.Err.Error()
-		}
-		if r.Degraded && r.CM == nil {
-			row.NoCM = true
-		} else {
-			row.DT = 100 * (1 - r.Est.Seconds/r.EstDefault.Seconds)
-			row.DE = 100 * (1 - r.Est.Joules/r.EstDefault.Joules)
-			row.DEDP = 100 * (1 - r.Est.EDP/r.EstDefault.EDP)
-		}
-		rec.Rows = append(rec.Rows, row)
-	}
-
-	fmt.Printf("\n%s on %s (%s objective, %s-level caps, %s size)\n",
-		kernel, p.Name, obj, lvl, sz)
+	fmt.Printf("\n%s\n", header)
 	printRows(rec)
 	if plans != nil {
 		st := plans.Stats()
@@ -468,11 +426,6 @@ func run(kernel, file, platName, objective, size, capLevel, degrade, fault, jpat
 	pre, tile, cm := t.Of(core.StagePreprocess), t.Of(core.StageTile), t.Of(core.StageCacheModel)
 	fmt.Printf("\ncompile time: preprocess %v, pluto %v, polyufc-cm %v, steps4-6 %v\n",
 		pre, tile, cm, t.Total()-pre-tile-cm)
-	if jrnl != nil {
-		if err := jrnl.Record(jkey, &rec); err != nil {
-			return err
-		}
-	}
 
 	if printIR {
 		fmt.Println("\n--- transformed module ---")

@@ -104,6 +104,16 @@ func (k CacheKey) String() string {
 	return s
 }
 
+// UnitKey is the journal identity of one checkpointed unit of a tool's
+// work (a sweep point, a comparison row, a compile report), built from
+// what the unit computed rather than what it was called: the experiment or
+// tool name, the backend description hash — which the key itself does not
+// carry — the key's wire form, and the degrade policy String leaves out.
+// A caller sweeping a coordinate appends it, printed exactly (%g).
+func (k CacheKey) UnitKey(tool, backendHash string) string {
+	return strings.Join([]string{tool, backendHash, k.String(), k.Degrade.String()}, "/")
+}
+
 // Cache memoizes PolyUFC compilations across evaluation sweeps. It is safe
 // for concurrent use: concurrent requests for the same key build once and
 // share the Result (singleflight). Shared Results must be treated as

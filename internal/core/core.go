@@ -21,7 +21,6 @@ import (
 	"polyufc/internal/model"
 	"polyufc/internal/pipeline"
 	"polyufc/internal/plantable"
-	"polyufc/internal/pluto"
 	"polyufc/internal/roofline"
 	"polyufc/internal/search"
 	"polyufc/internal/tiling"
@@ -33,12 +32,12 @@ type Config struct {
 	// the platform built from it and the calibrated roofline constants,
 	// as one value (roofline.Resolve / ResolveName produce it).
 	Target *roofline.Target
-	Pluto  pluto.Options
-	// Tiling selects the tile-stage strategy (internal/tiling): the zero
-	// value is the pluto strategy with the Pluto options above, which is
-	// byte-identical to the pre-strategy pipeline. The spec's fingerprint
-	// is folded into CacheKey and the tile stage's memo salt, so distinct
-	// strategies never share memoized artifacts.
+	// Tiling selects the tile-stage strategy (internal/tiling) and is the
+	// one spelling of the tile size ("pluto:size=N"): the zero value is
+	// the pluto strategy at pluto.DefaultOptions, which is byte-identical
+	// to the pre-strategy pipeline. The spec's fingerprint is folded into
+	// CacheKey and is the tile stage's memo salt, so distinct strategies
+	// never share memoized artifacts.
 	Tiling tiling.Spec
 	CM     cachemodel.Options
 	Search search.Options
@@ -137,7 +136,6 @@ func (c Config) memoizable() bool { return c.Faults == nil }
 func DefaultConfig(t *roofline.Target) Config {
 	return Config{
 		Target:         t,
-		Pluto:          pluto.DefaultOptions(),
 		CM:             cachemodel.DefaultOptions(),
 		Search:         search.DefaultOptions(),
 		CapLevel:       ir.DialectLinalg,

@@ -264,7 +264,7 @@ func stageTile() pipeline.Stage[*compileState] {
 	return pipeline.Stage[*compileState]{
 		Name: StageTile,
 		Salt: func(st *compileState) string {
-			salt := fmt.Sprintf("%+v|tiling=%s", st.cfg.Pluto, st.cfg.Tiling.Fingerprint())
+			salt := "tiling=" + st.cfg.Tiling.Fingerprint()
 			if st.cfg.Tiling.Normalize().Name == tiling.NameAuto {
 				// Auto's candidate ranking consults the cap search, so
 				// distinct search configurations must not share tiles
@@ -281,7 +281,6 @@ func stageTile() pipeline.Stage[*compileState] {
 			tctx := tiling.Context{
 				Cache:   st.cfg.Platform().Cache,
 				Threads: st.cfg.CM.Threads,
-				Pluto:   st.cfg.Pluto,
 				Faults:  st.cfg.Faults,
 				CapEDP:  capEDPScorer(ctx, st.cfg),
 			}

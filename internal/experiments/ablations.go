@@ -5,6 +5,7 @@ import (
 
 	"polyufc/internal/core"
 	"polyufc/internal/hw"
+	"polyufc/internal/tiling"
 	"polyufc/internal/workloads"
 )
 
@@ -34,7 +35,7 @@ func (s *Suite) TileSizeSweep(p *hw.Platform, kernelName string, sizes []int64) 
 			return nil, err
 		}
 		cfg := core.DefaultConfig(s.targets[p.Name])
-		cfg.Pluto.TileSize = ts
+		cfg.Tiling = tiling.Spec{Name: tiling.NamePluto, Size: ts}
 		res, err := core.Compile(mod, cfg)
 		if err != nil {
 			return nil, err

@@ -8,6 +8,7 @@ import (
 	"polyufc/internal/core"
 	"polyufc/internal/hw"
 	"polyufc/internal/ir"
+	"polyufc/internal/journal"
 	"polyufc/internal/model"
 	"polyufc/internal/parallel"
 	"polyufc/internal/roofline"
@@ -75,14 +76,16 @@ func (s *Suite) Fig1(p *hw.Platform) ([]Fig1Series, error) {
 				m = mm
 				return nil
 			}
+			key := s.unitKey("fig1", name, p)
 			for _, f := range p.UncoreSteps() {
-				var pt Fig1Point
-				err := s.step(fmt.Sprintf("fig1/%s/%s/f%.1f", p.Name, name, f), &pt,
-					func() error {
+				// %g prints the grid point exactly (hw.GridPoint snaps to three
+				// decimals), so neighbours on a 0.05 GHz grid never share a key.
+				pt, _, err := journal.Step(s.Journal, fmt.Sprintf("%s/f%g", key, f),
+					func() (Fig1Point, error) {
 						if err := ensure(); err != nil {
-							return err
+							return Fig1Point{}, err
 						}
-						pt.FGHz = f
+						pt := Fig1Point{FGHz: f}
 						m.SetUncoreCap(f)
 						for _, prof := range profs {
 							r := m.Measure(prof)
@@ -90,7 +93,7 @@ func (s *Suite) Fig1(p *hw.Platform) ([]Fig1Series, error) {
 							pt.Joules += r.PkgJoules
 						}
 						pt.EDP = pt.Seconds * pt.Joules
-						return nil
+						return pt, nil
 					})
 				if err != nil {
 					if s.bestEffort() {
@@ -352,11 +355,8 @@ type Fig7Row struct {
 func (s *Suite) Fig7(p *hw.Platform, kernels []string) ([]Fig7Row, error) {
 	return parallel.Map(s.ctx(), len(kernels), s.Concurrency, func(_ context.Context, idx int) (Fig7Row, error) {
 		name := kernels[idx]
-		var row Fig7Row
-		err := s.step(fmt.Sprintf("fig7/%s/%s", p.Name, name), &row, func() error {
-			var err error
-			row, err = s.fig7Row(p, name)
-			return err
+		row, _, err := journal.Step(s.Journal, s.unitKey("fig7", name, p), func() (Fig7Row, error) {
+			return s.fig7Row(p, name)
 		})
 		if err != nil {
 			if s.bestEffort() {

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"polyufc/internal/journal"
+	"polyufc/internal/platform"
+	"polyufc/internal/tiling"
 	"polyufc/internal/workloads"
 )
 
@@ -125,5 +128,95 @@ func TestJournaledSweepFullReplay(t *testing.T) {
 	// Replay never touched the compiler: every point came from the journal.
 	if _, misses := second.CacheStats(); misses != 0 {
 		t.Fatalf("full replay compiled %d kernels", misses)
+	}
+}
+
+// Fig. 1 on a 0.05 GHz cap grid: every frequency is its own unit, so an
+// uninterrupted journaled run renders what the journal-less run renders.
+// (A key that rounds the frequency to one decimal makes 0.6 and 0.65 GHz
+// one entry, and the later point replays the earlier one's numbers.)
+func TestJournaledSweepFractionalGrid(t *testing.T) {
+	b, err := platform.LoadFile(filepath.Join("..", "..", "platforms", "wide-uncore.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := 0
+	render := func(j *journal.Journal) []byte {
+		s, err := NewBackends(workloads.Test, nil, []*platform.Backend{b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Journal = j
+		steps = len(s.Platforms()[0].UncoreSteps())
+		return renderAll(t, s, "fig1")
+	}
+	want := render(nil)
+	j := openJournal(t, filepath.Join(t.TempDir(), "j.jsonl"))
+	if got := render(j); !bytes.Equal(want, got) {
+		t.Fatal("journaled Fig. 1 on the 0.05 GHz grid differs from the unjournaled run")
+	}
+	if j.Len() != steps*len(Fig1Kernels) {
+		t.Fatalf("journal holds %d entries, want one per (kernel, frequency): %d", j.Len(), steps*len(Fig1Kernels))
+	}
+}
+
+// Units are keyed by what they computed, so one journal can be handed
+// from configuration to configuration: attached to a suite under another
+// tiling or another size it misses and the suite renders what a
+// journal-less suite renders; handed back to the first configuration it
+// replays every row.
+func TestJournaledSweepKeyedByConfiguration(t *testing.T) {
+	kernels := []string{"gemm", "atax", "trisolv"}
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	fig7 := func(size workloads.SizeClass, spec tiling.Spec, kernels []string, journaled bool) ([]Fig7Row, journal.Stats) {
+		s, err := New(size, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Tiling = spec
+		if journaled {
+			j, err := journal.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			s.Journal = j
+		}
+		rows, err := s.Fig7(s.Platforms()[0], kernels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows, s.Journal.Stats()
+	}
+	first, st := fig7(workloads.Test, tiling.Spec{}, kernels, true)
+	if st.Appended != int64(len(kernels)) {
+		t.Fatalf("first run journal stats %+v", st)
+	}
+	entries := len(kernels)
+	for _, other := range []struct {
+		name    string
+		size    workloads.SizeClass
+		spec    tiling.Spec
+		kernels []string // a suffix of kernels: Bench-size rows are expensive
+	}{
+		{"tiling", workloads.Test, tiling.Spec{Name: tiling.NamePluto, Size: 4}, kernels},
+		{"size", workloads.Bench, tiling.Spec{}, kernels[2:]},
+	} {
+		want, _ := fig7(other.size, other.spec, other.kernels, false)
+		if reflect.DeepEqual(want, first[len(first)-len(want):]) {
+			t.Fatalf("%s: the configuration computes the first run's rows — the test would be vacuous", other.name)
+		}
+		got, st := fig7(other.size, other.spec, other.kernels, true)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: a journal written under another configuration answered:\n got %+v\nwant %+v", other.name, got, want)
+		}
+		if st.Appended != int64(len(want)) {
+			t.Fatalf("%s: stats %+v, want every row recomputed and recorded beside the first run's", other.name, st)
+		}
+		entries += len(want)
+	}
+	again, st := fig7(workloads.Test, tiling.Spec{}, kernels, true)
+	if !reflect.DeepEqual(again, first) || st.Appended != 0 || st.Entries != entries {
+		t.Fatalf("same-configuration resume: stats %+v, rows %+v, want %+v", st, again, first)
 	}
 }

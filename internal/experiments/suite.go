@@ -59,9 +59,11 @@ type Suite struct {
 	// Journal, when non-nil, checkpoints sweep progress per unit of work
 	// (one kernel at one frequency for Fig. 1, one comparison row for
 	// Fig. 7) so a killed sweep resumes instead of restarting: completed
-	// entries replay from the journal and are not re-evaluated. Replayed
-	// values render byte-identically to recomputed ones — the journal
-	// stores the exact float64s the renderers print.
+	// entries replay from the journal and are not re-evaluated. Every
+	// value rendered is the one decoded from the journaled bytes
+	// (journal.Step), so replayed and recomputed units render
+	// byte-identically, and units are keyed by what they computed
+	// (unitKey), so one journal holds several configurations side by side.
 	Journal *journal.Journal
 	plats   []*hw.Platform
 	targets map[string]*roofline.Target
@@ -163,26 +165,14 @@ func (s *Suite) machine(p *hw.Platform) *hw.Machine {
 // bestEffort reports whether sweeps tolerate per-kernel failures.
 func (s *Suite) bestEffort() bool { return s.Degrade == core.BestEffort }
 
-// step runs one journaled unit of sweep work: when the suite's journal
-// already holds key, the recorded value replays into out (a pointer) and
-// compute is skipped; otherwise compute fills out and the result is
-// checkpointed before step returns. Without a journal it is just compute.
-// Failed units are never checkpointed — a resume retries them.
-func (s *Suite) step(key string, out any, compute func() error) error {
-	if s.Journal != nil {
-		if ok, err := s.Journal.Get(key, out); err != nil {
-			return err
-		} else if ok {
-			return nil
-		}
-	}
-	if err := compute(); err != nil {
-		return err
-	}
-	if s.Journal != nil {
-		return s.Journal.Record(key, out)
-	}
-	return nil
+// unitKey is the journal identity of one sweep unit of experiment exp:
+// core.CacheKey.UnitKey over the backend's description hash and the
+// identity of the compilation the unit measures, so a journal resumed
+// under another size, tiling, calibration, description or degrade policy
+// misses and recomputes instead of answering for the wrong run.
+func (s *Suite) unitKey(exp, kernel string, p *hw.Platform) string {
+	t := s.targets[p.Name]
+	return core.KeyOf(kernel, int(s.Size), s.sweepConfig(core.DefaultConfig(t))).UnitKey(exp, t.Backend.Hash())
 }
 
 // noteDegraded records one tolerated per-kernel failure for the
@@ -240,15 +230,23 @@ func (s *Suite) compileCfg(kernelName string, cfg core.Config) (*core.Result, er
 	if err != nil {
 		return nil, err
 	}
+	cfg = s.sweepConfig(cfg)
+	opts := core.PipelineOptions{Stages: &s.stages, Observe: s.stageStats.Observe}
+	return s.cache.CompileStaged(s.ctx(), core.KeyOf(kernelName, int(s.Size), cfg), cfg, opts, func() (*ir.Module, error) {
+		return k.Build(s.Size)
+	})
+}
+
+// sweepConfig stamps the suite-wide settings onto one of the evaluation's
+// configurations: the degrade policy, the fault registry and — unless the
+// experiment pinned its own — the tiling strategy.
+func (s *Suite) sweepConfig(cfg core.Config) core.Config {
 	cfg.Degrade = s.Degrade
 	cfg.Faults = s.Faults
 	if cfg.Tiling == (tiling.Spec{}) {
 		cfg.Tiling = s.Tiling
 	}
-	opts := core.PipelineOptions{Stages: &s.stages, Observe: s.stageStats.Observe}
-	return s.cache.CompileStaged(s.ctx(), core.KeyOf(kernelName, int(s.Size), cfg), cfg, opts, func() (*ir.Module, error) {
-		return k.Build(s.Size)
-	})
+	return cfg
 }
 
 // nestsOf collects the affine nests of a compiled module in order.

@@ -175,45 +175,15 @@ func (c *CapController) Guard(f func() error) (err error) {
 // and driver-default restore on return, even on panic. With
 // opts.BestEffort an exhausted cap write degrades to running at the
 // current cap instead of aborting.
-func (c *CapController) RunFunc(f *ir.Func) (agg RunResult, err error) {
+func (c *CapController) RunFunc(f *ir.Func) (RunResult, error) {
 	defer c.Restore()
-	m := c.m
-	agg.UncoreGHz = m.UncoreCap()
-	charge := func(run func() error) error {
-		before, beforeE := m.busyTime, m.pkgEnergy
-		err := run()
-		agg.Seconds += m.busyTime - before
-		agg.PkgJoules += m.pkgEnergy - beforeE
+	tolerate := func(err error) error {
+		if c.opts.BestEffort {
+			return nil
+		}
 		return err
 	}
-	for _, op := range f.Ops {
-		switch x := op.(type) {
-		case *ir.SetUncoreCap:
-			if err := charge(func() error { _, err := c.Apply(x.GHz); return err }); err != nil {
-				if !c.opts.BestEffort {
-					return agg, err
-				}
-			}
-		case *ir.Nest:
-			r, err := m.RunNest(x)
-			if err != nil {
-				return agg, err
-			}
-			agg.Seconds += r.Seconds
-			agg.PkgJoules += r.PkgJoules
-			agg.UncoreJoules += r.UncoreJoules
-			if err := charge(func() error { _, err := c.Reassert(); return err }); err != nil {
-				if !c.opts.BestEffort {
-					return agg, err
-				}
-			}
-		default:
-			return agg, fmt.Errorf("hw: cannot execute %s", op.OpName())
-		}
-	}
-	if agg.Seconds > 0 {
-		agg.AvgWatts = agg.PkgJoules / agg.Seconds
-	}
-	agg.EDP = agg.PkgJoules * agg.Seconds
-	return agg, nil
+	return c.m.runOps([]*ir.Func{f},
+		func(ghz float64) error { _, err := c.Apply(ghz); return tolerate(err) },
+		func() error { _, err := c.Reassert(); return tolerate(err) })
 }

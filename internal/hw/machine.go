@@ -402,29 +402,45 @@ func (m *Machine) RunNest(nest *ir.Nest) (RunResult, error) {
 	return m.Measure(p), nil
 }
 
-// RunFunc executes a function's op sequence: cap ops drive the UFS driver,
-// affine nests execute on the machine. It returns the aggregate result.
-func (m *Machine) RunFunc(f *ir.Func) (RunResult, error) {
-	var agg RunResult
-	agg.UncoreGHz = m.uncoreCap
-	for _, op := range f.Ops {
-		switch x := op.(type) {
-		case *ir.SetUncoreCap:
-			before := m.busyTime
-			beforeE := m.pkgEnergy
-			m.SetUncoreCap(x.GHz)
-			agg.Seconds += m.busyTime - before
-			agg.PkgJoules += m.pkgEnergy - beforeE
-		case *ir.Nest:
-			r, err := m.RunNest(x)
-			if err != nil {
-				return agg, err
+// runOps is the one op walk behind Machine.RunFunc, Machine.RunBaseline
+// and CapController.RunFunc: the functions' ops run in order, nests on the
+// machine, and seconds, joules and uncore joules are summed; watts and EDP
+// derive from the sums. The walk leaves one decision to its caller — what
+// a SetUncoreCap op does (setCap) and what watches the cap after each nest
+// (afterNest). Both are charged by counter delta: whatever busy time and
+// package energy they put on the machine's counters (cap-switch latency,
+// retry backoff) lands in the aggregate; one that touches nothing adds
+// exactly zero.
+func (m *Machine) runOps(funcs []*ir.Func, setCap func(ghz float64) error, afterNest func() error) (RunResult, error) {
+	agg := RunResult{UncoreGHz: m.uncoreCap}
+	charge := func(run func() error) error {
+		before, beforeE := m.busyTime, m.pkgEnergy
+		err := run()
+		agg.Seconds += m.busyTime - before
+		agg.PkgJoules += m.pkgEnergy - beforeE
+		return err
+	}
+	for _, f := range funcs {
+		for _, op := range f.Ops {
+			switch x := op.(type) {
+			case *ir.SetUncoreCap:
+				if err := charge(func() error { return setCap(x.GHz) }); err != nil {
+					return agg, err
+				}
+			case *ir.Nest:
+				r, err := m.RunNest(x)
+				if err != nil {
+					return agg, err
+				}
+				agg.Seconds += r.Seconds
+				agg.PkgJoules += r.PkgJoules
+				agg.UncoreJoules += r.UncoreJoules
+				if err := charge(afterNest); err != nil {
+					return agg, err
+				}
+			default:
+				return agg, fmt.Errorf("hw: cannot execute %s", op.OpName())
 			}
-			agg.Seconds += r.Seconds
-			agg.PkgJoules += r.PkgJoules
-			agg.UncoreJoules += r.UncoreJoules
-		default:
-			return agg, fmt.Errorf("hw: cannot execute %s", op.OpName())
 		}
 	}
 	if agg.Seconds > 0 {
@@ -434,33 +450,22 @@ func (m *Machine) RunFunc(f *ir.Func) (RunResult, error) {
 	return agg, nil
 }
 
+// noWatch is the afterNest of the unhardened runs: nothing reasserts.
+func noWatch() error { return nil }
+
+// RunFunc executes a function's op sequence: cap ops drive the UFS driver,
+// affine nests execute on the machine. It returns the aggregate result.
+func (m *Machine) RunFunc(f *ir.Func) (RunResult, error) {
+	return m.runOps([]*ir.Func{f}, func(ghz float64) error { m.SetUncoreCap(ghz); return nil }, noWatch)
+}
+
 // RunBaseline measures the uncapped baseline every comparison in the
 // paper is made against: the cap is raised to the driver default (the
 // maximum uncore frequency), every nest of the given functions runs in
 // order, cap ops are skipped, and seconds and joules are summed.
 func (m *Machine) RunBaseline(funcs ...*ir.Func) (RunResult, error) {
 	m.SetUncoreCap(m.P.UncoreMax)
-	var agg RunResult
-	for _, f := range funcs {
-		for _, op := range f.Ops {
-			nest, ok := op.(*ir.Nest)
-			if !ok {
-				continue
-			}
-			r, err := m.RunNest(nest)
-			if err != nil {
-				return agg, err
-			}
-			agg.Seconds += r.Seconds
-			agg.PkgJoules += r.PkgJoules
-			agg.UncoreJoules += r.UncoreJoules
-		}
-	}
-	if agg.Seconds > 0 {
-		agg.AvgWatts = agg.PkgJoules / agg.Seconds
-	}
-	agg.EDP = agg.PkgJoules * agg.Seconds
-	return agg, nil
+	return m.runOps(funcs, func(float64) error { return nil }, noWatch)
 }
 
 // MeasureAt measures a profile at explicit core and uncore frequencies

@@ -6,7 +6,7 @@
 //
 // Durability rides on internal/journal. The spec is fsynced before
 // Submit returns, every completed unit of work checkpoints through
-// Job.Step, and the final result is recorded before the job is declared
+// Step, and the final result is recorded before the job is declared
 // done — so a process killed at any point, including kill -9, loses at
 // most the unit in flight. Reopening the same directory replays the
 // journal: finished jobs come back with their recorded results
@@ -637,40 +637,29 @@ func (jb *Job) Params(out any) error {
 	return json.Unmarshal(jb.spec.Params, out)
 }
 
-// Step checkpoints one unit of work. A unit already in the journal —
-// recorded by this run or a previous incarnation of the process — is
-// replayed into out without calling compute; otherwise compute runs,
-// its value is fsynced, and out is filled FROM THE JOURNALED BYTES, so
-// fresh and replayed runs observe the exact same value. Returns whether
-// the unit was replayed.
-func (jb *Job) Step(key string, out any, compute func() (any, error)) (bool, error) {
-	jkey := unitKey(jb.spec.ID, key)
-	if ok, err := jb.m.jnl.Get(jkey, out); err != nil {
-		return false, err
-	} else if ok {
-		jb.bumpUnits()
-		jb.emit(Event{Type: EventUnit, Unit: key, Replayed: true})
-		return true, nil
-	}
-	if err := jb.ctx.Err(); err != nil {
-		if cause := context.Cause(jb.ctx); cause != nil {
-			return false, cause
+// Step checkpoints one unit of a job's work through journal.Step (a
+// function, not a method, because it is generic over the unit's type): a
+// unit already in the journal — recorded by this run or a previous
+// incarnation of the process — replays without calling compute, even on
+// a canceled job; otherwise compute runs, its value is fsynced, and the
+// value returned is the one decoded FROM THE JOURNALED BYTES, so fresh
+// and replayed runs observe the exact same value. A journaled payload
+// that does not decode as T is a miss and is recomputed, never a failed
+// job. Reports whether the unit was replayed.
+func Step[T any](jb *Job, key string, compute func() (T, error)) (T, bool, error) {
+	v, replayed, err := journal.Step(jb.m.jnl, unitKey(jb.spec.ID, key), func() (T, error) {
+		if jb.ctx.Err() != nil {
+			var zero T
+			return zero, context.Cause(jb.ctx)
 		}
-		return false, err
-	}
-	v, err := compute()
+		return compute()
+	})
 	if err != nil {
-		return false, err
-	}
-	if err := jb.m.jnl.Record(jkey, v); err != nil {
-		return false, err
-	}
-	if _, err := jb.m.jnl.Get(jkey, out); err != nil {
-		return false, err
+		return v, false, err
 	}
 	jb.bumpUnits()
-	jb.emit(Event{Type: EventUnit, Unit: key})
-	return false, nil
+	jb.emit(Event{Type: EventUnit, Unit: key, Replayed: replayed})
+	return v, replayed, nil
 }
 
 // Total declares how many units the job will Step through, for progress

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"polyufc/internal/journal"
 )
 
 // sumExec is the test workload: N units, unit i worth i*i+0.5, summed.
@@ -23,15 +25,15 @@ func sumExec(blockAt int, computed *atomic.Int64) Executor {
 		sum := 0.0
 		for i := 0; i < p.N; i++ {
 			i := i
-			var v float64
-			if _, err := jb.Step(fmt.Sprintf("u%02d", i), &v, func() (any, error) {
+			v, _, err := Step(jb, fmt.Sprintf("u%02d", i), func() (float64, error) {
 				computed.Add(1)
 				if i == blockAt {
 					<-jb.Context().Done()
-					return nil, context.Cause(jb.Context())
+					return 0, context.Cause(jb.Context())
 				}
 				return float64(i*i) + 0.5, nil
-			}); err != nil {
+			})
+			if err != nil {
 				return nil, err
 			}
 			sum += v
@@ -138,8 +140,6 @@ func TestJobLifecycleResultAndEvents(t *testing.T) {
 // manager, replays its checkpointed units without recomputing them, and
 // finishes with result bytes identical to a never-interrupted run.
 func TestJobResumeAfterInterruptIsByteIdentical(t *testing.T) {
-	dir := t.TempDir()
-
 	// Control: the same job, never interrupted, in a separate dir.
 	var ctlComputed atomic.Int64
 	ctl, err := Open(Options{Dir: t.TempDir(), Workers: 1}, sumExec(-1, &ctlComputed))
@@ -156,68 +156,95 @@ func TestJobResumeAfterInterruptIsByteIdentical(t *testing.T) {
 	want, _ := cjb.Result()
 	ctl.Close(context.Background())
 
-	// Run A: blocks inside unit 3 (units 0-2 checkpointed), then is torn
-	// down with an already-expired context — the ErrShutdown interrupt
-	// path, the in-process stand-in for kill -9.
-	var aComputed atomic.Int64
-	a, err := Open(Options{Dir: dir, Workers: 1}, sumExec(3, &aComputed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Start()
-	ast, err := a.Submit("sweep", map[string]int{"N": 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		jb, _ := a.Get(ast.ID)
-		if jb.Status().UnitsDone >= 3 && aComputed.Load() >= 4 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never reached unit 3: %+v", jb.Status())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	expired, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := a.Close(expired); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name       string
+		damage     string // unit whose journaled payload is overwritten with the wrong shape
+		recomputed int64
+	}{
+		{"clean journal", "", 3},
+		// A checkpointed unit that is valid JSON of the wrong shape — a
+		// foreign or damaged line — is a miss: recomputed, not a failed job.
+		{"wrong-shape unit", "u01", 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
 
-	// Run B: reopen the same dir. The job must come back queued with its
-	// three units, resume, replay them (no recompute), and finish.
-	var bComputed atomic.Int64
-	b, err := Open(Options{Dir: dir, Workers: 1}, sumExec(-1, &bComputed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	jb, err := b.Get(ast.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := jb.Status(); st.State != StateQueued || st.Resumed != 1 || st.UnitsDone != 3 {
-		t.Fatalf("replayed status before Start: %+v", st)
-	}
-	b.Start()
-	waitState(t, b, ast.ID, StateDone)
-	got, ok := jb.Result()
-	if !ok {
-		t.Fatal("no result after resume")
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("resumed result differs:\n  resumed: %s\n  control: %s", got, want)
-	}
-	// Units 0-2 replayed from the journal; only 3-5 recomputed.
-	if bComputed.Load() != 3 {
-		t.Fatalf("resume recomputed %d units, want 3", bComputed.Load())
-	}
-	if keys := jb.UnitKeys(); len(keys) != 6 {
-		t.Fatalf("unit keys after resume: %v", keys)
-	}
-	if err := b.Close(context.Background()); err != nil {
-		t.Fatal(err)
+			// Run A: blocks inside unit 3 (units 0-2 checkpointed), then is torn
+			// down with an already-expired context — the ErrShutdown interrupt
+			// path, the in-process stand-in for kill -9.
+			var aComputed atomic.Int64
+			a, err := Open(Options{Dir: dir, Workers: 1}, sumExec(3, &aComputed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.Start()
+			ast, err := a.Submit("sweep", map[string]int{"N": 6})
+			if err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				jb, _ := a.Get(ast.ID)
+				if jb.Status().UnitsDone >= 3 && aComputed.Load() >= 4 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("job never reached unit 3: %+v", jb.Status())
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			expired, cancel := context.WithCancel(context.Background())
+			cancel()
+			if err := a.Close(expired); err != nil {
+				t.Fatal(err)
+			}
+
+			if tc.damage != "" {
+				jnl, err := journal.Open(JournalPath(dir))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := jnl.RecordBytes(unitKey(ast.ID, tc.damage), []byte(`["not", "a", "float"]`)); err != nil {
+					t.Fatal(err)
+				}
+				jnl.Close()
+			}
+
+			// Run B: reopen the same dir. The job must come back queued with its
+			// three units, resume, replay them (no recompute), and finish.
+			var bComputed atomic.Int64
+			b, err := Open(Options{Dir: dir, Workers: 1}, sumExec(-1, &bComputed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			jb, err := b.Get(ast.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := jb.Status(); st.State != StateQueued || st.Resumed != 1 || st.UnitsDone != 3 {
+				t.Fatalf("replayed status before Start: %+v", st)
+			}
+			b.Start()
+			waitState(t, b, ast.ID, StateDone)
+			got, ok := jb.Result()
+			if !ok {
+				t.Fatal("no result after resume")
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("resumed result differs:\n  resumed: %s\n  control: %s", got, want)
+			}
+			// Units 0-2 replayed from the journal (but for a damaged one); only
+			// 3-5 recomputed.
+			if bComputed.Load() != tc.recomputed {
+				t.Fatalf("resume recomputed %d units, want %d", bComputed.Load(), tc.recomputed)
+			}
+			if keys := jb.UnitKeys(); len(keys) != 6 {
+				t.Fatalf("unit keys after resume: %v", keys)
+			}
+			if err := b.Close(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

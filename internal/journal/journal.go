@@ -163,6 +163,18 @@ func Open(path string) (*Journal, error) {
 	return j, nil
 }
 
+// OpenResume is Open for a -journal/-resume flag pair: unless resume is
+// set, whatever an earlier run left at path is removed first, so the run
+// starts from an empty journal.
+func OpenResume(path string, resume bool) (*Journal, error) {
+	if !resume {
+		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+			return nil, err
+		}
+	}
+	return Open(path)
+}
+
 // quarantine appends the corrupt lines verbatim to the sidecar, synced —
 // the evidence must survive the next crash too.
 func quarantine(path string, lines [][]byte) error {
@@ -321,6 +333,35 @@ func (j *Journal) Get(key string, out any) (bool, error) {
 		}
 	}
 	return true, nil
+}
+
+// Step runs one journaled unit of work, the one statement of "replay,
+// else compute and record": an entry under key that decodes as T replays
+// and compute is skipped. No entry — or one that does not decode as T, a
+// foreign or damaged line — is a miss: compute runs, its value is
+// recorded (last write wins, so a bad line is repaired) and the value
+// handed back is the one decoded FROM THE RECORDED BYTES, so a fresh run
+// and a replay observe exactly the same value. A failed compute records
+// nothing — a resume retries it. With a nil journal Step is compute.
+func Step[T any](j *Journal, key string, compute func() (T, error)) (v T, replayed bool, err error) {
+	if data, ok := j.Bytes(key); ok && json.Unmarshal(data, &v) == nil {
+		return v, true, nil
+	}
+	if v, err = compute(); err != nil || j == nil {
+		return v, false, err
+	}
+	data, err := json.Marshal(v)
+	if err != nil {
+		return v, false, fmt.Errorf("journal: marshal %q: %w", key, err)
+	}
+	if err := j.RecordBytes(key, data); err != nil {
+		return v, false, err
+	}
+	var out T
+	if err := json.Unmarshal(data, &out); err != nil {
+		return v, false, fmt.Errorf("journal: replay %q: %w", key, err)
+	}
+	return out, false, nil
 }
 
 // Bytes replays a completed entry as the recorded bytes the journal

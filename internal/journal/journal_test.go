@@ -1,6 +1,8 @@
 package journal
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -459,4 +461,101 @@ func mustOpen(t *testing.T, path string) *Journal {
 	}
 	t.Cleanup(func() { j.Close() })
 	return j
+}
+
+// unit is a Step payload whose Scratch field does not survive JSON: a
+// value handed back from the recorded bytes has it zeroed.
+type unit struct {
+	F       float64 `json:"f"`
+	Scratch int     `json:"-"`
+}
+
+// Step is the one statement of "replay, else compute and record".
+func TestStep(t *testing.T) {
+	errBoom := errors.New("boom")
+	for _, tc := range []struct {
+		name     string
+		entry    string // pre-recorded payload under the key; "" for none
+		fail     bool   // compute fails
+		replayed bool
+		want     unit
+		recorded string // the key's payload afterwards; "" for none
+	}{
+		{name: "miss", want: unit{F: 1.5}, recorded: `{"f":1.5}`},
+		{name: "hit", entry: `{"f":2}`, replayed: true, want: unit{F: 2}, recorded: `{"f":2}`},
+		{name: "wrong shape is a miss and is repaired", entry: `[1,2]`, want: unit{F: 1.5}, recorded: `{"f":1.5}`},
+		{name: "failed compute records nothing", fail: true},
+		{name: "failed compute leaves a wrong-shape entry alone", entry: `"x"`, fail: true, recorded: `"x"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			j := mustOpen(t, filepath.Join(t.TempDir(), "j.jsonl"))
+			if tc.entry != "" {
+				if err := j.RecordBytes("k", []byte(tc.entry)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			calls := 0
+			compute := func() (unit, error) {
+				calls++
+				if tc.fail {
+					return unit{}, errBoom
+				}
+				return unit{F: 1.5, Scratch: 7}, nil
+			}
+			got, replayed, err := Step(j, "k", compute)
+			if tc.fail {
+				if !errors.Is(err, errBoom) {
+					t.Fatalf("err = %v, want the compute error", err)
+				}
+			} else if err != nil || got != tc.want || replayed != tc.replayed {
+				t.Fatalf("Step = %+v, %v, %v; want %+v, %v", got, replayed, err, tc.want, tc.replayed)
+			}
+			if (calls == 0) != tc.replayed {
+				t.Fatalf("compute ran %d times, replayed = %v", calls, tc.replayed)
+			}
+			data, ok := j.Bytes("k")
+			if string(data) != tc.recorded || ok != (tc.recorded != "") {
+				t.Fatalf("entry afterwards = %q, %v; want %q", data, ok, tc.recorded)
+			}
+			if tc.fail {
+				return
+			}
+			// The value handed back is the one decoded from the recorded
+			// bytes, and the next Step replays it without computing.
+			var decoded unit
+			if err := json.Unmarshal(data, &decoded); err != nil || decoded != got {
+				t.Fatalf("Step returned %+v, Unmarshal(recorded bytes) = %+v, %v", got, decoded, err)
+			}
+			again, replayed, err := Step(j, "k", compute)
+			if err != nil || !replayed || again != got || calls > 1 {
+				t.Fatalf("second Step = %+v, %v, %v after %d computes; want a replay of %+v", again, replayed, err, calls, got)
+			}
+		})
+	}
+	// A nil journal computes and hands the value back untouched.
+	got, replayed, err := Step(nil, "k", func() (unit, error) { return unit{F: 1.5, Scratch: 7}, nil })
+	if err != nil || replayed || got != (unit{F: 1.5, Scratch: 7}) {
+		t.Fatalf("nil journal Step = %+v, %v, %v", got, replayed, err)
+	}
+}
+
+// OpenResume truncates exactly when resume is false.
+func TestOpenResume(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	for _, tc := range []struct {
+		resume bool
+		want   int // entries visible at open
+	}{{false, 0}, {true, 1}, {true, 2}, {false, 0}, {true, 1}} {
+		j, err := OpenResume(path, tc.resume)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.Len() != tc.want {
+			t.Fatalf("OpenResume(resume=%v) sees %d entries, want %d", tc.resume, j.Len(), tc.want)
+		}
+		if err := j.Record(fmt.Sprintf("k%d", j.Len()), 1); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+	}
 }

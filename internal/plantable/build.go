@@ -326,34 +326,24 @@ func Build(ctx context.Context, t *roofline.Target, opts BuildOptions) (*Table, 
 	solve := func(shapes []shape) error {
 		idxs, err := parallel.Map(ctx, len(shapes), opts.Concurrency, func(ctx context.Context, n int) (int, error) {
 			s := shapes[n]
-			key := cellKeyRho(tb, s.cls, s.phi, s.ratio, s.rho)
-			if opts.Journal != nil {
-				var idx int
-				if ok, err := opts.Journal.Get(key, &idx); err == nil && ok {
-					return idx, nil
+			idx, _, err := journal.Step(opts.Journal, cellKeyRho(tb, s.cls, s.phi, s.ratio, s.rho), func() (int, error) {
+				var m *model.Model
+				var err error
+				if s.rho > 0 {
+					m, err = SyntheticModelNUMA(c, s.cls, s.phi, s.ratio, s.rho, fRef, rc)
+				} else {
+					m, err = SyntheticModel(c, s.cls, s.phi, s.ratio, fRef)
 				}
-			}
-			var m *model.Model
-			var err error
-			if s.rho > 0 {
-				m, err = SyntheticModelNUMA(c, s.cls, s.phi, s.ratio, s.rho, fRef, rc)
-			} else {
-				m, err = SyntheticModel(c, s.cls, s.phi, s.ratio, fRef)
-			}
-			if err != nil {
-				return 0, err
-			}
-			res, err := search.Run(ctx, m, freqs, opts.Search)
-			if err != nil {
-				return 0, err
-			}
-			idx := hw.GridIndex(tb.UncoreMinGHz, tb.UncoreMaxGHz, tb.CapStepGHz, res.BestGHz)
-			if opts.Journal != nil {
-				if err := opts.Journal.Record(key, idx); err != nil {
+				if err != nil {
 					return 0, err
 				}
-			}
-			return idx, nil
+				res, err := search.Run(ctx, m, freqs, opts.Search)
+				if err != nil {
+					return 0, err
+				}
+				return hw.GridIndex(tb.UncoreMinGHz, tb.UncoreMaxGHz, tb.CapStepGHz, res.BestGHz), nil
+			})
+			return idx, err
 		})
 		if err != nil {
 			return err

@@ -156,3 +156,26 @@ func LoadFile(path string) (*Backend, error) {
 	}
 	return b, nil
 }
+
+// SplitList splits a comma-separated flag value into its trimmed,
+// non-empty items — the one spelling of the binaries' list flags
+// (-platform-file, -plan-table, -peer).
+func SplitList(list string) []string {
+	var out []string
+	for _, item := range strings.Split(list, ",") {
+		if item = strings.TrimSpace(item); item != "" {
+			out = append(out, item)
+		}
+	}
+	return out
+}
+
+// LoadFiles is LoadFile over a comma-separated -platform-file value.
+func LoadFiles(list string) error {
+	for _, path := range SplitList(list) {
+		if _, err := LoadFile(path); err != nil {
+			return err
+		}
+	}
+	return nil
+}

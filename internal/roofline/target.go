@@ -131,6 +131,20 @@ func Resolve(b *platform.Backend) (*Target, error) {
 	return &Target{Backend: b, Platform: p, Constants: &cal.Constants, Calibration: cal, Sockets: sockets}, nil
 }
 
+// ResolveOrLoad is the tools' -calibration switch: with a calibration
+// file the persisted fit is loaded and checked against the description
+// (FromCalibration), without one the micro-benchmarks run (Resolve).
+func ResolveOrLoad(b *platform.Backend, calPath string) (*Target, error) {
+	if calPath == "" {
+		return Resolve(b)
+	}
+	cal, err := platform.LoadCalibration(calPath)
+	if err != nil {
+		return nil, err
+	}
+	return FromCalibration(b, cal)
+}
+
 // ResolveName resolves a backend by registry name and calibrates it.
 func ResolveName(name string) (*Target, error) {
 	b, err := platform.Lookup(name)

@@ -370,18 +370,21 @@ func (s *Server) runSweepJob(jb *jobs.Job, p JobParams, characterizeOnly bool) (
 		if err != nil {
 			return nil, err
 		}
+		// The unit is keyed by the resolved request's compile identity, so
+		// a job resumed by a daemon booted with another -tiling, after a
+		// re-fit or over an edited size recomputes instead of replaying.
+		unit := "kernel/" + r.key.String()
 		if characterizeOnly {
-			var kr CharacterizeResponse
-			if _, err := jb.Step("kernel/"+kernel, &kr, func() (any, error) {
+			kr, _, err := jobs.Step(jb, unit, func() (CharacterizeResponse, error) {
 				return s.characterizeResponse(jb.Context(), r)
-			}); err != nil {
+			})
+			if err != nil {
 				return nil, err
 			}
 			chars.Kernels = append(chars.Kernels, kr)
 			continue
 		}
-		var kr SearchResponse
-		if _, err := jb.Step("kernel/"+kernel, &kr, func() (any, error) {
+		kr, _, err := jobs.Step(jb, unit, func() (SearchResponse, error) {
 			out, res, err := s.searchResponse(jb.Context(), r)
 			// The measured half runs the kernel on the live machine
 			// through the breaker — and feeds the drift watchdog, so a
@@ -390,7 +393,8 @@ func (s *Server) runSweepJob(jb *jobs.Job, p JobParams, characterizeOnly bool) (
 				s.measure(res, r, &out)
 			}
 			return out, err
-		}); err != nil {
+		})
+		if err != nil {
 			return nil, err
 		}
 		sweep.Kernels = append(sweep.Kernels, kr)
@@ -468,22 +472,22 @@ func (s *Server) runPlanTableJob(jb *jobs.Job, p JobParams) (any, error) {
 		opts.Search = search.Options{Objective: obj, Epsilon: eps}
 	}
 	jb.Log("plantable", fmt.Sprintf("sweeping %s (cal %s)", b.Name, t.Constants.Hash()))
-	var result PlanTableJobResult
-	if _, err := jb.Step("table", &result, func() (any, error) {
+	result, _, err := jobs.Step(jb, "table", func() (PlanTableJobResult, error) {
+		var none PlanTableJobResult
 		tb, err := plantable.Build(jb.Context(), t, opts)
 		if err != nil {
-			return nil, err
+			return none, err
 		}
 		dir := filepath.Join(s.cfg.JobsDir, "tables")
 		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, err
+			return none, err
 		}
 		// The tiling strategy is a table axis: per-strategy builds must not
 		// overwrite each other's files.
 		path := filepath.Join(dir, fmt.Sprintf("%s-%s-eps%g-%s.json",
 			tb.Backend, tb.Objective, tb.Epsilon, sanitizeTiling(tb.TilingName())))
 		if err := tb.Save(path); err != nil {
-			return nil, err
+			return none, err
 		}
 		return PlanTableJobResult{
 			Kind: string(JobPlanTable), Backend: tb.Backend, Path: path,
@@ -491,7 +495,8 @@ func (s *Server) runPlanTableJob(jb *jobs.Job, p JobParams) (any, error) {
 			Tiling:   tb.TilingName(),
 			OIPoints: len(tb.OIAxis), MemPoints: len(tb.MemAxis),
 		}, nil
-	}); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	// Install from disk (fresh run or journal replay both take this
@@ -549,14 +554,14 @@ func (s *Server) runRefitJob(jb *jobs.Job, p JobParams) (any, error) {
 	}
 	oldHash := t.Constants.Hash()
 	jb.Log("refit", fmt.Sprintf("re-calibrating %s (stale cal %s)", b.Name, oldHash))
-	var cal platform.Calibration
-	if _, err := jb.Step("calibrate", &cal, func() (any, error) {
+	cal, _, err := jobs.Step(jb, "calibrate", func() (platform.Calibration, error) {
 		nt, err := roofline.Refit(t, s.cfg.Faults)
 		if err != nil {
-			return nil, err
+			return platform.Calibration{}, err
 		}
-		return nt.Calibration, nil
-	}); err != nil {
+		return *nt.Calibration, nil
+	})
+	if err != nil {
 		return fail(err)
 	}
 	nt, err := roofline.FromCalibration(t.Backend, &cal)
@@ -571,8 +576,7 @@ func (s *Server) runRefitJob(jb *jobs.Job, p JobParams) (any, error) {
 
 	// Rebuild the plan tables the swap just invalidated. Journaled as a
 	// unit so a resumed refit does not enqueue duplicates.
-	var rebuilt []string
-	if _, err := jb.Step("rebuild", &rebuilt, func() (any, error) {
+	rebuilt, _, err := jobs.Step(jb, "rebuild", func() ([]string, error) {
 		var ids []string
 		if set := s.planSet(); set != nil {
 			for _, tb := range set.Tables() {
@@ -590,7 +594,8 @@ func (s *Server) runRefitJob(jb *jobs.Job, p JobParams) (any, error) {
 			}
 		}
 		return ids, nil
-	}); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	return RefitJobResult{

@@ -329,12 +329,7 @@ func New(cfg Config) (*Server, error) {
 	s.warmPlanTables()
 
 	if cfg.JournalPath != "" {
-		if !cfg.Resume {
-			if err := os.Remove(cfg.JournalPath); err != nil && !os.IsNotExist(err) {
-				return nil, err
-			}
-		}
-		j, err := journal.Open(cfg.JournalPath)
+		j, err := journal.OpenResume(cfg.JournalPath, cfg.Resume)
 		if err != nil {
 			return nil, err
 		}

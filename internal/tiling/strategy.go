@@ -22,13 +22,13 @@ const (
 
 // Context carries the per-compile environment a strategy may consult:
 // the target's cache hierarchy (for model-scored strategies), the
-// thread count the cachemodel stage will use, the base pluto options
-// (legality, permutation and parallelization flags plus the default
-// tile size) and the fault registry.
+// thread count the cachemodel stage will use and the fault registry.
+// Every strategy starts from pluto.DefaultOptions (legality, permutation
+// and parallelization flags plus the default tile size) and overrides
+// only the tile size.
 type Context struct {
 	Cache   cachesim.Config
 	Threads int
-	Pluto   pluto.Options
 	Faults  *faults.Registry
 	// CapEDP scores a transformed nest by the EDP of the uncore cap
 	// PolyUFC-SEARCH would select for it (lower is better) — the
@@ -116,7 +116,7 @@ func MustNew(spec Spec) Strategy {
 }
 
 // plutoStrategy reproduces the pre-strategy pipeline: pluto.Optimize
-// with the Context's pluto options, optionally overriding the tile size
+// with the default pluto options, optionally overriding the tile size
 // from the spec. With a zero Size it is byte-identical to the old
 // hard-wired stageTile.
 type plutoStrategy struct{ spec Spec }
@@ -128,7 +128,7 @@ func (s *plutoStrategy) Apply(nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo, e
 	if err := ctx.Faults.Hit(FaultPluto); err != nil {
 		return nil, NestInfo{}, fmt.Errorf("tiling: pluto on %s: %w", nest.Label, err)
 	}
-	opts := ctx.Pluto
+	opts := pluto.DefaultOptions()
 	if s.spec.Size > 0 {
 		opts.TileSize = s.spec.Size
 	}
@@ -156,7 +156,7 @@ func (s *cobStrategy) Apply(nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo, err
 	if base <= 0 {
 		base = DefaultBase
 	}
-	opts := ctx.Pluto
+	opts := pluto.DefaultOptions()
 	opts.TileSize = leafTile(nest, base)
 	return runPluto(nest, ctx, opts, NameCacheOblivious)
 }
@@ -246,7 +246,7 @@ func (s *latencyStrategy) Apply(nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo,
 		lastErr  error
 	)
 	for _, size := range latencyLadder[:probe] {
-		opts := ctx.Pluto
+		opts := pluto.DefaultOptions()
 		opts.TileSize = size
 		out, info, err := runPluto(nest, ctx, opts, NameLatency)
 		if err != nil {

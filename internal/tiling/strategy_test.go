@@ -19,7 +19,6 @@ func testCtx() Context {
 	return Context{
 		Cache:   hw.BDW().Cache,
 		Threads: 1,
-		Pluto:   pluto.DefaultOptions(),
 		CapEDP:  func(*ir.Nest, *cachemodel.Result) (float64, bool) { return 0, true },
 	}
 }
@@ -55,7 +54,7 @@ func nestFrom(t *testing.T, kernel string, idx int) *ir.Nest {
 func TestPlutoStrategyWrapsOptimize(t *testing.T) {
 	nest := nestFrom(t, "gemm", 1)
 	ctx := testCtx()
-	want, err := pluto.Optimize(nest, ctx.Pluto)
+	want, err := pluto.Optimize(nest, pluto.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,10 @@
 #   2. polyufc-bench killed with SIGKILL mid-sweep, restarted with
 #      -resume: completed entries replay and the figures are
 #      byte-identical to an uninterrupted run.
+#   3. checkpoints answer only for what they computed: Fig. 1 on the
+#      0.05 GHz-grid backend renders the same bytes with and without
+#      -journal, and polyufc -resume over an edited -platform-file
+#      recomputes instead of replaying the old description's report.
 #
 # Requires: go, curl (falls back to a go-based client when curl is absent).
 set -eu
@@ -18,9 +22,10 @@ cd "$(dirname "$0")/.."
 echo "== building binaries"
 go build -o "$tmp/polyufc-serve" ./cmd/polyufc-serve
 go build -o "$tmp/polyufc-bench" ./cmd/polyufc-bench
+go build -o "$tmp/polyufc" ./cmd/polyufc
 
 addr="127.0.0.1:8337"
-echo "== 1/2 serve: concurrent burst under ufs.write.ebusy, SIGTERM drain"
+echo "== 1/3 serve: concurrent burst under ufs.write.ebusy, SIGTERM drain"
 "$tmp/polyufc-serve" -addr "$addr" -journal "$tmp/serve.jsonl" \
     -fault 'ufs.write.ebusy=0.3' -breaker-threshold 3 2>"$tmp/serve.log" &
 serve_pid=$!
@@ -50,7 +55,7 @@ wait "$serve_pid" || { echo "daemon exited non-zero"; cat "$tmp/serve.log"; exit
 grep -q "drained, .*caps restored" "$tmp/serve.log" || { echo "no clean drain:"; cat "$tmp/serve.log"; exit 1; }
 echo "   drain OK ($(grep -c . "$tmp/serve.jsonl" || true) journal lines)"
 
-echo "== 2/2 bench: SIGKILL mid-sweep, resume, byte-identical figures"
+echo "== 2/3 bench: SIGKILL mid-sweep, resume, byte-identical figures"
 "$tmp/polyufc-bench" -exp fig1 -size test -j 2 >"$tmp/clean.out" 2>/dev/null
 
 "$tmp/polyufc-bench" -exp fig1 -size test -j 2 -journal "$tmp/sweep.jsonl" >"$tmp/killed.out" 2>/dev/null &
@@ -71,4 +76,27 @@ cmp -s "$tmp/clean.out" "$tmp/resumed.out" || {
     exit 1
 }
 echo "   resume OK ($done_before entries survived the SIGKILL, figures byte-identical)"
+echo "== 3/3 journal keys: fractional cap grid, stale -platform-file resume"
+wide="-size test -platforms all -platform-file platforms/wide-uncore.json"
+"$tmp/polyufc-bench" -exp fig1 $wide >"$tmp/wide.out" 2>/dev/null
+"$tmp/polyufc-bench" -exp fig1 $wide -journal "$tmp/wide.jsonl" >"$tmp/wide.journaled.out" 2>/dev/null
+cmp -s "$tmp/wide.out" "$tmp/wide.journaled.out" || {
+    echo "Fig. 1 on the 0.05 GHz grid differs with -journal:"
+    diff "$tmp/wide.out" "$tmp/wide.journaled.out" | head -20
+    exit 1
+}
+
+cp platforms/wide-uncore.json "$tmp/wide.json"
+cli="-kernel gemm -size test -platform wide -platform-file $tmp/wide.json -journal $tmp/cli.jsonl"
+"$tmp/polyufc" $cli >"$tmp/cli.first" 2>&1
+"$tmp/polyufc" $cli -resume | grep -q "replayed from journal" || { echo "same-flags -resume did not replay"; exit 1; }
+sed -i 's/"uncore_max_ghz": *[0-9.]*/"uncore_max_ghz": 2.0/' "$tmp/wide.json"
+"$tmp/polyufc" $cli -resume >"$tmp/cli.edited" 2>&1
+if grep -q "replayed from journal" "$tmp/cli.edited"; then
+    echo "-resume replayed a report computed for the unedited description:"; cat "$tmp/cli.edited"; exit 1
+fi
+awk '$1 ~ /^gemm_/ { sub(/G$/, "", $5); if ($5 + 0 > 2.0) bad = 1; n++ } END { exit (bad || n == 0) }' "$tmp/cli.edited" || {
+    echo "caps outside the edited description's range (uncore_max_ghz 2.0):"; cat "$tmp/cli.edited"; exit 1
+}
+echo "   journal keys OK (journaled Fig. 1 byte-identical on WIDE, edited description recomputed)"
 echo "smoke: all good"
