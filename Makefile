@@ -26,15 +26,18 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# Micro-benchmarks of the exact-counting back end, layer by layer, at
-# bench size with allocation counts: polynomial summation, isl counting,
-# PolyUFC-CM per kernel, Pluto dependence analysis. CI runs them at
+# Micro-benchmarks, layer by layer, with allocation counts. The
+# exact-counting back end at bench size: polynomial summation, isl
+# counting, PolyUFC-CM per kernel, Pluto dependence analysis. The measured
+# path at test size: one kernel's tiled nests through interp and cachesim
+# (ProfileNest*, also reporting ns/access), and what the stage snapshots
+# of one cold compile allocate (CompileSnapshots). CI runs them at
 # PERF_BENCHTIME=1x so they cannot rot; the defaults are for reading.
 PERF_BENCHTIME ?= 20x
 perf-micro:
-	$(GO) test -run '^$$' -bench 'SumVar|Count(Lu|Cholesky|SdpaBert)|Analyze(Lu|Ludcmp|Conv2dWideresnet)|Deps(Lu|Conv2d|Adi)' \
+	$(GO) test -run '^$$' -bench 'SumVar|Count(Lu|Cholesky|SdpaBert)|Analyze(Lu|Ludcmp|Conv2dWideresnet)|Deps(Lu|Conv2d|Adi)|ProfileNest(LmHeadLlama2|Conv2dWideresnet|Gemm)|CompileSnapshots' \
 		-benchmem -benchtime $(PERF_BENCHTIME) \
-		./internal/poly ./internal/isl ./internal/cachemodel ./internal/pluto
+		./internal/poly ./internal/isl ./internal/cachemodel ./internal/pluto ./internal/hw ./internal/core
 
 # Regenerate every table and figure at evaluation size.
 experiments:

@@ -11,13 +11,7 @@ import (
 // sharing heuristic is applied to the simulated counts the same way the
 // analytic path applies it to modeled counts.
 func analyzeExact(nest *ir.Nest, cfg cachesim.Config, opts Options, res *Result) (*Result, error) {
-	sim, err := cachesim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	st, err := interp.RunNest(nest, interp.TracerFunc(func(a, sz int64, w bool) {
-		sim.Access(a, sz, w)
-	}))
+	st, sim, err := interp.Simulate(nest, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -40,8 +34,7 @@ func analyzeExact(nest *ir.Nest, cfg cachesim.Config, opts Options, res *Result)
 		res.ThreadsDiv = opts.Threads
 	}
 	lineSize := cfg.Levels[0].LineSize
-	for i := 0; i < sim.NumLevels(); i++ {
-		ls := sim.LevelStats(i)
+	for i, ls := range sim.Levels {
 		res.Levels[i].Accesses = ls.Accesses
 		res.Levels[i].ColdMisses = ceilI64(ls.ColdMisses, div)
 		res.Levels[i].CapConfMisses = ceilI64(ls.Misses-ls.ColdMisses, div)

@@ -6,7 +6,12 @@
 // platforms (standing in for the real BDW/RPL machines).
 package cachesim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+	"sync"
+)
 
 // LevelConfig describes one cache level.
 type LevelConfig struct {
@@ -96,74 +101,201 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
-// level is one cache level's state.
-type level struct {
-	cfg     LevelConfig
-	sets    int64
-	ways    int64
-	setMask int64
-	// tags[set] is the LRU-ordered list of resident line tags (most
-	// recently used first).
-	tags [][]int64
-	seen map[int64]bool // lines ever brought in (for cold-miss accounting)
-	st   Stats
+// Stream is one reference of a loop body, repeated over the loop's
+// iterations: Addr in the first iteration, Stride further in each one
+// after. A consumer of streams (Simulator.AccessStreams, interp.Consumer)
+// receives a body's references in program order with the trip count.
+type Stream struct {
+	Addr, Stride int64
+	Size         int32
+	Write        bool
 }
 
-func newLevel(cfg LevelConfig) *level {
-	sets := cfg.NumSets()
-	l := &level{
-		cfg:  cfg,
-		sets: sets,
-		ways: cfg.Ways(),
-		tags: make([][]int64, sets),
-		seen: make(map[int64]bool),
+// empty marks a way no line occupies. It is no line's number: lines are
+// addresses shifted right by the line bits, and no layout hands out the
+// most negative address.
+const empty = math.MinInt64
+
+// pageSets is how many consecutive sets share one lazily allocated page
+// of tags: a level's per-set state exists only for pages a run touched.
+const (
+	pageShift = 6
+	pageSets  = 1 << pageShift
+)
+
+// level is one cache level's state.
+type level struct {
+	sets int64
+	ways int64
+	// mask is sets-1 when sets is a power of two (decided once, here),
+	// and -1 when the set index needs a modulo.
+	mask int64
+	// pages[set>>pageShift] holds the tags of pageSets consecutive sets,
+	// ways entries each: the resident lines most recently used first, then
+	// empty to full width. A page is nil until one of its sets is touched.
+	pages [][]int64
+	// dirty lists the sets that hold at least one line, so a reset visits
+	// only those.
+	dirty []int64
+	st    Stats
+}
+
+func (l *level) init(cfg LevelConfig) {
+	l.sets, l.ways, l.mask = cfg.NumSets(), cfg.Ways(), -1
+	if l.sets&(l.sets-1) == 0 {
+		l.mask = l.sets - 1
 	}
-	l.setMask = sets - 1
-	return l
+	l.pages = make([][]int64, (l.sets+pageSets-1)>>pageShift)
+}
+
+// set returns the set a line maps to.
+func (l *level) set(line int64) int64 {
+	if l.mask >= 0 {
+		return line & l.mask
+	}
+	return line % l.sets
+}
+
+// tags returns the full-width way list of a set, allocating its page on
+// first touch.
+func (l *level) tags(set int64) []int64 {
+	pg := l.pages[set>>pageShift]
+	if pg == nil {
+		pg = l.newPage(set >> pageShift)
+	}
+	off := (set & (pageSets - 1)) * l.ways
+	return pg[off : off+l.ways : off+l.ways]
+}
+
+func (l *level) newPage(p int64) []int64 {
+	n := l.sets - p<<pageShift
+	if n > pageSets {
+		n = pageSets
+	}
+	pg := make([]int64, n*l.ways)
+	for i := range pg {
+		pg[i] = empty
+	}
+	l.pages[p] = pg
+	return pg
+}
+
+// mru reports whether line is the most recently used line of its set. It
+// changes nothing, so the caller must count the hit itself.
+func (l *level) mru(line int64) bool {
+	set := l.set(line)
+	pg := l.pages[set>>pageShift]
+	return pg != nil && pg[(set&(pageSets-1))*l.ways] == line
 }
 
 // access looks up a line (by line number) and updates LRU state; reports
-// whether it hit.
+// whether it hit. It is the one set lookup behind Simulator and MultiSim.
 func (l *level) access(line int64) bool {
-	var set int64
-	if l.sets&(l.sets-1) == 0 {
-		set = line & l.setMask
-	} else {
-		set = line % l.sets
-	}
-	ways := l.tags[set]
+	set := l.set(line)
+	ways := l.tags(set)
+	l.st.Accesses++
+	n := len(ways) - 1 // a miss in a full set shifts all but the LRU way
 	for i, t := range ways {
 		if t == line {
 			// Move to front.
 			copy(ways[1:i+1], ways[:i])
 			ways[0] = line
-			l.st.Accesses++
 			l.st.Hits++
 			return true
 		}
+		if t == empty {
+			n = i
+			break
+		}
 	}
 	// Miss: allocate (write-allocate applies to both reads and writes).
-	l.st.Accesses++
 	l.st.Misses++
-	if !l.seen[line] {
-		l.seen[line] = true
-		l.st.ColdMisses++
+	if n == 0 {
+		l.dirty = append(l.dirty, set)
 	}
-	if int64(len(ways)) < l.ways {
-		ways = append(ways, 0)
-	}
-	copy(ways[1:], ways)
+	copy(ways[1:n+1], ways[:n])
 	ways[0] = line
-	l.tags[set] = ways
 	return false
+}
+
+// reset empties the sets the last run filled and clears the statistics.
+func (l *level) reset() {
+	for _, set := range l.dirty {
+		ways := l.tags(set)
+		for i := range ways {
+			if ways[i] == empty {
+				break
+			}
+			ways[i] = empty
+		}
+	}
+	l.dirty = l.dirty[:0]
+	l.st = Stats{}
+}
+
+// lineSet is the set of lines a run has touched, for cold-miss accounting.
+// Lines below denseLines (every address a Layout hands out for many GiB of
+// arrays) are bits of one slice that grows to the highest line touched;
+// anything else falls back to a map.
+type lineSet struct {
+	bits []uint64
+	// bits[lo:end] are the words that may be non-zero, so a reset clears
+	// only those.
+	lo, end int
+	far     map[int64]struct{}
+}
+
+const denseLines = 1 << 28
+
+// add inserts a line and reports whether it was absent.
+func (s *lineSet) add(line int64) bool {
+	if uint64(line) >= denseLines {
+		if _, ok := s.far[line]; ok {
+			return false
+		}
+		if s.far == nil {
+			s.far = map[int64]struct{}{}
+		}
+		s.far[line] = struct{}{}
+		return true
+	}
+	w, bit := int(line>>6), uint64(1)<<(line&63)
+	if w >= len(s.bits) {
+		s.bits = append(s.bits, make([]uint64, w+1-len(s.bits))...)
+	}
+	if s.bits[w]&bit != 0 {
+		return false
+	}
+	s.bits[w] |= bit
+	if s.end == 0 {
+		s.lo, s.end = w, w+1
+	} else {
+		s.lo, s.end = min(s.lo, w), max(s.end, w+1)
+	}
+	return true
+}
+
+func (s *lineSet) reset() {
+	clear(s.bits[s.lo:s.end])
+	s.lo, s.end = 0, 0
+	clear(s.far)
 }
 
 // Simulator is a multi-level cache simulator.
 type Simulator struct {
 	cfg      Config
-	levels   []*level
+	levels   []level
 	lineSize int64
 	lineBits uint
+	// seen and cold are the cold-miss accounting of every level at once. A
+	// line's first touch finds it in no level, so it misses them all; a
+	// level below L1 is only reached after the one above missed, and a line
+	// that missed a level once is in that level's "ever seen" set from then
+	// on. The per-level sets are therefore all the set of lines touched,
+	// and each level's cold misses the number of distinct lines — counted
+	// where a first touch must end, at a miss of the last level.
+	seen lineSet
+	cold int64
 
 	// DRAMReadBytes counts line fills from memory (LLC read misses).
 	DRAMReadBytes int64
@@ -171,17 +303,19 @@ type Simulator struct {
 	DRAMWriteBytes int64
 }
 
-// New constructs a simulator; the config must be valid.
+// New constructs a simulator; the config must be valid. It allocates no
+// per-set state: a level's sets come into being a page at a time as the
+// trace touches them.
 func New(cfg Config) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Simulator{cfg: cfg, lineSize: cfg.Levels[0].LineSize}
+	s := &Simulator{cfg: cfg, lineSize: cfg.Levels[0].LineSize, levels: make([]level, len(cfg.Levels))}
 	for b := s.lineSize; b > 1; b >>= 1 {
 		s.lineBits++
 	}
-	for _, lc := range cfg.Levels {
-		s.levels = append(s.levels, newLevel(lc))
+	for i, lc := range cfg.Levels {
+		s.levels[i].init(lc)
 	}
 	return s, nil
 }
@@ -201,49 +335,181 @@ func (s *Simulator) Access(addr, size int64, write bool) {
 	}
 }
 
-func (s *Simulator) accessLine(line int64, write bool) {
-	if write {
-		// Write-allocate: a write miss fetches the line like a read
-		// (filling every level it missed in); write-through additionally
-		// forwards the written bytes to memory.
-		filled := false
-		for _, l := range s.levels {
-			if l.access(line) {
-				filled = true
-				break
+// AccessStreams simulates trip iterations of a loop body: iteration t makes
+// the references streams[i].Addr + t*streams[i].Stride, in slice order —
+// Access for each, with the two common cases decided before any call. The
+// slice is scratch and comes back advanced past the last iteration.
+//
+// A single-line reference to the line that is already most recently used
+// in its L1 set is a hit that moves nothing: L1's LRU order is unchanged
+// and no lower level is consulted. It is only counted.
+//
+// An iteration made of such hits alone therefore leaves the hierarchy as
+// it found it, and while every stream stays on the line it was on, the
+// iterations after it make the same references to the same state: the
+// same hits, moving nothing again. Those are counted without being walked.
+func (s *Simulator) AccessStreams(streams []Stream, trip int64) {
+	l1 := &s.levels[0]
+	var hits, writeHits int64 // counted here, added to L1 at the end
+	for ; trip > 0; trip-- {
+		quiet := true
+		for i := range streams {
+			st := &streams[i]
+			first := st.Addr >> s.lineBits
+			last := (st.Addr + int64(st.Size) - 1) >> s.lineBits
+			st.Addr += st.Stride
+			if first == last && l1.mru(first) {
+				hits++
+				if st.Write {
+					writeHits++
+				}
+				continue
+			}
+			quiet = false
+			for line := first; line <= last; line++ {
+				s.accessLine(line, st.Write)
 			}
 		}
-		if !filled {
-			s.DRAMReadBytes += s.lineSize
+		if !quiet || trip == 1 {
+			continue
 		}
-		s.DRAMWriteBytes += s.lineSize
-		return
+		if k := s.sameLines(streams, trip-1); k > 0 {
+			for i := range streams {
+				st := &streams[i]
+				st.Addr += k * st.Stride
+				hits += k
+				if st.Write {
+					writeHits += k
+				}
+			}
+			trip -= k
+		}
 	}
-	for _, l := range s.levels {
-		if l.access(line) {
+	l1.st.Accesses += hits
+	l1.st.Hits += hits
+	s.DRAMWriteBytes += writeHits * s.lineSize
+}
+
+// sameLines reports how many of the next iterations, at most limit, keep
+// every stream on the line of its previous reference (which lay within one
+// line). The streams hold the next iteration's addresses.
+func (s *Simulator) sameLines(streams []Stream, limit int64) int64 {
+	for i := range streams {
+		st := &streams[i]
+		within := (st.Addr - st.Stride) & (s.lineSize - 1)
+		switch {
+		case st.Stride >= s.lineSize || -st.Stride >= s.lineSize:
+			return 0
+		case st.Stride > 0:
+			// Bytes between the reference's end and the line's.
+			limit = min(limit, quo(s.lineSize-within-int64(st.Size), st.Stride))
+		case st.Stride < 0:
+			limit = min(limit, quo(within, -st.Stride))
+		}
+	}
+	return limit
+}
+
+// quo is a/b for 0 <= a and 0 < b, both below a line's size: a shift for
+// the power-of-two strides nearly every loop has.
+func quo(a, b int64) int64 {
+	if b&(b-1) == 0 {
+		return a >> bits.TrailingZeros64(uint64(b))
+	}
+	return int64(uint32(a) / uint32(b))
+}
+
+func (s *Simulator) accessLine(line int64, write bool) {
+	// Write-allocate: a write miss fetches the line like a read (filling
+	// every level it missed in); write-through additionally forwards the
+	// written bytes to memory.
+	if write {
+		s.DRAMWriteBytes += s.lineSize
+	}
+	for i := range s.levels {
+		if s.levels[i].access(line) {
 			return
 		}
 	}
 	s.DRAMReadBytes += s.lineSize
+	if s.seen.add(line) {
+		s.cold++
+	}
 }
 
 // LevelStats returns the statistics of level i (0 = L1).
-func (s *Simulator) LevelStats(i int) Stats { return s.levels[i].st }
+func (s *Simulator) LevelStats(i int) Stats {
+	st := s.levels[i].st
+	st.ColdMisses = s.cold
+	return st
+}
 
 // NumLevels returns the number of cache levels.
 func (s *Simulator) NumLevels() int { return len(s.levels) }
 
 // LLCStats returns the last-level cache statistics.
-func (s *Simulator) LLCStats() Stats { return s.levels[len(s.levels)-1].st }
+func (s *Simulator) LLCStats() Stats { return s.LevelStats(len(s.levels) - 1) }
 
 // DRAMBytes returns total memory traffic: fills plus write-through bytes.
 func (s *Simulator) DRAMBytes() int64 { return s.DRAMReadBytes + s.DRAMWriteBytes }
 
-// Reset clears all cache state and statistics.
+// Reset clears all cache state and statistics, visiting only the sets and
+// seen-lines the trace since the last reset dirtied.
 func (s *Simulator) Reset() {
-	for i, l := range s.levels {
-		s.levels[i] = newLevel(l.cfg)
+	for i := range s.levels {
+		s.levels[i].reset()
 	}
+	s.seen.reset()
+	s.cold = 0
 	s.DRAMReadBytes = 0
 	s.DRAMWriteBytes = 0
+}
+
+// Counts is what a finished simulation reports.
+type Counts struct {
+	Levels         []Stats // L1 first
+	DRAMReadBytes  int64
+	DRAMWriteBytes int64
+}
+
+// LLC returns the last-level cache statistics.
+func (c Counts) LLC() Stats { return c.Levels[len(c.Levels)-1] }
+
+// Counts snapshots the simulator's statistics.
+func (s *Simulator) Counts() Counts {
+	c := Counts{Levels: make([]Stats, len(s.levels)), DRAMReadBytes: s.DRAMReadBytes, DRAMWriteBytes: s.DRAMWriteBytes}
+	for i := range c.Levels {
+		c.Levels[i] = s.LevelStats(i)
+	}
+	return c
+}
+
+// idle holds reset simulators by hierarchy (*sync.Pool by the printed
+// levels), so a process that simulates nest after nest on the same few
+// hierarchies reuses the pages and seen-bits earlier runs allocated. It
+// has one entry per hierarchy ever simulated; what each pool retains is
+// the garbage collector's call.
+var idle sync.Map
+
+// Run feeds a trace to a clean simulator of the hierarchy and returns what
+// it counted. The simulator is recycled: feed must not retain it.
+func Run(cfg Config, feed func(*Simulator)) (Counts, error) {
+	key := fmt.Sprint(cfg.Levels)
+	p, ok := idle.Load(key)
+	if !ok {
+		p, _ = idle.LoadOrStore(key, new(sync.Pool))
+	}
+	pool := p.(*sync.Pool)
+	s, _ := pool.Get().(*Simulator)
+	if s == nil {
+		var err error
+		if s, err = New(cfg); err != nil {
+			return Counts{}, err
+		}
+	}
+	feed(s)
+	c := s.Counts()
+	s.Reset()
+	pool.Put(s)
+	return c, nil
 }

@@ -11,10 +11,17 @@ import "fmt"
 type MultiSim struct {
 	cfg      Config
 	cores    int
-	private  [][]*level // [core][level]
-	shared   *level
+	private  [][]level // [core][level]
+	shared   level
 	lineSize int64
 	lineBits uint
+	// Cold-miss accounting, by the argument on Simulator.seen: a core's
+	// private levels share the set of lines that core touched, the shared
+	// level has the set any core touched.
+	coreSeen   []lineSet
+	coreCold   []int64
+	sharedSeen lineSet
+	sharedCold int64
 
 	DRAMReadBytes  int64
 	DRAMWriteBytes int64
@@ -38,13 +45,15 @@ func NewMulti(cfg Config, cores int) (*MultiSim, error) {
 	}
 	nPriv := len(cfg.Levels) - 1
 	for c := 0; c < cores; c++ {
-		var levels []*level
-		for _, lc := range cfg.Levels[:nPriv] {
-			levels = append(levels, newLevel(lc))
+		levels := make([]level, nPriv)
+		for i, lc := range cfg.Levels[:nPriv] {
+			levels[i].init(lc)
 		}
 		m.private = append(m.private, levels)
 	}
-	m.shared = newLevel(cfg.Levels[nPriv])
+	m.shared.init(cfg.Levels[nPriv])
+	m.coreSeen = make([]lineSet, cores)
+	m.coreCold = make([]int64, cores)
 	return m, nil
 }
 
@@ -59,40 +68,45 @@ func (m *MultiSim) Access(core int, addr, size int64, write bool) {
 
 func (m *MultiSim) accessLine(core int, line int64, write bool) {
 	if write {
-		filled := false
-		for _, l := range m.private[core] {
-			if l.access(line) {
-				filled = true
-				break
-			}
-		}
-		if !filled && !m.shared.access(line) {
-			m.DRAMReadBytes += m.lineSize
-		}
 		m.DRAMWriteBytes += m.lineSize
-		return
 	}
-	for _, l := range m.private[core] {
-		if l.access(line) {
+	private := m.private[core]
+	for i := range private {
+		if private[i].access(line) {
 			return
 		}
 	}
-	if !m.shared.access(line) {
-		m.DRAMReadBytes += m.lineSize
+	if m.coreSeen[core].add(line) {
+		m.coreCold[core]++
+	}
+	if m.shared.access(line) {
+		return
+	}
+	m.DRAMReadBytes += m.lineSize
+	if m.sharedSeen.add(line) {
+		m.sharedCold++
 	}
 }
 
 // SharedStats returns the shared LLC statistics.
-func (m *MultiSim) SharedStats() Stats { return m.shared.st }
+func (m *MultiSim) SharedStats() Stats {
+	st := m.shared.st
+	st.ColdMisses = m.sharedCold
+	return st
+}
 
 // PrivateStats returns the statistics of one core's private level.
-func (m *MultiSim) PrivateStats(core, lvl int) Stats { return m.private[core][lvl].st }
+func (m *MultiSim) PrivateStats(core, lvl int) Stats {
+	st := m.private[core][lvl].st
+	st.ColdMisses = m.coreCold[core]
+	return st
+}
 
 // TotalPrivateStats sums one private level's statistics across cores.
 func (m *MultiSim) TotalPrivateStats(lvl int) Stats {
 	var s Stats
 	for c := 0; c < m.cores; c++ {
-		st := m.private[c][lvl].st
+		st := m.PrivateStats(c, lvl)
 		s.Accesses += st.Accesses
 		s.Hits += st.Hits
 		s.Misses += st.Misses

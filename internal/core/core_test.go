@@ -13,7 +13,7 @@ var testTargets = map[string]*roofline.Target{}
 
 // targetFor calibrates each platform once per test binary and hands out
 // the resolved backend handle configs are built from.
-func targetFor(t *testing.T, p *hw.Platform) *roofline.Target {
+func targetFor(t testing.TB, p *hw.Platform) *roofline.Target {
 	t.Helper()
 	if tg, ok := testTargets[p.Name]; ok {
 		return tg

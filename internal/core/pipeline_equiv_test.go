@@ -13,7 +13,7 @@ import (
 	"polyufc/internal/workloads"
 )
 
-func buildModule(t *testing.T, name string, size workloads.SizeClass) *ir.Module {
+func buildModule(t testing.TB, name string, size workloads.SizeClass) *ir.Module {
 	t.Helper()
 	k, err := workloads.ByName(name)
 	if err != nil {

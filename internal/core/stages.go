@@ -107,6 +107,11 @@ type compileState struct {
 	cfg   Config
 	res   *Result
 	nests []nestState
+	// snapMod is the immutable clone of res.Module that the last stage
+	// snapshot saved or loaded holds, nil once a stage has changed the
+	// module since (changedModule). While it stands, the next snapshot
+	// shares it instead of cloning the module again.
+	snapMod *ir.Module
 
 	// phases is the PhaseStudy output (phase pipeline only).
 	phases map[ir.Dialect][]Phase
@@ -137,26 +142,44 @@ func bindNests(mod *ir.Module, recs []nestState) []nestState {
 
 // stageSnap is the memoized snapshot of a stage's outputs: the module as
 // of the stage plus the per-nest records, bound to that module's nests.
-// One snapshot type serves all memoizable stages.
+// One snapshot type serves all memoizable stages. A snapshot is immutable
+// once saved — a running compile only ever works on a clone of its module
+// — so consecutive snapshots of an unchanged module share one clone.
 type stageSnap struct {
 	mod   *ir.Module
 	nests []nestState
 }
 
-// clone deep-copies the module and rebinds a copy of the records to it, so
-// neither side of a save or load can mutate the other's nests.
-func (sn stageSnap) clone() *stageSnap {
-	mod := sn.mod.Clone()
-	return &stageSnap{mod: mod, nests: bindNests(mod, append([]nestState(nil), sn.nests...))}
+// rebound returns a copy of the records bound to mod's nests.
+func rebound(mod *ir.Module, recs []nestState) []nestState {
+	return bindNests(mod, append([]nestState(nil), recs...))
 }
 
+// changedModule is called by the stages that rewrite the module
+// (preprocess and tile; every other memoized stage fills the per-nest
+// records alone): the next snapshot must clone it afresh.
+func (st *compileState) changedModule() { st.snapMod = nil }
+
+// snapSave clones the module only if the stage changed it; otherwise the
+// snapshot shares the previous snapshot's clone.
 func snapSave(st *compileState) any {
-	return stageSnap{st.res.Module, st.nests}.clone()
+	if st.snapMod == nil {
+		st.snapMod = st.res.Module.Clone()
+	}
+	return &stageSnap{mod: st.snapMod, nests: rebound(st.snapMod, st.nests)}
 }
 
+// snapLoad installs a clone of the snapshot's module as the working
+// module, so the compile cannot touch the snapshot — unless the working
+// module already is an unchanged clone of that very module (the previous
+// stage loaded or saved a snapshot sharing it). The snapshot's own module
+// is what the next save shares.
 func snapLoad(st *compileState, v any) {
-	snap := v.(*stageSnap).clone()
-	st.res.Module, st.nests = snap.mod, snap.nests
+	snap := v.(*stageSnap)
+	if st.snapMod != snap.mod {
+		st.res.Module, st.snapMod = snap.mod.Clone(), snap.mod
+	}
+	st.nests = rebound(st.res.Module, snap.nests)
 }
 
 // memoized arms snapshot support on the stages up to and including cap
@@ -248,6 +271,7 @@ func stagePreprocess() pipeline.Stage[*compileState] {
 	return pipeline.Stage[*compileState]{
 		Name: StagePreprocess,
 		Run: func(_ context.Context, st *compileState) error {
+			st.changedModule()
 			if err := lower.TorchToLinalg(st.res.Module); err != nil {
 				return err
 			}
@@ -274,6 +298,7 @@ func stageTile() pipeline.Stage[*compileState] {
 			return salt
 		},
 		Run: func(ctx context.Context, st *compileState) error {
+			st.changedModule()
 			strat, err := tiling.New(st.cfg.Tiling)
 			if err != nil {
 				return err

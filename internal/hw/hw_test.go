@@ -1,9 +1,13 @@
 package hw
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"polyufc/internal/ir"
 )
@@ -325,5 +329,64 @@ func TestSetCoreFreq(t *testing.T) {
 	}
 	if fast.CoreGHz != BDW().CoreMax || slow.CoreGHz != BDW().CoreMin {
 		t.Fatal("CoreGHz not recorded")
+	}
+}
+
+// A machine with a shared profile cache attached retains only what that
+// cache retains: the daemon's machines live as long as the process, and a
+// per-machine copy of every profile would pin each measured nest — and the
+// compiled module behind it — past the cache limit. Before the fix the
+// machine's own map held all 4L nests and none was ever collected.
+func TestMachineRetainsNoProfilesBeyondSharedCache(t *testing.T) {
+	const limit = 8
+	var cache ProfileCache
+	cache.SetLimit(limit)
+	m := NewMachine(RPL())
+	m.SetProfileCache(&cache)
+
+	var collected atomic.Int64
+	profileFresh := func(i int) {
+		A := ir.NewArray("A", 8, 64)
+		stmt := &ir.Statement{Name: "S", Flops: 1}
+		stmt.Accesses = []ir.Access{{Array: A, Write: true, Index: []ir.AffExpr{ir.AffVar("i")}}}
+		nest := &ir.Nest{Label: fmt.Sprint("n", i), Root: ir.SimpleLoop("i", ir.AffConst(0), ir.AffConst(63), stmt)}
+		runtime.SetFinalizer(nest, func(*ir.Nest) { collected.Add(1) })
+		if _, err := m.Profile(nest); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4*limit; i++ {
+		profileFresh(i)
+	}
+	if n := cache.Len(); n != limit {
+		t.Fatalf("shared cache holds %d profiles, limit %d", n, limit)
+	}
+	// Finalizers run on their own goroutine after a collection finds the
+	// object unreachable: collect until the evicted nests are gone.
+	deadline := time.Now().Add(10 * time.Second)
+	for collected.Load() < 3*limit && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := collected.Load(); got != 3*limit {
+		t.Fatalf("%d of %d profiled nests were collected; the machine pins the rest past the shared cache's limit of %d",
+			got, 4*limit, limit)
+	}
+	runtime.KeepAlive(m)
+
+	// Re-profiling a resident nest is still one simulation.
+	nest := &ir.Nest{Label: "resident", Root: ir.SimpleLoop("i", ir.AffConst(0), ir.AffConst(3),
+		&ir.Statement{Name: "S", Flops: 1})}
+	_, missesBefore := cache.Stats()
+	p1, err := m.Profile(nest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := m.Profile(nest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, misses := cache.Stats(); p1 != p2 || misses != missesBefore+1 {
+		t.Fatalf("re-profiling a resident nest simulated again (misses %d -> %d)", missesBefore, misses)
 	}
 }

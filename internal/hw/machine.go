@@ -46,8 +46,10 @@ type Machine struct {
 	pkgEnergy    float64
 	uncoreEnergy float64
 	busyTime     float64
-	profiles     map[*ir.Nest]*CacheProfile
-	// shared, when set, backs Profile with a cross-machine profile memo.
+	// own memoizes Profile on a machine that has no shared cache attached;
+	// shared, when set, is the memo instead — cross-machine, and the only
+	// thing that then keeps a profiled nest alive.
+	own    ProfileCache
 	shared *ProfileCache
 	// noise, when non-nil, applies seeded multiplicative jitter to each
 	// measurement — the run-to-run variation real RAPL/timing exhibits.
@@ -100,8 +102,7 @@ func (m *Machine) jitter(r *RunResult) {
 // (the default UFS driver behaviour under load: no capping, the
 // over-provisioning the paper targets).
 func NewMachine(p *Platform) *Machine {
-	return &Machine{P: p, uncoreCap: p.UncoreMax, coreFreq: p.CoreBase,
-		prevCap: p.UncoreMax, profiles: map[*ir.Nest]*CacheProfile{}}
+	return &Machine{P: p, uncoreCap: p.UncoreMax, coreFreq: p.CoreBase, prevCap: p.UncoreMax}
 }
 
 // UncoreCap returns the active uncore frequency cap in GHz.
@@ -243,55 +244,41 @@ func (m *Machine) RAPL() (pkgJ, uncoreJ, seconds float64) {
 	return m.pkgEnergy, u, m.busyTime
 }
 
-// SetProfileCache attaches a shared profile memo: Profile consults it
-// before simulating, so machines created per sweep worker reuse each
-// other's simulations. Pass nil to detach.
+// SetProfileCache attaches a shared profile memo: Profile is answered from
+// it, so machines created per sweep worker reuse each other's simulations
+// and a long-lived machine retains only what the cache's limit lets it.
+// Pass nil to detach.
 func (m *Machine) SetProfileCache(c *ProfileCache) { m.shared = c }
 
 // Profile executes the kernel once through the exact cache simulator and
 // returns its frequency-independent profile. Profiles are memoized per
-// nest on the machine and, when a shared cache is attached, across
-// machines.
+// nest in the attached shared cache — across machines, under that cache's
+// limit — or, on a machine without one, in the machine's own unbounded
+// memo, which lives as long as the machine.
 func (m *Machine) Profile(nest *ir.Nest) (*CacheProfile, error) {
-	if p, ok := m.profiles[nest]; ok {
-		return p, nil
+	c := m.shared
+	if c == nil {
+		c = &m.own
 	}
-	var p *CacheProfile
-	var err error
-	if m.shared != nil {
-		p, err = m.shared.profile(nest, m.P)
-	} else {
-		p, err = ProfileNest(nest, m.P.Cache)
-	}
-	if err != nil {
-		return nil, err
-	}
-	m.profiles[nest] = p
-	return p, nil
+	return c.profile(nest, m.P)
 }
 
 // ProfileNest runs a nest through a cache hierarchy and collects counts.
 func ProfileNest(nest *ir.Nest, cache cachesim.Config) (*CacheProfile, error) {
-	sim, err := cachesim.New(cache)
-	if err != nil {
-		return nil, err
-	}
-	st, err := interp.RunNest(nest, interp.TracerFunc(func(a, sz int64, w bool) {
-		sim.Access(a, sz, w)
-	}))
+	st, sim, err := interp.Simulate(nest, cache)
 	if err != nil {
 		return nil, err
 	}
 	p := &CacheProfile{
 		Flops: st.Flops, Instances: st.Instances,
 		Loads: st.Loads, Stores: st.Stores,
-		LLCMisses: sim.LLCStats().Misses,
+		LLCMisses: sim.LLC().Misses,
 		DRAMReadB: sim.DRAMReadBytes, DRAMWriteB: sim.DRAMWriteBytes,
 		Label: nest.Label,
 	}
-	for i := 0; i < sim.NumLevels(); i++ {
-		p.LevelHits = append(p.LevelHits, sim.LevelStats(i).Hits)
-		p.LevelMisses = append(p.LevelMisses, sim.LevelStats(i).Misses)
+	for _, l := range sim.Levels {
+		p.LevelHits = append(p.LevelHits, l.Hits)
+		p.LevelMisses = append(p.LevelMisses, l.Misses)
 	}
 	if nest.Root != nil && nest.Root.Parallel {
 		p.HasParallel = true

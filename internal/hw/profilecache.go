@@ -23,10 +23,12 @@ type profileKey struct {
 // nests over and over (one fresh Machine per worker), so sharing profiles
 // across machines is the difference between cold and steady-state sweeps.
 //
-// The cache keys by nest pointer and therefore keeps nests alive; reset it
-// together with whatever compile cache owns the nests. The embedded Memo
-// supplies SetLimit (long-running processes must set one), the counters
-// and Reset. The zero value is ready to use.
+// The cache keys by nest pointer, so an entry keeps its nest — and through
+// it the compiled module — alive until it is evicted or the cache is
+// reset; nothing else on the measured path does (a Machine with a shared
+// cache attached holds no profiles of its own). The embedded Memo supplies
+// SetLimit (long-running processes must set one: it is the bound on
+// retained nests), the counters and Reset. The zero value is ready to use.
 type ProfileCache struct {
 	parallel.Memo[profileKey, *CacheProfile]
 }

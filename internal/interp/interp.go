@@ -1,16 +1,29 @@
 // Package interp executes affine loop nests, streaming their memory access
 // trace to a consumer (typically the cache simulator) and counting
-// arithmetic operations. Nests are first compiled to a flat form with
-// slot-indexed induction variables and pre-linearized access address
-// polynomials, so large iteration spaces run at tens of millions of
-// statement instances per second.
+// arithmetic operations. Nests are first compiled to a flat form in which
+// every access address and every loop-bound numerator is a numbered value
+// registered with the loops whose induction variable it depends on; a run
+// keeps those values as running sums, and hands an innermost loop to the
+// consumer whole — its references as strided streams plus a trip count —
+// so large iteration spaces run at hundreds of millions of references per
+// second.
 package interp
 
 import (
 	"fmt"
 
+	"polyufc/internal/cachesim"
 	"polyufc/internal/ir"
 )
+
+// Consumer receives the access stream of an execution a loop body at a
+// time, in execution order: trip iterations, each referencing
+// streams[i].Addr (Stride further every iteration) for each i in order. A
+// statement outside an innermost loop arrives with trip 1. The slice is
+// the run's scratch: the consumer may advance it, and must not keep it.
+type Consumer interface {
+	AccessStreams(streams []cachesim.Stream, trip int64)
+}
 
 // Tracer consumes the memory access stream of an execution.
 type Tracer interface {
@@ -29,6 +42,22 @@ type NullTracer struct{}
 
 // Access implements Tracer.
 func (NullTracer) Access(int64, int64, bool) {}
+
+// AccessStreams implements Consumer.
+func (NullTracer) AccessStreams([]cachesim.Stream, int64) {}
+
+// perAccess adapts a Tracer to Consumer, one Access per reference.
+type perAccess struct{ t Tracer }
+
+func (p perAccess) AccessStreams(streams []cachesim.Stream, trip int64) {
+	for ; trip > 0; trip-- {
+		for i := range streams {
+			st := &streams[i]
+			p.t.Access(st.Addr, int64(st.Size), st.Write)
+			st.Addr += st.Stride
+		}
+	}
+}
 
 // Layout assigns page-aligned, non-overlapping base addresses to arrays.
 type Layout struct {
@@ -59,200 +88,317 @@ type Stats struct {
 
 // compiled form ------------------------------------------------------------
 
-// cBound is a compiled bound: (coef . env + const) div Div.
+// A Program numbers every access address and every bound numerator of the
+// nest: value id is vals[id] of a run, an affine function
+// k + sum(coef_l * iv_l) over the enclosing loops l. Each loop lists the
+// values that depend on its IV (sparsely, as deps), and a run maintains
+// vals incrementally: entering a loop at lo adds coef*lo, each further
+// iteration adds coef, leaving takes coef*hi back.
+
+// dep is one value a loop's IV contributes to.
+type dep struct {
+	id   int32
+	coef int64
+}
+
+// cBound is a compiled bound: vals[id] div Div.
 type cBound struct {
-	coef []int64 // per IV slot
-	k    int64
-	div  int64
+	id  int32
+	div int64
 }
 
-func (b cBound) eval(env []int64) int64 {
-	v := b.k
-	for i, c := range b.coef {
-		if c != 0 {
-			v += c * env[i]
-		}
-	}
-	return v
-}
-
-// cAccess is a compiled access: addr = base + elem * (coef . env + const).
-type cAccess struct {
-	coef  []int64
-	k     int64
-	size  int64
-	write bool
-}
-
-// cStmt is a compiled statement.
-type cStmt struct {
-	accs  []cAccess
-	flops int64
+// cBody is straight-line code — one statement, or all the statements of a
+// leaf loop — with what one execution of it counts.
+type cBody struct {
+	// ids[i] is the value holding reference i's address. streams[i] is its
+	// template: size, direction and, in a leaf loop's body, the address's
+	// coefficient on that loop's IV (which is in no deps: the consumer
+	// steps it). An execution fills in Addr.
+	ids     []int32
+	streams []cachesim.Stream
+	per     Stats
 }
 
 // cLoop is a compiled loop level.
 type cLoop struct {
-	slot     int
-	lo, hi   []cBound
-	parallel bool
-	body     []cNode
+	lo, hi []cBound
+	deps   []dep
+	body   []cNode
+	// leaf is set when the body holds only statements — the innermost
+	// loops, where nearly every reference comes from. It is those
+	// statements in order, and body is empty: the loop is not walked but
+	// handed to the consumer, streams and trip count.
+	leaf *cBody
 }
 
 type cNode struct {
 	loop *cLoop
-	stmt *cStmt
+	stmt *cBody
 }
 
-// Program is a compiled nest ready for repeated execution.
+// Program is a compiled nest ready for repeated execution. It is immutable
+// after Compile: every run has its own values, so one Program may run on
+// several goroutines at once.
 type Program struct {
-	root   *cLoop
-	nIVs   int
+	root *cLoop
+	// init holds each value's constant term: vals before any loop is
+	// entered.
+	init []int64
+	// widest is the most references any one body makes.
+	widest int
+}
+
+// compiler carries Compile's state: the loops in scope, innermost last,
+// and the values numbered so far.
+type compiler struct {
 	layout *Layout
+	scope  []scoped
+	init   []int64
+	widest int
+}
+
+type scoped struct {
+	iv   string
+	loop *cLoop
 }
 
 // Compile lowers a nest to its executable form using the given layout
-// (which must cover every array the nest accesses).
+// (which must cover every array the nest accesses). An expression may
+// only name the IVs of loops that enclose it.
 func Compile(nest *ir.Nest, layout *Layout) (*Program, error) {
-	// Assign IV slots in loop order.
-	slots := map[string]int{}
-	nest.WalkLoops(func(l *ir.Loop, _ int) {
-		if _, ok := slots[l.IV]; !ok {
-			slots[l.IV] = len(slots)
-		}
-	})
-	n := len(slots)
-	compileExpr := func(e ir.AffExpr) ([]int64, int64, error) {
-		coef := make([]int64, n)
-		for iv, c := range e.Coef {
-			s, ok := slots[iv]
-			if !ok {
-				return nil, 0, fmt.Errorf("interp: unknown IV %q", iv)
-			}
-			coef[s] = c
-		}
-		return coef, e.Const, nil
+	if nest.Root == nil {
+		return nil, fmt.Errorf("interp: empty nest")
 	}
-	var compileLoop func(l *ir.Loop) (*cLoop, error)
-	compileLoop = func(l *ir.Loop) (*cLoop, error) {
-		cl := &cLoop{slot: slots[l.IV], parallel: l.Parallel}
-		for _, b := range l.Lo {
-			coef, k, err := compileExpr(b.Expr)
-			if err != nil {
-				return nil, err
-			}
-			cl.lo = append(cl.lo, cBound{coef: coef, k: k, div: b.Div})
-		}
-		for _, b := range l.Hi {
-			coef, k, err := compileExpr(b.Expr)
-			if err != nil {
-				return nil, err
-			}
-			cl.hi = append(cl.hi, cBound{coef: coef, k: k, div: b.Div})
-		}
-		for _, node := range l.Body {
-			switch x := node.(type) {
-			case *ir.Loop:
-				sub, err := compileLoop(x)
-				if err != nil {
-					return nil, err
-				}
-				cl.body = append(cl.body, cNode{loop: sub})
-			case *ir.Statement:
-				cs, err := compileStmt(x, layout, compileExpr)
-				if err != nil {
-					return nil, err
-				}
-				cl.body = append(cl.body, cNode{stmt: cs})
-			}
-		}
-		return cl, nil
-	}
-	root, err := compileLoop(nest.Root)
+	c := &compiler{layout: layout}
+	root, err := c.loop(nest.Root)
 	if err != nil {
 		return nil, err
 	}
-	return &Program{root: root, nIVs: n, layout: layout}, nil
+	return &Program{root: root, init: c.init, widest: c.widest}, nil
 }
 
-func compileStmt(s *ir.Statement, layout *Layout, compileExpr func(ir.AffExpr) ([]int64, int64, error)) (*cStmt, error) {
-	cs := &cStmt{flops: s.Flops}
-	for _, acc := range s.Accesses {
-		base, ok := layout.Base[acc.Array]
-		if !ok {
-			return nil, fmt.Errorf("interp: array %s not in layout", acc.Array.Name)
+// value numbers the affine expression e and registers it with every loop
+// in scope whose IV it uses, except skip (a leaf loop's own references are
+// stepped by the consumer). It returns the id and the coefficient on
+// skip's IV.
+func (c *compiler) value(e ir.AffExpr, skip *cLoop) (id int32, stride int64, err error) {
+	id = int32(len(c.init))
+	c.init = append(c.init, e.Const)
+	for iv, coef := range e.Coef {
+		if coef == 0 {
+			continue
 		}
-		strides := acc.Array.Strides()
-		if len(acc.Index) != len(strides) {
-			return nil, fmt.Errorf("interp: access to %s has %d indices for %d dims",
-				acc.Array.Name, len(acc.Index), len(strides))
+		l := c.resolve(iv)
+		switch {
+		case l == nil:
+			return 0, 0, fmt.Errorf("interp: IV %q is not an enclosing loop", iv)
+		case l == skip:
+			stride = coef
+		default:
+			l.deps = append(l.deps, dep{id: id, coef: coef})
 		}
-		// Linearize: addr = base + elem*(sum_d stride_d * idx_d).
-		lin := ir.AffConst(0)
-		for d, e := range acc.Index {
-			lin = lin.Add(e.Scale(strides[d]))
+	}
+	return id, stride, nil
+}
+
+// resolve finds the innermost loop in scope with the given IV.
+func (c *compiler) resolve(iv string) *cLoop {
+	for i := len(c.scope) - 1; i >= 0; i-- {
+		if c.scope[i].iv == iv {
+			return c.scope[i].loop
 		}
-		lin = lin.Scale(acc.Array.ElemSize)
-		coef, k, err := compileExpr(lin)
+	}
+	return nil
+}
+
+func (c *compiler) bounds(bs []ir.Bound) ([]cBound, error) {
+	out := make([]cBound, 0, len(bs))
+	for _, b := range bs {
+		id, _, err := c.value(b.Expr, nil)
 		if err != nil {
 			return nil, err
 		}
-		cs.accs = append(cs.accs, cAccess{
-			coef: coef, k: base + k, size: acc.Array.ElemSize, write: acc.Write,
-		})
+		out = append(out, cBound{id: id, div: b.Div})
 	}
-	return cs, nil
+	return out, nil
 }
 
-// Run executes the program sequentially, streaming accesses to the tracer.
+func (c *compiler) loop(l *ir.Loop) (*cLoop, error) {
+	cl := &cLoop{leaf: &cBody{}}
+	// Bounds are evaluated before the loop's own IV exists.
+	var err error
+	if cl.lo, err = c.bounds(l.Lo); err != nil {
+		return nil, err
+	}
+	if cl.hi, err = c.bounds(l.Hi); err != nil {
+		return nil, err
+	}
+	for _, node := range l.Body {
+		if _, ok := node.(*ir.Loop); ok {
+			cl.leaf = nil
+		}
+	}
+	c.scope = append(c.scope, scoped{l.IV, cl})
+	defer func() { c.scope = c.scope[:len(c.scope)-1] }()
+	for _, node := range l.Body {
+		switch x := node.(type) {
+		case *ir.Loop:
+			sub, err := c.loop(x)
+			if err != nil {
+				return nil, err
+			}
+			cl.body = append(cl.body, cNode{loop: sub})
+		case *ir.Statement:
+			if cl.leaf != nil {
+				err = c.stmt(x, cl.leaf, cl)
+			} else {
+				b := &cBody{}
+				cl.body = append(cl.body, cNode{stmt: b})
+				err = c.stmt(x, b, nil)
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+	}
+	return cl, nil
+}
+
+// stmt appends a statement to the body b. leaf is the loop b is the whole
+// body of, if any.
+func (c *compiler) stmt(s *ir.Statement, b *cBody, leaf *cLoop) error {
+	b.per.Instances++
+	b.per.Flops += s.Flops
+	for _, acc := range s.Accesses {
+		base, ok := c.layout.Base[acc.Array]
+		if !ok {
+			return fmt.Errorf("interp: array %s not in layout", acc.Array.Name)
+		}
+		strides := acc.Array.Strides()
+		if len(acc.Index) != len(strides) {
+			return fmt.Errorf("interp: access to %s has %d indices for %d dims",
+				acc.Array.Name, len(acc.Index), len(strides))
+		}
+		// Linearize: addr = base + elem*(sum_d stride_d * idx_d).
+		lin := ir.AffConst(base)
+		for d, e := range acc.Index {
+			lin = lin.Add(e.Scale(strides[d] * acc.Array.ElemSize))
+		}
+		id, stride, err := c.value(lin, leaf)
+		if err != nil {
+			return err
+		}
+		b.ids = append(b.ids, id)
+		b.streams = append(b.streams, cachesim.Stream{Stride: stride, Size: int32(acc.Array.ElemSize), Write: acc.Write})
+		if acc.Write {
+			b.per.Stores++
+		} else {
+			b.per.Loads++
+		}
+	}
+	c.widest = max(c.widest, len(b.ids))
+	return nil
+}
+
+// run is the state of one execution.
+type run struct {
+	vals []int64
+	cur  []cachesim.Stream // the body being handed over
+	out  Consumer
+	st   Stats
+}
+
+// Run executes the program sequentially, streaming accesses to the tracer
+// (one call per reference, unless the tracer is a Consumer).
 func (p *Program) Run(tracer Tracer) Stats {
-	env := make([]int64, p.nIVs)
-	var st Stats
-	p.runLoop(p.root, env, tracer, &st)
-	return st
+	if c, ok := tracer.(Consumer); ok {
+		return p.RunStreams(c)
+	}
+	return p.RunStreams(perAccess{tracer})
 }
 
-func (p *Program) runLoop(l *cLoop, env []int64, tracer Tracer, st *Stats) {
+// RunStreams executes the program sequentially, handing the access stream
+// to the consumer a loop body at a time.
+func (p *Program) RunStreams(out Consumer) Stats {
+	r := &run{
+		vals: append([]int64(nil), p.init...),
+		cur:  make([]cachesim.Stream, p.widest),
+		out:  out,
+	}
+	r.loop(p.root)
+	return r.st
+}
+
+// loop is the one loop walker: bounds from the running sums, the IV's
+// contribution added on entry and per iteration and taken back on exit.
+func (r *run) loop(l *cLoop) {
 	lo := int64(-1 << 62)
 	for _, b := range l.lo {
-		v := ceilDiv(b.eval(env), b.div)
+		v := r.vals[b.id]
+		if b.div != 1 {
+			v = ceilDiv(v, b.div)
+		}
 		if v > lo {
 			lo = v
 		}
 	}
 	hi := int64(1 << 62)
 	for _, b := range l.hi {
-		v := floorDiv(b.eval(env), b.div)
+		v := r.vals[b.id]
+		if b.div != 1 {
+			v = floorDiv(v, b.div)
+		}
 		if v < hi {
 			hi = v
 		}
 	}
-	for iv := lo; iv <= hi; iv++ {
-		env[l.slot] = iv
+	if lo > hi {
+		return
+	}
+	if l.leaf != nil {
+		r.exec(l.leaf, lo, hi-lo+1)
+		return
+	}
+	for _, d := range l.deps {
+		r.vals[d.id] += d.coef * lo
+	}
+	for iv := lo; ; iv++ {
 		for _, node := range l.body {
 			if node.loop != nil {
-				p.runLoop(node.loop, env, tracer, st)
-				continue
-			}
-			s := node.stmt
-			st.Instances++
-			st.Flops += s.flops
-			for i := range s.accs {
-				a := &s.accs[i]
-				addr := a.k
-				for j, c := range a.coef {
-					if c != 0 {
-						addr += c * env[j]
-					}
-				}
-				if a.write {
-					st.Stores++
-				} else {
-					st.Loads++
-				}
-				tracer.Access(addr, a.size, a.write)
+				r.loop(node.loop)
+			} else {
+				r.exec(node.stmt, 0, 1)
 			}
 		}
+		if iv == hi {
+			break
+		}
+		for _, d := range l.deps {
+			r.vals[d.id] += d.coef
+		}
 	}
+	for _, d := range l.deps {
+		r.vals[d.id] -= d.coef * hi
+	}
+}
+
+// exec runs trip executions of a body, the first at IV value lo of the
+// loop that steps its streams: the counts are products, the references the
+// consumer's to walk.
+func (r *run) exec(b *cBody, lo, trip int64) {
+	r.st.Instances += trip * b.per.Instances
+	r.st.Flops += trip * b.per.Flops
+	r.st.Loads += trip * b.per.Loads
+	r.st.Stores += trip * b.per.Stores
+	if len(b.ids) == 0 {
+		return
+	}
+	cur := r.cur[:len(b.ids)]
+	copy(cur, b.streams)
+	for i, id := range b.ids {
+		cur[i].Addr = r.vals[id] + b.streams[i].Stride*lo
+	}
+	r.out.AccessStreams(cur, trip)
 }
 
 // RunNest is a convenience: lay out, compile and run a nest in one call.
@@ -263,6 +409,20 @@ func RunNest(nest *ir.Nest, tracer Tracer) (Stats, error) {
 		return Stats{}, err
 	}
 	return prog.Run(tracer), nil
+}
+
+// Simulate is RunNest into the exact cache simulator: the nest's trace is
+// fed, a loop body at a time, to a clean simulator of the given hierarchy, and the execution
+// counts come back with the simulator's. It is the one "simulate this
+// nest" call.
+func Simulate(nest *ir.Nest, cfg cachesim.Config) (Stats, cachesim.Counts, error) {
+	prog, err := Compile(nest, NewLayout(nest.Operands()))
+	if err != nil {
+		return Stats{}, cachesim.Counts{}, err
+	}
+	var st Stats
+	counts, err := cachesim.Run(cfg, func(sim *cachesim.Simulator) { st = prog.RunStreams(sim) })
+	return st, counts, err
 }
 
 func floorDiv(a, b int64) int64 {
