@@ -73,7 +73,8 @@ platforms:
 # regressions, pipeline and serve-path integration; e2e is the
 # deserializer fuzz session and the smoke script (kill -9 mid-sweep,
 # journal resume, serve boot with /statsz counters — on the
-# fractional-grid backend).
+# fractional-grid backend, then build, compile and serve on the 2-socket
+# description).
 plantable: plantable-e2e
 	$(GO) test -race ./internal/plantable ./internal/core ./internal/server
 plantable-e2e:

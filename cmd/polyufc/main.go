@@ -153,8 +153,8 @@ func buildPlanTable(out, platName, objective, calPath, jpath string, epsilon flo
 	if err := tb.Save(out); err != nil {
 		return err
 	}
-	fmt.Printf("plan table for %s: %d cells (%dx%d per class) over %d cap steps, swept in %v\n",
-		tb.Backend, tb.Cells(), len(tb.OIAxis), len(tb.MemAxis), tb.GridSize(),
+	fmt.Printf("plan table for %s: %d cells (%dx%d per class, remote shares %v) over %d cap steps, swept in %v\n",
+		tb.Backend, tb.Cells(), len(tb.OIAxis), len(tb.MemAxis), tb.RhoAxis, tb.GridSize(),
 		time.Since(start).Round(time.Millisecond))
 	fmt.Printf("  pinned to description %s, calibration %s (%s objective, eps %g, %s tiling)\n",
 		tb.BackendHash, tb.CalHash, tb.Objective, tb.Epsilon, tb.TilingName())

@@ -403,28 +403,22 @@ func stageModelFit() pipeline.Stage[*compileState] {
 	return pipeline.Stage[*compileState]{
 		Name: StageModelFit,
 		Run: func(ctx context.Context, st *compileState) error {
+			// The declared link's cost is part of every model; a nest
+			// pays it on the remote share its placement assigned (none on
+			// one socket, where the cost is zero as well).
+			var link model.RemoteCost
+			link.SecPerByte, link.JoulesPerByte = st.cfg.Target.RemotePenalty()
 			return st.eachNest(ctx, StageModelFit, func(ns *nestState) error {
 				if ns.cm == nil {
 					return nil
 				}
 				ks := model.FromCacheModel(ns.cm, ns.threads)
-				c := st.cfg.Constants()
-				var m *model.Model
-				if rho := ns.remote; rho > 0 {
-					// Multi-socket placement: arm the inter-socket
-					// traffic term with the backend's declared link.
-					ks.RemoteRatio = rho
-					sec, jpb := st.cfg.Target.RemotePenalty()
-					m = model.NewNUMA(c, ks, &model.RemoteCost{SecPerByte: sec, JoulesPerByte: jpb})
-				} else {
-					if s := ns.socket; s > 0 {
-						// Serial nest pinned off socket 0: model it with
-						// that socket's calibration (same pointer on
-						// homogeneous topologies).
-						c = st.cfg.Target.SocketConstants(s)
-					}
-					m = model.New(c, ks)
-				}
+				ks.RemoteRatio = ns.remote
+				// A pinned nest is modelled with its socket's calibration
+				// (the same pointer on homogeneous topologies), a
+				// spanning one (socket -1) with the primary fit.
+				m := model.New(st.cfg.Target.SocketConstants(ns.socket), ks)
+				m.Remote = link
 				ns.model = m
 				ns.defEst = m.At(st.cfg.Platform().UncoreMax)
 				return nil
@@ -453,14 +447,15 @@ func stagePlanLookup() pipeline.Stage[*compileState] {
 				if m == nil {
 					return nil
 				}
-				// The nest's socket domain picks the table; spanning
-				// nests (socket -1) answer from socket 0's, whose
-				// rho-extended surface carries their remote share.
-				socket := ns.socket
-				if socket < 0 {
-					socket = 0
+				// Socket 0's table answers every nest modelled with socket
+				// 0's fit — spanning nests (its rho > 0 plane carries their
+				// remote share) and, on homogeneous topologies, pinned
+				// ones. A socket with its own fit has its own table.
+				t, socket := st.cfg.Target, 0
+				if k := ns.socket; k > 0 && t.SocketConstants(k) != t.SocketConstants(0) {
+					socket = k
 				}
-				f, ok := st.cfg.Plans.Lookup(st.cfg.Target, st.cfg.Search, st.cfg.Tiling.Fingerprint(), socket, m)
+				f, ok := st.cfg.Plans.Lookup(t, st.cfg.Search, st.cfg.Tiling.Fingerprint(), socket, m)
 				if !ok {
 					return nil
 				}

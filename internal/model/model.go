@@ -33,8 +33,7 @@ type KernelStats struct {
 	Threads int
 	// RemoteRatio is the fraction of DRAM traffic served from a remote
 	// socket across the interconnect (the NUMA intensive coordinate);
-	// 0 on single-socket placements. It only takes effect when the model
-	// carries a RemoteCost.
+	// 0 on single-socket placements.
 	RemoteRatio float64
 }
 
@@ -74,9 +73,11 @@ type Estimate struct {
 // RemoteCost is the analytic inter-socket traffic term of a topology
 // target: the per-byte service time and energy a remote DRAM access pays
 // on top of a local one. It is derived from the backend's declared
-// interconnect (known topology data), not calibrated — the hidden truth
-// model charges its own version, so the analytic term is genuinely
-// tested against measurement like every other part of the model.
+// interconnect (known topology data), not calibrated — and not yet
+// validated: the simulated machine has its own link charge
+// (hw.addRemote), but every non-test measurement passes it rho 0 and no
+// link (hw.Machine.Measure), so nothing compares the two (ROADMAP, model
+// honesty).
 type RemoteCost struct {
 	SecPerByte    float64
 	JoulesPerByte float64
@@ -87,20 +88,24 @@ type RemoteCost struct {
 type Model struct {
 	C  *roofline.Constants
 	KS KernelStats
-	// Remote, when non-nil, arms the inter-socket traffic term for
-	// kernels with a non-zero RemoteRatio. Nil (every single-socket
-	// model) evaluates the original equations bit for bit.
-	Remote *RemoteCost
+	// Remote is the cost of the link the kernel's RemoteRatio share of
+	// DRAM traffic crosses; zero on a single-socket machine, where the
+	// inter-socket term adds 0 to the original equations.
+	Remote RemoteCost
 }
 
-// New builds a model instance.
+// New builds a model instance. A topology caller sets Remote.
 func New(c *roofline.Constants, ks KernelStats) *Model {
 	return &Model{C: c, KS: ks}
 }
 
-// NewNUMA builds a model with the inter-socket traffic term armed.
-func NewNUMA(c *roofline.Constants, ks KernelStats, rc *RemoteCost) *Model {
-	return &Model{C: c, KS: ks, Remote: rc}
+// RemoteShare is the fraction of the kernel's DRAM traffic that crosses
+// the inter-socket link: RemoteRatio clamped into [0, 1].
+func (m *Model) RemoteShare() float64 {
+	if !(m.KS.RemoteRatio > 0) {
+		return 0
+	}
+	return math.Min(m.KS.RemoteRatio, 1)
 }
 
 // Class returns the kernel's CB/BB characterization (Sec. IV-D).
@@ -145,14 +150,9 @@ func (m *Model) At(f float64) Estimate {
 	// the link's per-byte service time serially — the link is a shared
 	// resource the uncore cap does not clock, so the term is frequency-
 	// independent (it deepens the memory-bound plateau, pushing optimal
-	// caps down). Skipped entirely at rho = 0 so single-socket estimates
-	// are bit-identical to the pre-topology model.
-	var remoteBytes float64
-	if m.Remote != nil && ks.RemoteRatio > 0 {
-		rho := math.Min(ks.RemoteRatio, 1)
-		remoteBytes = rho * float64(qTime)
-		tMem += remoteBytes * m.Remote.SecPerByte
-	}
+	// caps down). Zero bytes or a zero cost add exactly 0.
+	remoteBytes := m.RemoteShare() * float64(qTime)
+	tMem += remoteBytes * m.Remote.SecPerByte
 
 	t := tComp + tMem
 	if t <= 0 {
@@ -179,13 +179,10 @@ func (m *Model) At(f float64) Estimate {
 
 	// Eqn. 11: E = Omega*e_FPU + T^Q * P (compute energy plus
 	// time-weighted platform power for the memory phase; the constant and
-	// uncore power also burn during compute).
-	joules := float64(ks.Flops)*c.EFpu + t*(c.PCon+pUncore)
-	if remoteBytes > 0 {
-		// Link transfer energy; the time-weighted platform power of the
-		// extra seconds is already inside t*(PCon+pUncore).
-		joules += remoteBytes * m.Remote.JoulesPerByte
-	}
+	// uncore power also burn during compute), plus the link's transfer
+	// energy — the platform power of the link's seconds is already in t.
+	joules := float64(ks.Flops)*c.EFpu + t*(c.PCon+pUncore) +
+		remoteBytes*m.Remote.JoulesPerByte
 
 	return Estimate{
 		FGHz: f, Seconds: t, TCompute: tComp, TMemory: tMem,

@@ -68,12 +68,6 @@ type BuildOptions struct {
 	// platform view and calibration. 0 (the default) is the only valid
 	// value for single-socket backends.
 	Socket int
-	// Rhos, when non-empty, extends the sweep with the remote-traffic
-	// -ratio axis: the listed ratios (plus an implicit 0 anchor) are
-	// swept with the inter-socket traffic term armed, producing the
-	// rho-extended surfaces NUMA placements are answered from. Requires
-	// a topology backend with a declared interconnect.
-	Rhos []float64
 }
 
 func (o BuildOptions) normalize() BuildOptions {
@@ -145,24 +139,29 @@ func MemAxisPoints(n int) []float64 {
 }
 
 // SyntheticModel constructs the canonical kernel model of one intensive
-// shape: timed DRAM volume qRef, Flops = phi*qRef, and enough L1-hit
-// traffic to make the frequency-independent per-byte time equal
-// ratio*M(fRef). Every real kernel with the same (class, phi, a)
-// receives the same search answer as this witness (the search outcome is
-// volume-invariant), so sweeping witnesses tabulates the whole family.
-func SyntheticModel(c *platform.Constants, cls roofline.Class, phi, ratio, fRef float64) (*model.Model, error) {
-	if !(phi >= 0) || !(ratio >= 0) || !(fRef > 0) {
-		return nil, fmt.Errorf("plantable: synthetic model: need phi, ratio >= 0 and fRef > 0, got phi=%g ratio=%g fRef=%g", phi, ratio, fRef)
+// shape on a machine whose inter-socket link costs link: timed DRAM
+// volume qRef of which the share sh.Rho crosses the link, Flops =
+// phi*qRef, and enough L1-hit traffic to make the frequency-independent
+// local per-byte time equal ratio*M(fRef). Every real kernel with the
+// same shape receives the same search answer as this witness (the search
+// outcome is volume-invariant — both link terms scale with Q too), so
+// sweeping witnesses tabulates the whole family.
+func SyntheticModel(c *platform.Constants, link model.RemoteCost, sh Shape, fRef float64) (*model.Model, error) {
+	phi, ratio := sh.Phi, sh.Ratio
+	if !(phi >= 0) || !(ratio >= 0) || !(sh.Rho >= 0) || sh.Rho > 1 || !(fRef > 0) {
+		return nil, fmt.Errorf("plantable: synthetic model: need phi, ratio >= 0, rho in [0, 1] and fRef > 0, got phi=%g ratio=%g rho=%g fRef=%g",
+			phi, ratio, sh.Rho, fRef)
 	}
 	th := c.CalibThreads
 	if th < 1 {
 		th = 1
 	}
 	ks := model.KernelStats{
-		Threads:   th, // at the calibration count, tComp = Flops*TFpu exactly
-		QDRAM:     qRef,
-		QDRAMTime: qRef,
-		Flops:     int64(math.Round(phi * float64(qRef))),
+		Threads:     th, // at the calibration count, tComp = Flops*TFpu exactly
+		QDRAM:       qRef,
+		QDRAMTime:   qRef,
+		Flops:       int64(math.Round(phi * float64(qRef))),
+		RemoteRatio: sh.Rho,
 	}
 	// The frequency-independent per-byte time a = ratio*M(fRef) splits
 	// into the compute share phi*TFpu and a cache-hit remainder realized
@@ -183,53 +182,30 @@ func SyntheticModel(c *platform.Constants, cls roofline.Class, phi, ratio, fRef 
 	// itself when it lands on the right side of the ridge, otherwise
 	// force the requested surface.
 	ks.OI = phi
-	if c.Classify(phi) != cls {
-		if cls == roofline.ComputeBound {
+	if c.Classify(phi) != sh.Class {
+		if sh.Class == roofline.ComputeBound {
 			ks.OI = 2 * c.BtDRAM
 		} else {
 			ks.OI = c.BtDRAM / 2
 		}
 	}
-	return model.New(c, ks), nil
-}
-
-// SyntheticModelNUMA is SyntheticModel with the inter-socket traffic
-// term armed: the witness serves rho of its DRAM bytes across the link.
-// The search outcome stays volume-invariant — both remote terms scale
-// with Q — so sweeping NUMA witnesses tabulates the whole rho > 0
-// family the same way the 2D sweep does.
-func SyntheticModelNUMA(c *platform.Constants, cls roofline.Class, phi, ratio, rho, fRef float64, rc *model.RemoteCost) (*model.Model, error) {
-	if !(rho >= 0) || rho > 1 {
-		return nil, fmt.Errorf("plantable: synthetic model: rho must be in [0, 1], got %g", rho)
-	}
-	if rc == nil {
-		return nil, fmt.Errorf("plantable: synthetic model: rho sweep needs a remote cost")
-	}
-	m, err := SyntheticModel(c, cls, phi, ratio, fRef)
-	if err != nil {
-		return nil, err
-	}
-	ks := m.KS
-	ks.RemoteRatio = rho
-	return model.NewNUMA(c, ks, rc), nil
+	m := model.New(c, ks)
+	m.Remote = link
+	return m, nil
 }
 
 // cellKey is the journal checkpoint key of one solved cell. It is keyed
 // by the cell's axis values (not indices), so a resumed sweep at a
-// different axis resolution reuses every cell both resolutions share.
-func cellKey(tb *Table, cls roofline.Class, phi, ratio float64) string {
-	return fmt.Sprintf("plantable/%s/%s/%s/eps%g/%s/phi%.17g/mem%.17g",
-		tb.BackendHash, tb.CalHash, tb.Objective, tb.Epsilon, cls, phi, ratio)
-}
-
-// cellKeyRho extends cellKey with the remote-ratio coordinate; rho = 0
-// cells keep the legacy key so journals written before the axis existed
-// resume unchanged.
-func cellKeyRho(tb *Table, cls roofline.Class, phi, ratio, rho float64) string {
-	if rho == 0 {
-		return cellKey(tb, cls, phi, ratio)
+// different axis resolution reuses every cell both resolutions share;
+// rho = 0 cells keep the key journals written before the axis existed
+// use.
+func cellKey(tb *Table, sh Shape) string {
+	key := fmt.Sprintf("plantable/%s/%s/%s/eps%g/%s/phi%.17g/mem%.17g",
+		tb.BackendHash, tb.CalHash, tb.Objective, tb.Epsilon, sh.Class, sh.Phi, sh.Ratio)
+	if sh.Rho != 0 {
+		key += fmt.Sprintf("/rho%.17g", sh.Rho)
 	}
-	return cellKey(tb, cls, phi, ratio) + fmt.Sprintf("/rho%.17g", rho)
+	return key
 }
 
 // splitPoint is the refinement midpoint of one axis interval: geometric
@@ -256,30 +232,25 @@ func absInt(v int) int {
 }
 
 // Build sweeps one resolved target into its plan table: for every
-// (class, phi, ratio) cell, a synthetic witness kernel is searched live
-// over the platform's uncore grid and the selected grid index recorded.
-// The mesh then refines adaptively — any axis interval across which a
-// surface moves more than one cap index is split and re-swept — until
-// every cell is interpolation-safe or only sub-percent cliffs remain.
-// Cells run in parallel; with a journal, each solved cell is
-// checkpointed so a killed sweep resumes where it stopped (journal keys
-// are axis values, so re-sweeps and resumed runs share solved cells).
+// (class, phi, ratio, rho) cell, a synthetic witness kernel is searched
+// live over the platform's uncore grid and the selected grid index
+// recorded. The rho axis is the target's own: the remote shares its
+// topology places nests at. The mesh then refines adaptively — any
+// phi or ratio interval across which a plane of a surface moves more
+// than one cap index is split and re-swept — until every cell is
+// interpolation-safe or only sub-percent cliffs remain. Cells run in
+// parallel; with a journal, each solved cell is checkpointed so a killed
+// sweep resumes where it stopped (journal keys are axis values, so
+// re-sweeps and resumed runs share solved cells).
 func Build(ctx context.Context, t *roofline.Target, opts BuildOptions) (*Table, error) {
 	if t == nil || t.Backend == nil || t.Platform == nil || t.Constants == nil {
 		return nil, fmt.Errorf("plantable: build: target must carry backend, platform and constants")
 	}
 	opts = opts.normalize()
-	if opts.Socket < 0 || opts.Socket >= t.NumSockets() {
+	S := t.NumSockets()
+	if opts.Socket < 0 || opts.Socket >= S {
 		return nil, fmt.Errorf("plantable: build: socket %d out of range for %s (%d sockets)",
-			opts.Socket, t.Backend.Name, t.NumSockets())
-	}
-	var rc *model.RemoteCost
-	if len(opts.Rhos) > 0 {
-		if t.Backend.Interconnect == nil {
-			return nil, fmt.Errorf("plantable: build: %s declares no interconnect — a rho sweep needs one", t.Backend.Name)
-		}
-		sec, jpb := t.RemotePenalty()
-		rc = &model.RemoteCost{SecPerByte: sec, JoulesPerByte: jpb}
+			opts.Socket, t.Backend.Name, S)
 	}
 	// The sweep runs against the selected socket's domain: its platform
 	// view (the cap grid) and its calibration. Socket 0 is exactly the
@@ -292,48 +263,53 @@ func Build(ctx context.Context, t *roofline.Target, opts BuildOptions) (*Table, 
 			return nil, err
 		}
 	}
+	var link model.RemoteCost
+	link.SecPerByte, link.JoulesPerByte = t.RemotePenalty()
 	tb := &Table{
-		Schema:       SchemaVersion,
-		Backend:      t.Backend.Name,
-		BackendHash:  t.Backend.Hash(),
-		CalHash:      CalibrationHash(c),
-		Objective:    opts.Search.Objective.String(),
-		Epsilon:      opts.Search.Epsilon,
-		Tiling:       opts.Tiling.Fingerprint(),
-		UncoreMinGHz: p.UncoreMin,
-		UncoreMaxGHz: p.UncoreMax,
-		CapStepGHz:   p.CapStep,
-		OIAxis:       OIAxisFor(c.BtDRAM, opts.OIPoints),
-		MemAxis:      MemAxisPoints(opts.MemPoints),
-		Socket:       opts.Socket,
+		Header: Header{
+			Schema:       SchemaVersion,
+			Backend:      t.Backend.Name,
+			BackendHash:  t.Backend.Hash(),
+			CalHash:      c.Hash(),
+			Objective:    opts.Search.Objective.String(),
+			Epsilon:      opts.Search.Epsilon,
+			Tiling:       opts.Tiling.Fingerprint(),
+			UncoreMinGHz: p.UncoreMin,
+			UncoreMaxGHz: p.UncoreMax,
+			CapStepGHz:   p.CapStep,
+			OIAxis:       OIAxisFor(c.BtDRAM, opts.OIPoints),
+			MemAxis:      MemAxisPoints(opts.MemPoints),
+		},
+		Socket: opts.Socket,
+		// The only shares placement assigns (core's characterize stage):
+		// none to a pinned nest, (S-1)/S to one spanning every socket.
+		RhoAxis: []float64{0},
 	}
-	if rc != nil {
-		tb.RhoAxis = dedupAscending(append(append([]float64(nil), opts.Rhos...), 0))
-		last := tb.RhoAxis[len(tb.RhoAxis)-1]
-		if tb.RhoAxis[0] < 0 || last > 1 {
-			return nil, fmt.Errorf("plantable: build: rho axis must stay within [0, 1], got [%g, %g]", tb.RhoAxis[0], last)
-		}
+	if S > 1 {
+		tb.RhoAxis = append(tb.RhoAxis, float64(S-1)/float64(S))
 	}
 
 	freqs := p.UncoreSteps()
 	fRef := tb.refFreq()
 	classes := []roofline.Class{roofline.ComputeBound, roofline.BandwidthBound}
-	type shape struct {
-		cls             roofline.Class
-		phi, ratio, rho float64
-	}
-	cache := map[shape]int{}
-	solve := func(shapes []shape) error {
-		idxs, err := parallel.Map(ctx, len(shapes), opts.Concurrency, func(ctx context.Context, n int) (int, error) {
-			s := shapes[n]
-			idx, _, err := journal.Step(opts.Journal, cellKeyRho(tb, s.cls, s.phi, s.ratio, s.rho), func() (int, error) {
-				var m *model.Model
-				var err error
-				if s.rho > 0 {
-					m, err = SyntheticModelNUMA(c, s.cls, s.phi, s.ratio, s.rho, fRef, rc)
-				} else {
-					m, err = SyntheticModel(c, s.cls, s.phi, s.ratio, fRef)
+	cache := map[Shape]int{}
+	for round := 0; ; round++ {
+		var missing []Shape
+		for _, cls := range classes {
+			for _, phi := range tb.OIAxis {
+				for _, ratio := range tb.MemAxis {
+					for _, rho := range tb.RhoAxis {
+						sh := Shape{cls, phi, ratio, rho}
+						if _, ok := cache[sh]; !ok {
+							missing = append(missing, sh)
+						}
+					}
 				}
+			}
+		}
+		idxs, err := parallel.Map(ctx, len(missing), opts.Concurrency, func(ctx context.Context, n int) (int, error) {
+			idx, _, err := journal.Step(opts.Journal, cellKey(tb, missing[n]), func() (int, error) {
+				m, err := SyntheticModel(c, link, missing[n], fRef)
 				if err != nil {
 					return 0, err
 				}
@@ -346,54 +322,36 @@ func Build(ctx context.Context, t *roofline.Target, opts BuildOptions) (*Table, 
 			return idx, err
 		})
 		if err != nil {
-			return err
-		}
-		for n, s := range shapes {
-			cache[s] = idxs[n]
-		}
-		return nil
-	}
-
-	for round := 0; ; round++ {
-		var missing []shape
-		for _, cls := range classes {
-			for _, phi := range tb.OIAxis {
-				for _, ratio := range tb.MemAxis {
-					s := shape{cls, phi, ratio, 0}
-					if _, ok := cache[s]; !ok {
-						missing = append(missing, s)
-					}
-				}
-			}
-		}
-		if err := solve(missing); err != nil {
 			return nil, fmt.Errorf("plantable: build %s: %w", tb.Backend, err)
+		}
+		for n, sh := range missing {
+			cache[sh] = idxs[n]
 		}
 		if round == refineMaxRounds {
 			break
 		}
-		at := func(cls roofline.Class, phi, ratio float64) int {
-			return cache[shape{cls, phi, ratio, 0}]
-		}
 		var addOI, addMem []float64
 		for _, cls := range classes {
-			for i := 0; i+1 < len(tb.OIAxis); i++ {
-				for _, ratio := range tb.MemAxis {
-					if absInt(at(cls, tb.OIAxis[i+1], ratio)-at(cls, tb.OIAxis[i], ratio)) > maxCellSpread {
-						if mid, ok := splitPoint(tb.OIAxis[i], tb.OIAxis[i+1]); ok {
-							addOI = append(addOI, mid)
+			for _, rho := range tb.RhoAxis {
+				at := func(phi, ratio float64) int { return cache[Shape{cls, phi, ratio, rho}] }
+				for i := 0; i+1 < len(tb.OIAxis); i++ {
+					for _, ratio := range tb.MemAxis {
+						if absInt(at(tb.OIAxis[i+1], ratio)-at(tb.OIAxis[i], ratio)) > maxCellSpread {
+							if mid, ok := splitPoint(tb.OIAxis[i], tb.OIAxis[i+1]); ok {
+								addOI = append(addOI, mid)
+							}
+							break // one split per interval per plane per round
 						}
-						break // one split per interval per round
 					}
 				}
-			}
-			for j := 0; j+1 < len(tb.MemAxis); j++ {
-				for _, phi := range tb.OIAxis {
-					if absInt(at(cls, phi, tb.MemAxis[j+1])-at(cls, phi, tb.MemAxis[j])) > maxCellSpread {
-						if mid, ok := splitPoint(tb.MemAxis[j], tb.MemAxis[j+1]); ok {
-							addMem = append(addMem, mid)
+				for j := 0; j+1 < len(tb.MemAxis); j++ {
+					for _, phi := range tb.OIAxis {
+						if absInt(at(phi, tb.MemAxis[j+1])-at(phi, tb.MemAxis[j])) > maxCellSpread {
+							if mid, ok := splitPoint(tb.MemAxis[j], tb.MemAxis[j+1]); ok {
+								addMem = append(addMem, mid)
+							}
+							break
 						}
-						break
 					}
 				}
 			}
@@ -407,52 +365,20 @@ func Build(ctx context.Context, t *roofline.Target, opts BuildOptions) (*Table, 
 		tb.MemAxis = dedupAscending(append(tb.MemAxis, addMem...))
 	}
 
-	tb.CB = make([][]int, len(tb.OIAxis))
-	tb.BB = make([][]int, len(tb.OIAxis))
-	for i, phi := range tb.OIAxis {
-		tb.CB[i] = make([]int, len(tb.MemAxis))
-		tb.BB[i] = make([]int, len(tb.MemAxis))
-		for j, ratio := range tb.MemAxis {
-			tb.CB[i][j] = cache[shape{roofline.ComputeBound, phi, ratio, 0}]
-			tb.BB[i][j] = cache[shape{roofline.BandwidthBound, phi, ratio, 0}]
-		}
-	}
-
-	if rc != nil {
-		// Rho sweep on the refined mesh: the OI/Mem resolution was tuned
-		// against the rho = 0 surfaces; rho > 0 cliffs that survive are
-		// caught by Lookup's spread guard and fall back to live search.
-		var missing []shape
-		for _, cls := range classes {
-			for _, phi := range tb.OIAxis {
-				for _, ratio := range tb.MemAxis {
-					for _, rho := range tb.RhoAxis {
-						if rho == 0 {
-							continue // shared with the 2D sweep
-						}
-						missing = append(missing, shape{cls, phi, ratio, rho})
-					}
-				}
-			}
-		}
-		if err := solve(missing); err != nil {
-			return nil, fmt.Errorf("plantable: build %s: %w", tb.Backend, err)
-		}
-		tb.CBR = make([][][]int, len(tb.OIAxis))
-		tb.BBR = make([][][]int, len(tb.OIAxis))
+	fill := func(cls roofline.Class) [][][]int {
+		s := make([][][]int, len(tb.OIAxis))
 		for i, phi := range tb.OIAxis {
-			tb.CBR[i] = make([][]int, len(tb.MemAxis))
-			tb.BBR[i] = make([][]int, len(tb.MemAxis))
+			s[i] = make([][]int, len(tb.MemAxis))
 			for j, ratio := range tb.MemAxis {
-				tb.CBR[i][j] = make([]int, len(tb.RhoAxis))
-				tb.BBR[i][j] = make([]int, len(tb.RhoAxis))
+				s[i][j] = make([]int, len(tb.RhoAxis))
 				for k, rho := range tb.RhoAxis {
-					tb.CBR[i][j][k] = cache[shape{roofline.ComputeBound, phi, ratio, rho}]
-					tb.BBR[i][j][k] = cache[shape{roofline.BandwidthBound, phi, ratio, rho}]
+					s[i][j][k] = cache[Shape{cls, phi, ratio, rho}]
 				}
 			}
 		}
+		return s
 	}
+	tb.CB, tb.BB = fill(roofline.ComputeBound), fill(roofline.BandwidthBound)
 	if err := tb.Validate(); err != nil {
 		return nil, err
 	}

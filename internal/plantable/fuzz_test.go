@@ -1,12 +1,39 @@
 package plantable
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"polyufc/internal/model"
 	"polyufc/internal/search"
 )
+
+// contradictingDoc spells a one-plane table as a 2-socket document (a
+// second rho plane repeating the first) whose flat cb is then edited so
+// it no longer repeats cb_rho[..][..][0] — the two spellings of the
+// rho = 0 plane disagree, and Parse must refuse to pick one.
+func contradictingDoc(t testing.TB, tb *Table) []byte {
+	twice := func(s [][][]int) [][][]int {
+		out := make([][][]int, len(s))
+		for i, row := range s {
+			for _, cell := range row {
+				out[i] = append(out[i], []int{cell[0], cell[0]})
+			}
+		}
+		return out
+	}
+	w := wireTable{
+		Header: tb.Header, RhoAxis: []float64{0, 0.5},
+		CB: rhoPlane(tb.CB), BB: rhoPlane(tb.BB), CBR: twice(tb.CB), BBR: twice(tb.BB),
+	}
+	w.CB[0][0] = (w.CB[0][0] + 1) % tb.GridSize()
+	data, err := json.Marshal(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
 
 // FuzzParsePlanTable drives the plan-table deserializer with arbitrary
 // bytes: any input must either parse into a table that validates and
@@ -18,17 +45,20 @@ func FuzzParsePlanTable(f *testing.F) {
 	// worker's warm-up) cheap — the full Build sweep is covered by the
 	// equivalence suite, not here.
 	tiny := &Table{
-		Schema:       SchemaVersion,
-		Backend:      "fuzz",
-		BackendHash:  "0011223344556677",
-		CalHash:      "8899aabbccddeeff",
-		Objective:    search.ObjectiveEDP.String(),
-		Epsilon:      1e-3,
-		UncoreMinGHz: 1.2, UncoreMaxGHz: 2.8, CapStepGHz: 0.1,
-		OIAxis:  []float64{0.1, 1, 10},
-		MemAxis: []float64{0, 1, 10},
-		CB:      [][]int{{0, 1, 2}, {1, 1, 1}, {2, 1, 0}},
-		BB:      [][]int{{3, 3, 3}, {4, 4, 4}, {5, 5, 5}},
+		Header: Header{
+			Schema:       SchemaVersion,
+			Backend:      "fuzz",
+			BackendHash:  "0011223344556677",
+			CalHash:      "8899aabbccddeeff",
+			Objective:    search.ObjectiveEDP.String(),
+			Epsilon:      1e-3,
+			UncoreMinGHz: 1.2, UncoreMaxGHz: 2.8, CapStepGHz: 0.1,
+			OIAxis:  []float64{0.1, 1, 10},
+			MemAxis: []float64{0, 1, 10},
+		},
+		RhoAxis: []float64{0},
+		CB:      liftPlane([][]int{{0, 1, 2}, {1, 1, 1}, {2, 1, 0}}),
+		BB:      liftPlane([][]int{{3, 3, 3}, {4, 4, 4}, {5, 5, 5}}),
 	}
 	if err := tiny.Validate(); err != nil {
 		f.Fatal(err)
@@ -51,6 +81,7 @@ func FuzzParsePlanTable(f *testing.F) {
 		corrupt := []byte(strings.Replace(string(valid[i:]), "0", "999999", 1))
 		f.Add(append([]byte(valid[:i]), corrupt...))
 	}
+	f.Add(contradictingDoc(f, tiny))
 
 	// A deep in-range kernel: if the fuzzed table validates, Lookup must
 	// stay total on it (an answer on the table's own grid, or a clean

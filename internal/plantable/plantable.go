@@ -14,10 +14,18 @@
 // The search outcome is therefore a function of exactly three values:
 // the CB/BB class, phi = Flops/Q (flops per timed DRAM byte — the OI
 // axis) and a (normalized here by M at the reference frequency — the
-// memory-ratio axis). A table sweeps a 2D (phi x ratio) grid per class,
+// memory-ratio axis). A table sweeps a (phi x ratio) grid per class,
 // densified around the backend's ridge point phi = BtDRAM where the
 // characterization flips (SNIPPETS.md RooflineSpec), and answers serve
 // requests by bilinear interpolation.
+//
+// On a multi-socket topology a placement adds a fourth value: rho, the
+// share of the kernel's DRAM bytes that crosses the inter-socket link
+// (the link's time folds into the memory ratio, its per-byte energy does
+// not). The topology decides which shares occur — 0 for a pinned nest,
+// (S-1)/S for one spanning S sockets — so every table carries one
+// (phi x ratio) plane per share it can be asked about: one plane on a
+// single socket, two on S > 1.
 //
 // Tables are pinned to the exact backend description hash and
 // calibration-constants hash they were swept against: a table for an
@@ -35,11 +43,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 
 	"polyufc/internal/hw"
 	"polyufc/internal/model"
-	"polyufc/internal/platform"
 	"polyufc/internal/roofline"
 	"polyufc/internal/search"
 	"polyufc/internal/tiling"
@@ -63,15 +71,14 @@ const maxCellSpread = 1
 // error, never a silent fallback: the caller decides whether to rebuild.
 var ErrStale = errors.New("plantable: stale table")
 
-// Table is one backend's precomputed capping-plan surface: for each
-// (class, OI, memory-ratio) cell, the uncore-grid index PolyUFC-SEARCH
-// selects. Axes are ascending; CB and BB are len(OIAxis) rows of
-// len(MemAxis) grid indices each.
-type Table struct {
+// Header is everything a table records besides its cap surfaces —
+// identity, pins, cap grid and the two interpolated axes — spelled the
+// same in memory and on the wire.
+type Header struct {
 	Schema int `json:"schema"`
 	// Backend names the swept backend; BackendHash pins the exact
 	// description and CalHash the exact calibration constants
-	// (CalibrationHash) the sweep ran against.
+	// (Constants.Hash) the sweep ran against.
 	Backend     string `json:"backend"`
 	BackendHash string `json:"backend_hash"`
 	CalHash     string `json:"calibration_hash"`
@@ -101,36 +108,63 @@ type Table struct {
 	// the top grid frequency.
 	OIAxis  []float64 `json:"oi_axis"`
 	MemAxis []float64 `json:"mem_axis"`
-	// CB and BB hold the selected grid index per (OIAxis[i], MemAxis[j])
-	// cell for compute-bound and bandwidth-bound kernels respectively.
-	CB [][]int `json:"cb"`
-	BB [][]int `json:"bb"`
-	// Socket is the uncore-domain index the table answers for.
-	// Multi-socket topologies sweep one table per socket domain (their
-	// calibrations can differ); 0 — the single-socket default — keeps
-	// pre-topology tables byte-identical through omitempty.
-	Socket int `json:"socket,omitempty"`
-	// RhoAxis extends the intensive shape with the remote-traffic-ratio
-	// coordinate of topology placements: the fraction of DRAM bytes the
-	// kernel serves across the inter-socket link. The remote time folds
-	// into the memory ratio, but the link's per-byte energy is a genuine
-	// fourth shape parameter, so rho > 0 lookups need their own swept
-	// surface. Absent (with CBR/BBR) on single-socket tables.
-	RhoAxis []float64 `json:"rho_axis,omitempty"`
-	// CBR and BBR hold the selected grid index per (OIAxis[i],
-	// MemAxis[j], RhoAxis[k]) cell; their rho = 0 plane coincides with
-	// CB/BB (the remote term vanishes there).
-	CBR [][][]int `json:"cb_rho,omitempty"`
-	BBR [][][]int `json:"bb_rho,omitempty"`
 }
 
-// CalibrationHash is the content hash of a set of calibrated constants,
-// pinning a plan table to the exact fit it was swept with (the backend
-// hash alone would accept a re-fitted calibration of the same
-// description). Constants marshal deterministically (fixed field order,
-// shortest float representation), so the hash is stable.
-func CalibrationHash(c *platform.Constants) string {
-	return c.Hash()
+// Table is one backend's precomputed capping-plan surface: for each
+// (class, OI, memory-ratio, remote-share) cell, the uncore-grid index
+// PolyUFC-SEARCH selects. Decode with Parse, encode with Marshal: only
+// the JSON codec below knows the flat single-socket spelling.
+type Table struct {
+	Header
+	// Socket is the uncore-domain index the table answers for. A
+	// socket whose calibration differs from socket 0's sweeps its own
+	// table; 0 answers for every socket sharing socket 0's fit.
+	Socket int
+	// RhoAxis lists, ascending from 0, the remote shares the target's
+	// topology can place a nest at: {0} on a single socket, {0, (S-1)/S}
+	// on S sockets. It is matched, never interpolated.
+	RhoAxis []float64
+	// CB and BB hold the selected grid index per (OIAxis[i], MemAxis[j],
+	// RhoAxis[k]) cell for compute-bound and bandwidth-bound kernels.
+	CB, BB [][][]int
+}
+
+// wireTable is the JSON layout. cb/bb are always the rho = 0 plane, so a
+// single-socket table is the pre-topology document byte for byte;
+// rho_axis, cb_rho and bb_rho (the whole surfaces) appear only when the
+// axis has more than the 0 point.
+type wireTable struct {
+	Header
+	CB      [][]int   `json:"cb"`
+	BB      [][]int   `json:"bb"`
+	Socket  int       `json:"socket,omitempty"`
+	RhoAxis []float64 `json:"rho_axis,omitempty"`
+	CBR     [][][]int `json:"cb_rho,omitempty"`
+	BBR     [][][]int `json:"bb_rho,omitempty"`
+}
+
+// rhoPlane extracts the rho = 0 plane of a surface; liftPlane is its
+// inverse for a one-point axis.
+func rhoPlane(s [][][]int) [][]int {
+	out := make([][]int, len(s))
+	for i, row := range s {
+		out[i] = make([]int, len(row))
+		for j, cell := range row {
+			out[i][j] = cell[0]
+		}
+	}
+	return out
+}
+
+func liftPlane(p [][]int) [][][]int {
+	out := make([][][]int, len(p))
+	for i, row := range p {
+		out[i] = make([][]int, len(row))
+		for j := range row {
+			out[i][j] = row[j : j+1 : j+1]
+		}
+	}
+	return out
 }
 
 // TilingName returns the tiling-strategy fingerprint the table answers
@@ -164,7 +198,7 @@ func (tb *Table) GridFreq(i int) float64 {
 }
 
 // Cells returns the total number of swept cells (both class surfaces).
-func (tb *Table) Cells() int { return 2 * len(tb.OIAxis) * len(tb.MemAxis) }
+func (tb *Table) Cells() int { return 2 * len(tb.OIAxis) * len(tb.MemAxis) * len(tb.RhoAxis) }
 
 // Validate checks structural invariants: schema, identity, a sane grid,
 // strictly ascending finite axes, and index matrices of the declared
@@ -214,45 +248,15 @@ func (tb *Table) Validate() error {
 	if err := checkAxis("mem_axis", tb.MemAxis, false); err != nil {
 		return fmt.Errorf("plantable: table for %q: %w", tb.Backend, err)
 	}
-	n := tb.GridSize()
-	for name, m := range map[string][][]int{"cb": tb.CB, "bb": tb.BB} {
-		if len(m) != len(tb.OIAxis) {
-			return fmt.Errorf("plantable: table for %q: %s: got %d rows, oi_axis has %d points",
-				tb.Backend, name, len(m), len(tb.OIAxis))
-		}
-		for i, row := range m {
-			if len(row) != len(tb.MemAxis) {
-				return fmt.Errorf("plantable: table for %q: %s row %d: got %d entries, mem_axis has %d points",
-					tb.Backend, name, i, len(row), len(tb.MemAxis))
-			}
-			for j, idx := range row {
-				if idx < 0 || idx >= n {
-					return fmt.Errorf("plantable: table for %q: %s[%d][%d]: grid index %d out of range [0, %d)",
-						tb.Backend, name, i, j, idx, n)
-				}
-			}
-		}
-	}
-	if tb.Socket < 0 {
-		return fmt.Errorf("plantable: table for %q: socket: must be >= 0, got %d", tb.Backend, tb.Socket)
-	}
-	if len(tb.RhoAxis) == 0 {
-		if len(tb.CBR) != 0 || len(tb.BBR) != 0 {
-			return fmt.Errorf("plantable: table for %q: cb_rho/bb_rho present without a rho_axis", tb.Backend)
-		}
-		return nil
-	}
-	if len(tb.RhoAxis) < 2 {
-		return fmt.Errorf("plantable: table for %q: rho_axis needs at least 2 points, got %d", tb.Backend, len(tb.RhoAxis))
-	}
 	if err := checkAxis("rho_axis", tb.RhoAxis, false); err != nil {
 		return fmt.Errorf("plantable: table for %q: %w", tb.Backend, err)
 	}
-	if tb.RhoAxis[0] != 0 || tb.RhoAxis[len(tb.RhoAxis)-1] > 1 {
-		return fmt.Errorf("plantable: table for %q: rho_axis must start at 0 and stay within [0, 1], got [%g, %g]",
-			tb.Backend, tb.RhoAxis[0], tb.RhoAxis[len(tb.RhoAxis)-1])
+	if len(tb.RhoAxis) == 0 || tb.RhoAxis[0] != 0 || tb.RhoAxis[len(tb.RhoAxis)-1] > 1 {
+		return fmt.Errorf("plantable: table for %q: rho_axis must start at 0 and stay within [0, 1], got %v",
+			tb.Backend, tb.RhoAxis)
 	}
-	for name, m := range map[string][][][]int{"cb_rho": tb.CBR, "bb_rho": tb.BBR} {
+	n := tb.GridSize()
+	for name, m := range map[string][][][]int{"cb": tb.CB, "bb": tb.BB} {
 		if len(m) != len(tb.OIAxis) {
 			return fmt.Errorf("plantable: table for %q: %s: got %d rows, oi_axis has %d points",
 				tb.Backend, name, len(m), len(tb.OIAxis))
@@ -275,6 +279,9 @@ func (tb *Table) Validate() error {
 				}
 			}
 		}
+	}
+	if tb.Socket < 0 {
+		return fmt.Errorf("plantable: table for %q: socket: must be >= 0, got %d", tb.Backend, tb.Socket)
 	}
 	return nil
 }
@@ -320,7 +327,7 @@ func (tb *Table) Matches(t *roofline.Target) error {
 	// The calibration pin is per socket domain: socket tables check the
 	// fit of their own socket (identical to Constants on single-socket
 	// and homogeneous targets).
-	if h := CalibrationHash(t.SocketConstants(tb.Socket)); tb.CalHash != h {
+	if h := t.SocketConstants(tb.Socket).Hash(); tb.CalHash != h {
 		return fmt.Errorf("%w: table for %q was swept against calibration %s, but the current calibration is %s (rebuild the table)",
 			ErrStale, tb.Backend, tb.CalHash, h)
 	}
@@ -336,7 +343,14 @@ func (tb *Table) MatchesOptions(opts search.Options) bool {
 
 // Marshal renders the table as indented, field-stable JSON.
 func (tb *Table) Marshal() ([]byte, error) {
-	out, err := json.MarshalIndent(tb, "", "  ")
+	w := wireTable{
+		Header: tb.Header, Socket: tb.Socket,
+		CB: rhoPlane(tb.CB), BB: rhoPlane(tb.BB),
+	}
+	if len(tb.RhoAxis) > 1 {
+		w.RhoAxis, w.CBR, w.BBR = tb.RhoAxis, tb.CB, tb.BB
+	}
+	out, err := json.MarshalIndent(w, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("plantable: marshal table %q: %w", tb.Backend, err)
 	}
@@ -347,18 +361,32 @@ func (tb *Table) Marshal() ([]byte, error) {
 // future-format file errors instead of silently loading zeros) and
 // validating every structural invariant. Corrupt, truncated or
 // old-schema inputs return errors — never panic, never a half-loaded
-// table.
+// table. A document without a rho_axis is a one-plane table; one with a
+// rho_axis carries its surfaces in cb_rho/bb_rho and may omit cb/bb or
+// repeat the rho = 0 plane exactly.
 func Parse(data []byte) (*Table, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	var tb Table
-	if err := dec.Decode(&tb); err != nil {
+	var w wireTable
+	if err := dec.Decode(&w); err != nil {
 		return nil, fmt.Errorf("plantable: parse table: %w", err)
+	}
+	tb := &Table{Header: w.Header, Socket: w.Socket, RhoAxis: w.RhoAxis, CB: w.CBR, BB: w.BBR}
+	flat := len(w.RhoAxis) == 0
+	if flat {
+		if len(w.CBR) != 0 || len(w.BBR) != 0 {
+			return nil, fmt.Errorf("plantable: table for %q: cb_rho/bb_rho present without a rho_axis", w.Backend)
+		}
+		tb.RhoAxis, tb.CB, tb.BB = []float64{0}, liftPlane(w.CB), liftPlane(w.BB)
 	}
 	if err := tb.Validate(); err != nil {
 		return nil, err
 	}
-	return &tb, nil
+	if !flat && (w.CB != nil && !reflect.DeepEqual(w.CB, rhoPlane(tb.CB)) ||
+		w.BB != nil && !reflect.DeepEqual(w.BB, rhoPlane(tb.BB))) {
+		return nil, fmt.Errorf("plantable: table for %q: cb/bb contradict the rho = 0 plane cb_rho/bb_rho[..][..][0]", w.Backend)
+	}
+	return tb, nil
 }
 
 // Save writes the table atomically (temp file + rename, the journal's
@@ -409,14 +437,16 @@ func Load(path string) (*Table, error) {
 }
 
 // Shape is the intensive parameterization of one kernel model: the only
-// three values the search outcome depends on (see the package comment).
+// values the search outcome depends on (see the package comment).
 type Shape struct {
 	Class roofline.Class
 	// Phi is Flops per timed DRAM byte (the OI axis).
 	Phi float64
-	// Ratio is the frequency-independent per-byte time over M(fRef)
+	// Ratio is the frequency-independent local per-byte time over M(fRef)
 	// (the memory axis).
 	Ratio float64
+	// Rho is the share of DRAM bytes served across the inter-socket link.
+	Rho float64
 }
 
 // refFreq returns the table's reference frequency: the top grid point
@@ -445,10 +475,11 @@ func Decompose(m *model.Model, fRef float64) (Shape, bool) {
 	// instead of re-deriving Eqns. 3-4, so the decomposition can never
 	// drift from the model.
 	a := m.At(fRef).Seconds/float64(q) - mRef
-	// NUMA models fold the remote traffic's frequency-independent
-	// per-byte time into the evaluation; subtract it so the shape stays
-	// the local one and rho remains an independent coordinate.
-	if rho := remoteShare(m); rho > 0 {
+	// The evaluation folds in the remote traffic's frequency-independent
+	// per-byte time; subtract it so the shape stays the local one and rho
+	// remains an independent coordinate.
+	rho := m.RemoteShare()
+	if rho > 0 {
 		a -= rho * m.Remote.SecPerByte
 	}
 	if a < 0 {
@@ -458,33 +489,15 @@ func Decompose(m *model.Model, fRef float64) (Shape, bool) {
 	if math.IsNaN(phi) || math.IsInf(phi, 0) || phi < 0 {
 		return Shape{}, false
 	}
-	return Shape{Class: m.Class(), Phi: phi, Ratio: a / mRef}, true
+	return Shape{Class: m.Class(), Phi: phi, Ratio: a / mRef, Rho: rho}, true
 }
 
-// remoteShare returns the effective remote-traffic ratio of a model: 0
-// unless the inter-socket term is armed, clamped into [0, 1] like the
-// model itself clamps it.
-func remoteShare(m *model.Model) float64 {
-	if m.Remote == nil || !(m.KS.RemoteRatio > 0) {
-		return 0
-	}
-	return math.Min(m.KS.RemoteRatio, 1)
-}
-
-// surface returns the index matrix answering for a class.
-func (tb *Table) surface(cls roofline.Class) [][]int {
+// surface returns the index tensor answering for a class.
+func (tb *Table) surface(cls roofline.Class) [][][]int {
 	if cls == roofline.ComputeBound {
 		return tb.CB
 	}
 	return tb.BB
-}
-
-// surfaceRho returns the rho-extended index tensor for a class.
-func (tb *Table) surfaceRho(cls roofline.Class) [][][]int {
-	if cls == roofline.ComputeBound {
-		return tb.CBR
-	}
-	return tb.BBR
 }
 
 // locate finds the cell [lo, lo+1] bracketing v on an ascending axis and
@@ -513,7 +526,8 @@ func locate(axis []float64, v float64) (lo int, w float64, ok bool) {
 // table: the selected cap frequency (always an exact grid point) and
 // whether the table could answer. It reports false — the caller falls
 // back to live search — when the kernel decomposes outside the tabulated
-// axes, has no DRAM traffic, or lands in a cell whose corners span more
+// axes, has no DRAM traffic, sits at a remote share the table's topology
+// does not place nests at, or lands in a cell whose corners span more
 // than maxCellSpread grid steps (a cliff of the cap surface, where
 // interpolation could not honor the one-grid-step equivalence bound).
 func (tb *Table) Lookup(m *model.Model) (float64, bool) {
@@ -529,50 +543,15 @@ func (tb *Table) Lookup(m *model.Model) (float64, bool) {
 	if !ok {
 		return 0, false
 	}
-	if rho := remoteShare(m); rho > 0 {
-		// NUMA placements answer from the rho-extended surface when the
-		// table carries one; a pre-topology table falls back to live
-		// search rather than ignoring the remote coordinate.
-		if len(tb.RhoAxis) == 0 {
-			return 0, false
-		}
-		k, wk, ok := locate(tb.RhoAxis, rho)
-		if !ok {
-			return 0, false
-		}
-		s := tb.surfaceRho(sh.Class)
-		corners := [8]int{
-			s[i][j][k], s[i][j][k+1],
-			s[i][j+1][k], s[i][j+1][k+1],
-			s[i+1][j][k], s[i+1][j][k+1],
-			s[i+1][j+1][k], s[i+1][j+1][k+1],
-		}
-		lo, hi := corners[0], corners[0]
-		for _, c := range corners[1:] {
-			if c < lo {
-				lo = c
-			}
-			if c > hi {
-				hi = c
-			}
-		}
-		if hi-lo > maxCellSpread {
-			return 0, false
-		}
-		// Trilinear interpolation in index space, then snap to the grid.
-		bilin := func(c00, c01, c10, c11 int) float64 {
-			return (1-wi)*((1-wj)*float64(c00)+wj*float64(c01)) +
-				wi*((1-wj)*float64(c10)+wj*float64(c11))
-		}
-		v := (1-wk)*bilin(corners[0], corners[2], corners[4], corners[6]) +
-			wk*bilin(corners[1], corners[3], corners[5], corners[7])
-		return tb.GridFreq(int(math.Round(v))), true
+	k := sort.SearchFloat64s(tb.RhoAxis, sh.Rho)
+	if k == len(tb.RhoAxis) || tb.RhoAxis[k] != sh.Rho {
+		return 0, false
 	}
 	s := tb.surface(sh.Class)
-	c00 := s[i][j]
-	c01 := s[i][j+1]
-	c10 := s[i+1][j]
-	c11 := s[i+1][j+1]
+	c00 := s[i][j][k]
+	c01 := s[i][j+1][k]
+	c10 := s[i+1][j][k]
+	c11 := s[i+1][j+1][k]
 	lo, hi := c00, c00
 	for _, c := range [...]int{c01, c10, c11} {
 		if c < lo {
@@ -585,9 +564,10 @@ func (tb *Table) Lookup(m *model.Model) (float64, bool) {
 	if hi-lo > maxCellSpread {
 		return 0, false
 	}
-	// Bilinear interpolation in index space, then snap to the grid: the
-	// answer is always one of the cell's corner indices (or between two
-	// adjacent ones), so the stored caps bound the error.
+	// Bilinear interpolation in index space on the placement's rho plane,
+	// then snap to the grid: the answer is always one of the cell's corner
+	// indices (or between two adjacent ones), so the stored caps bound the
+	// error.
 	v := (1-wi)*((1-wj)*float64(c00)+wj*float64(c01)) +
 		wi*((1-wj)*float64(c10)+wj*float64(c11))
 	return tb.GridFreq(int(math.Round(v))), true

@@ -138,8 +138,8 @@ func TestParseRejectsInvalid(t *testing.T) {
 		"bad grid":       mut(func(tb *Table) { tb.CapStepGHz = -0.1 }),
 		"axis disorder":  mut(func(tb *Table) { tb.OIAxis[0], tb.OIAxis[1] = tb.OIAxis[1], tb.OIAxis[0] }),
 		"negative mem":   mut(func(tb *Table) { tb.MemAxis[0] = -1 }),
-		"index range":    mut(func(tb *Table) { tb.CB[0][0] = tb.GridSize() }),
-		"negative index": mut(func(tb *Table) { tb.BB[0][0] = -1 }),
+		"index range":    mut(func(tb *Table) { tb.CB[0][0][0] = tb.GridSize() }),
+		"negative index": mut(func(tb *Table) { tb.BB[0][0][0] = -1 }),
 		"ragged rows":    mut(func(tb *Table) { tb.CB[0] = tb.CB[0][:1] }),
 		"short surface":  mut(func(tb *Table) { tb.BB = tb.BB[:1] }),
 	}
@@ -214,7 +214,7 @@ func TestStaleness(t *testing.T) {
 		consts := *tg.Constants
 		consts.MissLatB *= 1.5
 		stale := &roofline.Target{Backend: tg.Backend, Platform: tg.Platform, Constants: &consts}
-		if got := set.For(stale, search.DefaultOptions(), ""); got != nil {
+		if got := set.For(stale, search.DefaultOptions(), "", 0); got != nil {
 			t.Fatal("Set.For served a stale table")
 		}
 		if st := set.Stats(); st.Stale != 1 {
@@ -239,7 +239,7 @@ func TestMatchesOptions(t *testing.T) {
 	if err := set.Add(tb); err != nil {
 		t.Fatal(err)
 	}
-	if got := set.For(testTarget(t, "bdw"), other, ""); got != nil {
+	if got := set.For(testTarget(t, "bdw"), other, "", 0); got != nil {
 		t.Fatal("Set.For served a table for the wrong objective")
 	}
 	if st := set.Stats(); st.Stale != 0 {
@@ -288,11 +288,13 @@ func TestFractionalGridRoundTrip(t *testing.T) {
 	for _, f := range tg.Platform.UncoreSteps() {
 		onGrid[f] = true
 	}
-	for _, surface := range [][][]int{back.CB, back.BB} {
+	for _, surface := range [][][][]int{back.CB, back.BB} {
 		for _, row := range surface {
-			for _, idx := range row {
-				if f := back.GridFreq(idx); !onGrid[f] {
-					t.Fatalf("deserialized cap %v (index %d) is not an exact grid point", f, idx)
+			for _, cell := range row {
+				for _, idx := range cell {
+					if f := back.GridFreq(idx); !onGrid[f] {
+						t.Fatalf("deserialized cap %v (index %d) is not an exact grid point", f, idx)
+					}
 				}
 			}
 		}
@@ -379,11 +381,11 @@ func TestTilingAxis(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := search.DefaultOptions()
-	if set.For(tg, opts, "") == nil || set.For(tg, opts, "pluto") == nil {
+	if set.For(tg, opts, "", 0) == nil || set.For(tg, opts, "pluto", 0) == nil {
 		t.Fatal("pre-axis table must answer for both \"\" and \"pluto\"")
 	}
 	for _, other := range []string{"cacheoblivious", "latency", "auto", "pluto:size=64"} {
-		if set.For(tg, opts, other) != nil {
+		if set.For(tg, opts, other, 0) != nil {
 			t.Fatalf("pluto table served a %s request", other)
 		}
 	}
@@ -397,10 +399,10 @@ func TestTilingAxis(t *testing.T) {
 	if set.Len() != 2 {
 		t.Fatalf("set holds %d tables; want 2 (pluto + cacheoblivious)", set.Len())
 	}
-	if got := set.For(tg, opts, "cacheoblivious"); got == nil || got.TilingName() != "cacheoblivious" {
+	if got := set.For(tg, opts, "cacheoblivious", 0); got == nil || got.TilingName() != "cacheoblivious" {
 		t.Fatalf("cacheoblivious lookup got %v", got)
 	}
-	if got := set.For(tg, opts, ""); got == nil || got.TilingName() != "pluto" {
+	if got := set.For(tg, opts, "", 0); got == nil || got.TilingName() != "pluto" {
 		t.Fatal("adding a cacheoblivious table displaced the pluto one")
 	}
 

@@ -92,18 +92,12 @@ func (s *Set) Tables() []*Table {
 	return out
 }
 
-// For returns the socket-0 table answering for a target, search
-// configuration and tiling strategy (a tiling.Spec fingerprint; ""
-// means pluto), or nil when none is loaded. A loaded table whose
-// backend description or calibration hash no longer matches counts as
-// stale and is not returned — staleness is surfaced, never silently
-// served around.
-func (s *Set) For(t *roofline.Target, opts search.Options, tilingName string) *Table {
-	return s.ForSocket(t, opts, tilingName, 0)
-}
-
-// ForSocket is For for one socket domain of a topology target.
-func (s *Set) ForSocket(t *roofline.Target, opts search.Options, tilingName string, socket int) *Table {
+// For returns the table answering for a target, search configuration,
+// tiling strategy (a tiling.Spec fingerprint; "" means pluto) and socket
+// domain, or nil when none is loaded. A loaded table whose backend
+// description or calibration hash no longer matches counts as stale and
+// is not returned — staleness is surfaced, never silently served around.
+func (s *Set) For(t *roofline.Target, opts search.Options, tilingName string, socket int) *Table {
 	if t == nil || t.Backend == nil {
 		return nil
 	}
@@ -127,9 +121,9 @@ func (s *Set) ForSocket(t *roofline.Target, opts search.Options, tilingName stri
 // grid point); anything else — no table, stale table, off-axis kernel,
 // steep cell — counts a fallback (or staleness) and reports false so the
 // caller runs live search. socket selects the table's uncore domain (0
-// on single-socket targets and for nests spanning every socket).
+// for every nest modelled with socket 0's calibration).
 func (s *Set) Lookup(t *roofline.Target, opts search.Options, tilingName string, socket int, m *model.Model) (float64, bool) {
-	tb := s.ForSocket(t, opts, tilingName, socket)
+	tb := s.For(t, opts, tilingName, socket)
 	if tb == nil {
 		s.fallbacks.Add(1)
 		return 0, false

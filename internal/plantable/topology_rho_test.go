@@ -2,9 +2,11 @@ package plantable
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"polyufc/internal/model"
@@ -44,8 +46,8 @@ func rhoTarget(t testing.TB) *roofline.Target {
 	return tg
 }
 
-// rhoTable builds (and caches) a small rho-extended table for the
-// 2-socket target.
+// rhoTable builds (and caches) a small table for the 2-socket target;
+// the topology gives it its second rho plane.
 func rhoTable(t testing.TB) *Table {
 	t.Helper()
 	tg := rhoTarget(t)
@@ -54,10 +56,7 @@ func rhoTable(t testing.TB) *Table {
 	if tb, ok := tableCache["2s-plan"]; ok {
 		return tb
 	}
-	tb, err := Build(nil, tg, BuildOptions{
-		OIPoints: 9, MemPoints: 7,
-		Rhos: []float64{0.25, 0.5, 0.75, 1},
-	})
+	tb, err := Build(nil, tg, BuildOptions{OIPoints: 9, MemPoints: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,32 +64,33 @@ func rhoTable(t testing.TB) *Table {
 	return tb
 }
 
-// numaModel arms the inter-socket term on a model against the target's
-// declared link.
+// numaModel places a model at remote share rho on the target's declared
+// link.
 func numaModel(tg *roofline.Target, m *model.Model, rho float64) *model.Model {
-	sec, jpb := tg.RemotePenalty()
 	ks := m.KS
 	ks.RemoteRatio = rho
-	return model.NewNUMA(m.C, ks, &model.RemoteCost{SecPerByte: sec, JoulesPerByte: jpb})
+	out := model.New(m.C, ks)
+	out.Remote.SecPerByte, out.Remote.JoulesPerByte = tg.RemotePenalty()
+	return out
 }
 
 func TestRhoTableRoundTripAndZeroPlane(t *testing.T) {
 	tb := rhoTable(t)
-	if len(tb.RhoAxis) < 2 || tb.RhoAxis[0] != 0 {
-		t.Fatalf("rho axis %v must start at the 0 anchor", tb.RhoAxis)
-	}
-	// The rho = 0 plane coincides with the 2D surfaces: the remote term
-	// vanishes there, so the sweeps share their cells.
-	for i := range tb.OIAxis {
-		for j := range tb.MemAxis {
-			if tb.CBR[i][j][0] != tb.CB[i][j] || tb.BBR[i][j][0] != tb.BB[i][j] {
-				t.Fatalf("rho=0 plane diverges from the 2D surface at cell (%d,%d)", i, j)
-			}
-		}
+	// The axis is the topology's: the pinned share and the spanning one.
+	if want := []float64{0, 0.5}; !reflect.DeepEqual(tb.RhoAxis, want) {
+		t.Fatalf("2-socket rho axis %v, want %v", tb.RhoAxis, want)
 	}
 	data, err := tb.Marshal()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// On the wire the flat cb/bb repeat the rho = 0 plane of cb_rho/bb_rho.
+	var w wireTable
+	if err := json.Unmarshal(data, &w); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(w.CB, rhoPlane(w.CBR)) || !reflect.DeepEqual(w.BB, rhoPlane(w.BBR)) {
+		t.Fatal("flat cb/bb are not the rho = 0 plane of cb_rho/bb_rho")
 	}
 	back, err := Parse(data)
 	if err != nil {
@@ -98,6 +98,11 @@ func TestRhoTableRoundTripAndZeroPlane(t *testing.T) {
 	}
 	if !reflect.DeepEqual(tb, back) {
 		t.Fatal("rho table did not survive a marshal/parse round trip")
+	}
+	// A document whose two spellings of that plane disagree is refused
+	// for that reason.
+	if _, err := Parse(contradictingDoc(t, testTable(t, "bdw"))); err == nil || !strings.Contains(err.Error(), "contradict") {
+		t.Fatalf("cb contradicting cb_rho[..][..][0]: %v", err)
 	}
 	// Single-socket tables keep the pre-topology wire format: none of
 	// the new keys appear.
@@ -113,8 +118,8 @@ func TestRhoTableRoundTripAndZeroPlane(t *testing.T) {
 }
 
 // TestRhoLookupSearchEquivalence extends the headline property to NUMA
-// placements: for randomized kernels with randomized remote shares, the
-// rho-extended table and live search agree within one grid step on
+// placements: for randomized kernels at the shares the topology places
+// nests at, the table and live search agree within one grid step on
 // >= 99% of the points the table answers.
 func TestRhoLookupSearchEquivalence(t *testing.T) {
 	tg := rhoTarget(t)
@@ -122,14 +127,14 @@ func TestRhoLookupSearchEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	models := make([]*model.Model, 300)
 	for i := range models {
-		models[i] = numaModel(tg, randomKernel(r, tg.Constants), r.Float64())
+		models[i] = numaModel(tg, randomKernel(r, tg.Constants), tb.RhoAxis[i%len(tb.RhoAxis)])
 	}
 	checkEquivalence(t, tg, tb, models, 0.3)
 }
 
-// TestRhoZeroLookupBitIdentical: a NUMA model with rho = 0 answers from
-// the 2D path, identically to the plain model — the topology layer adds
-// nothing to single-socket lookups.
+// TestRhoZeroLookupBitIdentical: a model on the 2-socket link with rho =
+// 0 answers identically to the plain model — the topology layer adds
+// nothing to pinned lookups.
 func TestRhoZeroLookupBitIdentical(t *testing.T) {
 	tg := rhoTarget(t)
 	tb := rhoTable(t)
@@ -144,24 +149,35 @@ func TestRhoZeroLookupBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRhoLookupFallsBackOn2DTable: a pre-topology table must refuse NUMA
-// models rather than answer while ignoring the remote coordinate.
+// TestRhoLookupFallsBackOn2DTable: a table must refuse a remote share
+// its topology does not produce — a single-socket table every rho > 0, a
+// 2-socket table everything but 0 and 1/2 — rather than answer while
+// ignoring (or guessing along) the remote coordinate.
 func TestRhoLookupFallsBackOn2DTable(t *testing.T) {
 	tg := rhoTarget(t)
-	flat := testTable(t, "bdw")
 	r := rand.New(rand.NewSource(9))
-	answered := 0
-	for i := 0; i < 50; i++ {
-		m := randomKernel(r, testTarget(t, "bdw").Constants)
-		if _, ok := flat.Lookup(m); ok {
-			answered++
-			if _, ok := flat.Lookup(numaModel(tg, m, 0.5)); ok {
-				t.Fatal("2D table answered a rho > 0 lookup")
+	for _, tc := range []struct {
+		tb   *Table
+		c    *platform.Constants
+		off  float64
+		name string
+	}{
+		{testTable(t, "bdw"), testTarget(t, "bdw").Constants, 0.5, "single-socket table at rho 0.5"},
+		{rhoTable(t), tg.Constants, 0.25, "2-socket table at rho 0.25"},
+	} {
+		answered := 0
+		for i := 0; i < 50; i++ {
+			m := randomKernel(r, tc.c)
+			if _, ok := tc.tb.Lookup(m); ok {
+				answered++
+				if _, ok := tc.tb.Lookup(numaModel(tg, m, tc.off)); ok {
+					t.Fatalf("%s: answered", tc.name)
+				}
 			}
 		}
-	}
-	if answered == 0 {
-		t.Fatal("no baseline lookups answered; the fallback check never ran")
+		if answered == 0 {
+			t.Fatalf("%s: no baseline lookups answered; the fallback check never ran", tc.name)
+		}
 	}
 }
 
@@ -194,13 +210,13 @@ func TestSocketTablesAreDistinctDomains(t *testing.T) {
 		t.Fatalf("socket tables collided: %d loaded", set.Len())
 	}
 	opts := search.DefaultOptions()
-	if got := set.ForSocket(tg, opts, "", 0); got != tb0 {
+	if got := set.For(tg, opts, "", 0); got != tb0 {
 		t.Fatal("socket 0 resolved the wrong table")
 	}
-	if got := set.ForSocket(tg, opts, "", 1); got != tb1 {
+	if got := set.For(tg, opts, "", 1); got != tb1 {
 		t.Fatal("socket 1 resolved the wrong table")
 	}
-	if got := set.ForSocket(tg, opts, "", 2); got != nil {
+	if got := set.For(tg, opts, "", 2); got != nil {
 		t.Fatal("unswept socket 2 resolved a table")
 	}
 	// A socket table against a shrunken topology is stale, not misread.

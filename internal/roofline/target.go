@@ -98,6 +98,29 @@ func NewTarget(p *hw.Platform, c *Constants) *Target {
 	return t
 }
 
+// stamp wraps freshly fitted constants in a calibration artifact with
+// provenance: when, by which tool, with what fit residuals, and — for a
+// registry backend (b non-nil) — against which description. The
+// calibration machine runs noiseless, so the seed is 0.
+func stamp(b *platform.Backend, c *Constants, tool string) *platform.Calibration {
+	cal := &platform.Calibration{
+		Schema:    platform.CalibrationSchemaVersion,
+		Constants: *c,
+		Provenance: platform.Provenance{
+			FitDate: time.Now().UTC().Format(time.RFC3339),
+			Residuals: map[string]float64{
+				"miss_latency": c.MissLatR2,
+				"uncore_power": c.PowerR2,
+			},
+			Tool: tool,
+		},
+	}
+	if b != nil {
+		cal.Backend, cal.BackendHash = b.Name, b.Hash()
+	}
+	return cal
+}
+
 // Resolve builds the platform for a backend description and runs the
 // one-time roofline calibration, stamping the artifact with provenance.
 func Resolve(b *platform.Backend) (*Target, error) {
@@ -109,21 +132,7 @@ func Resolve(b *platform.Backend) (*Target, error) {
 	if err != nil {
 		return nil, fmt.Errorf("roofline: resolve %s: %w", b.Name, err)
 	}
-	cal := &platform.Calibration{
-		Schema:      platform.CalibrationSchemaVersion,
-		Backend:     b.Name,
-		BackendHash: b.Hash(),
-		Constants:   *c,
-		Provenance: platform.Provenance{
-			FitDate: time.Now().UTC().Format(time.RFC3339),
-			Seed:    0, // the calibration machine runs noiseless
-			Residuals: map[string]float64{
-				"miss_latency": c.MissLatR2,
-				"uncore_power": c.PowerR2,
-			},
-			Tool: "polyufc/roofline",
-		},
-	}
+	cal := stamp(b, c, "polyufc/roofline")
 	sockets, err := resolveSockets(b, &cal.Constants)
 	if err != nil {
 		return nil, err
@@ -187,22 +196,9 @@ func Refit(t *Target, reg *faults.Registry) (*Target, error) {
 	if err != nil {
 		return nil, fmt.Errorf("roofline: refit %s: %w", t.Platform.Name, err)
 	}
-	cal := &platform.Calibration{
-		Schema:    platform.CalibrationSchemaVersion,
-		Constants: *c,
-		Provenance: platform.Provenance{
-			FitDate: time.Now().UTC().Format(time.RFC3339),
-			Residuals: map[string]float64{
-				"miss_latency": c.MissLatR2,
-				"uncore_power": c.PowerR2,
-			},
-			Tool: "polyufc/roofline-refit",
-		},
-	}
+	cal := stamp(t.Backend, c, "polyufc/roofline-refit")
 	nt := &Target{Backend: t.Backend, Platform: t.Platform, Constants: &cal.Constants, Calibration: cal}
 	if t.Backend != nil {
-		cal.Backend = t.Backend.Name
-		cal.BackendHash = t.Backend.Hash()
 		sockets, err := resolveSockets(t.Backend, &cal.Constants)
 		if err != nil {
 			return nil, err

@@ -308,26 +308,37 @@ func (s *Server) servedNames() []string {
 	return names
 }
 
-func (s *Server) resolve(req Request) (resolved, error) {
-	var r resolved
-	if req.Kernel == "" {
-		return r, badRequest("kernel is required")
-	}
-	name := req.Platform
+// servedTarget returns the live target of the backend a request or job names
+// ("" is the default, rpl): the one place a platform name is looked up
+// and checked against what this daemon calibrated.
+func (s *Server) servedTarget(name string) (*roofline.Target, error) {
 	if name == "" {
 		name = "rpl"
 	}
 	b, err := platform.Lookup(name)
 	if err != nil {
-		return r, badRequest("unknown platform %q (serving: %s)", name, strings.Join(s.servedNames(), ", "))
+		return nil, badRequest("unknown platform %q (serving: %s)", name, strings.Join(s.servedNames(), ", "))
 	}
 	t, ok := s.target(b.Name)
 	if !ok {
-		return r, badRequest("platform %q is registered but not served by this daemon (serving: %s)",
+		return nil, badRequest("platform %q is registered but not served by this daemon (serving: %s)",
 			b.Name, strings.Join(s.servedNames(), ", "))
+	}
+	return t, nil
+}
+
+func (s *Server) resolve(req Request) (resolved, error) {
+	var r resolved
+	if req.Kernel == "" {
+		return r, badRequest("kernel is required")
+	}
+	t, err := s.servedTarget(req.Platform)
+	if err != nil {
+		return r, err
 	}
 	r.target = t
 	r.p = t.Platform
+	var ok bool
 	if r.sz, ok = workloads.ParseSize(req.Size); !ok {
 		return r, badRequest("unknown size class %q", req.Size)
 	}
@@ -681,7 +692,9 @@ func (s *Server) handlePlatforms(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := PlatformsResponse{Platforms: []PlatformResponse{}}
 	for _, p := range s.plats {
-		resp.Platforms = append(resp.Platforms, platformResponse(s.targets[p.Name]))
+		// Through target(): a re-fit job's swapTarget writes the map.
+		t, _ := s.target(p.Name)
+		resp.Platforms = append(resp.Platforms, platformResponse(t))
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -115,14 +115,8 @@ func expandKernels(p JobParams) ([]string, error) {
 // validateJob rejects malformed submissions synchronously (a 400 at
 // submit time beats a failed job five minutes later).
 func (s *Server) validateJob(kind jobs.Kind, p JobParams) error {
-	if p.Platform != "" {
-		b, err := platform.Lookup(p.Platform)
-		if err != nil {
-			return err
-		}
-		if _, ok := s.target(b.Name); !ok {
-			return fmt.Errorf("platform %q is not served by this daemon", b.Name)
-		}
+	if _, err := s.servedTarget(p.Platform); err != nil {
+		return err
 	}
 	switch kind {
 	case JobSweep, JobCharacterize:
@@ -441,18 +435,11 @@ func sanitizeTiling(fp string) string {
 // by backend and calibration hash), so an interrupted build resumes and
 // a post-re-fit rebuild reuses nothing stale.
 func (s *Server) runPlanTableJob(jb *jobs.Job, p JobParams) (any, error) {
-	name := p.Platform
-	if name == "" {
-		name = "rpl"
-	}
-	b, err := platform.Lookup(name)
+	t, err := s.servedTarget(p.Platform)
 	if err != nil {
 		return nil, err
 	}
-	t, ok := s.target(b.Name)
-	if !ok {
-		return nil, fmt.Errorf("platform %q is not served", b.Name)
-	}
+	b := t.Backend
 	tspec, err := tiling.ParseSpec(p.Tiling)
 	if err != nil {
 		return nil, err
@@ -533,14 +520,11 @@ type RefitJobResult struct {
 // the swap made stale. Until the swap lands, requests for the backend
 // serve under the degrade policy (Strict refuses, BestEffort flags).
 func (s *Server) runRefitJob(jb *jobs.Job, p JobParams) (any, error) {
-	b, err := platform.Lookup(p.Platform)
+	t, err := s.servedTarget(p.Platform)
 	if err != nil {
 		return nil, err
 	}
-	t, ok := s.target(b.Name)
-	if !ok {
-		return nil, fmt.Errorf("platform %q is not served", b.Name)
-	}
+	b := t.Backend
 	// Claim (or, on a resumed job, re-claim) the refit episode so the
 	// degrade gate reports "refitting" and no duplicate enqueues.
 	s.drift.BeginRefit(b.Name)
@@ -585,6 +569,7 @@ func (s *Server) runRefitJob(jb *jobs.Job, p JobParams) (any, error) {
 				}
 				st, err := s.jobsMgr.Submit(JobPlanTable, JobParams{
 					Platform: b.Name, Objective: tb.Objective, Epsilon: tb.Epsilon,
+					Tiling: tb.TilingName(),
 				})
 				if err != nil {
 					jb.Log("refit", "plan-table rebuild not enqueued: "+err.Error())

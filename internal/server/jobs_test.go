@@ -16,6 +16,7 @@ import (
 	"polyufc/internal/hw"
 	"polyufc/internal/jobs"
 	"polyufc/internal/roofline"
+	"polyufc/internal/tiling"
 )
 
 // postJSON posts an arbitrary JSON body (the Request-shaped post helper
@@ -365,10 +366,19 @@ func TestServerDriftBestEffortFlags(t *testing.T) {
 func TestServerDriftAutoRefitRecovers(t *testing.T) {
 	dir := t.TempDir()
 	tablePath, tb := buildPlanTable(t, "bdw", dir)
+	// A second table, for another tiling strategy: each rebuild must
+	// carry its stale table's strategy or that table is never replaced.
+	// (The swept surface does not depend on the strategy, only the stamp.)
+	coTable := *tb
+	coTable.Tiling = tiling.NameCacheOblivious
+	coPath := filepath.Join(dir, "bdw.co.plan.json")
+	if err := coTable.Save(coPath); err != nil {
+		t.Fatal(err)
+	}
 	var s *Server
 	s, ts := driftServer(t, func(cfg *Config) {
 		cfg.JobsDir = filepath.Join(dir, "jobs")
-		cfg.PlanTables = []string{tablePath}
+		cfg.PlanTables = []string{tablePath, coPath}
 	})
 	oldT, ok := s.target("BDW")
 	if !ok {
@@ -418,31 +428,34 @@ func TestServerDriftAutoRefitRecovers(t *testing.T) {
 	if !found {
 		t.Fatal("no refit job was enqueued")
 	}
-	if refit.OldCalHash != oldHash || refit.NewCalHash != newHash || len(refit.RebuildJobs) != 1 {
+	if refit.OldCalHash != oldHash || refit.NewCalHash != newHash || len(refit.RebuildJobs) != 2 {
 		t.Fatalf("bad refit result: %+v", refit)
 	}
 
-	// The rebuild job replaces the stale table with one pinned to the
-	// new calibration.
-	rebuild := waitJob(t, ts, refit.RebuildJobs[0])
-	if rebuild.State != jobs.StateDone {
-		t.Fatalf("rebuild job: %s (%s)", rebuild.State, rebuild.Error)
-	}
-	var ptr PlanTableJobResult
-	if err := json.Unmarshal(rebuild.Result, &ptr); err != nil {
-		t.Fatal(err)
-	}
-	if ptr.Backend != "BDW" || ptr.CalHash != newHash {
-		t.Fatalf("rebuilt table pinned to %s/%s, want BDW/%s", ptr.Backend, ptr.CalHash, newHash)
-	}
-	fresh := false
-	for _, tb := range s.planSet().Tables() {
-		if tb.Backend == "BDW" && tb.CalHash == newHash {
-			fresh = true
+	// Each rebuild job replaces its stale table with one pinned to the
+	// new calibration, under the stale table's own tiling strategy.
+	rebuilt := map[string]bool{}
+	for _, id := range refit.RebuildJobs {
+		rebuild := waitJob(t, ts, id)
+		if rebuild.State != jobs.StateDone {
+			t.Fatalf("rebuild job: %s (%s)", rebuild.State, rebuild.Error)
 		}
+		var ptr PlanTableJobResult
+		if err := json.Unmarshal(rebuild.Result, &ptr); err != nil {
+			t.Fatal(err)
+		}
+		if ptr.Backend != "BDW" || ptr.CalHash != newHash {
+			t.Fatalf("rebuilt table pinned to %s/%s, want BDW/%s", ptr.Backend, ptr.CalHash, newHash)
+		}
+		rebuilt[ptr.Tiling] = true
 	}
-	if !fresh {
-		t.Fatalf("rebuilt table not installed: %+v", s.planSet().Stats())
+	if !rebuilt[tiling.NamePluto] || !rebuilt[tiling.NameCacheOblivious] {
+		t.Fatalf("rebuild jobs dropped a stale table's tiling: rebuilt %v", rebuilt)
+	}
+	for _, tb := range s.planSet().Tables() {
+		if tb.CalHash != newHash {
+			t.Fatalf("%s %s table still pinned to the stale calibration: %+v", tb.Backend, tb.TilingName(), s.planSet().Stats())
+		}
 	}
 
 	// The backend serves healthy again: 200, unflagged, and the plan

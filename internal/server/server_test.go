@@ -395,6 +395,42 @@ func TestServerJournalReplayAcrossRestart(t *testing.T) {
 	}
 }
 
+// A re-fit job swaps a backend's target while the daemon serves:
+// /v1/platforms polled across swapTarget calls must read the target map
+// under its lock (an unlocked read is a concurrent map read and write —
+// a fatal throw no handler can recover; the race detector reports it).
+func TestServerPlatformsDuringTargetSwap(t *testing.T) {
+	s := newServer(t, testConfig())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	tg, ok := s.target("BDW")
+	if !ok {
+		t.Fatal("BDW not served")
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			s.swapTarget("BDW", tg)
+		}
+	}()
+	for polling := true; polling; {
+		select {
+		case <-done:
+			polling = false
+		default:
+		}
+		resp, err := ts.Client().Get(ts.URL + "/v1/platforms")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/v1/platforms during a swap: %d", resp.StatusCode)
+		}
+	}
+}
+
 // The /v1/platforms endpoint lists every served backend with calibration
 // provenance, a backend loaded purely from a JSON description file is
 // served like the built-ins, and statsz carries per-backend counters.

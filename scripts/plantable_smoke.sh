@@ -10,6 +10,9 @@
 #      markers, hit counters).
 #   3. polyufc-serve boots with the table pinned to its own boot-time
 #      calibration and reports hits in /statsz.
+#   4. The same three on the shipped 2-socket description: the table's
+#      rho axis comes from the topology, so a parallel nest placed across
+#      both sockets is answered from it, offline and in the daemon.
 #
 # Requires: go, curl.
 set -eu
@@ -25,7 +28,7 @@ go build -o "$tmp/polyufc-serve" ./cmd/polyufc-serve
 plat="platforms/wide-uncore.json"
 table="$tmp/wide.plan.json"
 
-echo "== 1/3 build-plan-table: SIGKILL mid-sweep, resume byte-identical"
+echo "== 1/4 build-plan-table: SIGKILL mid-sweep, resume byte-identical"
 "$tmp/polyufc" -build-plan-table "$tmp/clean.plan.json" -platform-file "$plat" \
     -platform wide >/dev/null
 
@@ -53,14 +56,14 @@ cmp -s "$tmp/clean.plan.json" "$table" || {
 }
 echo "   resume OK ($done_before cells survived the SIGKILL, table byte-identical)"
 
-echo "== 2/3 polyufc -plan-table: caps answered from the table"
+echo "== 2/4 polyufc -plan-table: caps answered from the table"
 "$tmp/polyufc" -kernel gemm -size test -platform-file "$plat" -platform wide \
     -plan-table "$table" >"$tmp/compile.out"
 grep -q "\[plan table\]" "$tmp/compile.out" || { echo "no [plan table] marker:"; cat "$tmp/compile.out"; exit 1; }
 grep -q "plan tables: 1 loaded" "$tmp/compile.out" || { echo "plan stats line missing:"; cat "$tmp/compile.out"; exit 1; }
 echo "   $(grep 'plan tables:' "$tmp/compile.out")"
 
-echo "== 3/3 polyufc-serve: boot with the table, /statsz reports hits"
+echo "== 3/4 polyufc-serve: boot with the table, /statsz reports hits"
 addr="127.0.0.1:8339"
 "$tmp/polyufc-serve" -addr "$addr" -platform-file "$plat" -plan-table "$table" \
     2>"$tmp/serve.log" &
@@ -82,4 +85,33 @@ grep -q '"hits": *[1-9]' "$tmp/statsz.json" || { echo "/statsz shows no plan hit
 kill -TERM "$serve_pid"
 wait "$serve_pid" || { echo "daemon exited non-zero"; cat "$tmp/serve.log"; exit 1; }
 echo "   serve OK (table loaded, hits counted, clean drain)"
+
+echo "== 4/4 two sockets: build, compile and serve from the topology's rho planes"
+plat2="platforms/2-socket-bdw.json"
+table2="$tmp/2s.plan.json"
+"$tmp/polyufc" -build-plan-table "$table2" -platform-file "$plat2" -platform 2s-bdw >/dev/null
+grep -q '"rho_axis"' "$table2" || { echo "2-socket table carries no rho_axis"; exit 1; }
+"$tmp/polyufc" -kernel gemm -size test -platform-file "$plat2" -platform 2s-bdw \
+    -plan-table "$table2" >"$tmp/compile2.out"
+# gemm's nests are parallel: placed across both sockets, remote share 1/2.
+grep -q "\[plan table\]" "$tmp/compile2.out" || { echo "no [plan table] marker on a parallel nest:"; cat "$tmp/compile2.out"; exit 1; }
+grep -q "plan tables: 1 loaded, [1-9][0-9]* hits" "$tmp/compile2.out" || { echo "no plan hits on two sockets:"; cat "$tmp/compile2.out"; exit 1; }
+echo "   $(grep 'plan tables:' "$tmp/compile2.out")"
+
+"$tmp/polyufc-serve" -addr "$addr" -platform-file "$plat2" -plan-table "$table2" \
+    2>"$tmp/serve2.log" &
+serve_pid=$!
+for i in $(seq 1 50); do
+    curl -sf "http://$addr/healthz" >/dev/null 2>&1 && break
+    sleep 0.1
+done
+curl -sf "http://$addr/healthz" >/dev/null || { echo "daemon never came up"; cat "$tmp/serve2.log"; exit 1; }
+curl -s -X POST "http://$addr/v1/search" \
+    -d '{"kernel":"gemm","platform":"2s-bdw","size":"test"}' >"$tmp/search2.json"
+grep -q '"nests"' "$tmp/search2.json" || { echo "search got no answer:"; cat "$tmp/search2.json"; exit 1; }
+curl -s "http://$addr/statsz" >"$tmp/statsz2.json"
+grep -q '"hits": *[1-9]' "$tmp/statsz2.json" || { echo "/statsz shows no plan hits on two sockets:"; cat "$tmp/statsz2.json"; exit 1; }
+kill -TERM "$serve_pid"
+wait "$serve_pid" || { echo "daemon exited non-zero"; cat "$tmp/serve2.log"; exit 1; }
+echo "   2-socket OK (rho planes built, hits offline and in /statsz, clean drain)"
 echo "plantable smoke: all good"
