@@ -422,10 +422,9 @@ func run(kernel, file, platName, objective, size, capLevel, degrade, fault, jpat
 		fmt.Printf("plan tables: %d loaded, %d hits, %d fallbacks to live search, %d stale\n",
 			st.Loaded, st.Hits, st.Fallbacks, st.Stale)
 	}
-	t := res.Timings
-	pre, tile, cm := t.Of(core.StagePreprocess), t.Of(core.StageTile), t.Of(core.StageCacheModel)
+	pre, tile, cm, rest := res.Timings.Tab4()
 	fmt.Printf("\ncompile time: preprocess %v, pluto %v, polyufc-cm %v, steps4-6 %v\n",
-		pre, tile, cm, t.Total()-pre-tile-cm)
+		pre, tile, cm, rest)
 
 	if printIR {
 		fmt.Println("\n--- transformed module ---")

@@ -76,25 +76,67 @@ type Result struct {
 func (r *Result) LLC() LevelResult { return r.Levels[len(r.Levels)-1] }
 
 // Analyze runs PolyUFC-CM over one affine nest for the given cache
-// hierarchy.
+// hierarchy: Measure at the hierarchy's line size, then Evaluate.
 func Analyze(nest *ir.Nest, cfg cachesim.Config, opts Options) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	g, err := Measure(nest, cfg.Levels[0].LineSize, opts)
+	if err != nil {
+		return nil, err
+	}
+	return g.Evaluate(cfg, opts)
+}
+
+// Geometry is the hierarchy-free half of a PolyUFC-CM analysis: what the
+// polyhedral counting establishes about a nest before any cache size or
+// associativity is known. The line size is the one machine parameter it
+// depends on — a footprint is a number of lines — so one Geometry serves
+// every hierarchy with that line size (Kerncraft's split: analyse the
+// kernel once, apply machine descriptions to it afterwards). A Geometry is
+// immutable once measured and safe to share across goroutines.
+type Geometry struct {
+	lineSize int64
+	// exact, when set, is the nest itself: it is small enough for
+	// Options.ExactBelow, so Evaluate simulates it against the hierarchy
+	// and nothing was counted. The nest must not change afterwards.
+	exact *ir.Nest
+	stmts []stmtGeometry
+	// Totals over all statements (the analytic route).
+	flops, instances, loads, stores, qbytes int64
+}
+
+// stmtGeometry is one statement's share of a Geometry.
+type stmtGeometry struct {
+	name string
+	// full is the statement's instance count and flops its arithmetic
+	// operations over all of them.
+	full, flops int64
+	// tripAt[k] is the average trip count of loop k across the executions
+	// of its prefix.
+	tripAt []int64
+	// fps[ai][l] is access ai's footprint over the suffix window of loops
+	// l..n-1 (l = n is the empty window: one instance).
+	fps [][]Footprint
+}
+
+// Measure runs the counting half of PolyUFC-CM over one affine nest:
+// prefix cardinalities, average trip counts, per-access suffix-window
+// footprints in lines of lineSize bytes, and the flop, access and byte
+// totals. It reads Dedup, CountBudget and ExactBelow from opts; Threads and
+// FullyAssoc belong to Evaluate.
+func Measure(nest *ir.Nest, lineSize int64, opts Options) (*Geometry, error) {
+	if lineSize <= 0 {
+		return nil, fmt.Errorf("cachemodel: line size %d not positive", lineSize)
+	}
 	if opts.CountBudget == 0 {
 		opts.CountBudget = 1 << 22
 	}
-	res := &Result{}
-	nLevels := len(cfg.Levels)
-	res.Levels = make([]LevelResult, nLevels)
-	for i, lc := range cfg.Levels {
-		res.Levels[i].Name = lc.Name
-		res.Levels[i].FitWindow = -1
-	}
-
+	g := &Geometry{lineSize: lineSize}
 	if opts.ExactBelow > 0 {
 		if tc, err := nest.TripCount(); err == nil && tc <= opts.ExactBelow {
-			return analyzeExact(nest, cfg, opts, res)
+			g.exact = nest
+			return g, nil
 		}
 	}
 
@@ -102,9 +144,44 @@ func Analyze(nest *ir.Nest, cfg cachesim.Config, opts Options) (*Result, error) 
 	// they count are the same sets; the memo lives for this call only.
 	var counts isl.CountMemo
 	for _, si := range nest.Statements() {
-		if err := analyzeStatement(si, cfg, opts, &counts, res); err != nil {
+		sg, err := measureStatement(si, lineSize, opts, &counts)
+		if err != nil {
 			return nil, fmt.Errorf("cachemodel: statement %s: %w", si.Stmt.Name, err)
 		}
+		g.stmts = append(g.stmts, sg)
+		g.instances += sg.full
+		g.flops += sg.flops
+		for _, a := range si.Stmt.Accesses {
+			if a.Write {
+				g.stores += sg.full
+			} else {
+				g.loads += sg.full
+			}
+		}
+		g.qbytes += sumAccessBytes(si.Stmt.Accesses, sg.full)
+	}
+	return g, nil
+}
+
+// Evaluate applies a cache hierarchy to the geometry: the per-level fit
+// test and miss recursion, the thread-sharing division, the access streams
+// between levels, QDRAM and OI. The hierarchy's line size must be the one
+// the geometry was measured at. It reads Threads and FullyAssoc from opts.
+func (g *Geometry) Evaluate(cfg cachesim.Config, opts Options) (*Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if ls := cfg.Levels[0].LineSize; ls != g.lineSize {
+		return nil, fmt.Errorf("cachemodel: geometry measured at line size %d, hierarchy has %d", g.lineSize, ls)
+	}
+	res := &Result{Levels: newLevels(cfg)}
+	if g.exact != nil {
+		return analyzeExact(g.exact, cfg, opts, res)
+	}
+	res.Flops, res.Instances = g.flops, g.instances
+	res.Loads, res.Stores, res.QBytes = g.loads, g.stores, g.qbytes
+	for i := range g.stmts {
+		g.stmts[i].addMisses(cfg, opts, res.Levels)
 	}
 
 	// Thread-sharing heuristic (Sec. IV-B): divide sequential miss counts
@@ -113,17 +190,10 @@ func Analyze(nest *ir.Nest, cfg cachesim.Config, opts Options) (*Result, error) 
 	if opts.Threads > 1 {
 		res.ThreadsDiv = opts.Threads
 	}
-	if opts.Threads > 1 {
-		t := int64(opts.Threads)
-		for i := range res.Levels {
-			res.Levels[i].ColdMisses = ceilI64(res.Levels[i].ColdMisses, t)
-			res.Levels[i].CapConfMisses = ceilI64(res.Levels[i].CapConfMisses, t)
-		}
-	}
+	shareAcrossThreads(res.Levels, opts.Threads)
 
 	// Access streams: level 0 sees every load and store; level i+1 sees
 	// level i's misses plus forwarded writes (write-through).
-	lineSize := cfg.Levels[0].LineSize
 	res.Levels[0].Accesses = res.Loads + res.Stores
 	for i := range res.Levels {
 		lv := &res.Levels[i]
@@ -136,47 +206,64 @@ func Analyze(nest *ir.Nest, cfg cachesim.Config, opts Options) (*Result, error) 
 			lv.MissRatio = float64(lv.Misses) / float64(lv.Accesses)
 			lv.HitRatio = 1 - lv.MissRatio
 		}
-		if i+1 < nLevels {
+		if i+1 < len(res.Levels) {
 			res.Levels[i+1].Accesses = lv.Misses + res.Stores
 		}
 	}
-	res.QDRAM = res.LLC().Misses * lineSize
+	res.QDRAM = res.LLC().Misses * g.lineSize
 	if res.QDRAM > 0 {
 		res.OI = float64(res.Flops) / float64(res.QDRAM)
 	}
 	return res, nil
 }
 
-// analyzeStatement applies the recursive reuse model to one statement and
-// accumulates its contribution into res. For each cache level and access,
-// the misses over the subtree rooted at loop l are
-//
-//	M(l) = footprint(loops l..n-1)        if the body of l fits the level
-//	     = trips(l) * M(l+1)              otherwise,
-//
-// where "the body of l fits" tests the combined footprint of all accesses
-// over the loops strictly deeper than l against the level's capacity
-// (fully-associative mode) or per-set occupancy against its associativity
-// (the paper's per-set model). This realizes the reuse-distance criterion
-// RD > k of Sec. IV-B: a reuse carried by loop l has distance equal to one
-// body execution's footprint, and survives iff that footprint fits.
-func analyzeStatement(si ir.StatementInfo, cfg cachesim.Config, opts Options, counts *isl.CountMemo, res *Result) error {
+// newLevels returns the named, not-yet-analyzed level records of a
+// hierarchy.
+func newLevels(cfg cachesim.Config) []LevelResult {
+	levels := make([]LevelResult, len(cfg.Levels))
+	for i, lc := range cfg.Levels {
+		levels[i].Name = lc.Name
+		levels[i].FitWindow = -1
+	}
+	return levels
+}
+
+// shareAcrossThreads applies the thread-sharing division to the modeled
+// miss counts.
+func shareAcrossThreads(levels []LevelResult, threads int) {
+	if threads <= 1 {
+		return
+	}
+	t := int64(threads)
+	for i := range levels {
+		levels[i].ColdMisses = ceilI64(levels[i].ColdMisses, t)
+		levels[i].CapConfMisses = ceilI64(levels[i].CapConfMisses, t)
+	}
+}
+
+// measureStatement counts one statement: its instances, the average trip
+// count of each enclosing loop, and every access's footprint over every
+// suffix window of the loop stack.
+func measureStatement(si ir.StatementInfo, lineSize int64, opts Options, counts *isl.CountMemo) (stmtGeometry, error) {
 	n := len(si.Loops)
 	ivs := si.IVNames()
+	sg := stmtGeometry{name: si.Stmt.Name}
 
 	cnt, err := prefixCounts(si.Domain, n, counts, opts.CountBudget)
 	if err != nil {
-		return err
+		return sg, err
 	}
 	full := cnt[n]
 	if full == 0 {
-		return nil
+		return sg, nil
 	}
+	sg.full, sg.flops = full, full*si.Stmt.Flops
 	// Average trip count of loop k across the executions of its prefix.
 	tripAt := make([]int64, n)
 	for k := 0; k < n; k++ {
 		tripAt[k] = roundTrip(float64(cnt[k+1]) / float64(maxI64(cnt[k], 1)))
 	}
+	sg.tripAt = tripAt
 
 	// Bound-dependence closure: deps[d] is the set of outer loop indices
 	// whose IVs (transitively) appear in loop d's bounds. A tile IV never
@@ -195,31 +282,17 @@ func analyzeStatement(si ir.StatementInfo, cfg cachesim.Config, opts Options, co
 		}
 	}
 
-	res.Instances += full
-	res.Flops += full * si.Stmt.Flops
-
 	accs := si.Stmt.Accesses
 	if opts.Dedup {
 		accs = dedupAccesses(accs)
 	}
-	for _, a := range si.Stmt.Accesses {
-		if a.Write {
-			res.Stores += full
-		} else {
-			res.Loads += full
-		}
-	}
-	res.QBytes += sumAccessBytes(si.Stmt.Accesses, full)
-
-	lineSize := cfg.Levels[0].LineSize
-	// Precompute per-access footprints over every suffix window
-	// ivs[l:] for l = 0..n (l = n is the empty window: one instance).
-	// Within a window, an IV whose bounds depend on other IVs *inside* the
-	// window covers its full swept range: its trips multiply by the trips
-	// of those bounding IVs.
-	fps := make([][]Footprint, len(accs)) // fps[ai][l]
+	// Per-access footprints over every suffix window ivs[l:] for
+	// l = 0..n. Within a window, an IV whose bounds depend on other IVs
+	// *inside* the window covers its full swept range: its trips multiply
+	// by the trips of those bounding IVs.
+	sg.fps = make([][]Footprint, len(accs))
 	for ai, a := range accs {
-		fps[ai] = make([]Footprint, n+1)
+		sg.fps[ai] = make([]Footprint, n+1)
 		for l := 0; l <= n; l++ {
 			wTrips := map[string]int64{}
 			for d := l; d < n; d++ {
@@ -234,10 +307,31 @@ func analyzeStatement(si ir.StatementInfo, cfg cachesim.Config, opts Options, co
 				}
 				wTrips[ivs[d]] = eff
 			}
-			fps[ai][l] = accessFootprint(a, ivs[l:], wTrips, lineSize)
+			sg.fps[ai][l] = accessFootprint(a, ivs[l:], wTrips, lineSize)
 		}
 	}
+	return sg, nil
+}
 
+// addMisses applies the recursive reuse model to one statement and
+// accumulates its cold and capacity/conflict misses into levels. For each
+// cache level and access, the misses over the subtree rooted at loop l are
+//
+//	M(l) = footprint(loops l..n-1)        if the body of l fits the level
+//	     = trips(l) * M(l+1)              otherwise,
+//
+// where "the body of l fits" tests the combined footprint of all accesses
+// over the loops strictly deeper than l against the level's capacity
+// (fully-associative mode) or per-set occupancy against its associativity
+// (the paper's per-set model). This realizes the reuse-distance criterion
+// RD > k of Sec. IV-B: a reuse carried by loop l has distance equal to one
+// body execution's footprint, and survives iff that footprint fits.
+func (sg *stmtGeometry) addMisses(cfg cachesim.Config, opts Options, levels []LevelResult) {
+	if sg.full == 0 {
+		return
+	}
+	n := len(sg.tripAt)
+	lineSize := cfg.Levels[0].LineSize
 	for li, lc := range cfg.Levels {
 		numSets := lc.NumSets()
 		ways := lc.Ways()
@@ -249,8 +343,8 @@ func analyzeStatement(si ir.StatementInfo, cfg cachesim.Config, opts Options, co
 		fitWindow := 0
 		for l := n - 1; l >= 0; l-- {
 			var totalLines, totalOcc int64
-			for ai := range accs {
-				fp := fps[ai][l+1]
+			for ai := range sg.fps {
+				fp := sg.fps[ai][l+1]
 				totalLines += fp.Lines()
 				totalOcc += fp.PerSetOccupancy(lineSize, numSets)
 			}
@@ -265,31 +359,29 @@ func analyzeStatement(si ir.StatementInfo, cfg cachesim.Config, opts Options, co
 				break // monotone: outer windows are at least as large
 			}
 		}
-		// Fill remaining (outer) levels as non-fitting.
-		if res.Levels[li].FitWindow < fitWindow {
-			res.Levels[li].FitWindow = fitWindow
+		if levels[li].FitWindow < fitWindow {
+			levels[li].FitWindow = fitWindow
 		}
 
 		var cold, total int64
-		for ai := range accs {
-			m := fps[ai][n].Lines() // one instance
+		for ai := range sg.fps {
+			m := sg.fps[ai][n].Lines() // one instance
 			for l := n - 1; l >= 0; l-- {
 				if bodyFits[l] {
-					m = fps[ai][l].Lines()
+					m = sg.fps[ai][l].Lines()
 				} else {
-					m = tripAt[l] * m
+					m = sg.tripAt[l] * m
 				}
 			}
-			all := fps[ai][0].Lines()
-			m = maxI64(m, all)  // at least one miss per distinct line
-			m = minI64(m, full) // at most one miss per instance
+			all := sg.fps[ai][0].Lines()
+			m = maxI64(m, all)     // at least one miss per distinct line
+			m = minI64(m, sg.full) // at most one miss per instance
 			cold += all
 			total += m
 		}
-		res.Levels[li].ColdMisses += cold
-		res.Levels[li].CapConfMisses += maxI64(total-cold, 0)
+		levels[li].ColdMisses += cold
+		levels[li].CapConfMisses += maxI64(total-cold, 0)
 	}
-	return nil
 }
 
 // prefixCounts returns the prefix cardinalities of an n-dimensional domain:
@@ -332,38 +424,28 @@ type StatementResult struct {
 
 // AnalyzeStatements runs PolyUFC-CM independently per statement of a nest,
 // returning each statement's flop count, DRAM traffic and operational
-// intensity.
+// intensity. Per-statement figures exist on the analytic route only, so
+// ExactBelow is ignored.
 func AnalyzeStatements(nest *ir.Nest, cfg cachesim.Config, opts Options) ([]StatementResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.CountBudget == 0 {
-		opts.CountBudget = 1 << 22
+	opts.ExactBelow = 0
+	g, err := Measure(nest, cfg.Levels[0].LineSize, opts)
+	if err != nil {
+		return nil, err
 	}
-	lineSize := cfg.Levels[0].LineSize
 	var out []StatementResult
-	var counts isl.CountMemo
-	for _, si := range nest.Statements() {
-		res := &Result{Levels: make([]LevelResult, len(cfg.Levels))}
-		for i, lc := range cfg.Levels {
-			res.Levels[i].Name = lc.Name
-			res.Levels[i].FitWindow = -1
-		}
-		if err := analyzeStatement(si, cfg, opts, &counts, res); err != nil {
-			return nil, fmt.Errorf("cachemodel: statement %s: %w", si.Stmt.Name, err)
-		}
-		if opts.Threads > 1 {
-			t := int64(opts.Threads)
-			for i := range res.Levels {
-				res.Levels[i].ColdMisses = ceilI64(res.Levels[i].ColdMisses, t)
-				res.Levels[i].CapConfMisses = ceilI64(res.Levels[i].CapConfMisses, t)
-			}
-		}
-		last := res.Levels[len(res.Levels)-1]
-		q := (last.ColdMisses + last.CapConfMisses) * lineSize
-		sr := StatementResult{Name: si.Stmt.Name, Flops: res.Flops, QDRAM: q}
+	for i := range g.stmts {
+		sg := &g.stmts[i]
+		levels := newLevels(cfg)
+		sg.addMisses(cfg, opts, levels)
+		shareAcrossThreads(levels, opts.Threads)
+		last := levels[len(levels)-1]
+		q := (last.ColdMisses + last.CapConfMisses) * g.lineSize
+		sr := StatementResult{Name: sg.name, Flops: sg.flops, QDRAM: q}
 		if q > 0 {
-			sr.OI = float64(res.Flops) / float64(q)
+			sr.OI = float64(sg.flops) / float64(q)
 		}
 		out = append(out, sr)
 	}

@@ -37,7 +37,7 @@ type Config struct {
 	// the pluto strategy at pluto.DefaultOptions, which is byte-identical
 	// to the pre-strategy pipeline. The spec's fingerprint is folded into
 	// CacheKey and is the tile stage's memo salt, so distinct strategies
-	// never share memoized artifacts.
+	// never share a tile-or-later artifact.
 	Tiling tiling.Spec
 	CM     cachemodel.Options
 	Search search.Options
@@ -144,10 +144,21 @@ func DefaultConfig(t *roofline.Target) Config {
 }
 
 // Timings is the Table-IV compile-time breakdown: every executed pipeline
-// stage in order. The paper's four columns are sums over stage names —
-// Of(StagePreprocess), Of(StageTile), Of(StageCacheModel), and the rest.
+// stage in order. The paper's four columns are sums over stage names,
+// stated once in Tab4.
 type Timings struct {
 	Stages []StageTiming
+}
+
+// Tab4 returns the paper's four Table-IV columns: preprocessing, Pluto
+// (dependence analysis + tiling), PolyUFC-CM (the counting and the
+// hierarchy evaluation) and steps 4-6 (every other stage, so the four sum
+// to Total).
+func (t Timings) Tab4() (preprocess, pluto, polyufcCM, steps4to6 time.Duration) {
+	preprocess = t.Of(StagePreprocess)
+	pluto = t.Of(StageDeps, StageTile)
+	polyufcCM = t.Of(StageCacheModel, StageCacheEval)
+	return preprocess, pluto, polyufcCM, t.Total() - preprocess - pluto - polyufcCM
 }
 
 // Of sums the recorded time of the named stages.

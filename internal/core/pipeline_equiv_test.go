@@ -119,7 +119,7 @@ func TestPrefixRunSeedsFullCompile(t *testing.T) {
 			t.Fatalf("prefix report not analysis-only: %+v", r)
 		}
 	}
-	want := []string{StagePreprocess, StageTile, StageCacheModel, StageCharacterize}
+	want := []string{StagePreprocess, StageDeps, StageTile, StageCacheModel, StageCacheEval, StageCharacterize}
 	if got := len(pre.Timings.Stages); got != len(want) {
 		t.Fatalf("prefix ran %d stages, want %d", got, len(want))
 	}
@@ -233,7 +233,20 @@ func TestTimingsTotalDerivesFromStageEvents(t *testing.T) {
 	if got := int64(res.Timings.Of(names...)); got != sum {
 		t.Fatalf("Of(all stages) = %d, want event sum %d", got, sum)
 	}
-	if got := res.Timings.Of(StageCacheModel); got != res.Timings.Stages[2].Duration {
-		t.Fatalf("Of(cachemodel) = %v, want the cachemodel event's %v", got, res.Timings.Stages[2].Duration)
+	if got := res.Timings.Of(StageCacheModel); got != res.Timings.Stages[3].Duration {
+		t.Fatalf("Of(cachemodel) = %v, want the cachemodel event's %v", got, res.Timings.Stages[3].Duration)
+	}
+	// The four Table-IV columns partition the total too: dependence
+	// analysis is Pluto's, the hierarchy evaluation PolyUFC-CM's, neither
+	// drifts into steps 4-6.
+	pre, pluto, cm, rest := res.Timings.Tab4()
+	if pre+pluto+cm+rest != res.Timings.Total() {
+		t.Fatalf("Tab4 columns sum to %v, want Total() %v", pre+pluto+cm+rest, res.Timings.Total())
+	}
+	if want := res.Timings.Stages[1].Duration + res.Timings.Stages[2].Duration; pluto != want {
+		t.Fatalf("Tab4 pluto = %v, want deps + tile = %v", pluto, want)
+	}
+	if want := res.Timings.Stages[3].Duration + res.Timings.Stages[4].Duration; cm != want {
+		t.Fatalf("Tab4 polyufc-cm = %v, want cachemodel + cache-eval = %v", cm, want)
 	}
 }

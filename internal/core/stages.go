@@ -5,7 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
+	"strings"
 	"time"
 
 	"polyufc/internal/cachemodel"
@@ -13,6 +13,7 @@ import (
 	"polyufc/internal/lower"
 	"polyufc/internal/model"
 	"polyufc/internal/pipeline"
+	"polyufc/internal/pluto"
 	"polyufc/internal/roofline"
 	"polyufc/internal/search"
 	"polyufc/internal/tiling"
@@ -24,11 +25,23 @@ import (
 const (
 	// StagePreprocess lowers torch -> linalg -> affine (Fig. 3 prep).
 	StagePreprocess = "preprocess"
+	// StageDeps is the polyhedral dependence analysis of every nest (the
+	// first half of stage 2). It reads the lowered module and nothing of
+	// the configuration, so one analysis serves every tile size, strategy
+	// and platform.
+	StageDeps = "deps"
 	// StageTile is tiling + parallelization (stage 2) under the
 	// configured tiling strategy (internal/tiling; Pluto by default).
 	StageTile = "tile"
-	// StageCacheModel is PolyUFC-CM + OI (stages 3a-3b).
+	// StageCacheModel is PolyUFC-CM's polyhedral counting (stage 3a up to
+	// the hierarchy: cachemodel.Measure) — where the analysis time goes. Of
+	// the target it reads the line size alone.
 	StageCacheModel = "cachemodel"
+	// StageCacheEval applies the target's cache hierarchy to the counted
+	// geometry (cachemodel.Geometry.Evaluate: misses per level, QDRAM, OI —
+	// the rest of stages 3a-3b). It is the first stage of a pluto or
+	// cacheoblivious compile that reads the target.
+	StageCacheEval = "cache-eval"
 	// StageCharacterize is the roofline CB/BB classification (stage 4).
 	StageCharacterize = "characterize"
 	// StageModelFit builds the Sec. V analytic model per nest (stage 5a).
@@ -66,11 +79,17 @@ type nestState struct {
 	// tile is the tiling metadata the strategy reported (strategy name,
 	// tiled flag, tile size); zero-valued when the tile stage degraded.
 	tile tiling.NestInfo
-	// err records the first BestEffort stage error (tile or cachemodel);
-	// such a nest is compiled degraded.
+	// deps is the nest's dependence analysis, made on the untiled nest (nil
+	// for a nest outside pluto's class, which every strategy passes through
+	// untiled). The tile stage is its only reader.
+	deps *pluto.DepInfo
+	// err records the first BestEffort stage error (deps, tile, cachemodel
+	// or cache-eval); such a nest is compiled degraded.
 	err error
-	// cm is the PolyUFC-CM result (nil when degraded) and class its
-	// roofline CB/BB classification.
+	// geom is what PolyUFC-CM counted on the tiled nest, cm the result of
+	// applying the target's hierarchy to it (both nil when degraded) and
+	// class cm's roofline CB/BB classification.
+	geom  *cachemodel.Geometry
 	cm    *cachemodel.Result
 	class roofline.Class
 	// threads is the thread count reported and modeled.
@@ -156,8 +175,9 @@ func rebound(mod *ir.Module, recs []nestState) []nestState {
 }
 
 // changedModule is called by the stages that rewrite the module
-// (preprocess and tile; every other memoized stage fills the per-nest
-// records alone): the next snapshot must clone it afresh.
+// (preprocess and tile; every other memoized stage — deps, cachemodel and
+// cache-eval among them — fills the per-nest records alone): the next
+// snapshot must clone it afresh.
 func (st *compileState) changedModule() { st.snapMod = nil }
 
 // snapSave clones the module only if the stage changed it; otherwise the
@@ -193,24 +213,46 @@ func memoized(stages []pipeline.Stage[*compileState]) []pipeline.Stage[*compileS
 }
 
 // stageBaseKey is the content hash anchoring the stage memo key chain:
-// the module text plus everything every stage reads from the config.
-// Fault-injection runs return "", which disables stage memoization (see
-// Config.memoizable).
+// the module text plus the one thing every stage reads from the config,
+// the degrade policy (eachNest). Everything else enters the chain as the
+// salt of the first stage that reads it — the target included, see
+// platformSalt. Fault-injection runs return "", which disables stage
+// memoization (see Config.memoizable).
 func stageBaseKey(mod *ir.Module, cfg Config) string {
 	if !cfg.memoizable() {
 		return ""
 	}
 	h := sha256.New()
-	io.WriteString(h, mod.Print())
-	fmt.Fprintf(h, "|platform=%s", cfg.Platform().Name)
-	if b := cfg.Platform().Backend; b != nil {
-		// Platform fields outside the constants (CapLatency, the cap
-		// grid) feed stages too: key on the exact description.
-		fmt.Fprintf(h, "|backend=%s", b.Hash())
-	}
-	fmt.Fprintf(h, "|consts=%+v", *cfg.Constants())
+	mod.Fprint(h) // a hash does not fail
 	fmt.Fprintf(h, "|degrade=%d", cfg.Degrade)
 	return hex.EncodeToString(h.Sum(nil)[:16])
+}
+
+// platformSalt is the target's contribution to the stage key chain: the
+// platform name, the exact backend description (fields outside the
+// constants — CapLatency, the cap grid, the topology — feed stages too)
+// and the calibrated constants. The first stage of a pipeline that reads
+// the target adds it to its salt — cache-eval always, tile before it when
+// the strategy reads the target — and every later stage inherits it
+// through the chain.
+func platformSalt(cfg Config) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "platform=%s", cfg.Platform().Name)
+	if b := cfg.Platform().Backend; b != nil {
+		fmt.Fprintf(&sb, "|backend=%s", b.Hash())
+	}
+	fmt.Fprintf(&sb, "|consts=%+v", *cfg.Constants())
+	return sb.String()
+}
+
+// lineSize is the target's cache line size in bytes (0 without a
+// hierarchy, which cachemodel.Measure rejects): the one machine parameter
+// PolyUFC-CM's counting reads.
+func lineSize(cfg Config) int64 {
+	if lv := cfg.Platform().Cache.Levels; len(lv) > 0 {
+		return lv[0].LineSize
+	}
+	return 0
 }
 
 // machineThreads is the whole-machine thread count a parallel nest
@@ -235,9 +277,9 @@ func nestThreads(cfg Config, nest *ir.Nest) int {
 	return 1
 }
 
-// eachNest is the per-nest walk the tile, cachemodel, model-fit,
-// plan-lookup and search stages share, and the one place a nest-level
-// failure is judged. Every nest runs as its own pipeline.Unit (a panic
+// eachNest is the per-nest walk the deps, tile, cachemodel, cache-eval,
+// model-fit, plan-lookup and search stages share, and the one place a
+// nest-level failure is judged. Every nest runs as its own pipeline.Unit (a panic
 // surfaces as that nest's error) behind a context check. A failure under
 // Strict aborts the stage; so does one under a dead context, whatever the
 // policy — deadline expiry or cancellation leaves a partial result, not a
@@ -259,8 +301,8 @@ func (st *compileState) eachNest(ctx context.Context, stage string, run func(ns 
 	return nil
 }
 
-// degradeAnalysis records a tile or cachemodel failure: the nest keeps its
-// first error and is compiled degraded.
+// degradeAnalysis records a deps, tile, cachemodel or cache-eval failure:
+// the nest keeps its first error and is compiled degraded.
 func degradeAnalysis(ns *nestState, err error) {
 	if ns.err == nil {
 		ns.err = err
@@ -284,15 +326,40 @@ func stagePreprocess() pipeline.Stage[*compileState] {
 	}
 }
 
+// stageDeps analyses every nest's dependences once, ahead of tiling: the
+// analysis reads the lowered nest alone, so its snapshot is shared by every
+// tile size, strategy and platform a kernel is compiled for. It does not
+// change the module (its snapshot shares preprocess's clone).
+func stageDeps() pipeline.Stage[*compileState] {
+	return pipeline.Stage[*compileState]{
+		Name: StageDeps,
+		Run: func(ctx context.Context, st *compileState) error {
+			return st.eachNest(ctx, StageDeps, func(ns *nestState) error {
+				ns.deps, _ = pluto.Analyze(ns.nest) // the error means "outside the class": deps stay nil
+				return nil
+			}, degradeAnalysis)
+		},
+	}
+}
+
 func stageTile() pipeline.Stage[*compileState] {
 	return pipeline.Stage[*compileState]{
 		Name: StageTile,
 		Salt: func(st *compileState) string {
 			salt := "tiling=" + st.cfg.Tiling.Fingerprint()
-			if st.cfg.Tiling.Normalize().Name == tiling.NameAuto {
+			strat, err := tiling.New(st.cfg.Tiling)
+			if err != nil || !strat.ReadsTarget() {
+				// pluto and cacheoblivious tile from the nest alone: one
+				// snapshot serves every platform. (An unknown strategy
+				// fails in Run; its key is never stored under.)
+				return salt
+			}
+			// latency and auto score candidates on the target's hierarchy
+			// at the configured thread count.
+			salt += fmt.Sprintf("|threads=%d|%s", st.cfg.CM.Threads, platformSalt(st.cfg))
+			if strat.Name() == tiling.NameAuto {
 				// Auto's candidate ranking consults the cap search, so
-				// distinct search configurations must not share tiles
-				// (the calibration is already in the base key).
+				// distinct search configurations must not share tiles.
 				salt += "|search=" + st.cfg.Search.Fingerprint()
 			}
 			return salt
@@ -312,10 +379,13 @@ func stageTile() pipeline.Stage[*compileState] {
 			// BestEffort: a failed nest falls back to its untiled form and
 			// is still analyzed and capped downstream.
 			return st.eachNest(ctx, StageTile, func(ns *nestState) error {
+				if ns.err != nil {
+					return nil // the dependence stage degraded it: it stays untiled
+				}
 				if err := st.cfg.Faults.Hit(FaultPluto); err != nil {
 					return err
 				}
-				out, info, err := strat.Apply(ns.nest, tctx)
+				out, info, err := strat.Apply(ns.nest, tctx.WithDeps(ns.nest, ns.deps))
 				if err != nil {
 					return err
 				}
@@ -345,18 +415,51 @@ func capEDPScorer(ctx context.Context, cfg Config) func(nest *ir.Nest, cm *cache
 	}
 }
 
+// stageCacheModel is the counting half of PolyUFC-CM. Of the target it
+// reads the line size only, so a tiled nest is counted once for every
+// platform sharing that line size; neither it nor cache-eval changes the
+// module (their snapshots share tile's clone).
 func stageCacheModel() pipeline.Stage[*compileState] {
 	return pipeline.Stage[*compileState]{
 		Name: StageCacheModel,
-		Salt: func(st *compileState) string { return fmt.Sprintf("%+v", st.cfg.CM) },
+		Salt: func(st *compileState) string {
+			return fmt.Sprintf("%+v|line=%d", st.cfg.CM, lineSize(st.cfg))
+		},
 		Run: func(ctx context.Context, st *compileState) error {
 			// Tile-degraded nests are analyzed too: they fell back to the
-			// untiled form but can still be characterized and capped.
+			// untiled form but can still be characterized and capped. The
+			// thread-sharing divisor (cmOptions) is the target's and is
+			// applied by cache-eval.
 			return st.eachNest(ctx, StageCacheModel, func(ns *nestState) error {
 				if err := st.cfg.Faults.Hit(FaultCacheModel); err != nil {
 					return err
 				}
-				cm, err := cachemodel.Analyze(ns.nest, st.cfg.Platform().Cache, cmOptions(st.cfg, ns.nest))
+				geom, err := cachemodel.Measure(ns.nest, lineSize(st.cfg), st.cfg.CM)
+				if err != nil {
+					return err
+				}
+				ns.geom = geom
+				return nil
+			}, degradeAnalysis)
+		},
+	}
+}
+
+// stageCacheEval applies the target's hierarchy to each counted nest. Its
+// salt is where the platform enters the key chain of a compile whose
+// tiling strategy does not read the target.
+func stageCacheEval() pipeline.Stage[*compileState] {
+	return pipeline.Stage[*compileState]{
+		Name: StageCacheEval,
+		Salt: func(st *compileState) string {
+			return fmt.Sprintf("%+v|%s", st.cfg.CM, platformSalt(st.cfg))
+		},
+		Run: func(ctx context.Context, st *compileState) error {
+			return st.eachNest(ctx, StageCacheEval, func(ns *nestState) error {
+				if ns.geom == nil {
+					return nil // counting degraded it
+				}
+				cm, err := ns.geom.Evaluate(st.cfg.Platform().Cache, cmOptions(st.cfg, ns.nest))
 				if err != nil {
 					return err
 				}
@@ -729,8 +832,10 @@ func stagePhases() pipeline.Stage[*compileState] {
 func compileStages(cfg Config) []pipeline.Stage[*compileState] {
 	stages := []pipeline.Stage[*compileState]{
 		stagePreprocess(),
+		stageDeps(),
 		stageTile(),
 		stageCacheModel(),
+		stageCacheEval(),
 		stageCharacterize(),
 		stageModelFit(),
 	}
@@ -753,8 +858,10 @@ func compileStages(cfg Config) []pipeline.Stage[*compileState] {
 func phaseStages() []pipeline.Stage[*compileState] {
 	return append(memoized([]pipeline.Stage[*compileState]{
 		stagePreprocess(),
+		stageDeps(),
 		stageTile(),
 		stageCacheModel(),
+		stageCacheEval(),
 	}), stagePhases())
 }
 

@@ -69,10 +69,11 @@ func TestDefaultAndExplicitPlutoShareMemoEntries(t *testing.T) {
 	}
 }
 
-// Distinct strategies must never share memo entries: the tile-stage salt
-// carries the strategy fingerprint, so every tile-or-later stage misses
-// when only the strategy changes (preprocess, upstream of tiling, may
-// still hit — that sharing is correct).
+// Distinct strategies must never share a tile-or-later snapshot: the
+// tile-stage salt carries the strategy fingerprint, so every tile-or-later
+// stage misses when only the strategy changes. preprocess and the
+// dependence analysis, upstream of tiling, read neither and hit — that
+// sharing is correct.
 func TestDistinctStrategiesNeverShareMemoEntries(t *testing.T) {
 	p := hw.BDW()
 	cfg := DefaultConfig(targetFor(t, p))
@@ -97,8 +98,9 @@ func TestDistinctStrategiesNeverShareMemoEntries(t *testing.T) {
 			t.Fatalf("%s: %v", spec.Fingerprint(), err)
 		}
 		for _, s := range res.Timings.Stages {
-			if s.Stage != StagePreprocess && s.CacheHit {
-				t.Fatalf("%s: stage %s served from another strategy's snapshot", spec.Fingerprint(), s.Stage)
+			if upstream := s.Stage == StagePreprocess || s.Stage == StageDeps; s.CacheHit != upstream {
+				t.Fatalf("%s: stage %s cache hit = %v, want %v (only the stages upstream of tiling are shared across strategies)",
+					spec.Fingerprint(), s.Stage, s.CacheHit, upstream)
 			}
 		}
 	}

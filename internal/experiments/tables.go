@@ -111,10 +111,9 @@ func (s *Suite) RenderTab4() error {
 	s.printf("   %-18s %10s %10s %12s %10s %10s\n",
 		"kernel", "preprocess", "pluto", "polyufc-cm", "steps4-6", "total")
 	for _, r := range rows {
-		t := r.Timings
-		pre, tile, cm := t.Of(core.StagePreprocess), t.Of(core.StageTile), t.Of(core.StageCacheModel)
+		pre, tile, cm, rest := r.Timings.Tab4()
 		s.printf("   %-18s %10.2f %10.2f %12.2f %10.2f %10.2f\n",
-			r.Kernel, ms(pre), ms(tile), ms(cm), ms(t.Total()-pre-tile-cm), ms(t.Total()))
+			r.Kernel, ms(pre), ms(tile), ms(cm), ms(rest), ms(r.Timings.Total()))
 	}
 	return nil
 }

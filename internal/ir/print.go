@@ -2,98 +2,128 @@ package ir
 
 import (
 	"fmt"
+	"io"
 	"strings"
 )
 
 // Print renders the module in an MLIR-flavoured textual form.
 func (m *Module) Print() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "module @%s {\n", m.Name)
-	for _, f := range m.Funcs {
-		sb.WriteString(indent(f.Print(), 2))
-	}
-	sb.WriteString("}\n")
+	m.Fprint(&sb) // a strings.Builder does not fail
 	return sb.String()
 }
 
-// Print renders the function body.
-func (f *Func) Print() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "func.func @%s(", f.Name)
+// Fprint writes the text Print returns to w one line at a time, so a
+// caller that only digests the module (the stage memo's base key) never
+// holds the whole text. It returns the first write error.
+func (m *Module) Fprint(w io.Writer) error {
+	p := printer{w: w}
+	p.linef(0, "module @%s {", m.Name)
+	for _, f := range m.Funcs {
+		p.fn(2, f)
+	}
+	p.linef(0, "}")
+	return p.err
+}
+
+// printer emits the textual form line by line at a given indentation.
+type printer struct {
+	w   io.Writer
+	buf []byte // the line being assembled, reused across lines
+	err error  // the first write error; later lines are dropped
+}
+
+// linef writes one formatted line indented by indent spaces. Text with
+// embedded newlines (a name containing one) is indented line by line, and
+// an empty line carries no padding.
+func (p *printer) linef(indent int, format string, args ...any) {
+	if p.err != nil {
+		return
+	}
+	text := fmt.Sprintf(format, args...)
+	p.buf = p.buf[:0]
+	for len(text) > 0 || len(p.buf) == 0 {
+		line, rest, _ := strings.Cut(text, "\n")
+		if line != "" {
+			for i := 0; i < indent; i++ {
+				p.buf = append(p.buf, ' ')
+			}
+			p.buf = append(p.buf, line...)
+		}
+		p.buf = append(p.buf, '\n')
+		text = rest
+	}
+	_, p.err = p.w.Write(p.buf)
+}
+
+func (p *printer) fn(indent int, f *Func) {
 	arrays := f.Arrays()
 	parts := make([]string, len(arrays))
 	for i, a := range arrays {
 		parts[i] = "%" + a.String()
 	}
-	sb.WriteString(strings.Join(parts, ", "))
-	sb.WriteString(") {\n")
+	p.linef(indent, "func.func @%s(%s) {", f.Name, strings.Join(parts, ", "))
 	for _, op := range f.Ops {
-		sb.WriteString(indent(PrintOp(op), 2))
+		p.op(indent+2, op)
 	}
-	sb.WriteString("}\n")
-	return sb.String()
+	p.linef(indent, "}")
 }
 
-// PrintOp renders one operation.
-func PrintOp(op Op) string {
+func (p *printer) op(indent int, op Op) {
 	switch x := op.(type) {
 	case *SetUncoreCap:
-		return fmt.Sprintf("%s {ghz = %.1f, for = %q}\n", x.OpName(), x.GHz, x.From)
+		p.linef(indent, "%s {ghz = %.1f, for = %q}", x.OpName(), x.GHz, x.From)
 	case *Nest:
-		var sb strings.Builder
 		label := x.Label
 		if label == "" {
 			label = "nest"
 		}
-		fmt.Fprintf(&sb, "// affine nest %q", label)
+		from := ""
 		if x.Origin() != "" {
-			fmt.Fprintf(&sb, " (from %s)", x.Origin())
+			from = fmt.Sprintf(" (from %s)", x.Origin())
 		}
-		sb.WriteString("\n")
-		sb.WriteString(printLoop(x.Root))
-		return sb.String()
+		p.linef(indent, "// affine nest %q%s", label, from)
+		p.loop(indent, x.Root)
 	case *TorchSDPA:
-		return fmt.Sprintf("%s(%s, %s, %s) -> %s %s\n", x.OpName(), x.Q.Name, x.K.Name, x.V.Name, x.Out.Name, torchShape(x.Out))
+		p.linef(indent, "%s(%s, %s, %s) -> %s %s", x.OpName(), x.Q.Name, x.K.Name, x.V.Name, x.Out.Name, torchShape(x.Out))
 	case *TorchMatMul:
-		return fmt.Sprintf("%s(%s, %s) -> %s %s\n", x.OpName(), x.A.Name, x.B.Name, x.Out.Name, torchShape(x.Out))
+		p.linef(indent, "%s(%s, %s) -> %s %s", x.OpName(), x.A.Name, x.B.Name, x.Out.Name, torchShape(x.Out))
 	case *TorchConv2D:
-		return fmt.Sprintf("%s(%s, %s) -> %s %s\n", x.OpName(), x.Input.Name, x.Filter.Name, x.Out.Name, torchShape(x.Out))
+		p.linef(indent, "%s(%s, %s) -> %s %s", x.OpName(), x.Input.Name, x.Filter.Name, x.Out.Name, torchShape(x.Out))
 	default:
 		ops := op.Operands()
 		names := make([]string, len(ops))
 		for i, a := range ops {
 			names[i] = a.Name
 		}
-		s := fmt.Sprintf("%s(%s)", op.OpName(), strings.Join(names, ", "))
+		origin := ""
 		if op.Origin() != "" {
-			s += fmt.Sprintf(" {origin = %q}", op.Origin())
+			origin = fmt.Sprintf(" {origin = %q}", op.Origin())
 		}
-		return s + "\n"
+		p.linef(indent, "%s(%s)%s", op.OpName(), strings.Join(names, ", "), origin)
 	}
 }
 
-func printLoop(l *Loop) string {
+func (p *printer) loop(indent int, l *Loop) {
 	if l == nil {
-		return ""
+		return
 	}
-	var sb strings.Builder
 	kw := "affine.for"
 	if l.Parallel {
 		kw = "affine.parallel"
 	}
-	fmt.Fprintf(&sb, "%s %%%s = %s to %s {\n", kw, l.IV, boundStr(l.Lo, "max"), boundStr(l.Hi, "min"))
+	p.linef(indent, "%s %%%s = %s to %s {", kw, l.IV, boundStr(l.Lo, "max"), boundStr(l.Hi, "min"))
 	for _, node := range l.Body {
 		switch x := node.(type) {
 		case *Loop:
-			sb.WriteString(indent(printLoop(x), 2))
+			p.loop(indent+2, x)
 		case *Statement:
-			sb.WriteString(indent(printStatement(x), 2))
+			p.statement(indent+2, x)
 		case *CapNode:
-			sb.WriteString(indent(fmt.Sprintf("polyufc.set_uncore_cap {ghz = %.1f}\n", x.Cap.GHz), 2))
+			p.linef(indent+2, "polyufc.set_uncore_cap {ghz = %.1f}", x.Cap.GHz)
 		}
 	}
-	sb.WriteString("}\n")
-	return sb.String()
+	p.linef(indent, "}")
 }
 
 func boundStr(bounds []Bound, combiner string) string {
@@ -107,20 +137,18 @@ func boundStr(bounds []Bound, combiner string) string {
 	return combiner + "(" + strings.Join(parts, ", ") + ")"
 }
 
-func printStatement(s *Statement) string {
-	var sb strings.Builder
+func (p *printer) statement(indent int, s *Statement) {
 	for _, a := range s.Accesses {
 		if !a.Write {
-			fmt.Fprintf(&sb, "%%v = affine.load %%%s[%s]\n", a.Array.Name, idxStr(a.Index))
+			p.linef(indent, "%%v = affine.load %%%s[%s]", a.Array.Name, idxStr(a.Index))
 		}
 	}
-	fmt.Fprintf(&sb, "// %s: %d flops\n", s.Name, s.Flops)
+	p.linef(indent, "// %s: %d flops", s.Name, s.Flops)
 	for _, a := range s.Accesses {
 		if a.Write {
-			fmt.Fprintf(&sb, "affine.store %%v, %%%s[%s]\n", a.Array.Name, idxStr(a.Index))
+			p.linef(indent, "affine.store %%v, %%%s[%s]", a.Array.Name, idxStr(a.Index))
 		}
 	}
-	return sb.String()
 }
 
 func idxStr(idx []AffExpr) string {
@@ -129,15 +157,4 @@ func idxStr(idx []AffExpr) string {
 		parts[i] = e.String()
 	}
 	return strings.Join(parts, ", ")
-}
-
-func indent(s string, n int) string {
-	pad := strings.Repeat(" ", n)
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	for i, l := range lines {
-		if l != "" {
-			lines[i] = pad + l
-		}
-	}
-	return strings.Join(lines, "\n") + "\n"
 }

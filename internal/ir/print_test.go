@@ -58,7 +58,9 @@ func TestPrintBoundsWithDiv(t *testing.T) {
 		Hi:   []Bound{BDiv(AffConst(99), 32), BExpr(AffConst(5))},
 		Body: []Node{stmt},
 	}
-	s := printLoop(l)
+	var sb strings.Builder
+	(&printer{w: &sb}).loop(0, l)
+	s := sb.String()
 	if !strings.Contains(s, "min((99) floordiv 32, 5)") {
 		t.Fatalf("bound rendering: %q", s)
 	}

@@ -5,10 +5,10 @@
 // by a content hash chained across the stage sequence.
 //
 // It generalizes ir.PassManager (module-rewrite passes) to arbitrary
-// state: core declares its compile flow (preprocess, tile, cachemodel,
-// characterize, model-fit, search, cap-insert, cap-merge,
-// rewrite-cleanup) as a Pipeline[*compileState], the serving daemon runs
-// pipeline prefixes (a characterize request stops after the
+// state: core declares its compile flow (preprocess, deps, tile,
+// cachemodel, cache-eval, characterize, model-fit, search, cap-insert,
+// cap-merge, rewrite-cleanup) as a Pipeline[*compileState], the serving
+// daemon runs pipeline prefixes (a characterize request stops after the
 // characterize stage), and memoized stage snapshots let a later full
 // compile of the same module resume from the deepest cached stage
 // instead of redoing pluto and the cache model.
@@ -68,8 +68,9 @@ type RunOptions struct {
 	// set. Stages without Save/Load still execute and contribute to the
 	// key chain.
 	Cache *Cache
-	// BaseKey is the content hash of the pipeline's input (module text,
-	// platform, calibration). An empty BaseKey disables memoization even
+	// BaseKey is the content hash of what every stage reads (for core: the
+	// module text and the degrade policy); configuration only some stages
+	// read belongs in their Salt. An empty BaseKey disables memoization even
 	// with a Cache — callers use that for fault-injection runs, where
 	// replaying a snapshot would skip the armed injection points.
 	BaseKey string

@@ -486,8 +486,8 @@ func (s *Server) compileResponse(ctx context.Context, r resolved) (CompileRespon
 }
 
 // characterizeResponse runs the analysis prefix of the pipeline —
-// preprocess, tile, cachemodel, characterize — and answers with the
-// calibrated roofline plus each nest's classification.
+// preprocess, deps, tile, cachemodel, cache-eval, characterize — and
+// answers with the calibrated roofline plus each nest's classification.
 func (s *Server) characterizeResponse(ctx context.Context, r resolved) (CharacterizeResponse, error) {
 	res, err := s.compile(ctx, r, core.StageCharacterize)
 	if err != nil {

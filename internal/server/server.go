@@ -192,7 +192,9 @@ type Server struct {
 
 	// stages memoizes per-stage compile snapshots across endpoints: a
 	// characterize followed by a search on the same kernel/config reuses
-	// preprocess, tile and cachemodel instead of redoing them.
+	// the analysis prefix instead of redoing it, and the same kernel and
+	// tiling on a second platform reuses everything up to the stage that
+	// applies the cache hierarchy (core.StageCacheEval).
 	// stageStats aggregates every pipeline stage event for statsz.
 	stages     pipeline.Cache
 	stageStats pipeline.Metrics

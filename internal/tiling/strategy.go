@@ -40,21 +40,31 @@ type Context struct {
 	// the concrete strategies; populated by core's tile stage.
 	CapEDP func(nest *ir.Nest, cm *cachemodel.Result) (edp float64, ok bool)
 
-	// analysed and deps carry a nest's dependence analysis from the
-	// strategy that ran it to the candidates it tries (see withDeps).
+	// analysed and deps carry a nest's dependence analysis to the strategy
+	// and the candidates it tries (see WithDeps).
 	analysed *ir.Nest
 	deps     *pluto.DepInfo
 }
 
-// withDeps returns ctx carrying nest's dependence analysis, running it
-// unless an enclosing strategy already has: the analysis does not depend on
-// tile size, so a strategy that tiles one nest several ways — latency's
-// ladder, auto's race — pays for it once per Apply. Nests the analysis
-// rejects carry nil, which pluto.Transform passes through untiled.
+// WithDeps returns ctx carrying nest's dependence analysis, for callers
+// that already ran it — core's dependence stage analyses each nest once
+// for every tile size and platform. A nil deps stands for a nest
+// pluto.Analyze rejected, which pluto.Transform passes through untiled.
+// deps may come from a structurally identical clone of nest.
+func (ctx Context) WithDeps(nest *ir.Nest, deps *pluto.DepInfo) Context {
+	ctx.analysed, ctx.deps = nest, deps
+	return ctx
+}
+
+// withDeps returns ctx carrying nest's dependence analysis, running it only
+// when the caller did not supply it through WithDeps — a strategy applied
+// directly, without core's pipeline. The analysis does not depend on tile
+// size, so even then a strategy that tiles one nest several ways —
+// latency's ladder, auto's race — pays for it once per Apply.
 func (ctx Context) withDeps(nest *ir.Nest) Context {
 	if ctx.analysed != nest {
-		ctx.analysed = nest
-		ctx.deps, _ = pluto.Analyze(nest) // the error means "outside the class": deps stay nil
+		deps, _ := pluto.Analyze(nest) // the error means "outside the class": deps stay nil
+		ctx = ctx.WithDeps(nest, deps)
 	}
 	return ctx
 }
@@ -82,6 +92,11 @@ type Strategy interface {
 	// Fingerprint is the canonical options hash folded into cache keys
 	// and stage salts (see Spec.Fingerprint).
 	Fingerprint() string
+	// ReadsTarget reports whether Apply consults the target through the
+	// Context (Cache, Threads, CapEDP). A strategy that does not produces
+	// the same nest on every platform, and the tile stage's memo key says
+	// so by leaving the platform out.
+	ReadsTarget() bool
 	// Apply transforms one nest. On error the caller decides (via the
 	// degrade policy) whether to fail the compile or fall back untiled
 	// for that nest only.
@@ -123,6 +138,7 @@ type plutoStrategy struct{ spec Spec }
 
 func (s *plutoStrategy) Name() string        { return NamePluto }
 func (s *plutoStrategy) Fingerprint() string { return s.spec.Fingerprint() }
+func (s *plutoStrategy) ReadsTarget() bool   { return false }
 
 func (s *plutoStrategy) Apply(nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo, error) {
 	if err := ctx.Faults.Hit(FaultPluto); err != nil {
@@ -147,6 +163,7 @@ type cobStrategy struct{ spec Spec }
 
 func (s *cobStrategy) Name() string        { return NameCacheOblivious }
 func (s *cobStrategy) Fingerprint() string { return s.spec.Fingerprint() }
+func (s *cobStrategy) ReadsTarget() bool   { return false }
 
 func (s *cobStrategy) Apply(nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo, error) {
 	if err := ctx.Faults.Hit(FaultCacheOblivious); err != nil {
@@ -225,6 +242,10 @@ type latencyStrategy struct{ spec Spec }
 
 func (s *latencyStrategy) Name() string        { return NameLatency }
 func (s *latencyStrategy) Fingerprint() string { return s.spec.Fingerprint() }
+
+// ReadsTarget: every candidate on the ladder is scored by PolyUFC-CM on
+// the target's hierarchy and thread count.
+func (s *latencyStrategy) ReadsTarget() bool { return true }
 
 func (s *latencyStrategy) Apply(nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo, error) {
 	if err := ctx.Faults.Hit(FaultLatency); err != nil {
@@ -314,6 +335,10 @@ type autoStrategy struct{ spec Spec }
 
 func (s *autoStrategy) Name() string        { return NameAuto }
 func (s *autoStrategy) Fingerprint() string { return s.spec.Fingerprint() }
+
+// ReadsTarget: auto races latency and scores every candidate by
+// Context.CapEDP under the target's calibration.
+func (s *autoStrategy) ReadsTarget() bool { return true }
 
 // autoScore orders auto's candidates: lower EDP wins, then lower QDRAM,
 // then fewer total misses.
