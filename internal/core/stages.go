@@ -474,11 +474,11 @@ func stageCharacterize() pipeline.Stage[*compileState] {
 	return pipeline.Stage[*compileState]{
 		Name: StageCharacterize,
 		Run: func(_ context.Context, st *compileState) error {
-			// Topology placement: a parallel nest spans every socket with
-			// memory interleaved across them — (S-1)/S of its DRAM traffic
-			// crosses the link; a serial nest is pinned round-robin with
-			// its data home-socket local. Single-socket targets skip this
-			// entirely (socket 0, remote 0: the pre-topology state).
+			// Topology placement: a parallel nest spans every socket and
+			// sends the backend's RemoteShare of its DRAM traffic over the
+			// link; a serial nest is pinned round-robin with its data
+			// home-socket local. Single-socket targets skip this entirely
+			// (socket 0, remote 0: the pre-topology state).
 			S := st.cfg.Target.NumSockets()
 			serial := 0
 			for idx := range st.nests {
@@ -487,7 +487,7 @@ func stageCharacterize() pipeline.Stage[*compileState] {
 				if S > 1 {
 					if ns.nest.Root != nil && ns.nest.Root.Parallel {
 						ns.socket = -1
-						ns.remote = float64(S-1) / float64(S)
+						ns.remote = st.cfg.Target.Backend.RemoteShare(true)
 					} else {
 						ns.socket = serial % S
 						serial++
@@ -509,8 +509,7 @@ func stageModelFit() pipeline.Stage[*compileState] {
 			// The declared link's cost is part of every model; a nest
 			// pays it on the remote share its placement assigned (none on
 			// one socket, where the cost is zero as well).
-			var link model.RemoteCost
-			link.SecPerByte, link.JoulesPerByte = st.cfg.Target.RemotePenalty()
+			link := st.cfg.Target.Backend.Link()
 			return st.eachNest(ctx, StageModelFit, func(ns *nestState) error {
 				if ns.cm == nil {
 					return nil

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"polyufc/internal/plantable"
 
 	"polyufc/internal/hw"
+	"polyufc/internal/ir"
 	"polyufc/internal/platform"
 	"polyufc/internal/roofline"
 	"polyufc/internal/workloads"
@@ -258,6 +261,71 @@ func TestV2SpellingCompileEquivalence(t *testing.T) {
 		}
 		if !bytes.Equal(j1, j2) {
 			t.Fatalf("%s: v2 spelling built a different plan table:\nv1 %s\nv2 %s", name, j1, j2)
+		}
+	}
+}
+
+// The compiler and the machine place a nest by the same rule: for every
+// kernel on every shipped topology shape, each nest's modeled remote
+// share equals the remote share of the profile the target's machine
+// builds for it — so a measured answer pays the link the model charged,
+// and a socket-local one pays none.
+func TestPlacementModelMatchesMachine(t *testing.T) {
+	var targets []*roofline.Target
+	for _, name := range []string{"BDW", "RPL"} {
+		p, err := hw.PlatformByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		targets = append(targets, targetFor(t, p))
+	}
+	// Parse, don't LoadFile: registering would leak the descriptions into
+	// other tests' platform.All().
+	for _, file := range []string{"2-socket-bdw.json", "wide-uncore.json", "cluster-2s-bdw.json"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", "platforms", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := platform.Parse(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tg, err := roofline.Resolve(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		targets = append(targets, tg)
+	}
+	for _, tg := range targets {
+		m := hw.NewMachine(tg.Platform)
+		spanning := 0
+		for _, k := range workloads.All() {
+			res := compileKernelCfg(t, k.Name, workloads.Test, DefaultConfig(tg))
+			i := 0
+			for _, f := range res.Module.Funcs {
+				for _, op := range f.Ops {
+					nest, ok := op.(*ir.Nest)
+					if !ok {
+						continue
+					}
+					rep := res.Reports[i]
+					i++
+					prof, err := m.Profile(nest)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if rep.RemoteRatio != prof.RemoteShare {
+						t.Errorf("%s %s/%s: model places remote share %g, machine measures %g",
+							tg.Platform.Name, k.Name, rep.Label, rep.RemoteRatio, prof.RemoteShare)
+					}
+					if prof.RemoteShare > 0 {
+						spanning++
+					}
+				}
+			}
+		}
+		if multi := tg.NumSockets() > 1; multi != (spanning > 0) {
+			t.Errorf("%s (%d sockets): %d nests measured across the link", tg.Platform.Name, tg.NumSockets(), spanning)
 		}
 	}
 }

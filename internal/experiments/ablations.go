@@ -5,6 +5,7 @@ import (
 
 	"polyufc/internal/core"
 	"polyufc/internal/hw"
+	"polyufc/internal/roofline"
 	"polyufc/internal/tiling"
 	"polyufc/internal/workloads"
 )
@@ -102,16 +103,19 @@ type ValidRow struct {
 	TimeErr, EnergyErr float64 // |est-hw|/hw
 }
 
-// Validate runs the study over the given kernels.
-func (s *Suite) Validate(p *hw.Platform, kernels []string) ([]ValidRow, error) {
+// Validate runs the study over the given kernels on one resolved
+// target. On a multi-socket target the machine measures each nest where
+// the compiler placed it, so the rows check the model's inter-socket
+// term as well.
+func (s *Suite) Validate(t *roofline.Target, kernels []string) ([]ValidRow, error) {
 	var out []ValidRow
 	for _, name := range kernels {
-		res, err := s.compile(name, p)
+		res, err := s.compileCfg(name, core.DefaultConfig(t))
 		if err != nil {
 			return nil, err
 		}
-		m := s.machine(p)
-		m.SetUncoreCap(p.UncoreMax)
+		m := s.machine(t.Platform)
+		m.SetUncoreCap(t.Platform.UncoreMax)
 		var estT, estE, hwT, hwE float64
 		for i, nest := range nestsOf(res.Module) {
 			rep := res.Reports[i]
@@ -125,7 +129,7 @@ func (s *Suite) Validate(p *hw.Platform, kernels []string) ([]ValidRow, error) {
 			hwE += r.PkgJoules
 		}
 		out = append(out, ValidRow{
-			Kernel: name, Platform: p.Name,
+			Kernel: name, Platform: t.Platform.Name,
 			EstSec: estT, HWSec: hwT, EstJ: estE, HWJ: hwE,
 			TimeErr:   math.Abs(estT-hwT) / hwT,
 			EnergyErr: math.Abs(estE-hwE) / hwE,
@@ -135,16 +139,35 @@ func (s *Suite) Validate(p *hw.Platform, kernels []string) ([]ValidRow, error) {
 }
 
 // RenderValidate prints the validation over a representative kernel mix
-// and its mean errors.
+// and its mean errors: one block per evaluation platform, then one per
+// multi-socket backend of the cluster experiment.
 func (s *Suite) RenderValidate() error {
 	s.printf("== Validation: Sec. V estimates vs machine measurement (driver default) ==\n")
 	kernels := []string{"gemm", "2mm", "mvt", "gemver", "atax", "jacobi-2d", "doitgen", "syrk"}
+	var targets []*roofline.Target
 	for _, p := range s.plats {
-		rows, err := s.Validate(p, kernels)
+		targets = append(targets, s.targets[p.Name])
+	}
+	backends, err := clusterBackends()
+	if err != nil {
+		return err
+	}
+	for _, b := range backends {
+		if b.NumSockets() < 2 {
+			continue
+		}
+		t, err := roofline.ResolveCached(s.ctx(), &s.stages, b)
 		if err != nil {
 			return err
 		}
-		s.printf("-- %s\n", p.Name)
+		targets = append(targets, t)
+	}
+	for _, t := range targets {
+		rows, err := s.Validate(t, kernels)
+		if err != nil {
+			return err
+		}
+		s.printf("-- %s\n", t.Platform.Name)
 		s.printf("   %-12s est/HW time (ms)      est/HW energy (J)   | errors\n", "kernel")
 		var te, ee float64
 		for _, r := range rows {

@@ -35,10 +35,6 @@ func DefaultDUFS() DUFSGovernor {
 // kernel is treated as divisible work: in an interval at frequency f, the
 // completed fraction is dt / T(f).
 func (g DUFSGovernor) RunProfile(m *Machine, p *CacheProfile) RunResult {
-	threads := 1
-	if p.HasParallel {
-		threads = m.P.Threads
-	}
 	f := g.StartGHz
 	if f == 0 {
 		f = m.P.UncoreMax
@@ -46,10 +42,11 @@ func (g DUFSGovernor) RunProfile(m *Machine, p *CacheProfile) RunResult {
 	f = m.P.ClampCap(f)
 
 	var elapsed, energy, progress float64
+	var r RunResult
 	steps := 0
 	const maxIters = 1 << 20
 	for iter := 0; progress < 1 && iter < maxIters; iter++ {
-		r := m.measureAt(p, f, threads)
+		r = m.measureAtJoint(p, m.P.CoreBase, f)
 		dt := g.Interval
 		remain := (1 - progress) * r.Seconds
 		if remain < dt {
@@ -85,7 +82,7 @@ func (g DUFSGovernor) RunProfile(m *Machine, p *CacheProfile) RunResult {
 		Seconds:   elapsed,
 		PkgJoules: energy,
 		UncoreGHz: f,
-		Threads:   threads,
+		Threads:   r.Threads,
 	}
 	if elapsed > 0 {
 		res.AvgWatts = energy / elapsed

@@ -33,7 +33,7 @@ func TestDUFSStepsDownForCB(t *testing.T) {
 		t.Fatalf("governor stayed at max (%.1f) for a compute-bound kernel", r.UncoreGHz)
 	}
 	// Energy must beat running pinned at max.
-	pinned := m.measureAt(longCBProfile(), m.P.UncoreMax, m.P.Threads)
+	pinned := m.MeasureAt(longCBProfile(), m.P.CoreBase, m.P.UncoreMax)
 	if r.PkgJoules >= pinned.PkgJoules {
 		t.Fatalf("DUFS energy %.3f J >= pinned-max %.3f J", r.PkgJoules, pinned.PkgJoules)
 	}
@@ -56,8 +56,8 @@ func TestDUFSConvergencePaysLag(t *testing.T) {
 	g := DefaultDUFS()
 	prof := longCBProfile()
 	r := g.RunProfile(m, prof)
-	oracle := m.measureAt(prof, m.P.UncoreMin, m.P.Threads)
-	pinned := m.measureAt(prof, m.P.UncoreMax, m.P.Threads)
+	oracle := m.MeasureAt(prof, m.P.CoreBase, m.P.UncoreMin)
+	pinned := m.MeasureAt(prof, m.P.CoreBase, m.P.UncoreMax)
 	if !(r.PkgJoules > oracle.PkgJoules && r.PkgJoules < pinned.PkgJoules) {
 		t.Fatalf("DUFS energy %.3f not in (oracle %.3f, pinned %.3f)",
 			r.PkgJoules, oracle.PkgJoules, pinned.PkgJoules)

@@ -241,8 +241,8 @@ func TestParallelSpeedsUp(t *testing.T) {
 	serial := *p
 	serial.HasParallel = false
 	m := NewMachine(RPL())
-	rp := m.measureAt(p, 3.0, m.P.Threads)
-	rs := m.measureAt(&serial, 3.0, 1)
+	rp := m.MeasureAt(p, m.P.CoreBase, 3.0)
+	rs := m.MeasureAt(&serial, m.P.CoreBase, 3.0)
 	if rp.Seconds >= rs.Seconds/4 {
 		t.Fatalf("parallel %.4fs vs serial %.4fs: insufficient speedup", rp.Seconds, rs.Seconds)
 	}

@@ -29,6 +29,10 @@ type CacheProfile struct {
 	DRAMReadB   int64
 	DRAMWriteB  int64
 	HasParallel bool
+	// RemoteShare is the fraction of DRAMReadB served across the link,
+	// set by platform.Backend.RemoteShare where a machine profiles a nest;
+	// ProfileNest and the calibration micro-benchmarks leave it 0 (local).
+	RemoteShare float64
 	Label       string
 }
 
@@ -303,19 +307,35 @@ type RunResult struct {
 // Measure converts a profile into time and energy at the machine's current
 // uncore cap, using the hidden ground-truth model. The RAPL counters
 // accumulate.
-func (m *Machine) Measure(p *CacheProfile) RunResult { return m.MeasureNUMA(p, 0, nil) }
-
-// measureAt measures at the base core clock (the performance governor's
-// pin) and the given uncore frequency.
-func (m *Machine) measureAt(p *CacheProfile, fU float64, threads int) RunResult {
-	return m.measureAtJoint(p, m.P.CoreBase, fU, threads)
+func (m *Machine) Measure(p *CacheProfile) RunResult {
+	r := m.measureAtJoint(p, m.coreFreq, m.uncoreCap)
+	m.jitter(&r)
+	m.pkgEnergy += r.PkgJoules
+	m.uncoreEnergy += r.UncoreJoules
+	m.busyTime += r.Seconds
+	// Thermal-override fault: the firmware silently raises the cap back to
+	// the maximum during the run. No switch is counted — the driver never
+	// saw it; only a watchdog re-read (CapController.Reassert) catches it.
+	if m.uncoreCap < m.P.UncoreMax && m.faults.Hit(FaultThermalOverride) != nil {
+		m.prevCap = m.uncoreCap
+		m.uncoreCap = m.P.UncoreMax
+		m.thermalOverrides++
+	}
+	return r
 }
 
 // measureAtJoint is the hidden hardware model, parametric in both
-// frequency domains. Core-clocked resources (FPU throughput, L1/L2/LLC hit
-// latencies) scale with f_core; core dynamic energy per flop follows the
-// classic f²-with-voltage-floor DVFS law.
-func (m *Machine) measureAtJoint(p *CacheProfile, fC, fU float64, threads int) RunResult {
+// frequency domains, and the one function every measurement goes
+// through. A parallel profile runs on all of the socket's threads, a
+// serial one on one. Core-clocked resources (FPU throughput, L1/L2/LLC
+// hit latencies) scale with f_core; core dynamic energy per flop follows
+// the classic f²-with-voltage-floor DVFS law. The profile's remote share
+// pays the interconnect on top (addRemote).
+func (m *Machine) measureAtJoint(p *CacheProfile, fC, fU float64) RunResult {
+	threads := 1
+	if p.HasParallel {
+		threads = m.P.Threads
+	}
 	t := m.P.truth
 	th := float64(threads)
 
@@ -366,7 +386,7 @@ func (m *Machine) measureAtJoint(p *CacheProfile, fC, fU float64, threads int) R
 	pTotal := t.PConstW + pCore + pUncore
 
 	energy := pTotal * sec
-	return RunResult{
+	r := RunResult{
 		Seconds:      sec,
 		PkgJoules:    energy,
 		UncoreJoules: pUncore * sec,
@@ -378,6 +398,8 @@ func (m *Machine) measureAtJoint(p *CacheProfile, fC, fU float64, threads int) R
 		CoreGHz:      fC,
 		Threads:      threads,
 	}
+	m.addRemote(p, &r)
+	return r
 }
 
 // RunNest profiles (memoized) and measures a nest at the current cap.
@@ -459,19 +481,16 @@ func (m *Machine) RunBaseline(funcs ...*ir.Func) (RunResult, error) {
 // without touching driver state or the RAPL counters — the hook the
 // roofline micro-benchmarks and frequency-domain studies use.
 func (m *Machine) MeasureAt(p *CacheProfile, fCore, fUncore float64) RunResult {
-	return m.MeasureAtNUMA(p, fCore, fUncore, 0, nil)
+	return m.measureAtJoint(p, fCore, fUncore)
 }
 
-// SweepUncore measures a profile at every allowed uncore frequency without
-// touching driver state — the instrument behind the Fig. 1 curves.
+// SweepUncore measures a profile at the base core clock (the performance
+// governor's pin) and every allowed uncore frequency without touching
+// driver state — the instrument behind the Fig. 1 curves.
 func (m *Machine) SweepUncore(p *CacheProfile) []RunResult {
-	threads := 1
-	if p.HasParallel {
-		threads = m.P.Threads
-	}
 	var out []RunResult
 	for _, f := range m.P.UncoreSteps() {
-		out = append(out, m.measureAt(p, f, threads))
+		out = append(out, m.measureAtJoint(p, m.P.CoreBase, f))
 	}
 	return out
 }

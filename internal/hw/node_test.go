@@ -1,11 +1,11 @@
 package hw
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
 	"polyufc/internal/faults"
+	"polyufc/internal/ir"
 	"polyufc/internal/platform"
 )
 
@@ -67,42 +67,87 @@ func TestNodeBootAndSocketViews(t *testing.T) {
 	}
 }
 
-func TestMeasureNUMARemotePenalty(t *testing.T) {
+// A profile's remote share pays the link: a socket-local profile on a
+// 2-socket machine measures bit-identically to the same profile on the
+// socket's single-socket machine (and a shared one on a machine without
+// a link pays nothing), every extra share costs time and energy, and
+// Measure accumulates RAPL like any run.
+func TestRemoteShareChargesLink(t *testing.T) {
 	b := twoSocketBackend(t)
 	n, err := NewNode(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m, _ := n.Socket(0)
+	bdw := NewMachine(BDW())
 	p := &CacheProfile{
 		Flops: 1 << 24, LLCMisses: 1 << 18,
 		DRAMReadB: 64 << 18, DRAMWriteB: 32 << 18,
 		LevelHits: []int64{1 << 20, 1 << 18, 1 << 16}, HasParallel: true,
 	}
-	local := m.MeasureAtNUMA(p, m.P.CoreBase, m.P.UncoreMax, 0, b.Interconnect)
-	base := m.MeasureAt(p, m.P.CoreBase, m.P.UncoreMax)
-	if local != base {
-		t.Fatal("zero remote ratio is not bit-identical to MeasureAt")
+	local := m.MeasureAt(p, m.P.CoreBase, m.P.UncoreMax)
+	if base := bdw.MeasureAt(p, m.P.CoreBase, m.P.UncoreMax); local != base {
+		t.Fatal("a socket-local profile is not bit-identical to its single-socket run")
 	}
 	prev := local
 	for _, rho := range []float64{0.25, 0.5, 1.0} {
-		r := m.MeasureAtNUMA(p, m.P.CoreBase, m.P.UncoreMax, rho, b.Interconnect)
+		q := *p
+		q.RemoteShare = rho
+		if r := bdw.MeasureAt(&q, m.P.CoreBase, m.P.UncoreMax); r != local {
+			t.Fatalf("rho=%g on a machine without a link changed the measurement", rho)
+		}
+		r := m.MeasureAt(&q, m.P.CoreBase, m.P.UncoreMax)
 		if !(r.Seconds > prev.Seconds) || !(r.PkgJoules > prev.PkgJoules) {
 			t.Fatalf("rho=%g: remote traffic did not cost time/energy (%.3g s vs %.3g s)", rho, r.Seconds, prev.Seconds)
 		}
 		prev = r
 	}
-	// The ratio clamps at 1: over-unity input costs the same as all-remote.
-	over := m.MeasureAtNUMA(p, m.P.CoreBase, m.P.UncoreMax, 2.0, b.Interconnect)
-	if math.Abs(over.Seconds-prev.Seconds) > 1e-15 {
-		t.Fatal("remote ratio did not clamp at 1")
-	}
-	// Stateful MeasureNUMA accumulates RAPL.
+	// Stateful Measure charges the link and accumulates RAPL.
+	q := *p
+	q.RemoteShare = 0.5
 	m.ResetCounters()
-	r := m.MeasureNUMA(p, 0.5, b.Interconnect)
+	r := m.Measure(&q)
 	pkg, _, busy := m.RAPL()
 	if pkg != r.PkgJoules || busy != r.Seconds {
-		t.Fatal("MeasureNUMA did not accumulate RAPL counters")
+		t.Fatal("Measure did not accumulate RAPL counters")
+	}
+	if !(r.Seconds > m.Measure(p).Seconds) {
+		t.Fatal("Measure did not charge the profile's remote share")
+	}
+}
+
+// The machine places a nest by the platform's rule when it profiles it:
+// a parallel nest on a 2-socket machine carries the (S-1)/S share, a
+// serial one and any nest on one socket carry none.
+func TestProfileCarriesPlacement(t *testing.T) {
+	n, err := NewNode(twoSocketBackend(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, _ := n.Socket(0)
+	A := ir.NewArray("A", 8, 128)
+	for _, parallel := range []bool{false, true} {
+		stmt := &ir.Statement{Name: "S", Flops: 1}
+		stmt.Accesses = []ir.Access{{Array: A, Write: true, Index: []ir.AffExpr{ir.AffVar("i")}}}
+		root := ir.SimpleLoop("i", ir.AffConst(0), ir.AffConst(127), stmt)
+		root.Parallel = parallel
+		nest := &ir.Nest{Label: "w", Root: root}
+		want := 0.0
+		if parallel {
+			want = 0.5
+		}
+		for _, c := range []struct {
+			m    *Machine
+			want float64
+		}{{two, want}, {NewMachine(BDW()), 0}} {
+			prof, err := c.m.Profile(nest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prof.RemoteShare != c.want {
+				t.Fatalf("parallel=%v on %s: remote share %g, want %g", parallel, c.m.P.Name, prof.RemoteShare, c.want)
+			}
+		}
 	}
 }
 

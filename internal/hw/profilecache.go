@@ -35,10 +35,17 @@ type ProfileCache struct {
 
 // profile returns the memoized profile of nest on platform p, simulating
 // it on the first request. Concurrent requests for the same nest run the
-// simulation once.
+// simulation once. The profile carries the platform's placement of the
+// nest — its remote share — so every measurement of it pays the link the
+// compiler's model charged.
 func (c *ProfileCache) profile(nest *ir.Nest, p *Platform) (*CacheProfile, error) {
 	return c.Do(context.Background(), profileKey{nest, p.Name},
 		func() (*CacheProfile, error) {
-			return ProfileNest(nest, p.Cache)
+			prof, err := ProfileNest(nest, p.Cache)
+			if err != nil {
+				return nil, err
+			}
+			prof.RemoteShare = p.Backend.RemoteShare(prof.HasParallel)
+			return prof, nil
 		})
 }

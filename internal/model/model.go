@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"polyufc/internal/cachemodel"
+	"polyufc/internal/platform"
 	"polyufc/internal/roofline"
 )
 
@@ -70,28 +71,16 @@ type Estimate struct {
 	Class     roofline.Class
 }
 
-// RemoteCost is the analytic inter-socket traffic term of a topology
-// target: the per-byte service time and energy a remote DRAM access pays
-// on top of a local one. It is derived from the backend's declared
-// interconnect (known topology data), not calibrated — and not yet
-// validated: the simulated machine has its own link charge
-// (hw.addRemote), but every non-test measurement passes it rho 0 and no
-// link (hw.Machine.Measure), so nothing compares the two (ROADMAP, model
-// honesty).
-type RemoteCost struct {
-	SecPerByte    float64
-	JoulesPerByte float64
-}
-
 // Model evaluates the Sec. V equations for one kernel on one calibrated
 // platform.
 type Model struct {
 	C  *roofline.Constants
 	KS KernelStats
 	// Remote is the cost of the link the kernel's RemoteRatio share of
-	// DRAM traffic crosses; zero on a single-socket machine, where the
-	// inter-socket term adds 0 to the original equations.
-	Remote RemoteCost
+	// DRAM traffic crosses (platform.Backend.Link); zero on a single-socket
+	// machine, where the inter-socket term adds 0 to the original
+	// equations.
+	Remote platform.LinkCost
 }
 
 // New builds a model instance. A topology caller sets Remote.

@@ -4,11 +4,12 @@ import (
 	"testing"
 
 	"polyufc/internal/hw"
+	"polyufc/internal/platform"
 	"polyufc/internal/roofline"
 )
 
 // withLink is New on a machine whose inter-socket link costs rc.
-func withLink(c *roofline.Constants, ks KernelStats, rc RemoteCost) *Model {
+func withLink(c *roofline.Constants, ks KernelStats, rc platform.LinkCost) *Model {
 	m := New(c, ks)
 	m.Remote = rc
 	return m
@@ -16,7 +17,7 @@ func withLink(c *roofline.Constants, ks KernelStats, rc RemoteCost) *Model {
 
 func TestRemoteTermZeroRatioBitIdentical(t *testing.T) {
 	c := calibrated(t, hw.BDW())
-	rc := RemoteCost{SecPerByte: 1e-9, JoulesPerByte: 1e-11}
+	rc := platform.LinkCost{SecPerByte: 1e-9, JoulesPerByte: 1e-11}
 	for _, ks := range []KernelStats{cbStats(), bbStats()} {
 		plain := New(c, ks).At(2.0)
 		numa := withLink(c, ks, rc).At(2.0)
@@ -37,7 +38,7 @@ func TestRemoteTermCostsTimeAndEnergy(t *testing.T) {
 	if ic != nil {
 		t.Fatal("BDW grew an interconnect?")
 	}
-	rc := RemoteCost{SecPerByte: 2e-9, JoulesPerByte: 2e-11}
+	rc := platform.LinkCost{SecPerByte: 2e-9, JoulesPerByte: 2e-11}
 	ks := bbStats()
 	base := withLink(c, ks, rc).At(2.0)
 	prev := base
@@ -61,7 +62,7 @@ func TestRemoteTermCostsTimeAndEnergy(t *testing.T) {
 // remote share grows — extra frequency cannot speed up link-bound bytes.
 func TestRemoteTermLowersBBCap(t *testing.T) {
 	c := calibrated(t, hw.BDW())
-	rc := RemoteCost{SecPerByte: 4e-9, JoulesPerByte: 1.5e-11}
+	rc := platform.LinkCost{SecPerByte: 4e-9, JoulesPerByte: 1.5e-11}
 	freqs := hw.BDW().UncoreSteps()
 	ks := bbStats()
 	argminEDP := func(m *Model) float64 {

@@ -146,7 +146,7 @@ func MemAxisPoints(n int) []float64 {
 // same shape receives the same search answer as this witness (the search
 // outcome is volume-invariant — both link terms scale with Q too), so
 // sweeping witnesses tabulates the whole family.
-func SyntheticModel(c *platform.Constants, link model.RemoteCost, sh Shape, fRef float64) (*model.Model, error) {
+func SyntheticModel(c *platform.Constants, link platform.LinkCost, sh Shape, fRef float64) (*model.Model, error) {
 	phi, ratio := sh.Phi, sh.Ratio
 	if !(phi >= 0) || !(ratio >= 0) || !(sh.Rho >= 0) || sh.Rho > 1 || !(fRef > 0) {
 		return nil, fmt.Errorf("plantable: synthetic model: need phi, ratio >= 0, rho in [0, 1] and fRef > 0, got phi=%g ratio=%g rho=%g fRef=%g",
@@ -263,8 +263,6 @@ func Build(ctx context.Context, t *roofline.Target, opts BuildOptions) (*Table, 
 			return nil, err
 		}
 	}
-	var link model.RemoteCost
-	link.SecPerByte, link.JoulesPerByte = t.RemotePenalty()
 	tb := &Table{
 		Header: Header{
 			Schema:       SchemaVersion,
@@ -281,13 +279,14 @@ func Build(ctx context.Context, t *roofline.Target, opts BuildOptions) (*Table, 
 			MemAxis:      MemAxisPoints(opts.MemPoints),
 		},
 		Socket: opts.Socket,
-		// The only shares placement assigns (core's characterize stage):
-		// none to a pinned nest, (S-1)/S to one spanning every socket.
+		// The only shares placement assigns: none to a pinned nest, the
+		// backend's RemoteShare to one spanning every socket.
 		RhoAxis: []float64{0},
 	}
-	if S > 1 {
-		tb.RhoAxis = append(tb.RhoAxis, float64(S-1)/float64(S))
+	if rho := t.Backend.RemoteShare(true); rho > 0 {
+		tb.RhoAxis = append(tb.RhoAxis, rho)
 	}
+	link := t.Backend.Link()
 
 	freqs := p.UncoreSteps()
 	fRef := tb.refFreq()

@@ -138,7 +138,7 @@ func TestRidgeNeighborhoodEquivalence(t *testing.T) {
 				phi := c.BtDRAM * (0.8 + 0.45*float64(i)/60) // [0.8, 1.25] x ridge
 				for _, ratio := range []float64{0.01, 0.1, 0.5, 1, 2, 10, 100} {
 					for _, cls := range []roofline.Class{roofline.ComputeBound, roofline.BandwidthBound} {
-						m, err := SyntheticModel(c, model.RemoteCost{}, Shape{Class: cls, Phi: phi, Ratio: ratio}, fRef)
+						m, err := SyntheticModel(c, platform.LinkCost{}, Shape{Class: cls, Phi: phi, Ratio: ratio}, fRef)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -163,7 +163,7 @@ func TestDecomposeRoundTrip(t *testing.T) {
 	for _, phi := range []float64{0.01, 1, c.BtDRAM, 100} {
 		for _, ratio := range []float64{0, 0.5, 1, 50} {
 			for _, cls := range []roofline.Class{roofline.ComputeBound, roofline.BandwidthBound} {
-				m, err := SyntheticModel(c, model.RemoteCost{}, Shape{Class: cls, Phi: phi, Ratio: ratio}, fRef)
+				m, err := SyntheticModel(c, platform.LinkCost{}, Shape{Class: cls, Phi: phi, Ratio: ratio}, fRef)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -70,7 +70,7 @@ func numaModel(tg *roofline.Target, m *model.Model, rho float64) *model.Model {
 	ks := m.KS
 	ks.RemoteRatio = rho
 	out := model.New(m.C, ks)
-	out.Remote.SecPerByte, out.Remote.JoulesPerByte = tg.RemotePenalty()
+	out.Remote = tg.Backend.Link()
 	return out
 }
 

@@ -131,6 +131,38 @@ func (ic *Interconnect) validate(backend string) error {
 	return nil
 }
 
+// LinkCost is the per-byte service time and energy a remote DRAM access
+// pays on top of a local one.
+type LinkCost struct{ SecPerByte, JoulesPerByte float64 }
+
+// Link is the declared interconnect's per-byte cost, the one both the
+// compiler's model and the simulated machine charge: the line-amortized
+// link latency plus the bandwidth share, and the transfer energy.
+// Without an interconnect (one socket) it is zero.
+func (b *Backend) Link() LinkCost {
+	const remoteLineBytes = 64 // remote DRAM traffic crosses the link line by line
+	if b == nil || b.Interconnect == nil || b.Interconnect.BWGBs <= 0 {
+		return LinkCost{}
+	}
+	ic := b.Interconnect
+	return LinkCost{
+		SecPerByte:    1/(ic.BWGBs*1e9) + ic.LatencyNs*1e-9/remoteLineBytes,
+		JoulesPerByte: ic.EnergyPJPerByte * 1e-12,
+	}
+}
+
+// RemoteShare is the placement rule the compiler and the simulated
+// machine both apply: a parallel nest spans all S sockets with memory
+// interleaved, so (S-1)/S of its DRAM traffic crosses the link; a serial
+// nest is pinned with its data local, and one socket shares nothing.
+func (b *Backend) RemoteShare(parallel bool) float64 {
+	if b == nil || !parallel || len(b.Sockets) < 2 {
+		return 0
+	}
+	S := float64(len(b.Sockets))
+	return (S - 1) / S
+}
+
 // NumSockets returns the socket count.
 func (b *Backend) NumSockets() int { return len(b.Sockets) }
 

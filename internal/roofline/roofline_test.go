@@ -2,10 +2,53 @@ package roofline
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"polyufc/internal/hw"
+	"polyufc/internal/platform"
 )
+
+// TestCalibrationStaysSocketLocal pins the fitted constants of every
+// built-in backend and every shipped description file. The calibration
+// micro-benchmarks are hand-built profiles with no remote share, so they
+// measure socket-local even on a multi-socket machine whose measurements
+// charge the link: no fit moves, and no saved calibration, plan table or
+// journal entry keyed by one is orphaned.
+func TestCalibrationStaysSocketLocal(t *testing.T) {
+	want := map[string]string{
+		"BDW":       "f020bf6ecfbad849",
+		"RPL":       "def276b78e0d060c",
+		"2S-BDW":    "93a0ee37a842e386",
+		"WIDE":      "0ba0ecfa9f0615f8",
+		"2S-BDW-X8": "963f3bd35092a59f",
+	}
+	backends := platform.All()
+	for _, file := range []string{"2-socket-bdw.json", "wide-uncore.json", "cluster-2s-bdw.json"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", "platforms", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := platform.Parse(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		backends = append(backends, b)
+	}
+	if len(backends) != len(want) {
+		t.Fatalf("%d backends, %d pinned hashes", len(backends), len(want))
+	}
+	for _, b := range backends {
+		tg, err := Resolve(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tg.Constants.Hash(); got != want[b.Name] {
+			t.Errorf("%s: calibration hash %s, want %s", b.Name, got, want[b.Name])
+		}
+	}
+}
 
 func TestCalibrateBDW(t *testing.T) {
 	m := hw.NewMachine(hw.BDW())

@@ -54,16 +54,6 @@ func (t *Target) SocketConstants(i int) *Constants {
 	return t.Constants
 }
 
-// RemotePenalty returns the per-byte time and energy cost of the
-// topology's inter-socket link (zero for single-socket targets) — the
-// inputs of the model's inter-socket traffic term.
-func (t *Target) RemotePenalty() (secPerByte, joulesPerByte float64) {
-	if t == nil || t.Backend == nil {
-		return 0, 0
-	}
-	return hw.RemotePenalty(t.Backend.Interconnect)
-}
-
 // resolveSockets builds the per-socket constants of a backend around the
 // already-fitted socket-0 constants: homogeneous sockets share that fit,
 // heterogeneous sockets calibrate their own platform views.

@@ -210,3 +210,49 @@ func TestServerTopologyModelSurface(t *testing.T) {
 		t.Fatalf("v1 platform entry grew topology fields: %+v", p1)
 	}
 }
+
+// A 2-socket daemon measures where the compiler placed the nest: the
+// measured half pays the link the model charged, so the calibration
+// watchdog sees the same small residuals it sees on one socket and keeps
+// answering. (When the machine measured every nest socket-local, the
+// model was off by ~9x on parallel nests and the fourth measured search
+// was refused with 503 "calibration ... is degraded".)
+func TestServerTopologyMeasuredSearchKeepsCalibration(t *testing.T) {
+	s := newServer(t, topologyConfig())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	baseline := map[string]float64{}
+	for _, kernel := range []string{"gemm", "mvt", "atax", "gemver"} {
+		resp, data := post(t, ts, "/v1/search", Request{Kernel: kernel, Platform: "2s-bdw", Size: "test", Measure: true})
+		if resp.StatusCode != 200 {
+			t.Fatalf("measured search %s on 2s-bdw -> %d %s", kernel, resp.StatusCode, data)
+		}
+		var sr SearchResponse
+		if err := json.Unmarshal(data, &sr); err != nil {
+			t.Fatal(err)
+		}
+		if sr.Measured == nil {
+			t.Fatalf("%s: measured half missing", kernel)
+		}
+		baseline[kernel] = sr.Measured.BaselineSeconds
+	}
+	if d := s.statsz().Drift["2S-BDW"]; d.State != "ok" {
+		t.Fatalf("2S-BDW calibration watchdog %+v after four measured searches", d)
+	}
+
+	// The link costs measured time: gemm's parallel nests run slower on
+	// two BDW sockets than on one.
+	resp, data := post(t, ts, "/v1/search", Request{Kernel: "gemm", Platform: "bdw", Size: "test", Measure: true})
+	if resp.StatusCode != 200 {
+		t.Fatalf("measured search gemm on bdw -> %d %s", resp.StatusCode, data)
+	}
+	var sr SearchResponse
+	if err := json.Unmarshal(data, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if !(baseline["gemm"] > sr.Measured.BaselineSeconds) {
+		t.Fatalf("gemm measured baseline %g s on 2s-bdw, %g s on bdw: the link was not charged",
+			baseline["gemm"], sr.Measured.BaselineSeconds)
+	}
+}

@@ -6,7 +6,12 @@
 #      socket domain, and a 2-socket search answers with a topology
 #      rollup and per-socket cap vectors while the v1 single-socket
 #      response stays free of every topology key.
-#   2. A ufs.write.ebusy fault scoped to socket 1 (-fault-socket 1)
+#   2. Measured searches are measured where the compiler placed the
+#      nest: four measured 2-socket searches (gemm, mvt, atax, gemver)
+#      each answer 200 and the calibration watchdog still reads ok for
+#      2S-BDW (when the machine measured every nest socket-local, the
+#      fourth was a 503 "calibration ... is degraded").
+#   3. A ufs.write.ebusy fault scoped to socket 1 (-fault-socket 1)
 #      degrades only that domain: the measured answer stands, the
 #      response names the sick socket, and /healthz shows socket 0
 #      closed with socket 1 open.
@@ -34,7 +39,7 @@ wait_up() {
     echo "daemon never came up"; cat "$1"; exit 1
 }
 
-echo "== 1/2 healthy 2-socket boot: per-socket stats and topology responses"
+echo "== 1/3 healthy 2-socket boot: per-socket stats and topology responses"
 "$tmp/polyufc-serve" -addr "$addr" \
     -platform-file platforms/2-socket-bdw.json 2>"$tmp/serve1.log" &
 serve_pid=$!
@@ -63,7 +68,25 @@ echo "   2-socket boot OK (per-socket breakers, topology rollup, clean v1 surfac
 kill -TERM "$serve_pid"
 wait "$serve_pid" || { echo "daemon exited non-zero"; cat "$tmp/serve1.log"; exit 1; }
 
-echo "== 2/2 socket-scoped fault: only the sick domain degrades"
+echo "== 2/3 measured 2-socket searches keep the calibration ok"
+"$tmp/polyufc-serve" -addr "$addr" \
+    -platform-file platforms/2-socket-bdw.json 2>"$tmp/serve-m.log" &
+serve_pid=$!
+wait_up "$tmp/serve-m.log"
+
+for kernel in gemm mvt atax gemver; do
+    code=$(curl -s -o "$tmp/m-$kernel.json" -w '%{http_code}' -X POST "http://$addr/v1/search" \
+        -d "{\"kernel\":\"$kernel\",\"platform\":\"2s-bdw\",\"size\":\"test\",\"measure\":true}")
+    [ "$code" = 200 ] || { echo "measured search $kernel on 2s-bdw -> $code:"; cat "$tmp/m-$kernel.json"; exit 1; }
+done
+curl -s "http://$addr/statsz" | tr -d ' \n' >"$tmp/statsz-m.json"
+grep -q '"2S-BDW":{"state":"ok"' "$tmp/statsz-m.json" || { echo "2S-BDW calibration not ok after measured searches:"; cat "$tmp/statsz-m.json"; exit 1; }
+echo "   four measured searches 200, 2S-BDW drift ok"
+
+kill -TERM "$serve_pid"
+wait "$serve_pid" || { echo "daemon exited non-zero"; cat "$tmp/serve-m.log"; exit 1; }
+
+echo "== 3/3 socket-scoped fault: only the sick domain degrades"
 "$tmp/polyufc-serve" -addr "$addr" \
     -platform-file platforms/2-socket-bdw.json \
     -fault 'ufs.write.ebusy=1' -fault-socket 1 -breaker-threshold 1 \
