@@ -338,8 +338,8 @@ func BenchmarkModelVsSim(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if prof.LLCMisses > 0 {
-				ratio = float64(cm.LLC().Misses) / float64(prof.LLCMisses)
+			if sim := prof.LLC().Misses; sim > 0 {
+				ratio = float64(cm.LLC().Misses) / float64(sim)
 			}
 		}
 		if i == 0 {

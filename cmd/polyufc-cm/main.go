@@ -133,23 +133,29 @@ func run(kernel, platName, platFiles, size string, fullyAssoc, noTile, validate,
 				assocName(fullyAssoc))
 			fmt.Printf("   flops %d, loads %d, stores %d, instances %d\n",
 				cm.Flops, cm.Loads, cm.Stores, cm.Instances)
-			for _, lv := range cm.Levels {
-				fmt.Printf("   %-4s accesses %12d  cold %10d  cap/conf %10d  miss-ratio %.4f  fit-window %d\n",
-					lv.Name, lv.Accesses, lv.ColdMisses, lv.CapConfMisses, lv.MissRatio, lv.FitWindow)
-			}
-			fmt.Printf("   Q_DRAM %d B (x%d threads), OI %.3f FpB -> %s (balance %.1f)\n",
-				cm.QDRAM, cm.ThreadsDiv, cm.OI, consts.Classify(cm.OI), consts.BtDRAM)
+			printRecord(cm, consts)
 			if validate {
-				prof, err := hw.ProfileNest(nest, p.Cache)
+				sim, err := cachemodel.Simulate(nest, p.Cache)
 				if err != nil {
 					return err
 				}
-				fmt.Printf("   simulator (serial): LLC misses %d vs model %d x%d, DRAM reads %d B\n",
-					prof.LLCMisses, cm.LLC().Misses, cm.ThreadsDiv, prof.DRAMReadB)
+				fmt.Println("   simulator (serial):")
+				printRecord(sim, consts)
 			}
 		}
 	}
 	return nil
+}
+
+// printRecord prints one traffic record level by level, then its DRAM
+// traffic and characterization — the same lines for either producer.
+func printRecord(r *cachemodel.Result, consts *roofline.Constants) {
+	for _, lv := range r.Levels {
+		fmt.Printf("   %-4s accesses %12d  cold %10d  cap/conf %10d  miss-ratio %.4f  fit-window %d\n",
+			lv.Name, lv.Accesses, lv.ColdMisses, lv.CapConfMisses, lv.MissRatio, lv.FitWindow)
+	}
+	fmt.Printf("   Q_DRAM %d B (x%d threads), OI %.3f FpB -> %s (balance %.1f)\n",
+		r.QDRAM, r.ThreadsDiv, r.OI, consts.Classify(r.OI), consts.BtDRAM)
 }
 
 func assocName(fa bool) string {

@@ -3,11 +3,20 @@ package cachemodel
 import (
 	"testing"
 
-	"polyufc/internal/hw"
 	"polyufc/internal/ir"
+	"polyufc/internal/platform"
 	"polyufc/internal/pluto"
 	"polyufc/internal/workloads"
 )
+
+// backend resolves a registered backend description.
+func backend(t testing.TB, name string) *platform.Backend {
+	b, err := platform.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
 
 // eachTiledNest calls visit with every nest of one workload kernel at bench
 // size after Pluto's transformation with the given options — what PolyUFC-CM
@@ -40,7 +49,7 @@ func eachTiledNest(t testing.TB, kernel string, opts pluto.Options, visit func(l
 func benchAnalyze(b *testing.B, kernel string) {
 	var nests []*ir.Nest
 	eachTiledNest(b, kernel, pluto.DefaultOptions(), func(_ string, nest *ir.Nest) { nests = append(nests, nest) })
-	cache := hw.BDW().Cache
+	cache := backend(b, "BDW").Sockets[0].CacheConfig()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {

@@ -7,18 +7,16 @@ import (
 	"strings"
 	"testing"
 
-	"polyufc/internal/cachesim"
-	"polyufc/internal/hw"
 	"polyufc/internal/ir"
 	"polyufc/internal/platform"
 	"polyufc/internal/pluto"
 )
 
-// shippedHierarchies returns every cache hierarchy the repo ships — the two
-// embedded paper machines and the platforms/*.json descriptions — with the
-// thread count a parallel nest is modeled at.
-func shippedHierarchies(t testing.TB) map[string]*hw.Platform {
-	out := map[string]*hw.Platform{"bdw": hw.BDW(), "rpl": hw.RPL()}
+// shippedHierarchies returns the first socket of every description the repo
+// ships — the two embedded paper machines and the platforms/*.json files:
+// its cache hierarchy and the thread count a parallel nest is modeled at.
+func shippedHierarchies(t testing.TB) map[string]*platform.Socket {
+	out := map[string]*platform.Socket{"bdw": &backend(t, "BDW").Sockets[0], "rpl": &backend(t, "RPL").Sockets[0]}
 	files, err := filepath.Glob("../../platforms/*.json")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no shipped platform descriptions: %v", err)
@@ -32,11 +30,7 @@ func shippedHierarchies(t testing.TB) map[string]*hw.Platform {
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		p, err := hw.FromBackend(b)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		out[filepath.Base(path)] = p
+		out[filepath.Base(path)] = &b.Sockets[0]
 	}
 	return out
 }
@@ -60,8 +54,9 @@ func TestOneGeometryServesEveryHierarchy(t *testing.T) {
 			popts.TileSize = tile
 			eachTiledNest(t, kernel, popts, func(label string, nest *ir.Nest) {
 				geoms := map[int64]*Geometry{} // by line size
-				for name, p := range hierarchies {
-					line := p.Cache.Levels[0].LineSize
+				for name, s := range hierarchies {
+					cache := s.CacheConfig()
+					line := cache.Levels[0].LineSize
 					if geoms[line] == nil {
 						g, err := Measure(nest, line, DefaultOptions())
 						if err != nil {
@@ -72,16 +67,16 @@ func TestOneGeometryServesEveryHierarchy(t *testing.T) {
 					for _, mod := range []func(*Options){
 						func(*Options) {},
 						func(o *Options) { o.FullyAssoc = true },
-						func(o *Options) { o.Threads = p.Threads },
+						func(o *Options) { o.Threads = s.Threads },
 						func(o *Options) { o.Threads, o.FullyAssoc = 3, true },
 					} {
 						opts := DefaultOptions()
 						mod(&opts)
-						want, err := Analyze(nest, p.Cache, opts)
+						want, err := Analyze(nest, cache, opts)
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, err := geoms[line].Evaluate(p.Cache, opts)
+						got, err := geoms[line].Evaluate(cache, opts)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -103,11 +98,10 @@ func TestEvaluateRejectsOtherLineSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := g.Evaluate(hw.BDW().Cache, DefaultOptions()); err == nil || !strings.Contains(err.Error(), "line size") {
+		if _, err := g.Evaluate(backend(t, "BDW").Sockets[0].CacheConfig(), DefaultOptions()); err == nil || !strings.Contains(err.Error(), "line size") {
 			t.Fatalf("a 128-byte geometry evaluated on a 64-byte hierarchy: err = %v", err)
 		}
-		wide := hw.BDW().Cache
-		wide.Levels = append([]cachesim.LevelConfig(nil), wide.Levels...)
+		wide := backend(t, "BDW").Sockets[0].CacheConfig()
 		for i := range wide.Levels {
 			wide.Levels[i].LineSize = 128
 		}
@@ -143,12 +137,13 @@ func TestGeometryExactRoute(t *testing.T) {
 	if g.exact != nest || len(g.stmts) != 0 {
 		t.Fatalf("small nest was counted instead of routed to the simulator: exact=%v stmts=%d", g.exact != nil, len(g.stmts))
 	}
-	for name, p := range map[string]*hw.Platform{"bdw": hw.BDW(), "rpl": hw.RPL()} {
-		got, err := g.Evaluate(p.Cache, opts)
+	for _, name := range []string{"BDW", "RPL"} {
+		cache := backend(t, name).Sockets[0].CacheConfig()
+		got, err := g.Evaluate(cache, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := analyzeExact(nest, p.Cache, opts, &Result{Levels: newLevels(p.Cache)})
+		want, err := Simulate(nest, cache)
 		if err != nil {
 			t.Fatal(err)
 		}

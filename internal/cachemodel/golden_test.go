@@ -9,8 +9,8 @@ import (
 	"reflect"
 	"testing"
 
-	"polyufc/internal/hw"
 	"polyufc/internal/ir"
+	"polyufc/internal/platform"
 	"polyufc/internal/pluto"
 	"polyufc/internal/workloads"
 )
@@ -33,16 +33,17 @@ func analyzeGolden(t testing.TB) map[string]*Result {
 			opts := pluto.DefaultOptions()
 			opts.TileSize = tile
 			eachTiledNest(t, k.Name, opts, func(label string, nest *ir.Nest) {
-				for _, p := range []*hw.Platform{hw.BDW(), hw.RPL()} {
+				for _, b := range []*platform.Backend{backend(t, "BDW"), backend(t, "RPL")} {
+					s := &b.Sockets[0]
 					cm := DefaultOptions()
 					if nest.Root != nil && nest.Root.Parallel {
-						cm.Threads = p.Threads
+						cm.Threads = s.Threads
 					}
-					res, err := Analyze(nest, p.Cache, cm)
+					res, err := Analyze(nest, s.CacheConfig(), cm)
 					if err != nil {
-						t.Fatalf("%s/%s tile %d on %s: %v", k.Name, label, tile, p.Name, err)
+						t.Fatalf("%s/%s tile %d on %s: %v", k.Name, label, tile, b.Name, err)
 					}
-					out[fmt.Sprintf("%s/%s/%s/%d", k.Name, label, p.Name, tile)] = res
+					out[fmt.Sprintf("%s/%s/%s/%d", k.Name, label, b.Name, tile)] = res
 				}
 			})
 		}

@@ -49,7 +49,27 @@ type LevelResult struct {
 	FitWindow int
 }
 
-// Result is the outcome of PolyUFC-CM on one nest.
+// Hits returns the level's hits: every access that did not miss.
+func (l LevelResult) Hits() int64 { return l.Accesses - l.Misses }
+
+// settle derives a level's misses from their components, clamped to the
+// level's accesses, and its miss and hit ratios.
+func (l *LevelResult) settle() {
+	l.Misses = l.ColdMisses + l.CapConfMisses
+	if l.Misses > l.Accesses && l.Accesses > 0 {
+		l.Misses = l.Accesses
+		l.CapConfMisses = l.Misses - l.ColdMisses
+	}
+	if l.Accesses > 0 {
+		l.MissRatio = float64(l.Misses) / float64(l.Accesses)
+		l.HitRatio = 1 - l.MissRatio
+	}
+}
+
+// Result is the per-nest, per-level traffic record. It has two producers:
+// PolyUFC-CM's counting (Analyze, Evaluate) and the trace-driven simulator
+// (Simulate, which the simulated machine profiles through), so a
+// model-vs-measurement comparison reads the same fields on both sides.
 type Result struct {
 	Levels []LevelResult
 	// Flops is the paper's Omega: total arithmetic operations.
@@ -74,6 +94,19 @@ type Result struct {
 
 // LLC returns the last-level result.
 func (r *Result) LLC() LevelResult { return r.Levels[len(r.Levels)-1] }
+
+// settle settles every level, then QDRAM and OI from the last level's
+// misses in lines of lineSize bytes. Settling a settled record again
+// changes nothing.
+func (r *Result) settle(lineSize int64) {
+	for i := range r.Levels {
+		r.Levels[i].settle()
+	}
+	r.QDRAM = r.LLC().Misses * lineSize
+	if r.QDRAM > 0 {
+		r.OI = float64(r.Flops) / float64(r.QDRAM)
+	}
+}
 
 // Analyze runs PolyUFC-CM over one affine nest for the given cache
 // hierarchy: Measure at the hierarchy's line size, then Evaluate.
@@ -174,10 +207,18 @@ func (g *Geometry) Evaluate(cfg cachesim.Config, opts Options) (*Result, error) 
 	if ls := cfg.Levels[0].LineSize; ls != g.lineSize {
 		return nil, fmt.Errorf("cachemodel: geometry measured at line size %d, hierarchy has %d", g.lineSize, ls)
 	}
-	res := &Result{Levels: newLevels(cfg)}
 	if g.exact != nil {
-		return analyzeExact(g.exact, cfg, opts, res)
+		res, err := Simulate(g.exact, cfg)
+		if err != nil || opts.Threads <= 1 {
+			return res, err
+		}
+		// The thread-sharing heuristic, as on the counted route below.
+		res.ThreadsDiv = opts.Threads
+		shareAcrossThreads(res.Levels, opts.Threads)
+		res.settle(g.lineSize)
+		return res, nil
 	}
+	res := &Result{Levels: newLevels(cfg)}
 	res.Flops, res.Instances = g.flops, g.instances
 	res.Loads, res.Stores, res.QBytes = g.loads, g.stores, g.qbytes
 	for i := range g.stmts {
@@ -195,25 +236,11 @@ func (g *Geometry) Evaluate(cfg cachesim.Config, opts Options) (*Result, error) 
 	// Access streams: level 0 sees every load and store; level i+1 sees
 	// level i's misses plus forwarded writes (write-through).
 	res.Levels[0].Accesses = res.Loads + res.Stores
-	for i := range res.Levels {
-		lv := &res.Levels[i]
-		lv.Misses = lv.ColdMisses + lv.CapConfMisses
-		if lv.Misses > lv.Accesses && lv.Accesses > 0 {
-			lv.Misses = lv.Accesses
-			lv.CapConfMisses = lv.Misses - lv.ColdMisses
-		}
-		if lv.Accesses > 0 {
-			lv.MissRatio = float64(lv.Misses) / float64(lv.Accesses)
-			lv.HitRatio = 1 - lv.MissRatio
-		}
-		if i+1 < len(res.Levels) {
-			res.Levels[i+1].Accesses = lv.Misses + res.Stores
-		}
+	for i := 0; i+1 < len(res.Levels); i++ {
+		res.Levels[i].settle()
+		res.Levels[i+1].Accesses = res.Levels[i].Misses + res.Stores
 	}
-	res.QDRAM = res.LLC().Misses * g.lineSize
-	if res.QDRAM > 0 {
-		res.OI = float64(res.Flops) / float64(res.QDRAM)
-	}
+	res.settle(g.lineSize)
 	return res, nil
 }
 

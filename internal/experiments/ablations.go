@@ -7,7 +7,6 @@ import (
 	"polyufc/internal/hw"
 	"polyufc/internal/roofline"
 	"polyufc/internal/tiling"
-	"polyufc/internal/workloads"
 )
 
 // TileSizeRow is one point of the tile-size ablation (the paper fixes
@@ -27,48 +26,32 @@ type TileSizeRow struct {
 func (s *Suite) TileSizeSweep(p *hw.Platform, kernelName string, sizes []int64) ([]TileSizeRow, error) {
 	var out []TileSizeRow
 	for _, ts := range sizes {
-		k, err := workloads.ByName(kernelName)
-		if err != nil {
-			return nil, err
-		}
-		mod, err := k.Build(s.Size)
-		if err != nil {
-			return nil, err
-		}
 		cfg := core.DefaultConfig(s.targets[p.Name])
 		cfg.Tiling = tiling.Spec{Name: tiling.NamePluto, Size: ts}
-		res, err := core.Compile(mod, cfg)
+		res, err := s.compileCfg(kernelName, cfg)
 		if err != nil {
 			return nil, err
 		}
 		m := s.machine(p)
 		var l1 int64
-		var agg hw.RunResult
 		for _, nest := range nestsOf(res.Module) {
 			prof, err := m.Profile(nest)
 			if err != nil {
 				return nil, err
 			}
-			l1 += prof.LevelMisses[0]
+			l1 += prof.Levels[0].Misses
 		}
 		run, err := m.RunFunc(res.Module.Funcs[0])
 		if err != nil {
 			return nil, err
 		}
-		agg = run
 		cap := p.UncoreMax
-		if len(res.Reports) > 0 {
-			best := res.Reports[0]
-			for _, r := range res.Reports {
-				if r.CM.Flops > best.CM.Flops {
-					best = r
-				}
-			}
-			cap = best.CapGHz
+		if rep, ok := dominant(res.Reports); ok {
+			cap = rep.CapGHz
 		}
 		out = append(out, TileSizeRow{
 			Kernel: kernelName, Platform: p.Name, TileSize: ts,
-			L1Misses: l1, CapGHz: cap, EDP: agg.EDP,
+			L1Misses: l1, CapGHz: cap, EDP: run.EDP,
 		})
 	}
 	return out, nil

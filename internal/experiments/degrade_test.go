@@ -83,6 +83,48 @@ func TestSuiteBestEffortWithInjectedCompilerFault(t *testing.T) {
 	if s.Faults.Fired(core.FaultCacheModel) != 1 {
 		t.Fatalf("fault fired %d times", s.Faults.Fired(core.FaultCacheModel))
 	}
+	// The joint study picks its dominant nest past the uncharacterized one.
+	s.Faults.Enable(core.FaultCacheModel, faults.Spec{On: []int64{1}})
+	joint, err := s.Joint(p, []string{"gemm", "mvt"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range joint {
+		if r.JointEDP <= 0 {
+			t.Fatalf("%s: joint row %+v", r.Kernel, r)
+		}
+	}
+	if s.Faults.Fired(core.FaultCacheModel) != 1 {
+		t.Fatalf("joint: fault fired %d times", s.Faults.Fired(core.FaultCacheModel))
+	}
+}
+
+// A kernel with no characterized nest has nothing to select frequencies by:
+// the joint study marks its row degraded and notes it, and the other
+// kernels' rows stand.
+func TestJointDegradesUncharacterizedKernel(t *testing.T) {
+	s, err := New(workloads.Test, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	s.Out = &out
+	s.Degrade = core.BestEffort
+	s.Faults = faults.New(11)
+	p := s.Platforms()[1]
+	// mvt's two nests are the first two cache-model calls.
+	s.Faults.Enable(core.FaultCacheModel, faults.Spec{On: []int64{1, 2}})
+	rows, err := s.Joint(p, []string{"mvt", "gemm"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rows[0].Degraded || rows[1].Degraded || rows[1].JointEDP <= 0 {
+		t.Fatalf("rows %+v, want mvt degraded and gemm measured", rows)
+	}
+	s.renderDegraded()
+	if !strings.Contains(out.String(), "degraded (best-effort): mvt: joint: no nest was characterized") {
+		t.Fatalf("no degradation summary in output:\n%s", out.String())
+	}
 }
 
 // With faults armed the compile cache is bypassed, so injection state

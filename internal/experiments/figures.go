@@ -259,7 +259,7 @@ func (s *Suite) Fig6(p *hw.Platform, kernels []string) ([]Fig6Row, error) {
 				hwT += r.Seconds
 				hwE += r.PkgJoules
 				prof, _ := m.Profile(nest)
-				qdramHW += prof.DRAMReadB / int64(max(rep.CM.ThreadsDiv, 1))
+				qdramHW += prof.QDRAM / int64(max(rep.CM.ThreadsDiv, 1))
 			}
 			oi := 0.0
 			if qdram > 0 {
@@ -411,19 +411,7 @@ func (s *Suite) fig7Row(p *hw.Platform, name string) (Fig7Row, error) {
 	if err != nil {
 		return drop(err)
 	}
-	// Dominant nest's characterization and cap.
-	var rep core.KernelReport
-	bestFlops := int64(-1)
-	for _, r := range res.Reports {
-		// Per-nest degraded reports carry no cache model.
-		if r.CM == nil {
-			continue
-		}
-		if r.CM.Flops > bestFlops {
-			bestFlops = r.CM.Flops
-			rep = r
-		}
-	}
+	rep, _ := dominant(res.Reports)
 	return Fig7Row{
 		Kernel: name, Suite: k.Suite, Platform: p.Name,
 		Class: rep.Class, CapGHz: rep.CapGHz,

@@ -1,9 +1,9 @@
 package experiments
 
 import (
+	"errors"
 	"math"
 
-	"polyufc/internal/core"
 	"polyufc/internal/hw"
 	"polyufc/internal/model"
 )
@@ -24,6 +24,9 @@ type JointRow struct {
 	// JointExtraGain is the additional EDP improvement of joint over
 	// uncore-only (positive = joint wins).
 	JointExtraGain float64
+	// Degraded marks a kernel none of whose nests was characterized (a
+	// best-effort compile dropped every cache model): nothing to select by.
+	Degraded bool
 }
 
 // coreGrid returns the platform's core P-state grid at 0.1 GHz steps.
@@ -47,13 +50,11 @@ func (s *Suite) Joint(p *hw.Platform, kernels []string) ([]JointRow, error) {
 		}
 		// Dominant nest decides the frequencies (as the per-kernel caps
 		// would); measurement covers all nests.
-		var rep core.KernelReport
-		bestFlops := int64(-1)
-		for _, r := range res.Reports {
-			if r.CM.Flops > bestFlops {
-				bestFlops = r.CM.Flops
-				rep = r
-			}
+		rep, ok := dominant(res.Reports)
+		if !ok {
+			s.noteDegraded(name, errors.New("joint: no nest was characterized"))
+			out = append(out, JointRow{Kernel: name, Platform: p.Name, Degraded: true})
+			continue
 		}
 		m := model.New(consts, model.FromCacheModel(rep.CM, rep.Threads))
 		joint := m.SearchJoint(cs, coreGrid(p), p.UncoreSteps(),
@@ -105,10 +106,14 @@ func (s *Suite) RenderJoint() error {
 		s.printf("-- %s (EDP in mJ*s)\n", p.Name)
 		s.printf("   %-12s %3s | uncore-only  |   joint (core,uncore) | base EDP    u-only EDP   joint EDP | extra\n", "kernel", "cls")
 		for _, r := range rows {
+			if r.Degraded {
+				continue
+			}
 			s.printf("   %-12s %3s |   %4.1f GHz   |     (%3.1f, %4.1f) GHz   | %10.4f %12.4f %11.4f | %+5.1f%%\n",
 				r.Kernel, r.Class, r.UncoreOnlyGHz, r.JointCoreGHz, r.JointUncoreGHz,
 				r.BaseEDP*1e3, r.UncoreOnlyEDP*1e3, r.JointEDP*1e3, 100*r.JointExtraGain)
 		}
 	}
+	s.renderDegraded()
 	return nil
 }

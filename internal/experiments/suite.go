@@ -262,6 +262,19 @@ func nestsOf(mod *ir.Module) []*ir.Nest {
 	return out
 }
 
+// dominant returns the report of the nest with the most flops, whose
+// characterization and cap stand for the kernel, among the nests that were
+// characterized (a per-nest degraded report carries no cache model); ok is
+// false when none was.
+func dominant(reports []core.KernelReport) (rep core.KernelReport, ok bool) {
+	for _, r := range reports {
+		if r.CM != nil && (!ok || r.CM.Flops > rep.CM.Flops) {
+			rep, ok = r, true
+		}
+	}
+	return rep, ok
+}
+
 // Run executes one experiment by id and renders it.
 func (s *Suite) Run(id string) error {
 	switch id {

@@ -60,10 +60,9 @@ func (g DUFSGovernor) RunProfile(m *Machine, p *CacheProfile) RunResult {
 			break
 		}
 		// Utilization-driven decision.
-		bwAvail := m.P.truth.BWPeakGBs * f / (f + m.P.truth.BWKneeGHz) * 1e9
 		util := 0.0
 		if r.Seconds > 0 {
-			util = (float64(p.DRAMReadB) / r.Seconds) / bwAvail
+			util = (float64(p.QDRAM) / r.Seconds) / m.bandwidth(f)
 		}
 		next := f
 		if util > g.HighWater {

@@ -3,6 +3,8 @@ package hw
 import (
 	"math"
 	"testing"
+
+	"polyufc/internal/cachemodel"
 )
 
 // longCBProfile is a compute-bound kernel long enough for the governor to
@@ -11,17 +13,16 @@ func longCBProfile() *CacheProfile {
 	p := cbProfile()
 	p.Flops *= 100
 	p.Instances *= 100
-	p.LevelHits = []int64{3e11, 5e9, 4e9}
-	p.LLCMisses *= 100
-	p.DRAMReadB *= 100
+	p.Levels = levels([]int64{3e11, 5e9, 4e9}, []int64{1e8, 5e7, 1e8})
+	p.QDRAM *= 100
 	return p
 }
 
 func longBBProfile() *CacheProfile {
 	p := bbProfile()
 	p.Flops *= 100
-	p.LLCMisses *= 100
-	p.DRAMReadB *= 100
+	p.Levels = levels([]int64{3e7, 5e6, 2e6}, []int64{2e7, 1.5e7, 1e9})
+	p.QDRAM *= 100
 	return p
 }
 
@@ -69,12 +70,11 @@ func TestDUFSShortKernelBarelyAdapts(t *testing.T) {
 	// control-loop latency the paper contrasts with compile-time capping.
 	m := NewMachine(BDW())
 	g := DefaultDUFS()
-	short := &CacheProfile{ // microseconds of work
+	short := &CacheProfile{Result: cachemodel.Result{ // microseconds of work
 		Flops: 2e6, Instances: 1e6, Loads: 3e6,
-		LevelHits:   []int64{3e6, 5e4, 4e4},
-		LevelMisses: []int64{1e5, 5e4, 1e3},
-		LLCMisses:   1e3, DRAMReadB: 64e3, HasParallel: true,
-	}
+		Levels: levels([]int64{3e6, 5e4, 4e4}, []int64{1e5, 5e4, 1e3}),
+		QDRAM:  64e3,
+	}, HasParallel: true}
 	r := g.RunProfile(m, short)
 	if r.UncoreGHz != m.P.UncoreMax {
 		t.Fatalf("short kernel should finish at the start frequency, got %.1f", r.UncoreGHz)

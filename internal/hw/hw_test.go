@@ -9,24 +9,34 @@ import (
 	"testing"
 	"time"
 
+	"polyufc/internal/cachemodel"
 	"polyufc/internal/ir"
 )
 
+// levels builds synthetic per-level records from hit and miss counts.
+func levels(hits, misses []int64) []cachemodel.LevelResult {
+	out := make([]cachemodel.LevelResult, len(hits))
+	for i := range hits {
+		out[i] = cachemodel.LevelResult{Accesses: hits[i] + misses[i], Misses: misses[i]}
+	}
+	return out
+}
+
 // synthetic profiles for model-shape tests.
 func cbProfile() *CacheProfile {
-	return &CacheProfile{
+	return &CacheProfile{Result: cachemodel.Result{
 		Flops: 2e9, Instances: 1e9, Loads: 3e9, Stores: 1e8,
-		LevelHits: []int64{3e9, 5e7, 4e7}, LevelMisses: []int64{1e8, 5e7, 1e6},
-		LLCMisses: 1e6, DRAMReadB: 64e6, HasParallel: true,
-	}
+		Levels: levels([]int64{3e9, 5e7, 4e7}, []int64{1e8, 5e7, 1e6}),
+		QDRAM:  64e6,
+	}, HasParallel: true}
 }
 
 func bbProfile() *CacheProfile {
-	return &CacheProfile{
+	return &CacheProfile{Result: cachemodel.Result{
 		Flops: 4e7, Instances: 2e7, Loads: 4e7, Stores: 1e7,
-		LevelHits: []int64{3e7, 5e6, 2e6}, LevelMisses: []int64{2e7, 1.5e7, 1e7},
-		LLCMisses: 1e7, DRAMReadB: 640e6, HasParallel: true,
-	}
+		Levels: levels([]int64{3e7, 5e6, 2e6}, []int64{2e7, 1.5e7, 1e7}),
+		QDRAM:  640e6,
+	}, HasParallel: true}
 }
 
 func argminEDP(rs []RunResult) (float64, float64) {

@@ -6,31 +6,22 @@ import (
 	"math"
 	"math/rand"
 
+	"polyufc/internal/cachemodel"
 	"polyufc/internal/cachesim"
 	"polyufc/internal/faults"
-	"polyufc/internal/interp"
 	"polyufc/internal/ir"
 )
 
 // CacheProfile is the frequency-independent execution profile of one
-// kernel on one platform: event counts from the exact simulator. Profiles
-// are reused across uncore frequency sweeps, since cache behaviour does
-// not depend on the uncore clock.
+// kernel on one platform: the simulator's traffic record of the nest
+// (cachemodel.Simulate — the same per-level counts PolyUFC-CM models) plus
+// where the machine runs it. Profiles are reused across uncore frequency
+// sweeps, since cache behaviour does not depend on the uncore clock.
 type CacheProfile struct {
-	Flops     int64
-	Instances int64
-	Loads     int64
-	Stores    int64
-	// LevelHits[i] are hits at cache level i.
-	LevelHits []int64
-	// LevelMisses[i] are misses at cache level i.
-	LevelMisses []int64
-	LLCMisses   int64
-	DRAMReadB   int64
-	DRAMWriteB  int64
+	cachemodel.Result
 	HasParallel bool
-	// RemoteShare is the fraction of DRAMReadB served across the link,
-	// set by platform.Backend.RemoteShare where a machine profiles a nest;
+	// RemoteShare is the fraction of QDRAM served across the link, set by
+	// platform.Backend.RemoteShare where a machine profiles a nest;
 	// ProfileNest and the calibration micro-benchmarks leave it 0 (local).
 	RemoteShare float64
 	Label       string
@@ -269,25 +260,11 @@ func (m *Machine) Profile(nest *ir.Nest) (*CacheProfile, error) {
 
 // ProfileNest runs a nest through a cache hierarchy and collects counts.
 func ProfileNest(nest *ir.Nest, cache cachesim.Config) (*CacheProfile, error) {
-	st, sim, err := interp.Simulate(nest, cache)
+	r, err := cachemodel.Simulate(nest, cache)
 	if err != nil {
 		return nil, err
 	}
-	p := &CacheProfile{
-		Flops: st.Flops, Instances: st.Instances,
-		Loads: st.Loads, Stores: st.Stores,
-		LLCMisses: sim.LLC().Misses,
-		DRAMReadB: sim.DRAMReadBytes, DRAMWriteB: sim.DRAMWriteBytes,
-		Label: nest.Label,
-	}
-	for _, l := range sim.Levels {
-		p.LevelHits = append(p.LevelHits, l.Hits)
-		p.LevelMisses = append(p.LevelMisses, l.Misses)
-	}
-	if nest.Root != nil && nest.Root.Parallel {
-		p.HasParallel = true
-	}
-	return p, nil
+	return &CacheProfile{Result: *r, HasParallel: nest.Root != nil && nest.Root.Parallel, Label: nest.Label}, nil
 }
 
 // RunResult is one hardware measurement.
@@ -347,9 +324,9 @@ func (m *Machine) measureAtJoint(p *CacheProfile, fC, fU float64) RunResult {
 	// over threads.
 	clockScale := m.P.CoreBase / fC
 	var tHits float64
-	for i, hits := range p.LevelHits {
+	for i, lv := range p.Levels {
 		lat := t.HitLatencyNs[minInt(i, len(t.HitLatencyNs)-1)] * 1e-9 * clockScale
-		tHits += float64(hits) * lat
+		tHits += float64(lv.Hits()) * lat
 	}
 	tHits /= t.ILP * th
 
@@ -357,9 +334,9 @@ func (m *Machine) measureAtJoint(p *CacheProfile, fC, fU float64) RunResult {
 	// saturating bandwidth of the uncore interconnect.
 	missLat := (t.DRAMLatCoefNsGHz/fU + t.DRAMLatBaseNs) * 1e-9
 	mlp := minF(t.MLP*th, t.MLPSystem)
-	tLat := float64(p.LLCMisses) * missLat / mlp
-	bw := t.BWPeakGBs * fU / (fU + t.BWKneeGHz) * 1e9
-	tBW := float64(p.DRAMReadB) / bw
+	tLat := float64(p.LLC().Misses) * missLat / mlp
+	bw := m.bandwidth(fU)
+	tBW := float64(p.QDRAM) / bw
 	tDRAM := math.Max(tLat, tBW)
 
 	tm := tHits + tDRAM
@@ -381,7 +358,7 @@ func (m *Machine) measureAtJoint(p *CacheProfile, fC, fU float64) RunResult {
 	rel := fC / m.P.CoreBase
 	eFlop := t.CoreJPerFlop * (0.35 + 0.65*rel*rel)
 	pCore := t.CoreIdleWPerGHz*fC + eFlop*float64(p.Flops)/sec
-	util := math.Min(1, (float64(p.DRAMReadB)/sec)/bw)
+	util := math.Min(1, (float64(p.QDRAM)/sec)/bw)
 	pUncore := t.UncoreIdleWPerGHz*fU + (t.UncoreActWPerGHz*fU+t.UncoreActBaseW)*util
 	pTotal := t.PConstW + pCore + pUncore
 
@@ -393,13 +370,20 @@ func (m *Machine) measureAtJoint(p *CacheProfile, fC, fU float64) RunResult {
 		AvgWatts:     pTotal,
 		EDP:          energy * sec,
 		GFlops:       float64(p.Flops) / sec / 1e9,
-		DRAMGBs:      float64(p.DRAMReadB) / sec / 1e9,
+		DRAMGBs:      float64(p.QDRAM) / sec / 1e9,
 		UncoreGHz:    fU,
 		CoreGHz:      fC,
 		Threads:      threads,
 	}
 	m.addRemote(p, &r)
 	return r
+}
+
+// bandwidth is the hidden truth's DRAM bandwidth at uncore clock fU, in
+// bytes/s: the uncore interconnect saturates towards its peak.
+func (m *Machine) bandwidth(fU float64) float64 {
+	t := m.P.truth
+	return t.BWPeakGBs * fU / (fU + t.BWKneeGHz) * 1e9
 }
 
 // RunNest profiles (memoized) and measures a nest at the current cap.

@@ -18,7 +18,7 @@ func (m *Machine) addRemote(p *CacheProfile, r *RunResult) {
 	if !(p.RemoteShare > 0) || link == (platform.LinkCost{}) {
 		return
 	}
-	bytes := p.RemoteShare * float64(p.DRAMReadB)
+	bytes := p.RemoteShare * float64(p.QDRAM)
 	t := m.P.truth
 	extra := bytes * link.SecPerByte
 	transfer := bytes * link.JoulesPerByte
@@ -29,7 +29,7 @@ func (m *Machine) addRemote(p *CacheProfile, r *RunResult) {
 	r.AvgWatts = r.PkgJoules / r.Seconds
 	r.EDP = r.PkgJoules * r.Seconds
 	r.GFlops = float64(p.Flops) / r.Seconds / 1e9
-	r.DRAMGBs = float64(p.DRAMReadB) / r.Seconds / 1e9
+	r.DRAMGBs = float64(p.QDRAM) / r.Seconds / 1e9
 }
 
 // Node is a booted multi-socket machine: one Machine per socket of a

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"polyufc/internal/cachemodel"
 	"polyufc/internal/faults"
 	"polyufc/internal/ir"
 	"polyufc/internal/platform"
@@ -80,11 +81,11 @@ func TestRemoteShareChargesLink(t *testing.T) {
 	}
 	m, _ := n.Socket(0)
 	bdw := NewMachine(BDW())
-	p := &CacheProfile{
-		Flops: 1 << 24, LLCMisses: 1 << 18,
-		DRAMReadB: 64 << 18, DRAMWriteB: 32 << 18,
-		LevelHits: []int64{1 << 20, 1 << 18, 1 << 16}, HasParallel: true,
-	}
+	p := &CacheProfile{Result: cachemodel.Result{
+		Flops:  1 << 24,
+		Levels: levels([]int64{1 << 20, 1 << 18, 1 << 16}, []int64{0, 0, 1 << 18}),
+		QDRAM:  64 << 18,
+	}, HasParallel: true}
 	local := m.MeasureAt(p, m.P.CoreBase, m.P.UncoreMax)
 	if base := bdw.MeasureAt(p, m.P.CoreBase, m.P.UncoreMax); local != base {
 		t.Fatal("a socket-local profile is not bit-identical to its single-socket run")

@@ -71,13 +71,7 @@ func SocketPlatform(b *platform.Backend, socket int) (*Platform, error) {
 	if socket < 0 || socket >= len(b.Sockets) {
 		return nil, fmt.Errorf("hw: backend %q has %d socket(s), no socket %d", b.Name, len(b.Sockets), socket)
 	}
-	s := b.Sockets[socket]
-	levels := make([]cachesim.LevelConfig, len(s.Cache))
-	for i, lv := range s.Cache {
-		levels[i] = cachesim.LevelConfig{
-			Name: lv.Name, SizeBytes: lv.SizeBytes, LineSize: lv.LineSize, Assoc: lv.Assoc,
-		}
-	}
+	s := &b.Sockets[socket]
 	return &Platform{
 		Name: b.Name, CPU: b.CPU, Released: b.Released,
 		Cores: s.Cores, Threads: s.Threads,
@@ -85,7 +79,7 @@ func SocketPlatform(b *platform.Backend, socket int) (*Platform, error) {
 		UncoreMin: s.UncoreMinGHz, UncoreMax: s.UncoreMaxGHz,
 		CapStep: s.CapStepGHz, CapLatency: s.CapLatencySec,
 		HasUncoreRAPL: s.HasUncoreRAPL,
-		Cache:         cachesim.Config{Levels: levels},
+		Cache:         s.CacheConfig(),
 		Socket:        socket,
 		Backend:       b,
 		truth:         s.Truth,

@@ -1,11 +1,5 @@
 package model
 
-import (
-	"math"
-
-	"polyufc/internal/roofline"
-)
-
 // This file implements the coordinated core+uncore extension the paper's
 // discussion points to (Sec. VII-F "Core Frequency Selection" and the
 // joint-scaling related work [89]): the Sec. V model re-parameterized in
@@ -31,64 +25,7 @@ func DefaultCoreScaling(base float64) CoreScaling {
 // AtJoint evaluates the model at a core frequency fc and uncore frequency
 // fu. With fc equal to the calibration base, AtJoint(base, fu) == At(fu).
 func (m *Model) AtJoint(cs CoreScaling, fc, fu float64) Estimate {
-	c, ks := m.C, m.KS
-	th := float64(maxInt(ks.Threads, 1))
-	rel := fc / cs.BaseGHz
-
-	// Compute time scales inversely with the core clock.
-	perThreadTFpu := c.TFpu * float64(maxInt(threadsOfPeak(c), 1)) / rel
-	tComp := float64(ks.Flops) * perThreadTFpu / th
-
-	// Cache hits are core-clocked.
-	q := float64(ks.QBytes)
-	tMem := 0.0
-	chain := 1.0
-	for i := range ks.HitRatio {
-		perAccess := c.HitLatency[i] / rel
-		tMem += chain * ks.HitRatio[i] * (q / 8.0) * perAccess
-		chain *= ks.MissRatio[i]
-	}
-	tMem /= th
-	qTime := ks.QDRAMTime
-	if qTime == 0 {
-		qTime = ks.QDRAM
-	}
-	tMem += float64(qTime) * c.MissLat(fu)
-
-	t := tComp + tMem
-	if t <= 0 {
-		t = 1e-12
-	}
-	perf := float64(ks.Flops) / t
-	bw := float64(qTime) / t
-
-	eFlop := c.EFpu * (cs.EnergyFloor + (1-cs.EnergyFloor)*rel*rel)
-	pUncore := c.UncorePower(fu, bw)
-	pCore := eFlop * perf
-	// PCon was calibrated at the base core clock and includes
-	// CoreIdle*base; re-express it at fc.
-	pConAt := c.PCon + c.CoreIdleWPerGHz*(fc-c.CoreBaseGHz)
-	watts := pConAt + pCore + pUncore
-
-	// Peak ceiling: the flop-engine roof scales with the core clock times
-	// the per-flop energy law (flop rate x energy/flop).
-	pFpuAt := c.PFpuHat * rel * (cs.EnergyFloor + (1-cs.EnergyFloor)*rel*rel)
-	var peak float64
-	cls := m.Class()
-	if cls == roofline.ComputeBound {
-		peak = c.PCon + c.PeakDRAMPower(fu)*(c.BtDRAM/math.Max(ks.OI, 1e-9)) + pFpuAt
-	} else {
-		peak = c.PCon + c.PeakDRAMPower(fu) + pFpuAt*(ks.OI/c.BtDRAM)
-	}
-
-	joules := float64(ks.Flops)*eFlop + t*(pConAt+pUncore)
-	return Estimate{
-		FGHz: fu, Seconds: t, TCompute: tComp, TMemory: tMem,
-		GFlops: perf / 1e9, GBs: bw / 1e9,
-		Watts: watts, PeakWatts: peak,
-		Joules: joules, EDP: joules * t,
-		Class: cls,
-	}
+	return m.at(coreClock{rel: fc / cs.BaseGHz, dGHz: fc - m.C.CoreBaseGHz, floor: cs.EnergyFloor}, fu)
 }
 
 // JointResult is the outcome of a coordinated core+uncore search.

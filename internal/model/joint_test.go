@@ -16,18 +16,16 @@ func coreGrid(p *hw.Platform) []float64 {
 }
 
 func TestAtJointReducesToAtAtBase(t *testing.T) {
-	p := hw.BDW()
-	c := calibrated(t, p)
-	m := New(c, bbStats())
-	cs := DefaultCoreScaling(p.CoreBase)
-	for _, fu := range []float64{1.2, 2.0, 2.8} {
-		a := m.At(fu)
-		b := m.AtJoint(cs, p.CoreBase, fu)
-		if math.Abs(a.Seconds-b.Seconds) > 1e-12*a.Seconds {
-			t.Fatalf("time mismatch at base core: %g vs %g", a.Seconds, b.Seconds)
-		}
-		if math.Abs(a.Joules-b.Joules) > 1e-9*a.Joules {
-			t.Fatalf("energy mismatch at base core: %g vs %g", a.Joules, b.Joules)
+	for _, p := range []*hw.Platform{hw.BDW(), hw.RPL()} {
+		c := calibrated(t, p)
+		cs := DefaultCoreScaling(p.CoreBase)
+		for _, ks := range []KernelStats{cbStats(), bbStats()} {
+			m := New(c, ks)
+			for _, fu := range p.UncoreSteps() {
+				if a, b := m.At(fu), m.AtJoint(cs, p.CoreBase, fu); a != b {
+					t.Fatalf("%s at %.1f GHz, base core:\n At      %+v\n AtJoint %+v", p.Name, fu, a, b)
+				}
+			}
 		}
 	}
 }

@@ -100,25 +100,39 @@ func (m *Model) RemoteShare() float64 {
 // Class returns the kernel's CB/BB characterization (Sec. IV-D).
 func (m *Model) Class() roofline.Class { return m.C.Classify(m.KS.OI) }
 
-// At evaluates the model at uncore frequency f (GHz).
-func (m *Model) At(f float64) Estimate {
+// At evaluates the model at uncore frequency f (GHz) with the cores at the
+// clock the constants were calibrated at.
+func (m *Model) At(f float64) Estimate { return m.at(coreClock{rel: 1}, f) }
+
+// coreClock is the core clock an evaluation assumes, against the one the
+// constants were calibrated at: rel is their ratio and dGHz their
+// difference; floor is the share of per-flop energy that does not scale
+// with the clock. The zero clock with rel 1 is the calibration's own, at
+// which every core-clocked term is its calibrated constant exactly — it
+// divides by no calibrated clock, so hand-built Constants need none.
+type coreClock struct{ rel, dGHz, floor float64 }
+
+// at evaluates the Sec. V equations at one core clock and uncore
+// frequency f: the one copy of them, behind At and AtJoint.
+func (m *Model) at(cc coreClock, f float64) Estimate {
 	c, ks := m.C, m.KS
 	th := float64(maxInt(ks.Threads, 1))
 
-	// Eqn. 3: compute time at full machine throughput; a serial kernel
-	// only uses one core's share of the peak.
-	perThreadTFpu := c.TFpu * float64(maxInt(threadsOfPeak(c), 1))
+	// Eqn. 3: compute time at full machine throughput, which scales with
+	// the core clock; a serial kernel only uses one core's share of the
+	// peak.
+	perThreadTFpu := c.TFpu * float64(maxInt(threadsOfPeak(c), 1)) / cc.rel
 	tComp := float64(ks.Flops) * perThreadTFpu / th
 
 	// Eqn. 4: memory time. The requested volume Q is served at level i
-	// with probability (prod_{j<i} miss_j) * hit_i, at hit latency H_i;
-	// what misses everywhere goes to DRAM at the f-dependent per-byte
-	// service time M^t(f).
+	// with probability (prod_{j<i} miss_j) * hit_i, at the core-clocked hit
+	// latency H_i; what misses everywhere goes to DRAM at the f-dependent
+	// per-byte service time M^t(f).
 	q := float64(ks.QBytes)
 	tMem := 0.0
 	chain := 1.0
 	for i := range ks.HitRatio {
-		perAccess := c.HitLatency[i]
+		perAccess := c.HitLatency[i] / cc.rel
 		// Convert the per-access service time into per-byte by the
 		// element granularity implied by QBytes/accesses; the calibrated
 		// HitLatency is per access, so scale by accesses = Q/elem. To stay
@@ -153,24 +167,31 @@ func (m *Model) At(f float64) Estimate {
 
 	// Eqn. 10: average power, CB/BB specialization. kappa(f) = alpha*f +
 	// gamma converts achieved DRAM bandwidth into uncore dynamic power.
+	// Per-flop core energy follows the voltage-floor DVFS law, and PCon,
+	// which includes the core clock tree at the calibration clock, moves
+	// with the clock difference.
+	eFlop := c.EFpu * (cc.floor + (1-cc.floor)*cc.rel*cc.rel)
 	pUncore := c.UncorePower(f, bw)
-	pCore := c.EFpu * perf
-	watts := c.PCon + pCore + pUncore
+	pCore := eFlop * perf
+	pCon := c.PCon + c.CoreIdleWPerGHz*cc.dGHz
+	watts := pCon + pCore + pUncore
 
-	// Eqn. 8: peak power ceiling.
+	// Eqn. 8: peak power ceiling; the flop-engine roof scales with the
+	// core clock times the per-flop energy law.
+	pFpu := c.PFpuHat * cc.rel * (cc.floor + (1-cc.floor)*cc.rel*cc.rel)
 	var peak float64
 	cls := m.Class()
 	if cls == roofline.ComputeBound {
-		peak = c.PCon + c.PeakDRAMPower(f)*(c.BtDRAM/math.Max(ks.OI, 1e-9)) + c.PFpuHat
+		peak = c.PCon + c.PeakDRAMPower(f)*(c.BtDRAM/math.Max(ks.OI, 1e-9)) + pFpu
 	} else {
-		peak = c.PCon + c.PeakDRAMPower(f) + c.PFpuHat*(ks.OI/c.BtDRAM)
+		peak = c.PCon + c.PeakDRAMPower(f) + pFpu*(ks.OI/c.BtDRAM)
 	}
 
 	// Eqn. 11: E = Omega*e_FPU + T^Q * P (compute energy plus
 	// time-weighted platform power for the memory phase; the constant and
 	// uncore power also burn during compute), plus the link's transfer
 	// energy — the platform power of the link's seconds is already in t.
-	joules := float64(ks.Flops)*c.EFpu + t*(c.PCon+pUncore) +
+	joules := float64(ks.Flops)*eFlop + t*(pCon+pUncore) +
 		remoteBytes*m.Remote.JoulesPerByte
 
 	return Estimate{

@@ -3,6 +3,7 @@ package model
 import (
 	"testing"
 
+	"polyufc/internal/cachemodel"
 	"polyufc/internal/hw"
 	"polyufc/internal/roofline"
 )
@@ -117,20 +118,16 @@ func TestModelTracksMachineForStreaming(t *testing.T) {
 	plat := hw.BDW()
 	mach := hw.NewMachine(plat)
 	c := calibrated(t, plat)
-	prof := &hw.CacheProfile{
-		Flops: 4e7, Instances: 4e7, Loads: 4e7, Stores: 0,
-		LevelHits:   []int64{3e7, 0, 0},
-		LevelMisses: []int64{1e7, 1e7, 1e7},
-		LLCMisses:   1e7, DRAMReadB: 64e7, HasParallel: true,
-	}
-	ks := KernelStats{
-		Flops: prof.Flops, QBytes: prof.Loads * 8, QDRAM: prof.DRAMReadB,
-		OI:        float64(prof.Flops) / float64(prof.DRAMReadB),
-		HitRatio:  []float64{0.75, 0, 0},
-		MissRatio: []float64{0.25, 1, 1},
-		Threads:   plat.Threads,
-	}
-	m := New(c, ks)
+	prof := &hw.CacheProfile{Result: cachemodel.Result{
+		Flops: 4e7, Instances: 4e7, Loads: 4e7, Stores: 0, QBytes: 4e7 * 8,
+		Levels: []cachemodel.LevelResult{
+			{Accesses: 4e7, Misses: 1e7, MissRatio: 0.25, HitRatio: 0.75},
+			{Accesses: 1e7, Misses: 1e7, MissRatio: 1},
+			{Accesses: 1e7, Misses: 1e7, MissRatio: 1},
+		},
+		QDRAM: 64e7, OI: 4e7 / 64e7,
+	}, HasParallel: true}
+	m := New(c, FromCacheModel(&prof.Result, plat.Threads))
 	for i, r := range mach.SweepUncore(prof) {
 		_ = i
 		e := m.At(r.UncoreGHz)

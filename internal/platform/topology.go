@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+
+	"polyufc/internal/cachesim"
 )
 
 // Socket describes one socket of a backend: its cores, frequency ranges,
@@ -28,6 +30,19 @@ type Socket struct {
 	HasUncoreRAPL bool         `json:"has_uncore_rapl"`
 	Cache         []CacheLevel `json:"cache"`
 	Truth         Truth        `json:"truth"`
+}
+
+// CacheConfig returns the socket's cache hierarchy as the simulator and
+// PolyUFC-CM take it: the one place a description becomes a
+// cachesim.Config.
+func (s *Socket) CacheConfig() cachesim.Config {
+	levels := make([]cachesim.LevelConfig, len(s.Cache))
+	for i, lv := range s.Cache {
+		levels[i] = cachesim.LevelConfig{
+			Name: lv.Name, SizeBytes: lv.SizeBytes, LineSize: lv.LineSize, Assoc: lv.Assoc,
+		}
+	}
+	return cachesim.Config{Levels: levels}
 }
 
 // validate checks the per-socket constraints. prefix scopes field names

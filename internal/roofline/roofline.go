@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 
+	"polyufc/internal/cachemodel"
 	"polyufc/internal/fit"
 	"polyufc/internal/hw"
 	"polyufc/internal/platform"
@@ -42,12 +43,10 @@ func Calibrate(m *hw.Machine) (*Constants, error) {
 	c := &Constants{Platform: p.Name, CalibThreads: p.Threads}
 
 	// --- compute roof: a flop-only kernel (OI -> infinity). ---
-	flopProf := &hw.CacheProfile{
+	flopProf := &hw.CacheProfile{Result: cachemodel.Result{
 		Flops: 4e10, Instances: 1e10, Loads: 1,
-		LevelHits:   []int64{1, 0, 0},
-		LevelMisses: []int64{0, 0, 0},
-		HasParallel: true, Label: "ubench-flops",
-	}
+		Levels: []cachemodel.LevelResult{{Accesses: 1}, {}, {}},
+	}, HasParallel: true, Label: "ubench-flops"}
 	rs := m.SweepUncore(flopProf)
 	rTop := rs[len(rs)-1]
 	c.PeakGFlops = rTop.GFlops
@@ -74,18 +73,18 @@ func Calibrate(m *hw.Machine) (*Constants, error) {
 	c.PFpuHat = c.EFpu * c.PeakGFlops * 1e9
 
 	// --- memory roof: a streaming kernel (OI -> 0), swept over f. ---
-	streamProf := &hw.CacheProfile{
+	streamProf := &hw.CacheProfile{Result: cachemodel.Result{
 		Flops: 1e6, Instances: 1e8, Loads: 4e8, Stores: 0,
-		LevelHits:   []int64{3e8, 0, 0},
-		LevelMisses: []int64{1e8, 1e8, 1e8},
-		LLCMisses:   1e8, DRAMReadB: 64e8,
-		HasParallel: true, Label: "ubench-stream",
-	}
+		Levels: []cachemodel.LevelResult{
+			{Accesses: 4e8, Misses: 1e8}, {Accesses: 1e8, Misses: 1e8}, {Accesses: 1e8, Misses: 1e8},
+		},
+		QDRAM: 64e8,
+	}, HasParallel: true, Label: "ubench-stream"}
 	sweep := m.SweepUncore(streamProf)
 	var fs, tPerByte, watts, bws []float64
 	for _, r := range sweep {
 		fs = append(fs, r.UncoreGHz)
-		tPerByte = append(tPerByte, r.Seconds/float64(streamProf.DRAMReadB))
+		tPerByte = append(tPerByte, r.Seconds/float64(streamProf.QDRAM))
 		watts = append(watts, r.AvgWatts)
 		bws = append(bws, r.DRAMGBs*1e9)
 	}
@@ -173,17 +172,14 @@ func Calibrate(m *hw.Machine) (*Constants, error) {
 	nLevels := len(p.Cache.Levels)
 	c.HitLatency = make([]float64, nLevels)
 	for li := 0; li < nLevels; li++ {
-		hits := make([]int64, nLevels)
-		misses := make([]int64, nLevels)
+		levels := make([]cachemodel.LevelResult, nLevels)
 		for j := 0; j < li; j++ {
-			misses[j] = 4e8
+			levels[j] = cachemodel.LevelResult{Accesses: 4e8, Misses: 4e8}
 		}
-		hits[li] = 4e8
-		prof := &hw.CacheProfile{
-			Flops: 1e6, Instances: 1e8, Loads: 4e8,
-			LevelHits: hits, LevelMisses: misses,
-			Label: fmt.Sprintf("ubench-L%d", li+1),
-		}
+		levels[li].Accesses = 4e8 // every access hits level li
+		prof := &hw.CacheProfile{Result: cachemodel.Result{
+			Flops: 1e6, Instances: 1e8, Loads: 4e8, Levels: levels,
+		}, Label: fmt.Sprintf("ubench-L%d", li+1)}
 		r := m.SweepUncore(prof)[len(m.P.UncoreSteps())-1]
 		c.HitLatency[li] = r.Seconds / 4e8
 	}
