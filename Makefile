@@ -30,15 +30,15 @@ bench:
 # exact-counting back end at bench size: polynomial summation, isl
 # counting, PolyUFC-CM per kernel, Pluto dependence analysis. The measured
 # path at test size: one kernel's tiled nests through interp and cachesim
-# (ProfileNest*, also reporting ns/access), what the stage snapshots
-# of one cold compile allocate (CompileSnapshots), and the in-process shape
-# of the cold-compile workload — every kernel x {BDW, RPL} x a tile ladder
+# (ProfileNest*, one per leaf shape, also reporting ns/access), what the
+# stage snapshots of one cold compile allocate (CompileSnapshots), and the
+# in-process shape of the cold-compile workload — every kernel x {BDW, RPL} x a tile ladder
 # through one bounded stage cache (CompileSweep, also reporting
 # stagehits/op). CI runs them at PERF_BENCHTIME=1x so they cannot rot; the
 # defaults are for reading.
 PERF_BENCHTIME ?= 20x
 perf-micro:
-	$(GO) test -run '^$$' -bench 'SumVar|Count(Lu|Cholesky|SdpaBert)|Analyze(Lu|Ludcmp|Conv2dWideresnet)|Deps(Lu|Conv2d|Adi)|ProfileNest(LmHeadLlama2|Conv2dWideresnet|Gemm)|CompileSnapshots|CompileSweep' \
+	$(GO) test -run '^$$' -bench 'SumVar|Count(Lu|Cholesky|SdpaBert)|Analyze(Lu|Ludcmp|Conv2dWideresnet)|Deps(Lu|Conv2d|Adi)|ProfileNest(LmHead(Llama2|Gpt2)|Conv2d(Wideresnet|Convnext|Alexnet)|Gemm)|CompileSnapshots|CompileSweep' \
 		-benchmem -benchtime $(PERF_BENCHTIME) \
 		./internal/poly ./internal/isl ./internal/cachemodel ./internal/pluto ./internal/hw ./internal/core
 

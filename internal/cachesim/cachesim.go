@@ -104,7 +104,9 @@ func (s Stats) HitRatio() float64 {
 // Stream is one reference of a loop body, repeated over the loop's
 // iterations: Addr in the first iteration, Stride further in each one
 // after. A consumer of streams (Simulator.AccessStreams, interp.Consumer)
-// receives a body's references in program order with the trip count.
+// receives a body's references in program order with the trip count. The
+// body may be a short nest unrolled: every reference one execution of a
+// loop's inner loops makes, each stepping by the outer loop's stride.
 type Stream struct {
 	Addr, Stride int64
 	Size         int32
@@ -137,6 +139,9 @@ type level struct {
 	// dirty lists the sets that hold at least one line, so a reset visits
 	// only those.
 	dirty []int64
+	// front, kept for L1 only (the level mru asks), is every set's first
+	// way: its most recently used line, or empty.
+	front []int64
 	st    Stats
 }
 
@@ -180,12 +185,19 @@ func (l *level) newPage(p int64) []int64 {
 	return pg
 }
 
-// mru reports whether line is the most recently used line of its set. It
-// changes nothing, so the caller must count the hit itself.
+// keepFront makes the level keep front, which mru needs.
+func (l *level) keepFront() {
+	l.front = make([]int64, l.sets)
+	for i := range l.front {
+		l.front[i] = empty
+	}
+}
+
+// mru reports whether line is the most recently used line of its set, in
+// a level that keeps front. It changes nothing, so the caller must count
+// the hit itself.
 func (l *level) mru(line int64) bool {
-	set := l.set(line)
-	pg := l.pages[set>>pageShift]
-	return pg != nil && pg[(set&(pageSets-1))*l.ways] == line
+	return l.front[l.set(line)] == line
 }
 
 // access looks up a line (by line number) and updates LRU state; reports
@@ -194,28 +206,36 @@ func (l *level) access(line int64) bool {
 	set := l.set(line)
 	ways := l.tags(set)
 	l.st.Accesses++
-	n := len(ways) - 1 // a miss in a full set shifts all but the LRU way
+	l.toFront(set, line)
+	// One pass finds the line and shifts the ways before it back by one,
+	// the line going in front: a hit moves it there, a miss allocates it
+	// there (write-allocate, reads and writes alike), and a miss in a full
+	// set drops the LRU way.
+	prev := line
 	for i, t := range ways {
-		if t == line {
-			// Move to front.
-			copy(ways[1:i+1], ways[:i])
-			ways[0] = line
+		ways[i] = prev
+		switch t {
+		case line:
 			l.st.Hits++
 			return true
+		case empty:
+			if i == 0 {
+				l.dirty = append(l.dirty, set)
+			}
+			l.st.Misses++
+			return false
 		}
-		if t == empty {
-			n = i
-			break
-		}
+		prev = t
 	}
-	// Miss: allocate (write-allocate applies to both reads and writes).
 	l.st.Misses++
-	if n == 0 {
-		l.dirty = append(l.dirty, set)
-	}
-	copy(ways[1:n+1], ways[:n])
-	ways[0] = line
 	return false
+}
+
+// toFront records line as the first way of set in front, if kept.
+func (l *level) toFront(set, line int64) {
+	if l.front != nil {
+		l.front[set] = line
+	}
 }
 
 // reset empties the sets the last run filled and clears the statistics.
@@ -228,6 +248,7 @@ func (l *level) reset() {
 			}
 			ways[i] = empty
 		}
+		l.toFront(set, empty)
 	}
 	l.dirty = l.dirty[:0]
 	l.st = Stats{}
@@ -303,9 +324,9 @@ type Simulator struct {
 	DRAMWriteBytes int64
 }
 
-// New constructs a simulator; the config must be valid. It allocates no
-// per-set state: a level's sets come into being a page at a time as the
-// trace touches them.
+// New constructs a simulator; the config must be valid. Beyond L1's front
+// it allocates no per-set state: a level's sets come into being a page at
+// a time as the trace touches them.
 func New(cfg Config) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -317,6 +338,7 @@ func New(cfg Config) (*Simulator, error) {
 	for i, lc := range cfg.Levels {
 		s.levels[i].init(lc)
 	}
+	s.levels[0].keepFront()
 	return s, nil
 }
 
@@ -342,7 +364,8 @@ func (s *Simulator) Access(addr, size int64, write bool) {
 //
 // A single-line reference to the line that is already most recently used
 // in its L1 set is a hit that moves nothing: L1's LRU order is unchanged
-// and no lower level is consulted. It is only counted.
+// and no lower level is consulted. It is only counted, and telling it
+// costs one load: L1 keeps every set's first way in front.
 //
 // An iteration made of such hits alone therefore leaves the hierarchy as
 // it found it, and while every stream stays on the line it was on, the

@@ -170,10 +170,29 @@ func (b body) each(access func(addr, size int64, write bool)) {
 	}
 }
 
-// feed hands the bodies to AccessStreams, which may clobber its argument.
-func feed(s *Simulator, trace []body) {
+// feed hands the bodies to AccessStreams, which may clobber its argument,
+// checking after each that L1's front is every set's first way.
+func feed(t *testing.T, s *Simulator, trace []body) {
+	t.Helper()
 	for _, b := range trace {
 		s.AccessStreams(append([]Stream(nil), b.streams...), b.trip)
+		checkFront(t, s)
+	}
+}
+
+// checkFront fails unless L1's front holds every set's most recently used
+// line, or empty for a set that holds none.
+func checkFront(t *testing.T, s *Simulator) {
+	t.Helper()
+	l1 := &s.levels[0]
+	for set := int64(0); set < l1.sets; set++ {
+		want := int64(empty)
+		if pg := l1.pages[set>>pageShift]; pg != nil {
+			want = pg[(set&(pageSets-1))*l1.ways]
+		}
+		if l1.front[set] != want {
+			t.Fatalf("L1 set %d: front %d, first way %d", set, l1.front[set], want)
+		}
 	}
 }
 
@@ -184,8 +203,9 @@ func TestDifferentialAgainstNaiveLRU(t *testing.T) {
 			one, streamed := mustNew(t, cfg), mustNew(t, cfg)
 			// The reused simulator runs a different trace first.
 			reused := mustNew(t, cfg)
-			feed(reused, randomTrace(r, 500))
+			feed(t, reused, randomTrace(r, 500))
 			reused.Reset()
+			checkFront(t, reused)
 
 			trace := randomTrace(r, 200+r.Intn(1500))
 			ref := newRefSim(cfg)
@@ -193,9 +213,9 @@ func TestDifferentialAgainstNaiveLRU(t *testing.T) {
 				b.each(ref.Access)
 				b.each(one.Access)
 			}
-			feed(streamed, trace)
-			feed(reused, trace)
-			pooled, err := Run(cfg, func(s *Simulator) { feed(s, trace) })
+			feed(t, streamed, trace)
+			feed(t, reused, trace)
+			pooled, err := Run(cfg, func(s *Simulator) { feed(t, s, trace) })
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,9 +10,10 @@ import (
 
 // benchProfileNest times the exact simulation of one kernel's Pluto-tiled
 // nests at test size on the RPL hierarchy — the measured path of one
-// /v1/search — at the benchmark's smallest tile and at Pluto's default.
+// /v1/search — at the benchmark's smallest tile, at Pluto's default and at
+// the golden grid's largest, which leaves test-size loops untiled.
 func benchProfileNest(b *testing.B, kernel string) {
-	for _, tile := range []int64{4, 32} {
+	for _, tile := range goldenTiles {
 		var nests []*ir.Nest
 		suffix := fmt.Sprintf("/%d", tile)
 		eachTiledNest(b, func(key string, nest *ir.Nest) {
@@ -41,6 +42,12 @@ func benchProfileNest(b *testing.B, kernel string) {
 	}
 }
 
+// One benchmark per leaf shape: lm-head's trip-4 leaves at tile 4, the
+// 1x1 convolution's trip-1 leaves, the 2x2 one's trip-2 leaves, the 11x11
+// one's trip-11 leaves, and gemm's unit-stride ones.
 func BenchmarkProfileNestLmHeadLlama2(b *testing.B)     { benchProfileNest(b, "lm-head-llama2") }
+func BenchmarkProfileNestLmHeadGpt2(b *testing.B)       { benchProfileNest(b, "lm-head-gpt2") }
 func BenchmarkProfileNestConv2dWideresnet(b *testing.B) { benchProfileNest(b, "conv2d-wideresnet") }
+func BenchmarkProfileNestConv2dConvnext(b *testing.B)   { benchProfileNest(b, "conv2d-convnext") }
+func BenchmarkProfileNestConv2dAlexnet(b *testing.B)    { benchProfileNest(b, "conv2d-alexnet") }
 func BenchmarkProfileNestGemm(b *testing.B)             { benchProfileNest(b, "gemm") }

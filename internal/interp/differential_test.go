@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -72,7 +73,9 @@ func refRun(nest *ir.Nest, layout *Layout, maxRefs int) (refs []ref, st Stats, o
 // few they do not: composite max/min bounds with non-unit divisors,
 // bounds and indices with negative coefficients on outer IVs, ranges that
 // come out empty, statements beside loops at every depth, statements with
-// no accesses, and leaf loops holding several statements.
+// no accesses, leaf loops holding several statements, and chains — loops
+// whose body is one loop — of the shapes the walker folds and of the
+// shapes it must not.
 func randomNest(r *rand.Rand) *ir.Nest {
 	arrays := []*ir.Array{
 		ir.NewArray("A", 8, 7, 5),
@@ -115,18 +118,67 @@ func randomNest(r *rand.Rand) *ir.Nest {
 		}
 		return s
 	}
+	// chain draws a loop whose body is one loop, depth levels down to a
+	// leaf whose upper bound exceeds its lower one by a constant: one or two
+	// iterations mostly, sometimes more, sometimes through a divisor, and
+	// sometimes behind a second bound pair. The middle loops run up to
+	// fifteen iterations, so some unrolled chains outgrow the fold part-way,
+	// or none. Any bound may read an outer IV: the parent's, which stops the
+	// parent folding, or a grandparent's, which makes the middle triangular.
+	var chain func(ivs []string, depth int) *ir.Loop
+	chain = func(ivs []string, depth int) *ir.Loop {
+		l := &ir.Loop{IV: fmt.Sprint("i", len(ivs))}
+		inner := append(append([]string(nil), ivs...), l.IV)
+		lo := ir.AffConst(int64(r.Intn(3)))
+		for _, iv := range ivs {
+			if r.Intn(6) == 0 {
+				lo = lo.Add(ir.AffTerm(int64(1-2*r.Intn(2)), iv))
+			}
+		}
+		span := int64(r.Intn(16) - 1)
+		if depth == 0 {
+			span = int64(r.Intn(2))
+			if r.Intn(5) == 0 {
+				span = int64(2 + r.Intn(4))
+			}
+		}
+		div := int64(1)
+		if r.Intn(4) == 0 {
+			div = int64(2 + r.Intn(3))
+		}
+		l.Lo = []ir.Bound{ir.BDiv(lo.Scale(div), div)}
+		l.Hi = []ir.Bound{ir.BDiv(lo.AddConst(span).Scale(div).AddConst(int64(r.Intn(int(div)))), div)}
+		if r.Intn(4) == 0 {
+			l.Lo = append(l.Lo, bounds(ivs, true)...)
+			l.Hi = append(l.Hi, bounds(ivs, false)...)
+		}
+		if depth == 0 {
+			for n := 1 + r.Intn(3); n > 0; n-- {
+				l.Body = append(l.Body, stmt(inner))
+			}
+		} else {
+			l.Body = []ir.Node{chain(inner, depth-1)}
+		}
+		return l
+	}
 	var loop func(ivs []string, depth int) *ir.Loop
 	loop = func(ivs []string, depth int) *ir.Loop {
 		l := &ir.Loop{IV: fmt.Sprint("i", len(ivs)), Lo: bounds(ivs, true), Hi: bounds(ivs, false)}
 		inner := append(append([]string(nil), ivs...), l.IV)
 		for n := 1 + r.Intn(3); n > 0; n-- {
-			if depth > 1 && r.Intn(2) == 0 {
+			switch {
+			case depth > 1 && r.Intn(3) == 0:
+				l.Body = append(l.Body, chain(inner, r.Intn(depth)))
+			case depth > 1 && r.Intn(2) == 0:
 				l.Body = append(l.Body, loop(inner, depth-1))
-			} else {
+			default:
 				l.Body = append(l.Body, stmt(inner))
 			}
 		}
 		return l
+	}
+	if r.Intn(2) == 0 {
+		return &ir.Nest{Label: "chain", Root: chain(nil, 1+r.Intn(4))}
 	}
 	return &ir.Nest{Label: "random", Root: loop(nil, 1+r.Intn(4))}
 }
@@ -153,8 +205,9 @@ func (c *recorder) AccessStreams(streams []cachesim.Stream, trip int64) {
 }
 
 func TestDifferentialAgainstPerAccessRecursion(t *testing.T) {
-	nonEmpty, imperfect := 0, 0
-	for seed := int64(0); seed < 400; seed++ {
+	const draws = 1000
+	nonEmpty, imperfect, folded, bailed := 0, 0, 0, 0
+	for seed := int64(0); seed < draws; seed++ {
 		nest := randomNest(rand.New(rand.NewSource(seed)))
 		layout := NewLayout(nest.Operands())
 		want, wantStats, ok := refRun(nest, layout, 200_000)
@@ -177,13 +230,13 @@ func TestDifferentialAgainstPerAccessRecursion(t *testing.T) {
 		// Two concurrent stream runs of the one Program and a per-access run
 		// through the Tracer adapter.
 		streamed := [2]recorder{1: {scribble: true}}
-		var streamedStats [2]Stats
+		var runs [2]*run
 		var wg sync.WaitGroup
 		for i := range streamed {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				streamedStats[i] = prog.RunStreams(&streamed[i])
+				runs[i] = prog.execute(&streamed[i])
 			}(i)
 		}
 		var single []ref
@@ -191,27 +244,125 @@ func TestDifferentialAgainstPerAccessRecursion(t *testing.T) {
 			single = append(single, ref{Addr: addr, Size: int32(size), Write: write})
 		}))
 		wg.Wait()
-		for name, got := range map[string][]ref{"stream run 0": streamed[0].refs, "stream run 1": streamed[1].refs, "per-access run": single} {
-			if len(got) != len(want) {
-				t.Fatalf("seed %d, %s: %d references, want %d", seed, name, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d, %s: reference %d is %+v, want %+v", seed, name, i, got[i], want[i])
-				}
-			}
+		if runs[0].folds > 0 {
+			folded++
 		}
-		for name, got := range map[string]Stats{"stream run 0": streamedStats[0], "stream run 1": streamedStats[1], "per-access run": singleStats} {
-			if got != wantStats {
-				t.Fatalf("seed %d, %s: stats %+v, want %+v", seed, name, got, wantStats)
+		if runs[0].bails > 0 {
+			bailed++
+		}
+		traces := map[string][]ref{"stream run 0": streamed[0].refs, "stream run 1": streamed[1].refs, "per-access run": single}
+		stats := map[string]Stats{"stream run 0": runs[0].st, "stream run 1": runs[1].st, "per-access run": singleStats}
+		for name := range traces {
+			if d := diffTrace(traces[name], stats[name], want, wantStats); d != "" {
+				t.Fatalf("seed %d, %s: %s", seed, name, d)
 			}
 		}
 	}
 	// The generator must keep producing what the test is for.
-	if nonEmpty < 100 || imperfect < 50 {
-		t.Fatalf("only %d nests with references and %d imperfect nests in 400 draws", nonEmpty, imperfect)
+	if nonEmpty < 250 || imperfect < 125 || folded < 200 || bailed < 20 {
+		t.Fatalf("only %d nests with references, %d imperfect nests, %d that folded and %d that abandoned a fold part-way in %d draws",
+			nonEmpty, imperfect, folded, bailed, draws)
+	}
+	t.Logf("%d nests with references, %d imperfect, %d folded, %d abandoned a fold part-way", nonEmpty, imperfect, folded, bailed)
+}
+
+// diffTrace describes the first difference between a run's trace and
+// counts and the reference's, or returns "".
+func diffTrace(got []ref, gotStats Stats, want []ref, wantStats Stats) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d references, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Sprintf("reference %d is %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if gotStats != wantStats {
+		return fmt.Sprintf("stats %+v, want %+v", gotStats, wantStats)
+	}
+	return ""
+}
+
+// checkStreams runs a nest into a recorder, fails unless the stream and
+// the counts are refRun's, and returns the run. It skips a nest too large
+// for the reference.
+func checkStreams(t *testing.T, nest *ir.Nest) *run {
+	t.Helper()
+	layout := NewLayout(nest.Operands())
+	want, wantStats, ok := refRun(nest, layout, 200_000)
+	if !ok {
+		t.Skip("nest too large for the reference")
+	}
+	prog, err := Compile(nest, layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got recorder
+	r := prog.execute(&got)
+	if d := diffTrace(got.refs, r.st, want, wantStats); d != "" {
+		t.Fatal(d)
+	}
+	return r
+}
+
+// convNest is a direct convolution of one CHW image by f filters of k×k,
+// the filter loops r and s innermost:
+// out[f][y][x] += in[c][y+r][x+s] * w[f][c][r][s].
+func convNest(f, c, size, k int64) *ir.Nest {
+	o := size - k + 1
+	in := ir.NewArray("in", 4, c, size, size)
+	w := ir.NewArray("w", 4, f, c, k, k)
+	out := ir.NewArray("out", 4, f, o, o)
+	F, C, Y, X, R, S := ir.AffVar("f"), ir.AffVar("c"), ir.AffVar("y"), ir.AffVar("x"), ir.AffVar("r"), ir.AffVar("s")
+	stmt := &ir.Statement{Name: "S", Flops: 2, Accesses: []ir.Access{
+		{Array: in, Index: []ir.AffExpr{C, Y.Add(R), X.Add(S)}},
+		{Array: w, Index: []ir.AffExpr{F, C, R, S}},
+		{Array: out, Index: []ir.AffExpr{F, Y, X}},
+		{Array: out, Write: true, Index: []ir.AffExpr{F, Y, X}},
+	}}
+	loop := func(iv string, n int64, body ir.Node) *ir.Loop {
+		return ir.SimpleLoop(iv, ir.AffConst(0), ir.AffConst(n-1), body)
+	}
+	return &ir.Nest{Label: "conv", Root: loop("f", f, loop("y", o, loop("x", o, loop("c", c, loop("r", k, loop("s", k, stmt))))))}
+}
+
+// A 1×1 convolution's filter loops run once, so its chain folds: not from
+// the filter or row loop, whose unrolled bodies outgrow foldRefs part-way,
+// but from the column loop, one consumer call per row. An 11×11 one's
+// filter loops run eleven times and fold nowhere.
+func TestFoldShortLeavesOnly(t *testing.T) {
+	r := checkStreams(t, convNest(3, 5, 6, 1))
+	if want := 3 * 6; r.folds != want || r.bails != 3+1 {
+		t.Errorf("1×1 convolution: %d folds and %d abandoned, want %d and %d", r.folds, r.bails, want, 3+1)
+	}
+	if r := checkStreams(t, convNest(2, 2, 13, 11)); r.folds != 0 || r.bails != 0 {
+		t.Errorf("11×11 convolution: %d folds and %d abandoned, want none", r.folds, r.bails)
 	}
 }
+
+// FuzzStreamsAgainstRecursion draws nests from the fuzzer's bytes and
+// checks the walker's stream against the per-access recursion.
+func FuzzStreamsAgainstRecursion(f *testing.F) {
+	for _, seed := range []string{"", "\x01", "chain", "\xff\x00\x7f\x80\x10\x20\x40\x01\x03\x05\x07\x09\x0b\x0d\x0f\x11"} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkStreams(t, randomNest(rand.New(&byteSource{data})))
+	})
+}
+
+// byteSource is a rand.Source that reads its numbers from bytes, eight at
+// a time, and zeros once they run out: a mutation of the bytes changes the
+// draws it covers and no others.
+type byteSource struct{ data []byte }
+
+func (s *byteSource) Int63() int64 {
+	var b [8]byte
+	s.data = s.data[copy(b[:], s.data):]
+	return int64(binary.LittleEndian.Uint64(b[:]) >> 1)
+}
+
+func (*byteSource) Seed(int64) {}
 
 // An expression may name only the IVs of enclosing loops: a sibling's IV
 // has no value where the expression is evaluated.

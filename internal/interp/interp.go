@@ -6,7 +6,8 @@
 // keeps those values as running sums, and hands an innermost loop to the
 // consumer whole — its references as strided streams plus a trip count —
 // so large iteration spaces run at hundreds of millions of references per
-// second.
+// second. A loop whose innermost loop runs once or twice is handed over
+// the same way, its short inner loops unrolled into one body.
 package interp
 
 import (
@@ -19,8 +20,11 @@ import (
 // Consumer receives the access stream of an execution a loop body at a
 // time, in execution order: trip iterations, each referencing
 // streams[i].Addr (Stride further every iteration) for each i in order. A
-// statement outside an innermost loop arrives with trip 1. The slice is
-// the run's scratch: the consumer may advance it, and must not keep it.
+// statement outside an innermost loop arrives with trip 1. A body may also
+// be a short nest unrolled: every reference one execution of a loop's
+// inner loops makes, in order, stepping by the outer loop's coefficient.
+// The slice is the run's scratch: the consumer may advance it, and must
+// not keep it.
 type Consumer interface {
 	AccessStreams(streams []cachesim.Stream, trip int64)
 }
@@ -129,6 +133,83 @@ type cLoop struct {
 	// statements in order, and body is empty: the loop is not walked but
 	// handed to the consumer, streams and trip count.
 	leaf *cBody
+	// step is set when the loop may fold: its body is one loop, whose body
+	// is one loop, and so on down to a short leaf, and no bound along that
+	// chain reads this loop's IV. Every iteration then executes the same chain,
+	// its references only displaced by this loop's coefficient on them:
+	// step[i] is that coefficient for the leaf's reference i.
+	step []int64
+	// short marks a leaf that runs at most foldTrip iterations wherever it
+	// runs: some upper bound exceeds some lower one by a constant.
+	short bool
+}
+
+// A fold unrolls one execution of a loop's chain into the run's scratch
+// and hands the loop over as that body: one consumer call instead of one
+// per leaf execution. The chain must end in a short leaf — a longer one
+// is a stream the consumer skips along, line by line, better than it
+// would walk an unrolled copy — and the body may hold at most foldRefs
+// references.
+const (
+	foldTrip = 2
+	foldRefs = 64
+)
+
+// chain returns the loop's body when that is one loop, whose body is one
+// loop, and so on down to a short leaf.
+func (l *cLoop) chain() *cLoop {
+	if len(l.body) != 1 || l.body[0].loop == nil {
+		return nil
+	}
+	if c := l.body[0].loop; c.short || c.chain() != nil {
+		return c
+	}
+	return nil
+}
+
+// isShort reports whether a loop runs at most foldTrip iterations wherever
+// it runs: whether an upper bound b/d exceeds a lower one a/d by a small
+// enough constant, as floor(b/d) - ceil(a/d) <= (b-a)/d.
+func isShort(l *ir.Loop) bool {
+	for _, lo := range l.Lo {
+		for _, hi := range l.Hi {
+			d := hi.Expr.Add(lo.Expr.Scale(-1))
+			if len(d.Coef) == 0 && lo.Div == hi.Div && floorDiv(d.Const, hi.Div) < foldTrip {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// foldStep returns what l.step holds: nil unless l has a chain and none of
+// the chain's bounds reads l's IV — none of their values is in l.deps.
+func (l *cLoop) foldStep() []int64 {
+	c := l.chain()
+	if c == nil {
+		return nil
+	}
+	read := map[int32]int64{}
+	for _, d := range l.deps {
+		read[d.id] = d.coef
+	}
+	for ; ; c = c.body[0].loop {
+		for _, bs := range [2][]cBound{c.lo, c.hi} {
+			for _, b := range bs {
+				if _, ok := read[b.id]; ok {
+					return nil
+				}
+			}
+		}
+		if c.leaf != nil {
+			break
+		}
+	}
+	step := make([]int64, len(c.leaf.ids))
+	for i, id := range c.leaf.ids {
+		step[i] = read[id]
+	}
+	return step
 }
 
 type cNode struct {
@@ -144,7 +225,8 @@ type Program struct {
 	// init holds each value's constant term: vals before any loop is
 	// entered.
 	init []int64
-	// widest is the most references any one body makes.
+	// widest is the most references any one body makes, folded bodies
+	// included.
 	widest int
 }
 
@@ -238,6 +320,7 @@ func (c *compiler) loop(l *ir.Loop) (*cLoop, error) {
 			cl.leaf = nil
 		}
 	}
+	cl.short = cl.leaf != nil && isShort(l)
 	c.scope = append(c.scope, scoped{l.IV, cl})
 	defer func() { c.scope = c.scope[:len(c.scope)-1] }()
 	for _, node := range l.Body {
@@ -260,6 +343,10 @@ func (c *compiler) loop(l *ir.Loop) (*cLoop, error) {
 				return nil, err
 			}
 		}
+	}
+	// The body is compiled, so deps lists every value that reads the IV.
+	if cl.step = cl.foldStep(); cl.step != nil {
+		c.widest = max(c.widest, foldRefs)
 	}
 	return cl, nil
 }
@@ -306,6 +393,9 @@ type run struct {
 	cur  []cachesim.Stream // the body being handed over
 	out  Consumer
 	st   Stats
+	// folds counts the loops handed over folded, and bails the folds
+	// abandoned after part of the chain was unrolled.
+	folds, bails int
 }
 
 // Run executes the program sequentially, streaming accesses to the tracer
@@ -320,43 +410,32 @@ func (p *Program) Run(tracer Tracer) Stats {
 // RunStreams executes the program sequentially, handing the access stream
 // to the consumer a loop body at a time.
 func (p *Program) RunStreams(out Consumer) Stats {
+	return p.execute(out).st
+}
+
+// execute is RunStreams returning the finished run.
+func (p *Program) execute(out Consumer) *run {
 	r := &run{
 		vals: append([]int64(nil), p.init...),
 		cur:  make([]cachesim.Stream, p.widest),
 		out:  out,
 	}
 	r.loop(p.root)
-	return r.st
+	return r
 }
 
 // loop is the one loop walker: bounds from the running sums, the IV's
 // contribution added on entry and per iteration and taken back on exit.
 func (r *run) loop(l *cLoop) {
-	lo := int64(-1 << 62)
-	for _, b := range l.lo {
-		v := r.vals[b.id]
-		if b.div != 1 {
-			v = ceilDiv(v, b.div)
-		}
-		if v > lo {
-			lo = v
-		}
-	}
-	hi := int64(1 << 62)
-	for _, b := range l.hi {
-		v := r.vals[b.id]
-		if b.div != 1 {
-			v = floorDiv(v, b.div)
-		}
-		if v < hi {
-			hi = v
-		}
-	}
+	lo, hi := r.bounds(l)
 	if lo > hi {
 		return
 	}
 	if l.leaf != nil {
 		r.exec(l.leaf, lo, hi-lo+1)
+		return
+	}
+	if l.step != nil && r.fold(l, lo, hi) {
 		return
 	}
 	for _, d := range l.deps {
@@ -382,14 +461,116 @@ func (r *run) loop(l *cLoop) {
 	}
 }
 
+// unrolling is a fold in progress: the body so far is r.cur[:n], one
+// execution of it counts per, and its references step by step from their
+// addresses at the folded loop's first iteration, at.
+type unrolling struct {
+	step []int64
+	at   int64
+	n    int
+	per  Stats
+}
+
+// fold hands iterations lo..hi of a foldable loop to the consumer as one
+// body, its chain unrolled, and reports whether it did: not when the body
+// would exceed foldRefs references. Either way vals are as it found them.
+func (r *run) fold(l *cLoop, lo, hi int64) bool {
+	u := unrolling{step: l.step, at: lo}
+	if !r.unroll(l.body[0].loop, &u) {
+		if u.n > 0 {
+			r.bails++
+		}
+		return false
+	}
+	r.folds++
+	r.st.add(u.per, hi-lo+1)
+	if u.n > 0 {
+		r.out.AccessStreams(r.cur[:u.n], hi-lo+1)
+	}
+	return true
+}
+
+// unroll appends one execution of loop c, every iteration of it and of the
+// loops it holds, to the fold in progress. It reports false when the fold
+// exceeds its limits, with vals restored.
+func (r *run) unroll(c *cLoop, u *unrolling) bool {
+	lo, hi := r.bounds(c)
+	if lo > hi {
+		return true
+	}
+	if b := c.leaf; b != nil {
+		trip := hi - lo + 1 // at most foldTrip: b is short
+		if u.n+int(trip)*len(b.ids) > foldRefs {
+			return false
+		}
+		u.per.add(b.per, trip)
+		for iv := lo; iv <= hi; iv++ {
+			for i, id := range b.ids {
+				s := &b.streams[i]
+				r.cur[u.n] = cachesim.Stream{Addr: r.vals[id] + s.Stride*iv + u.step[i]*u.at, Stride: u.step[i], Size: s.Size, Write: s.Write}
+				u.n++
+			}
+		}
+		return true
+	}
+	inner := c.body[0].loop
+	for _, d := range c.deps {
+		r.vals[d.id] += d.coef * lo
+	}
+	ok := true
+	for iv := lo; ; iv++ {
+		if ok = r.unroll(inner, u); !ok || iv == hi {
+			hi = iv
+			break
+		}
+		for _, d := range c.deps {
+			r.vals[d.id] += d.coef
+		}
+	}
+	for _, d := range c.deps {
+		r.vals[d.id] -= d.coef * hi
+	}
+	return ok
+}
+
+// bounds evaluates a loop's range from the running sums.
+func (r *run) bounds(l *cLoop) (lo, hi int64) {
+	lo = int64(-1 << 62)
+	for _, b := range l.lo {
+		v := r.vals[b.id]
+		if b.div != 1 {
+			v = ceilDiv(v, b.div)
+		}
+		if v > lo {
+			lo = v
+		}
+	}
+	hi = int64(1 << 62)
+	for _, b := range l.hi {
+		v := r.vals[b.id]
+		if b.div != 1 {
+			v = floorDiv(v, b.div)
+		}
+		if v < hi {
+			hi = v
+		}
+	}
+	return lo, hi
+}
+
+// add counts n executions of what per counts.
+func (s *Stats) add(per Stats, n int64) {
+	s.Instances += n * per.Instances
+	s.Flops += n * per.Flops
+	s.Loads += n * per.Loads
+	s.Stores += n * per.Stores
+}
+
 // exec runs trip executions of a body, the first at IV value lo of the
 // loop that steps its streams: the counts are products, the references the
 // consumer's to walk.
 func (r *run) exec(b *cBody, lo, trip int64) {
-	r.st.Instances += trip * b.per.Instances
-	r.st.Flops += trip * b.per.Flops
-	r.st.Loads += trip * b.per.Loads
-	r.st.Stores += trip * b.per.Stores
+	r.st.add(b.per, trip)
 	if len(b.ids) == 0 {
 		return
 	}
