@@ -122,9 +122,7 @@ func run(kernel, platName, platFiles, size string, fullyAssoc, noTile, validate,
 				continue
 			}
 			cmOpts := opts
-			if nest.Root != nil && nest.Root.Parallel {
-				cmOpts.Threads = p.Threads
-			}
+			cmOpts.Threads = p.Backend.NestThreads(nest.Root != nil && nest.Root.Parallel)
 			cm, err := cachemodel.Analyze(nest, p.Cache, cmOpts)
 			if err != nil {
 				return err

@@ -58,7 +58,7 @@ func TestOneGeometryServesEveryHierarchy(t *testing.T) {
 					cache := s.CacheConfig()
 					line := cache.Levels[0].LineSize
 					if geoms[line] == nil {
-						g, err := Measure(nest, line, DefaultOptions())
+						g, err := Measure(nest, line)
 						if err != nil {
 							t.Fatalf("%s/%s tile %d: %v", kernel, label, tile, err)
 						}
@@ -94,7 +94,7 @@ func TestOneGeometryServesEveryHierarchy(t *testing.T) {
 // is refused, not silently mis-evaluated.
 func TestEvaluateRejectsOtherLineSize(t *testing.T) {
 	eachTiledNest(t, "gemm", pluto.DefaultOptions(), func(_ string, nest *ir.Nest) {
-		g, err := Measure(nest, 128, DefaultOptions())
+		g, err := Measure(nest, 128)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,42 +117,7 @@ func TestEvaluateRejectsOtherLineSize(t *testing.T) {
 			t.Fatalf("128-byte line:\n got %+v\nwant %+v", got, want)
 		}
 	})
-	if _, err := Measure(&ir.Nest{}, 0, DefaultOptions()); err == nil {
+	if _, err := Measure(&ir.Nest{}, 0); err == nil {
 		t.Fatal("Measure accepted a zero line size")
-	}
-}
-
-// The ExactBelow route survives the split: Measure counts nothing for a
-// nest small enough, Evaluate simulates it against the hierarchy at hand
-// (so one such geometry still serves every hierarchy), and above the
-// threshold the analytic route runs.
-func TestGeometryExactRoute(t *testing.T) {
-	nest := matmulNest(16, 16, 16)
-	opts := DefaultOptions()
-	opts.ExactBelow = 1 << 20
-	g, err := Measure(nest, 64, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.exact != nest || len(g.stmts) != 0 {
-		t.Fatalf("small nest was counted instead of routed to the simulator: exact=%v stmts=%d", g.exact != nil, len(g.stmts))
-	}
-	for _, name := range []string{"BDW", "RPL"} {
-		cache := backend(t, name).Sockets[0].CacheConfig()
-		got, err := g.Evaluate(cache, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := Simulate(nest, cache)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: exact route:\n got %+v\nwant %+v", name, got, want)
-		}
-	}
-	opts.ExactBelow = 16
-	if g, err = Measure(nest, 64, opts); err != nil || g.exact != nil || len(g.stmts) == 0 {
-		t.Fatalf("large nest: exact=%v stmts=%d err=%v, want the analytic route", g.exact != nil, len(g.stmts), err)
 	}
 }

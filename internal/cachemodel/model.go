@@ -17,23 +17,16 @@ type Options struct {
 	// Fig. 8 ablation): capacity is tested against total lines instead of
 	// per-set occupancy.
 	FullyAssoc bool
-	// Dedup eliminates duplicate access functions (same array, same index
-	// expressions) before footprint and reuse computation, the paper's
-	// footnote-17 optimization. Defaults to on via DefaultOptions.
-	Dedup bool
-	// CountBudget bounds enumeration fallbacks in the polyhedral counts.
-	CountBudget int
-	// ExactBelow switches to exact trace-driven simulation for nests with
-	// at most this many statement instances (0 disables): the hybrid
-	// accuracy mode — exact where cheap, analytic where large.
-	ExactBelow int64
 }
 
-// DefaultOptions returns the standard configuration: serial, set-
-// associative, duplicate elimination on.
+// DefaultOptions returns the standard configuration: serial and set-
+// associative.
 func DefaultOptions() Options {
-	return Options{Threads: 1, Dedup: true, CountBudget: 1 << 22}
+	return Options{Threads: 1}
 }
+
+// countBudget bounds the enumeration fallbacks in the polyhedral counts.
+const countBudget = 1 << 22
 
 // LevelResult is the per-cache-level outcome of the analysis.
 type LevelResult struct {
@@ -114,7 +107,7 @@ func Analyze(nest *ir.Nest, cfg cachesim.Config, opts Options) (*Result, error) 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	g, err := Measure(nest, cfg.Levels[0].LineSize, opts)
+	g, err := Measure(nest, cfg.Levels[0].LineSize)
 	if err != nil {
 		return nil, err
 	}
@@ -130,12 +123,8 @@ func Analyze(nest *ir.Nest, cfg cachesim.Config, opts Options) (*Result, error) 
 // immutable once measured and safe to share across goroutines.
 type Geometry struct {
 	lineSize int64
-	// exact, when set, is the nest itself: it is small enough for
-	// Options.ExactBelow, so Evaluate simulates it against the hierarchy
-	// and nothing was counted. The nest must not change afterwards.
-	exact *ir.Nest
-	stmts []stmtGeometry
-	// Totals over all statements (the analytic route).
+	stmts    []stmtGeometry
+	// Totals over all statements.
 	flops, instances, loads, stores, qbytes int64
 }
 
@@ -156,28 +145,19 @@ type stmtGeometry struct {
 // Measure runs the counting half of PolyUFC-CM over one affine nest:
 // prefix cardinalities, average trip counts, per-access suffix-window
 // footprints in lines of lineSize bytes, and the flop, access and byte
-// totals. It reads Dedup, CountBudget and ExactBelow from opts; Threads and
-// FullyAssoc belong to Evaluate.
-func Measure(nest *ir.Nest, lineSize int64, opts Options) (*Geometry, error) {
+// totals. Duplicate accesses (same array, same index expressions) are
+// counted once, the paper's footnote-17 optimization.
+func Measure(nest *ir.Nest, lineSize int64) (*Geometry, error) {
 	if lineSize <= 0 {
 		return nil, fmt.Errorf("cachemodel: line size %d not positive", lineSize)
 	}
-	if opts.CountBudget == 0 {
-		opts.CountBudget = 1 << 22
-	}
 	g := &Geometry{lineSize: lineSize}
-	if opts.ExactBelow > 0 {
-		if tc, err := nest.TripCount(); err == nil && tc <= opts.ExactBelow {
-			g.exact = nest
-			return g, nil
-		}
-	}
 
 	// The statements of a nest share their outer loops, so most of the sets
 	// they count are the same sets; the memo lives for this call only.
 	var counts isl.CountMemo
 	for _, si := range nest.Statements() {
-		sg, err := measureStatement(si, lineSize, opts, &counts)
+		sg, err := measureStatement(si, lineSize, &counts)
 		if err != nil {
 			return nil, fmt.Errorf("cachemodel: statement %s: %w", si.Stmt.Name, err)
 		}
@@ -206,17 +186,6 @@ func (g *Geometry) Evaluate(cfg cachesim.Config, opts Options) (*Result, error) 
 	}
 	if ls := cfg.Levels[0].LineSize; ls != g.lineSize {
 		return nil, fmt.Errorf("cachemodel: geometry measured at line size %d, hierarchy has %d", g.lineSize, ls)
-	}
-	if g.exact != nil {
-		res, err := Simulate(g.exact, cfg)
-		if err != nil || opts.Threads <= 1 {
-			return res, err
-		}
-		// The thread-sharing heuristic, as on the counted route below.
-		res.ThreadsDiv = opts.Threads
-		shareAcrossThreads(res.Levels, opts.Threads)
-		res.settle(g.lineSize)
-		return res, nil
 	}
 	res := &Result{Levels: newLevels(cfg)}
 	res.Flops, res.Instances = g.flops, g.instances
@@ -271,12 +240,12 @@ func shareAcrossThreads(levels []LevelResult, threads int) {
 // measureStatement counts one statement: its instances, the average trip
 // count of each enclosing loop, and every access's footprint over every
 // suffix window of the loop stack.
-func measureStatement(si ir.StatementInfo, lineSize int64, opts Options, counts *isl.CountMemo) (stmtGeometry, error) {
+func measureStatement(si ir.StatementInfo, lineSize int64, counts *isl.CountMemo) (stmtGeometry, error) {
 	n := len(si.Loops)
 	ivs := si.IVNames()
 	sg := stmtGeometry{name: si.Stmt.Name}
 
-	cnt, err := prefixCounts(si.Domain, n, counts, opts.CountBudget)
+	cnt, err := prefixCounts(si.Domain, n, counts, countBudget)
 	if err != nil {
 		return sg, err
 	}
@@ -309,10 +278,7 @@ func measureStatement(si ir.StatementInfo, lineSize int64, opts Options, counts 
 		}
 	}
 
-	accs := si.Stmt.Accesses
-	if opts.Dedup {
-		accs = dedupAccesses(accs)
-	}
+	accs := dedupAccesses(si.Stmt.Accesses)
 	// Per-access footprints over every suffix window ivs[l:] for
 	// l = 0..n. Within a window, an IV whose bounds depend on other IVs
 	// *inside* the window covers its full swept range: its trips multiply
@@ -451,14 +417,12 @@ type StatementResult struct {
 
 // AnalyzeStatements runs PolyUFC-CM independently per statement of a nest,
 // returning each statement's flop count, DRAM traffic and operational
-// intensity. Per-statement figures exist on the analytic route only, so
-// ExactBelow is ignored.
+// intensity.
 func AnalyzeStatements(nest *ir.Nest, cfg cachesim.Config, opts Options) ([]StatementResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	opts.ExactBelow = 0
-	g, err := Measure(nest, cfg.Levels[0].LineSize, opts)
+	g, err := Measure(nest, cfg.Levels[0].LineSize)
 	if err != nil {
 		return nil, err
 	}

@@ -370,69 +370,6 @@ func TestAnalyzeStatements(t *testing.T) {
 	}
 }
 
-func TestHybridExactMode(t *testing.T) {
-	// With ExactBelow above the instance count, the result must equal the
-	// simulator exactly.
-	nest := matmulNest(24, 24, 24)
-	opts := DefaultOptions()
-	opts.ExactBelow = 1 << 20
-	res, err := Analyze(nest, testCfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := simulate(t, nest, testCfg)
-	if res.Levels[0].Misses != sim.LevelStats(0).Misses {
-		t.Fatalf("exact mode L1 misses %d != simulator %d",
-			res.Levels[0].Misses, sim.LevelStats(0).Misses)
-	}
-	if res.LLC().Misses != sim.LLCStats().Misses {
-		t.Fatalf("exact mode LLC misses %d != simulator %d",
-			res.LLC().Misses, sim.LLCStats().Misses)
-	}
-	if res.Flops != 2*24*24*24 {
-		t.Fatalf("flops = %d", res.Flops)
-	}
-	// Below the threshold nothing changes for big nests: the analytic
-	// path is used (different object identity is unobservable; verify by
-	// comparing against a plain analytic run).
-	opts.ExactBelow = 10
-	resBig, err := Analyze(nest, testCfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := Analyze(nest, testCfg, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resBig.Levels[0].Misses != plain.Levels[0].Misses {
-		t.Fatal("threshold did not route to the analytic path")
-	}
-}
-
-func TestHybridExactThreadDivision(t *testing.T) {
-	nest := matmulNest(16, 16, 16)
-	opts := DefaultOptions()
-	opts.ExactBelow = 1 << 20
-	opts.Threads = 4
-	res, err := Analyze(nest, testCfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := DefaultOptions()
-	serial.ExactBelow = 1 << 20
-	res1, err := Analyze(nest, testCfg, serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ThreadsDiv != 4 || res1.ThreadsDiv != 1 {
-		t.Fatalf("ThreadsDiv = %d / %d", res.ThreadsDiv, res1.ThreadsDiv)
-	}
-	lo := res1.LLC().Misses / 4
-	if res.LLC().Misses < lo || res.LLC().Misses > lo+4 {
-		t.Fatalf("divided misses %d, want about %d", res.LLC().Misses, lo)
-	}
-}
-
 // TestPrefixCountsHonourInexactProjection is the regression test for the
 // dropped exactness flag. In
 //

@@ -8,10 +8,9 @@ import (
 
 // Simulate fills a Result from the trace-driven simulator: the record's
 // measured producer beside Evaluate's modeled one, and the one place a
-// nest is simulated and counted. hw.ProfileNest and Evaluate's exact route
-// (Options.ExactBelow) both call it. The counts are serial; Evaluate
-// applies the thread-sharing heuristic to them as it does to modeled
-// counts.
+// nest is simulated and counted. hw.ProfileNest and the latency tiling
+// strategy's score of small candidates both call it. The counts are
+// serial.
 func Simulate(nest *ir.Nest, cfg cachesim.Config) (*Result, error) {
 	st, counts, err := interp.Simulate(nest, cfg)
 	if err != nil {

@@ -26,3 +26,9 @@ func Mul(a, b int64) (int64, bool) {
 	// the low word.
 	return int64(lo), hi == uint64(int64(lo)>>63)
 }
+
+// Sub returns a - b and whether the difference fits an int64.
+func Sub(a, b int64) (int64, bool) {
+	c := a - b
+	return c, (a^b)&(a^c) >= 0
+}

@@ -33,6 +33,8 @@ func TestAgainstBig(t *testing.T) {
 		x, y := big.NewInt(a), big.NewInt(b)
 		s, ok := Add(a, b)
 		check("Add", a, b, s, ok, new(big.Int).Add(x, y))
+		d, ok := Sub(a, b)
+		check("Sub", a, b, d, ok, new(big.Int).Sub(x, y))
 		p, ok := Mul(a, b)
 		check("Mul", a, b, p, ok, new(big.Int).Mul(x, y))
 	}

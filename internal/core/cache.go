@@ -66,7 +66,7 @@ func KeyOf(kernel string, size int, cfg Config) CacheKey {
 		Kernel:     kernel,
 		Size:       size,
 		CapLevel:   cfg.CapLevel,
-		FullyAssoc: cfg.CM.FullyAssoc,
+		FullyAssoc: cfg.FullyAssoc,
 		Tiling:     cfg.Tiling.Fingerprint(),
 		NoAmortize: cfg.AmortizeFactor == 0,
 		Objective:  cfg.Search.Objective,

@@ -39,8 +39,10 @@ type Config struct {
 	// CacheKey and is the tile stage's memo salt, so distinct strategies
 	// never share a tile-or-later artifact.
 	Tiling tiling.Spec
-	CM     cachemodel.Options
-	Search search.Options
+	// FullyAssoc switches PolyUFC-CM to the fully-associative model (the
+	// Fig. 8 ablation) in place of the paper's per-set model.
+	FullyAssoc bool
+	Search     search.Options
 	// CapLevel selects the granularity caps are applied at (Sec. VI-B);
 	// linalg is the paper's choice.
 	CapLevel ir.Dialect
@@ -136,7 +138,6 @@ func (c Config) memoizable() bool { return c.Faults == nil }
 func DefaultConfig(t *roofline.Target) Config {
 	return Config{
 		Target:         t,
-		CM:             cachemodel.DefaultOptions(),
 		Search:         search.DefaultOptions(),
 		CapLevel:       ir.DialectLinalg,
 		AmortizeFactor: 5,

@@ -35,7 +35,7 @@ func TestKeyOfSeparatesEveryResultChangingField(t *testing.T) {
 	}{
 		{"Tiling", func(c *Config) { c.Tiling = tiling.Spec{Name: tiling.NameCacheOblivious} }},
 		{"Tiling.Size", func(c *Config) { c.Tiling = tiling.Spec{Name: tiling.NamePluto, Size: 64} }},
-		{"CM.FullyAssoc", func(c *Config) { c.CM.FullyAssoc = true }},
+		{"FullyAssoc", func(c *Config) { c.FullyAssoc = true }},
 		{"AmortizeFactor==0", func(c *Config) { c.AmortizeFactor = 0 }},
 		{"Search.Objective", func(c *Config) { c.Search.Objective = search.ObjectiveEnergy }},
 		{"Search.Epsilon", func(c *Config) { c.Search.Epsilon = 5e-3 }},

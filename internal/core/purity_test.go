@@ -186,7 +186,7 @@ func TestCacheKeyDistinguishesConfigs(t *testing.T) {
 	p := hw.BDW()
 	cfgSA := DefaultConfig(targetFor(t, p))
 	cfgFA := cfgSA
-	cfgFA.CM.FullyAssoc = true
+	cfgFA.FullyAssoc = true
 	keySA := CacheKey{Kernel: "gemm-pow2", Platform: p.Name, Size: int(workloads.Test), CapLevel: cfgSA.CapLevel}
 	keyFA := keySA
 	keyFA.FullyAssoc = true

@@ -130,10 +130,8 @@ func TestStageSharingTable(t *testing.T) {
 			[]string{StagePreprocess, StageDeps}},
 		{"line size", base, with(func(c *Config) { c.Target = wideLineTarget(t) }),
 			[]string{StagePreprocess, StageDeps, StageTile}},
-		{"cfg.CM", base, with(func(c *Config) { c.CM.FullyAssoc = true }),
-			[]string{StagePreprocess, StageDeps, StageTile}},
-		{"cfg.CM.Threads under latency", with(latency), with(func(c *Config) { latency(c); c.CM.Threads = 4 }),
-			[]string{StagePreprocess, StageDeps}},
+		{"cfg.FullyAssoc", base, with(func(c *Config) { c.FullyAssoc = true }),
+			[]string{StagePreprocess, StageDeps, StageTile, StageCacheModel}},
 		{"search options", base, with(func(c *Config) { c.Search.Epsilon *= 10 }),
 			[]string{StagePreprocess, StageDeps, StageTile, StageCacheModel, StageCacheEval, StageCharacterize, StageModelFit}},
 		{"degrade policy", base, with(func(c *Config) { c.Degrade = BestEffort }), nil},
@@ -162,18 +160,19 @@ type interleaveRequest struct {
 }
 
 func (r interleaveRequest) String() string {
-	return fmt.Sprintf("%s on %s, %s, %s", r.kernel, r.cfg.Platform().Name, r.cfg.Tiling.Fingerprint(), r.cfg.Degrade)
+	return fmt.Sprintf("%s on %s, %s, %s, fully-assoc %t", r.kernel, r.cfg.Platform().Name, r.cfg.Tiling.Fingerprint(), r.cfg.Degrade, r.cfg.FullyAssoc)
 }
 
 // TestInterleavedCompilesEqualMemoOff fences the re-keying from the
 // outside: whatever order requests for kernels x platforms x tilings x
-// policies arrive in, and whether snapshots survive (limit 1024) or are
-// evicted under them (limit 8), every compile through the shared stage
-// cache is DeepEqual to the same compile with the memo off. A stage whose
-// key leaves out something it reads serves another configuration's
-// snapshot somewhere in the shuffle. Mutation-checked (CHANGES.md, PR 23):
+// policies x associativity models arrive in, and whether snapshots survive
+// (limit 1024) or are evicted under them (limit 8), every compile through
+// the shared stage cache is DeepEqual to the same compile with the memo
+// off. A stage whose key leaves out something it reads serves another
+// configuration's snapshot somewhere in the shuffle. Mutation-checked:
 // platformSalt dropped from cache-eval's salt, from latency's tile salt,
-// and the line size dropped from the counting stage's salt each fail it.
+// the line size dropped from the counting stage's salt, and FullyAssoc
+// dropped from cache-eval's salt each fail it.
 func TestInterleavedCompilesEqualMemoOff(t *testing.T) {
 	// Plain and multi-nest PolyBench, a stencil, a nest outside pluto's
 	// class (nussinov: nil deps), and two torch programs.
@@ -194,10 +193,12 @@ func TestInterleavedCompilesEqualMemoOff(t *testing.T) {
 		for _, tg := range targets {
 			for _, spec := range tilings {
 				for _, policy := range []DegradePolicy{Strict, BestEffort} {
-					cfg := DefaultConfig(tg)
-					cfg.AmortizeFactor = 0
-					cfg.Tiling, cfg.Degrade = spec, policy
-					reqs = append(reqs, interleaveRequest{k, cfg})
+					for _, fa := range []bool{false, true} {
+						cfg := DefaultConfig(tg)
+						cfg.AmortizeFactor = 0
+						cfg.Tiling, cfg.Degrade, cfg.FullyAssoc = spec, policy, fa
+						reqs = append(reqs, interleaveRequest{k, cfg})
+					}
 				}
 			}
 		}

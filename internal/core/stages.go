@@ -255,26 +255,20 @@ func lineSize(cfg Config) int64 {
 	return 0
 }
 
-// machineThreads is the whole-machine thread count a parallel nest
-// spans: every socket's threads.
-func machineThreads(cfg Config) int { return cfg.Target.Backend.TotalThreads() }
+// isParallel reports whether a nest's outermost loop runs in parallel:
+// such a nest spans every socket (platform.Backend's NestThreads and
+// RemoteShare).
+func isParallel(nest *ir.Nest) bool { return nest.Root != nil && nest.Root.Parallel }
+
+// nestThreads is the thread count a nest runs (and is modeled) with.
+func nestThreads(cfg Config, nest *ir.Nest) int {
+	return cfg.Target.Backend.NestThreads(isParallel(nest))
+}
 
 // cmOptions applies the OpenMP sharing heuristic: a parallel nest's
 // sequential miss counts are divided across the machine's threads.
 func cmOptions(cfg Config, nest *ir.Nest) cachemodel.Options {
-	o := cfg.CM
-	if nest.Root != nil && nest.Root.Parallel && o.Threads <= 1 {
-		o.Threads = machineThreads(cfg)
-	}
-	return o
-}
-
-// nestThreads is the thread count a nest runs (and is modeled) with.
-func nestThreads(cfg Config, nest *ir.Nest) int {
-	if nest.Root != nil && nest.Root.Parallel {
-		return machineThreads(cfg)
-	}
-	return 1
+	return cachemodel.Options{Threads: nestThreads(cfg, nest), FullyAssoc: cfg.FullyAssoc}
 }
 
 // eachNest is the per-nest walk the deps, tile, cachemodel, cache-eval,
@@ -354,9 +348,8 @@ func stageTile() pipeline.Stage[*compileState] {
 				// fails in Run; its key is never stored under.)
 				return salt
 			}
-			// latency and auto score candidates on the target's hierarchy
-			// at the configured thread count.
-			salt += fmt.Sprintf("|threads=%d|%s", st.cfg.CM.Threads, platformSalt(st.cfg))
+			// latency and auto score candidates on the target's hierarchy.
+			salt += "|" + platformSalt(st.cfg)
 			if strat.Name() == tiling.NameAuto {
 				// Auto's candidate ranking consults the cap search, so
 				// distinct search configurations must not share tiles.
@@ -371,10 +364,9 @@ func stageTile() pipeline.Stage[*compileState] {
 				return err
 			}
 			tctx := tiling.Context{
-				Cache:   st.cfg.Platform().Cache,
-				Threads: st.cfg.CM.Threads,
-				Faults:  st.cfg.Faults,
-				CapEDP:  capEDPScorer(ctx, st.cfg),
+				Cache:  st.cfg.Platform().Cache,
+				Faults: st.cfg.Faults,
+				CapEDP: capEDPScorer(ctx, st.cfg),
 			}
 			// BestEffort: a failed nest falls back to its untiled form and
 			// is still analyzed and capped downstream.
@@ -423,7 +415,7 @@ func stageCacheModel() pipeline.Stage[*compileState] {
 	return pipeline.Stage[*compileState]{
 		Name: StageCacheModel,
 		Salt: func(st *compileState) string {
-			return fmt.Sprintf("%+v|line=%d", st.cfg.CM, lineSize(st.cfg))
+			return fmt.Sprintf("line=%d", lineSize(st.cfg))
 		},
 		Run: func(ctx context.Context, st *compileState) error {
 			// Tile-degraded nests are analyzed too: they fell back to the
@@ -434,7 +426,7 @@ func stageCacheModel() pipeline.Stage[*compileState] {
 				if err := st.cfg.Faults.Hit(FaultCacheModel); err != nil {
 					return err
 				}
-				geom, err := cachemodel.Measure(ns.nest, lineSize(st.cfg), st.cfg.CM)
+				geom, err := cachemodel.Measure(ns.nest, lineSize(st.cfg))
 				if err != nil {
 					return err
 				}
@@ -452,7 +444,7 @@ func stageCacheEval() pipeline.Stage[*compileState] {
 	return pipeline.Stage[*compileState]{
 		Name: StageCacheEval,
 		Salt: func(st *compileState) string {
-			return fmt.Sprintf("%+v|%s", st.cfg.CM, platformSalt(st.cfg))
+			return fmt.Sprintf("fullyassoc=%t|%s", st.cfg.FullyAssoc, platformSalt(st.cfg))
 		},
 		Run: func(ctx context.Context, st *compileState) error {
 			return st.eachNest(ctx, StageCacheEval, func(ns *nestState) error {
@@ -485,7 +477,7 @@ func stageCharacterize() pipeline.Stage[*compileState] {
 				ns := &st.nests[idx]
 				ns.threads = nestThreads(st.cfg, ns.nest)
 				if S > 1 {
-					if ns.nest.Root != nil && ns.nest.Root.Parallel {
+					if isParallel(ns.nest) {
 						ns.socket = -1
 						ns.remote = st.cfg.Target.Backend.RemoteShare(true)
 					} else {

@@ -240,7 +240,7 @@ func TestAutoSelectsByCapEDPNotDRAMVolume(t *testing.T) {
 		t.Fatalf("%s has no nest", kernel)
 	}
 	auto := tiling.MustNew(tiling.Spec{Name: tiling.NameAuto})
-	tctx := tiling.Context{Cache: cfg.Platform().Cache, Threads: cfg.CM.Threads,
+	tctx := tiling.Context{Cache: cfg.Platform().Cache,
 		CapEDP: func(*ir.Nest, *cachemodel.Result) (float64, bool) { return 0, true }}
 	_, volInfo, err := auto.Apply(nest, tctx)
 	if err != nil {

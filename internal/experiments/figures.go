@@ -504,7 +504,7 @@ type Fig8Result struct {
 func (s *Suite) Fig8(kernelName string, p *hw.Platform) (*Fig8Result, error) {
 	build := func(fullyAssoc bool) ([]*model.Model, error) {
 		cfg := core.DefaultConfig(s.targets[p.Name])
-		cfg.CM.FullyAssoc = fullyAssoc
+		cfg.FullyAssoc = fullyAssoc
 		res, err := s.compileCfg(kernelName, cfg)
 		if err != nil {
 			return nil, err

@@ -83,8 +83,6 @@ type Options struct {
 	Seed int64
 	// Faults, when non-nil, arms the fleet fault points.
 	Faults *faults.Registry
-	// Client overrides the HTTP client (tests); nil builds one.
-	Client *http.Client
 }
 
 // Stats are the client's counters, shaped for /statsz.
@@ -157,12 +155,9 @@ func New(opts Options) *Client {
 	}
 	c := &Client{
 		opts:   opts,
-		hc:     opts.Client,
+		hc:     &http.Client{},
 		rng:    rand.New(rand.NewSource(opts.Seed)),
 		closed: make(chan struct{}),
-	}
-	if c.hc == nil {
-		c.hc = &http.Client{}
 	}
 	for _, base := range opts.Peers {
 		c.peers = append(c.peers, &peer{base: base, brk: breaker.New(bopts)})

@@ -5,12 +5,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"reflect"
 	"testing"
 
-	"polyufc/internal/cachemodel"
 	"polyufc/internal/ir"
 	"polyufc/internal/pluto"
 	"polyufc/internal/workloads"
@@ -137,31 +135,4 @@ func TestProfilesGolden(t *testing.T) {
 			t.Errorf("%s:\n got %+v\nwant %+v", key, g, w)
 		}
 	}
-}
-
-// A profile is the record PolyUFC-CM's exact route produces: on every nest
-// of the golden grid, ProfileNest's counts are Analyze's with ExactBelow
-// above the nest's trip count and one thread — one simulate-and-count, two
-// callers.
-func TestProfileIsAnalyzeExact(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full kernel x platform x tile grid")
-	}
-	opts := cachemodel.DefaultOptions()
-	opts.ExactBelow = math.MaxInt64
-	eachTiledNest(t, func(key string, nest *ir.Nest) {
-		for _, p := range []*Platform{BDW(), RPL()} {
-			prof, err := ProfileNest(nest, p.Cache)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := cachemodel.Analyze(nest, p.Cache, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(&prof.Result, want) {
-				t.Fatalf("%s on %s:\n profile %+v\n analyze %+v", key, p.Name, prof.Result, *want)
-			}
-		}
-	})
 }

@@ -239,8 +239,9 @@ func (b BasicSet) Intersect(o BasicSet) BasicSet {
 }
 
 // InstantiateParams folds concrete parameter values into the constraint
-// constants, returning a basic set over a parameter-free space.
-func (b BasicSet) InstantiateParams(vals []int64) BasicSet {
+// constants, returning a basic set over a parameter-free space. A constant
+// that would leave int64 is ErrNotCountable.
+func (b BasicSet) InstantiateParams(vals []int64) (BasicSet, error) {
 	np := b.Sp.NumParams()
 	if len(vals) != np {
 		panic("isl: wrong number of parameter values")
@@ -251,11 +252,14 @@ func (b BasicSet) InstantiateParams(vals []int64) BasicSet {
 		row := append([]int64(nil), c.coef[np:]...)
 		k := c.c
 		for i := 0; i < np; i++ {
-			k += c.coef[i] * vals[i]
+			var ok bool
+			if k, ok = mulAdd(k, c.coef[i], vals[i]); !ok {
+				return BasicSet{}, ErrNotCountable
+			}
 		}
 		r.addRaw(c.kind, row, k)
 	}
-	return r
+	return r, nil
 }
 
 func negRow(row []int64) []int64 {

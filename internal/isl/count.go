@@ -3,8 +3,10 @@ package isl
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
 
+	"polyufc/internal/checked"
 	"polyufc/internal/poly"
 )
 
@@ -113,15 +115,34 @@ func (b BasicSet) countByEnumeration(limit int) (*big.Rat, error) {
 	return big.NewRat(n, 1), nil
 }
 
-// countSymbolic counts a parameter-free, existential-free basic set by
-// recursive symbolic summation: variables are eliminated innermost-first;
-// multiple lower (upper) bounds induce a chamber split on which bound is
-// maximal (minimal); the per-variable sum uses Faulhaber's closed form.
+// countSymbolic counts a parameter-free, existential-free basic set: the
+// counting recursion with no parameter columns, whose leaves are constants.
 func countSymbolic(b BasicSet) (*big.Rat, error) {
 	nv := b.Sp.NumVars()
-	// countRec never writes to a row, so the set's own rows serve.
+	total := new(big.Rat)
 	budget := maxCountNodes
-	return countRec(b.cons, nv, nv, poly.ConstInt(nv, 1), 0, &budget)
+	// countRec never writes to a row, so the set's own rows serve.
+	err := countRec(b.cons, nv, 0, nv, poly.ConstInt(nv, 1), 0, &budget, func(rows []con, body poly.Poly) error {
+		// All variables eliminated: residual rows are constants.
+		for _, r := range rows {
+			if !isConstRow(r.coef) {
+				return ErrNotCountable
+			}
+			if (r.kind == EQ && r.c != 0) || (r.kind == GE && r.c < 0) {
+				return nil
+			}
+		}
+		c, ok := body.IsConst()
+		if !ok {
+			return fmt.Errorf("isl: internal: non-constant body after elimination")
+		}
+		total.Add(total, c)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return total, nil
 }
 
 const (
@@ -131,40 +152,35 @@ const (
 	maxCountNodes = 200000
 )
 
-func countRec(rows []con, nv, remaining int, body poly.Poly, depth int, budget *int) (*big.Rat, error) {
+// countLeaf receives one chamber once every dimension is eliminated: its
+// rows constrain the parameters alone, and body is its number of points
+// as a polynomial in them.
+type countLeaf func(rows []con, body poly.Poly) error
+
+// countRec counts by recursive symbolic summation over columns
+// [params | dims]: the np parameter columns stay symbolic, and the
+// remaining dims are eliminated innermost-first. Multiple lower (upper)
+// bounds on a dim induce a chamber split on which bound is maximal
+// (minimal); the per-dim sum uses Faulhaber's closed form. Every chamber
+// that may hold points reaches leaf. Arithmetic that would leave int64
+// makes the set not countable here, so the caller falls back to
+// enumeration.
+func countRec(rows []con, nv, np, remaining int, body poly.Poly, depth int, budget *int, leaf countLeaf) error {
 	if depth > maxChamberDepth {
-		return nil, ErrNotCountable
+		return ErrNotCountable
 	}
 	*budget--
 	if *budget <= 0 {
-		return nil, ErrNotCountable
+		return ErrNotCountable
 	}
 	if remaining == 0 {
-		// All variables eliminated: residual rows are constants.
-		for _, r := range rows {
-			for _, co := range r.coef {
-				if co != 0 {
-					return nil, ErrNotCountable
-				}
-			}
-			if (r.kind == EQ && r.c != 0) || (r.kind == GE && r.c < 0) {
-				return new(big.Rat), nil
-			}
-		}
-		c, ok := body.IsConst()
-		if !ok {
-			return nil, fmt.Errorf("isl: internal: non-constant body after elimination")
-		}
-		return c, nil
+		return leaf(rows, body)
 	}
-	d := remaining - 1 // eliminate the innermost remaining variable
+	d := np + remaining - 1 // eliminate the innermost remaining dim
 
 	// Equality substitution when possible.
 	for i, r := range rows {
-		if r.coef[d] == 0 {
-			continue
-		}
-		if r.kind != EQ {
+		if r.kind != EQ || r.coef[d] == 0 {
 			continue
 		}
 		a := r.coef[d]
@@ -172,31 +188,44 @@ func countRec(rows []con, nv, remaining int, body poly.Poly, depth int, budget *
 			// x_d = -a*(rest + c): the bound the row puts on x_d, as a
 			// lower bound for a = 1 and an upper one for a = -1.
 			coef := make([]int64, nv)
-			c, _ := makeBound(r, d, a > 0, coef)
-			nrows := substituteRows(rows, i, d, a)
+			c, ok := makeBound(r, d, a > 0, coef)
+			if !ok {
+				return ErrNotCountable
+			}
+			nrows, ok := substituteRows(rows, i, d, a)
+			if !ok {
+				return ErrNotCountable
+			}
 			nbody := body.SubstPoly(d, affinePoly(nv, coef, c))
-			return countRec(nrows, nv, remaining-1, nbody, depth, budget)
+			return countRec(nrows, nv, np, remaining-1, nbody, depth, budget, leaf)
 		}
 		// Non-unit equality a*x = -(rest+c): countable only when rest is
 		// constant and divisible.
-		if rowRestConst(r, d) {
-			if (-r.c)%a != 0 {
-				return new(big.Rat), nil // no integer solution
-			}
-			v := -r.c / a
-			nrows := fixRows(rows, d, v)
-			nbody := body.SubstPoly(d, poly.ConstInt(nv, v))
-			return countRec(nrows, nv, remaining-1, nbody, depth, budget)
+		if !rowRestConst(r, d) {
+			return ErrNotCountable
 		}
-		return nil, ErrNotCountable
+		negC, ok := checked.Mul(-1, r.c)
+		if !ok {
+			return ErrNotCountable
+		}
+		if negC%a != 0 {
+			return nil // no integer solution
+		}
+		v := negC / a
+		nrows, ok := fixRows(rows, d, v)
+		if !ok {
+			return ErrNotCountable
+		}
+		nbody := body.SubstPoly(d, poly.ConstInt(nv, v))
+		return countRec(nrows, nv, np, remaining-1, nbody, depth, budget, leaf)
 	}
 
 	lowers, uppers, rest, ok := splitBounds(rows, d, nv)
 	if !ok {
-		return nil, ErrNotCountable
+		return ErrNotCountable
 	}
 	if len(lowers) == 0 || len(uppers) == 0 {
-		return nil, ErrUnbounded
+		return ErrUnbounded
 	}
 	f := fmPool.Get().(*fmScratch)
 	defer fmPool.Put(f)
@@ -207,7 +236,6 @@ func countRec(rows []con, nv, remaining int, body poly.Poly, depth int, budget *
 	setPolys(lowers, nv)
 	setPolys(uppers, nv)
 
-	total := new(big.Rat)
 	// With two chambers both are feasible, or pruning would have dropped a
 	// bound (a rectangular tile is interior or on the far edge). With more,
 	// as in the triangular solvers, about two in five are empty, and one
@@ -215,7 +243,10 @@ func countRec(rows []con, nv, remaining int, body poly.Poly, depth int, budget *
 	skipEmpty := len(lowers)*len(uppers) > 2
 	for li, L := range lowers {
 		for ui, U := range uppers {
-			chamber := chamberRows(lowers, uppers, li, ui, rest, nv)
+			chamber, ok := chamberRows(lowers, uppers, li, ui, rest, nv)
+			if !ok {
+				return ErrNotCountable
+			}
 			if skipEmpty {
 				f.cur.load(nv, chamber)
 				if f.infeasible(0) {
@@ -223,14 +254,12 @@ func countRec(rows []con, nv, remaining int, body poly.Poly, depth int, budget *
 				}
 			}
 			nbody := poly.SumVar(body, d, L.poly, U.poly)
-			c, err := countRec(chamber, nv, remaining-1, nbody, depth+1, budget)
-			if err != nil {
-				return nil, err
+			if err := countRec(chamber, nv, np, remaining-1, nbody, depth+1, budget, leaf); err != nil {
+				return err
 			}
-			total.Add(total, c)
 		}
 	}
-	return total, nil
+	return nil
 }
 
 // boundExpr is a lower or upper bound on the eliminated variable: an
@@ -282,28 +311,33 @@ func splitBounds(rows []con, d, nv int) (lowers, uppers []boundExpr, rest []con,
 // chamberRows returns the constraints of the chamber where lowers[li] is the
 // greatest lower bound and uppers[ui] the least upper bound (ties go to the
 // earlier bound, so chambers are disjoint), and the range between them is
-// not empty.
-func chamberRows(lowers, uppers []boundExpr, li, ui int, rest []con, nv int) []con {
+// not empty. ok is false when a row does not fit int64.
+func chamberRows(lowers, uppers []boundExpr, li, ui int, rest []con, nv int) (chamber []con, ok bool) {
 	extra := len(lowers) + len(uppers) - 1
-	chamber := append(make([]con, 0, len(rest)+extra), rest...)
+	chamber = append(make([]con, 0, len(rest)+extra), rest...)
 	slab := make([]int64, extra*nv)
 	row := func() []int64 {
 		coef := slab[:nv:nv]
 		slab = slab[nv:]
 		return coef
 	}
+	add := func(a, b boundExpr, strict int64) bool {
+		r, ok := diffRow(a, b, strict, row())
+		chamber = append(chamber, r)
+		return ok
+	}
 	L, U := lowers[li], uppers[ui]
 	for j, L2 := range lowers {
-		if j != li {
-			chamber = append(chamber, diffRow(L, L2, strictBefore(j, li), row())) // L >= L2
+		if j != li && !add(L, L2, strictBefore(j, li)) { // L >= L2
+			return nil, false
 		}
 	}
 	for j, U2 := range uppers {
-		if j != ui {
-			chamber = append(chamber, diffRow(U2, U, strictBefore(j, ui), row())) // U <= U2
+		if j != ui && !add(U2, U, strictBefore(j, ui)) { // U <= U2
+			return nil, false
 		}
 	}
-	return append(chamber, diffRow(U, L, 0, row()))
+	return chamber, add(U, L, 0)
 }
 
 // strictBefore makes the comparison against an earlier bound strict.
@@ -339,7 +373,11 @@ func (f *fmScratch) pruneDominated(bounds []boundExpr, rest []con, nv int, lower
 			}
 			f.cur.copyFrom(&f.base)
 			row := f.cur.next()
-			row[nv] = diffRow(hi, lo, 1, row[:nv]).c
+			r, ok := diffRow(hi, lo, 1, row[:nv])
+			if !ok {
+				continue // keeping a bound is always sound
+			}
+			row[nv] = r.c
 			f.cur.add(false)
 			if f.infeasible(0) {
 				dropped[i] = true
@@ -370,15 +408,20 @@ func makeBound(r con, d int, lower bool, coef []int64) (c int64, ok bool) {
 		}
 		for i, ci := range r.coef {
 			if i != d {
-				coef[i] = sign * ci
+				if coef[i], ok = checked.Mul(sign, ci); !ok {
+					return 0, false
+				}
 			}
 		}
-		return sign * r.c, true
+		return checked.Mul(sign, r.c)
 	}
 	// Non-unit coefficient: exact when every variable coefficient is
 	// divisible by |a| (the constant-tile-size pattern:
 	// floor((a*w + c)/a) = w + floor(c/a), and symmetrically with ceil);
 	// a constant rest is the case with nothing to divide.
+	if a == math.MinInt64 || r.c == math.MinInt64 {
+		return 0, false // neither negates within int64
+	}
 	mag := max(a, -a)
 	for i, ci := range r.coef {
 		if i == d {
@@ -414,12 +457,16 @@ func affinePoly(nv int, coef []int64, c int64) poly.Poly {
 }
 
 // diffRow builds the constraint a - b - strict >= 0 with its coefficients
-// in coef.
-func diffRow(a, b boundExpr, strict int64, coef []int64) con {
+// in coef; ok is false when a value does not fit int64.
+func diffRow(a, b boundExpr, strict int64, coef []int64) (r con, ok bool) {
 	for i := range coef {
-		coef[i] = a.coef[i] - b.coef[i]
+		if coef[i], ok = checked.Sub(a.coef[i], b.coef[i]); !ok {
+			return con{}, false
+		}
 	}
-	return con{kind: GE, coef: coef, c: a.c - b.c - strict}
+	c, ok1 := checked.Sub(a.c, b.c)
+	c, ok2 := checked.Sub(c, strict)
+	return con{kind: GE, coef: coef, c: c}, ok1 && ok2
 }
 
 // rowRestConst reports whether row r involves no variable other than d.
@@ -433,10 +480,10 @@ func rowRestConst(r con, d int) bool {
 }
 
 // substituteRows eliminates column d from all rows using equality row eqIdx
-// (unit coefficient a on d).
-func substituteRows(rows []con, eqIdx, d int, a int64) []con {
+// (unit coefficient a on d); ok is false when a value does not fit int64.
+func substituteRows(rows []con, eqIdx, d int, a int64) (out []con, ok bool) {
 	eq := rows[eqIdx]
-	out := make([]con, 0, len(rows)-1)
+	out = make([]con, 0, len(rows)-1)
 	for i, r := range rows {
 		if i == eqIdx {
 			continue
@@ -446,19 +493,29 @@ func substituteRows(rows []con, eqIdx, d int, a int64) []con {
 			out = append(out, r)
 			continue
 		}
+		m, ok := checked.Mul(f, -a) // row += m * eq clears column d
+		if !ok {
+			return nil, false
+		}
 		coef := make([]int64, len(r.coef))
 		for j := range coef {
-			coef[j] = r.coef[j] - f*a*eq.coef[j]
+			if coef[j], ok = mulAdd(r.coef[j], m, eq.coef[j]); !ok {
+				return nil, false
+			}
 		}
-		coef[d] = 0
-		out = append(out, con{kind: r.kind, coef: coef, c: r.c - f*a*eq.c})
+		c, ok := mulAdd(r.c, m, eq.c)
+		if !ok {
+			return nil, false
+		}
+		out = append(out, con{kind: r.kind, coef: coef, c: c})
 	}
-	return out
+	return out, true
 }
 
-// fixRows substitutes the constant v for column d in all rows.
-func fixRows(rows []con, d int, v int64) []con {
-	out := make([]con, 0, len(rows))
+// fixRows substitutes the constant v for column d in all rows; ok is false
+// when a constant does not fit int64.
+func fixRows(rows []con, d int, v int64) (out []con, ok bool) {
+	out = make([]con, 0, len(rows))
 	for _, r := range rows {
 		f := r.coef[d]
 		if f == 0 {
@@ -467,7 +524,18 @@ func fixRows(rows []con, d int, v int64) []con {
 		}
 		coef := append([]int64(nil), r.coef...)
 		coef[d] = 0
-		out = append(out, con{kind: r.kind, coef: coef, c: r.c + f*v})
+		c, ok := mulAdd(r.c, f, v)
+		if !ok {
+			return nil, false
+		}
+		out = append(out, con{kind: r.kind, coef: coef, c: c})
 	}
-	return out
+	return out, true
+}
+
+// mulAdd returns x + m*y and whether it fits an int64.
+func mulAdd(x, m, y int64) (int64, bool) {
+	p, ok1 := checked.Mul(m, y)
+	s, ok2 := checked.Add(x, p)
+	return s, ok1 && ok2
 }

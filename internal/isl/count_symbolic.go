@@ -1,7 +1,6 @@
 package isl
 
 import (
-	"errors"
 	"fmt"
 	"math/big"
 	"strings"
@@ -83,40 +82,33 @@ func (b BasicSet) CountSymbolic() ([]Piece, error) {
 	np := b.Sp.NumParams()
 	nd := b.Sp.NumVars()
 	nv := np + nd
+	var out []Piece
 	budget := maxCountNodes
-	pieces, err := countSymRec(b.cons, nv, np, nd, poly.ConstInt(nv, 1), 0, &budget)
-	if err != nil {
-		return nil, err
-	}
-	// Compress polynomials and guards to the parameter columns.
-	out := make([]Piece, 0, len(pieces))
-	for _, pc := range pieces {
-		cp, err := compressToParams(pc.body, np, nv)
-		if err != nil {
-			return nil, err
+	err := countRec(b.cons, nv, np, nd, poly.ConstInt(nv, 1), 0, &budget, func(rows []con, body poly.Poly) error {
+		// Compress the polynomial and the guards to the parameter columns.
+		cp, err := compressToParams(body, np, nv)
+		if err != nil || cp.IsZero() {
+			return err
 		}
 		var guards []ConstraintView
-		contradictory := false
-		for _, g := range pc.guards {
-			for i := np; i < nv; i++ {
-				if g.coef[i] != 0 {
-					return nil, fmt.Errorf("isl: internal: guard references a dimension")
-				}
+		for _, g := range rows {
+			if !isConstRow(g.coef[np:]) {
+				return fmt.Errorf("isl: internal: guard references a dimension")
 			}
 			gv := ConstraintView{Kind: g.kind, Coef: append([]int64(nil), g.coef[:np]...), Const: g.c}
 			if isConstRow(gv.Coef) {
 				if (gv.Kind == EQ && gv.Const != 0) || (gv.Kind == GE && gv.Const < 0) {
-					contradictory = true
-					break
+					return nil // contradictory: the chamber is empty
 				}
 				continue // trivially true
 			}
 			guards = append(guards, gv)
 		}
-		if contradictory || cp.IsZero() {
-			continue
-		}
 		out = append(out, Piece{Count: cp, Guards: guards})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -138,15 +130,7 @@ func compressToParams(p poly.Poly, np, nv int) (poly.Poly, error) {
 			return poly.Poly{}, fmt.Errorf("isl: internal: dimension survived symbolic count")
 		}
 	}
-	out := poly.New(np)
-	// Rebuild by evaluating the dim columns at 0: substitute each with 0.
-	q := p
-	for i := np; i < nv; i++ {
-		q = q.SubstPoly(i, poly.ConstInt(nv, 0))
-	}
-	// Now transfer coefficients.
-	out = transferPoly(q, np, nv)
-	return out, nil
+	return transferPoly(p, np, nv), nil
 }
 
 // transferPoly maps a polynomial using only the first np columns of an
@@ -186,72 +170,6 @@ func transferPoly(p poly.Poly, np, nv int) poly.Poly {
 	return out
 }
 
-// symPiece is an internal chamber during recursion.
-type symPiece struct {
-	body   poly.Poly
-	guards []con
-}
-
-// countSymRec mirrors countRec but keeps parameter columns symbolic and
-// returns chamber pieces instead of a number.
-func countSymRec(rows []con, nv, np, remaining int, body poly.Poly, depth int, budget *int) ([]symPiece, error) {
-	if depth > maxChamberDepth {
-		return nil, ErrNotCountable
-	}
-	*budget--
-	if *budget <= 0 {
-		return nil, ErrNotCountable
-	}
-	if remaining == 0 {
-		return []symPiece{{body: body, guards: rows}}, nil
-	}
-	d := np + remaining - 1
-
-	// Equality substitution when possible.
-	for i, r := range rows {
-		if r.coef[d] == 0 || r.kind != EQ {
-			continue
-		}
-		a := r.coef[d]
-		if a == 1 || a == -1 {
-			coef := make([]int64, nv)
-			c, _ := makeBound(r, d, a > 0, coef)
-			nrows := substituteRows(rows, i, d, a)
-			nbody := body.SubstPoly(d, affinePoly(nv, coef, c))
-			return countSymRec(nrows, nv, np, remaining-1, nbody, depth, budget)
-		}
-		return nil, ErrNotCountable
-	}
-
-	lowers, uppers, rest, ok := splitBounds(rows, d, nv)
-	if !ok {
-		return nil, ErrNotCountable
-	}
-	if len(lowers) == 0 || len(uppers) == 0 {
-		return nil, ErrUnbounded
-	}
-	f := fmPool.Get().(*fmScratch)
-	lowers = f.pruneDominated(lowers, rest, nv, true)
-	uppers = f.pruneDominated(uppers, rest, nv, false)
-	fmPool.Put(f)
-	setPolys(lowers, nv)
-	setPolys(uppers, nv)
-
-	var out []symPiece
-	for li, L := range lowers {
-		for ui, U := range uppers {
-			chamber := chamberRows(lowers, uppers, li, ui, rest, nv)
-			nbody := poly.SumVar(body, d, L.poly, U.poly)
-			pieces, err := countSymRec(chamber, nv, np, remaining-1, nbody, depth+1, budget)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, pieces...)
-		}
-	}
-	return out, nil
-}
-
 // EvalPieces sums the applicable pieces at concrete parameter values —
 // chambers are disjoint, so at most one applies per basic set, but callers
 // may hold pieces from several basic sets.
@@ -264,6 +182,3 @@ func EvalPieces(pieces []Piece, params []int64) *big.Rat {
 	}
 	return total
 }
-
-// ErrNoParams is returned by CountSymbolic helpers that need parameters.
-var ErrNoParams = errors.New("isl: set has no parameters")

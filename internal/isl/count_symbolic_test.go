@@ -73,7 +73,10 @@ func TestSymbolicMatchesInstantiated(t *testing.T) {
 		t.Fatalf("expected chamber split for the clipped band, got %d pieces", len(pieces))
 	}
 	for n := int64(1); n <= 25; n++ {
-		inst := FromBasic(b).InstantiateParams([]int64{n})
+		inst, err := FromBasic(b).InstantiateParams([]int64{n})
+		if err != nil {
+			t.Fatal(err)
+		}
 		want, err := inst.CountInt(1 << 20)
 		if err != nil {
 			t.Fatal(err)

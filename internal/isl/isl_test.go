@@ -102,7 +102,10 @@ func TestParamInstantiation(t *testing.T) {
 	b := Universe(sp)
 	b.AddGE(sp.VarExpr(0))
 	b.AddGE(sp.ParamExpr(0).Sub(sp.VarExpr(0)).AddConst(-1))
-	s := FromBasic(b).InstantiateParams([]int64{17})
+	s, err := FromBasic(b).InstantiateParams([]int64{17})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := mustCount(t, s); got != 17 {
 		t.Fatalf("count = %d, want 17", got)
 	}

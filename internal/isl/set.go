@@ -127,15 +127,18 @@ func negateCon(c con) []con {
 }
 
 // InstantiateParams folds concrete parameter values into every basic set.
-func (s Set) InstantiateParams(vals []int64) Set {
+func (s Set) InstantiateParams(vals []int64) (Set, error) {
 	r := Set{Sp: Space{In: s.Sp.In, Out: s.Sp.Out}}
 	for _, b := range s.Basics {
-		nb := b.InstantiateParams(vals)
+		nb, err := b.InstantiateParams(vals)
+		if err != nil {
+			return Set{}, err
+		}
 		if !nb.markedEmpty {
 			r.Basics = append(r.Basics, nb)
 		}
 	}
-	return r
+	return r, nil
 }
 
 // IsEmptyRational reports whether every basic set is rationally empty.

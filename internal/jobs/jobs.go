@@ -115,12 +115,6 @@ type Options struct {
 	Dir string
 	// Workers is the pool size (default 2).
 	Workers int
-	// QueueDepth bounds pending submissions (default 256); Submit fails
-	// when the queue is full rather than blocking an HTTP handler.
-	QueueDepth int
-	// Clock stamps submissions and checkpoints (default time.Now); tests
-	// inject a fixed clock.
-	Clock func() time.Time
 	// CompactThreshold bounds the journal's dead weight: once that many
 	// prunable records — the per-unit history and shutdown checkpoints of
 	// jobs already in a terminal state — accumulate, the journal is
@@ -135,6 +129,10 @@ type Options struct {
 // defaultCompactThreshold is the prunable-record count that triggers a
 // jobs-journal compaction when Options.CompactThreshold is zero.
 const defaultCompactThreshold = 512
+
+// queueDepth bounds pending submissions: Submit fails when the queue is
+// full rather than blocking an HTTP handler.
+const queueDepth = 256
 
 // Manager owns the journal, the job table and the worker pool.
 type Manager struct {
@@ -194,12 +192,6 @@ func Open(opts Options, exec Executor) (*Manager, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = 2
 	}
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = 256
-	}
-	if opts.Clock == nil {
-		opts.Clock = time.Now
-	}
 	if opts.CompactThreshold == 0 {
 		opts.CompactThreshold = defaultCompactThreshold
 	}
@@ -215,7 +207,7 @@ func Open(opts Options, exec Executor) (*Manager, error) {
 		exec:  exec,
 		jnl:   jnl,
 		jobs:  map[string]*Job{},
-		queue: make(chan *Job, opts.QueueDepth),
+		queue: make(chan *Job, queueDepth),
 	}
 	if err := m.replay(); err != nil {
 		jnl.Close()
@@ -422,7 +414,7 @@ func (m *Manager) Submit(kind Kind, params any) (Status, error) {
 		ID:        fmt.Sprintf("j%04d", m.seq),
 		Kind:      kind,
 		Params:    raw,
-		Submitted: m.opts.Clock().UTC().Format(time.RFC3339),
+		Submitted: time.Now().UTC().Format(time.RFC3339),
 	}
 	jb := m.newJob(spec)
 	m.jobs[spec.ID] = jb
@@ -736,7 +728,7 @@ func (jb *Job) checkpoint() {
 	st := jb.Status()
 	jb.m.jnl.Record(ckptKey(jb.spec.ID), checkpointRecord{
 		UnitsDone: st.UnitsDone,
-		At:        jb.m.opts.Clock().UTC().Format(time.RFC3339),
+		At:        time.Now().UTC().Format(time.RFC3339),
 	})
 }
 

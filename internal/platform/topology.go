@@ -178,6 +178,16 @@ func (b *Backend) RemoteShare(parallel bool) float64 {
 	return (S - 1) / S
 }
 
+// NestThreads is the thread count a nest runs (and is modeled) with
+// under the same placement: a parallel nest spans every socket's
+// threads, a serial one runs on one.
+func (b *Backend) NestThreads(parallel bool) int {
+	if !parallel {
+		return 1
+	}
+	return b.TotalThreads()
+}
+
 // NumSockets returns the socket count.
 func (b *Backend) NumSockets() int { return len(b.Sockets) }
 

@@ -138,25 +138,6 @@ func TestOptimizePermutesAndTiles(t *testing.T) {
 	}
 }
 
-func TestPermuteDisabled(t *testing.T) {
-	nest := matmulNest(16, 16, 16)
-	opts := DefaultOptions()
-	opts.Permute = false
-	opts.Tile = false
-	res, err := Optimize(nest, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Permutation != nil {
-		t.Fatal("permutation ran while disabled")
-	}
-	var order []string
-	res.Nest.WalkLoops(func(l *ir.Loop, _ int) { order = append(order, l.IV) })
-	if order[0] != "i" || order[2] != "k" {
-		t.Fatalf("order changed: %v", order)
-	}
-}
-
 // mustSim builds a cache simulator from a known-good config.
 func mustSim(t *testing.T, cfg cachesim.Config) *cachesim.Simulator {
 	t.Helper()

@@ -11,18 +11,12 @@ const DefaultTileSize = 32
 
 // Options configures the Pluto-style optimization pipeline.
 type Options struct {
-	TileSize    int64
-	Tile        bool
-	Parallelize bool
-	// Permute enables locality-driven loop interchange on fully
-	// permutable bands before tiling (the ikj-style reordering).
-	Permute bool
+	TileSize int64
 }
 
-// DefaultOptions returns the paper's baseline configuration: locality
-// interchange and tiling with tile size 32, plus outer parallelization.
+// DefaultOptions returns the paper's baseline configuration: tile size 32.
 func DefaultOptions() Options {
-	return Options{TileSize: DefaultTileSize, Tile: true, Parallelize: true, Permute: true}
+	return Options{TileSize: DefaultTileSize}
 }
 
 // Result describes what the pipeline did to a nest.
@@ -37,10 +31,12 @@ type Result struct {
 	Permutation []int
 }
 
-// Optimize runs dependence analysis, rectangular tiling (if legal) and
-// parallel marking on a nest, returning a new nest; the input is not
-// modified. Nests outside the supported class are returned unchanged
-// (untiled) with Tiled=false, matching Pluto's bail-out behaviour.
+// Optimize runs dependence analysis and, on a fully permutable band,
+// locality-driven loop interchange (the ikj-style reordering) and
+// rectangular tiling, then marks parallel loops, returning a new nest; the
+// input is not modified. Nests outside the supported class are returned
+// unchanged (untiled) with Tiled=false, matching Pluto's bail-out
+// behaviour.
 func Optimize(nest *ir.Nest, opts Options) (Result, error) {
 	info, err := Analyze(nest)
 	if err != nil {
@@ -63,7 +59,7 @@ func Transform(nest *ir.Nest, info *DepInfo, opts Options) (Result, error) {
 	parLevels := info.ParallelLevels()
 	permutable := info.FullyPermutable()
 
-	if opts.Permute && permutable && info.Depth >= 2 {
+	if permutable && info.Depth >= 2 {
 		permuted, perm, err := Permute(nest, parLevels)
 		if err == nil {
 			out = permuted
@@ -75,8 +71,6 @@ func Transform(nest *ir.Nest, info *DepInfo, opts Options) (Result, error) {
 			}
 			parLevels = remapped
 		}
-	}
-	if opts.Tile && permutable && info.Depth >= 2 {
 		tiled, err := TileNest(out, opts.TileSize)
 		if err != nil {
 			return res, err
@@ -84,9 +78,7 @@ func Transform(nest *ir.Nest, info *DepInfo, opts Options) (Result, error) {
 		out = tiled
 		res.Tiled = true
 	}
-	if opts.Parallelize {
-		res.ParallelLoops = markParallel(out, parLevels, res.Tiled, info.Depth)
-	}
+	res.ParallelLoops = markParallel(out, parLevels, res.Tiled, info.Depth)
 	res.Nest = out
 	return res, nil
 }

@@ -112,11 +112,10 @@ type Config struct {
 	// least one peer, cache misses consult the fleet (deadline-bounded,
 	// hedged, per-peer circuit breakers) before computing, and computed
 	// entries are offered back asynchronously. PeerTimeout bounds one
-	// attempt, PeerHedge staggers the parallel second attempt,
+	// attempt (a parallel second attempt starts a quarter of it in),
 	// PeerRetries adds backoff rounds; zeros select fleet defaults.
 	Peers       []string
 	PeerTimeout time.Duration
-	PeerHedge   time.Duration
 	PeerRetries int
 	// JobCompactThreshold triggers the jobs-journal compaction once that
 	// many prunable records (per-unit history of terminal jobs)
@@ -257,7 +256,7 @@ func New(cfg Config) (*Server, error) {
 		s.casStore = st
 	}
 	s.fleetCli = fleet.New(fleet.Options{
-		Peers: cfg.Peers, Timeout: cfg.PeerTimeout, Hedge: cfg.PeerHedge,
+		Peers: cfg.Peers, Timeout: cfg.PeerTimeout,
 		Retries: cfg.PeerRetries, Seed: cfg.FaultSeed, Faults: cfg.Faults,
 	})
 

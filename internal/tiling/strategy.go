@@ -21,15 +21,12 @@ const (
 )
 
 // Context carries the per-compile environment a strategy may consult:
-// the target's cache hierarchy (for model-scored strategies), the
-// thread count the cachemodel stage will use and the fault registry.
-// Every strategy starts from pluto.DefaultOptions (legality, permutation
-// and parallelization flags plus the default tile size) and overrides
-// only the tile size.
+// the target's cache hierarchy (for model-scored strategies) and the
+// fault registry. Every strategy starts from pluto.DefaultOptions and
+// overrides only the tile size.
 type Context struct {
-	Cache   cachesim.Config
-	Threads int
-	Faults  *faults.Registry
+	Cache  cachesim.Config
+	Faults *faults.Registry
 	// CapEDP scores a transformed nest by the EDP of the uncore cap
 	// PolyUFC-SEARCH would select for it (lower is better) — the
 	// objective the compiler actually optimizes, and the auto
@@ -93,7 +90,7 @@ type Strategy interface {
 	// and stage salts (see Spec.Fingerprint).
 	Fingerprint() string
 	// ReadsTarget reports whether Apply consults the target through the
-	// Context (Cache, Threads, CapEDP). A strategy that does not produces
+	// Context (Cache, CapEDP). A strategy that does not produces
 	// the same nest on every platform, and the tile stage's memo key says
 	// so by leaving the platform out.
 	ReadsTarget() bool
@@ -228,23 +225,31 @@ var (
 )
 
 // latencyExactBelow bounds the exact-trace route inside candidate
-// scoring: nests at most this many instances are probed through
-// internal/cachesim, larger ones through the analytic counts, keeping
-// compile cost low either way.
+// scoring: nests of at most this many instances are simulated, larger ones
+// counted by PolyUFC-CM, keeping compile cost low either way.
 const latencyExactBelow = 1 << 12
 
+// scoreRecord is the traffic record a candidate is scored on: the
+// simulator's for a small nest, PolyUFC-CM's serial one otherwise.
+func scoreRecord(nest *ir.Nest, cache cachesim.Config) (*cachemodel.Result, error) {
+	if tc, err := nest.TripCount(); err == nil && tc <= latencyExactBelow {
+		return cachemodel.Simulate(nest, cache)
+	}
+	return cachemodel.Analyze(nest, cache, cachemodel.DefaultOptions())
+}
+
 // latencyStrategy derives the tile size from miss-ratio scaling: each
-// candidate size on the ladder is tiled speculatively, its miss profile
-// modeled by PolyUFC-CM (exact cachesim trace for small nests, analytic
-// counts for large ones), and the candidate minimizing the modeled
+// candidate size on the ladder is tiled speculatively, its traffic
+// record taken from scoreRecord (exact cachesim trace for small nests,
+// analytic counts for large ones), and the candidate minimizing the modeled
 // total access latency wins. Ties break toward the smaller size.
 type latencyStrategy struct{ spec Spec }
 
 func (s *latencyStrategy) Name() string        { return NameLatency }
 func (s *latencyStrategy) Fingerprint() string { return s.spec.Fingerprint() }
 
-// ReadsTarget: every candidate on the ladder is scored by PolyUFC-CM on
-// the target's hierarchy and thread count.
+// ReadsTarget: every candidate on the ladder is scored on the target's
+// hierarchy.
 func (s *latencyStrategy) ReadsTarget() bool { return true }
 
 func (s *latencyStrategy) Apply(nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo, error) {
@@ -300,7 +305,7 @@ func (s *latencyStrategy) Apply(nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo,
 // modeledLatency scores a transformed nest: per-level hits weighted by
 // nominal latencies plus LLC misses at the DRAM penalty.
 func modeledLatency(nest *ir.Nest, ctx Context) (float64, error) {
-	cm, err := cachemodel.Analyze(nest, ctx.Cache, cmScoreOptions(ctx))
+	cm, err := scoreRecord(nest, ctx.Cache)
 	if err != nil {
 		return 0, err
 	}
@@ -314,13 +319,6 @@ func modeledLatency(nest *ir.Nest, ctx Context) (float64, error) {
 	}
 	cost += float64(cm.LLC().Misses) * dramLatency
 	return cost, nil
-}
-
-func cmScoreOptions(ctx Context) cachemodel.Options {
-	opts := cachemodel.DefaultOptions()
-	opts.Threads = ctx.Threads
-	opts.ExactBelow = latencyExactBelow
-	return opts
 }
 
 // autoStrategy races the three concrete strategies and keeps the winner.
@@ -381,7 +379,7 @@ func (s *autoStrategy) Apply(nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo, er
 			lastErr = err
 			continue
 		}
-		cm, err := cachemodel.Analyze(out, ctx.Cache, cmScoreOptions(ctx))
+		cm, err := scoreRecord(out, ctx.Cache)
 		if err != nil {
 			lastErr = err
 			continue

@@ -17,9 +17,8 @@ import (
 // pin is auto's tie-break order: QDRAM, total misses, candidate order.
 func testCtx() Context {
 	return Context{
-		Cache:   hw.BDW().Cache,
-		Threads: 1,
-		CapEDP:  func(*ir.Nest, *cachemodel.Result) (float64, bool) { return 0, true },
+		Cache:  hw.BDW().Cache,
+		CapEDP: func(*ir.Nest, *cachemodel.Result) (float64, bool) { return 0, true },
 	}
 }
 

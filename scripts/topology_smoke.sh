@@ -15,6 +15,9 @@
 #      degrades only that domain: the measured answer stands, the
 #      response names the sick socket, and /healthz shows socket 0
 #      closed with socket 1 open.
+#   4. polyufc-cm models a parallel nest on the 2-socket description
+#      with both sockets' threads (x24), as the compiler does — not
+#      socket 0's twelve.
 #
 # Requires: go, curl.
 set -eu
@@ -27,8 +30,9 @@ serve_pid=""
 trap '{ [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null; } || true; rm -rf "$tmp"' EXIT
 cd "$(dirname "$0")/.."
 
-echo "== building polyufc-serve"
+echo "== building polyufc-serve and polyufc-cm"
 go build -o "$tmp/polyufc-serve" ./cmd/polyufc-serve
+go build -o "$tmp/polyufc-cm" ./cmd/polyufc-cm
 
 addr="127.0.0.1:8339"
 wait_up() {
@@ -39,7 +43,7 @@ wait_up() {
     echo "daemon never came up"; cat "$1"; exit 1
 }
 
-echo "== 1/3 healthy 2-socket boot: per-socket stats and topology responses"
+echo "== 1/4 healthy 2-socket boot: per-socket stats and topology responses"
 "$tmp/polyufc-serve" -addr "$addr" \
     -platform-file platforms/2-socket-bdw.json 2>"$tmp/serve1.log" &
 serve_pid=$!
@@ -68,7 +72,7 @@ echo "   2-socket boot OK (per-socket breakers, topology rollup, clean v1 surfac
 kill -TERM "$serve_pid"
 wait "$serve_pid" || { echo "daemon exited non-zero"; cat "$tmp/serve1.log"; exit 1; }
 
-echo "== 2/3 measured 2-socket searches keep the calibration ok"
+echo "== 2/4 measured 2-socket searches keep the calibration ok"
 "$tmp/polyufc-serve" -addr "$addr" \
     -platform-file platforms/2-socket-bdw.json 2>"$tmp/serve-m.log" &
 serve_pid=$!
@@ -86,7 +90,7 @@ echo "   four measured searches 200, 2S-BDW drift ok"
 kill -TERM "$serve_pid"
 wait "$serve_pid" || { echo "daemon exited non-zero"; cat "$tmp/serve-m.log"; exit 1; }
 
-echo "== 3/3 socket-scoped fault: only the sick domain degrades"
+echo "== 3/4 socket-scoped fault: only the sick domain degrades"
 "$tmp/polyufc-serve" -addr "$addr" \
     -platform-file platforms/2-socket-bdw.json \
     -fault 'ufs.write.ebusy=1' -fault-socket 1 -breaker-threshold 1 \
@@ -109,5 +113,11 @@ echo "   fault isolation OK (answer stood, only 2S-BDW#s1 open)"
 
 kill -TERM "$serve_pid"
 wait "$serve_pid" || { echo "daemon exited non-zero"; cat "$tmp/serve2.log"; exit 1; }
+
+echo "== 4/4 polyufc-cm divides a spanning nest across every socket"
+"$tmp/polyufc-cm" -kernel gemm -platform 2s-bdw -platform-file platforms/2-socket-bdw.json >"$tmp/cm.txt"
+grep -q 'x24 threads' "$tmp/cm.txt" || { echo "polyufc-cm does not divide by 2S-BDW's 24 threads:"; cat "$tmp/cm.txt"; exit 1; }
+grep -q 'x12 threads' "$tmp/cm.txt" && { echo "polyufc-cm divides by one socket's threads:"; cat "$tmp/cm.txt"; exit 1; }
+echo "   parallel nests modeled at x24 threads"
 
 echo "topology smoke: PASS"
