@@ -397,7 +397,7 @@ func prefixCounts(dom isl.Set, n int, counts *isl.CountMemo, budget int) ([]int6
 			}
 			proj = next
 		}
-		c, err := counts.CountInt(proj, budget)
+		c, err := counts.Count(proj, budget)
 		if err != nil {
 			return nil, err
 		}

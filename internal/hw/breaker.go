@@ -13,33 +13,6 @@ import (
 // instead of queueing behind a sick driver.
 var ErrBreakerOpen = errors.New("hw: cap breaker open: driver quarantined")
 
-// The breaker state machine lives in internal/breaker (the fleet tier
-// quarantines peers with the same one); these aliases keep hw's
-// historical vocabulary working.
-type (
-	// BreakerState is the circuit breaker's position.
-	BreakerState = breaker.State
-	// BreakerOptions tunes the circuit breaker.
-	BreakerOptions = breaker.Options
-	// BreakerStats are the breaker's reliability counters.
-	BreakerStats = breaker.Stats
-)
-
-// The classic three breaker states.
-const (
-	// BreakerClosed passes every operation through to the driver.
-	BreakerClosed = breaker.Closed
-	// BreakerOpen fast-fails every operation with ErrBreakerOpen.
-	BreakerOpen = breaker.Open
-	// BreakerHalfOpen lets one probe operation through after the
-	// cooldown; its outcome closes or re-opens the breaker.
-	BreakerHalfOpen = breaker.HalfOpen
-)
-
-// DefaultBreakerOptions mirrors a production driver quarantine: trip
-// after 3 consecutive exhausted Applies, probe again after a second.
-func DefaultBreakerOptions() BreakerOptions { return breaker.DefaultOptions() }
-
 // CapBreaker wraps a CapController in a circuit breaker and a mutex: it
 // is the concurrency-safe front door the serving daemon drives the UFS
 // driver through. Consecutive verified-write failures trip it open;
@@ -55,7 +28,7 @@ type CapBreaker struct {
 }
 
 // NewCapBreaker wraps a controller. Zero options fall back to defaults.
-func NewCapBreaker(ctl *CapController, opts BreakerOptions) *CapBreaker {
+func NewCapBreaker(ctl *CapController, opts breaker.Options) *CapBreaker {
 	return &CapBreaker{ctl: ctl, brk: breaker.New(opts)}
 }
 
@@ -133,10 +106,10 @@ func (b *CapBreaker) WithMachine(f func(*Machine) error) error {
 
 // State returns the breaker position, reporting half-open once an open
 // breaker's cooldown has elapsed (the next operation will probe).
-func (b *CapBreaker) State() BreakerState { return b.brk.State() }
+func (b *CapBreaker) State() breaker.State { return b.brk.State() }
 
 // Stats returns the breaker's counters.
-func (b *CapBreaker) Stats() BreakerStats { return b.brk.Stats() }
+func (b *CapBreaker) Stats() breaker.Stats { return b.brk.Stats() }
 
 // ControllerStats returns the wrapped controller's reliability counters.
 func (b *CapBreaker) ControllerStats() CapStats {

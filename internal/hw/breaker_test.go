@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"polyufc/internal/breaker"
 	"polyufc/internal/faults"
 )
 
@@ -28,7 +29,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 }
 
 func testBreaker(m *Machine, threshold int, clk *fakeClock) *CapBreaker {
-	return NewCapBreaker(testController(m), BreakerOptions{
+	return NewCapBreaker(testController(m), breaker.Options{
 		Threshold: threshold,
 		Cooldown:  time.Second,
 		Clock:     clk.Now,
@@ -53,7 +54,7 @@ func TestCapBreakerTripsDegradesAndRecovers(t *testing.T) {
 			t.Fatalf("SetCap %d: err = %v, want ErrCapBusy", i, err)
 		}
 	}
-	if st := b.Stats(); st.State != BreakerOpen || st.Trips != 1 {
+	if st := b.Stats(); st.State != breaker.Open || st.Trips != 1 {
 		t.Fatalf("after threshold failures: %+v, want open with 1 trip", st)
 	}
 
@@ -75,13 +76,13 @@ func TestCapBreakerTripsDegradesAndRecovers(t *testing.T) {
 	// Cooldown elapses with the driver still sick: the probe fails and
 	// re-opens the breaker.
 	clk.Advance(time.Second)
-	if b.State() != BreakerHalfOpen {
+	if b.State() != breaker.HalfOpen {
 		t.Fatalf("state after cooldown = %v, want half-open", b.State())
 	}
 	if _, err := b.SetCap(1.5); !errors.Is(err, ErrCapBusy) {
 		t.Fatalf("probe err = %v, want ErrCapBusy", err)
 	}
-	if st := b.Stats(); st.State != BreakerOpen || st.Trips != 2 || st.Probes != 1 {
+	if st := b.Stats(); st.State != breaker.Open || st.Trips != 2 || st.Probes != 1 {
 		t.Fatalf("after failed probe: %+v", st)
 	}
 	if st := b.Stats(); st.HalfOpens != 1 || st.ProbeFailures != 1 || st.ProbeSuccesses != 0 {
@@ -95,7 +96,7 @@ func TestCapBreakerTripsDegradesAndRecovers(t *testing.T) {
 	if err != nil || got != 1.5 {
 		t.Fatalf("recovery probe: %.1f, %v", got, err)
 	}
-	if st := b.Stats(); st.State != BreakerClosed || st.Recovered != 1 || st.Probes != 2 {
+	if st := b.Stats(); st.State != breaker.Closed || st.Recovered != 1 || st.Probes != 2 {
 		t.Fatalf("after recovery: %+v", st)
 	}
 	if st := b.Stats(); st.HalfOpens != 2 || st.ProbeSuccesses != 1 || st.ProbeFailures != 1 {
@@ -118,7 +119,7 @@ func TestCapBreakerRestoreBypassesOpenBreaker(t *testing.T) {
 	if _, err := b.SetCap(2.0); !errors.Is(err, ErrCapBusy) {
 		t.Fatalf("err = %v", err)
 	}
-	if b.State() != BreakerOpen {
+	if b.State() != breaker.Open {
 		t.Fatalf("state = %v, want open", b.State())
 	}
 	// Every driver write still fails, but Restore's fallback reset path
@@ -131,7 +132,7 @@ func TestCapBreakerRestoreBypassesOpenBreaker(t *testing.T) {
 	}
 	// A fallback reset is not recovery evidence: the driver is still sick,
 	// so the breaker stays open.
-	if b.Stats().State != BreakerOpen {
+	if b.Stats().State != breaker.Open {
 		t.Fatalf("fallback restore closed the breaker: %v", b.Stats().State)
 	}
 }
@@ -154,7 +155,7 @@ func TestCapBreakerSuccessResetsStreak(t *testing.T) {
 		}
 		b.SetCap(1.5)
 	}
-	if st := b.Stats(); st.State != BreakerClosed || st.Trips != 0 {
+	if st := b.Stats(); st.State != breaker.Closed || st.Trips != 0 {
 		t.Fatalf("breaker tripped on a sub-threshold streak: %+v", st)
 	}
 }

@@ -356,7 +356,7 @@ func AccessMap(ivs []string, acc Access) isl.Map {
 func (n *Nest) TripCount() (int64, error) {
 	var total int64
 	for _, si := range n.Statements() {
-		c, err := si.Domain.CountInt(1 << 24)
+		c, err := si.Domain.Count(1 << 24)
 		if err != nil {
 			return 0, err
 		}
@@ -370,7 +370,7 @@ func (n *Nest) TripCount() (int64, error) {
 func (n *Nest) Flops() (int64, error) {
 	var total int64
 	for _, si := range n.Statements() {
-		c, err := si.Domain.CountInt(1 << 24)
+		c, err := si.Domain.Count(1 << 24)
 		if err != nil {
 			return 0, err
 		}

@@ -63,7 +63,7 @@ func TestNestStatementsAndDomain(t *testing.T) {
 	if got := si.IVNames(); len(got) != 3 || got[0] != "i" || got[2] != "k" {
 		t.Fatalf("IVs = %v", got)
 	}
-	n, err := si.Domain.CountInt(1 << 20)
+	n, err := si.Domain.Count(1 << 20)
 	if err != nil || n != 10*20*30 {
 		t.Fatalf("domain count = %d (%v)", n, err)
 	}

@@ -45,7 +45,7 @@ func benchCount(b *testing.B, kernel string) {
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		for _, d := range doms {
-			if _, err := d.CountInt(1 << 22); err != nil {
+			if _, err := d.Count(1 << 22); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/big"
 
 	"polyufc/internal/checked"
 	"polyufc/internal/poly"
@@ -18,19 +17,19 @@ var ErrNotCountable = errors.New("isl: set outside the symbolically countable cl
 // (parameter-free) set. Basic sets are made disjoint before counting so the
 // union cardinality is exact. Symbolic Faulhaber summation is used for the
 // loop-nest-form class (including constant-size tiled domains); basic sets
-// outside that class fall back to bounded enumeration with the given point
-// budget.
-func (s Set) Count(enumLimit int) (*big.Rat, error) {
+// outside that class, or whose count overflows a machine word on the way,
+// fall back to bounded enumeration with the given point budget.
+func (s Set) Count(enumLimit int) (int64, error) {
 	if s.Sp.NumParams() != 0 {
-		return nil, errors.New("isl: Count requires instantiated parameters")
+		return 0, errors.New("isl: Count requires instantiated parameters")
 	}
 	return s.Coalesce().countCoalesced(enumLimit)
 }
 
 // countCoalesced is Count on a parameter-free set whose basic sets are
 // already deduplicated.
-func (s Set) countCoalesced(enumLimit int) (*big.Rat, error) {
-	total := new(big.Rat)
+func (s Set) countCoalesced(enumLimit int) (int64, error) {
+	var total int64
 	// Disjointify: piece_i = basic_i minus basics already counted.
 	var counted []BasicSet
 	for _, b := range s.Basics {
@@ -42,84 +41,54 @@ func (s Set) countCoalesced(enumLimit int) (*big.Rat, error) {
 			if !exact {
 				// Projection during subtraction lost precision; count the
 				// whole union by enumeration instead.
-				n, err := s.CountEnumerate(enumLimit)
-				if err != nil {
-					return nil, err
-				}
-				return big.NewRat(n, 1), nil
+				return s.CountEnumerate(enumLimit)
 			}
 		}
 		for _, pb := range piece.Basics {
 			c, err := pb.Count(enumLimit)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			total.Add(total, c)
+			var ok bool
+			if total, ok = checked.Add(total, c); !ok {
+				return 0, errors.New("isl: count does not fit int64")
+			}
 		}
 		counted = append(counted, b)
 	}
 	return total, nil
 }
 
-// CountInt is Count returning an int64; it errors if the result is not an
-// integer that fits (which would indicate an internal bug).
-func (s Set) CountInt(enumLimit int) (int64, error) {
-	r, err := s.Count(enumLimit)
-	if err != nil {
-		return 0, err
-	}
-	return ratInt64(r)
-}
-
-func ratInt64(r *big.Rat) (int64, error) {
-	if !r.IsInt() || !r.Num().IsInt64() {
-		return 0, fmt.Errorf("isl: non-integer count %s", r.RatString())
-	}
-	return r.Num().Int64(), nil
-}
-
 // Count returns the number of integer points in the instantiated basic set,
 // using symbolic summation where possible and bounded enumeration
 // otherwise.
-func (b BasicSet) Count(enumLimit int) (*big.Rat, error) {
+func (b BasicSet) Count(enumLimit int) (int64, error) {
 	if b.markedEmpty {
-		return new(big.Rat), nil
+		return 0, nil
 	}
 	if b.Sp.NumParams() != 0 {
-		return nil, errors.New("isl: Count requires instantiated parameters")
+		return 0, errors.New("isl: Count requires instantiated parameters")
 	}
 	work := b
 	if work.NExist > 0 {
 		elim, exact := work.EliminateExists()
-		if exact {
-			work = elim
-		} else {
-			return b.countByEnumeration(enumLimit)
+		if !exact {
+			return FromBasic(b).CountEnumerate(enumLimit)
 		}
+		work = elim
 	}
 	n, err := countSymbolic(work)
-	if err == nil {
-		return n, nil
-	}
 	if errors.Is(err, ErrNotCountable) {
-		return b.countByEnumeration(enumLimit)
+		return FromBasic(b).CountEnumerate(enumLimit)
 	}
-	return nil, err
-}
-
-func (b BasicSet) countByEnumeration(limit int) (*big.Rat, error) {
-	n, err := FromBasic(b).CountEnumerate(limit)
-	if err != nil {
-		return nil, err
-	}
-	return big.NewRat(n, 1), nil
+	return n, err
 }
 
 // countSymbolic counts a parameter-free, existential-free basic set: the
 // counting recursion with no parameter columns, whose leaves are constants.
-func countSymbolic(b BasicSet) (*big.Rat, error) {
+func countSymbolic(b BasicSet) (int64, error) {
 	nv := b.Sp.NumVars()
-	total := new(big.Rat)
+	var total int64
 	budget := maxCountNodes
 	// countRec never writes to a row, so the set's own rows serve.
 	err := countRec(b.cons, nv, 0, nv, poly.ConstInt(nv, 1), 0, &budget, func(rows []con, body poly.Poly) error {
@@ -134,13 +103,15 @@ func countSymbolic(b BasicSet) (*big.Rat, error) {
 		}
 		c, ok := body.IsConst()
 		if !ok {
-			return fmt.Errorf("isl: internal: non-constant body after elimination")
+			return fmt.Errorf("isl: internal: body %s is not an integer constant after elimination", body)
 		}
-		total.Add(total, c)
+		if total, ok = checked.Add(total, c); !ok {
+			return ErrNotCountable
+		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	return total, nil
 }
@@ -162,15 +133,18 @@ type countLeaf func(rows []con, body poly.Poly) error
 // remaining dims are eliminated innermost-first. Multiple lower (upper)
 // bounds on a dim induce a chamber split on which bound is maximal
 // (minimal); the per-dim sum uses Faulhaber's closed form. Every chamber
-// that may hold points reaches leaf. Arithmetic that would leave int64
-// makes the set not countable here, so the caller falls back to
-// enumeration.
+// that may hold points reaches leaf. Arithmetic that would leave int64,
+// in a row or in the body polynomial, makes the set not countable here, so
+// the caller falls back to enumeration.
 func countRec(rows []con, nv, np, remaining int, body poly.Poly, depth int, budget *int, leaf countLeaf) error {
 	if depth > maxChamberDepth {
 		return ErrNotCountable
 	}
 	*budget--
 	if *budget <= 0 {
+		return ErrNotCountable
+	}
+	if body.Overflowed() {
 		return ErrNotCountable
 	}
 	if remaining == 0 {

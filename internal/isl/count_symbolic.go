@@ -2,9 +2,9 @@ package isl
 
 import (
 	"fmt"
-	"math/big"
 	"strings"
 
+	"polyufc/internal/checked"
 	"polyufc/internal/poly"
 )
 
@@ -18,19 +18,22 @@ type Piece struct {
 	Guards []ConstraintView
 }
 
-// Eval evaluates the piece at concrete parameter values; ok reports
-// whether the guards hold there.
-func (p Piece) Eval(params []int64) (*big.Rat, bool) {
+// Eval evaluates the piece at concrete parameter values: its count where
+// every guard holds, and zero elsewhere. ok is false when the count, or a
+// guard's value, does not fit an int64.
+func (p Piece) Eval(params []int64) (n int64, ok bool) {
 	for _, g := range p.Guards {
 		v := g.Const
 		for i, c := range g.Coef {
-			v += c * params[i]
+			if v, ok = mulAdd(v, c, params[i]); !ok {
+				return 0, false
+			}
 		}
 		if (g.Kind == EQ && v != 0) || (g.Kind == GE && v < 0) {
-			return nil, false
+			return 0, true
 		}
 	}
-	return p.Count.EvalInt(params), true
+	return p.Count.EvalInt64(params)
 }
 
 // Format renders the piece with the given parameter names.
@@ -86,9 +89,9 @@ func (b BasicSet) CountSymbolic() ([]Piece, error) {
 	budget := maxCountNodes
 	err := countRec(b.cons, nv, np, nd, poly.ConstInt(nv, 1), 0, &budget, func(rows []con, body poly.Poly) error {
 		// Compress the polynomial and the guards to the parameter columns.
-		cp, err := compressToParams(body, np, nv)
-		if err != nil || cp.IsZero() {
-			return err
+		cp := body.Resize(np)
+		if cp.IsZero() {
+			return nil
 		}
 		var guards []ConstraintView
 		for _, g := range rows {
@@ -122,63 +125,19 @@ func isConstRow(coef []int64) bool {
 	return true
 }
 
-// compressToParams re-expresses a polynomial over [params|dims] columns in
-// the parameter space, verifying no dimension variable survived.
-func compressToParams(p poly.Poly, np, nv int) (poly.Poly, error) {
-	for i := np; i < nv; i++ {
-		if p.DegreeOf(i) > 0 {
-			return poly.Poly{}, fmt.Errorf("isl: internal: dimension survived symbolic count")
-		}
-	}
-	return transferPoly(p, np, nv), nil
-}
-
-// transferPoly maps a polynomial using only the first np columns of an
-// nv-column space into an np-column space.
-func transferPoly(p poly.Poly, np, nv int) poly.Poly {
-	out := poly.New(np)
-	// Enumerate monomials by evaluating coefficients: use Coeff via
-	// exponent enumeration up to the polynomial's degree in each var.
-	degs := make([]int, np)
-	for i := 0; i < np; i++ {
-		degs[i] = p.DegreeOf(i)
-	}
-	var rec func(i int, exps []int)
-	rec = func(i int, exps []int) {
-		if i == np {
-			full := make([]int, nv)
-			copy(full, exps)
-			c := p.Coeff(full)
-			if c.Sign() != 0 {
-				mono := poly.Const(np, c)
-				for v, e := range exps {
-					if e > 0 {
-						mono = mono.Mul(poly.Var(np, v).Pow(e))
-					}
-				}
-				out = out.Add(mono)
-			}
-			return
-		}
-		for e := 0; e <= degs[i]; e++ {
-			exps[i] = e
-			rec(i+1, exps)
-		}
-		exps[i] = 0
-	}
-	rec(0, make([]int, np))
-	return out
-}
-
-// EvalPieces sums the applicable pieces at concrete parameter values —
-// chambers are disjoint, so at most one applies per basic set, but callers
-// may hold pieces from several basic sets.
-func EvalPieces(pieces []Piece, params []int64) *big.Rat {
-	total := new(big.Rat)
+// EvalPieces sums the pieces at concrete parameter values — chambers are
+// disjoint, so at most one applies per basic set, but callers may hold
+// pieces from several basic sets. ok is false when the sum does not fit an
+// int64.
+func EvalPieces(pieces []Piece, params []int64) (n int64, ok bool) {
 	for _, p := range pieces {
-		if v, ok := p.Eval(params); ok {
-			total.Add(total, v)
+		v, ok := p.Eval(params)
+		if ok {
+			n, ok = checked.Add(n, v)
+		}
+		if !ok {
+			return 0, false
 		}
 	}
-	return total
+	return n, true
 }

@@ -74,7 +74,7 @@ func TestCountMatchesEnumerationOnTiledDomains(t *testing.T) {
 			dom := n.Statements()[0].Domain
 			what := fmt.Sprintf("iter %d tile %d domain %s", iter, tile, dom)
 			for dims := len(dom.Sp.Out); ; dims-- {
-				got, err := dom.CountInt(1 << 22)
+				got, err := dom.Count(1 << 22)
 				if err != nil {
 					t.Fatalf("%s: Count: %v", what, err)
 				}
@@ -122,7 +122,7 @@ func TestConcurrentCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := tiled.Statements()[0].Domain.CountInt(1 << 22)
+		want, err := tiled.Statements()[0].Domain.Count(1 << 22)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestConcurrentCounts(t *testing.T) {
 			defer wg.Done()
 			for _, j := range jobs {
 				dom := j.nest.Statements()[0].Domain
-				if got, err := dom.CountInt(1 << 22); err != nil || got != j.want {
+				if got, err := dom.Count(1 << 22); err != nil || got != j.want {
 					t.Errorf("concurrent count = %d, %v; want %d", got, err, j.want)
 				}
 				for d := range dom.Sp.Out {

@@ -6,8 +6,8 @@ import (
 	"polyufc/internal/isl"
 )
 
-// ExampleSet_CountInt counts a tiled iteration domain exactly.
-func ExampleSet_CountInt() {
+// ExampleSet_Count counts a tiled iteration domain exactly.
+func ExampleSet_Count() {
 	// {[t, i] : 0 <= i < 100, 32t <= i <= 32t+31, t >= 0}: the tiled form
 	// of a 100-iteration loop.
 	sp := isl.NewSetSpace(nil, []string{"t", "i"})
@@ -17,7 +17,7 @@ func ExampleSet_CountInt() {
 	b.AddGE(sp.ConstExpr(99).Sub(sp.VarExpr(1)))
 	b.AddGE(sp.VarExpr(1).Sub(sp.VarExpr(0).Scale(32)))
 	b.AddGE(sp.VarExpr(0).Scale(32).AddConst(31).Sub(sp.VarExpr(1)))
-	n, err := isl.FromBasic(b).CountInt(1 << 20)
+	n, err := isl.FromBasic(b).Count(1 << 20)
 	if err != nil {
 		panic(err)
 	}

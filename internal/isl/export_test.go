@@ -1,13 +1,11 @@
 package isl
 
-import "math/big"
-
 // CountSymbolicOnly is BasicSet.Count without the enumeration fallback, so
 // a test can tell a symbolic count from an enumerated one.
-func (b BasicSet) CountSymbolicOnly() (*big.Rat, error) {
+func (b BasicSet) CountSymbolicOnly() (int64, error) {
 	elim, exact := b.EliminateExists()
 	if !exact {
-		return nil, ErrNotCountable
+		return 0, ErrNotCountable
 	}
 	return countSymbolic(elim)
 }

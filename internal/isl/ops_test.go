@@ -32,8 +32,8 @@ func TestRemoveRedundancies(t *testing.T) {
 	if r.NumConstraints() != 2 {
 		t.Fatalf("kept %d constraints: %s", r.NumConstraints(), r)
 	}
-	n1, _ := FromBasic(b).CountInt(1 << 16)
-	n2, _ := FromBasic(r).CountInt(1 << 16)
+	n1, _ := FromBasic(b).Count(1 << 16)
+	n2, _ := FromBasic(r).Count(1 << 16)
 	if n1 != n2 {
 		t.Fatalf("simplification changed cardinality %d -> %d", n1, n2)
 	}

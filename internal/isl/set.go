@@ -292,8 +292,8 @@ type CountMemo struct {
 	key    []byte
 }
 
-// CountInt is Set.CountInt through the memo.
-func (m *CountMemo) CountInt(s Set, enumLimit int) (int64, error) {
+// Count is Set.Count through the memo.
+func (m *CountMemo) Count(s Set, enumLimit int) (int64, error) {
 	if s.Sp.NumParams() != 0 {
 		return 0, errors.New("isl: Count requires instantiated parameters")
 	}
@@ -302,11 +302,7 @@ func (m *CountMemo) CountInt(s Set, enumLimit int) (int64, error) {
 	if n, ok := m.counts[string(m.key)]; ok {
 		return n, nil
 	}
-	r, err := co.countCoalesced(enumLimit)
-	if err != nil {
-		return 0, err
-	}
-	n, err := ratInt64(r)
+	n, err := co.countCoalesced(enumLimit)
 	if err != nil {
 		return 0, err
 	}

@@ -53,27 +53,36 @@ func Bernoulli(n int) *big.Rat {
 	return new(big.Rat).Set(bernoulliCache.vals[n])
 }
 
+// frac is a rational num/den in lowest terms with den > 0.
+type frac struct{ num, den int64 }
+
 // faulhaberCache memoizes the coefficients of the Faulhaber polynomials:
 // every summation of a given degree reads the same few rationals.
 var faulhaberCache struct {
 	sync.Mutex
-	coefs [][]*big.Rat
+	coefs [][]frac
 }
 
 // faulhaber returns the coefficients of S_k: f[j] multiplies n^j, for
-// j = 0..k+1 (f[0] is zero). The slice is shared and must not be modified.
-func faulhaber(k int) []*big.Rat {
+// j = 0..k+1 (f[0] is zero). It returns nil when a coefficient does not fit
+// int64. The slice is shared and must not be modified.
+func faulhaber(k int) []frac {
 	faulhaberCache.Lock()
 	defer faulhaberCache.Unlock()
 	for d := len(faulhaberCache.coefs); d <= k; d++ {
 		// S_d(n) = 1/(d+1) * sum_{j=0}^{d} C(d+1, j) B+_j n^{d+1-j}
-		f := make([]*big.Rat, d+2)
-		f[0] = new(big.Rat)
+		f := make([]frac, d+2)
+		f[0] = frac{0, 1}
 		c := big.NewInt(1) // C(d+1, j)
 		dp1 := big.NewInt(int64(d + 1))
 		for j := 0; j <= d; j++ {
 			coef := new(big.Rat).Mul(new(big.Rat).SetInt(c), Bernoulli(j))
-			f[d+1-j] = coef.Quo(coef, new(big.Rat).SetInt(dp1))
+			coef.Quo(coef, new(big.Rat).SetInt(dp1))
+			if !coef.Num().IsInt64() || !coef.Denom().IsInt64() {
+				f = nil
+				break
+			}
+			f[d+1-j] = frac{coef.Num().Int64(), coef.Denom().Int64()}
 			c.Mul(c, new(big.Int).Sub(dp1, big.NewInt(int64(j))))
 			c.Quo(c, big.NewInt(int64(j+1)))
 		}
@@ -86,15 +95,20 @@ func faulhaber(k int) []*big.Rat {
 // S_k(n) = sum_{x=1}^{n} x^k for all integers n >= 0, and, as a polynomial
 // identity, S_k(n) - S_k(n-1) = n^k for every integer n. The latter makes
 // the telescoping identity sum_{x=L}^{U} x^k = S_k(U) - S_k(L-1) valid for
-// arbitrary integer bounds with U >= L-1.
+// arbitrary integer bounds with U >= L-1. It is overflowed when a
+// coefficient does not fit int64.
 func SumPow(k int) Poly {
 	if k < 0 {
 		panic("poly: negative power in SumPow")
 	}
 	res := New(1)
+	f := faulhaber(k)
+	if f == nil {
+		return res.overflowed()
+	}
 	pow := ConstInt(1, 1)
-	for _, c := range faulhaber(k) {
-		res = res.Add(pow.Scale(c))
+	for _, c := range f {
+		res = res.Add(pow.scale(c.num, c.den))
 		pow = pow.Mul(Var(1, 0))
 	}
 	return res
@@ -114,6 +128,9 @@ func SumVar(p Poly, i int, L, U Poly) Poly {
 	if L.n != n || U.n != n {
 		panic("poly: bound variable space mismatch")
 	}
+	if p.Overflowed() || L.Overflowed() || U.Overflowed() {
+		return p.overflowed()
+	}
 	// p = sum_d parts[d] * x_i^d sums to
 	// sum_d parts[d] * (S_d(U) - S_d(L-1)), and
 	// S_d(U) - S_d(L-1) = sum_j f_d[j] * (U^j - (L-1)^j): the power
@@ -131,10 +148,14 @@ func SumVar(p Poly, i int, L, U Poly) Poly {
 		if part.IsZero() {
 			continue
 		}
+		f := faulhaber(d)
+		if f == nil {
+			return p.overflowed()
+		}
 		span := New(n)
-		for j, f := range faulhaber(d) {
-			if f.Sign() != 0 {
-				span = span.Add(diffs[j].Scale(f))
+		for j, c := range f {
+			if c.num != 0 {
+				span = span.Add(diffs[j].scale(c.num, c.den))
 			}
 		}
 		result = result.Add(part.Mul(span))

@@ -17,13 +17,42 @@ type ref struct {
 
 func newRef(n int) ref { return ref{n: n, t: map[string]*big.Rat{}} }
 
-// refOf reads p back through its math/big view.
+// refOf reads a machine-word polynomial into the reference form.
 func refOf(p Poly) ref {
 	r := newRef(p.n)
-	for k, c := range p.promote() {
-		r.t[k] = new(big.Rat).Set(c)
+	for _, t := range p.terms {
+		key := make([]byte, p.n)
+		for i := range key {
+			key[i] = byte(p.exp(t.key, i))
+		}
+		r.t[string(key)] = big.NewRat(t.num, p.den)
 	}
 	return r
+}
+
+// fits reports whether r has a machine-word form with w-bit exponent
+// fields: every exponent below 1<<w, and the common denominator and every
+// numerator over it within int64.
+func (r ref) fits(w uint8) bool {
+	den := big.NewInt(1)
+	for k, c := range r.t {
+		for _, e := range []byte(k) {
+			if int(e) >= 1<<w {
+				return false
+			}
+		}
+		g := new(big.Int).GCD(nil, nil, den, c.Denom())
+		den.Mul(den, new(big.Int).Quo(c.Denom(), g))
+	}
+	if !den.IsInt64() {
+		return false
+	}
+	for _, c := range r.t {
+		if num := new(big.Int).Mul(c.Num(), new(big.Int).Quo(den, c.Denom())); !num.IsInt64() {
+			return false
+		}
+	}
+	return true
 }
 
 func (r ref) addTerm(key string, c *big.Rat) {
@@ -185,19 +214,14 @@ func (r ref) equal(q ref) bool {
 	return true
 }
 
-// checkForm verifies the representation invariants of the machine-word
-// form: sorted distinct keys, no zero numerator, positive denominator in
-// lowest terms with the numerators.
+// checkForm verifies the representation invariants: sorted distinct keys,
+// no zero numerator, positive denominator in lowest terms with the
+// numerators; an overflowed polynomial has no terms.
 func checkForm(t testing.TB, what string, p Poly) {
 	t.Helper()
-	if p.big != nil {
-		if len(p.terms) != 0 {
-			t.Fatalf("%s: promoted polynomial kept word terms", what)
-		}
-		for k, c := range p.big {
-			if len(k) != p.n || c.Sign() == 0 {
-				t.Fatalf("%s: bad big term %q -> %s", what, k, c)
-			}
+	if p.Overflowed() {
+		if len(p.terms) != 0 || p.IsZero() {
+			t.Fatalf("%s: overflowed polynomial kept terms or reads as zero", what)
 		}
 		return
 	}
@@ -222,11 +246,14 @@ func checkForm(t testing.TB, what string, p Poly) {
 	}
 }
 
-// agree asserts that p is exactly the reference polynomial want, through
-// the term view and through every exported reader.
+// agree asserts that the word polynomial p is exactly the reference
+// polynomial want, through the term view and through every exported reader.
 func agree(t testing.TB, what string, p Poly, want ref) {
 	t.Helper()
 	checkForm(t, what, p)
+	if p.Overflowed() {
+		t.Fatalf("%s: overflowed, reference %v fits", what, want.t)
+	}
 	if got := refOf(p); !got.equal(want) {
 		t.Fatalf("%s: got %s, reference has %d terms %v", what, p, len(want.t), want.t)
 	}
@@ -244,15 +271,44 @@ func agree(t testing.TB, what string, p Poly, want ref) {
 		for i := range exps {
 			exps[i] = int(k[i])
 		}
-		if got := p.Coeff(exps); got.Cmp(c) != 0 {
-			t.Fatalf("%s: Coeff(%v) = %s, reference %s", what, exps, got, c)
+		if num, den, ok := p.Coeff(exps); !ok || big.NewRat(num, den).Cmp(c) != 0 {
+			t.Fatalf("%s: Coeff(%v) = %d/%d, %v; reference %s", what, exps, num, den, ok, c)
 		}
 	}
 	c, isConst := p.IsConst()
 	zero := string(make([]byte, want.n))
-	wantConst := len(want.t) == 0 || (len(want.t) == 1 && want.t[zero] != nil)
-	if isConst != wantConst || (isConst && len(want.t) == 1 && c.Cmp(want.t[zero]) != 0) {
-		t.Fatalf("%s: IsConst = %v, %v; reference const %v", what, c, isConst, wantConst)
+	wc := want.t[zero]
+	wantConst := len(want.t) == 0 || (len(want.t) == 1 && wc != nil && wc.IsInt())
+	if isConst != wantConst || (isConst && len(want.t) == 1 && wc.Cmp(big.NewRat(c, 1)) != 0) {
+		t.Fatalf("%s: IsConst = %d, %v; reference integer constant %v", what, c, isConst, wantConst)
+	}
+}
+
+// overflowStats counts, over one test, the results the reference could
+// not hold in words (each must be overflowed) and the ones it could but
+// an intermediate word could not (a sum or product before cancellation).
+type overflowStats struct{ beyond, intermediate, words int }
+
+// check asserts the overflow contract for one result: a result computed
+// from an overflowed operand is overflowed; one the reference cannot hold
+// in words is overflowed; and a result that is not overflowed equals the
+// reference exactly.
+func (st *overflowStats) check(t testing.TB, what string, got Poly, want ref, fromOverflowed bool) {
+	t.Helper()
+	checkForm(t, what, got)
+	switch fits := want.fits(got.w); {
+	case fromOverflowed && !got.Overflowed():
+		t.Fatalf("%s: an overflowed operand gave %s", what, got)
+	case fromOverflowed:
+	case !fits && !got.Overflowed():
+		t.Fatalf("%s: reference %v does not fit words, got %s", what, want.t, got)
+	case !fits:
+		st.beyond++
+	case got.Overflowed():
+		st.intermediate++
+	default:
+		agree(t, what, got, want)
+		st.words++
 	}
 }
 
@@ -276,15 +332,19 @@ func randInt(r *rand.Rand, wild bool) int64 {
 	return v
 }
 
-func randRat(r *rand.Rand, wild bool) *big.Rat {
-	den := randInt(r, wild)
-	if !wild {
-		den = 1 + r.Int63n(3)
-	} else if den == 0 {
-		den = 1
+// randRat returns a random rational in lowest terms, as the num/den pair
+// the word form takes and as a big.Rat.
+func randRat(r *rand.Rand, wild bool) (num, den int64, c *big.Rat) {
+	num, den = randInt(r, wild), 1+r.Int63n(3)
+	if wild {
+		if den = randInt(r, true); den == 0 || den == math.MinInt64 {
+			den = 1
+		}
+		den = max(den, -den)
 	}
-	// big.NewRat mishandles MinInt64 denominators; build from Ints.
-	return new(big.Rat).SetFrac(big.NewInt(randInt(r, wild)), big.NewInt(den))
+	g := int64(gcd(magnitude(num), uint64(den)))
+	num, den = num/g, den/g
+	return num, den, big.NewRat(num, den)
 }
 
 // randPair builds the same random polynomial through the exported
@@ -292,8 +352,8 @@ func randRat(r *rand.Rand, wild bool) *big.Rat {
 func randPair(r *rand.Rand, n, maxExp int, wild bool) (Poly, ref) {
 	p, q := New(n), newRef(n)
 	for range r.Intn(5) {
-		c := randRat(r, wild)
-		mono, key := Const(n, c), make([]byte, n)
+		num, den, c := randRat(r, wild)
+		mono, key := ConstInt(n, 1).scale(num, den), make([]byte, n)
 		for v := 0; v < n; v++ {
 			if n > 4 && r.Intn(3) != 0 {
 				continue
@@ -308,46 +368,78 @@ func randPair(r *rand.Rand, n, maxExp int, wild bool) (Poly, ref) {
 	return p, q
 }
 
-// diffOps applies every exported operation to one operand set and compares
-// each result with the reference. It reports whether any result needed
-// math/big.
-func diffOps(t testing.TB, r *rand.Rand, n, maxExp int, wild bool) (promoted bool) {
+// evalFits reports whether every word EvalInt64 computes for p at pt fits
+// an int64: each term's value, built up one factor at a time, and each
+// partial sum.
+func evalFits(p Poly, pt []int64) bool {
+	sum := new(big.Int)
+	for _, t := range p.terms {
+		v := big.NewInt(t.num)
+		for i, x := range pt {
+			for e := p.exp(t.key, i); e > 0; e-- {
+				if !v.Mul(v, big.NewInt(x)).IsInt64() {
+					return false
+				}
+			}
+		}
+		if !sum.Add(sum, v).IsInt64() {
+			return false
+		}
+	}
+	return true
+}
+
+// diffOps applies every operation to one operand set and checks each
+// result against the reference under the overflow contract.
+func diffOps(t testing.TB, r *rand.Rand, n, maxExp int, wild bool, st *overflowStats) {
 	a, ra := randPair(r, n, maxExp, wild)
 	b, rb := randPair(r, n, maxExp, wild)
-	agree(t, "operand a", a, ra)
-	agree(t, "operand b", b, rb)
-	c := randRat(r, wild)
+	st.check(t, "operand a", a, ra, false)
+	st.check(t, "operand b", b, rb, false)
+	cn, cd, c := randRat(r, wild)
 	ci := randInt(r, wild)
 	i := r.Intn(n)
 	// Summation bounds may not involve the summed variable.
 	one, rone := ConstInt(n, 1), refConst(n, big.NewRat(1, 1))
 	lo, rlo := b.SubstPoly(i, one), rb.subst(i, rone)
 	hi, rhi := a.SubstPoly(i, one), ra.subst(i, rone)
+	wide := a.Resize(n + 3)
+	ao, bo := a.Overflowed(), b.Overflowed()
 
 	results := []struct {
 		what string
 		got  Poly
 		want ref
+		from bool // an operand was overflowed
 	}{
-		{"Add", a.Add(b), ra.add(rb, 1)},
-		{"Sub", a.Sub(b), ra.add(rb, -1)},
-		{"Neg", a.Neg(), ra.scale(big.NewRat(-1, 1))},
-		{"Scale", a.Scale(c), ra.scale(c)},
-		{"ScaleInt", a.ScaleInt(ci), ra.scale(new(big.Rat).SetInt64(ci))},
-		{"Mul", a.Mul(b), ra.mul(rb)},
-		{"Pow", a.Pow(2), ra.pow(2)},
-		{"SubstPoly", a.SubstPoly(i, b), ra.subst(i, rb)},
-		{"SumVar", SumVar(a, i, lo, hi), ra.sumVar(i, rlo, rhi)},
-		{"ExtendVars", a.ExtendVars(n + 3), ra.extend(n + 3)},
-		{"Const", Const(n, c), refConst(n, c)},
-		{"ConstInt", ConstInt(n, ci), refConst(n, new(big.Rat).SetInt64(ci))},
+		{"Add", a.Add(b), ra.add(rb, 1), ao || bo},
+		{"Sub", a.Sub(b), ra.add(rb, -1), ao || bo},
+		{"Neg", a.Neg(), ra.scale(big.NewRat(-1, 1)), ao},
+		{"scale", a.scale(cn, cd), ra.scale(c), ao},
+		{"ScaleInt", a.ScaleInt(ci), ra.scale(new(big.Rat).SetInt64(ci)), ao},
+		{"Mul", a.Mul(b), ra.mul(rb), ao || bo},
+		{"Pow", a.Pow(2), ra.pow(2), ao},
+		{"SubstPoly", a.SubstPoly(i, b), ra.subst(i, rb), ao || bo},
+		{"SumVar", SumVar(a, i, lo, hi), ra.sumVar(i, rlo, rhi), ao || lo.Overflowed() || hi.Overflowed()},
+		{"Resize up", wide, ra.extend(n + 3), ao},
+		{"Resize down", wide.Resize(n), ra, wide.Overflowed()},
+		{"constant", ConstInt(n, 1).scale(cn, cd), refConst(n, c), false},
+		{"ConstInt", ConstInt(n, ci), refConst(n, new(big.Rat).SetInt64(ci)), false},
 	}
 	for _, res := range results {
-		agree(t, res.what, res.got, res.want)
-		promoted = promoted || res.got.big != nil
+		st.check(t, res.what, res.got, res.want, res.from)
 	}
-	if a.Equal(b) != ra.equal(rb) || !a.Equal(a.Add(b).Sub(b)) {
+	if !ao && !bo && a.Equal(b) != ra.equal(rb) {
 		t.Fatalf("Equal disagrees with the reference on %s vs %s", a, b)
+	}
+	if back := a.Add(b).Sub(b); !back.Overflowed() && !a.Equal(back) {
+		t.Fatalf("(a + b) - b = %s, a = %s", back, a)
+	}
+	if ao && a.Equal(a) {
+		t.Fatal("an overflowed polynomial equals itself")
+	}
+	if ao {
+		return
 	}
 	pt, ipt := make([]*big.Rat, n), make([]int64, n)
 	for v := range pt {
@@ -355,89 +447,96 @@ func diffOps(t testing.TB, r *rand.Rand, n, maxExp int, wild bool) (promoted boo
 		pt[v] = big.NewRat(ipt[v], 1)
 	}
 	want := ra.eval(pt)
-	if got := a.Eval(pt); got.Cmp(want) != 0 {
-		t.Fatalf("Eval(%v) of %s = %s, reference %s", ipt, a, got, want)
-	}
-	if got := a.EvalInt(ipt); got.Cmp(want) != 0 {
-		t.Fatalf("EvalInt(%v) of %s = %s, reference %s", ipt, a, got, want)
-	}
-	v, ok := a.EvalInt64(ipt)
 	wantOK := want.IsInt() && want.Num().IsInt64()
-	if ok != wantOK || (ok && v != want.Num().Int64()) {
-		t.Fatalf("EvalInt64(%v) of %s = %d, %v; reference %s", ipt, a, v, ok, want)
+	switch v, ok := a.EvalInt64(ipt); {
+	case ok && (!wantOK || v != want.Num().Int64()):
+		t.Fatalf("EvalInt64(%v) of %s = %d; reference %s", ipt, a, v, want)
+	case !ok && wantOK && evalFits(a, ipt):
+		t.Fatalf("EvalInt64(%v) of %s refused %s, and every word fits", ipt, a, want)
 	}
-	return promoted
 }
 
-// TestDifferentialAgainstBigRat runs every exported operation on random
-// operands against the math/big reference: small operands, which must stay
-// in machine words, and operands chosen around the int64 and exponent-field
-// limits, which must promote and still agree.
+// TestDifferentialAgainstBigRat runs every operation on random operands
+// against the math/big reference: small operands, which must never
+// overflow, and operands chosen around the int64 and exponent-field
+// limits, where a result the reference cannot hold in words must report
+// overflow and a result that does not must equal the reference.
 func TestDifferentialAgainstBigRat(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
+	var small overflowStats
 	for _, n := range []int{1, 3, 8} {
 		for iter := 0; iter < 300; iter++ {
-			if diffOps(t, r, n, 3, false) {
-				t.Fatalf("n=%d: small operands left the machine-word form", n)
-			}
+			diffOps(t, r, n, 3, false, &small)
 		}
 	}
-	promotions := 0
+	if small.beyond+small.intermediate > 0 {
+		t.Fatalf("small operands overflowed: %+v", small)
+	}
+	var wild overflowStats
 	// n = 12 and 20 pack exponents in 5 and 3 bits, which the powers inside
-	// SumVar and SubstPoly overflow; n = 70 has no packed form at all.
+	// SumVar and SubstPoly overflow; n = 70 has no variable fields at all.
 	for _, tc := range []struct{ n, maxExp int }{{1, 3}, {2, 3}, {4, 2}, {9, 3}, {12, 5}, {20, 2}, {70, 2}} {
 		for iter := 0; iter < 300; iter++ {
-			if diffOps(t, r, tc.n, tc.maxExp, true) {
-				promotions++
-			}
+			diffOps(t, r, tc.n, tc.maxExp, true, &wild)
 		}
 	}
-	if promotions < 100 {
-		t.Fatalf("only %d operand sets exercised the promotion path", promotions)
+	t.Logf("wild operands: %d results in words, %d beyond words, %d overflowed in an intermediate word",
+		wild.words, wild.beyond, wild.intermediate)
+	if wild.beyond < 100 || wild.words < 100 {
+		t.Fatalf("the wild operands did not exercise both sides of the limit: %+v", wild)
 	}
 }
 
-// TestPromotionAtTheBoundary pins the exact edge: the last product and sum
-// that fit stay in machine words, the next ones promote, and both are
-// right.
-func TestPromotionAtTheBoundary(t *testing.T) {
+// TestOverflowAtTheBoundary pins the exact edge: the last product, sum,
+// exponent and denominator that fit stay in words, the next ones report
+// overflow, and an overflowed polynomial stays overflowed.
+func TestOverflowAtTheBoundary(t *testing.T) {
 	x := Var(1, 0)
 	fits := x.ScaleInt(3037000499).Mul(x.ScaleInt(3037000499))
 	over := x.ScaleInt(3037000500).Mul(x.ScaleInt(3037000500))
-	if fits.big != nil || over.big == nil {
-		t.Fatalf("Mul: promoted = %v / %v, want false / true", fits.big != nil, over.big != nil)
+	if fits.Overflowed() || !over.Overflowed() {
+		t.Fatalf("Mul: overflowed = %v / %v, want false / true", fits.Overflowed(), over.Overflowed())
 	}
-	want := new(big.Rat).SetInt(new(big.Int).Mul(big.NewInt(3037000500), big.NewInt(3037000500)))
-	if got := over.Coeff([]int{2}); got.Cmp(want) != 0 {
-		t.Fatalf("promoted product coefficient %s, want %s", got, want)
+	if num, den, ok := fits.Coeff([]int{2}); !ok || num != 3037000499*3037000499 || den != 1 {
+		t.Fatalf("product coefficient %d/%d, %v", num, den, ok)
 	}
 	top := ConstInt(1, math.MaxInt64)
-	if s := top.Add(ConstInt(1, -1)); s.big != nil {
-		t.Fatal("MaxInt64 - 1 promoted")
+	if s := top.Add(ConstInt(1, -1)); s.Overflowed() {
+		t.Fatal("MaxInt64 - 1 overflowed")
 	}
 	s := top.Add(ConstInt(1, 1))
-	if s.big == nil {
-		t.Fatal("MaxInt64 + 1 stayed in machine words")
+	if !s.Overflowed() || s.IsZero() {
+		t.Fatal("MaxInt64 + 1 did not report overflow")
 	}
-	if c, _ := s.IsConst(); c.Cmp(new(big.Rat).SetInt(new(big.Int).Lsh(big.NewInt(1), 63))) != 0 {
-		t.Fatalf("MaxInt64 + 1 = %s", c)
+	if c, ok := s.IsConst(); ok {
+		t.Fatalf("overflowed IsConst = %d, true", c)
 	}
-	// A promoted operand keeps working with machine-word ones.
-	if back := s.Sub(ConstInt(1, 1)); !back.Equal(top) {
+	// Overflow sticks: no later operation brings a value back.
+	if back := s.Sub(ConstInt(1, 1)); !back.Overflowed() || back.Equal(top) {
 		t.Fatalf("(MaxInt64 + 1) - 1 = %s", back)
 	}
-	// So does an exponent that outgrows its packed field (7 bits at n = 9).
+	if z := s.Mul(New(1)); !z.Overflowed() {
+		t.Fatalf("overflow * 0 = %s", z)
+	}
+	if v, ok := s.EvalInt64([]int64{0}); ok {
+		t.Fatalf("overflowed EvalInt64 = %d, true", v)
+	}
+	// An exponent that outgrows its packed field (7 bits at n = 9).
 	y := Var(9, 4).Pow(100)
-	if y.big != nil {
-		t.Fatal("x^100 promoted at n = 9")
+	if y.Overflowed() || y.DegreeOf(4) != 100 {
+		t.Fatalf("x^100 at n = 9 = %s", y)
 	}
-	if sq := y.Mul(y); sq.big == nil || sq.DegreeOf(4) != 200 || sq.Degree() != 200 {
-		t.Fatalf("x^100 * x^100 = %s (promoted %v)", sq, sq.big != nil)
+	if sq := y.Mul(y); !sq.Overflowed() {
+		t.Fatalf("x^100 * x^100 at n = 9 = %s", sq)
 	}
-	// A common denominator that no longer fits promotes too.
-	third := Const(1, big.NewRat(1, 3037000507))
-	if sum := third.Add(Const(1, big.NewRat(1, 3037000493))); sum.big == nil {
-		t.Fatal("denominator product beyond int64 stayed in machine words")
+	// A common denominator that no longer fits.
+	third := ConstInt(1, 1).scale(1, 3037000507)
+	if sum := third.Add(ConstInt(1, 1).scale(1, 3037000493)); !sum.Overflowed() {
+		t.Fatalf("1/3037000507 + 1/3037000493 = %s", sum)
+	}
+	// A space wider than one key word holds constants only.
+	if !Var(70, 3).Overflowed() || ConstInt(70, 5).Overflowed() || !Var(8, 1).Resize(70).Overflowed() {
+		t.Fatal("a 70-variable space held a variable")
 	}
 }
 
@@ -450,7 +549,7 @@ func FuzzPolyArith(f *testing.F) {
 	f.Add(int64(4), uint8(70), uint8(1), true)
 	f.Fuzz(func(t *testing.T, seed int64, n, maxExp uint8, wild bool) {
 		// The (deg+1)-th powers inside SumVar must stay within the byte
-		// exponents both forms share: (5+1)*5+5 = 35.
-		diffOps(t, rand.New(rand.NewSource(seed)), int(n)%72+1, int(maxExp)%6, wild)
+		// exponents of the reference: (5+1)*5+5 = 35.
+		diffOps(t, rand.New(rand.NewSource(seed)), int(n)%72+1, int(maxExp)%6, wild, new(overflowStats))
 	})
 }

@@ -5,27 +5,33 @@
 // polynomials symbolically, dimension by dimension, which is the role the
 // barvinok library plays in the original PolyUFC implementation.
 //
-// A polynomial is stored in machine words — a sorted slice of terms with
-// packed exponents and int64 numerators over one common denominator — for
-// as long as every number fits. An operation that would overflow a
-// coefficient or an exponent field redoes itself on the math/big form of
-// its operands, and its result stays in that form (see DESIGN.md, "The
-// counting back end").
+// A polynomial is stored in machine words: a sorted slice of terms with
+// packed exponents and int64 numerators over one common denominator. An
+// operation that needs a word that does not fit (a numerator, the common
+// denominator, an exponent field, or a product or sum on the way to one),
+// or a variable space too wide for one key word, returns an overflowed
+// polynomial instead. Overflowed reports it, every operation on it is
+// overflowed too, and it never holds a wrong value. For the counter an
+// overflow means "not countable here", and bounded enumeration answers.
+// Kernel-sized counts stay far inside int64: over 37 kernels x {BDW, RPL}
+// x {test, bench, full} x 10 tiling choices no operation overflows (see
+// DESIGN.md, "The counting back end").
 package poly
 
 import (
+	"cmp"
 	"fmt"
-	"math/big"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"polyufc/internal/checked"
 )
 
-// term is one monomial of the machine-word form: num/den (den is the
-// polynomial's) times the variables raised to the exponents packed in key,
-// variable i in bits [i*w, (i+1)*w).
+// term is one monomial: num/den (den is the polynomial's) times the
+// variables raised to the exponents packed in key, variable i in bits
+// [i*w, (i+1)*w).
 type term struct {
 	key uint64
 	num int64
@@ -33,22 +39,21 @@ type term struct {
 
 // Poly is a polynomial in a fixed number of variables with rational
 // coefficients. The zero value is not usable; construct values with New,
-// Const, Var, or the arithmetic methods. Variables are identified by index
-// in [0, N). Polynomials are immutable: all operations return new values.
+// ConstInt, Var, or the arithmetic methods. Variables are identified by
+// index in [0, N). Polynomials are immutable: all operations return new
+// values.
 type Poly struct {
 	// n is the number of variables in the polynomial's space.
 	n int
 	// w is the width in bits of one packed exponent: 8 up to eight
-	// variables, 64/n beyond.
+	// variables, 64/n beyond (0 past 64 variables: only constants fit).
 	w uint8
-	// terms holds the machine-word form, sorted by key with no zero
-	// numerator; den > 0 is the common denominator, and gcd(den, every
-	// numerator) = 1, so equal polynomials have equal representations.
+	// terms is sorted by key with no zero numerator; den > 0 is the
+	// common denominator, and gcd(den, every numerator) = 1, so equal
+	// polynomials have equal representations. den = 0 marks an overflowed
+	// polynomial, which has no terms.
 	terms []term
 	den   int64
-	// big, when non-nil, holds the polynomial instead: an exponent key
-	// (one byte per variable) maps to a nonzero coefficient.
-	big map[string]*big.Rat
 }
 
 // New returns the zero polynomial in n variables.
@@ -63,11 +68,6 @@ func New(n int) Poly {
 	return Poly{n: n, w: uint8(w), den: 1}
 }
 
-// Const returns the constant polynomial c in n variables.
-func Const(n int, c *big.Rat) Poly {
-	return ConstInt(n, 1).Scale(c)
-}
-
 // ConstInt returns the constant polynomial c in n variables.
 func ConstInt(n int, c int64) Poly {
 	p := New(n)
@@ -77,48 +77,44 @@ func ConstInt(n int, c int64) Poly {
 	return p
 }
 
-// Var returns the polynomial consisting of the single variable i.
+// Var returns the polynomial consisting of the single variable i. It is
+// overflowed in a space of more than 64 variables.
 func Var(n, i int) Poly {
 	if i < 0 || i >= n {
 		panic(fmt.Sprintf("poly: variable %d out of range [0,%d)", i, n))
 	}
 	p := New(n)
 	if p.w == 0 {
-		key := make([]byte, n)
-		key[i] = 1
-		p.big = map[string]*big.Rat{string(key): big.NewRat(1, 1)}
-		return p
+		return p.overflowed()
 	}
 	p.terms = []term{{key: 1 << (uint(i) * uint(p.w)), num: 1}}
 	return p
 }
 
+// overflowed returns the overflowed polynomial in p's space.
+func (p Poly) overflowed() Poly { return Poly{n: p.n, w: p.w} }
+
+// Overflowed reports whether p is the result of an operation that
+// overflowed a machine word: p then has no value.
+func (p Poly) Overflowed() bool { return p.den == 0 }
+
 // NumVars reports the number of variables in p's space.
 func (p Poly) NumVars() int { return p.n }
 
-// IsZero reports whether p is the zero polynomial.
-func (p Poly) IsZero() bool { return len(p.terms) == 0 && len(p.big) == 0 }
+// IsZero reports whether p is the zero polynomial. An overflowed
+// polynomial is not.
+func (p Poly) IsZero() bool { return len(p.terms) == 0 && p.den == 1 }
 
-// IsConst reports whether p has no variable terms, and returns the constant.
-func (p Poly) IsConst() (*big.Rat, bool) {
-	if p.big != nil {
-		switch len(p.big) {
-		case 0:
-			return new(big.Rat), true
-		case 1:
-			if c, ok := p.big[string(make([]byte, p.n))]; ok {
-				return new(big.Rat).Set(c), true
-			}
-		}
-		return nil, false
-	}
+// IsConst returns p's value when p is an integer constant; ok is false for
+// any other polynomial, an overflowed one included.
+func (p Poly) IsConst() (c int64, ok bool) {
 	switch {
+	case p.den != 1 || len(p.terms) > 1 || len(p.terms) == 1 && p.terms[0].key != 0:
+		return 0, false
 	case len(p.terms) == 0:
-		return new(big.Rat), true
-	case len(p.terms) == 1 && p.terms[0].key == 0:
-		return big.NewRat(p.terms[0].num, p.den), true
+		return 0, true
 	}
-	return nil, false
+	return p.terms[0].num, true
 }
 
 // exp extracts variable i's exponent from a packed key.
@@ -126,22 +122,21 @@ func (p Poly) exp(key uint64, i int) int {
 	return int(key >> (uint(i) * uint(p.w)) & (1<<p.w - 1))
 }
 
-// Degree returns the total degree of p, or -1 for the zero polynomial.
+// keyDegree returns the total degree of a packed key.
+func (p Poly) keyDegree(key uint64) int {
+	d := 0
+	for i := 0; i < p.n; i++ {
+		d += p.exp(key, i)
+	}
+	return d
+}
+
+// Degree returns the total degree of p, or -1 for the zero polynomial and
+// an overflowed one.
 func (p Poly) Degree() int {
 	deg := -1
-	for k := range p.big {
-		d := 0
-		for i := 0; i < p.n; i++ {
-			d += int(k[i])
-		}
-		deg = max(deg, d)
-	}
 	for _, t := range p.terms {
-		d := 0
-		for i := 0; i < p.n; i++ {
-			d += p.exp(t.key, i)
-		}
-		deg = max(deg, d)
+		deg = max(deg, p.keyDegree(t.key))
 	}
 	return deg
 }
@@ -149,47 +144,38 @@ func (p Poly) Degree() int {
 // DegreeOf returns the maximum exponent of variable i in p.
 func (p Poly) DegreeOf(i int) int {
 	deg := 0
-	for k := range p.big {
-		deg = max(deg, int(k[i]))
-	}
 	for _, t := range p.terms {
 		deg = max(deg, p.exp(t.key, i))
 	}
 	return deg
 }
 
-// Coeff returns the coefficient of the monomial with the given exponents.
-func (p Poly) Coeff(exps []int) *big.Rat {
+// Coeff returns the coefficient num/den, in lowest terms with den > 0, of
+// the monomial with the given exponents; ok is false when p is overflowed.
+func (p Poly) Coeff(exps []int) (num, den int64, ok bool) {
 	if len(exps) != p.n {
 		panic("poly: exponent vector length mismatch")
 	}
-	bkey := make([]byte, p.n)
+	if p.Overflowed() {
+		return 0, 0, false
+	}
 	var key uint64
-	fits := true
 	for i, e := range exps {
-		if e < 0 || e > 255 {
-			panic("poly: exponent out of byte range")
+		if e < 0 {
+			panic("poly: negative exponent")
 		}
-		bkey[i] = byte(e)
 		if e >= 1<<p.w {
-			fits = false
-		} else {
-			key |= uint64(e) << (uint(i) * uint(p.w))
+			return 0, 1, true // no term of p has it
 		}
+		key |= uint64(e) << (uint(i) * uint(p.w))
 	}
-	if p.big != nil {
-		if c, ok := p.big[string(bkey)]; ok {
-			return new(big.Rat).Set(c)
-		}
-		return new(big.Rat)
+	j := sort.Search(len(p.terms), func(j int) bool { return p.terms[j].key >= key })
+	if j == len(p.terms) || p.terms[j].key != key {
+		return 0, 1, true
 	}
-	if fits {
-		j := sort.Search(len(p.terms), func(j int) bool { return p.terms[j].key >= key })
-		if j < len(p.terms) && p.terms[j].key == key {
-			return big.NewRat(p.terms[j].num, p.den)
-		}
-	}
-	return new(big.Rat)
+	num = p.terms[j].num
+	g := int64(gcd(magnitude(num), uint64(p.den)))
+	return num / g, p.den / g, true
 }
 
 // gcd returns the greatest common divisor of two magnitudes.
@@ -207,66 +193,43 @@ func magnitude(x int64) uint64 {
 	return uint64(x)
 }
 
-// normalized builds the machine-word polynomial terms/den in p's space,
-// dividing out the common factor of den and the numerators. It owns terms
-// (which must be sorted, without zero numerators) and may modify it.
+// content returns the greatest common divisor of x and p's numerators.
+func (p Poly) content(x uint64) uint64 {
+	for _, t := range p.terms {
+		if x = gcd(x, magnitude(t.num)); x == 1 {
+			break
+		}
+	}
+	return x
+}
+
+// divided returns p's terms with every numerator divided by g, which
+// divides them all.
+func (p Poly) divided(g uint64) []term {
+	if g == 1 {
+		return p.terms
+	}
+	out := make([]term, len(p.terms))
+	for i, t := range p.terms {
+		out[i] = term{key: t.key, num: t.num / int64(g)}
+	}
+	return out
+}
+
+// normalized builds the polynomial terms/den in p's space, dividing out
+// the common factor of den and the numerators. It owns terms (which must
+// be sorted, without zero numerators) and may modify it.
 func (p Poly) normalized(terms []term, den int64) Poly {
 	r := Poly{n: p.n, w: p.w, terms: terms, den: den}
 	if len(terms) == 0 {
 		r.den = 1
-		return r
-	}
-	if den == 1 {
-		return r
-	}
-	g := uint64(den)
-	for _, t := range terms {
-		if g = gcd(g, magnitude(t.num)); g == 1 {
-			return r
+	} else if g := int64(r.content(uint64(den))); g != 1 {
+		for i := range terms {
+			terms[i].num /= g
 		}
+		r.den /= g
 	}
-	// g divides den <= MaxInt64, so it fits.
-	for i := range terms {
-		terms[i].num /= int64(g)
-	}
-	r.den /= int64(g)
 	return r
-}
-
-// promote returns p's terms in the math/big form. The map is p's own when p
-// is already promoted and must not be modified.
-func (p Poly) promote() map[string]*big.Rat {
-	if p.big != nil {
-		return p.big
-	}
-	m := make(map[string]*big.Rat, len(p.terms))
-	key := make([]byte, p.n)
-	for _, t := range p.terms {
-		for i := range key {
-			key[i] = byte(p.exp(t.key, i))
-		}
-		m[string(key)] = big.NewRat(t.num, p.den)
-	}
-	return m
-}
-
-// promoted wraps a math/big term map as a polynomial in p's space.
-func (p Poly) promoted(m map[string]*big.Rat) Poly {
-	return Poly{n: p.n, w: p.w, big: m}
-}
-
-func addBigTerm(m map[string]*big.Rat, key string, c *big.Rat) {
-	if c.Sign() == 0 {
-		return
-	}
-	if old, ok := m[key]; ok {
-		old.Add(old, c)
-		if old.Sign() == 0 {
-			delete(m, key)
-		}
-	} else {
-		m[key] = new(big.Rat).Set(c)
-	}
 }
 
 // Add returns p + q. Both must share the same variable space.
@@ -278,26 +241,11 @@ func (p Poly) Sub(q Poly) Poly { return p.addScaled(q, -1) }
 // addScaled returns p + sign*q for sign = +-1.
 func (p Poly) addScaled(q Poly, sign int64) Poly {
 	p.mustMatch(q)
-	if p.big == nil && q.big == nil {
-		if r, ok := p.addWords(q, sign); ok {
-			return r
-		}
-	}
-	pm, qm := p.promote(), q.promote()
-	m := make(map[string]*big.Rat, len(pm)+len(qm))
-	for k, c := range pm {
-		m[k] = new(big.Rat).Set(c)
-	}
-	tmp, s := new(big.Rat), big.NewRat(sign, 1)
-	for k, c := range qm {
-		addBigTerm(m, k, tmp.Mul(c, s))
-	}
-	return p.promoted(m)
-}
-
-func (p Poly) addWords(q Poly, sign int64) (Poly, bool) {
-	if len(q.terms) == 0 {
-		return p, true
+	switch {
+	case p.Overflowed() || q.Overflowed():
+		return p.overflowed()
+	case len(q.terms) == 0:
+		return p
 	}
 	// Bring both to the least common denominator: p's numerators scale by
 	// fp, q's by fq (which carries the sign).
@@ -307,7 +255,7 @@ func (p Poly) addWords(q Poly, sign int64) (Poly, bool) {
 		fp, fq = q.den/g, sign*(p.den/g)
 		var ok bool
 		if den, ok = checked.Mul(p.den, fp); !ok {
-			return Poly{}, false
+			return p.overflowed()
 		}
 	}
 	out := make([]term, 0, len(p.terms)+len(q.terms))
@@ -333,103 +281,45 @@ func (p Poly) addWords(q Poly, sign int64) (Poly, bool) {
 		}
 		var oks bool
 		if t.num, oks = checked.Add(x, y); !okx || !oky || !oks {
-			return Poly{}, false
+			return p.overflowed()
 		}
 		if t.num != 0 {
 			out = append(out, t)
 		}
 	}
-	return p.normalized(out, den), true
+	return p.normalized(out, den)
 }
 
 // Neg returns -p.
 func (p Poly) Neg() Poly { return p.ScaleInt(-1) }
 
-// Scale returns c * p.
-func (p Poly) Scale(c *big.Rat) Poly {
-	if c.Sign() == 0 {
+// ScaleInt returns c * p.
+func (p Poly) ScaleInt(c int64) Poly { return p.scale(c, 1) }
+
+// scale returns (cn/cd) * p for cd > 0 and cn/cd in lowest terms. Each
+// factor is cancelled against p's side of the fraction first, so the
+// result comes out in lowest terms and overflows only when it does not fit.
+func (p Poly) scale(cn, cd int64) Poly {
+	switch {
+	case p.Overflowed() || (cn == 1 && cd == 1):
+		return p
+	case cn == 0:
 		return New(p.n)
 	}
-	if p.big == nil && c.Num().IsInt64() {
-		// An integer's Denom() allocates; take 1 directly.
-		cd, ok := int64(1), true
-		if !c.IsInt() {
-			cd, ok = c.Denom().Int64(), c.Denom().IsInt64()
-		}
-		if ok {
-			if r, ok := p.scaleWords(c.Num().Int64(), cd); ok {
-				return r
-			}
-		}
-	}
-	pm := p.promote()
-	m := make(map[string]*big.Rat, len(pm))
-	for k, co := range pm {
-		m[k] = new(big.Rat).Mul(co, c)
-	}
-	return p.promoted(m)
-}
-
-// scaleWords returns (cn/cd) * p for cn != 0, cd > 0.
-func (p Poly) scaleWords(cn, cd int64) (Poly, bool) {
-	if cn == 1 && cd == 1 {
-		return p, true
-	}
-	// Cancel cn against p.den first, so fewer products overflow.
 	g := int64(gcd(magnitude(cn), uint64(p.den)))
-	cn /= g
-	den, ok := checked.Mul(p.den/g, cd)
+	h := int64(p.content(uint64(cd)))
+	den, ok := checked.Mul(p.den/g, cd/h)
 	if !ok {
-		return Poly{}, false
+		return p.overflowed()
 	}
 	out := make([]term, len(p.terms))
 	for i, t := range p.terms {
-		if t.num, ok = checked.Mul(t.num, cn); !ok {
-			return Poly{}, false
+		if t.num, ok = checked.Mul(t.num/h, cn/g); !ok {
+			return p.overflowed()
 		}
 		out[i] = t
 	}
-	return p.normalized(out, den), true
-}
-
-// ScaleInt returns c * p.
-func (p Poly) ScaleInt(c int64) Poly {
-	if c == 0 {
-		return New(p.n)
-	}
-	if p.big == nil {
-		if r, ok := p.scaleWords(c, 1); ok {
-			return r
-		}
-	}
-	return p.Scale(big.NewRat(c, 1))
-}
-
-// Mul returns p * q.
-func (p Poly) Mul(q Poly) Poly {
-	p.mustMatch(q)
-	if p.big == nil && q.big == nil {
-		if r, ok := p.mulWords(q); ok {
-			return r
-		}
-	}
-	m := map[string]*big.Rat{}
-	tmp := new(big.Rat)
-	key := make([]byte, p.n)
-	qm := q.promote()
-	for k1, c1 := range p.promote() {
-		for k2, c2 := range qm {
-			for i := 0; i < p.n; i++ {
-				e := int(k1[i]) + int(k2[i])
-				if e > 255 {
-					panic("poly: exponent overflow in Mul")
-				}
-				key[i] = byte(e)
-			}
-			addBigTerm(m, string(key), tmp.Mul(c1, c2))
-		}
-	}
-	return p.promoted(m)
+	return Poly{n: p.n, w: p.w, terms: out, den: den}
 }
 
 // carryMask has a bit at the bottom of every exponent field but the first,
@@ -445,40 +335,52 @@ func (p Poly) carryMask() uint64 {
 	return m
 }
 
-func (p Poly) mulWords(q Poly) (Poly, bool) {
-	if len(p.terms) == 0 || len(q.terms) == 0 {
-		return New(p.n), true
+// Mul returns p * q.
+func (p Poly) Mul(q Poly) Poly {
+	p.mustMatch(q)
+	switch {
+	case p.Overflowed() || q.Overflowed():
+		return p.overflowed()
+	case len(p.terms) == 0 || len(q.terms) == 0:
+		return New(p.n)
 	}
 	if len(p.terms) > len(q.terms) {
 		p, q = q, p // fewer, longer rows: fewer merge passes
 	}
-	den, ok := checked.Mul(p.den, q.den)
+	// Cancel each denominator against the other side's numerators first:
+	// by Gauss's lemma the product is then in lowest terms, so its
+	// denominator overflows only when the result's does.
+	gp, gq := p.content(uint64(q.den)), q.content(uint64(p.den))
+	den, ok := checked.Mul(p.den/int64(gq), q.den/int64(gp))
 	if !ok {
-		return Poly{}, false
+		return p.overflowed()
 	}
+	r := Poly{n: p.n, w: p.w, den: den}
+	pt, qt := p.divided(gp), q.divided(gq)
 	// Adding a fixed key to q's sorted keys keeps them sorted (no field
 	// overflows, so keys add as integers): each row p_i * q is sorted and
 	// is merged into the running sum.
 	mask := p.carryMask()
 	var acc, next []term
-	row := make([]term, len(q.terms))
-	for _, a := range p.terms {
-		for j, b := range q.terms {
+	row := make([]term, len(qt))
+	for _, a := range pt {
+		for j, b := range qt {
 			k := a.key + b.key
 			if (a.key^b.key^k)&mask != 0 || k < a.key {
-				return Poly{}, false
+				return p.overflowed()
 			}
 			c, ok := checked.Mul(a.num, b.num)
 			if !ok {
-				return Poly{}, false
+				return p.overflowed()
 			}
 			row[j] = term{key: k, num: c}
 		}
 		if acc == nil {
-			if len(p.terms) == 1 {
-				return p.normalized(row, den), true
+			if len(pt) == 1 {
+				r.terms = row
+				return r
 			}
-			acc = append(make([]term, 0, len(p.terms)*len(q.terms)), row...)
+			acc = append(make([]term, 0, len(pt)*len(qt)), row...)
 			next = make([]term, 0, cap(acc))
 			continue
 		}
@@ -495,7 +397,7 @@ func (p Poly) mulWords(q Poly) (Poly, bool) {
 			default:
 				s, ok := checked.Add(x[0].num, y[0].num)
 				if !ok {
-					return Poly{}, false
+					return p.overflowed()
 				}
 				if s != 0 {
 					next = append(next, term{key: x[0].key, num: s})
@@ -505,13 +407,17 @@ func (p Poly) mulWords(q Poly) (Poly, bool) {
 		}
 		acc, next = next, acc
 	}
-	return p.normalized(acc, den), true
+	r.terms = acc
+	return r
 }
 
 // Pow returns p raised to the non-negative integer power k.
 func (p Poly) Pow(k int) Poly {
 	if k < 0 {
 		panic("poly: negative exponent")
+	}
+	if p.Overflowed() {
+		return p
 	}
 	r := ConstInt(p.n, 1)
 	base := p
@@ -527,66 +433,38 @@ func (p Poly) Pow(k int) Poly {
 	return r
 }
 
-// Eval evaluates p at the given rational point.
-func (p Poly) Eval(point []*big.Rat) *big.Rat {
+// EvalInt64 evaluates p at an integer point. ok is false when the value is
+// not an integer, when it or a term or partial sum on the way to it does
+// not fit an int64, and when p is overflowed.
+func (p Poly) EvalInt64(point []int64) (int64, bool) {
 	if len(point) != p.n {
 		panic("poly: evaluation point length mismatch")
 	}
-	sum := new(big.Rat)
-	term := new(big.Rat)
-	for k, c := range p.promote() {
-		term.Set(c)
-		for i := 0; i < p.n; i++ {
-			for e := 0; e < int(k[i]); e++ {
-				term.Mul(term, point[i])
+	if p.Overflowed() {
+		return 0, false
+	}
+	var sum int64
+	for _, t := range p.terms {
+		v, ok := t.num, true
+		for i, x := range point {
+			for e := p.exp(t.key, i); e > 0 && ok; e-- {
+				v, ok = checked.Mul(v, x)
 			}
 		}
-		sum.Add(sum, term)
+		var oks bool
+		if sum, oks = checked.Add(sum, v); !ok || !oks {
+			return 0, false
+		}
 	}
-	return sum
-}
-
-// EvalInt evaluates p at an integer point.
-func (p Poly) EvalInt(point []int64) *big.Rat {
-	rats := make([]*big.Rat, len(point))
-	for i, v := range point {
-		rats[i] = big.NewRat(v, 1)
-	}
-	return p.Eval(rats)
-}
-
-// EvalInt64 evaluates p at an integer point and returns the result as an
-// int64, reporting whether the value was an integer that fits.
-func (p Poly) EvalInt64(point []int64) (int64, bool) {
-	r := p.EvalInt(point)
-	if !r.IsInt() {
+	if sum%p.den != 0 {
 		return 0, false
 	}
-	n := r.Num()
-	if !n.IsInt64() {
-		return 0, false
-	}
-	return n.Int64(), true
+	return sum / p.den, true
 }
 
 // split decomposes p by powers of variable i: p = sum_d parts[d] * x_i^d,
 // where no part involves x_i. The zero polynomial has no parts.
 func (p Poly) split(i int) []Poly {
-	if p.big != nil {
-		if len(p.big) == 0 {
-			return nil
-		}
-		parts := make([]Poly, p.DegreeOf(i)+1)
-		for d := range parts {
-			parts[d] = p.promoted(map[string]*big.Rat{})
-		}
-		for k, c := range p.big {
-			rest := []byte(k)
-			rest[i] = 0
-			parts[k[i]].big[string(rest)] = c
-		}
-		return parts
-	}
 	if len(p.terms) == 0 {
 		return nil
 	}
@@ -621,6 +499,9 @@ func (p Poly) SubstPoly(i int, q Poly) Poly {
 	if i < 0 || i >= p.n {
 		panic("poly: substitution variable out of range")
 	}
+	if p.Overflowed() || q.Overflowed() {
+		return p.overflowed()
+	}
 	// p = sum_d parts[d] * x_i^d, result = sum_d parts[d] * q^d, with q^d
 	// maintained incrementally.
 	result := New(p.n)
@@ -636,35 +517,36 @@ func (p Poly) SubstPoly(i int, q Poly) Poly {
 	return result
 }
 
-// ExtendVars returns p re-expressed in a space with m >= p.NumVars()
-// variables; the original variables keep their indices.
-func (p Poly) ExtendVars(m int) Poly {
-	if m < p.n {
-		panic("poly: ExtendVars cannot shrink the space")
+// Resize returns p in a space of m variables; the first min(m, NumVars())
+// keep their indices. It panics if p involves a variable it drops, and the
+// result is overflowed when an exponent does not fit the new space's
+// fields.
+func (p Poly) Resize(m int) Poly {
+	if m < 0 {
+		panic("poly: negative variable count")
 	}
 	if m == p.n {
 		return p
 	}
-	r := New(m)
-	if p.big == nil && p.maxExp() < 1<<r.w {
-		// Repacking at a narrower width keeps the order: keys compare
-		// lexicographically from the highest variable either way.
-		r.terms = make([]term, len(p.terms))
-		r.den = p.den
-		for j, t := range p.terms {
-			var key uint64
-			for i := 0; i < p.n; i++ {
-				key |= uint64(p.exp(t.key, i)) << (uint(i) * uint(r.w))
-			}
-			r.terms[j] = term{key: key, num: t.num}
+	for i := m; i < p.n; i++ {
+		if p.DegreeOf(i) > 0 {
+			panic(fmt.Sprintf("poly: Resize(%d) drops variable %d, which p involves", m, i))
 		}
-		return r
 	}
-	r.big = map[string]*big.Rat{}
-	for k, c := range p.promote() {
-		key := make([]byte, m)
-		copy(key, k)
-		r.big[string(key)] = c
+	r := New(m)
+	if p.Overflowed() || p.maxExp() >= 1<<r.w {
+		return r.overflowed()
+	}
+	// Repacking at another width keeps the order: keys compare
+	// lexicographically from the highest variable either way.
+	r.terms = make([]term, len(p.terms))
+	r.den = p.den
+	for j, t := range p.terms {
+		var key uint64
+		for i := 0; i < min(m, p.n); i++ {
+			key |= uint64(p.exp(t.key, i)) << (uint(i) * uint(r.w))
+		}
+		r.terms[j] = term{key: key, num: t.num}
 	}
 	return r
 }
@@ -678,25 +560,10 @@ func (p Poly) maxExp() int {
 	return deg
 }
 
-// Equal reports whether p and q are identical polynomials.
+// Equal reports whether p and q are identical polynomials. An overflowed
+// polynomial equals none.
 func (p Poly) Equal(q Poly) bool {
-	if p.n != q.n {
-		return false
-	}
-	if p.big == nil && q.big == nil {
-		return p.den == q.den && slices.Equal(p.terms, q.terms)
-	}
-	pm, qm := p.promote(), q.promote()
-	if len(pm) != len(qm) {
-		return false
-	}
-	for k, c := range pm {
-		c2, ok := qm[k]
-		if !ok || c.Cmp(c2) != 0 {
-			return false
-		}
-	}
-	return true
+	return p.n == q.n && p.den != 0 && p.den == q.den && slices.Equal(p.terms, q.terms)
 }
 
 func (p Poly) mustMatch(q Poly) {
@@ -711,58 +578,62 @@ func (p Poly) String() string { return p.Format(nil) }
 // Format renders the polynomial using the supplied variable names; a nil or
 // short slice falls back to xN naming.
 func (p Poly) Format(names []string) string {
-	terms := p.promote()
-	if len(terms) == 0 {
+	switch {
+	case p.Overflowed():
+		return "overflow"
+	case len(p.terms) == 0:
 		return "0"
 	}
-	keys := make([]string, 0, len(terms))
-	for k := range terms {
-		keys = append(keys, k)
-	}
-	// Sort by total degree descending, then lexicographically, so output is
-	// deterministic.
-	sort.Slice(keys, func(a, b int) bool {
-		da, db := 0, 0
+	// Sort by total degree descending, then by the exponents from the
+	// first variable on, descending, so output is deterministic.
+	terms := slices.Clone(p.terms)
+	slices.SortFunc(terms, func(a, b term) int {
+		if c := cmp.Compare(p.keyDegree(b.key), p.keyDegree(a.key)); c != 0 {
+			return c
+		}
 		for i := 0; i < p.n; i++ {
-			da += int(keys[a][i])
-			db += int(keys[b][i])
+			if c := cmp.Compare(p.exp(b.key, i), p.exp(a.key, i)); c != 0 {
+				return c
+			}
 		}
-		if da != db {
-			return da > db
-		}
-		return keys[a] > keys[b]
+		return 0
 	})
 	var sb strings.Builder
-	for idx, k := range keys {
-		c := terms[k]
+	for idx, t := range terms {
 		if idx > 0 {
-			if c.Sign() >= 0 {
+			if t.num > 0 {
 				sb.WriteString(" + ")
 			} else {
 				sb.WriteString(" - ")
 			}
-		} else if c.Sign() < 0 {
+		} else if t.num < 0 {
 			sb.WriteString("-")
 		}
-		abs := new(big.Rat).Abs(c)
-		mono := monoString(k, p.n, names)
-		if mono == "" {
-			sb.WriteString(abs.RatString())
-		} else {
-			if abs.Cmp(big.NewRat(1, 1)) != 0 {
-				sb.WriteString(abs.RatString())
-				sb.WriteString("*")
-			}
+		mag := magnitude(t.num)
+		g := gcd(mag, uint64(p.den))
+		coef := strconv.FormatUint(mag/g, 10)
+		if d := uint64(p.den) / g; d != 1 {
+			coef += "/" + strconv.FormatUint(d, 10)
+		}
+		mono := p.monoString(t.key, names)
+		switch {
+		case mono == "":
+			sb.WriteString(coef)
+		case coef != "1":
+			sb.WriteString(coef)
+			sb.WriteString("*")
+			fallthrough
+		default:
 			sb.WriteString(mono)
 		}
 	}
 	return sb.String()
 }
 
-func monoString(key string, n int, names []string) string {
+func (p Poly) monoString(key uint64, names []string) string {
 	var parts []string
-	for i := 0; i < n; i++ {
-		e := int(key[i])
+	for i := 0; i < p.n; i++ {
+		e := p.exp(key, i)
 		if e == 0 {
 			continue
 		}

@@ -15,7 +15,7 @@ func TestZeroAndConst(t *testing.T) {
 		t.Fatal("New should be zero")
 	}
 	c := ConstInt(3, 7)
-	if got, ok := c.IsConst(); !ok || got.Cmp(rat(7, 1)) != 0 {
+	if got, ok := c.IsConst(); !ok || got != 7 {
 		t.Fatalf("ConstInt(7) = %v, %v", got, ok)
 	}
 	if c.Degree() != 0 {
@@ -59,13 +59,17 @@ func TestEval(t *testing.T) {
 	// p = 2*x^2*y - 3*y + 1 at (x,y) = (3, 2): 2*9*2 - 6 + 1 = 31.
 	x, y := Var(2, 0), Var(2, 1)
 	p := x.Pow(2).Mul(y).ScaleInt(2).Sub(y.ScaleInt(3)).Add(ConstInt(2, 1))
-	got := p.EvalInt([]int64{3, 2})
-	if got.Cmp(rat(31, 1)) != 0 {
-		t.Fatalf("eval = %s, want 31", got.RatString())
-	}
 	v, ok := p.EvalInt64([]int64{3, 2})
 	if !ok || v != 31 {
 		t.Fatalf("EvalInt64 = %d, %v", v, ok)
+	}
+	// x/2 is an integer at even x only.
+	half := x.scale(1, 2)
+	if v, ok := half.EvalInt64([]int64{6, 0}); !ok || v != 3 {
+		t.Fatalf("x/2 at 6 = %d, %v", v, ok)
+	}
+	if v, ok := half.EvalInt64([]int64{5, 0}); ok {
+		t.Fatalf("x/2 at 5 = %d, true", v)
 	}
 }
 
@@ -82,12 +86,15 @@ func TestSubstPoly(t *testing.T) {
 
 func TestExtendVars(t *testing.T) {
 	p := Var(1, 0).Pow(2).Add(ConstInt(1, 4))
-	q := p.ExtendVars(3)
+	q := p.Resize(3)
 	if q.NumVars() != 3 {
 		t.Fatalf("NumVars = %d", q.NumVars())
 	}
-	if got := q.EvalInt([]int64{5, 9, 9}); got.Cmp(rat(29, 1)) != 0 {
-		t.Fatalf("extended eval = %s", got.RatString())
+	if got, ok := q.EvalInt64([]int64{5, 9, 9}); !ok || got != 29 {
+		t.Fatalf("extended eval = %d, %v", got, ok)
+	}
+	if back := q.Resize(1); !back.Equal(p) {
+		t.Fatalf("shrunk back = %s, want %s", back, p)
 	}
 }
 
@@ -107,16 +114,16 @@ func TestSumPowMatchesDirectSum(t *testing.T) {
 	for k := 0; k <= 6; k++ {
 		sk := SumPow(k)
 		for n := int64(0); n <= 20; n++ {
-			direct := new(big.Rat)
+			direct := int64(0)
 			for x := int64(1); x <= n; x++ {
-				pw := big.NewRat(1, 1)
+				pw := int64(1)
 				for e := 0; e < k; e++ {
-					pw.Mul(pw, rat(x, 1))
+					pw *= x
 				}
-				direct.Add(direct, pw)
+				direct += pw
 			}
-			if got := sk.EvalInt([]int64{n}); got.Cmp(direct) != 0 {
-				t.Fatalf("S_%d(%d) = %s, want %s", k, n, got.RatString(), direct.RatString())
+			if got, ok := sk.EvalInt64([]int64{n}); !ok || got != direct {
+				t.Fatalf("S_%d(%d) = %d, %v, want %d", k, n, got, ok, direct)
 			}
 		}
 	}
@@ -127,13 +134,14 @@ func TestSumPowTelescopes(t *testing.T) {
 	for k := 0; k <= 5; k++ {
 		sk := SumPow(k)
 		for n := int64(-10); n <= 10; n++ {
-			lhs := new(big.Rat).Sub(sk.EvalInt([]int64{n}), sk.EvalInt([]int64{n - 1}))
-			pw := big.NewRat(1, 1)
+			hi, ok1 := sk.EvalInt64([]int64{n})
+			lo, ok2 := sk.EvalInt64([]int64{n - 1})
+			pw := int64(1)
 			for e := 0; e < k; e++ {
-				pw.Mul(pw, rat(n, 1))
+				pw *= n
 			}
-			if lhs.Cmp(pw) != 0 {
-				t.Fatalf("S_%d(%d)-S_%d(%d) = %s, want %s", k, n, k, n-1, lhs.RatString(), pw.RatString())
+			if !ok1 || !ok2 || hi-lo != pw {
+				t.Fatalf("S_%d(%d)-S_%d(%d) = %d, want %d", k, n, k, n-1, hi-lo, pw)
 			}
 		}
 	}
@@ -221,9 +229,10 @@ func TestPropertyRingAxioms(t *testing.T) {
 		}
 		// Evaluation is a homomorphism.
 		pt := []int64{int64(rr.Intn(7) - 3), int64(rr.Intn(7) - 3)}
-		lhs := a.Mul(b).EvalInt(pt)
-		rhs := new(big.Rat).Mul(a.EvalInt(pt), b.EvalInt(pt))
-		return lhs.Cmp(rhs) == 0
+		lhs, ok1 := a.Mul(b).EvalInt64(pt)
+		va, ok2 := a.EvalInt64(pt)
+		vb, ok3 := b.EvalInt64(pt)
+		return ok1 && ok2 && ok3 && lhs == va*vb
 	}
 	cfg := &quick.Config{MaxCount: 60, Rand: r}
 	if err := quick.Check(f, cfg); err != nil {
@@ -240,11 +249,16 @@ func TestPropertySumVarMatchesDirect(t *testing.T) {
 		hi := lo + int64(rr.Intn(8))
 		s := SumVar(p, 0, ConstInt(2, lo), ConstInt(2, hi))
 		y := int64(rr.Intn(7) - 3)
-		direct := new(big.Rat)
+		direct := int64(0)
 		for x := lo; x <= hi; x++ {
-			direct.Add(direct, p.EvalInt([]int64{x, y}))
+			v, ok := p.EvalInt64([]int64{x, y})
+			if !ok {
+				return false
+			}
+			direct += v
 		}
-		return s.EvalInt([]int64{0, y}).Cmp(direct) == 0
+		got, ok := s.EvalInt64([]int64{0, y})
+		return ok && got == direct
 	}
 	cfg := &quick.Config{MaxCount: 80, Rand: r}
 	if err := quick.Check(f, cfg); err != nil {
@@ -265,8 +279,11 @@ func TestStringDeterministic(t *testing.T) {
 
 func TestCoeffAndDegreeOf(t *testing.T) {
 	p := Var(2, 0).Pow(3).Mul(Var(2, 1)).ScaleInt(5)
-	if got := p.Coeff([]int{3, 1}); got.Cmp(rat(5, 1)) != 0 {
-		t.Fatalf("Coeff = %s", got.RatString())
+	if num, den, ok := p.Coeff([]int{3, 1}); !ok || num != 5 || den != 1 {
+		t.Fatalf("Coeff = %d/%d, %v", num, den, ok)
+	}
+	if num, den, ok := p.scale(3, 4).Coeff([]int{3, 1}); !ok || num != 15 || den != 4 {
+		t.Fatalf("Coeff of 3/4 * p = %d/%d, %v", num, den, ok)
 	}
 	if p.DegreeOf(0) != 3 || p.DegreeOf(1) != 1 {
 		t.Fatalf("DegreeOf = %d, %d", p.DegreeOf(0), p.DegreeOf(1))

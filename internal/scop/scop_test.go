@@ -96,7 +96,7 @@ func TestDomainSetCardinalityPreserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sc.Statements[0].DomainSet().CountInt(1 << 22)
+	got, err := sc.Statements[0].DomainSet().Count(1 << 22)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestExportTiledNest(t *testing.T) {
 		t.Fatalf("tiled iterators = %v", st.Iterators)
 	}
 	want, _ := tiled.TripCount()
-	got, err := st.DomainSet().CountInt(1 << 22)
+	got, err := st.DomainSet().Count(1 << 22)
 	if err != nil || got != want {
 		t.Fatalf("tiled domain points = %d (%v), want %d", got, err, want)
 	}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"polyufc/internal/breaker"
 	"polyufc/internal/core"
 	"polyufc/internal/hw"
 	"polyufc/internal/ir"
@@ -743,7 +744,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	for name, b := range s.breakers {
 		st := b.State()
 		resp.Breakers[name] = st.String()
-		if st != hw.BreakerClosed {
+		if st != breaker.Closed {
 			resp.Status = "degraded"
 		}
 	}

@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"polyufc/internal/breaker"
 	"polyufc/internal/cas"
 	"polyufc/internal/core"
 	"polyufc/internal/faults"
@@ -52,7 +53,7 @@ type Config struct {
 	DrainTimeout   time.Duration
 	// Breaker tunes the per-platform circuit breaker quarantining the
 	// UFS driver after consecutive verified-write failures.
-	Breaker hw.BreakerOptions
+	Breaker breaker.Options
 	// CacheLimit is the LRU bound on the compile and profile caches —
 	// mandatory hygiene for a process meant to run forever.
 	CacheLimit int
@@ -129,7 +130,7 @@ func DefaultConfig() Config {
 		Queue:          64,
 		RequestTimeout: 30 * time.Second,
 		DrainTimeout:   10 * time.Second,
-		Breaker:        hw.DefaultBreakerOptions(),
+		Breaker:        breaker.DefaultOptions(),
 		CacheLimit:     1024,
 		FaultSocket:    -1,
 	}

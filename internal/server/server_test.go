@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"polyufc/internal/breaker"
 	"polyufc/internal/faults"
 	"polyufc/internal/hw"
 )
@@ -284,7 +285,7 @@ func TestServerBreakerDegradesToModelOnly(t *testing.T) {
 			t.Fatalf("SetCap: %v", err)
 		}
 	}
-	if b.State() != hw.BreakerOpen {
+	if b.State() != breaker.Open {
 		t.Fatalf("breaker state %v after failure budget", b.State())
 	}
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"polyufc/internal/breaker"
 	"polyufc/internal/faults"
 	"polyufc/internal/hw"
 )
@@ -88,7 +89,7 @@ func TestServerTopologySingleSocketFaultDegradesOnlyThatSocket(t *testing.T) {
 			t.Fatalf("socket-1 SetCap: %v", err)
 		}
 	}
-	if b1.State() != hw.BreakerOpen {
+	if b1.State() != breaker.Open {
 		t.Fatalf("socket-1 breaker %v after failure budget", b1.State())
 	}
 	// Socket 0's domain is healthy: the fault never armed its machine.
@@ -106,10 +107,10 @@ func TestServerTopologySingleSocketFaultDegradesOnlyThatSocket(t *testing.T) {
 	if hz.Status != "degraded" {
 		t.Fatalf("healthz status %q with an open socket breaker", hz.Status)
 	}
-	if hz.Breakers["2S-BDW#s1"] != hw.BreakerOpen.String() {
+	if hz.Breakers["2S-BDW#s1"] != breaker.Open.String() {
 		t.Fatalf("socket-1 not quarantined: %+v", hz.Breakers)
 	}
-	if hz.Breakers["2S-BDW"] != hw.BreakerClosed.String() {
+	if hz.Breakers["2S-BDW"] != breaker.Closed.String() {
 		t.Fatalf("socket-0 wrongly quarantined: %+v", hz.Breakers)
 	}
 
