@@ -122,7 +122,7 @@ func run(kernel, platName, platFiles, size string, fullyAssoc, noTile, validate,
 				continue
 			}
 			cmOpts := opts
-			cmOpts.Threads = p.Backend.NestThreads(nest.Root != nil && nest.Root.Parallel)
+			cmOpts.Threads = p.Backend.NestThreads(nest.Parallel())
 			cm, err := cachemodel.Analyze(nest, p.Cache, cmOpts)
 			if err != nil {
 				return err

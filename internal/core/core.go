@@ -272,6 +272,18 @@ type Result struct {
 	Topology *TopologyResult
 }
 
+// FinalSocketCaps is the per-socket cap vector in force when the module
+// finishes: the last report's that carries one (nil on a single-socket
+// target).
+func (r *Result) FinalSocketCaps() []float64 {
+	for i := len(r.Reports) - 1; i >= 0; i-- {
+		if caps := r.Reports[i].SocketCaps; caps != nil {
+			return caps
+		}
+	}
+	return nil
+}
+
 // Compile runs the full PolyUFC flow on a module (torch, linalg or affine
 // level) and returns the transformed module with uncore caps inserted.
 //

@@ -255,14 +255,9 @@ func lineSize(cfg Config) int64 {
 	return 0
 }
 
-// isParallel reports whether a nest's outermost loop runs in parallel:
-// such a nest spans every socket (platform.Backend's NestThreads and
-// RemoteShare).
-func isParallel(nest *ir.Nest) bool { return nest.Root != nil && nest.Root.Parallel }
-
 // nestThreads is the thread count a nest runs (and is modeled) with.
 func nestThreads(cfg Config, nest *ir.Nest) int {
-	return cfg.Target.Backend.NestThreads(isParallel(nest))
+	return cfg.Target.Backend.NestThreads(nest.Parallel())
 }
 
 // cmOptions applies the OpenMP sharing heuristic: a parallel nest's
@@ -477,7 +472,7 @@ func stageCharacterize() pipeline.Stage[*compileState] {
 				ns := &st.nests[idx]
 				ns.threads = nestThreads(st.cfg, ns.nest)
 				if S > 1 {
-					if isParallel(ns.nest) {
+					if ns.nest.Parallel() {
 						ns.socket = -1
 						ns.remote = st.cfg.Target.Backend.RemoteShare(true)
 					} else {

@@ -28,25 +28,20 @@ func (s *Suite) TileSizeSweep(p *hw.Platform, kernelName string, sizes []int64) 
 	for _, ts := range sizes {
 		cfg := core.DefaultConfig(s.targets[p.Name])
 		cfg.Tiling = tiling.Spec{Name: tiling.NamePluto, Size: ts}
-		res, err := s.compileCfg(kernelName, cfg)
+		k, err := s.measure(kernelName, cfg)
 		if err != nil {
 			return nil, err
 		}
-		m := s.machine(p)
 		var l1 int64
-		for _, nest := range nestsOf(res.Module) {
-			prof, err := m.Profile(nest)
-			if err != nil {
-				return nil, err
-			}
+		for _, prof := range k.profs {
 			l1 += prof.Levels[0].Misses
 		}
-		run, err := m.RunFunc(res.Module.Funcs[0])
+		run, err := k.m.RunFunc(k.res.Module.Funcs[0])
 		if err != nil {
 			return nil, err
 		}
 		cap := p.UncoreMax
-		if rep, ok := dominant(res.Reports); ok {
+		if rep, ok := dominant(k.res.Reports); ok {
 			cap = rep.CapGHz
 		}
 		out = append(out, TileSizeRow{
@@ -84,41 +79,29 @@ type ValidRow struct {
 	EstSec, HWSec      float64
 	EstJ, HWJ          float64
 	TimeErr, EnergyErr float64 // |est-hw|/hw
+	// Degraded marks a kernel dropped under best-effort tolerance.
+	Degraded bool
 }
 
 // Validate runs the study over the given kernels on one resolved
 // target. On a multi-socket target the machine measures each nest where
 // the compiler placed it, so the rows check the model's inter-socket
-// term as well.
+// term as well. One worker per kernel; rows return in input order.
 func (s *Suite) Validate(t *roofline.Target, kernels []string) ([]ValidRow, error) {
-	var out []ValidRow
-	for _, name := range kernels {
-		res, err := s.compileCfg(name, core.DefaultConfig(t))
+	return sweepKernels(s, "valid", kernels, func(i int) (ValidRow, error) {
+		v, err := s.compareModel(kernels[i], t)
 		if err != nil {
-			return nil, err
+			return ValidRow{}, err
 		}
-		m := s.machine(t.Platform)
-		m.SetUncoreCap(t.Platform.UncoreMax)
-		var estT, estE, hwT, hwE float64
-		for i, nest := range nestsOf(res.Module) {
-			rep := res.Reports[i]
-			estT += rep.EstDefault.Seconds
-			estE += rep.EstDefault.Joules
-			r, err := m.RunNest(nest)
-			if err != nil {
-				return nil, err
-			}
-			hwT += r.Seconds
-			hwE += r.PkgJoules
-		}
-		out = append(out, ValidRow{
-			Kernel: name, Platform: t.Platform.Name,
-			EstSec: estT, HWSec: hwT, EstJ: estE, HWJ: hwE,
-			TimeErr:   math.Abs(estT-hwT) / hwT,
-			EnergyErr: math.Abs(estE-hwE) / hwE,
-		})
-	}
-	return out, nil
+		return ValidRow{
+			Kernel: kernels[i], Platform: t.Platform.Name,
+			EstSec: v.estSec, HWSec: v.hw.Seconds, EstJ: v.estJ, HWJ: v.hw.PkgJoules,
+			TimeErr:   math.Abs(v.estSec-v.hw.Seconds) / v.hw.Seconds,
+			EnergyErr: math.Abs(v.estJ-v.hw.PkgJoules) / v.hw.PkgJoules,
+		}, nil
+	}, func(i int) ValidRow {
+		return ValidRow{Kernel: kernels[i], Platform: t.Platform.Name, Degraded: true}
+	})
 }
 
 // RenderValidate prints the validation over a representative kernel mix
@@ -153,15 +136,23 @@ func (s *Suite) RenderValidate() error {
 		s.printf("-- %s\n", t.Platform.Name)
 		s.printf("   %-12s est/HW time (ms)      est/HW energy (J)   | errors\n", "kernel")
 		var te, ee float64
+		n := 0
 		for _, r := range rows {
+			if r.Degraded {
+				continue
+			}
 			s.printf("   %-12s %8.3f /%8.3f   %8.4f /%8.4f | t %4.0f%%  e %4.0f%%\n",
 				r.Kernel, r.EstSec*1e3, r.HWSec*1e3, r.EstJ, r.HWJ,
 				100*r.TimeErr, 100*r.EnergyErr)
 			te += r.TimeErr
 			ee += r.EnergyErr
+			n++
 		}
-		s.printf("   mean: time %.0f%%, energy %.0f%%\n",
-			100*te/float64(len(rows)), 100*ee/float64(len(rows)))
+		if n > 0 {
+			s.printf("   mean: time %.0f%%, energy %.0f%%\n",
+				100*te/float64(n), 100*ee/float64(n))
+		}
+		s.renderDegraded()
 	}
 	return nil
 }

@@ -83,9 +83,7 @@ func clusterBackends() ([]*platform.Backend, error) {
 func (s *Suite) ClusterSweep(t *roofline.Target, kernels []string, nodes []int) ([]ClusterRow, error) {
 	var out []ClusterRow
 	for _, name := range kernels {
-		cfg := core.DefaultConfig(t)
-		cfg.Degrade = s.Degrade
-		res, err := s.compileCfg(name, cfg)
+		res, err := s.compile(name, core.DefaultConfig(t))
 		if err != nil {
 			if s.bestEffort() {
 				s.noteDegraded(name, err)
@@ -101,13 +99,7 @@ func (s *Suite) ClusterSweep(t *roofline.Target, kernels []string, nodes []int) 
 		row := ClusterRow{
 			Kernel: name, Sockets: tp.Sockets,
 			NodeSeconds: tp.NodeSeconds, NodeJoules: tp.NodeJoules,
-			Nodes: nodes,
-		}
-		for i := len(res.Reports) - 1; i >= 0; i-- {
-			if caps := res.Reports[i].SocketCaps; caps != nil {
-				row.SocketCaps = caps
-				break
-			}
+			Nodes: nodes, SocketCaps: res.FinalSocketCaps(),
 		}
 		// The rollup is linear in N: rescale the backend's own node count
 		// to each swept one.

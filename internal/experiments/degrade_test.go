@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -136,10 +137,10 @@ func TestFaultsBypassCompileCache(t *testing.T) {
 	}
 	s.Faults = faults.New(1)
 	p := s.Platforms()[0]
-	if _, err := s.compile("gemm", p); err != nil {
+	if _, err := s.compile("gemm", core.DefaultConfig(s.Target(p.Name))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.compile("gemm", p); err != nil {
+	if _, err := s.compile("gemm", core.DefaultConfig(s.Target(p.Name))); err != nil {
 		t.Fatal(err)
 	}
 	if hits, misses := s.CacheStats(); hits != 0 || misses != 0 {
@@ -147,13 +148,78 @@ func TestFaultsBypassCompileCache(t *testing.T) {
 	}
 	// Disarmed, the cache works as before.
 	s.Faults = nil
-	if _, err := s.compile("gemm", p); err != nil {
+	if _, err := s.compile("gemm", core.DefaultConfig(s.Target(p.Name))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.compile("gemm", p); err != nil {
+	if _, err := s.compile("gemm", core.DefaultConfig(s.Target(p.Name))); err != nil {
 		t.Fatal(err)
 	}
 	if hits, misses := s.CacheStats(); hits != 1 || misses != 1 {
 		t.Fatalf("cache stats after disarm: %d hits, %d misses", hits, misses)
+	}
+}
+
+// Every experiment runs to completion under best-effort while the cache
+// model fails, on every call and on a seeded share of them: no panic and
+// no error. A kernel an experiment drops is named in that experiment's
+// degradation summary and in none of its rows, and no note outlives its
+// experiment. With every call failing, the experiments that compare
+// against or select by the model have nothing to show but the summary.
+func TestBestEffortEveryExperiment(t *testing.T) {
+	modelBound := map[string]bool{"fig6": true, "fig8": true, "joint": true, "valid": true}
+	for _, p := range []float64{1, 0.3} {
+		s, err := New(workloads.Test, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Degrade = core.BestEffort
+		s.Concurrency = 1
+		s.Faults = faults.New(3)
+		s.Faults.Enable(core.FaultCacheModel, faults.Spec{P: p})
+		for _, id := range ExperimentIDs() {
+			if id == "all" {
+				continue
+			}
+			var out bytes.Buffer
+			s.Out = &out
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("p=%g %s: panic: %v", p, id, r)
+					}
+				}()
+				if err := s.Run(id); err != nil {
+					t.Fatalf("p=%g %s: %v", p, id, err)
+				}
+			}()
+			if notes := s.drainNotes(); len(notes) > 0 {
+				t.Fatalf("p=%g %s: notes left unrendered: %v", p, id, notes)
+			}
+			// A summary covers the rows printed since the previous one (a
+			// multi-platform experiment summarizes each platform's block).
+			const mark = "degraded (best-effort): "
+			var rows []string
+			dropped := 0
+			for _, line := range strings.Split(out.String(), "\n") {
+				_, note, ok := strings.Cut(line, mark)
+				if !ok {
+					if dropped > 0 {
+						rows, dropped = nil, 0
+					}
+					rows = append(rows, line)
+					continue
+				}
+				dropped++
+				kernel, _, _ := strings.Cut(note, ":")
+				for _, row := range rows {
+					if slices.Contains(strings.Fields(row), kernel) {
+						t.Fatalf("p=%g %s: dropped kernel %s still has a row %q", p, id, kernel, row)
+					}
+				}
+			}
+			if p == 1 && modelBound[id] && !strings.Contains(out.String(), mark) {
+				t.Fatalf("%s: every cache model failed, yet nothing was dropped:\n%s", id, out.String())
+			}
+		}
 	}
 }

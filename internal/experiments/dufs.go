@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"polyufc/internal/core"
 	"polyufc/internal/hw"
 )
 
@@ -21,26 +22,13 @@ type DUFSRow struct {
 func (s *Suite) DUFSComparison(p *hw.Platform, kernels []string) ([]DUFSRow, error) {
 	var out []DUFSRow
 	for _, name := range kernels {
-		res, err := s.compile(name, p)
+		k, err := s.measure(name, core.DefaultConfig(s.targets[p.Name]))
 		if err != nil {
 			return nil, err
 		}
-		m := s.machine(p)
-		var profs []*hw.CacheProfile
-		for _, nest := range nestsOf(res.Module) {
-			prof, err := m.Profile(nest)
-			if err != nil {
-				return nil, err
-			}
-			profs = append(profs, prof)
-		}
 		// Repeat to ~50 ms of steady-state work so the DUFS control loop
 		// (10 ms interval) actually engages and cap overheads amortize.
-		var oneShot float64
-		m.SetUncoreCap(p.UncoreMax)
-		for _, prof := range profs {
-			oneShot += m.Measure(prof).Seconds
-		}
+		oneShot := k.at(p.UncoreMax).Seconds
 		reps := 1
 		if oneShot > 0 {
 			reps = int(0.050/oneShot) + 1
@@ -48,37 +36,27 @@ func (s *Suite) DUFSComparison(p *hw.Platform, kernels []string) ([]DUFSRow, err
 		if reps > 2000 {
 			reps = 2000
 		}
-		repProfs := make([]*hw.CacheProfile, 0, reps*len(profs))
+		repeated := &measuredKernel{res: k.res, m: k.m}
 		for r := 0; r < reps; r++ {
-			repProfs = append(repProfs, profs...)
+			repeated.profs = append(repeated.profs, k.profs...)
 		}
 
 		// Baseline: pinned at max.
-		var base hw.RunResult
-		m.SetUncoreCap(p.UncoreMax)
-		for _, prof := range repProfs {
-			r := m.Measure(prof)
-			base.Seconds += r.Seconds
-			base.PkgJoules += r.PkgJoules
-		}
-		base.EDP = base.PkgJoules * base.Seconds
+		base := repeated.at(p.UncoreMax)
 
 		// DUFS: reactive governor over the same stream.
-		g := hw.DefaultDUFS()
-		dufs := g.RunNests(s.machine(p), repProfs)
+		dufs := hw.DefaultDUFS().RunNests(k.m, repeated.profs)
 
 		// PolyUFC: the compiled program repeated.
 		mPU := s.machine(p)
 		var capped hw.RunResult
 		for r := 0; r < reps; r++ {
-			run, err := mPU.RunFunc(res.Module.Funcs[0])
+			run, err := mPU.RunFunc(k.res.Module.Funcs[0])
 			if err != nil {
 				return nil, err
 			}
-			capped.Seconds += run.Seconds
-			capped.PkgJoules += run.PkgJoules
+			capped.Add(run)
 		}
-		capped.EDP = capped.PkgJoules * capped.Seconds
 
 		row := DUFSRow{
 			Kernel: name, Platform: p.Name,

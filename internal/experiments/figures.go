@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -10,8 +9,8 @@ import (
 	"polyufc/internal/ir"
 	"polyufc/internal/journal"
 	"polyufc/internal/model"
-	"polyufc/internal/parallel"
 	"polyufc/internal/roofline"
+	"polyufc/internal/tiling"
 	"polyufc/internal/workloads"
 )
 
@@ -49,76 +48,50 @@ var Fig1Kernels = []string{"conv2d-alexnet", "2mm", "gemver", "mvt"}
 // completed points — compilation and profiling are skipped entirely for
 // kernels whose points are all journaled.
 func (s *Suite) Fig1(p *hw.Platform) ([]Fig1Series, error) {
-	return parallel.Map(s.ctx(), len(Fig1Kernels), s.Concurrency,
-		func(_ context.Context, i int) (Fig1Series, error) {
-			name := Fig1Kernels[i]
-			series := Fig1Series{Kernel: name, Platform: p.Name}
-			// Compile and profile lazily: a fully journaled kernel never
-			// touches the compiler or the simulator on resume.
-			var m *hw.Machine
-			var profs []*hw.CacheProfile
-			ensure := func() error {
-				if m != nil {
-					return nil
-				}
-				res, err := s.compile(name, p)
-				if err != nil {
-					return err
-				}
-				mm := s.machine(p)
-				for _, nest := range nestsOf(res.Module) {
-					prof, err := mm.Profile(nest)
-					if err != nil {
-						return err
-					}
-					profs = append(profs, prof)
-				}
-				m = mm
-				return nil
-			}
-			key := s.unitKey("fig1", name, p)
-			for _, f := range p.UncoreSteps() {
-				// %g prints the grid point exactly (hw.GridPoint snaps to three
-				// decimals), so neighbours on a 0.05 GHz grid never share a key.
-				pt, _, err := journal.Step(s.Journal, fmt.Sprintf("%s/f%g", key, f),
-					func() (Fig1Point, error) {
-						if err := ensure(); err != nil {
+	return sweepKernels(s, "fig1", Fig1Kernels, func(i int) (Fig1Series, error) {
+		name := Fig1Kernels[i]
+		series := Fig1Series{Kernel: name, Platform: p.Name}
+		// Compile and profile lazily: a fully journaled kernel never
+		// touches the compiler or the simulator on resume.
+		var k *measuredKernel
+		key := s.unitKey("fig1", name, p)
+		for _, f := range p.UncoreSteps() {
+			// %g prints the grid point exactly (hw.GridPoint snaps to three
+			// decimals), so neighbours on a 0.05 GHz grid never share a key.
+			pt, _, err := journal.Step(s.Journal, fmt.Sprintf("%s/f%g", key, f),
+				func() (Fig1Point, error) {
+					if k == nil {
+						var err error
+						if k, err = s.measure(name, core.DefaultConfig(s.targets[p.Name])); err != nil {
 							return Fig1Point{}, err
 						}
-						pt := Fig1Point{FGHz: f}
-						m.SetUncoreCap(f)
-						for _, prof := range profs {
-							r := m.Measure(prof)
-							pt.Seconds += r.Seconds
-							pt.Joules += r.PkgJoules
-						}
-						pt.EDP = pt.Seconds * pt.Joules
-						return pt, nil
-					})
-				if err != nil {
-					if s.bestEffort() {
-						s.noteDegraded(name, err)
-						return Fig1Series{Kernel: name, Platform: p.Name, Degraded: true}, nil
 					}
-					return Fig1Series{}, fmt.Errorf("fig1 %s: %w", name, err)
-				}
-				series.Points = append(series.Points, pt)
+					r := k.at(f)
+					return Fig1Point{FGHz: f, Seconds: r.Seconds, Joules: r.PkgJoules, EDP: r.EDP}, nil
+				})
+			if err != nil {
+				return Fig1Series{}, err
 			}
-			series.BestTime = argminF(series.Points, func(p Fig1Point) float64 { return p.Seconds })
-			series.BestEnergy = argminF(series.Points, func(p Fig1Point) float64 { return p.Joules })
-			series.BestEDP = argminF(series.Points, func(p Fig1Point) float64 { return p.EDP })
-			return series, nil
-		})
+			series.Points = append(series.Points, pt)
+		}
+		series.BestTime = argmin(series.Points, func(p Fig1Point) float64 { return p.Seconds }).FGHz
+		series.BestEnergy = argmin(series.Points, func(p Fig1Point) float64 { return p.Joules }).FGHz
+		series.BestEDP = argmin(series.Points, func(p Fig1Point) float64 { return p.EDP }).FGHz
+		return series, nil
+	}, func(i int) Fig1Series {
+		return Fig1Series{Kernel: Fig1Kernels[i], Platform: p.Name, Degraded: true}
+	})
 }
 
-func argminF(pts []Fig1Point, val func(Fig1Point) float64) float64 {
+// argmin returns the point val is smallest at (the first on a tie).
+func argmin[P any](pts []P, val func(P) float64) P {
 	best := pts[0]
 	for _, p := range pts {
 		if val(p) < val(best) {
 			best = p
 		}
 	}
-	return best.FGHz
+	return best
 }
 
 // RenderFig1 prints the sweeps for both platforms.
@@ -141,26 +114,33 @@ func (s *Suite) RenderFig1() error {
 					pt.FGHz, pt.Seconds*1e3, pt.Joules, pt.EDP*1e3)
 			}
 		}
+		s.renderDegraded()
 	}
-	s.renderDegraded()
 	return nil
 }
 
 // --- Fig. 5: phase changes across dialects ---------------------------------
 
-// RenderFig5 prints the sdpa phase-change study.
-func (s *Suite) RenderFig5() error {
-	p := s.plats[1] // RPL
+// phaseStudy runs the Fig. 5 phase-change study of sdpa (BERT) on p
+// under a tiling spec (the zero spec is the compile default).
+func (s *Suite) phaseStudy(p *hw.Platform, spec tiling.Spec) (map[ir.Dialect][]core.Phase, error) {
 	k, err := workloads.ByName("sdpa-bert")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	mod, err := k.Build(s.Size)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	cfg := core.DefaultConfig(s.targets[p.Name])
-	phases, err := core.PhaseStudy(mod, cfg)
+	cfg.Tiling = spec
+	return core.PhaseStudy(mod, cfg)
+}
+
+// RenderFig5 prints the sdpa phase-change study.
+func (s *Suite) RenderFig5() error {
+	p := s.plats[1] // RPL
+	phases, err := s.phaseStudy(p, tiling.Spec{})
 	if err != nil {
 		return err
 	}
@@ -177,28 +157,11 @@ func (s *Suite) RenderFig5() error {
 // Fig5Pattern returns the linalg-level class sequence as a string like
 // "CB BB BB BB BB BB BB BB CB".
 func (s *Suite) Fig5Pattern() (string, error) {
-	p := s.plats[1]
-	k, err := workloads.ByName("sdpa-bert")
+	phases, err := s.phaseStudy(s.plats[1], tiling.Spec{})
 	if err != nil {
 		return "", err
 	}
-	mod, err := k.Build(s.Size)
-	if err != nil {
-		return "", err
-	}
-	cfg := core.DefaultConfig(s.targets[p.Name])
-	phases, err := core.PhaseStudy(mod, cfg)
-	if err != nil {
-		return "", err
-	}
-	out := ""
-	for i, ph := range phases[ir.DialectLinalg] {
-		if i > 0 {
-			out += " "
-		}
-		out += ph.Class.String()
-	}
-	return out, nil
+	return phasePattern(phases[ir.DialectLinalg]), nil
 }
 
 // --- Fig. 6: roofline characterization --------------------------------------
@@ -221,64 +184,76 @@ type Fig6Row struct {
 	Degraded bool
 }
 
+// modelVsMachine is one kernel's model-vs-machine pass at the driver
+// default, shared by Fig. 6 and the validation study: the Sec. V
+// estimates and PolyUFC-CM's counts summed over the nests, beside the
+// machine's run of the same nests at the maximum uncore frequency.
+type modelVsMachine struct {
+	estSec, estJ float64
+	hw           hw.RunResult
+	flops, qdram int64
+	// qdramHW is the simulator's DRAM traffic, divided per nest by the
+	// same thread share as PolyUFC-CM's QDRAM.
+	qdramHW int64
+}
+
+// compareModel runs the pass for one kernel on a resolved target. A
+// kernel with a nest best-effort left without a cache model has no
+// estimate to compare and fails the pass.
+func (s *Suite) compareModel(kernel string, t *roofline.Target) (modelVsMachine, error) {
+	var v modelVsMachine
+	k, err := s.measure(kernel, core.DefaultConfig(t))
+	if err != nil {
+		return v, err
+	}
+	if err := characterized(k.res); err != nil {
+		return v, err
+	}
+	for i, rep := range k.res.Reports {
+		v.estSec += rep.EstDefault.Seconds
+		v.estJ += rep.EstDefault.Joules
+		v.flops += rep.CM.Flops
+		v.qdram += rep.CM.QDRAM
+		v.qdramHW += k.profs[i].QDRAM / int64(max(rep.CM.ThreadsDiv, 1))
+	}
+	v.hw = k.at(t.Platform.UncoreMax)
+	return v, nil
+}
+
 // Fig6 characterizes the given kernels on a platform and validates against
 // hardware measurements. One worker per kernel; rows return in input order.
 func (s *Suite) Fig6(p *hw.Platform, kernels []string) ([]Fig6Row, error) {
 	c := s.Constants(p.Name)
-	return parallel.Map(s.ctx(), len(kernels), s.Concurrency,
-		func(_ context.Context, idx int) (Fig6Row, error) {
-			name := kernels[idx]
-			k, err := workloads.ByName(name)
-			if err != nil {
-				return Fig6Row{}, err
-			}
-			res, err := s.compile(name, p)
-			if err != nil {
-				if s.bestEffort() {
-					s.noteDegraded(name, err)
-					return Fig6Row{Kernel: name, Platform: p.Name, Degraded: true}, nil
-				}
-				return Fig6Row{}, fmt.Errorf("fig6 %s: %w", name, err)
-			}
-			// Aggregate model estimates and hardware runs at max frequency.
-			m := s.machine(p)
-			m.SetUncoreCap(p.UncoreMax)
-			var estT, hwT, estE, hwE float64
-			var flops, qdram, qdramHW int64
-			for i, nest := range nestsOf(res.Module) {
-				rep := res.Reports[i]
-				est := rep.EstDefault
-				estT += est.Seconds
-				estE += est.Joules
-				flops += rep.CM.Flops
-				qdram += rep.CM.QDRAM
-				r, err := m.RunNest(nest)
-				if err != nil {
-					return Fig6Row{}, err
-				}
-				hwT += r.Seconds
-				hwE += r.PkgJoules
-				prof, _ := m.Profile(nest)
-				qdramHW += prof.QDRAM / int64(max(rep.CM.ThreadsDiv, 1))
-			}
-			oi := 0.0
-			if qdram > 0 {
-				oi = float64(flops) / float64(qdram)
-			}
-			hwOI := math.Inf(1)
-			if qdramHW > 0 {
-				hwOI = float64(flops) / float64(qdramHW)
-			}
-			row := Fig6Row{
-				Kernel: name, Platform: p.Name, Category: k.Category,
-				OI: oi, Class: c.Classify(oi),
-				EstGFlops: float64(flops) / estT / 1e9, HWGFlops: float64(flops) / hwT / 1e9,
-				EstWatts: estE / estT, HWWatts: hwE / hwT,
-				HWClass: c.Classify(hwOI),
-			}
-			row.Correct = row.Class == row.HWClass
-			return row, nil
-		})
+	return sweepKernels(s, "fig6", kernels, func(i int) (Fig6Row, error) {
+		name := kernels[i]
+		k, err := workloads.ByName(name)
+		if err != nil {
+			return Fig6Row{}, err
+		}
+		v, err := s.compareModel(name, s.targets[p.Name])
+		if err != nil {
+			return Fig6Row{}, err
+		}
+		oi := 0.0
+		if v.qdram > 0 {
+			oi = float64(v.flops) / float64(v.qdram)
+		}
+		hwOI := math.Inf(1)
+		if v.qdramHW > 0 {
+			hwOI = float64(v.flops) / float64(v.qdramHW)
+		}
+		row := Fig6Row{
+			Kernel: name, Platform: p.Name, Category: k.Category,
+			OI: oi, Class: c.Classify(oi),
+			EstGFlops: float64(v.flops) / v.estSec / 1e9, HWGFlops: float64(v.flops) / v.hw.Seconds / 1e9,
+			EstWatts: v.estJ / v.estSec, HWWatts: v.hw.AvgWatts,
+			HWClass: c.Classify(hwOI),
+		}
+		row.Correct = row.Class == row.HWClass
+		return row, nil
+	}, func(i int) Fig6Row {
+		return Fig6Row{Kernel: kernels[i], Platform: p.Name, Degraded: true}
+	})
 }
 
 // RenderFig6 prints the ML kernels on both platforms and PolyBench on RPL.
@@ -292,6 +267,7 @@ func (s *Suite) RenderFig6() error {
 		}
 		s.printf("-- ML kernels on %s\n", p.Name)
 		s.renderFig6Rows(rows)
+		s.renderDegraded()
 	}
 	var pbNames []string
 	for _, k := range workloads.PolyBench() {
@@ -353,38 +329,27 @@ type Fig7Row struct {
 // each completed row checkpoints and a resumed sweep replays it without
 // recompiling or re-measuring the kernel.
 func (s *Suite) Fig7(p *hw.Platform, kernels []string) ([]Fig7Row, error) {
-	return parallel.Map(s.ctx(), len(kernels), s.Concurrency, func(_ context.Context, idx int) (Fig7Row, error) {
-		name := kernels[idx]
-		row, _, err := journal.Step(s.Journal, s.unitKey("fig7", name, p), func() (Fig7Row, error) {
-			return s.fig7Row(p, name)
+	return sweepKernels(s, "fig7", kernels, func(i int) (Fig7Row, error) {
+		row, _, err := journal.Step(s.Journal, s.unitKey("fig7", kernels[i], p), func() (Fig7Row, error) {
+			return s.fig7Row(p, kernels[i])
 		})
-		if err != nil {
-			if s.bestEffort() {
-				s.noteDegraded(name, err)
-				return Fig7Row{Kernel: name, Platform: p.Name, Degraded: true}, nil
-			}
-			return Fig7Row{}, fmt.Errorf("fig7 %s: %w", name, err)
-		}
-		return row, nil
+		return row, err
+	}, func(i int) Fig7Row {
+		return Fig7Row{Kernel: kernels[i], Platform: p.Name, Degraded: true}
 	})
 }
 
 // fig7Row computes one kernel's baseline-vs-capped comparison.
 func (s *Suite) fig7Row(p *hw.Platform, name string) (Fig7Row, error) {
-	drop := func(err error) (Fig7Row, error) { return Fig7Row{}, err }
-	k, err := workloads.ByName(name)
+	kernel, err := workloads.ByName(name)
 	if err != nil {
-		return drop(err)
+		return Fig7Row{}, err
 	}
-	res, err := s.compile(name, p)
+	k, err := s.measure(name, core.DefaultConfig(s.targets[p.Name]))
 	if err != nil {
-		return drop(err)
+		return Fig7Row{}, err
 	}
-	m := s.machine(p)
-	base, err := m.RunBaseline(res.Module.Funcs...)
-	if err != nil {
-		return drop(err)
-	}
+	base := k.at(p.UncoreMax)
 	// Repeat the program so each measurement covers at least ~20 ms of
 	// steady-state execution: small simulated problem sizes would
 	// otherwise be dominated by the one-time cap-switch latency, which
@@ -398,22 +363,21 @@ func (s *Suite) fig7Row(p *hw.Platform, name string) (Fig7Row, error) {
 	if reps > 1000 {
 		reps = 1000
 	}
-	base.Seconds *= float64(reps)
-	base.PkgJoules *= float64(reps)
-	base.EDP = base.PkgJoules * base.Seconds
+	base.Scale(float64(reps))
 
-	repeated := &ir.Func{Name: res.Module.Funcs[0].Name}
+	f := k.res.Module.Funcs[0]
+	repeated := &ir.Func{Name: f.Name}
 	for r := 0; r < reps; r++ {
-		repeated.Ops = append(repeated.Ops, res.Module.Funcs[0].Ops...)
+		repeated.Ops = append(repeated.Ops, f.Ops...)
 	}
-	m.ResetCounters()
-	capped, err := m.RunFunc(repeated)
+	k.m.ResetCounters()
+	capped, err := k.m.RunFunc(repeated)
 	if err != nil {
-		return drop(err)
+		return Fig7Row{}, err
 	}
-	rep, _ := dominant(res.Reports)
+	rep, _ := dominant(k.res.Reports)
 	return Fig7Row{
-		Kernel: name, Suite: k.Suite, Platform: p.Name,
+		Kernel: name, Suite: kernel.Suite, Platform: p.Name,
 		Class: rep.Class, CapGHz: rep.CapGHz,
 		TimeGain:    1 - capped.Seconds/base.Seconds,
 		EnergyGain:  1 - capped.PkgJoules/base.PkgJoules,
@@ -496,78 +460,56 @@ type Fig8Result struct {
 	// version of the paper's "set associativity yields the better EDP
 	// estimate" claim.
 	ErrSetAssoc, ErrFullAssoc float64
+	// Degraded marks a study dropped under best-effort tolerance.
+	Degraded bool
 }
 
 // Fig8 compares EDP estimates under the set-associative and fully-
 // associative PolyUFC-CM configurations against hardware over the uncore
 // range.
 func (s *Suite) Fig8(kernelName string, p *hw.Platform) (*Fig8Result, error) {
-	build := func(fullyAssoc bool) ([]*model.Model, error) {
-		cfg := core.DefaultConfig(s.targets[p.Name])
-		cfg.FullyAssoc = fullyAssoc
-		res, err := s.compileCfg(kernelName, cfg)
-		if err != nil {
-			return nil, err
-		}
-		var ms []*model.Model
-		for _, rep := range res.Reports {
-			ms = append(ms, model.New(s.Constants(p.Name), model.FromCacheModel(rep.CM, rep.Threads)))
-		}
-		return ms, nil
-	}
-	saModels, err := build(false)
+	// The set-associative configuration is the default one, so its
+	// compile is also the one the machine runs.
+	cfg := core.DefaultConfig(s.targets[p.Name])
+	k, err := s.measure(kernelName, cfg)
 	if err != nil {
 		return nil, err
 	}
-	faModels, err := build(true)
+	cfg.FullyAssoc = true
+	fa, err := s.compile(kernelName, cfg)
 	if err != nil {
 		return nil, err
 	}
-	// Hardware series from the default compilation's nests (a cache hit:
-	// it shares the set-associative configuration above).
-	res, err := s.compile(kernelName, p)
+	saModels, err := s.models(k.res, p)
 	if err != nil {
 		return nil, err
 	}
-	m := s.machine(p)
-	var profs []*hw.CacheProfile
-	for _, nest := range nestsOf(res.Module) {
-		prof, err := m.Profile(nest)
-		if err != nil {
-			return nil, err
+	faModels, err := s.models(fa, p)
+	if err != nil {
+		return nil, err
+	}
+	// estEDP is the models' EDP estimate at f, summed over the nests.
+	estEDP := func(ms []*model.Model, f float64) float64 {
+		var t, e float64
+		for _, m := range ms {
+			est := m.At(f)
+			t += est.Seconds
+			e += est.Joules
 		}
-		profs = append(profs, prof)
+		return t * e
 	}
 	out := &Fig8Result{Kernel: kernelName, Platform: p.Name}
 	for _, f := range p.UncoreSteps() {
-		var pt Fig8Point
-		pt.FGHz = f
-		var saT, saE, faT, faE float64
-		for _, mm := range saModels {
-			e := mm.At(f)
-			saT += e.Seconds
-			saE += e.Joules
-		}
-		for _, mm := range faModels {
-			e := mm.At(f)
-			faT += e.Seconds
-			faE += e.Joules
-		}
-		pt.EDPSetAssoc = saT * saE
-		pt.EDPFullAssoc = faT * faE
-		m.SetUncoreCap(f)
-		var hwT, hwE float64
-		for _, prof := range profs {
-			r := m.Measure(prof)
-			hwT += r.Seconds
-			hwE += r.PkgJoules
-		}
-		pt.EDPHW = hwT * hwE
-		out.Points = append(out.Points, pt)
+		out.Points = append(out.Points, Fig8Point{
+			FGHz:         f,
+			EDPSetAssoc:  estEDP(saModels, f),
+			EDPFullAssoc: estEDP(faModels, f),
+			EDPHW:        k.at(f).EDP,
+		})
 	}
-	out.BestSetAssoc = argminFig8(out.Points, func(p Fig8Point) float64 { return p.EDPSetAssoc })
-	out.BestFullAssoc = argminFig8(out.Points, func(p Fig8Point) float64 { return p.EDPFullAssoc })
-	out.BestHW = argminFig8(out.Points, func(p Fig8Point) float64 { return p.EDPHW })
+	out.BestSetAssoc = argmin(out.Points, func(p Fig8Point) float64 { return p.EDPSetAssoc }).FGHz
+	out.BestFullAssoc = argmin(out.Points, func(p Fig8Point) float64 { return p.EDPFullAssoc }).FGHz
+	out.BestHW = argmin(out.Points, func(p Fig8Point) float64 { return p.EDPHW }).FGHz
 	for _, pt := range out.Points {
 		out.ErrSetAssoc += math.Abs(pt.EDPSetAssoc-pt.EDPHW) / pt.EDPHW
 		out.ErrFullAssoc += math.Abs(pt.EDPFullAssoc-pt.EDPHW) / pt.EDPHW
@@ -577,32 +519,37 @@ func (s *Suite) Fig8(kernelName string, p *hw.Platform) (*Fig8Result, error) {
 	return out, nil
 }
 
-func argminFig8(pts []Fig8Point, val func(Fig8Point) float64) float64 {
-	best := pts[0]
-	for _, p := range pts {
-		if val(p) < val(best) {
-			best = p
-		}
+// models builds one Sec. V model per nest of a compilation from its
+// PolyUFC-CM counts.
+func (s *Suite) models(res *core.Result, p *hw.Platform) ([]*model.Model, error) {
+	if err := characterized(res); err != nil {
+		return nil, err
 	}
-	return best.FGHz
+	var ms []*model.Model
+	for _, rep := range res.Reports {
+		ms = append(ms, model.New(s.Constants(p.Name), model.FromCacheModel(rep.CM, rep.Threads)))
+	}
+	return ms, nil
 }
 
 // RenderFig8 prints the gemm-on-BDW and 2mm-on-RPL studies of the paper.
 // The two case studies run concurrently; rendering follows in case order.
 func (s *Suite) RenderFig8() error {
 	s.printf("== Fig. 8: EDP estimates, set- vs fully-associative PolyUFC-CM vs HW ==\n")
-	cases := []struct {
-		kernel string
-		plat   *hw.Platform
-	}{{"gemm-pow2", s.plats[0]}, {"2mm-pow2", s.plats[1]}}
-	results, err := parallel.Map(s.ctx(), len(cases), s.Concurrency,
-		func(_ context.Context, i int) (*Fig8Result, error) {
-			return s.Fig8(cases[i].kernel, cases[i].plat)
-		})
+	kernels := []string{"gemm-pow2", "2mm-pow2"}
+	plats := s.plats[:2]
+	results, err := sweepKernels(s, "fig8", kernels, func(i int) (*Fig8Result, error) {
+		return s.Fig8(kernels[i], plats[i])
+	}, func(i int) *Fig8Result {
+		return &Fig8Result{Kernel: kernels[i], Platform: plats[i].Name, Degraded: true}
+	})
 	if err != nil {
 		return err
 	}
 	for _, r := range results {
+		if r.Degraded {
+			continue
+		}
 		s.printf("-- %s on %s (argmin EDP: set-assoc %.1f, fully-assoc %.1f, HW %.1f GHz)\n",
 			r.Kernel, r.Platform, r.BestSetAssoc, r.BestFullAssoc, r.BestHW)
 		s.printf("   mean |EDP err| vs HW: set-assoc %.1f%%, fully-assoc %.1f%%\n",
@@ -613,5 +560,6 @@ func (s *Suite) RenderFig8() error {
 				pt.FGHz, pt.EDPSetAssoc*1e3, pt.EDPFullAssoc*1e3, pt.EDPHW*1e3)
 		}
 	}
+	s.renderDegraded()
 	return nil
 }

@@ -12,10 +12,10 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from the current renderer output")
 
-// goldenIDs are the deterministic renderers captured byte-for-byte from the
-// serial seed implementation. Tab. IV is excluded: it prints wall-clock
-// compile times.
-var goldenIDs = []string{"fig1", "fig6", "fig7", "tab1", "tab2", "tab3"}
+// goldenIDs are the deterministic renderers, captured byte-for-byte. Tab.
+// IV and fn. 17 (dedup) are excluded: they print wall-clock times.
+var goldenIDs = []string{"cluster", "dufs", "fig1", "fig5", "fig6", "fig7", "fig8", "joint", "overhead",
+	"tab1", "tab2", "tab3", "tiling", "tilesize", "valid"}
 
 // renderGolden runs one experiment at Test size on a fresh suite and
 // returns the rendered bytes.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 
+	"polyufc/internal/core"
 	"polyufc/internal/hw"
 	"polyufc/internal/model"
 )
@@ -44,13 +45,13 @@ func (s *Suite) Joint(p *hw.Platform, kernels []string) ([]JointRow, error) {
 	cs := model.DefaultCoreScaling(p.CoreBase)
 	var out []JointRow
 	for _, name := range kernels {
-		res, err := s.compile(name, p)
+		k, err := s.measure(name, core.DefaultConfig(s.targets[p.Name]))
 		if err != nil {
 			return nil, err
 		}
 		// Dominant nest decides the frequencies (as the per-kernel caps
 		// would); measurement covers all nests.
-		rep, ok := dominant(res.Reports)
+		rep, ok := dominant(k.res.Reports)
 		if !ok {
 			s.noteDegraded(name, errors.New("joint: no nest was characterized"))
 			out = append(out, JointRow{Kernel: name, Platform: p.Name, Degraded: true})
@@ -59,26 +60,9 @@ func (s *Suite) Joint(p *hw.Platform, kernels []string) ([]JointRow, error) {
 		m := model.New(consts, model.FromCacheModel(rep.CM, rep.Threads))
 		joint := m.SearchJoint(cs, coreGrid(p), p.UncoreSteps(),
 			func(e model.Estimate) float64 { return e.EDP }, 4)
-
-		mach := s.machine(p)
-		var base, uo, jt hw.RunResult
-		measure := func(fc, fu float64) hw.RunResult {
-			var agg hw.RunResult
-			for _, nest := range nestsOf(res.Module) {
-				prof, err := mach.Profile(nest)
-				if err != nil {
-					continue
-				}
-				r := mach.MeasureAt(prof, fc, fu)
-				agg.Seconds += r.Seconds
-				agg.PkgJoules += r.PkgJoules
-			}
-			agg.EDP = agg.PkgJoules * agg.Seconds
-			return agg
-		}
-		base = measure(p.CoreBase, p.UncoreMax)
-		uo = measure(p.CoreBase, rep.CapGHz)
-		jt = measure(joint.CoreGHz, joint.UncoreGHz)
+		base := k.atJoint(p.CoreBase, p.UncoreMax)
+		uo := k.atJoint(p.CoreBase, rep.CapGHz)
+		jt := k.atJoint(joint.CoreGHz, joint.UncoreGHz)
 
 		row := JointRow{
 			Kernel: name, Platform: p.Name, Class: rep.Class.String(),
@@ -113,7 +97,7 @@ func (s *Suite) RenderJoint() error {
 				r.Kernel, r.Class, r.UncoreOnlyGHz, r.JointCoreGHz, r.JointUncoreGHz,
 				r.BaseEDP*1e3, r.UncoreOnlyEDP*1e3, r.JointEDP*1e3, 100*r.JointExtraGain)
 		}
+		s.renderDegraded()
 	}
-	s.renderDegraded()
 	return nil
 }

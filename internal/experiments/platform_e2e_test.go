@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"polyufc/internal/core"
 	"polyufc/internal/hw"
 	"polyufc/internal/ir"
 	"polyufc/internal/platform"
@@ -46,7 +47,7 @@ func TestFileBackendEndToEnd(t *testing.T) {
 	if p.Name != b.Name {
 		t.Fatalf("suite platform = %s", p.Name)
 	}
-	res, err := s.compile("mvt", p)
+	res, err := s.compile("mvt", core.DefaultConfig(s.Target(p.Name)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -162,6 +162,88 @@ func (s *Suite) machine(p *hw.Platform) *hw.Machine {
 	return m
 }
 
+// measuredKernel is one compiled kernel on a freshly booted suite machine
+// with every nest profiled: the one way the experiments measure a
+// compilation. Its views sum the nests' runs by hw.RunResult.Add.
+type measuredKernel struct {
+	res   *core.Result
+	m     *hw.Machine
+	profs []*hw.CacheProfile // one per nest, in module order
+}
+
+// measure compiles a kernel under cfg through the suite memo, boots a
+// fresh machine for cfg's platform and profiles every nest.
+func (s *Suite) measure(kernel string, cfg core.Config) (*measuredKernel, error) {
+	res, err := s.compile(kernel, cfg)
+	if err != nil {
+		return nil, err
+	}
+	k := &measuredKernel{res: res, m: s.machine(cfg.Platform())}
+	for _, f := range res.Module.Funcs {
+		for _, op := range f.Ops {
+			if nest, ok := op.(*ir.Nest); ok {
+				prof, err := k.m.Profile(nest)
+				if err != nil {
+					return nil, err
+				}
+				k.profs = append(k.profs, prof)
+			}
+		}
+	}
+	return k, nil
+}
+
+// at caps the uncore at f through the driver and runs every profile in
+// order: driver state and the RAPL counters move.
+func (k *measuredKernel) at(f float64) hw.RunResult {
+	k.m.SetUncoreCap(f)
+	var agg hw.RunResult
+	for _, p := range k.profs {
+		agg.Add(k.m.Measure(p))
+	}
+	return agg
+}
+
+// atJoint runs every profile at core clock fc and uncore clock fu without
+// touching driver state or the counters.
+func (k *measuredKernel) atJoint(fc, fu float64) hw.RunResult {
+	var agg hw.RunResult
+	for _, p := range k.profs {
+		agg.Add(k.m.MeasureAt(p, fc, fu))
+	}
+	return agg
+}
+
+// characterized fails on a compilation with a nest that best-effort left
+// without a cache model: there is no estimate to compare or model to build.
+func characterized(res *core.Result) error {
+	for i, rep := range res.Reports {
+		if rep.CM == nil {
+			return fmt.Errorf("nest %d has no cache model (%v)", i, rep.Err)
+		}
+	}
+	return nil
+}
+
+// sweepKernels is the per-kernel driver of the pooled experiments: row(i)
+// computes kernels[i]'s row on the worker pool, and rows come back in
+// input order. Under best-effort a failing kernel is noted for the
+// degradation summary and comes back as degraded(i); otherwise its error
+// ends the sweep.
+func sweepKernels[R any](s *Suite, exp string, kernels []string, row func(i int) (R, error), degraded func(i int) R) ([]R, error) {
+	return parallel.Map(s.ctx(), len(kernels), s.Concurrency, func(_ context.Context, i int) (R, error) {
+		r, err := row(i)
+		if err == nil {
+			return r, nil
+		}
+		if s.bestEffort() {
+			s.noteDegraded(kernels[i], err)
+			return degraded(i), nil
+		}
+		return r, fmt.Errorf("%s %s: %w", exp, kernels[i], err)
+	})
+}
+
 // bestEffort reports whether sweeps tolerate per-kernel failures.
 func (s *Suite) bestEffort() bool { return s.Degrade == core.BestEffort }
 
@@ -215,17 +297,11 @@ func (s *Suite) printf(format string, args ...interface{}) {
 	}
 }
 
-// compile builds, lowers and PolyUFC-compiles one kernel for a platform
-// through the suite's memo cache with the paper's default configuration.
-func (s *Suite) compile(kernelName string, p *hw.Platform) (*core.Result, error) {
-	return s.compileCfg(kernelName, core.DefaultConfig(s.targets[p.Name]))
-}
-
-// compileCfg is the cache-wired compile for any of the evaluation's
-// configurations. core.KeyOf reads the key off the final Config, so every
-// bit a sweep varies is in it; core bypasses the memo while faults are
-// armed.
-func (s *Suite) compileCfg(kernelName string, cfg core.Config) (*core.Result, error) {
+// compile builds, lowers and PolyUFC-compiles one kernel through the
+// suite's memo cache under any of the evaluation's configurations.
+// core.KeyOf reads the key off the final Config, so every bit a sweep
+// varies is in it; core bypasses the memo while faults are armed.
+func (s *Suite) compile(kernelName string, cfg core.Config) (*core.Result, error) {
 	k, err := workloads.ByName(kernelName)
 	if err != nil {
 		return nil, err
@@ -247,19 +323,6 @@ func (s *Suite) sweepConfig(cfg core.Config) core.Config {
 		cfg.Tiling = s.Tiling
 	}
 	return cfg
-}
-
-// nestsOf collects the affine nests of a compiled module in order.
-func nestsOf(mod *ir.Module) []*ir.Nest {
-	var out []*ir.Nest
-	for _, f := range mod.Funcs {
-		for _, op := range f.Ops {
-			if n, ok := op.(*ir.Nest); ok {
-				out = append(out, n)
-			}
-		}
-	}
-	return out
 }
 
 // dominant returns the report of the nest with the most flops, whose

@@ -136,21 +136,20 @@ type OverheadResult struct {
 func (s *Suite) Overhead(p *hw.Platform) (*OverheadResult, error) {
 	cfg := core.DefaultConfig(s.targets[p.Name])
 	cfg.AmortizeFactor = 0
-	res, err := s.compileCfg("sdpa-gemma2", cfg)
+	k, err := s.measure("sdpa-gemma2", cfg)
 	if err != nil {
 		return nil, err
 	}
-	m := s.machine(p)
-	run, err := m.RunFunc(res.Module.Funcs[0])
+	run, err := k.m.RunFunc(k.res.Module.Funcs[0])
 	if err != nil {
 		return nil, err
 	}
 	return &OverheadResult{
 		Platform:    p.Name,
 		PerSwitch:   time.Duration(p.CapLatency * 1e9),
-		Kernels:     len(res.Reports),
-		CapSwitches: m.CapSwitches(),
-		Cumulative:  time.Duration(float64(m.CapSwitches()) * p.CapLatency * 1e9),
+		Kernels:     len(k.res.Reports),
+		CapSwitches: k.m.CapSwitches(),
+		Cumulative:  time.Duration(float64(k.m.CapSwitches()) * p.CapLatency * 1e9),
 		RunTime:     time.Duration(run.Seconds * 1e9),
 	}, nil
 }

@@ -8,7 +8,6 @@ import (
 	"polyufc/internal/hw"
 	"polyufc/internal/ir"
 	"polyufc/internal/tiling"
-	"polyufc/internal/workloads"
 )
 
 // tilingStudySpecs are the strategies the per-strategy reruns compare,
@@ -35,19 +34,9 @@ func phasePattern(phases []core.Phase) string {
 // keyed by strategy name. The affine view is the one the tile transform
 // reshapes, so it is where strategies can flip a nest between CB and BB.
 func (s *Suite) TilingPhaseStudy(p *hw.Platform) (map[string][]core.Phase, error) {
-	k, err := workloads.ByName("sdpa-bert")
-	if err != nil {
-		return nil, err
-	}
 	out := map[string][]core.Phase{}
 	for _, spec := range tilingStudySpecs() {
-		mod, err := k.Build(s.Size)
-		if err != nil {
-			return nil, err
-		}
-		cfg := core.DefaultConfig(s.targets[p.Name])
-		cfg.Tiling = spec
-		phases, err := core.PhaseStudy(mod, cfg)
+		phases, err := s.phaseStudy(p, spec)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", spec.Name, err)
 		}
@@ -92,7 +81,7 @@ func (s *Suite) TilingCapSweep(p *hw.Platform, kernels []string) ([]TilingCapRow
 		for i, spec := range specs {
 			cfg := core.DefaultConfig(s.targets[p.Name])
 			cfg.Tiling = spec
-			res, err := s.compileCfg(kernel, cfg)
+			res, err := s.compile(kernel, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("%s under %s: %w", kernel, spec.Name, err)
 			}

@@ -83,10 +83,7 @@ func (g DUFSGovernor) RunProfile(m *Machine, p *CacheProfile) RunResult {
 		UncoreGHz: f,
 		Threads:   r.Threads,
 	}
-	if elapsed > 0 {
-		res.AvgWatts = energy / elapsed
-	}
-	res.EDP = energy * elapsed
+	res.derive()
 	res.GFlops = float64(p.Flops) / math.Max(elapsed, 1e-12) / 1e9
 	return res
 }
@@ -99,15 +96,10 @@ func (g DUFSGovernor) RunNests(m *Machine, profs []*CacheProfile) RunResult {
 	cur := g
 	for _, p := range profs {
 		r := cur.RunProfile(m, p)
-		agg.Seconds += r.Seconds
-		agg.PkgJoules += r.PkgJoules
+		agg.Add(r)
 		// Carry the converged frequency into the next kernel.
 		cur.StartGHz = r.UncoreGHz
 		agg.UncoreGHz = r.UncoreGHz
 	}
-	if agg.Seconds > 0 {
-		agg.AvgWatts = agg.PkgJoules / agg.Seconds
-	}
-	agg.EDP = agg.PkgJoules * agg.Seconds
 	return agg
 }

@@ -224,6 +224,25 @@ func TestRunBaselineIgnoresCapsAndSums(t *testing.T) {
 	}
 }
 
+// A multi-part run sums seconds and joules and derives watts and EDP from
+// the sums; no seconds means no watts, never a NaN.
+func TestRunResultAggregation(t *testing.T) {
+	var agg RunResult
+	agg.Add(RunResult{})
+	if agg.AvgWatts != 0 || agg.EDP != 0 {
+		t.Fatalf("empty run derived %+v", agg)
+	}
+	agg.Add(RunResult{Seconds: 1, PkgJoules: 10, UncoreJoules: 2, AvgWatts: 99, EDP: 99})
+	agg.Add(RunResult{Seconds: 3, PkgJoules: 30, UncoreJoules: 4})
+	if agg.Seconds != 4 || agg.PkgJoules != 40 || agg.UncoreJoules != 6 || agg.AvgWatts != 10 || agg.EDP != 160 {
+		t.Fatalf("sum %+v", agg)
+	}
+	agg.Scale(2)
+	if agg.Seconds != 8 || agg.PkgJoules != 80 || agg.UncoreJoules != 12 || agg.AvgWatts != 10 || agg.EDP != 640 {
+		t.Fatalf("scaled %+v", agg)
+	}
+}
+
 func TestProfileMemoized(t *testing.T) {
 	A := ir.NewArray("A", 8, 128)
 	stmt := &ir.Statement{Name: "S", Flops: 1}

@@ -87,8 +87,7 @@ func (m *Machine) jitter(r *RunResult) {
 	r.Seconds *= ft
 	r.PkgJoules *= fe
 	r.UncoreJoules *= fe
-	r.AvgWatts = r.PkgJoules / r.Seconds
-	r.EDP = r.PkgJoules * r.Seconds
+	r.derive()
 	r.GFlops /= ft
 	r.DRAMGBs /= ft
 }
@@ -264,7 +263,7 @@ func ProfileNest(nest *ir.Nest, cache cachesim.Config) (*CacheProfile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CacheProfile{Result: *r, HasParallel: nest.Root != nil && nest.Root.Parallel, Label: nest.Label}, nil
+	return &CacheProfile{Result: *r, HasParallel: nest.Parallel(), Label: nest.Label}, nil
 }
 
 // RunResult is one hardware measurement.
@@ -279,6 +278,35 @@ type RunResult struct {
 	UncoreGHz    float64
 	CoreGHz      float64
 	Threads      int
+}
+
+// Add accumulates another run into r. This is the one aggregation rule of
+// a multi-part run: seconds, package joules and uncore joules sum, and
+// AvgWatts and EDP derive from the sums.
+func (r *RunResult) Add(o RunResult) {
+	r.Seconds += o.Seconds
+	r.PkgJoules += o.PkgJoules
+	r.UncoreJoules += o.UncoreJoules
+	r.derive()
+}
+
+// Scale stretches r to k back-to-back repetitions of itself: seconds and
+// joules scale by k, and AvgWatts and EDP derive from the results.
+func (r *RunResult) Scale(k float64) {
+	r.Seconds *= k
+	r.PkgJoules *= k
+	r.UncoreJoules *= k
+	r.derive()
+}
+
+// derive sets AvgWatts (0 over zero seconds) and EDP = joules x seconds
+// from r's seconds and package joules.
+func (r *RunResult) derive() {
+	r.AvgWatts = 0
+	if r.Seconds > 0 {
+		r.AvgWatts = r.PkgJoules / r.Seconds
+	}
+	r.EDP = r.PkgJoules * r.Seconds
 }
 
 // Measure converts a profile into time and energy at the machine's current
@@ -397,8 +425,7 @@ func (m *Machine) RunNest(nest *ir.Nest) (RunResult, error) {
 
 // runOps is the one op walk behind Machine.RunFunc, Machine.RunBaseline
 // and CapController.RunFunc: the functions' ops run in order, nests on the
-// machine, and seconds, joules and uncore joules are summed; watts and EDP
-// derive from the sums. The walk leaves one decision to its caller — what
+// machine, and the runs aggregate by RunResult.Add. The walk leaves one decision to its caller — what
 // a SetUncoreCap op does (setCap) and what watches the cap after each nest
 // (afterNest). Both are charged by counter delta: whatever busy time and
 // package energy they put on the machine's counters (cap-switch latency,
@@ -409,8 +436,7 @@ func (m *Machine) runOps(funcs []*ir.Func, setCap func(ghz float64) error, after
 	charge := func(run func() error) error {
 		before, beforeE := m.busyTime, m.pkgEnergy
 		err := run()
-		agg.Seconds += m.busyTime - before
-		agg.PkgJoules += m.pkgEnergy - beforeE
+		agg.Add(RunResult{Seconds: m.busyTime - before, PkgJoules: m.pkgEnergy - beforeE})
 		return err
 	}
 	for _, f := range funcs {
@@ -425,9 +451,7 @@ func (m *Machine) runOps(funcs []*ir.Func, setCap func(ghz float64) error, after
 				if err != nil {
 					return agg, err
 				}
-				agg.Seconds += r.Seconds
-				agg.PkgJoules += r.PkgJoules
-				agg.UncoreJoules += r.UncoreJoules
+				agg.Add(r)
 				if err := charge(afterNest); err != nil {
 					return agg, err
 				}
@@ -436,10 +460,6 @@ func (m *Machine) runOps(funcs []*ir.Func, setCap func(ghz float64) error, after
 			}
 		}
 	}
-	if agg.Seconds > 0 {
-		agg.AvgWatts = agg.PkgJoules / agg.Seconds
-	}
-	agg.EDP = agg.PkgJoules * agg.Seconds
 	return agg, nil
 }
 

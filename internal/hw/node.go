@@ -26,8 +26,7 @@ func (m *Machine) addRemote(p *CacheProfile, r *RunResult) {
 	r.Seconds += extra
 	r.PkgJoules += transfer + extra*idleW
 	r.UncoreJoules += transfer + extra*t.UncoreIdleWPerGHz*r.UncoreGHz
-	r.AvgWatts = r.PkgJoules / r.Seconds
-	r.EDP = r.PkgJoules * r.Seconds
+	r.derive()
 	r.GFlops = float64(p.Flops) / r.Seconds / 1e9
 	r.DRAMGBs = float64(p.QDRAM) / r.Seconds / 1e9
 }

@@ -194,6 +194,11 @@ func (n *Nest) Origin() string { return n.origin }
 // SetOrigin records the higher-level op this nest was lowered from.
 func (n *Nest) SetOrigin(o string) { n.origin = o }
 
+// Parallel reports whether the nest's outermost loop runs in parallel:
+// such a nest spans every thread of the machine (every socket of a
+// topology backend).
+func (n *Nest) Parallel() bool { return n.Root != nil && n.Root.Parallel }
+
 // Operands implements Op: the distinct arrays accessed in the nest.
 func (n *Nest) Operands() []*Array {
 	seen := map[*Array]bool{}

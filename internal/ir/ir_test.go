@@ -130,20 +130,6 @@ func TestPrintModule(t *testing.T) {
 	}
 }
 
-func TestPassManagerTimings(t *testing.T) {
-	mod, _ := NewModule("t")
-	var pm PassManager
-	ran := 0
-	pm.AddPass(PassFunc{PassName: "p1", Fn: func(*Module) error { ran++; return nil }})
-	pm.AddPass(PassFunc{PassName: "p2", Fn: func(*Module) error { ran++; return nil }})
-	if err := pm.Run(mod); err != nil {
-		t.Fatal(err)
-	}
-	if ran != 2 || len(pm.Timings) != 2 || pm.Timings[0].Pass != "p1" {
-		t.Fatalf("timings = %+v, ran = %d", pm.Timings, ran)
-	}
-}
-
 func TestRedundantCapRemoval(t *testing.T) {
 	mod, f := NewModule("caps")
 	nest, _, _, _ := buildMatmulNest(2, 2, 2)

@@ -1,68 +1,5 @@
 package ir
 
-import (
-	"context"
-	"time"
-
-	"polyufc/internal/pipeline"
-)
-
-// Pass is a module transformation or analysis.
-type Pass interface {
-	// Name identifies the pass in timings and diagnostics.
-	Name() string
-	// Run transforms the module in place.
-	Run(m *Module) error
-}
-
-// PassFunc adapts a function to the Pass interface.
-type PassFunc struct {
-	PassName string
-	Fn       func(m *Module) error
-}
-
-// Name implements Pass.
-func (p PassFunc) Name() string { return p.PassName }
-
-// Run implements Pass.
-func (p PassFunc) Run(m *Module) error { return p.Fn(m) }
-
-// PassTiming records how long one pass took.
-type PassTiming struct {
-	Pass     string
-	Duration time.Duration
-}
-
-// PassManager runs a pipeline of passes and records per-pass timings (the
-// paper's Table IV compile-time breakdown). It is a thin declaration
-// layer over internal/pipeline, which supplies the shared stage runner:
-// context checks, per-pass panic recovery and the timing events.
-type PassManager struct {
-	passes  []Pass
-	Timings []PassTiming
-}
-
-// AddPass appends a pass to the pipeline.
-func (pm *PassManager) AddPass(p Pass) { pm.passes = append(pm.passes, p) }
-
-// Run executes the pipeline on the module. The failing pass's timing is
-// still recorded.
-func (pm *PassManager) Run(m *Module) error {
-	stages := make([]pipeline.Stage[*Module], len(pm.passes))
-	for i, p := range pm.passes {
-		p := p
-		stages[i] = pipeline.Stage[*Module]{
-			Name: p.Name(),
-			Run:  func(_ context.Context, mod *Module) error { return p.Run(mod) },
-		}
-	}
-	events, err := pipeline.New("pass", stages...).Run(context.Background(), m, pipeline.RunOptions{})
-	for _, e := range events {
-		pm.Timings = append(pm.Timings, PassTiming{Pass: e.Stage, Duration: e.Duration})
-	}
-	return err
-}
-
 // RewritePattern is a local rewrite applied greedily over a function's op
 // list. Match inspects the ops at index i and returns how many ops the
 // rewrite consumes (0 = no match); Rewrite returns the replacement ops.

@@ -4,14 +4,13 @@
 // per-stage timing/cache events, and optional per-stage memoization keyed
 // by a content hash chained across the stage sequence.
 //
-// It generalizes ir.PassManager (module-rewrite passes) to arbitrary
-// state: core declares its compile flow (preprocess, deps, tile,
-// cachemodel, cache-eval, characterize, model-fit, search, cap-insert,
-// cap-merge, rewrite-cleanup) as a Pipeline[*compileState], the serving
-// daemon runs pipeline prefixes (a characterize request stops after the
-// characterize stage), and memoized stage snapshots let a later full
-// compile of the same module resume from the deepest cached stage
-// instead of redoing pluto and the cache model.
+// core declares its compile flow (preprocess, deps, tile, cachemodel,
+// cache-eval, characterize, model-fit, search, cap-insert, cap-merge,
+// rewrite-cleanup) as a Pipeline[*compileState]; lowering runs inside
+// preprocess. The serving daemon runs pipeline prefixes (a characterize
+// request stops after the characterize stage), and memoized stage
+// snapshots let a later full compile of the same module resume from the
+// deepest cached stage instead of redoing pluto and the cache model.
 package pipeline
 
 import (

@@ -622,7 +622,7 @@ func (s *Server) applySocketCaps(res *core.Result, r resolved, m *MeasuredRespon
 	if r.target == nil || r.target.NumSockets() <= 1 {
 		return
 	}
-	caps := finalSocketCaps(res)
+	caps := res.FinalSocketCaps()
 	if caps == nil {
 		return
 	}
@@ -637,17 +637,6 @@ func (s *Server) applySocketCaps(res *core.Result, r resolved, m *MeasuredRespon
 			m.SocketDegraded = append(m.SocketDegraded, fmt.Sprintf("s%d: %v", k, err))
 		}
 	}
-}
-
-// finalSocketCaps is the last report's per-socket cap vector — the caps
-// in force when the module finishes.
-func finalSocketCaps(res *core.Result) []float64 {
-	for i := len(res.Reports) - 1; i >= 0; i-- {
-		if caps := res.Reports[i].SocketCaps; caps != nil {
-			return caps
-		}
-	}
-	return nil
 }
 
 // PlatformResponse is one entry of the /v1/platforms payload: the
