@@ -367,15 +367,26 @@ func (s *Simulator) Access(addr, size int64, write bool) {
 // and no lower level is consulted. It is only counted, and telling it
 // costs one load: L1 keeps every set's first way in front.
 //
-// An iteration made of such hits alone therefore leaves the hierarchy as
-// it found it, and while every stream stays on the line it was on, the
-// iterations after it make the same references to the same state: the
-// same hits, moving nothing again. Those are counted without being walked.
+// An iteration whose references are all single-line L1 hits, in any way,
+// repeats. A hit evicts nothing and reaches no lower level, so the
+// iteration's lines are all resident after it, each at the front of its
+// set in the order the iteration last touched it. While every stream
+// stays on the line it was on, the next iteration touches the same lines
+// in the same order: hits again, leaving them at the front in the same
+// order — the state the iteration before it left. Those iterations are
+// counted without being walked. Whether a stream may stay on its line at
+// all (a stride shorter than a line) is fixed for the call, so it is
+// decided once, and a single iteration never asks.
 func (s *Simulator) AccessStreams(streams []Stream, trip int64) {
 	l1 := &s.levels[0]
+	canRepeat := trip > 1 && s.staysOnLine(streams)
 	var hits, writeHits int64 // counted here, added to L1 at the end
 	for ; trip > 0; trip-- {
-		quiet := true
+		// A reference makes one L1 access per line it spans, so the
+		// iteration is all single-line L1 hits exactly when it makes one
+		// access a reference and misses none: when L1's accesses and
+		// misses, with the hits counted here, come to quiet after it.
+		quiet := l1.st.Accesses + l1.st.Misses + hits + int64(len(streams))
 		for i := range streams {
 			st := &streams[i]
 			first := st.Addr >> s.lineBits
@@ -388,12 +399,11 @@ func (s *Simulator) AccessStreams(streams []Stream, trip int64) {
 				}
 				continue
 			}
-			quiet = false
 			for line := first; line <= last; line++ {
 				s.accessLine(line, st.Write)
 			}
 		}
-		if !quiet || trip == 1 {
+		if !canRepeat || trip == 1 || l1.st.Accesses+l1.st.Misses+hits != quiet {
 			continue
 		}
 		if k := s.sameLines(streams, trip-1); k > 0 {
@@ -413,16 +423,27 @@ func (s *Simulator) AccessStreams(streams []Stream, trip int64) {
 	s.DRAMWriteBytes += writeHits * s.lineSize
 }
 
+// staysOnLine reports whether every stream's stride is shorter than a
+// line, so that it may make its next reference on the line it is on.
+func (s *Simulator) staysOnLine(streams []Stream) bool {
+	for i := range streams {
+		if st := streams[i].Stride; st >= s.lineSize || -st >= s.lineSize {
+			return false
+		}
+	}
+	return true
+}
+
 // sameLines reports how many of the next iterations, at most limit, keep
 // every stream on the line of its previous reference (which lay within one
-// line). The streams hold the next iteration's addresses.
+// line). The streams hold the next iteration's addresses, and every
+// stride is shorter than a line. The first stream with no room left ends
+// the scan.
 func (s *Simulator) sameLines(streams []Stream, limit int64) int64 {
-	for i := range streams {
+	for i := 0; i < len(streams) && limit > 0; i++ {
 		st := &streams[i]
 		within := (st.Addr - st.Stride) & (s.lineSize - 1)
 		switch {
-		case st.Stride >= s.lineSize || -st.Stride >= s.lineSize:
-			return 0
 		case st.Stride > 0:
 			// Bytes between the reference's end and the line's.
 			limit = min(limit, quo(s.lineSize-within-int64(st.Size), st.Stride))

@@ -3,6 +3,7 @@ package cachesim
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -328,4 +329,62 @@ func TestLargeLevelAllocatesWhatItTouches(t *testing.T) {
 	}); reuse != 0 {
 		t.Fatalf("a reset simulator allocated %.0f objects re-running the same footprint", reuse)
 	}
+}
+
+// checkTrace fails unless AccessStreams over the trace counts what the
+// naive reference counts reference by reference.
+func checkTrace(t *testing.T, cfg Config, trace []body) {
+	t.Helper()
+	ref, streamed := newRefSim(cfg), mustNew(t, cfg)
+	for _, b := range trace {
+		b.each(ref.Access)
+	}
+	feed(t, streamed, trace)
+	if got, want := streamed.Counts(), ref.counts(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("levels %v:\n got %+v\nwant %+v", cfg.Levels, got, want)
+	}
+}
+
+// sameSetTrace is lm-head-gpt2's leaf shape: rows 4 KiB apart — one L1 set
+// of a 64-set level — walked at unit stride together, so every reference
+// after the first iteration hits L1 without being its set's most recently
+// used line; then a third row joins them, three lines in one set, which a
+// level of fewer than three ways thrashes.
+func sameSetTrace(base int64) []body {
+	row := func(r int64, write bool) Stream {
+		return Stream{Addr: base + r<<12, Stride: 8, Size: 8, Write: write}
+	}
+	return []body{
+		{streams: []Stream{row(0, false), row(1, true)}, trip: 32},
+		{streams: []Stream{row(0, false), row(1, true)}, trip: 32},
+		{streams: []Stream{row(2, false), row(3, false), row(4, true)}, trip: 32},
+		{streams: []Stream{row(2, false), row(3, false), row(4, true)}, trip: 32},
+	}
+}
+
+// Iterations that hit L1 in any way, not only its front, repeat: the
+// lm-head pattern counts what the reference counts on every hierarchy.
+func TestSameSetStreamsRepeatExactly(t *testing.T) {
+	for _, cfg := range differentialConfigs() {
+		checkTrace(t, cfg, sameSetTrace(1<<20))
+	}
+}
+
+// FuzzAccessStreamsAgainstNaiveLRU checks AccessStreams' shortcuts — the
+// MRU hit and the skipped repeats of an iteration that hit L1 throughout —
+// against the naive reference: a random trace drawn from the seed, with
+// the same-set pattern above spliced in at a random point, on the
+// hierarchy the index picks.
+func FuzzAccessStreamsAgainstNaiveLRU(f *testing.F) {
+	cfgs := differentialConfigs()
+	for ci := range cfgs {
+		f.Add(int64(ci), uint8(ci))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, ci uint8) {
+		r := rand.New(rand.NewSource(seed))
+		trace := randomTrace(r, 200+r.Intn(1500))
+		at := r.Intn(len(trace) + 1)
+		trace = slices.Insert(trace, at, sameSetTrace(4096+8*r.Int63n(512))...)
+		checkTrace(t, cfgs[int(ci)%len(cfgs)], trace)
+	})
 }

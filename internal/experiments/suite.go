@@ -144,8 +144,7 @@ func (s *Suite) StageNames() []string { return s.stageStats.StageNames() }
 
 // ResetCache drops all memoized compilations, stage snapshots and nest
 // profiles (used by benchmarks to measure cold-sweep behaviour). The
-// caches reset together: profiles are keyed by the nest pointers the
-// compile cache owns, and stage snapshots feed the compilations.
+// caches reset together, so a reset sweep compiles and simulates anew.
 func (s *Suite) ResetCache() {
 	s.cache.Reset()
 	s.stages.Reset()

@@ -42,8 +42,7 @@ type Machine struct {
 	uncoreEnergy float64
 	busyTime     float64
 	// own memoizes Profile on a machine that has no shared cache attached;
-	// shared, when set, is the memo instead — cross-machine, and the only
-	// thing that then keeps a profiled nest alive.
+	// shared, when set, is the memo instead, across machines.
 	own    ProfileCache
 	shared *ProfileCache
 	// noise, when non-nil, applies seeded multiplicative jitter to each
@@ -245,10 +244,10 @@ func (m *Machine) RAPL() (pkgJ, uncoreJ, seconds float64) {
 func (m *Machine) SetProfileCache(c *ProfileCache) { m.shared = c }
 
 // Profile executes the kernel once through the exact cache simulator and
-// returns its frequency-independent profile. Profiles are memoized per
-// nest in the attached shared cache — across machines, under that cache's
-// limit — or, on a machine without one, in the machine's own unbounded
-// memo, which lives as long as the machine.
+// returns its frequency-independent profile. Profiles are memoized by the
+// nest's content in the attached shared cache — across machines, under
+// that cache's limit — or, on a machine without one, in the machine's own
+// unbounded memo, which lives as long as the machine.
 func (m *Machine) Profile(nest *ir.Nest) (*CacheProfile, error) {
 	c := m.shared
 	if c == nil {
