@@ -438,29 +438,24 @@ func run(kernel, file, platName, objective, size, capLevel, degrade, fault, jpat
 		if err != nil {
 			return err
 		}
-		var capped hw.RunResult
+		// The capped run goes through the hardened controller: cap writes
+		// retry with backoff under -fault, and the default cap is restored
+		// even when the run dies. With nothing armed it reads the same
+		// numbers as a raw Machine.RunFunc.
+		opts := hw.DefaultCapControllerOptions(p)
+		opts.JitterSeed = faultSeed
+		opts.BestEffort = policy == core.BestEffort
+		ctl := hw.NewCapController(m, opts)
+		capped, err := ctl.RunFunc(res.Module.Funcs[0])
+		if err != nil {
+			return err
+		}
 		if reg != nil {
-			// Faults armed: run through the hardened controller so cap
-			// writes retry with backoff and the default cap is restored
-			// even when the run dies.
-			opts := hw.DefaultCapControllerOptions(p)
-			opts.JitterSeed = faultSeed
-			opts.BestEffort = policy == core.BestEffort
-			ctl := hw.NewCapController(m, opts)
-			capped, err = ctl.RunFunc(res.Module.Funcs[0])
-			if err != nil {
-				return err
-			}
 			st := ctl.Stats()
 			fmt.Printf("\ncap controller: %d applies, %d writes, %d retries, %d failures, %d overrides corrected, %d restores\n",
 				st.Applies, st.Writes, st.Retries, st.Failures, st.Overrides, st.Restores)
 			if n := m.ThermalOverrides(); n > 0 {
 				fmt.Printf("thermal overrides injected: %d\n", n)
-			}
-		} else {
-			capped, err = m.RunFunc(res.Module.Funcs[0])
-			if err != nil {
-				return err
 			}
 		}
 		fmt.Printf("\nmeasured on the simulated %s:\n", p.Name)

@@ -110,27 +110,11 @@ func ReusePairRelation(si ir.StatementInfo, acc ir.Access, base, lineSize, numSe
 	if err != nil {
 		return isl.Map{}, err
 	}
-	// Same (line,set): A ∘ A^{-1} maps i -> all i' touching the same line.
+	// Same (line,set): A ∘ A^{-1} maps i -> all i' touching the same line;
+	// its output tuple carries the input's names, so lexlt's must too.
 	same := a.Chain(a.Inverse())
-	return same.Intersect(lexLTSameNames(si.IVNames())), nil
-}
-
-// lexLTSameNames builds {x -> y : x lexlt y} with the output dimensions
-// carrying the same names as the inputs, matching the space produced by
-// Chain(a, a^{-1}).
-func lexLTSameNames(ivs []string) isl.Map {
-	sp := isl.NewMapSpace(nil, ivs, ivs)
-	n := len(ivs)
-	r := isl.EmptySet(sp)
-	for k := 0; k < n; k++ {
-		b := isl.Universe(sp)
-		for i := 0; i < k; i++ {
-			b.AddEquals(sp.VarExpr(i), sp.VarExpr(n+i))
-		}
-		b.AddGE(sp.VarExpr(n + k).Sub(sp.VarExpr(k)).AddConst(-1))
-		r.Basics = append(r.Basics, b)
-	}
-	return r
+	ivs := si.IVNames()
+	return same.Intersect(isl.LexLTMap(nil, ivs, ivs)), nil
 }
 
 // ReusePairUnion builds the union of reuse-pair relations across the

@@ -488,14 +488,8 @@ func (s *Simulator) LevelStats(i int) Stats {
 	return st
 }
 
-// NumLevels returns the number of cache levels.
-func (s *Simulator) NumLevels() int { return len(s.levels) }
-
 // LLCStats returns the last-level cache statistics.
 func (s *Simulator) LLCStats() Stats { return s.LevelStats(len(s.levels) - 1) }
-
-// DRAMBytes returns total memory traffic: fills plus write-through bytes.
-func (s *Simulator) DRAMBytes() int64 { return s.DRAMReadBytes + s.DRAMWriteBytes }
 
 // Reset clears all cache state and statistics, visiting only the sets and
 // seen-lines the trace since the last reset dirtied.

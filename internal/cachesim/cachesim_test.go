@@ -175,7 +175,7 @@ func TestReset(t *testing.T) {
 	s := mustNew(t, smallCfg(2))
 	s.Access(0, 8, false)
 	s.Reset()
-	if s.LevelStats(0).Accesses != 0 || s.DRAMBytes() != 0 {
+	if s.LevelStats(0).Accesses != 0 || s.DRAMReadBytes+s.DRAMWriteBytes != 0 {
 		t.Fatal("Reset did not clear state")
 	}
 	s.Access(0, 8, false)
@@ -187,15 +187,16 @@ func TestReset(t *testing.T) {
 func TestPropertyHitsPlusMissesEqualsAccesses(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		s := mustNew(t, Config{Levels: []LevelConfig{
+		cfg := Config{Levels: []LevelConfig{
 			{Name: "L1", SizeBytes: 2048, LineSize: 64, Assoc: 4},
 			{Name: "LLC", SizeBytes: 16384, LineSize: 64, Assoc: 8},
-		}})
+		}}
+		s := mustNew(t, cfg)
 		n := 200 + r.Intn(800)
 		for i := 0; i < n; i++ {
 			s.Access(int64(r.Intn(1<<14)), 8, r.Intn(4) == 0)
 		}
-		for l := 0; l < s.NumLevels(); l++ {
+		for l := range cfg.Levels {
 			st := s.LevelStats(l)
 			if st.Hits+st.Misses != st.Accesses {
 				return false

@@ -126,16 +126,11 @@ type Cache struct {
 	parallel.Memo[CacheKey, *Result]
 }
 
-// Compile returns the memoized Result for key, building the module and
-// compiling it on the first request. The build callback runs only on a
-// cache miss, so repeated sweeps skip both module construction and the
-// whole polyhedral pipeline.
-func (c *Cache) Compile(ctx context.Context, key CacheKey, cfg Config, build func() (*ir.Module, error)) (*Result, error) {
-	return c.CompileStaged(ctx, key, cfg, PipelineOptions{}, build)
-}
-
-// CompileStaged is Compile with staged-execution controls threaded to
-// the pipeline: a whole-result miss still reuses memoized per-stage
+// CompileStaged returns the memoized Result for key, building the module
+// and compiling it on the first request. The build callback runs only on
+// a cache miss, so repeated sweeps skip both module construction and the
+// whole polyhedral pipeline. The staged-execution controls are threaded
+// to the pipeline: a whole-result miss still reuses memoized per-stage
 // snapshots (opts.Stages) and reports stage events (opts.Observe), so
 // e.g. a search request after a characterize request on the same kernel
 // skips preprocess, tile and the cache model.

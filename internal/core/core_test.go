@@ -22,7 +22,7 @@ func targetFor(t testing.TB, p *hw.Platform) *roofline.Target {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tg := roofline.NewTarget(p, c)
+	tg := &roofline.Target{Backend: p.Backend, Platform: p, Constants: c}
 	testTargets[p.Name] = tg
 	return tg
 }

@@ -142,11 +142,11 @@ func TestCacheResultsMatchFreshCompiles(t *testing.T) {
 		}
 		build := func() (*ir.Module, error) { return k.Build(workloads.Test) }
 		key := CacheKey{Kernel: name, Platform: p.Name, Size: int(workloads.Test), CapLevel: cfg.CapLevel}
-		cached1, err := cache.Compile(ctx, key, cfg, build)
+		cached1, err := cache.CompileStaged(ctx, key, cfg, PipelineOptions{}, build)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		cached2, err := cache.Compile(ctx, key, cfg, build)
+		cached2, err := cache.CompileStaged(ctx, key, cfg, PipelineOptions{}, build)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -190,11 +190,11 @@ func TestCacheKeyDistinguishesConfigs(t *testing.T) {
 	keySA := CacheKey{Kernel: "gemm-pow2", Platform: p.Name, Size: int(workloads.Test), CapLevel: cfgSA.CapLevel}
 	keyFA := keySA
 	keyFA.FullyAssoc = true
-	rSA, err := cache.Compile(ctx, keySA, cfgSA, build)
+	rSA, err := cache.CompileStaged(ctx, keySA, cfgSA, PipelineOptions{}, build)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rFA, err := cache.Compile(ctx, keyFA, cfgFA, build)
+	rFA, err := cache.CompileStaged(ctx, keyFA, cfgFA, PipelineOptions{}, build)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestCacheConcurrentSameKey(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			r, err := cache.Compile(context.Background(), key, cfg, func() (*ir.Module, error) {
+			r, err := cache.CompileStaged(context.Background(), key, cfg, PipelineOptions{}, func() (*ir.Module, error) {
 				builds.Store(g, true)
 				return k.Build(workloads.Test)
 			})
@@ -259,7 +259,7 @@ func TestCacheBuildErrorNotCached(t *testing.T) {
 	cfg := DefaultConfig(targetFor(t, p))
 	key := CacheKey{Kernel: "broken", Platform: p.Name}
 	boom := errors.New("build failed")
-	if _, err := cache.Compile(context.Background(), key, cfg, func() (*ir.Module, error) {
+	if _, err := cache.CompileStaged(context.Background(), key, cfg, PipelineOptions{}, func() (*ir.Module, error) {
 		return nil, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
@@ -268,7 +268,7 @@ func TestCacheBuildErrorNotCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cache.Compile(context.Background(), key, cfg, func() (*ir.Module, error) {
+	if _, err := cache.CompileStaged(context.Background(), key, cfg, PipelineOptions{}, func() (*ir.Module, error) {
 		return k.Build(workloads.Test)
 	}); err != nil {
 		t.Fatalf("retry after build error: %v", err)

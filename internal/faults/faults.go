@@ -12,7 +12,6 @@
 package faults
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -179,23 +178,6 @@ func (r *Registry) Points() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-type ctxKey struct{}
-
-// With attaches a registry to a context; nil detaches.
-func With(ctx context.Context, r *Registry) context.Context {
-	return context.WithValue(ctx, ctxKey{}, r)
-}
-
-// From extracts the registry scoped to a context, or nil (the disabled
-// registry) when none is attached.
-func From(ctx context.Context) *Registry {
-	if ctx == nil {
-		return nil
-	}
-	r, _ := ctx.Value(ctxKey{}).(*Registry)
-	return r
 }
 
 // Parse builds a registry from a CLI spec: semicolon-separated

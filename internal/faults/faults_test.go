@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"context"
 	"errors"
 	"testing"
 )
@@ -110,17 +109,6 @@ func TestPanicMode(t *testing.T) {
 		}
 	}()
 	r.Hit("boom")
-}
-
-func TestContextScoping(t *testing.T) {
-	if From(context.Background()) != nil {
-		t.Fatal("background context has a registry")
-	}
-	r := New(3)
-	ctx := With(context.Background(), r)
-	if From(ctx) != r {
-		t.Fatal("registry not scoped to context")
-	}
 }
 
 func TestParse(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package fit provides the small least-squares toolbox PolyUFC uses to
-// derive model constants from micro-benchmark measurements: linear,
-// quadratic and hyperbolic (a/x + b) fits with R² quality reporting
+// derive model constants from micro-benchmark measurements: linear and
+// hyperbolic (a/x + b) fits with R² quality reporting
 // (Sec. V: curve fitting of miss penalty and peak power against uncore
 // frequency).
 package fit
@@ -25,17 +25,6 @@ func Linear(xs, ys []float64) (a, b, r2 float64, err error) {
 	return coef[0], coef[1], r2, nil
 }
 
-// Quadratic fits y = A*x² + B*x + C.
-func Quadratic(xs, ys []float64) (a, b, c, r2 float64, err error) {
-	coef, r2, err := LeastSquares(xs, ys, func(x float64) []float64 {
-		return []float64{x * x, x, 1}
-	})
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	return coef[0], coef[1], coef[2], r2, nil
-}
-
 // Hyperbolic fits y = A/x + B (the paper's DRAM miss-penalty shape
 // M(f) = a/f + b).
 func Hyperbolic(xs, ys []float64) (a, b, r2 float64, err error) {
@@ -51,30 +40,6 @@ func Hyperbolic(xs, ys []float64) (a, b, r2 float64, err error) {
 		return 0, 0, 0, err
 	}
 	return coef[0], coef[1], r2, nil
-}
-
-// Polynomial fits y = sum c_k x^k for k = 0..deg, returning coefficients in
-// increasing degree order.
-func Polynomial(xs, ys []float64, deg int) (coef []float64, r2 float64, err error) {
-	rev, r2, err := LeastSquares(xs, ys, func(x float64) []float64 {
-		basis := make([]float64, deg+1)
-		p := 1.0
-		for k := 0; k <= deg; k++ {
-			basis[k] = p
-			p *= x
-		}
-		return basis
-	})
-	return rev, r2, err
-}
-
-// PolyEval evaluates coefficients in increasing degree order at x.
-func PolyEval(coef []float64, x float64) float64 {
-	y := 0.0
-	for k := len(coef) - 1; k >= 0; k-- {
-		y = y*x + coef[k]
-	}
-	return y
 }
 
 // LeastSquares solves min ||B c - y||² for an arbitrary basis expansion,

@@ -54,13 +54,15 @@ func TestQuadraticExact(t *testing.T) {
 	for i, x := range xs {
 		ys[i] = 1.5*x*x - 2*x + 0.5
 	}
-	a, b, c, r2, err := Quadratic(xs, ys)
+	coef, r2, err := LeastSquares(xs, ys, func(x float64) []float64 {
+		return []float64{x * x, x, 1}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx(t, "a", a, 1.5, 1e-9)
-	approx(t, "b", b, -2, 1e-9)
-	approx(t, "c", c, 0.5, 1e-9)
+	approx(t, "a", coef[0], 1.5, 1e-9)
+	approx(t, "b", coef[1], -2, 1e-9)
+	approx(t, "c", coef[2], 0.5, 1e-9)
 	approx(t, "r2", r2, 1, 1e-9)
 }
 
@@ -86,15 +88,22 @@ func TestHyperbolicRejectsZero(t *testing.T) {
 	}
 }
 
+// TestPolynomialRoundTrip recovers a cubic through LeastSquares with a
+// four-term basis.
 func TestPolynomialRoundTrip(t *testing.T) {
-	coef := []float64{1, -2, 0.5, 0.25}
+	coef := []float64{0.25, 0.5, -2, 1} // x³ down to x⁰
+	cubic := func(x float64) []float64 { return []float64{x * x * x, x * x, x, 1} }
 	var xs, ys []float64
 	for i := -5; i <= 5; i++ {
 		x := float64(i)
+		var y float64
+		for k, b := range cubic(x) {
+			y += coef[k] * b
+		}
 		xs = append(xs, x)
-		ys = append(ys, PolyEval(coef, x))
+		ys = append(ys, y)
 	}
-	got, r2, err := Polynomial(xs, ys, 3)
+	got, r2, err := LeastSquares(xs, ys, cubic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +117,7 @@ func TestDegenerateDetected(t *testing.T) {
 	if _, _, _, err := Linear([]float64{2, 2, 2}, []float64{1, 2, 3}); err == nil {
 		t.Fatal("expected degenerate error for constant x")
 	}
-	if _, _, err := Polynomial([]float64{1}, []float64{1}, 3); err == nil {
+	if _, _, _, err := Linear([]float64{1}, []float64{1}); err == nil {
 		t.Fatal("expected error for underdetermined system")
 	}
 }

@@ -51,9 +51,9 @@ type CapStats struct {
 // is written through the fallible driver interface, verified by read-back,
 // and retried under exponential backoff with jitter on transient failures
 // or firmware clamping. The controller remembers the driver-default cap
-// and restores it on Restore/Guard — including on panic — the way a real
-// ufs_cdev wrapper must leave the machine unclamped on shutdown. Like
-// Machine it is not safe for concurrent use.
+// and restores it on Restore, which RunFunc defers (so also on panic), the
+// way a real ufs_cdev wrapper must leave the machine unclamped on
+// shutdown. Like Machine it is not safe for concurrent use.
 type CapController struct {
 	m          *Machine
 	opts       CapControllerOptions
@@ -160,13 +160,6 @@ func (c *CapController) Restore() error {
 	c.restored = true
 	c.target = math.NaN()
 	return err
-}
-
-// Guard runs f with deferred restore: whatever f does — return, fail, or
-// panic — the driver-default cap is back when Guard exits.
-func (c *CapController) Guard(f func() error) (err error) {
-	defer c.Restore()
-	return f()
 }
 
 // RunFunc executes a function's op sequence like Machine.RunFunc, but

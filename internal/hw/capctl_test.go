@@ -129,31 +129,6 @@ func TestCapControllerWatchdogCorrectsThermalOverride(t *testing.T) {
 	}
 }
 
-func TestCapControllerGuardRestoresOnPanic(t *testing.T) {
-	p := BDW()
-	m := NewMachine(p)
-	ctl := testController(m)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("panic swallowed")
-			}
-		}()
-		ctl.Guard(func() error {
-			if _, err := ctl.Apply(1.5); err != nil {
-				t.Fatal(err)
-			}
-			panic("kernel crashed mid-run")
-		})
-	}()
-	if m.UncoreCap() != p.UncoreMax {
-		t.Fatalf("panic path left cap at %.1f", m.UncoreCap())
-	}
-	if ctl.Stats().Restores != 1 {
-		t.Fatalf("restores = %d", ctl.Stats().Restores)
-	}
-}
-
 func TestCapControllerRunFuncMatchesMachineWithoutFaults(t *testing.T) {
 	A := ir.NewArray("A", 8, 64)
 	B := ir.NewArray("B", 8, 64)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"polyufc/internal/cachemodel"
 	"polyufc/internal/cachesim"
@@ -32,9 +31,6 @@ type Machine struct {
 	P *Platform
 	// uncoreCap is the active cap set through the UFS driver.
 	uncoreCap float64
-	// coreFreq is the active core frequency set through the P-state
-	// driver (the performance governor pins it at CoreBase by default).
-	coreFreq float64
 	// capSwitches counts cap changes (each costs CapLatency).
 	capSwitches int64
 	// RAPL accumulators (joules) and total busy time (seconds).
@@ -45,10 +41,6 @@ type Machine struct {
 	// shared, when set, is the memo instead, across machines.
 	own    ProfileCache
 	shared *ProfileCache
-	// noise, when non-nil, applies seeded multiplicative jitter to each
-	// measurement — the run-to-run variation real RAPL/timing exhibits.
-	noise      *rand.Rand
-	noiseSigma float64
 	// faults, when non-nil, arms the injectable UFS failure modes of the
 	// Fault* points below; prevCap backs the stale read-back model and
 	// thermalOverrides counts silent firmware cap raises.
@@ -57,67 +49,15 @@ type Machine struct {
 	thermalOverrides int64
 }
 
-// SetNoise enables deterministic measurement jitter: each Measure result's
-// time and energy are scaled by independent factors drawn from
-// N(1, sigma). sigma = 0 disables it again.
-func (m *Machine) SetNoise(seed int64, sigma float64) {
-	if sigma <= 0 {
-		m.noise = nil
-		m.noiseSigma = 0
-		return
-	}
-	m.noise = rand.New(rand.NewSource(seed))
-	m.noiseSigma = sigma
-}
-
-// jitter perturbs a result in place when noise is enabled.
-func (m *Machine) jitter(r *RunResult) {
-	if m.noise == nil {
-		return
-	}
-	ft := 1 + m.noise.NormFloat64()*m.noiseSigma
-	fe := 1 + m.noise.NormFloat64()*m.noiseSigma
-	if ft < 0.5 {
-		ft = 0.5
-	}
-	if fe < 0.5 {
-		fe = 0.5
-	}
-	r.Seconds *= ft
-	r.PkgJoules *= fe
-	r.UncoreJoules *= fe
-	r.derive()
-	r.GFlops /= ft
-	r.DRAMGBs /= ft
-}
-
 // NewMachine boots a platform with the uncore at its maximum frequency
 // (the default UFS driver behaviour under load: no capping, the
 // over-provisioning the paper targets).
 func NewMachine(p *Platform) *Machine {
-	return &Machine{P: p, uncoreCap: p.UncoreMax, coreFreq: p.CoreBase, prevCap: p.UncoreMax}
+	return &Machine{P: p, uncoreCap: p.UncoreMax, prevCap: p.UncoreMax}
 }
 
 // UncoreCap returns the active uncore frequency cap in GHz.
 func (m *Machine) UncoreCap() float64 { return m.uncoreCap }
-
-// CoreFreq returns the active core frequency in GHz.
-func (m *Machine) CoreFreq() float64 { return m.coreFreq }
-
-// SetCoreFreq emulates the intel_pstate driver: the requested frequency
-// is rounded to the core grid (anchored at CoreMin, CapStep apart) and
-// clamped to the platform's core range; a change costs the same
-// transition latency as an uncore cap.
-func (m *Machine) SetCoreFreq(ghz float64) float64 {
-	f := clampToGrid(m.P.CoreMin, m.P.CoreMax, m.P.CapStep, ghz)
-	if f != m.coreFreq {
-		m.coreFreq = f
-		m.capSwitches++
-		m.busyTime += m.P.CapLatency
-		m.pkgEnergy += m.P.CapLatency * m.P.truth.PConstW
-	}
-	return f
-}
 
 // CapSwitches returns how many cap changes the UFS driver performed.
 func (m *Machine) CapSwitches() int64 { return m.capSwitches }
@@ -309,11 +249,10 @@ func (r *RunResult) derive() {
 }
 
 // Measure converts a profile into time and energy at the machine's current
-// uncore cap, using the hidden ground-truth model. The RAPL counters
-// accumulate.
+// uncore cap and the base core clock (the performance governor's pin),
+// using the hidden ground-truth model. The RAPL counters accumulate.
 func (m *Machine) Measure(p *CacheProfile) RunResult {
-	r := m.measureAtJoint(p, m.coreFreq, m.uncoreCap)
-	m.jitter(&r)
+	r := m.measureAtJoint(p, m.P.CoreBase, m.uncoreCap)
 	m.pkgEnergy += r.PkgJoules
 	m.uncoreEnergy += r.UncoreJoules
 	m.busyTime += r.Seconds

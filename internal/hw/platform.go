@@ -1,13 +1,14 @@
 // Package hw simulates the paper's hardware substrate: the evaluation
 // machines of Table III (Broadwell Xeon E5-1650v4 and Raptor Lake
 // i5-13600) plus any backend registered as a description file, their
-// uncore (UFS) and core (P-state) frequency drivers, and RAPL-style
-// energy counters. A Machine executes affine kernels through the exact
-// cache simulator and converts the resulting event counts into time and
-// power with a hidden "ground truth" model — distinct in structure and
-// constants from the analytic Sec. V model PolyUFC derives, so the
-// compiler's predictions are genuinely tested against measurement, as on
-// real silicon.
+// uncore frequency (UFS) driver, and RAPL-style energy counters. The core
+// clock is pinned at CoreBase, as under the performance governor; the
+// joint core+uncore study sweeps it through MeasureAt. A Machine executes
+// affine kernels through the exact cache simulator and converts the
+// resulting event counts into time and power with a hidden "ground truth"
+// model — distinct in structure and constants from the analytic Sec. V
+// model PolyUFC derives, so the compiler's predictions are genuinely
+// tested against measurement, as on real silicon.
 //
 // Platforms are constructed from internal/platform backend descriptions:
 // the registry (not code) decides which machines exist.

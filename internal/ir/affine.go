@@ -335,27 +335,6 @@ func domainOf(stack []*Loop) isl.Set {
 	return isl.FromBasic(b)
 }
 
-// AccessMap builds the isl relation {iters -> array indices} for one access
-// of a statement with the given IV list.
-func AccessMap(ivs []string, acc Access) isl.Map {
-	inSp := isl.NewSetSpace(nil, ivs)
-	outs := make([]isl.LinExpr, len(acc.Index))
-	outNames := make([]string, len(acc.Index))
-	for d, e := range acc.Index {
-		le := inSp.ConstExpr(e.Const)
-		for iv, c := range e.Coef {
-			idx := inSp.VarIndex(iv)
-			if idx < 0 {
-				panic(fmt.Sprintf("ir: access references unknown IV %q", iv))
-			}
-			le.VarCoef[idx] += c
-		}
-		outs[d] = le
-		outNames[d] = fmt.Sprintf("d%d", d)
-	}
-	return isl.MapFromExprs(nil, ivs, outNames, outs)
-}
-
 // TripCount returns the total number of statement instances across the
 // nest (the sum of all statement domain cardinalities).
 func (n *Nest) TripCount() (int64, error) {

@@ -91,15 +91,6 @@ func (c *cloner) op(op Op) Op {
 	case *TorchSDPA:
 		return &TorchSDPA{torchBase: c.torchBase(x.torchBase),
 			Q: c.array(x.Q), K: c.array(x.K), V: c.array(x.V), Out: c.array(x.Out)}
-	case *TorchSoftmax:
-		return &TorchSoftmax{torchBase: c.torchBase(x.torchBase),
-			In: c.array(x.In), Out: c.array(x.Out)}
-	case *TorchRelu:
-		return &TorchRelu{torchBase: c.torchBase(x.torchBase),
-			In: c.array(x.In), Out: c.array(x.Out)}
-	case *TorchAdd:
-		return &TorchAdd{torchBase: c.torchBase(x.torchBase),
-			A: c.array(x.A), B: c.array(x.B), Out: c.array(x.Out)}
 
 	case *LinalgMatmul:
 		return &LinalgMatmul{linalgBase: c.linalgBase(x.linalgBase),

@@ -15,7 +15,7 @@ func buildCloneFixture() *Module {
 	mod, f := NewModule("fixture")
 
 	mm := NewTorchMatMul(a, b, o)
-	sm := NewTorchSoftmax(o, o)
+	sdpa := NewTorchSDPA(a, b, o, o)
 	lin := NewLinalgMatmul(a, b, o)
 	lin.SetOrigin("torch.matmul")
 
@@ -33,7 +33,7 @@ func buildCloneFixture() *Module {
 	nest := &Nest{Label: "matmul0", Root: root}
 	nest.SetOrigin("torch.matmul/linalg.matmul")
 
-	f.Ops = []Op{mm, sm, lin, &SetUncoreCap{GHz: 2.0, Level: DialectLinalg, From: "mm"}, nest}
+	f.Ops = []Op{mm, sdpa, lin, &SetUncoreCap{GHz: 2.0, Level: DialectLinalg, From: "mm"}, nest}
 	return mod
 }
 

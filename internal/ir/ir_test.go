@@ -81,20 +81,6 @@ func TestNestFlopsAndTripCount(t *testing.T) {
 	}
 }
 
-func TestAccessMap(t *testing.T) {
-	acc := Access{
-		Array: NewArray("A", 8, 10, 10),
-		Index: []AffExpr{AffVar("i").Add(AffVar("k")), AffVar("k")},
-	}
-	m := AccessMap([]string{"i", "k"}, acc)
-	if !m.EvalPoint(nil, []int64{2, 3, 5, 3}) {
-		t.Fatal("access map missing point (2,3)->(5,3)")
-	}
-	if m.EvalPoint(nil, []int64{2, 3, 5, 4}) {
-		t.Fatal("access map has wrong point")
-	}
-}
-
 func TestWalkLoopsDepth(t *testing.T) {
 	nest, _, _, _ := buildMatmulNest(4, 4, 4)
 	var depths []int

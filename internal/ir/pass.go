@@ -4,8 +4,6 @@ package ir
 // list. Match inspects the ops at index i and returns how many ops the
 // rewrite consumes (0 = no match); Rewrite returns the replacement ops.
 type RewritePattern interface {
-	// PatternName identifies the pattern.
-	PatternName() string
 	// Match returns the number of ops consumed starting at i, or 0.
 	Match(ops []Op, i int) int
 	// Rewrite returns the ops replacing the matched window.
@@ -52,9 +50,6 @@ func ApplyPatterns(m *Module, patterns ...RewritePattern) int {
 // consecutive caps with equal frequency.
 type RedundantCapPattern struct{}
 
-// PatternName implements RewritePattern.
-func (RedundantCapPattern) PatternName() string { return "remove-redundant-caps" }
-
 // Match implements RewritePattern.
 func (RedundantCapPattern) Match(ops []Op, i int) int {
 	c1, ok := ops[i].(*SetUncoreCap)
@@ -74,9 +69,6 @@ func (RedundantCapPattern) Rewrite(ops []Op, i, n int) []Op { return nil }
 // EqualCapPattern removes a cap whose frequency equals the previous
 // still-active cap (no frequency change, so the runtime call is redundant).
 type EqualCapPattern struct{}
-
-// PatternName implements RewritePattern.
-func (EqualCapPattern) PatternName() string { return "remove-equal-caps" }
 
 // Match implements RewritePattern.
 func (EqualCapPattern) Match(ops []Op, i int) int {

@@ -61,32 +61,6 @@ func NewTorchSDPA(q, k, v, out *Array) *TorchSDPA {
 	}
 }
 
-// TorchSoftmax is torch.softmax along the last dimension.
-type TorchSoftmax struct {
-	torchBase
-	In, Out *Array
-}
-
-// NewTorchSoftmax builds a torch.softmax op.
-func NewTorchSoftmax(in, out *Array) *TorchSoftmax {
-	return &TorchSoftmax{
-		torchBase: torchBase{name: "softmax", args: []*Array{in, out}},
-		In:        in, Out: out,
-	}
-}
-
-// TorchRelu is torch.relu (element-wise).
-type TorchRelu struct {
-	torchBase
-	In, Out *Array
-}
-
-// TorchAdd is torch.add (element-wise, same shapes).
-type TorchAdd struct {
-	torchBase
-	A, B, Out *Array
-}
-
 func torchShape(a *Array) string {
 	return fmt.Sprintf("%v", a.Dims)
 }

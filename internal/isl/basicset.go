@@ -58,9 +58,6 @@ func (b BasicSet) Clone() BasicSet {
 	return nb
 }
 
-// NumConstraints returns the number of constraints in b.
-func (b BasicSet) NumConstraints() int { return len(b.cons) }
-
 // rawCoef converts a LinExpr into a full coefficient row for b.
 func (b *BasicSet) rawCoef(e LinExpr) []int64 {
 	np, nv := b.Sp.NumParams(), b.Sp.NumVars()

@@ -98,137 +98,3 @@ func (s Set) CountEnumerate(limit int) (int64, error) {
 	err := s.Enumerate(limit, func([]int64) bool { n++; return true })
 	return n, err
 }
-
-// IsEmpty reports whether the instantiated set contains no integer point,
-// deciding exactly via bounded enumeration (budgeted) with a rational
-// pre-check.
-func (s Set) IsEmpty(limit int) (bool, error) {
-	if s.IsEmptyRational() {
-		return true, nil
-	}
-	found := false
-	err := s.Enumerate(limit, func([]int64) bool { found = true; return false })
-	if err != nil {
-		return false, err
-	}
-	return !found, nil
-}
-
-// LexminPoint returns the lexicographically minimal point of the
-// instantiated set, or ok=false if the set is empty. The search descends
-// dimension by dimension, testing feasibility of each candidate prefix.
-func (s Set) LexminPoint(limit int) (pt []int64, ok bool, err error) {
-	if s.Sp.NumParams() != 0 {
-		return nil, false, errors.New("isl: LexminPoint requires instantiated parameters")
-	}
-	var best []int64
-	for _, b := range s.Basics {
-		cand, found, berr := b.lexmin(limit)
-		if berr != nil {
-			return nil, false, berr
-		}
-		if found && (best == nil || lexLess(cand, best)) {
-			best = cand
-		}
-	}
-	return best, best != nil, nil
-}
-
-func lexLess(a, b []int64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
-}
-
-// LexmaxPoint returns the lexicographically maximal point of the
-// instantiated set, or ok=false if the set is empty.
-func (s Set) LexmaxPoint(limit int) (pt []int64, ok bool, err error) {
-	if s.Sp.NumParams() != 0 {
-		return nil, false, errors.New("isl: LexmaxPoint requires instantiated parameters")
-	}
-	var best []int64
-	for _, b := range s.Basics {
-		cand, found, berr := b.lexExtreme(limit, false)
-		if berr != nil {
-			return nil, false, berr
-		}
-		if found && (best == nil || lexLess(best, cand)) {
-			best = cand
-		}
-	}
-	return best, best != nil, nil
-}
-
-func (b BasicSet) lexmin(limit int) ([]int64, bool, error) {
-	return b.lexExtreme(limit, true)
-}
-
-// lexExtreme finds the lexicographic minimum (min=true) or maximum of one
-// basic set by per-dimension directed search with feasibility probing.
-func (b BasicSet) lexExtreme(limit int, min bool) ([]int64, bool, error) {
-	if b.markedEmpty {
-		return nil, false, nil
-	}
-	nv := b.Sp.NumVars()
-	full := make([]int64, b.totalCols())
-	sys := b.buildBoundSystems()
-	budget := limit
-	var feasible func(col int) bool
-	feasible = func(col int) bool {
-		if budget <= 0 {
-			return false
-		}
-		budget--
-		if col == nv {
-			return b.searchExists(sys, full, nv)
-		}
-		lo, hi, ok := sys.colBounds(full, col)
-		if !ok {
-			return false
-		}
-		for v := lo; v <= hi; v++ {
-			full[col] = v
-			if feasible(col + 1) {
-				full[col] = 0
-				return true
-			}
-		}
-		full[col] = 0
-		return false
-	}
-	pt := make([]int64, nv)
-	for col := 0; col < nv; col++ {
-		lo, hi, ok := sys.colBounds(full, col)
-		if !ok {
-			return nil, false, nil
-		}
-		found := false
-		probe := func(v int64) bool {
-			full[col] = v
-			if feasible(col + 1) {
-				pt[col] = v
-				found = true
-				return true
-			}
-			return false
-		}
-		if min {
-			for v := lo; v <= hi && !probe(v); v++ {
-			}
-		} else {
-			for v := hi; v >= lo && !probe(v); v-- {
-			}
-		}
-		if !found {
-			return nil, false, nil
-		}
-		full[col] = pt[col]
-		if budget <= 0 {
-			return nil, false, ErrEnumLimit
-		}
-	}
-	return pt, true, nil
-}

@@ -3,30 +3,12 @@ package isl
 // This file implements relation (map) operations on top of the Set
 // representation: a map is a set whose space carries In dimensions.
 
-// IdentityMap returns {x -> y : y == x} over dims.
-func IdentityMap(params, dims []string) Map {
-	sp := NewMapSpace(params, dims, primed(dims))
-	b := Universe(sp)
-	n := len(dims)
-	for i := 0; i < n; i++ {
-		b.AddEquals(sp.VarExpr(i), sp.VarExpr(n+i))
-	}
-	return FromBasic(b)
-}
-
-func primed(dims []string) []string {
-	out := make([]string, len(dims))
-	for i, d := range dims {
-		out[i] = d + "'"
-	}
-	return out
-}
-
-// LexLTMap returns {x -> y : x lexicographically-less-than y} over dims, as
-// a union of one basic relation per leading-equal prefix length.
-func LexLTMap(params, dims []string) Map {
-	sp := NewMapSpace(params, dims, primed(dims))
-	n := len(dims)
+// LexLTMap returns {x -> y : x lexicographically-less-than y}, the input
+// tuple named in and the output tuple out (of the same length), as a union
+// of one basic relation per leading-equal prefix length.
+func LexLTMap(params, in, out []string) Map {
+	sp := NewMapSpace(params, in, out)
+	n := len(in)
 	r := EmptySet(sp)
 	for k := 0; k < n; k++ {
 		b := Universe(sp)
@@ -38,32 +20,6 @@ func LexLTMap(params, dims []string) Map {
 		r.Basics = append(r.Basics, b)
 	}
 	return r
-}
-
-// LexLEMap returns {x -> y : x lexicographically-<= y}.
-func LexLEMap(params, dims []string) Map {
-	return LexLTMap(params, dims).Union(IdentityMap(params, dims))
-}
-
-// MapFromExprs builds the graph {x -> f(x)} of an affine function: outs[j]
-// is an affine expression over a *set space* with dimensions `in` (and the
-// given params). The resulting map has one equality per output dimension.
-func MapFromExprs(params, in, out []string, outs []LinExpr) Map {
-	if len(outs) != len(out) {
-		panic("isl: MapFromExprs arity mismatch")
-	}
-	sp := NewMapSpace(params, in, out)
-	b := Universe(sp)
-	n := len(in)
-	for j, f := range outs {
-		// f was built over a set space with only the in dims; widen it.
-		e := sp.NewLinExpr()
-		copy(e.ParamCoef, f.ParamCoef)
-		copy(e.VarCoef, f.VarCoef) // in dims occupy the leading var columns
-		e.Const = f.Const
-		b.AddEquals(sp.VarExpr(n+j), e)
-	}
-	return FromBasic(b)
 }
 
 // Inverse returns the relation with inputs and outputs swapped.

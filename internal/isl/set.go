@@ -141,16 +141,6 @@ func (s Set) InstantiateParams(vals []int64) (Set, error) {
 	return r, nil
 }
 
-// IsEmptyRational reports whether every basic set is rationally empty.
-func (s Set) IsEmptyRational() bool {
-	for _, b := range s.Basics {
-		if !b.IsEmptyRational() {
-			return false
-		}
-	}
-	return true
-}
-
 // EvalPoint reports whether the point lies in any basic set of s.
 func (s Set) EvalPoint(params, vars []int64) bool {
 	for _, b := range s.Basics {

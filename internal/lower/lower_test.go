@@ -86,16 +86,12 @@ func TestSDPALoweringShape(t *testing.T) {
 func TestSoftmaxLowering(t *testing.T) {
 	in := ir.NewArray("X", 4, 8, 16)
 	out := ir.NewArray("Y", 4, 8, 16)
-	mod, f := ir.NewModule("sm")
-	f.Ops = []ir.Op{ir.NewTorchSoftmax(in, out)}
-	if err := TorchToLinalg(mod); err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Ops) != 5 {
-		t.Fatalf("softmax lowered to %d ops, want 5", len(f.Ops))
+	ops := lowerSoftmax(in, out, "torch.softmax")
+	if len(ops) != 5 {
+		t.Fatalf("softmax lowered to %d ops, want 5", len(ops))
 	}
 	// Reduction outputs must drop the last dim.
-	red := f.Ops[0].(*ir.LinalgRowReduce)
+	red := ops[0].(*ir.LinalgRowReduce)
 	if len(red.Out.Dims) != 1 || red.Out.Dims[0] != 8 {
 		t.Fatalf("rowmax shape = %v", red.Out.Dims)
 	}

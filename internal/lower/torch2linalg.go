@@ -38,16 +38,6 @@ func lowerTorchOp(op ir.Op) ([]ir.Op, error) {
 		l := ir.NewLinalgConv2D(x.Input, x.Filter, x.Out, x.StrideH, x.StrideW)
 		l.SetOrigin(x.OpName())
 		return []ir.Op{l}, nil
-	case *ir.TorchRelu:
-		l := ir.NewLinalgElemUnary(ir.UnaryRelu, x.In, x.Out, 0)
-		l.SetOrigin(x.OpName())
-		return []ir.Op{l}, nil
-	case *ir.TorchAdd:
-		l := ir.NewLinalgElemBinary(ir.BinAdd, x.A, x.B, x.Out, false)
-		l.SetOrigin(x.OpName())
-		return []ir.Op{l}, nil
-	case *ir.TorchSoftmax:
-		return lowerSoftmax(x.In, x.Out, x.OpName()), nil
 	case *ir.TorchSDPA:
 		return lowerSDPA(x)
 	case *ir.SetUncoreCap:

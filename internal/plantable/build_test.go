@@ -131,10 +131,8 @@ func TestBuildOptionsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tb.MatchesOptions(opts.Search) {
-		t.Fatal("table rejects the options it was built with")
-	}
-	if tb.MatchesOptions(search.DefaultOptions()) {
-		t.Fatal("energy-objective table claims to answer EDP requests")
+	if tb.Objective != opts.Search.Objective.String() || tb.Epsilon != opts.Search.Epsilon {
+		t.Fatalf("table pins objective %q epsilon %g, built with %v %g",
+			tb.Objective, tb.Epsilon, opts.Search.Objective, opts.Search.Epsilon)
 	}
 }

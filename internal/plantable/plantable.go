@@ -334,13 +334,6 @@ func (tb *Table) Matches(t *roofline.Target) error {
 	return nil
 }
 
-// MatchesOptions reports whether the table answers for this search
-// configuration (objective + epsilon). A mismatch is not staleness —
-// the request simply falls back to live search.
-func (tb *Table) MatchesOptions(opts search.Options) bool {
-	return tb.Objective == opts.Objective.String() && tb.Epsilon == opts.Epsilon
-}
-
 // Marshal renders the table as indented, field-stable JSON.
 func (tb *Table) Marshal() ([]byte, error) {
 	w := wireTable{

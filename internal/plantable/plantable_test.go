@@ -227,17 +227,14 @@ func TestStaleness(t *testing.T) {
 // other objectives/epsilons are a fallback, not staleness.
 func TestMatchesOptions(t *testing.T) {
 	tb := testTable(t, "bdw")
-	if !tb.MatchesOptions(search.DefaultOptions()) {
-		t.Fatal("table rejects the options it was built with")
-	}
 	other := search.DefaultOptions()
 	other.Objective = search.ObjectiveEnergy
-	if tb.MatchesOptions(other) {
-		t.Fatal("table claims to answer a different objective")
-	}
 	set := NewSet()
 	if err := set.Add(tb); err != nil {
 		t.Fatal(err)
+	}
+	if got := set.For(testTarget(t, "bdw"), search.DefaultOptions(), "", 0); got != tb {
+		t.Fatal("Set.For rejects the options the table was built with")
 	}
 	if got := set.For(testTarget(t, "bdw"), other, "", 0); got != nil {
 		t.Fatal("Set.For served a table for the wrong objective")

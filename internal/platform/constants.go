@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math"
 )
 
 // Constants are the calibrated roofline constants of Table I, plus the
@@ -132,10 +131,4 @@ func (c *Constants) UncorePower(f, bw float64) float64 {
 // PeakDRAMPower returns P̂_{f,DRAM} of Eqn. 8.
 func (c *Constants) PeakDRAMPower(f float64) float64 {
 	return c.PhatAlpha*f + c.PhatGamma
-}
-
-// AttainableGFlops returns the classic roofline ceiling
-// min(peak, OI * peakBW) at the maximum uncore frequency.
-func (c *Constants) AttainableGFlops(oi float64) float64 {
-	return math.Min(c.PeakGFlops, oi*c.PeakGBs)
 }

@@ -262,7 +262,7 @@ func TestRegisterCollisionAndLastWins(t *testing.T) {
 	if err := Register(v1); err != nil {
 		t.Fatal(err)
 	}
-	before := len(Names())
+	before := len(All())
 	v2 := validBackend()
 	v2.CPU = "Unit Test CPU rev2"
 	if err := Register(v2); err != nil {
@@ -271,8 +271,8 @@ func TestRegisterCollisionAndLastWins(t *testing.T) {
 	if got, _ := Lookup("unit-test"); got == nil || got.CPU != "Unit Test CPU rev2" {
 		t.Fatalf("last-wins re-registration did not replace: %+v", got)
 	}
-	if len(Names()) != before {
-		t.Fatalf("re-registration grew the registry: %v", Names())
+	if len(All()) != before {
+		t.Fatalf("re-registration grew the registry to %d entries", len(All()))
 	}
 }
 

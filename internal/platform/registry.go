@@ -106,13 +106,6 @@ func Lookup(name string) (*Backend, error) {
 	return nil, fmt.Errorf("platform: unknown backend %q (registered: %s)", name, strings.Join(namesLocked(), ", "))
 }
 
-// Names returns the canonical names in registration order.
-func Names() []string {
-	reg.RLock()
-	defer reg.RUnlock()
-	return namesLocked()
-}
-
 func namesLocked() []string {
 	return append([]string(nil), reg.order...)
 }

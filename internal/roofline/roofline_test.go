@@ -1,7 +1,6 @@
 package roofline
 
 import (
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -121,16 +120,6 @@ func TestClassify(t *testing.T) {
 	}
 	if ComputeBound.String() != "CB" || BandwidthBound.String() != "BB" {
 		t.Fatal("class names")
-	}
-}
-
-func TestAttainableRoofline(t *testing.T) {
-	c := &Constants{PeakGFlops: 600, PeakGBs: 50, BtDRAM: 12}
-	if got := c.AttainableGFlops(2); math.Abs(got-100) > 1e-9 {
-		t.Fatalf("attainable(2) = %f", got)
-	}
-	if got := c.AttainableGFlops(100); got != 600 {
-		t.Fatalf("attainable(100) = %f", got)
 	}
 }
 

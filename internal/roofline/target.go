@@ -78,16 +78,6 @@ func resolveSockets(b *platform.Backend, c0 *Constants) ([]*Constants, error) {
 	return out, nil
 }
 
-// NewTarget wraps an already-built platform and constants pair (the
-// hand-calibrated path tests use).
-func NewTarget(p *hw.Platform, c *Constants) *Target {
-	t := &Target{Platform: p, Constants: c}
-	if p != nil {
-		t.Backend = p.Backend
-	}
-	return t
-}
-
 // stamp wraps freshly fitted constants in a calibration artifact with
 // provenance: when, by which tool, with what fit residuals, and — for a
 // registry backend (b non-nil) — against which description. The

@@ -150,15 +150,6 @@ func (s *SCoP) Marshal() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
 }
 
-// Unmarshal parses an exported SCoP.
-func Unmarshal(data []byte) (*SCoP, error) {
-	var s SCoP
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, err
-	}
-	return &s, nil
-}
-
 // DomainSet rebuilds the isl iteration domain of an exported statement —
 // the consumer-side entry point for polyhedral tools reading the SCoP.
 func (st *Statement) DomainSet() isl.Set {

@@ -1,6 +1,7 @@
 package scop
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -78,8 +79,8 @@ func TestJSONRoundTrip(t *testing.T) {
 	if !strings.Contains(string(data), "\"iterators\"") {
 		t.Fatal("JSON missing fields")
 	}
-	back, err := Unmarshal(data)
-	if err != nil {
+	back := new(SCoP)
+	if err := json.Unmarshal(data, back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Name != sc.Name || len(back.Statements) != len(sc.Statements) {

@@ -94,11 +94,6 @@ func (s *Server) warmPlanTables() {
 	}
 }
 
-// CASWarmHits reports how many reads the persistent store served from
-// entries that survived a previous process — the restart-reuse gate the
-// fleet smoke asserts on.
-func (s *Server) CASWarmHits() int64 { return s.casStore.Stats().WarmHits }
-
 // handleCASGet serves one verified entry to a peer. Like the
 // observability endpoints it bypasses the admission gate: cache fills
 // must not compete with compute for slots. A miss — or a daemon with no

@@ -53,7 +53,7 @@ func TestServerCASWarmRestartServesPersistedResponses(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("restart response differs:\n  got:  %s\n  want: %s", got, want)
 	}
-	if n := s2.CASWarmHits(); n == 0 {
+	if n := s2.statsz().CAS.WarmHits; n == 0 {
 		t.Fatal("restart served zero warm hits")
 	}
 }
@@ -141,16 +141,16 @@ func TestServerFleetPeerLookupAndBackfill(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("peer-served response differs:\n  got:  %s\n  want: %s", got, want)
 	}
-	if st := b.FleetStats(); st.PeerHits == 0 {
+	if st := b.statsz().Fleet; st.PeerHits == 0 {
 		t.Fatalf("cold daemon did not hit the peer: %+v", st)
 	}
 	// Back-filled: the same request again is answered without the peer.
-	before := b.FleetStats().Lookups
+	before := b.statsz().Fleet.Lookups
 	resp, got2 := post(t, tsB, "/v1/compile", Request{Kernel: "gemm", Size: "test"})
 	if resp.StatusCode != http.StatusOK || !bytes.Equal(got2, want) {
 		t.Fatalf("second request: %d %s", resp.StatusCode, got2)
 	}
-	if after := b.FleetStats().Lookups; after != before {
+	if after := b.statsz().Fleet.Lookups; after != before {
 		t.Fatalf("second request went back to the peer (%d -> %d lookups)", before, after)
 	}
 }

@@ -112,23 +112,38 @@ func expandKernels(p JobParams) ([]string, error) {
 	return names, nil
 }
 
+// request is the compute request one sweep or characterize unit resolves.
+func (p JobParams) request(kernel string) Request {
+	return Request{
+		Kernel: kernel, Platform: p.Platform, Size: p.Size,
+		Objective: p.Objective, CapLevel: p.CapLevel,
+		Epsilon: p.Epsilon, Measure: p.Measure,
+		Tiling: p.Tiling,
+	}
+}
+
 // validateJob rejects malformed submissions synchronously (a 400 at
 // submit time beats a failed job five minutes later).
 func (s *Server) validateJob(kind jobs.Kind, p JobParams) error {
-	if _, err := s.servedTarget(p.Platform); err != nil {
-		return err
-	}
 	switch kind {
 	case JobSweep, JobCharacterize:
-		if _, err := expandKernels(p); err != nil {
+		kernels, err := expandKernels(p)
+		if err != nil {
 			return err
 		}
+		// Every unit resolves a request of the same shape, so one checks
+		// them all, through the compute endpoints' own validator.
+		_, err = s.resolve(p.request(kernels[0]))
+		return err
 	case JobPlanTable, JobRefit:
 		if kind == JobRefit && p.Platform == "" {
 			return errors.New("refit requires a platform")
 		}
 	default:
 		return fmt.Errorf("unknown job kind %q (want sweep, characterize, plantable or refit)", kind)
+	}
+	if _, err := s.servedTarget(p.Platform); err != nil {
+		return err
 	}
 	if p.Objective != "" {
 		if _, ok := search.ParseObjective(p.Objective); !ok {
@@ -145,8 +160,12 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.jobsEnabled(w) {
 		return
 	}
+	// Unknown fields are rejected, as on the compute endpoints: a typo
+	// ("kernel" for "kernels") must not widen the job to every kernel.
 	var req JobSubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errBody{"bad request body: " + err.Error()})
 		return
 	}
@@ -354,13 +373,7 @@ func (s *Server) runSweepJob(jb *jobs.Job, p JobParams, characterizeOnly bool) (
 	var sweep SweepJobResult
 	var chars CharacterizeJobResult
 	for _, kernel := range kernels {
-		req := Request{
-			Kernel: kernel, Platform: p.Platform, Size: p.Size,
-			Objective: p.Objective, CapLevel: p.CapLevel,
-			Epsilon: p.Epsilon, Measure: p.Measure,
-			Tiling: p.Tiling,
-		}
-		r, err := s.resolve(req)
+		r, err := s.resolve(p.request(kernel))
 		if err != nil {
 			return nil, err
 		}
@@ -376,22 +389,22 @@ func (s *Server) runSweepJob(jb *jobs.Job, p JobParams, characterizeOnly bool) (
 				return nil, err
 			}
 			chars.Kernels = append(chars.Kernels, kr)
-			continue
-		}
-		kr, _, err := jobs.Step(jb, unit, func() (SearchResponse, error) {
-			out, res, err := s.searchResponse(jb.Context(), r)
-			// The measured half runs the kernel on the live machine
-			// through the breaker — and feeds the drift watchdog, so a
-			// measured sweep is also a calibration health check.
-			if err == nil && p.Measure {
-				s.measure(res, r, &out)
+		} else {
+			kr, _, err := jobs.Step(jb, unit, func() (SearchResponse, error) {
+				out, res, err := s.searchResponse(jb.Context(), r)
+				// The measured half runs the kernel on the live machine
+				// through the breaker — and feeds the drift watchdog, so a
+				// measured sweep is also a calibration health check.
+				if err == nil && p.Measure {
+					s.measure(res, r, &out)
+				}
+				return out, err
+			})
+			if err != nil {
+				return nil, err
 			}
-			return out, err
-		})
-		if err != nil {
-			return nil, err
+			sweep.Kernels = append(sweep.Kernels, kr)
 		}
-		sweep.Kernels = append(sweep.Kernels, kr)
 		s.markServed(r.p.Name)
 	}
 	if characterizeOnly {

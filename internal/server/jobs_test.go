@@ -230,6 +230,55 @@ func TestServerJobsDisabledWithoutDir(t *testing.T) {
 	}
 }
 
+// TestServerJobSubmitValidatesLikeComputeEndpoints: a job body is held to
+// the compute endpoints' rules at submit time. An unknown field (the
+// singular "kernel") would otherwise widen the job to every kernel, and a
+// size or cap level the endpoints reject would fail the job at its first
+// unit.
+func TestServerJobSubmitValidatesLikeComputeEndpoints(t *testing.T) {
+	cfg := testConfig()
+	cfg.JobsDir = t.TempDir()
+	s := newServer(t, cfg)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, body := range []string{
+		`{"kind":"sweep","kernel":"gemm"}`,
+		`{"kind":"sweep","kernels":["gemm"],"size":"huge"}`,
+		`{"kind":"characterize","kernels":["gemm"],"cap_level":"nowhere"}`,
+	} {
+		if resp, data := postJSON(t, ts, "/v1/jobs", json.RawMessage(body)); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("submit %s: %d %s, want 400", body, resp.StatusCode, data)
+		}
+	}
+	if n := len(s.jobsMgr.List()); n != 0 {
+		t.Fatalf("%d malformed jobs accepted", n)
+	}
+}
+
+// TestServerCharacterizeJobCountsServed: each characterize unit counts in
+// /statsz Platforms[*].Served, as each sweep unit does.
+func TestServerCharacterizeJobCountsServed(t *testing.T) {
+	cfg := testConfig()
+	cfg.JobsDir = t.TempDir()
+	s := newServer(t, cfg)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	before := s.statsz().Platforms["RPL"].Served
+	resp, data := postJSON(t, ts, "/v1/jobs", JobSubmitRequest{
+		Kind:      string(JobCharacterize),
+		JobParams: JobParams{Kernels: []string{"gemm", "atax"}, Platform: "rpl", Size: "test"},
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d: %s", resp.StatusCode, data)
+	}
+	var st jobs.Status
+	mustUnmarshal(t, data, &st)
+	waitJobDone(t, ts, st.ID)
+	if got := s.statsz().Platforms["RPL"].Served - before; got != 2 {
+		t.Fatalf("a 2-kernel characterize job moved Served by %d, want 2", got)
+	}
+}
+
 // TestServerJobResultDurableAcrossRestart proves the result a client
 // fetches from a restarted daemon is byte-identical to the one the
 // original daemon recorded.

@@ -524,10 +524,6 @@ func (s *Server) JournalStats() journal.Stats { return s.jrnl.Stats() }
 // (zeros when the daemon runs without -cas-dir).
 func (s *Server) CASStats() cas.Stats { return s.casStore.Stats() }
 
-// FleetStats reports the peer cache client's counters (zeros without
-// peers).
-func (s *Server) FleetStats() fleet.Stats { return s.fleetCli.Stats() }
-
 // CacheStatsz is one bounded cache's counters.
 type CacheStatsz = parallel.MemoStats
 
