@@ -2,8 +2,8 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench perf-micro experiments faults fuzz fmt cover diet serve smoke pipeline platforms plantable jobs fleet tiling topology \
-	e2e plantable-e2e jobs-e2e fleet-e2e tiling-e2e topology-e2e smoke-e2e
+.PHONY: all build vet test race bench perf-micro experiments faults fuzz fmt cover diet serve smoke pipeline platforms jobs fleet tiling topology \
+	e2e jobs-e2e fleet-e2e tiling-e2e topology-e2e smoke-e2e
 
 all: build vet test
 
@@ -72,18 +72,6 @@ pipeline:
 platforms:
 	$(GO) test -race ./internal/platform ./internal/hw ./internal/server ./internal/experiments
 
-# Plan tables: table-vs-search equivalence, staleness and fractional-grid
-# regressions, pipeline and serve-path integration; e2e is the
-# deserializer fuzz session and the smoke script (kill -9 mid-sweep,
-# journal resume, serve boot with /statsz counters — on the
-# fractional-grid backend, then build, compile and serve on the 2-socket
-# description).
-plantable: plantable-e2e
-	$(GO) test -race ./internal/plantable ./internal/core ./internal/server
-plantable-e2e:
-	$(GO) test -fuzz FuzzParsePlanTable -fuzztime 5s ./internal/plantable
-	sh scripts/plantable_smoke.sh
-
 # Async jobs and drift watchdog: the journal-backed job tier, the leak
 # checker and the daemon's job/drift suites; e2e is the real binary —
 # SIGKILL mid-job with byte-identical resume, and injected calibration
@@ -112,18 +100,18 @@ fleet-e2e:
 # auto-skips-errored tests, the divergence-witness sweep; e2e is the
 # strategy-spec parser fuzz session.
 tiling: tiling-e2e
-	$(GO) test -race ./internal/tiling ./internal/core ./internal/server ./internal/experiments ./internal/plantable
+	$(GO) test -race ./internal/tiling ./internal/core ./internal/server ./internal/experiments
 tiling-e2e:
 	$(GO) test -fuzz FuzzParseTilingSpec -fuzztime 5s ./internal/tiling
 
 # Topology: both document layouts, the schema-1 vs schema-2 spelling
-# equivalence properties (constants, compile results, plan tables), socket
+# equivalence properties (constants, compile results), socket
 # placement and cluster rollups, per-socket breaker isolation; e2e is the
 # backend-decoder fuzz session and the real daemon on the 2-socket
 # description (socket-scoped fault, only the sick domain's breaker opens).
 topology: topology-e2e
 	$(GO) test -race ./internal/platform ./internal/roofline ./internal/model ./internal/hw ./internal/core \
-		./internal/server ./internal/plantable ./internal/experiments
+		./internal/server ./internal/experiments
 topology-e2e:
 	$(GO) test -fuzz FuzzParseBackend -fuzztime 5s ./internal/platform
 	sh scripts/topology_smoke.sh
@@ -138,7 +126,7 @@ smoke-e2e:
 	sh scripts/smoke.sh
 
 # Everything the race step cannot do, once: CI's second half.
-e2e: plantable-e2e jobs-e2e fleet-e2e tiling-e2e topology-e2e smoke-e2e
+e2e: jobs-e2e fleet-e2e tiling-e2e topology-e2e smoke-e2e
 
 # Run the capping service locally with production-shaped defaults.
 serve:

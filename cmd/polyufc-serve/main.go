@@ -9,13 +9,13 @@
 // driver-default uncore cap is restored before exit.
 //
 // With -jobs-dir the daemon also runs the async job tier (POST /v1/jobs):
-// journal-backed sweep/characterize/plan-table/refit jobs that survive
+// journal-backed sweep/characterize/refit jobs that survive
 // kill -9 and resume byte-identically, plus the calibration-drift
 // watchdog that auto-enqueues a re-fit when measured runs disagree with
 // the calibrated model.
 //
-// With -cas-dir the daemon persists deterministic responses, calibration
-// artifacts and plan tables in a content-addressed store and warm-starts
+// With -cas-dir the daemon persists deterministic responses and
+// calibration artifacts in a content-addressed store and warm-starts
 // from it after a restart; with -peer it also exchanges those entries
 // with fleet peers over GET/PUT /v1/cas/{key} — deadline-bounded, hedged,
 // checksum-verified, behind per-peer circuit breakers, degrading to local
@@ -68,13 +68,12 @@ func main() {
 		journalPath = flag.String("journal", "", "checkpoint deterministic responses to this JSONL journal")
 		resume      = flag.Bool("resume", false, "replay an existing journal instead of truncating it")
 		platFiles   = flag.String("platform-file", "", "comma-separated backend description files (platforms/*.json); the daemon serves every registered backend")
-		planTables  = flag.String("plan-table", "", "comma-separated precomputed capping-plan tables (polyufc -build-plan-table); a table whose backend or calibration hash is stale fails boot")
-		jobsDir     = flag.String("jobs-dir", "", "enable the async job tier, journaling jobs (and built plan tables) under this directory")
+		jobsDir     = flag.String("jobs-dir", "", "enable the async job tier, journaling jobs under this directory")
 		jobWorkers  = flag.Int("job-workers", 2, "concurrent job executors (with -jobs-dir)")
 		jobCompact  = flag.Int("job-compact-threshold", 0, "prunable terminal-job records that trigger jobs-journal compaction (0 = default 512, negative disables)")
 		driftThresh = flag.Float64("drift-threshold", 0, "model-vs-measured EWMA residual that marks a backend's calibration degraded (0 = default 0.25)")
 		driftMin    = flag.Int64("drift-min-samples", 0, "measured samples before the drift threshold applies (0 = default 3)")
-		casDir      = flag.String("cas-dir", "", "enable the persistent content-addressed cache under this directory (responses, calibrations and plan tables survive restarts)")
+		casDir      = flag.String("cas-dir", "", "enable the persistent content-addressed cache under this directory (responses and calibrations survive restarts)")
 		casMaxBytes = flag.Int64("cas-max-bytes", 0, "LRU bound on the persistent cache's payload volume in bytes (0 = unbounded)")
 		peerTimeout = flag.Duration("peer-timeout", 0, "per-attempt deadline for fleet peer lookups (0 = default 500ms)")
 		peerRetries = flag.Int("peer-retries", 0, "extra backoff rounds over the peer set after an all-error round (0 = default 1)")
@@ -132,7 +131,6 @@ func main() {
 	cfg.PeerTimeout = *peerTimeout
 	cfg.PeerRetries = *peerRetries
 	cfg.PlatformFiles = platform.SplitList(*platFiles)
-	cfg.PlanTables = platform.SplitList(*planTables)
 	if *topo {
 		if err := platform.LoadFiles(*platFiles); err != nil {
 			fmt.Fprintln(os.Stderr, "polyufc-serve:", err)
@@ -153,10 +151,6 @@ func run(addr string, cfg server.Config) error {
 	srv, err := server.New(cfg)
 	if err != nil {
 		return err
-	}
-	if len(cfg.PlanTables) > 0 {
-		fmt.Fprintf(os.Stderr, "polyufc-serve: %d capping-plan table(s) loaded and pinned to the live calibration\n",
-			len(cfg.PlanTables))
 	}
 	if cfg.JournalPath != "" {
 		st := srv.JournalStats()

@@ -11,7 +11,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -25,7 +24,6 @@ import (
 	"polyufc/internal/hw"
 	"polyufc/internal/ir"
 	"polyufc/internal/journal"
-	"polyufc/internal/plantable"
 	"polyufc/internal/platform"
 	"polyufc/internal/roofline"
 	"polyufc/internal/search"
@@ -53,10 +51,8 @@ func main() {
 		degrade   = flag.String("degrade", "strict", "failure policy: strict (fail fast) or best-effort (degrade per nest)")
 		fault     = flag.String("fault", "", `inject failures, e.g. "ufs.write.ebusy=0.3; core.pluto=@2"`)
 		faultSeed = flag.Int64("fault-seed", 1, "seed for probabilistic fault triggers")
-		jpath     = flag.String("journal", "", "checkpoint the compile report (or plan-table sweep cells) to this JSONL file")
-		resume    = flag.Bool("resume", false, "replay a completed report (or resume an interrupted plan-table sweep) from an existing -journal")
-		buildPlan = flag.String("build-plan-table", "", "sweep the resolved platform's capping-plan table and write it to this file (atomic rename), then exit")
-		planFiles = flag.String("plan-table", "", "comma-separated plan-table files; caps are answered from matching tables, falling back to live search")
+		jpath     = flag.String("journal", "", "checkpoint the compile report to this JSONL file")
+		resume    = flag.Bool("resume", false, "replay a completed report from an existing -journal")
 		list      = flag.Bool("list", false, "list available kernels and exit")
 	)
 	flag.Parse()
@@ -94,72 +90,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "polyufc:", err)
 		os.Exit(1)
 	}
-	if *buildPlan != "" {
-		if err := buildPlanTable(*buildPlan, name, *objective, *calPath, *jpath, *epsilon, *resume, tspec); err != nil {
-			fmt.Fprintln(os.Stderr, "polyufc:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *kernel == "" && *file == "" {
 		fmt.Fprintln(os.Stderr, "polyufc: -kernel or -file is required (use -list to see registry kernels)")
 		os.Exit(2)
 	}
-	if err := run(*kernel, *file, name, *objective, *size, *capLevel, *degrade, *fault, *jpath, *calPath, *saveCal, *planFiles, *faultSeed, *epsilon, *printIR, *measure, *resume, tspec); err != nil {
+	if err := run(*kernel, *file, name, *objective, *size, *capLevel, *degrade, *fault, *jpath, *calPath, *saveCal, *faultSeed, *epsilon, *printIR, *measure, *resume, tspec); err != nil {
 		fmt.Fprintln(os.Stderr, "polyufc:", err)
 		os.Exit(1)
 	}
-}
-
-// buildPlanTable sweeps one backend's capping-plan table offline: every
-// (class, OI, memory-ratio) cell is answered by live PolyUFC-SEARCH over
-// the platform's uncore grid and the table is written atomically (temp
-// file + rename — a kill mid-build leaves no table, never a torn one).
-// With -journal, each solved cell checkpoints so -resume completes an
-// interrupted sweep instead of restarting it.
-func buildPlanTable(out, platName, objective, calPath, jpath string, epsilon float64, resume bool, tspec tiling.Spec) error {
-	b, err := platform.Lookup(platName)
-	if err != nil {
-		return err
-	}
-	obj, ok := search.ParseObjective(objective)
-	if !ok {
-		return fmt.Errorf("unknown objective %q", objective)
-	}
-	if calPath == "" {
-		fmt.Printf("calibrating rooflines for %s (one-time microbenchmarks)...\n", b.Name)
-	}
-	target, err := roofline.ResolveOrLoad(b, calPath)
-	if err != nil {
-		return err
-	}
-	opts := plantable.BuildOptions{Search: search.Options{Objective: obj, Epsilon: epsilon}, Tiling: tspec}
-	if jpath != "" {
-		j, err := journal.OpenResume(jpath, resume)
-		if err != nil {
-			return err
-		}
-		defer j.Close()
-		opts.Journal = j
-		if st := j.Stats(); st.Entries > 0 {
-			fmt.Printf("resuming sweep: %d solved cells replayed from %s\n", st.Entries, jpath)
-		}
-	}
-	start := time.Now()
-	tb, err := plantable.Build(context.Background(), target, opts)
-	if err != nil {
-		return err
-	}
-	if err := tb.Save(out); err != nil {
-		return err
-	}
-	fmt.Printf("plan table for %s: %d cells (%dx%d per class, remote shares %v) over %d cap steps, swept in %v\n",
-		tb.Backend, tb.Cells(), len(tb.OIAxis), len(tb.MemAxis), tb.RhoAxis, tb.GridSize(),
-		time.Since(start).Round(time.Millisecond))
-	fmt.Printf("  pinned to description %s, calibration %s (%s objective, eps %g, %s tiling)\n",
-		tb.BackendHash, tb.CalHash, tb.Objective, tb.Epsilon, tb.TilingName())
-	fmt.Printf("  written atomically to %s\n", out)
-	return nil
 }
 
 // reportRow is the journaled, printable form of one nest report.
@@ -177,8 +115,6 @@ type reportRow struct {
 	Degraded bool    `json:"degraded,omitempty"`
 	Err      string  `json:"err,omitempty"`
 	NoCM     bool    `json:"no_cm,omitempty"`
-	// Plan marks a cap answered from a precomputed plan table.
-	Plan bool `json:"plan,omitempty"`
 }
 
 // stageRow is one journaled pipeline stage event: which stage ran, for
@@ -209,9 +145,6 @@ func printRows(rec reportRecord) {
 			continue
 		}
 		suffix := ""
-		if r.Plan {
-			suffix = "  [plan table]"
-		}
 		if r.Degraded {
 			suffix = fmt.Sprintf("  [degraded: %s]", r.Err)
 		}
@@ -276,7 +209,6 @@ func recordOf(res *core.Result) reportRecord {
 			Label: r.Label, OI: r.OI, Class: r.Class.String(),
 			Tiled: r.Tiled, Tiling: r.Tiling, TileSize: r.TileSize,
 			CapGHz: r.CapGHz, Degraded: r.Degraded,
-			Plan: r.PlanHit,
 		}
 		if r.Err != nil {
 			row.Err = r.Err.Error()
@@ -293,23 +225,10 @@ func recordOf(res *core.Result) reportRecord {
 	return rec
 }
 
-func run(kernel, file, platName, objective, size, capLevel, degrade, fault, jpath, calPath, saveCal, planFiles string, faultSeed int64, epsilon float64, printIR, measure, resume bool, tspec tiling.Spec) error {
+func run(kernel, file, platName, objective, size, capLevel, degrade, fault, jpath, calPath, saveCal string, faultSeed int64, epsilon float64, printIR, measure, resume bool, tspec tiling.Spec) error {
 	b, err := platform.Lookup(platName)
 	if err != nil {
 		return err
-	}
-	var plans *plantable.Set
-	for _, f := range platform.SplitList(planFiles) {
-		tb, err := plantable.Load(f)
-		if err != nil {
-			return err
-		}
-		if plans == nil {
-			plans = plantable.NewSet()
-		}
-		if err := plans.Add(tb); err != nil {
-			return err
-		}
 	}
 	policy, ok := core.ParseDegradePolicy(degrade)
 	if !ok {
@@ -356,19 +275,6 @@ func run(kernel, file, platName, objective, size, capLevel, degrade, fault, jpat
 		fmt.Printf("calibration artifact saved to %s\n", saveCal)
 	}
 
-	if plans != nil {
-		// A loaded table must match this exact description and calibration;
-		// staleness is a hard error (rebuild the table), never silent reuse.
-		for _, tb := range plans.Tables() {
-			if tb.Backend != b.Name {
-				continue
-			}
-			if err := tb.Matches(target); err != nil {
-				return err
-			}
-		}
-	}
-
 	cfg := core.DefaultConfig(target)
 	cfg.Search.Objective = obj
 	cfg.Search.Epsilon = epsilon
@@ -376,7 +282,6 @@ func run(kernel, file, platName, objective, size, capLevel, degrade, fault, jpat
 	cfg.Tiling = tspec
 	cfg.Degrade = policy
 	cfg.Faults = reg
-	cfg.Plans = plans
 
 	// The journal replays a completed compile report without recompiling.
 	// It only covers the deterministic registry path: -file kernels,
@@ -417,11 +322,6 @@ func run(kernel, file, platName, objective, size, capLevel, degrade, fault, jpat
 	}
 	fmt.Printf("\n%s\n", header)
 	printRows(rec)
-	if plans != nil {
-		st := plans.Stats()
-		fmt.Printf("plan tables: %d loaded, %d hits, %d fallbacks to live search, %d stale\n",
-			st.Loaded, st.Hits, st.Fallbacks, st.Stale)
-	}
 	pre, tile, cm, rest := res.Timings.Tab4()
 	fmt.Printf("\ncompile time: preprocess %v, pluto %v, polyufc-cm %v, steps4-6 %v\n",
 		pre, tile, cm, rest)

@@ -1,10 +1,9 @@
 // Package cas is the disk-persisted content-addressed store behind the
 // fleet cache tier: every cacheable artifact the pipeline produces — a
-// deterministic serve response, a calibration fit, a capping-plan table
-// — already has a stable content-hash identity, and this store keeps
-// the bytes for that identity across process restarts, so a rebooted
-// daemon warm-starts instead of recomputing and peers exchange entries
-// by hash.
+// deterministic serve response, a calibration fit — already has a stable
+// content-hash identity, and this store keeps the bytes for that identity
+// across process restarts, so a rebooted daemon warm-starts instead of
+// recomputing and peers exchange entries by hash.
 //
 // The robustness contract:
 //

@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"strings"
 
@@ -48,19 +46,14 @@ type CacheKey struct {
 	// only in the presence of stage failures, but they must not share
 	// cache entries — a degraded Result is a different artifact.
 	Degrade DegradePolicy
-	// Plans is the short hash of the configured plan-table set's
-	// fingerprint ("" without a set). A table-served cap can differ from
-	// live bisection within the interpolation tolerance, so installing,
-	// replacing or re-fitting a table must miss, not replay.
-	Plans string
 }
 
 // KeyOf derives the identity of compiling kernel at a size class under
 // cfg, reading every result-changing bit from the Config: the target and
-// its calibration, the tiling, cache-model, search and cap settings, the
-// degrade policy and the plan-table set. It is the single place a
-// compilation's identity is decided — the whole-result cache, the daemon's
-// response journal and its CAS all key on it.
+// its calibration, the tiling, cache-model, search and cap settings and
+// the degrade policy. It is the single place a compilation's identity is
+// decided — the whole-result cache, the daemon's response journal and its
+// CAS all key on it.
 func KeyOf(kernel string, size int, cfg Config) CacheKey {
 	key := CacheKey{
 		Kernel:     kernel,
@@ -77,31 +70,22 @@ func KeyOf(kernel string, size int, cfg Config) CacheKey {
 		key.Platform = p.Name
 		key.CalHash = cfg.Constants().Hash()
 	}
-	if cfg.Plans != nil {
-		sum := sha256.Sum256([]byte(cfg.Plans.Fingerprint()))
-		key.Plans = hex.EncodeToString(sum[:8])
-	}
 	return key
 }
 
 // String renders the key in the response journal's wire layout:
-// platform/cal<hash>/kernel/sz<n>/objective/lvl<n>/eps<g>/tiling=<fp>,
-// plus /plans<hash> when a plan-table set is configured. Only the
-// components a served request can vary are rendered — FullyAssoc,
+// platform/cal<hash>/kernel/sz<n>/objective/lvl<n>/eps<g>/tiling=<fp>.
+// Only the components a served request can vary are rendered — FullyAssoc,
 // NoAmortize and Degrade are process-wide settings of the daemon and were
 // never part of the layout — so journals written before KeyOf existed
 // still replay. It is a wire format, not a substitute for key equality.
 func (k CacheKey) String() string {
-	s := strings.Join([]string{
+	return strings.Join([]string{
 		k.Platform, "cal" + k.CalHash, k.Kernel,
 		fmt.Sprintf("sz%d", k.Size), k.Objective.String(),
 		fmt.Sprintf("lvl%d", int(k.CapLevel)), fmt.Sprintf("eps%g", k.Epsilon),
 		"tiling=" + k.Tiling,
 	}, "/")
-	if k.Plans != "" {
-		s += "/plans" + k.Plans
-	}
-	return s
 }
 
 // UnitKey is the journal identity of one checkpointed unit of a tool's

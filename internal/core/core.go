@@ -20,7 +20,6 @@ import (
 	"polyufc/internal/ir"
 	"polyufc/internal/model"
 	"polyufc/internal/pipeline"
-	"polyufc/internal/plantable"
 	"polyufc/internal/roofline"
 	"polyufc/internal/search"
 	"polyufc/internal/tiling"
@@ -46,11 +45,6 @@ type Config struct {
 	// CapLevel selects the granularity caps are applied at (Sec. VI-B);
 	// linalg is the paper's choice.
 	CapLevel ir.Dialect
-	// Plans, when non-nil, enables the plan-lookup stage: nests whose
-	// fitted model lands on a loaded plan table get their cap from the
-	// precomputed surface instead of a live PolyUFC-SEARCH bisection.
-	// Off-table kernels (and stale tables) fall back to live search.
-	Plans *plantable.Set
 	// AmortizeFactor gates cap insertion on profitability: a cap that
 	// changes the active frequency is only inserted when the kernel's
 	// predicted runtime is at least AmortizeFactor x the platform's
@@ -205,9 +199,6 @@ type KernelReport struct {
 	Est, EstDefault model.Estimate
 	CM              *cachemodel.Result
 	SearchEvals     int
-	// PlanHit marks a cap answered from a precomputed plan table rather
-	// than a live PolyUFC-SEARCH bisection (SearchEvals is 0 then).
-	PlanHit bool
 	// Socket is the home socket the nest was placed on (topology
 	// targets): -1 marks a parallel nest spanning every socket, 0 is the
 	// only value single-socket targets produce.

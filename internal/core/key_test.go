@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"strings"
 	"testing"
@@ -11,7 +9,6 @@ import (
 	"polyufc/internal/faults"
 	"polyufc/internal/hw"
 	"polyufc/internal/ir"
-	"polyufc/internal/plantable"
 	"polyufc/internal/search"
 	"polyufc/internal/tiling"
 	"polyufc/internal/workloads"
@@ -41,7 +38,6 @@ func TestKeyOfSeparatesEveryResultChangingField(t *testing.T) {
 		{"Search.Epsilon", func(c *Config) { c.Search.Epsilon = 5e-3 }},
 		{"CapLevel", func(c *Config) { c.CapLevel = ir.DialectTorch }},
 		{"Degrade", func(c *Config) { c.Degrade = BestEffort }},
-		{"Plans", func(c *Config) { c.Plans = plantable.NewSet() }},
 		{"calibration", func(c *Config) { c.Target = &refit }},
 		{"platform", func(c *Config) { c.Target = targetFor(t, hw.RPL()) }},
 	}
@@ -78,17 +74,12 @@ func TestKeyOfDefaultTilingIsPluto(t *testing.T) {
 // entries on disk carry these strings, so CacheKey.String must keep
 // reproducing them byte for byte.
 func legacyJournalKey(endpoint, kernel string, size int, cfg Config) string {
-	key := strings.Join([]string{
+	return strings.Join([]string{
 		endpoint, cfg.Platform().Name, "cal" + cfg.Constants().Hash(), kernel,
 		fmt.Sprintf("sz%d", size), cfg.Search.Objective.String(),
 		fmt.Sprintf("lvl%d", int(cfg.CapLevel)), fmt.Sprintf("eps%g", cfg.Search.Epsilon),
 		"tiling=" + cfg.Tiling.Fingerprint(),
 	}, "/")
-	if cfg.Plans != nil {
-		sum := sha256.Sum256([]byte(cfg.Plans.Fingerprint()))
-		key += "/plans" + hex.EncodeToString(sum[:8])
-	}
-	return key
 }
 
 func TestCacheKeyStringIsTheJournalLayout(t *testing.T) {
@@ -97,7 +88,6 @@ func TestCacheKeyStringIsTheJournalLayout(t *testing.T) {
 	tuned.Search = search.Options{Objective: search.ObjectivePerformance, Epsilon: 0.02}
 	tuned.CapLevel = ir.DialectAffine
 	tuned.Tiling = tiling.Spec{Name: tiling.NameLatency, Probe: 3}
-	tuned.Plans = plantable.NewSet()
 	for _, cfg := range []Config{v1, tuned} {
 		got := "v1/compile/" + KeyOf("gemm", int(workloads.Bench), cfg).String()
 		if want := legacyJournalKey("v1/compile", "gemm", int(workloads.Bench), cfg); got != want {

@@ -31,7 +31,7 @@ func buildModule(t testing.TB, name string, size workloads.SizeClass) *ir.Module
 // and when every memoizable stage is served from a snapshot. The
 // configurations cover everything a stage snapshot's per-nest records
 // carry: tiling metadata, topology placement and per-socket cap vectors,
-// plan-table hits, and the torch cap-merge tail.
+// and the torch cap-merge tail.
 func TestStageMemoOnVsOffIdenticalResults(t *testing.T) {
 	base := DefaultConfig(targetFor(t, hw.BDW()))
 	base.AmortizeFactor = 0
@@ -41,14 +41,12 @@ func TestStageMemoOnVsOffIdenticalResults(t *testing.T) {
 	auto.Tiling = tiling.Spec{Name: tiling.NameAuto}
 	twoSocket := DefaultConfig(twoSocketTarget(t, 0))
 	twoSocket.AmortizeFactor = 0
-	planned := base
-	planned.Plans = planSetFor(t, planned)
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
 		{"default", base}, {"torch-caps", torch}, {"auto-tiling", auto},
-		{"two-socket", twoSocket}, {"plan-table", planned},
+		{"two-socket", twoSocket},
 	} {
 		for _, name := range []string{"gemm", "2mm", "sdpa-bert"} {
 			mod := buildModule(t, name, workloads.Test)

@@ -46,11 +46,6 @@ const (
 	StageCharacterize = "characterize"
 	// StageModelFit builds the Sec. V analytic model per nest (stage 5a).
 	StageModelFit = "model-fit"
-	// StagePlanLookup answers the cap question from a precomputed plan
-	// table (internal/plantable) where possible; it runs only when
-	// Config.Plans is set, and nests it cannot answer fall through to
-	// the live search stage.
-	StagePlanLookup = "plan-lookup"
 	// StageSearch is PolyUFC-SEARCH frequency-cap selection (stage 5b).
 	StageSearch = "search"
 	// StageCapInsert emits reports and inserts profitable caps (stage 6).
@@ -108,9 +103,6 @@ type nestState struct {
 	// failure (a failed model fit lands in serr too).
 	sres search.Result
 	serr error
-	// plan marks sres as answered from a plan table; the search stage
-	// skips the nest and the report records the hit.
-	plan bool
 }
 
 // searched reports whether the nest came through analysis, model fit and
@@ -267,8 +259,8 @@ func cmOptions(cfg Config, nest *ir.Nest) cachemodel.Options {
 }
 
 // eachNest is the per-nest walk the deps, tile, cachemodel, cache-eval,
-// model-fit, plan-lookup and search stages share, and the one place a
-// nest-level failure is judged. Every nest runs as its own pipeline.Unit (a panic
+// model-fit and search stages share, and the one place a nest-level
+// failure is judged. Every nest runs as its own pipeline.Unit (a panic
 // surfaces as that nest's error) behind a context check. A failure under
 // Strict aborts the stage; so does one under a dead context, whatever the
 // policy — deadline expiry or cancellation leaves a partial result, not a
@@ -518,49 +510,6 @@ func stageModelFit() pipeline.Stage[*compileState] {
 	}
 }
 
-// stagePlanLookup answers nests from the configured plan-table set. A
-// table hit synthesizes the search.Result live bisection would have
-// produced — the cap from the precomputed surface, the model evaluated
-// there, zero search evaluations — and flags the nest so the search
-// stage skips it. Misses (no table for the target or options, stale
-// table, off-axis kernel, steep cell) leave the nest to live search.
-func stagePlanLookup() pipeline.Stage[*compileState] {
-	return pipeline.Stage[*compileState]{
-		Name: StagePlanLookup,
-		Salt: func(st *compileState) string {
-			return st.cfg.Plans.Fingerprint() + "|" + st.cfg.Search.Fingerprint()
-		},
-		Run: func(ctx context.Context, st *compileState) error {
-			return st.eachNest(ctx, StagePlanLookup, func(ns *nestState) error {
-				m := ns.model
-				if m == nil {
-					return nil
-				}
-				// Socket 0's table answers every nest modelled with socket
-				// 0's fit — spanning nests (its rho > 0 plane carries their
-				// remote share) and, on homogeneous topologies, pinned
-				// ones. A socket with its own fit has its own table.
-				t, socket := st.cfg.Target, 0
-				if k := ns.socket; k > 0 && t.SocketConstants(k) != t.SocketConstants(0) {
-					socket = k
-				}
-				f, ok := st.cfg.Plans.Lookup(t, st.cfg.Search, st.cfg.Tiling.Fingerprint(), socket, m)
-				if !ok {
-					return nil
-				}
-				ns.sres = search.Result{
-					BestGHz: f, Best: m.At(f), Class: m.Class(),
-				}
-				ns.plan = true
-				return nil
-			}, func(*nestState, error) {
-				// A lookup that failed is a miss: live search answers the
-				// nest, which is what the table stands in for.
-			})
-		},
-	}
-}
-
 func stageSearch() pipeline.Stage[*compileState] {
 	return pipeline.Stage[*compileState]{
 		Name: StageSearch,
@@ -568,7 +517,7 @@ func stageSearch() pipeline.Stage[*compileState] {
 		Run: func(ctx context.Context, st *compileState) error {
 			freqs := st.cfg.Platform().UncoreSteps()
 			return st.eachNest(ctx, StageSearch, func(ns *nestState) (err error) {
-				if ns.model == nil || ns.plan {
+				if ns.model == nil {
 					return nil
 				}
 				ns.sres, err = search.Run(ctx, ns.model, freqs, st.cfg.Search)
@@ -607,7 +556,7 @@ func (st *compileState) report(ns *nestState, final bool, activeCap float64) Ker
 	default:
 		rep.Class, rep.CapGHz = ns.sres.Class, ns.sres.BestGHz
 		rep.Est, rep.EstDefault = ns.sres.Best, ns.defEst
-		rep.SearchEvals, rep.PlanHit = ns.sres.Evaluated, ns.plan
+		rep.SearchEvals = ns.sres.Evaluated
 		rep.SocketCaps = st.socketCaps(ns)
 	}
 	return rep
@@ -816,7 +765,7 @@ func stagePhases() pipeline.Stage[*compileState] {
 // compileStages declares the compile pipeline for a configuration. The
 // torch cap-merge stage is present only at torch cap granularity.
 func compileStages(cfg Config) []pipeline.Stage[*compileState] {
-	stages := []pipeline.Stage[*compileState]{
+	stages := append(memoized([]pipeline.Stage[*compileState]{
 		stagePreprocess(),
 		stageDeps(),
 		stageTile(),
@@ -824,15 +773,8 @@ func compileStages(cfg Config) []pipeline.Stage[*compileState] {
 		stageCacheEval(),
 		stageCharacterize(),
 		stageModelFit(),
-	}
-	if cfg.Plans != nil {
-		// The plan-lookup stage exists only when tables are configured,
-		// so table-less pipelines keep their exact stage list (and memo
-		// key chain) from before plan tables existed.
-		stages = append(stages, stagePlanLookup())
-	}
-	stages = memoized(append(stages, stageSearch()))
-	stages = append(stages, stageCapInsert())
+		stageSearch(),
+	}), stageCapInsert())
 	if cfg.CapLevel == ir.DialectTorch {
 		stages = append(stages, stageCapMerge())
 	}

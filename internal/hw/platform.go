@@ -145,8 +145,8 @@ func (p *Platform) UncoreSteps() []float64 {
 
 // GridSize counts the grid points min, min+step, ... that fit in
 // [min, max]; degenerate ranges or steps yield the single point min.
-// It is exported because serialized artifacts (plan tables) regenerate
-// cap grids from (min, max, step) and must agree with UncoreSteps.
+// It is exported for callers that rebuild a cap grid from (min, max,
+// step) and must agree with UncoreSteps.
 func GridSize(min, max, step float64) int {
 	if step <= 0 || max < min {
 		return 1

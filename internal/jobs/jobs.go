@@ -1,8 +1,8 @@
 // Package jobs is the crash-safe asynchronous job tier behind
-// polyufc-serve: submitting a sweep, characterization or plan-table
-// build returns a durable job ID immediately; the work runs on a worker
-// pool, streaming per-stage progress events to subscribers; the result
-// is fetched after completion.
+// polyufc-serve: submitting a sweep, characterization or re-fit returns
+// a durable job ID immediately; the work runs on a worker pool,
+// streaming per-stage progress events to subscribers; the result is
+// fetched after completion.
 //
 // Durability rides on internal/journal. The spec is fsynced before
 // Submit returns, every completed unit of work checkpoints through

@@ -32,8 +32,8 @@ import (
 // either the old complete content or the new complete content, never a
 // torn mix. It is the journal's own compaction machinery, exported for
 // the other durable artifacts (the content-addressed store, calibration
-// and plan-table files) so every "write this artifact safely" path in
-// the system is the same code.
+// files) so every "write this artifact safely" path in the system is the
+// same code.
 func AtomicWrite(path string, write func(w io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)

@@ -7,19 +7,17 @@ import (
 	"sort"
 
 	"polyufc/internal/hw"
-	"polyufc/internal/journal"
 	"polyufc/internal/model"
 	"polyufc/internal/parallel"
 	"polyufc/internal/platform"
 	"polyufc/internal/roofline"
 	"polyufc/internal/search"
-	"polyufc/internal/tiling"
 )
 
-// Default base axis resolutions before ridge densification.
+// Base axis resolutions before ridge densification.
 const (
-	DefaultOIPoints  = 33
-	DefaultMemPoints = 25
+	oiPoints  = 33
+	memPoints = 25
 )
 
 // qRef is the synthetic kernels' timed DRAM volume. Any value works —
@@ -34,8 +32,7 @@ const qRef = int64(1) << 30
 // cap grid (a 0.05 GHz-step machine refines further than a 0.1 GHz one).
 // An interval narrower than refineMinRatio (or refineMinAbs from a zero
 // endpoint) is a genuine surface cliff and stays unsplit — Lookup's
-// spread guard refuses those cells and the serve path falls back to live
-// search there.
+// spread guard refuses those cells.
 const (
 	refineMaxRounds = 8
 	refineMinRatio  = 1.01
@@ -43,45 +40,9 @@ const (
 	maxAxisPoints   = 2048
 )
 
-// BuildOptions parameterizes a plan-table sweep.
-type BuildOptions struct {
-	// OIPoints and MemPoints set the base (pre-densification) axis
-	// resolutions; zero selects the defaults.
-	OIPoints  int
-	MemPoints int
-	// Search pins the objective and epsilon the table answers for. A
-	// zero Epsilon selects search.DefaultOptions().
-	Search search.Options
-	// Tiling stamps the tiling strategy the table answers for (the
-	// zero value stamps pluto, the pre-strategy default). The swept
-	// surface is strategy-independent — witnesses are synthetic shapes —
-	// but the stamp makes the table an axis of the serving
-	// configuration, so per-strategy pipelines pin their own tables.
-	Tiling tiling.Spec
-	// Journal, when set, checkpoints every solved cell to a crash-safe
-	// journal file so an interrupted sweep resumes instead of restarting.
-	Journal *journal.Journal
-	// Concurrency bounds the sweep workers; <1 uses GOMAXPROCS.
-	Concurrency int
-	// Socket selects the uncore domain the table answers for on a
-	// multi-socket topology: the sweep runs against that socket's
-	// platform view and calibration. 0 (the default) is the only valid
-	// value for single-socket backends.
-	Socket int
-}
-
-func (o BuildOptions) normalize() BuildOptions {
-	if o.OIPoints <= 0 {
-		o.OIPoints = DefaultOIPoints
-	}
-	if o.MemPoints <= 0 {
-		o.MemPoints = DefaultMemPoints
-	}
-	if o.Search.Epsilon == 0 {
-		o.Search = search.DefaultOptions()
-	}
-	return o
-}
+// BuildOptions parameterizes a plan-table sweep. It has no fields: every
+// table is swept at the default axis resolutions and search options.
+type BuildOptions struct{}
 
 // ridgeMultipliers densify the OI axis around phi = BtDRAM, where the
 // CB/BB characterization flips and the cap surface moves fastest
@@ -106,7 +67,7 @@ func logSpace(lo, hi float64, n int) []float64 {
 }
 
 // dedupAscending sorts and removes (near-)duplicates so the axis is
-// strictly ascending as Validate requires.
+// strictly ascending.
 func dedupAscending(vals []float64) []float64 {
 	sort.Float64s(vals)
 	out := vals[:0]
@@ -119,38 +80,38 @@ func dedupAscending(vals []float64) []float64 {
 	return out
 }
 
-// OIAxisFor builds the phi axis for a backend: log-spaced across eight
+// oiAxisFor builds the phi axis for a backend: log-spaced across eight
 // decades around the ridge point BtDRAM, densified at the ridge.
-func OIAxisFor(bt float64, n int) []float64 {
-	axis := logSpace(bt*1e-4, bt*1e4, n)
+func oiAxisFor(bt float64) []float64 {
+	axis := logSpace(bt*1e-4, bt*1e4, oiPoints)
 	for _, m := range ridgeMultipliers {
 		axis = append(axis, bt*m)
 	}
 	return dedupAscending(axis)
 }
 
-// MemAxisPoints builds the memory-ratio axis: a pure-streaming 0 point
+// memAxisPoints builds the memory-ratio axis: a pure-streaming 0 point
 // plus log-spaced coverage of a/M(fRef) across six decades, densified
 // around 1.
-func MemAxisPoints(n int) []float64 {
-	axis := append(logSpace(1e-3, 1e3, n), memDensify...)
+func memAxisPoints() []float64 {
+	axis := append(logSpace(1e-3, 1e3, memPoints), memDensify...)
 	axis = append(axis, 0)
 	return dedupAscending(axis)
 }
 
-// SyntheticModel constructs the canonical kernel model of one intensive
+// syntheticModel constructs the canonical kernel model of one intensive
 // shape on a machine whose inter-socket link costs link: timed DRAM
-// volume qRef of which the share sh.Rho crosses the link, Flops =
+// volume qRef of which the share sh.rho crosses the link, Flops =
 // phi*qRef, and enough L1-hit traffic to make the frequency-independent
 // local per-byte time equal ratio*M(fRef). Every real kernel with the
 // same shape receives the same search answer as this witness (the search
 // outcome is volume-invariant — both link terms scale with Q too), so
 // sweeping witnesses tabulates the whole family.
-func SyntheticModel(c *platform.Constants, link platform.LinkCost, sh Shape, fRef float64) (*model.Model, error) {
-	phi, ratio := sh.Phi, sh.Ratio
-	if !(phi >= 0) || !(ratio >= 0) || !(sh.Rho >= 0) || sh.Rho > 1 || !(fRef > 0) {
+func syntheticModel(c *platform.Constants, link platform.LinkCost, sh shape, fRef float64) (*model.Model, error) {
+	phi, ratio := sh.phi, sh.ratio
+	if !(phi >= 0) || !(ratio >= 0) || !(sh.rho >= 0) || sh.rho > 1 || !(fRef > 0) {
 		return nil, fmt.Errorf("plantable: synthetic model: need phi, ratio >= 0, rho in [0, 1] and fRef > 0, got phi=%g ratio=%g rho=%g fRef=%g",
-			phi, ratio, sh.Rho, fRef)
+			phi, ratio, sh.rho, fRef)
 	}
 	th := c.CalibThreads
 	if th < 1 {
@@ -161,7 +122,7 @@ func SyntheticModel(c *platform.Constants, link platform.LinkCost, sh Shape, fRe
 		QDRAM:       qRef,
 		QDRAMTime:   qRef,
 		Flops:       int64(math.Round(phi * float64(qRef))),
-		RemoteRatio: sh.Rho,
+		RemoteRatio: sh.rho,
 	}
 	// The frequency-independent per-byte time a = ratio*M(fRef) splits
 	// into the compute share phi*TFpu and a cache-hit remainder realized
@@ -182,8 +143,8 @@ func SyntheticModel(c *platform.Constants, link platform.LinkCost, sh Shape, fRe
 	// itself when it lands on the right side of the ridge, otherwise
 	// force the requested surface.
 	ks.OI = phi
-	if c.Classify(phi) != sh.Class {
-		if sh.Class == roofline.ComputeBound {
+	if c.Classify(phi) != sh.class {
+		if sh.class == roofline.ComputeBound {
 			ks.OI = 2 * c.BtDRAM
 		} else {
 			ks.OI = c.BtDRAM / 2
@@ -192,20 +153,6 @@ func SyntheticModel(c *platform.Constants, link platform.LinkCost, sh Shape, fRe
 	m := model.New(c, ks)
 	m.Remote = link
 	return m, nil
-}
-
-// cellKey is the journal checkpoint key of one solved cell. It is keyed
-// by the cell's axis values (not indices), so a resumed sweep at a
-// different axis resolution reuses every cell both resolutions share;
-// rho = 0 cells keep the key journals written before the axis existed
-// use.
-func cellKey(tb *Table, sh Shape) string {
-	key := fmt.Sprintf("plantable/%s/%s/%s/eps%g/%s/phi%.17g/mem%.17g",
-		tb.BackendHash, tb.CalHash, tb.Objective, tb.Epsilon, sh.Class, sh.Phi, sh.Ratio)
-	if sh.Rho != 0 {
-		key += fmt.Sprintf("/rho%.17g", sh.Rho)
-	}
-	return key
 }
 
 // splitPoint is the refinement midpoint of one axis interval: geometric
@@ -233,72 +180,41 @@ func absInt(v int) int {
 
 // Build sweeps one resolved target into its plan table: for every
 // (class, phi, ratio, rho) cell, a synthetic witness kernel is searched
-// live over the platform's uncore grid and the selected grid index
-// recorded. The rho axis is the target's own: the remote shares its
-// topology places nests at. The mesh then refines adaptively — any
-// phi or ratio interval across which a plane of a surface moves more
-// than one cap index is split and re-swept — until every cell is
-// interpolation-safe or only sub-percent cliffs remain. Cells run in
-// parallel; with a journal, each solved cell is checkpointed so a killed
-// sweep resumes where it stopped (journal keys are axis values, so
-// re-sweeps and resumed runs share solved cells).
-func Build(ctx context.Context, t *roofline.Target, opts BuildOptions) (*Table, error) {
+// live over the platform's uncore grid under search.DefaultOptions and
+// the selected grid index recorded. The rho axis is the target's own:
+// the remote shares its topology places nests at. The mesh then refines
+// adaptively — any phi or ratio interval across which a plane of a
+// surface moves more than one cap index is split and re-swept — until
+// every cell is interpolation-safe or only sub-percent cliffs remain.
+// Cells run in parallel.
+func Build(ctx context.Context, t *roofline.Target, _ BuildOptions) (*Table, error) {
 	if t == nil || t.Backend == nil || t.Platform == nil || t.Constants == nil {
 		return nil, fmt.Errorf("plantable: build: target must carry backend, platform and constants")
 	}
-	opts = opts.normalize()
-	S := t.NumSockets()
-	if opts.Socket < 0 || opts.Socket >= S {
-		return nil, fmt.Errorf("plantable: build: socket %d out of range for %s (%d sockets)",
-			opts.Socket, t.Backend.Name, S)
-	}
-	// The sweep runs against the selected socket's domain: its platform
-	// view (the cap grid) and its calibration. Socket 0 is exactly the
-	// pre-topology single-socket sweep.
-	c := t.SocketConstants(opts.Socket)
-	p := t.Platform
-	if opts.Socket > 0 {
-		var err error
-		if p, err = hw.SocketPlatform(t.Backend, opts.Socket); err != nil {
-			return nil, err
-		}
-	}
+	c, p := t.Constants, t.Platform
 	tb := &Table{
-		Header: Header{
-			Schema:       SchemaVersion,
-			Backend:      t.Backend.Name,
-			BackendHash:  t.Backend.Hash(),
-			CalHash:      c.Hash(),
-			Objective:    opts.Search.Objective.String(),
-			Epsilon:      opts.Search.Epsilon,
-			Tiling:       opts.Tiling.Fingerprint(),
-			UncoreMinGHz: p.UncoreMin,
-			UncoreMaxGHz: p.UncoreMax,
-			CapStepGHz:   p.CapStep,
-			OIAxis:       OIAxisFor(c.BtDRAM, opts.OIPoints),
-			MemAxis:      MemAxisPoints(opts.MemPoints),
-		},
-		Socket: opts.Socket,
+		grid:    p.UncoreSteps(),
+		oiAxis:  oiAxisFor(c.BtDRAM),
+		memAxis: memAxisPoints(),
 		// The only shares placement assigns: none to a pinned nest, the
 		// backend's RemoteShare to one spanning every socket.
-		RhoAxis: []float64{0},
+		rhoAxis: []float64{0},
 	}
 	if rho := t.Backend.RemoteShare(true); rho > 0 {
-		tb.RhoAxis = append(tb.RhoAxis, rho)
+		tb.rhoAxis = append(tb.rhoAxis, rho)
 	}
 	link := t.Backend.Link()
-
-	freqs := p.UncoreSteps()
+	opts := search.DefaultOptions()
 	fRef := tb.refFreq()
 	classes := []roofline.Class{roofline.ComputeBound, roofline.BandwidthBound}
-	cache := map[Shape]int{}
+	cache := map[shape]int{}
 	for round := 0; ; round++ {
-		var missing []Shape
+		var missing []shape
 		for _, cls := range classes {
-			for _, phi := range tb.OIAxis {
-				for _, ratio := range tb.MemAxis {
-					for _, rho := range tb.RhoAxis {
-						sh := Shape{cls, phi, ratio, rho}
+			for _, phi := range tb.oiAxis {
+				for _, ratio := range tb.memAxis {
+					for _, rho := range tb.rhoAxis {
+						sh := shape{cls, phi, ratio, rho}
 						if _, ok := cache[sh]; !ok {
 							missing = append(missing, sh)
 						}
@@ -306,22 +222,19 @@ func Build(ctx context.Context, t *roofline.Target, opts BuildOptions) (*Table, 
 				}
 			}
 		}
-		idxs, err := parallel.Map(ctx, len(missing), opts.Concurrency, func(ctx context.Context, n int) (int, error) {
-			idx, _, err := journal.Step(opts.Journal, cellKey(tb, missing[n]), func() (int, error) {
-				m, err := SyntheticModel(c, link, missing[n], fRef)
-				if err != nil {
-					return 0, err
-				}
-				res, err := search.Run(ctx, m, freqs, opts.Search)
-				if err != nil {
-					return 0, err
-				}
-				return hw.GridIndex(tb.UncoreMinGHz, tb.UncoreMaxGHz, tb.CapStepGHz, res.BestGHz), nil
-			})
-			return idx, err
+		idxs, err := parallel.Map(ctx, len(missing), 0, func(ctx context.Context, n int) (int, error) {
+			m, err := syntheticModel(c, link, missing[n], fRef)
+			if err != nil {
+				return 0, err
+			}
+			res, err := search.Run(ctx, m, tb.grid, opts)
+			if err != nil {
+				return 0, err
+			}
+			return hw.GridIndex(p.UncoreMin, p.UncoreMax, p.CapStep, res.BestGHz), nil
 		})
 		if err != nil {
-			return nil, fmt.Errorf("plantable: build %s: %w", tb.Backend, err)
+			return nil, fmt.Errorf("plantable: build %s: %w", t.Backend.Name, err)
 		}
 		for n, sh := range missing {
 			cache[sh] = idxs[n]
@@ -331,22 +244,22 @@ func Build(ctx context.Context, t *roofline.Target, opts BuildOptions) (*Table, 
 		}
 		var addOI, addMem []float64
 		for _, cls := range classes {
-			for _, rho := range tb.RhoAxis {
-				at := func(phi, ratio float64) int { return cache[Shape{cls, phi, ratio, rho}] }
-				for i := 0; i+1 < len(tb.OIAxis); i++ {
-					for _, ratio := range tb.MemAxis {
-						if absInt(at(tb.OIAxis[i+1], ratio)-at(tb.OIAxis[i], ratio)) > maxCellSpread {
-							if mid, ok := splitPoint(tb.OIAxis[i], tb.OIAxis[i+1]); ok {
+			for _, rho := range tb.rhoAxis {
+				at := func(phi, ratio float64) int { return cache[shape{cls, phi, ratio, rho}] }
+				for i := 0; i+1 < len(tb.oiAxis); i++ {
+					for _, ratio := range tb.memAxis {
+						if absInt(at(tb.oiAxis[i+1], ratio)-at(tb.oiAxis[i], ratio)) > maxCellSpread {
+							if mid, ok := splitPoint(tb.oiAxis[i], tb.oiAxis[i+1]); ok {
 								addOI = append(addOI, mid)
 							}
 							break // one split per interval per plane per round
 						}
 					}
 				}
-				for j := 0; j+1 < len(tb.MemAxis); j++ {
-					for _, phi := range tb.OIAxis {
-						if absInt(at(phi, tb.MemAxis[j+1])-at(phi, tb.MemAxis[j])) > maxCellSpread {
-							if mid, ok := splitPoint(tb.MemAxis[j], tb.MemAxis[j+1]); ok {
+				for j := 0; j+1 < len(tb.memAxis); j++ {
+					for _, phi := range tb.oiAxis {
+						if absInt(at(phi, tb.memAxis[j+1])-at(phi, tb.memAxis[j])) > maxCellSpread {
+							if mid, ok := splitPoint(tb.memAxis[j], tb.memAxis[j+1]); ok {
 								addMem = append(addMem, mid)
 							}
 							break
@@ -356,30 +269,27 @@ func Build(ctx context.Context, t *roofline.Target, opts BuildOptions) (*Table, 
 			}
 		}
 		if len(addOI)+len(addMem) == 0 ||
-			len(tb.OIAxis)+len(addOI) > maxAxisPoints ||
-			len(tb.MemAxis)+len(addMem) > maxAxisPoints {
+			len(tb.oiAxis)+len(addOI) > maxAxisPoints ||
+			len(tb.memAxis)+len(addMem) > maxAxisPoints {
 			break
 		}
-		tb.OIAxis = dedupAscending(append(tb.OIAxis, addOI...))
-		tb.MemAxis = dedupAscending(append(tb.MemAxis, addMem...))
+		tb.oiAxis = dedupAscending(append(tb.oiAxis, addOI...))
+		tb.memAxis = dedupAscending(append(tb.memAxis, addMem...))
 	}
 
 	fill := func(cls roofline.Class) [][][]int {
-		s := make([][][]int, len(tb.OIAxis))
-		for i, phi := range tb.OIAxis {
-			s[i] = make([][]int, len(tb.MemAxis))
-			for j, ratio := range tb.MemAxis {
-				s[i][j] = make([]int, len(tb.RhoAxis))
-				for k, rho := range tb.RhoAxis {
-					s[i][j][k] = cache[Shape{cls, phi, ratio, rho}]
+		s := make([][][]int, len(tb.oiAxis))
+		for i, phi := range tb.oiAxis {
+			s[i] = make([][]int, len(tb.memAxis))
+			for j, ratio := range tb.memAxis {
+				s[i][j] = make([]int, len(tb.rhoAxis))
+				for k, rho := range tb.rhoAxis {
+					s[i][j][k] = cache[shape{cls, phi, ratio, rho}]
 				}
 			}
 		}
 		return s
 	}
-	tb.CB, tb.BB = fill(roofline.ComputeBound), fill(roofline.BandwidthBound)
-	if err := tb.Validate(); err != nil {
-		return nil, err
-	}
+	tb.cb, tb.bb = fill(roofline.ComputeBound), fill(roofline.BandwidthBound)
 	return tb, nil
 }

@@ -20,7 +20,7 @@ var equivBackends = []string{"bdw", "rpl", "wide-uncore"}
 // backend: timed DRAM volume across five orders of magnitude (the "size"
 // axis), flop intensity across the whole tabulated OI range, an
 // arbitrary cache-hit chain, and serial or fully-parallel threading. It
-// is deliberately NOT built through SyntheticModel — the property must
+// is deliberately NOT built through syntheticModel — the property must
 // hold for arbitrary KernelStats, not just the sweep's witnesses.
 func randomKernel(r *rand.Rand, c *platform.Constants) *model.Model {
 	logu := func(lo, hi float64) float64 {
@@ -76,7 +76,7 @@ func checkEquivalence(t *testing.T, tg *roofline.Target, tb *Table, models []*mo
 	for _, m := range models {
 		fTab, ok := tb.Lookup(m)
 		if !ok {
-			continue // honest fallback: the serve path runs live search
+			continue // honest refusal: the caller runs live search
 		}
 		hits++
 		res, err := search.Run(nil, m, freqs, opts)
@@ -138,7 +138,7 @@ func TestRidgeNeighborhoodEquivalence(t *testing.T) {
 				phi := c.BtDRAM * (0.8 + 0.45*float64(i)/60) // [0.8, 1.25] x ridge
 				for _, ratio := range []float64{0.01, 0.1, 0.5, 1, 2, 10, 100} {
 					for _, cls := range []roofline.Class{roofline.ComputeBound, roofline.BandwidthBound} {
-						m, err := SyntheticModel(c, platform.LinkCost{}, Shape{Class: cls, Phi: phi, Ratio: ratio}, fRef)
+						m, err := syntheticModel(c, platform.LinkCost{}, shape{class: cls, phi: phi, ratio: ratio}, fRef)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -163,25 +163,25 @@ func TestDecomposeRoundTrip(t *testing.T) {
 	for _, phi := range []float64{0.01, 1, c.BtDRAM, 100} {
 		for _, ratio := range []float64{0, 0.5, 1, 50} {
 			for _, cls := range []roofline.Class{roofline.ComputeBound, roofline.BandwidthBound} {
-				m, err := SyntheticModel(c, platform.LinkCost{}, Shape{Class: cls, Phi: phi, Ratio: ratio}, fRef)
+				m, err := syntheticModel(c, platform.LinkCost{}, shape{class: cls, phi: phi, ratio: ratio}, fRef)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sh, ok := Decompose(m, fRef)
+				sh, ok := decompose(m, fRef)
 				if !ok {
 					t.Fatalf("witness (phi=%g ratio=%g) does not decompose", phi, ratio)
 				}
-				if sh.Class != cls {
-					t.Fatalf("witness (phi=%g ratio=%g): class %v, want %v", phi, ratio, sh.Class, cls)
+				if sh.class != cls {
+					t.Fatalf("witness (phi=%g ratio=%g): class %v, want %v", phi, ratio, sh.class, cls)
 				}
-				if math.Abs(sh.Phi-phi) > 1e-6*(1+phi) {
-					t.Fatalf("witness phi %g decomposed to %g", phi, sh.Phi)
+				if math.Abs(sh.phi-phi) > 1e-6*(1+phi) {
+					t.Fatalf("witness phi %g decomposed to %g", phi, sh.phi)
 				}
 				// Infeasible corners saturate at the feasibility boundary
 				// a = phi*TFpu; everywhere else the ratio round-trips.
 				wantRatio := math.Max(ratio, phi*c.TFpu/c.MissLat(fRef))
-				if math.Abs(sh.Ratio-wantRatio) > 1e-6*(1+wantRatio) {
-					t.Fatalf("witness ratio %g decomposed to %g (want %g)", ratio, sh.Ratio, wantRatio)
+				if math.Abs(sh.ratio-wantRatio) > 1e-6*(1+wantRatio) {
+					t.Fatalf("witness ratio %g decomposed to %g (want %g)", ratio, sh.ratio, wantRatio)
 				}
 			}
 		}
@@ -206,9 +206,8 @@ func TestLookupFallsBackOffAxes(t *testing.T) {
 	}
 }
 
-// BenchmarkPlanLookup / BenchmarkLiveSearch quantify the serve-path win
-// the README quotes: a table lookup versus a live bisection for the same
-// kernel.
+// BenchmarkPlanLookup / BenchmarkLiveSearch compare a table lookup with
+// a live bisection for the same kernel.
 func BenchmarkPlanLookup(b *testing.B) {
 	tg := testTarget(b, "bdw")
 	tb := testTable(b, "bdw")

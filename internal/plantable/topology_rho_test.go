@@ -1,18 +1,13 @@
 package plantable
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"polyufc/internal/model"
 	"polyufc/internal/platform"
 	"polyufc/internal/roofline"
-	"polyufc/internal/search"
 )
 
 // rhoTarget resolves (and caches) a 2-socket topology built from the
@@ -46,8 +41,8 @@ func rhoTarget(t testing.TB) *roofline.Target {
 	return tg
 }
 
-// rhoTable builds (and caches) a small table for the 2-socket target;
-// the topology gives it its second rho plane.
+// rhoTable builds (and caches) the 2-socket target's table; the topology
+// gives it its second rho plane.
 func rhoTable(t testing.TB) *Table {
 	t.Helper()
 	tg := rhoTarget(t)
@@ -56,7 +51,7 @@ func rhoTable(t testing.TB) *Table {
 	if tb, ok := tableCache["2s-plan"]; ok {
 		return tb
 	}
-	tb, err := Build(nil, tg, BuildOptions{OIPoints: 9, MemPoints: 7})
+	tb, err := Build(nil, tg, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,49 +69,6 @@ func numaModel(tg *roofline.Target, m *model.Model, rho float64) *model.Model {
 	return out
 }
 
-func TestRhoTableRoundTripAndZeroPlane(t *testing.T) {
-	tb := rhoTable(t)
-	// The axis is the topology's: the pinned share and the spanning one.
-	if want := []float64{0, 0.5}; !reflect.DeepEqual(tb.RhoAxis, want) {
-		t.Fatalf("2-socket rho axis %v, want %v", tb.RhoAxis, want)
-	}
-	data, err := tb.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// On the wire the flat cb/bb repeat the rho = 0 plane of cb_rho/bb_rho.
-	var w wireTable
-	if err := json.Unmarshal(data, &w); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(w.CB, rhoPlane(w.CBR)) || !reflect.DeepEqual(w.BB, rhoPlane(w.BBR)) {
-		t.Fatal("flat cb/bb are not the rho = 0 plane of cb_rho/bb_rho")
-	}
-	back, err := Parse(data)
-	if err != nil {
-		t.Fatalf("parse own marshal: %v", err)
-	}
-	if !reflect.DeepEqual(tb, back) {
-		t.Fatal("rho table did not survive a marshal/parse round trip")
-	}
-	// A document whose two spellings of that plane disagree is refused
-	// for that reason.
-	if _, err := Parse(contradictingDoc(t, testTable(t, "bdw"))); err == nil || !strings.Contains(err.Error(), "contradict") {
-		t.Fatalf("cb contradicting cb_rho[..][..][0]: %v", err)
-	}
-	// Single-socket tables keep the pre-topology wire format: none of
-	// the new keys appear.
-	flat, err := testTable(t, "bdw").Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"socket", "rho_axis", "cb_rho", "bb_rho"} {
-		if bytes.Contains(flat, []byte(`"`+key+`"`)) {
-			t.Fatalf("single-socket table marshal contains %q", key)
-		}
-	}
-}
-
 // TestRhoLookupSearchEquivalence extends the headline property to NUMA
 // placements: for randomized kernels at the shares the topology places
 // nests at, the table and live search agree within one grid step on
@@ -124,10 +76,14 @@ func TestRhoTableRoundTripAndZeroPlane(t *testing.T) {
 func TestRhoLookupSearchEquivalence(t *testing.T) {
 	tg := rhoTarget(t)
 	tb := rhoTable(t)
+	// The axis is the topology's: the pinned share and the spanning one.
+	if want := []float64{0, 0.5}; !reflect.DeepEqual(tb.rhoAxis, want) {
+		t.Fatalf("2-socket rho axis %v, want %v", tb.rhoAxis, want)
+	}
 	r := rand.New(rand.NewSource(7))
 	models := make([]*model.Model, 300)
 	for i := range models {
-		models[i] = numaModel(tg, randomKernel(r, tg.Constants), tb.RhoAxis[i%len(tb.RhoAxis)])
+		models[i] = numaModel(tg, randomKernel(r, tg.Constants), tb.rhoAxis[i%len(tb.rhoAxis)])
 	}
 	checkEquivalence(t, tg, tb, models, 0.3)
 }
@@ -178,51 +134,5 @@ func TestRhoLookupFallsBackOn2DTable(t *testing.T) {
 		if answered == 0 {
 			t.Fatalf("%s: no baseline lookups answered; the fallback check never ran", tc.name)
 		}
-	}
-}
-
-// TestSocketTablesAreDistinctDomains: per-socket tables register and
-// resolve under their own key; a socket out of the target's range is
-// stale.
-func TestSocketTablesAreDistinctDomains(t *testing.T) {
-	tg := rhoTarget(t)
-	tb0 := rhoTable(t)
-	tb1, err := Build(nil, tg, BuildOptions{OIPoints: 9, MemPoints: 7, Socket: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb1.Socket != 1 {
-		t.Fatalf("socket-1 table stamped socket %d", tb1.Socket)
-	}
-	// Homogeneous sockets share the calibration, so both tables pin the
-	// same constants hash — but they are distinct serving domains.
-	if tb1.CalHash != tb0.CalHash {
-		t.Fatal("homogeneous socket domains pinned different calibrations")
-	}
-	set := NewSet()
-	if err := set.Add(tb0); err != nil {
-		t.Fatal(err)
-	}
-	if err := set.Add(tb1); err != nil {
-		t.Fatal(err)
-	}
-	if set.Len() != 2 {
-		t.Fatalf("socket tables collided: %d loaded", set.Len())
-	}
-	opts := search.DefaultOptions()
-	if got := set.For(tg, opts, "", 0); got != tb0 {
-		t.Fatal("socket 0 resolved the wrong table")
-	}
-	if got := set.For(tg, opts, "", 1); got != tb1 {
-		t.Fatal("socket 1 resolved the wrong table")
-	}
-	if got := set.For(tg, opts, "", 2); got != nil {
-		t.Fatal("unswept socket 2 resolved a table")
-	}
-	// A socket table against a shrunken topology is stale, not misread.
-	stale := *tb1
-	stale.Socket = 5
-	if err := stale.Matches(tg); !errors.Is(err, ErrStale) {
-		t.Fatalf("out-of-range socket table: %v, want ErrStale", err)
 	}
 }

@@ -94,9 +94,9 @@ func (c Class) String() string {
 }
 
 // Hash is the content hash of the calibrated constants, pinning derived
-// artifacts (plan tables, cached compilations, journaled responses) to
-// the exact fit that produced them: a re-fit of the same backend yields
-// a different hash even though the description is unchanged. Constants
+// artifacts (cached compilations, journaled responses) to the exact fit
+// that produced them: a re-fit of the same backend yields a different
+// hash even though the description is unchanged. Constants
 // marshal deterministically (fixed field order, shortest float
 // representation), so the hash is stable across processes.
 func (c *Constants) Hash() string {

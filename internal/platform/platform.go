@@ -121,7 +121,7 @@ type Backend struct {
 // Socket is the flat top-level block: the whole machine of a schema-1
 // document, a repeat of sockets[0] in a schema-2 one. Field order and
 // omitempty are load-bearing — Hash is taken over these bytes, and it
-// pins calibrations, plan tables, journals and CAS addresses.
+// pins calibrations, journals and CAS addresses.
 type wireBackend struct {
 	Schema   int      `json:"schema"`
 	Name     string   `json:"name"`

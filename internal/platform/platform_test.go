@@ -134,7 +134,7 @@ func contradictFlat(doc []byte) []byte {
 // TestBackendHashesPinned pins every field of every shipped description:
 // Hash() equals the literal recorded at the commit before the flat
 // single-socket spelling was confined to the codec (calibration
-// artifacts, plan tables, journal keys and CAS addresses in the wild are
+// artifacts, journal keys and CAS addresses in the wild are
 // keyed by it), Marshal() is byte-identical to that commit's output
 // (testdata/*.marshal.json), and Marshal is a fixed point of
 // Parse∘Marshal.

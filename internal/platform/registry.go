@@ -152,7 +152,7 @@ func LoadFile(path string) (*Backend, error) {
 
 // SplitList splits a comma-separated flag value into its trimmed,
 // non-empty items — the one spelling of the binaries' list flags
-// (-platform-file, -plan-table, -peer).
+// (-platform-file, -peer).
 func SplitList(list string) []string {
 	var out []string
 	for _, item := range strings.Split(list, ",") {

@@ -113,8 +113,7 @@ func TestTopologyRoundTrip(t *testing.T) {
 // frozen schema-1 document (and every registered schema-1 description)
 // loads as exactly one socket carrying the document's flat fields, and its
 // serialized form — and therefore its content hash, which pins
-// calibrations and plan tables — stays schema 1 with none of the topology
-// keys.
+// calibrations — stays schema 1 with none of the topology keys.
 func TestV1LoadsAsSingleSocketTopology(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "v1-frozen.json"))
 	if err != nil {

@@ -109,8 +109,8 @@ func TestDriftTrackerRejectsGarbage(t *testing.T) {
 
 // Refit against drifted hardware produces a genuinely different fit: the
 // memory-path constants slow down by the injected drift factor, the
-// constants hash changes (so plan tables pinned to the old fit go
-// stale), and the provenance names the re-fit tool.
+// constants hash changes (so responses keyed by the old fit miss), and
+// the provenance names the re-fit tool.
 func TestRefitSeesDriftedHardware(t *testing.T) {
 	tgt, err := ResolveName("RPL")
 	if err != nil {

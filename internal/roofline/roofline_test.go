@@ -13,8 +13,8 @@ import (
 // built-in backend and every shipped description file. The calibration
 // micro-benchmarks are hand-built profiles with no remote share, so they
 // measure socket-local even on a multi-socket machine whose measurements
-// charge the link: no fit moves, and no saved calibration, plan table or
-// journal entry keyed by one is orphaned.
+// charge the link: no fit moves, and no saved calibration or journal
+// entry keyed by one is orphaned.
 func TestCalibrationStaysSocketLocal(t *testing.T) {
 	want := map[string]string{
 		"BDW":       "f020bf6ecfbad849",

@@ -8,15 +8,14 @@ import (
 
 	"polyufc/internal/cas"
 	"polyufc/internal/fleet"
-	"polyufc/internal/plantable"
 	"polyufc/internal/platform"
 	"polyufc/internal/roofline"
 )
 
 // This file is the daemon's side of the fleet cache tier: the warm-start
-// paths reusing persisted calibration and plan-table artifacts at boot,
-// and the HTTP surface peers fetch and fill entries through. The response
-// ladder and every artifact address live in ladder.go.
+// path reusing persisted calibration artifacts at boot, and the HTTP
+// surface peers fetch and fill entries through. The response ladder and
+// every artifact address live in ladder.go.
 
 // warmCalibration tries to boot a backend from a persisted calibration
 // artifact instead of re-running the micro-benchmarks. Any failure —
@@ -49,49 +48,6 @@ func (s *Server) storeCalibration(t *roofline.Target) {
 		return
 	}
 	s.persist(calibrationAddr(t.Backend.Hash()), payload)
-}
-
-// storePlanTable persists a freshly built table into the cache tier.
-func (s *Server) storePlanTable(tb *plantable.Table) {
-	if s.casStore == nil || tb == nil {
-		return
-	}
-	payload, err := tb.Marshal()
-	if err != nil {
-		return
-	}
-	s.persist(planTableAddr(tb.BackendHash, tb.CalHash), payload)
-}
-
-// warmPlanTables probes the CAS for a plan table matching each served
-// backend's live calibration and installs the hits — a rebooted daemon
-// serves table answers immediately instead of waiting for a rebuild
-// job. Stale or damaged entries are skipped silently; the plan-table
-// job rebuilds them.
-func (s *Server) warmPlanTables() {
-	if s.casStore == nil {
-		return
-	}
-	s.targetsMu.RLock()
-	targets := make([]*roofline.Target, 0, len(s.targets))
-	for _, t := range s.targets {
-		targets = append(targets, t)
-	}
-	s.targetsMu.RUnlock()
-	for _, t := range targets {
-		if t.Backend == nil {
-			continue
-		}
-		payload, ok := s.casStore.Get(planTableAddr(t.Backend.Hash(), t.Constants.Hash()))
-		if !ok {
-			continue
-		}
-		tb, err := plantable.Parse(payload)
-		if err != nil || tb.Matches(t) != nil {
-			continue
-		}
-		_ = s.installPlanTable(tb)
-	}
 }
 
 // handleCASGet serves one verified entry to a peer. Like the

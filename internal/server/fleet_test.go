@@ -352,40 +352,6 @@ func TestServerJobSubmit503CarriesRetryAfter(t *testing.T) {
 	}
 }
 
-// Plan tables built by the async job tier persist into the CAS and are
-// reinstalled at the next boot without a rebuild job.
-func TestServerPlanTableWarmStartAcrossRestart(t *testing.T) {
-	casDir := t.TempDir()
-	cfg := testConfig()
-	cfg.CASDir = casDir
-	cfg.JobsDir = t.TempDir()
-	s1 := newServer(t, cfg)
-	ts1 := httptest.NewServer(s1.Handler())
-	resp, data := postJSONBody(t, ts1, "/v1/jobs",
-		`{"kind":"plantable","platform":"rpl","oi_points":4,"mem_points":3}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit plantable job: %d %s", resp.StatusCode, data)
-	}
-	var st struct {
-		ID string `json:"id"`
-	}
-	mustUnmarshal(t, data, &st)
-	waitJobDone(t, ts1, st.ID)
-	if set := s1.planSet(); set == nil || set.Stats().Loaded == 0 {
-		t.Fatal("plan table not installed after job")
-	}
-	ts1.Close()
-	s1.Close()
-
-	cfg2 := testConfig()
-	cfg2.CASDir = casDir
-	s2 := newServer(t, cfg2)
-	defer s2.Close()
-	if set := s2.planSet(); set == nil || set.Stats().Loaded == 0 {
-		t.Fatal("plan table not warm-started from the CAS after restart")
-	}
-}
-
 func postJSONBody(t *testing.T, ts *httptest.Server, path, body string) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(body))
@@ -439,7 +405,8 @@ func waitJobDone(t *testing.T, ts *httptest.Server, id string) {
 // has the recipe): a CAS directory holding four calibration artifacts, a
 // BDW plan table and three responses computed with that table installed;
 // a response journal from a table-less daemon; the served bytes of each
-// request; and that daemon's /v1/platforms answer.
+// request; and that daemon's /v1/platforms answer. Its tableless/
+// directory is the same CAS case written without the plan table.
 const parentState = "testdata/parent-state"
 
 var parentStatePlatforms = []string{
@@ -447,20 +414,27 @@ var parentStatePlatforms = []string{
 	filepath.Join("..", "..", "platforms", "wide-uncore.json"),
 }
 
-// Every address the parent derived from a backend description — the
-// calibration slot, the plan-table slot, the response key — must still be
-// the address this build derives, on schema-1 and schema-2 backends
-// alike: a boot on the parent's CAS directory re-fits nothing, installs
-// the parent's plan table and answers the parent's requests from warm
-// entries, byte for byte.
-func TestServerCASBootsOnParentWrittenState(t *testing.T) {
+// parentCASRequests are the three requests of the parent's CAS case,
+// named after their served bytes under <fixture>/responses.
+var parentCASRequests = map[string]struct{ path, body string }{
+	"cas-gemm-bdw":  {"/v1/compile", `{"kernel":"gemm","platform":"bdw","size":"test"}`},
+	"cas-mvt-2s":    {"/v1/compile", `{"kernel":"mvt","platform":"2s-bdw","size":"test"}`},
+	"cas-bicg-wide": {"/v1/search", `{"kernel":"bicg","platform":"wide","size":"test"}`},
+}
+
+// bootOnParentCAS boots this build on a copy of a parent-written CAS
+// directory and checks that every persisted fit warm-started its
+// backend: the platform entries — description hash, constants, fit date
+// — are the parent's, and boot read one warm entry per calibration.
+func bootOnParentCAS(t *testing.T, fixture string) (*Server, *httptest.Server, cas.Stats) {
+	t.Helper()
 	dir := t.TempDir()
-	ents, err := os.ReadDir(filepath.Join(parentState, "cas"))
+	ents, err := os.ReadDir(filepath.Join(fixture, "cas"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range ents {
-		data, err := os.ReadFile(filepath.Join(parentState, "cas", e.Name()))
+		data, err := os.ReadFile(filepath.Join(fixture, "cas", e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -473,14 +447,12 @@ func TestServerCASBootsOnParentWrittenState(t *testing.T) {
 	cfg.PlatformFiles = parentStatePlatforms
 	s := newServer(t, cfg)
 	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	t.Cleanup(ts.Close)
 
-	// The four persisted fits warm-start their backends: the platform
-	// entries — description hash, constants, fit date — are the parent's.
 	var want, got struct {
 		Platforms []json.RawMessage `json:"platforms"`
 	}
-	data, err := os.ReadFile(filepath.Join(parentState, "platforms.json"))
+	data, err := os.ReadFile(filepath.Join(fixture, "platforms.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,23 +474,44 @@ func TestServerCASBootsOnParentWrittenState(t *testing.T) {
 			t.Fatalf("a backend was re-fitted or changed identity; the parent served\n%s", p)
 		}
 	}
-	if set := s.planSet(); set == nil || set.Stats().Loaded != 1 {
-		t.Fatal("the parent's plan table was orphaned instead of installed")
-	}
 	boot := s.CASStats()
-	if boot.WarmHits < int64(len(want.Platforms))+1 {
-		t.Fatalf("boot read %d warm entries, want %d calibrations and a plan table: %+v", boot.WarmHits, len(want.Platforms), boot)
+	if boot.WarmHits < int64(len(want.Platforms)) {
+		t.Fatalf("boot read %d warm entries, want %d calibrations: %+v", boot.WarmHits, len(want.Platforms), boot)
 	}
+	return s, ts, boot
+}
 
-	for name, req := range map[string]struct{ path, body string }{
-		"cas-gemm-bdw":  {"/v1/compile", `{"kernel":"gemm","platform":"bdw","size":"test"}`},
-		"cas-mvt-2s":    {"/v1/compile", `{"kernel":"mvt","platform":"2s-bdw","size":"test"}`},
-		"cas-bicg-wide": {"/v1/search", `{"kernel":"bicg","platform":"wide","size":"test"}`},
-	} {
-		assertParentResponse(t, ts, name, req.path, req.body)
+// Every address the parent derived from a backend description — the
+// calibration slot and the response key — must still be the address this
+// build derives, on schema-1 and schema-2 backends alike. The parent
+// computed this case's responses with a plan table installed, so their
+// response keys end in a plans<hash> component this build never derives:
+// a boot on that CAS directory re-fits nothing, and each of those
+// responses misses and recomputes to the parent's exact bytes — an old
+// entry becomes a miss, never a wrong answer.
+func TestServerCASBootsOnParentWrittenState(t *testing.T) {
+	s, ts, boot := bootOnParentCAS(t, parentState)
+	for name, req := range parentCASRequests {
+		assertParentResponse(t, ts, parentState, name, req.path, req.body)
 	}
 	st := s.CASStats()
-	if st.WarmHits != boot.WarmHits+3 || st.Puts != boot.Puts {
+	n := int64(len(parentCASRequests))
+	if st.WarmHits != boot.WarmHits || st.Misses < boot.Misses+n || st.Puts != boot.Puts+n {
+		t.Fatalf("the plan-keyed responses were not recomputed: boot %+v, now %+v", boot, st)
+	}
+}
+
+// The table-less half of the CAS case, written by the same parent build:
+// its response keys carry no plans<hash> component, so this build answers
+// all three from warm entries, byte for byte, and stores nothing.
+func TestServerCASBootsOnParentWrittenTablelessState(t *testing.T) {
+	fixture := filepath.Join(parentState, "tableless")
+	s, ts, boot := bootOnParentCAS(t, fixture)
+	for name, req := range parentCASRequests {
+		assertParentResponse(t, ts, fixture, name, req.path, req.body)
+	}
+	st := s.CASStats()
+	if st.WarmHits != boot.WarmHits+int64(len(parentCASRequests)) || st.Puts != boot.Puts {
 		t.Fatalf("the parent's responses were recomputed, not replayed: boot %+v, now %+v", boot, st)
 	}
 }
@@ -541,18 +534,18 @@ func TestServerJournalReplaysParentWrittenState(t *testing.T) {
 	s := newServer(t, cfg)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	assertParentResponse(t, ts, "jrnl-atax-rpl", "/v1/compile", `{"kernel":"atax","platform":"rpl","size":"test"}`)
-	assertParentResponse(t, ts, "jrnl-gemm-2s", "/v1/search", `{"kernel":"gemm","platform":"2s-bdw","size":"test"}`)
+	assertParentResponse(t, ts, parentState, "jrnl-atax-rpl", "/v1/compile", `{"kernel":"atax","platform":"rpl","size":"test"}`)
+	assertParentResponse(t, ts, parentState, "jrnl-gemm-2s", "/v1/search", `{"kernel":"gemm","platform":"2s-bdw","size":"test"}`)
 	if st := s.JournalStats(); st.Replayed != 2 || st.Appended != 0 {
 		t.Fatalf("the parent's journal entries were orphaned: %+v", st)
 	}
 }
 
 // assertParentResponse posts one request and compares the served bytes
-// with what the parent daemon served for it.
-func assertParentResponse(t *testing.T, ts *httptest.Server, name, path, body string) {
+// with what the parent daemon served for it, under fixture/responses.
+func assertParentResponse(t *testing.T, ts *httptest.Server, fixture, name, path, body string) {
 	t.Helper()
-	want, err := os.ReadFile(filepath.Join(parentState, "responses", name+".json"))
+	want, err := os.ReadFile(filepath.Join(fixture, "responses", name+".json"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -360,7 +360,6 @@ func (s *Server) resolve(req Request) (resolved, error) {
 	}
 	cfg.Degrade = s.cfg.Degrade
 	cfg.Faults = s.cfg.Faults
-	cfg.Plans = s.planSet() // nil when no tables are loaded or built
 	r.cfg = cfg
 	r.key = core.KeyOf(req.Kernel, int(r.sz), cfg)
 	return r, nil

@@ -5,13 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strconv"
-	"strings"
 
 	"polyufc/internal/jobs"
-	"polyufc/internal/plantable"
 	"polyufc/internal/platform"
 	"polyufc/internal/roofline"
 	"polyufc/internal/search"
@@ -21,21 +17,18 @@ import (
 
 // The job kinds the daemon executes. Sweep and characterize fan one
 // request shape across many kernels, checkpointing each kernel as one
-// journal unit; plantable builds (or rebuilds) a capping-plan table;
-// refit re-runs the roofline calibration against the live hardware and
-// atomically swaps the backend's target — the drift watchdog enqueues
-// these automatically.
+// journal unit; refit re-runs the roofline calibration against the live
+// hardware and atomically swaps the backend's target — the drift
+// watchdog enqueues these automatically.
 const (
 	JobSweep        jobs.Kind = "sweep"
 	JobCharacterize jobs.Kind = "characterize"
-	JobPlanTable    jobs.Kind = "plantable"
 	JobRefit        jobs.Kind = "refit"
 )
 
 // JobParams is the kind-specific parameter block of POST /v1/jobs.
 // Sweep/characterize use Kernels (or Suite) plus the usual request
-// knobs; plantable uses Platform/Objective/Epsilon and the axis
-// resolutions; refit uses Platform only.
+// knobs; refit uses Platform only.
 type JobParams struct {
 	Kernels   []string `json:"kernels,omitempty"`
 	Suite     string   `json:"suite,omitempty"` // "", "all", "polybench", "ml"
@@ -46,11 +39,9 @@ type JobParams struct {
 	Epsilon   float64  `json:"epsilon,omitempty"`
 	// Measure also runs each swept kernel on the platform's machine
 	// through the breaker — the path that feeds the drift watchdog.
-	Measure   bool `json:"measure,omitempty"`
-	OIPoints  int  `json:"oi_points,omitempty"`
-	MemPoints int  `json:"mem_points,omitempty"`
+	Measure bool `json:"measure,omitempty"`
 	// Tiling is the tile-stage strategy spec ("pluto", "auto", ...; see
-	// internal/tiling). Plan-table jobs stamp it on the built table.
+	// internal/tiling).
 	Tiling string `json:"tiling,omitempty"`
 }
 
@@ -135,12 +126,12 @@ func (s *Server) validateJob(kind jobs.Kind, p JobParams) error {
 		// them all, through the compute endpoints' own validator.
 		_, err = s.resolve(p.request(kernels[0]))
 		return err
-	case JobPlanTable, JobRefit:
-		if kind == JobRefit && p.Platform == "" {
+	case JobRefit:
+		if p.Platform == "" {
 			return errors.New("refit requires a platform")
 		}
 	default:
-		return fmt.Errorf("unknown job kind %q (want sweep, characterize, plantable or refit)", kind)
+		return fmt.Errorf("unknown job kind %q (want sweep, characterize or refit)", kind)
 	}
 	if _, err := s.servedTarget(p.Platform); err != nil {
 		return err
@@ -337,8 +328,6 @@ func (s *Server) executeJob(jb *jobs.Job) (any, error) {
 		return s.runSweepJob(jb, p, false)
 	case JobCharacterize:
 		return s.runSweepJob(jb, p, true)
-	case JobPlanTable:
-		return s.runPlanTableJob(jb, p)
 	case JobRefit:
 		return s.runRefitJob(jb, p)
 	}
@@ -423,114 +412,18 @@ func (s *Server) runSweepJob(jb *jobs.Job, p JobParams, characterizeOnly bool) (
 	return sweep, nil
 }
 
-// PlanTableJobResult is a plantable job's recorded result.
-type PlanTableJobResult struct {
-	Kind      string  `json:"kind"`
-	Backend   string  `json:"backend"`
-	Path      string  `json:"path"`
-	CalHash   string  `json:"cal_hash"`
-	Objective string  `json:"objective"`
-	Epsilon   float64 `json:"epsilon"`
-	Tiling    string  `json:"tiling,omitempty"`
-	OIPoints  int     `json:"oi_points"`
-	MemPoints int     `json:"mem_points"`
-}
-
-// sanitizeTiling makes a tiling fingerprint filename-friendly
-// ("latency:probe=3" -> "latency-probe-3").
-func sanitizeTiling(fp string) string {
-	return strings.NewReplacer(":", "-", "=", "-", ",", "-").Replace(fp)
-}
-
-// runPlanTableJob sweeps the backend's capping-plan table against the
-// LIVE calibration and installs it, replacing any stale table. Solved
-// cells checkpoint to the shared plancells journal (content-addressed
-// by backend and calibration hash), so an interrupted build resumes and
-// a post-re-fit rebuild reuses nothing stale.
-func (s *Server) runPlanTableJob(jb *jobs.Job, p JobParams) (any, error) {
-	t, err := s.servedTarget(p.Platform)
-	if err != nil {
-		return nil, err
-	}
-	b := t.Backend
-	tspec, err := tiling.ParseSpec(p.Tiling)
-	if err != nil {
-		return nil, err
-	}
-	opts := plantable.BuildOptions{
-		OIPoints:  p.OIPoints,
-		MemPoints: p.MemPoints,
-		Journal:   s.planJournal,
-		Tiling:    tspec,
-	}
-	if p.Objective != "" || p.Epsilon > 0 {
-		obj, _ := search.ParseObjective(p.Objective)
-		eps := p.Epsilon
-		if eps <= 0 {
-			eps = search.DefaultOptions().Epsilon
-		}
-		opts.Search = search.Options{Objective: obj, Epsilon: eps}
-	}
-	jb.Log("plantable", fmt.Sprintf("sweeping %s (cal %s)", b.Name, t.Constants.Hash()))
-	result, _, err := jobs.Step(jb, "table", func() (PlanTableJobResult, error) {
-		var none PlanTableJobResult
-		tb, err := plantable.Build(jb.Context(), t, opts)
-		if err != nil {
-			return none, err
-		}
-		dir := filepath.Join(s.cfg.JobsDir, "tables")
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return none, err
-		}
-		// The tiling strategy is a table axis: per-strategy builds must not
-		// overwrite each other's files.
-		path := filepath.Join(dir, fmt.Sprintf("%s-%s-eps%g-%s.json",
-			tb.Backend, tb.Objective, tb.Epsilon, sanitizeTiling(tb.TilingName())))
-		if err := tb.Save(path); err != nil {
-			return none, err
-		}
-		return PlanTableJobResult{
-			Kind: string(JobPlanTable), Backend: tb.Backend, Path: path,
-			CalHash: tb.CalHash, Objective: tb.Objective, Epsilon: tb.Epsilon,
-			Tiling:   tb.TilingName(),
-			OIPoints: len(tb.OIAxis), MemPoints: len(tb.MemAxis),
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Install from disk (fresh run or journal replay both take this
-	// path). If the calibration moved again since the build, the set's
-	// Matches check will refuse the table at lookup time — installing a
-	// stale table is safe, serving it is impossible.
-	tb, err := plantable.Load(result.Path)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.installPlanTable(tb); err != nil {
-		return nil, err
-	}
-	// Persist into the cache tier: the next boot (here or on a peer)
-	// warm-starts the table instead of re-sweeping it.
-	s.storePlanTable(tb)
-	jb.Log("plantable", "table installed: "+result.Path)
-	return result, nil
-}
-
 // RefitJobResult is a refit job's recorded result.
 type RefitJobResult struct {
-	Kind        string             `json:"kind"`
-	Backend     string             `json:"backend"`
-	OldCalHash  string             `json:"old_cal_hash"`
-	NewCalHash  string             `json:"new_cal_hash"`
-	Residuals   map[string]float64 `json:"residuals,omitempty"`
-	RebuildJobs []string           `json:"rebuild_jobs,omitempty"`
+	Kind       string             `json:"kind"`
+	Backend    string             `json:"backend"`
+	OldCalHash string             `json:"old_cal_hash"`
+	NewCalHash string             `json:"new_cal_hash"`
+	Residuals  map[string]float64 `json:"residuals,omitempty"`
 }
 
 // runRefitJob re-runs the roofline calibration micro-benchmarks against
-// the live (possibly drifted) hardware, atomically swaps the backend's
-// target to the new fit, and enqueues rebuild jobs for every plan table
-// the swap made stale. Until the swap lands, requests for the backend
+// the live (possibly drifted) hardware and atomically swaps the backend's
+// target to the new fit. Until the swap lands, requests for the backend
 // serve under the degrade policy (Strict refuses, BestEffort flags).
 func (s *Server) runRefitJob(jb *jobs.Job, p JobParams) (any, error) {
 	t, err := s.servedTarget(p.Platform)
@@ -570,35 +463,9 @@ func (s *Server) runRefitJob(jb *jobs.Job, p JobParams) (any, error) {
 	s.drift.CompleteRefit(b.Name, true)
 	newHash := nt.Constants.Hash()
 	jb.Log("refit", fmt.Sprintf("constants swapped: %s -> %s", oldHash, newHash))
-
-	// Rebuild the plan tables the swap just invalidated. Journaled as a
-	// unit so a resumed refit does not enqueue duplicates.
-	rebuilt, _, err := jobs.Step(jb, "rebuild", func() ([]string, error) {
-		var ids []string
-		if set := s.planSet(); set != nil {
-			for _, tb := range set.Tables() {
-				if tb.Backend != b.Name || tb.CalHash == newHash {
-					continue
-				}
-				st, err := s.jobsMgr.Submit(JobPlanTable, JobParams{
-					Platform: b.Name, Objective: tb.Objective, Epsilon: tb.Epsilon,
-					Tiling: tb.TilingName(),
-				})
-				if err != nil {
-					jb.Log("refit", "plan-table rebuild not enqueued: "+err.Error())
-					continue
-				}
-				ids = append(ids, st.ID)
-			}
-		}
-		return ids, nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	return RefitJobResult{
 		Kind: string(JobRefit), Backend: b.Name,
 		OldCalHash: oldHash, NewCalHash: newHash,
-		Residuals: cal.Provenance.Residuals, RebuildJobs: rebuilt,
+		Residuals: cal.Provenance.Residuals,
 	}, nil
 }

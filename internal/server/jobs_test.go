@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -16,7 +17,6 @@ import (
 	"polyufc/internal/hw"
 	"polyufc/internal/jobs"
 	"polyufc/internal/roofline"
-	"polyufc/internal/tiling"
 )
 
 // postJSON posts an arbitrary JSON body (the Request-shaped post helper
@@ -166,6 +166,55 @@ func TestServerJobsSweepRoundTrip(t *testing.T) {
 	}
 	if resp, _ := get(t, ts, "/v1/jobs/j9999"); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job: %d, want 404", resp.StatusCode)
+	}
+}
+
+// The plantable job kind is retired: a submission is a 400 naming the
+// kinds that remain, and a jobs directory holding an unfinished plantable
+// job from an older daemon still boots — that job fails, the jobs queued
+// beside it run to completion.
+func TestServerJobsRetiredTableKind(t *testing.T) {
+	dir := t.TempDir()
+	old, err := jobs.Open(jobs.Options{Dir: dir}, func(*jobs.Job) (any, error) {
+		t.Error("the older daemon's executor must not run")
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	planJob, err := old.Submit("plantable", json.RawMessage(`{"platform":"bdw","oi_points":2,"mem_points":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweepJob, err := old.Submit(JobSweep, JobParams{Kernels: []string{"gemm"}, Platform: "bdw", Size: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := testConfig()
+	cfg.JobsDir = dir
+	s := newServer(t, cfg)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	if st := waitJob(t, ts, planJob.ID); st.State != jobs.StateFailed || !strings.Contains(st.Error, "plantable") {
+		t.Fatalf("resumed plantable job: %s (%s), want failed naming its kind", st.State, st.Error)
+	}
+	if st := waitJob(t, ts, sweepJob.ID); st.State != jobs.StateDone {
+		t.Fatalf("sweep queued beside it: %s (%s), want done", st.State, st.Error)
+	}
+
+	resp, data := postJSON(t, ts, "/v1/jobs", JobSubmitRequest{Kind: "plantable", JobParams: JobParams{Platform: "bdw"}})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("submit plantable: %d %s, want 400", resp.StatusCode, data)
+	}
+	for _, kind := range []jobs.Kind{JobSweep, JobCharacterize, JobRefit} {
+		if !strings.Contains(string(data), string(kind)) {
+			t.Fatalf("plantable rejection does not name %s: %s", kind, data)
+		}
 	}
 }
 
@@ -410,33 +459,17 @@ func TestServerDriftBestEffortFlags(t *testing.T) {
 // TestServerDriftAutoRefitRecovers is the whole robustness story in one
 // test: drifted measurements trip the watchdog, the watchdog enqueues a
 // re-fit job, the job re-calibrates against the drifted machine, swaps
-// the live target, rebuilds the plan table the swap made stale, and the
-// backend serves healthy again — no restart, no operator.
+// the live target, and the backend serves healthy again — no restart, no
+// operator.
 func TestServerDriftAutoRefitRecovers(t *testing.T) {
-	dir := t.TempDir()
-	tablePath, tb := buildPlanTable(t, "bdw", dir)
-	// A second table, for another tiling strategy: each rebuild must
-	// carry its stale table's strategy or that table is never replaced.
-	// (The swept surface does not depend on the strategy, only the stamp.)
-	coTable := *tb
-	coTable.Tiling = tiling.NameCacheOblivious
-	coPath := filepath.Join(dir, "bdw.co.plan.json")
-	if err := coTable.Save(coPath); err != nil {
-		t.Fatal(err)
-	}
-	var s *Server
 	s, ts := driftServer(t, func(cfg *Config) {
-		cfg.JobsDir = filepath.Join(dir, "jobs")
-		cfg.PlanTables = []string{tablePath, coPath}
+		cfg.JobsDir = filepath.Join(t.TempDir(), "jobs")
 	})
 	oldT, ok := s.target("BDW")
 	if !ok {
 		t.Fatal("BDW not served")
 	}
 	oldHash := oldT.Constants.Hash()
-	if tb.CalHash != oldHash {
-		t.Fatalf("precomputed table does not match boot calibration: %s vs %s", tb.CalHash, oldHash)
-	}
 
 	measureN(t, ts, "bdw", 3) // trips the watchdog; onDrift enqueues the re-fit
 
@@ -458,7 +491,7 @@ func TestServerDriftAutoRefitRecovers(t *testing.T) {
 		t.Fatalf("refit did not change the calibration (hash %s)", newHash)
 	}
 
-	// The refit job recorded the swap and enqueued the table rebuild.
+	// The refit job recorded the swap.
 	var refit RefitJobResult
 	found := false
 	for _, st := range s.jobsMgr.List() {
@@ -477,38 +510,11 @@ func TestServerDriftAutoRefitRecovers(t *testing.T) {
 	if !found {
 		t.Fatal("no refit job was enqueued")
 	}
-	if refit.OldCalHash != oldHash || refit.NewCalHash != newHash || len(refit.RebuildJobs) != 2 {
+	if refit.OldCalHash != oldHash || refit.NewCalHash != newHash {
 		t.Fatalf("bad refit result: %+v", refit)
 	}
 
-	// Each rebuild job replaces its stale table with one pinned to the
-	// new calibration, under the stale table's own tiling strategy.
-	rebuilt := map[string]bool{}
-	for _, id := range refit.RebuildJobs {
-		rebuild := waitJob(t, ts, id)
-		if rebuild.State != jobs.StateDone {
-			t.Fatalf("rebuild job: %s (%s)", rebuild.State, rebuild.Error)
-		}
-		var ptr PlanTableJobResult
-		if err := json.Unmarshal(rebuild.Result, &ptr); err != nil {
-			t.Fatal(err)
-		}
-		if ptr.Backend != "BDW" || ptr.CalHash != newHash {
-			t.Fatalf("rebuilt table pinned to %s/%s, want BDW/%s", ptr.Backend, ptr.CalHash, newHash)
-		}
-		rebuilt[ptr.Tiling] = true
-	}
-	if !rebuilt[tiling.NamePluto] || !rebuilt[tiling.NameCacheOblivious] {
-		t.Fatalf("rebuild jobs dropped a stale table's tiling: rebuilt %v", rebuilt)
-	}
-	for _, tb := range s.planSet().Tables() {
-		if tb.CalHash != newHash {
-			t.Fatalf("%s %s table still pinned to the stale calibration: %+v", tb.Backend, tb.TilingName(), s.planSet().Stats())
-		}
-	}
-
-	// The backend serves healthy again: 200, unflagged, and the plan
-	// table hits with the NEW calibration (no staleness counted).
+	// The backend serves healthy again: 200 and unflagged.
 	resp, data := post(t, ts, "/v1/search", Request{Kernel: "gemm", Platform: "bdw", Size: "test"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-refit search: %d: %s", resp.StatusCode, data)
@@ -521,7 +527,7 @@ func TestServerDriftAutoRefitRecovers(t *testing.T) {
 		t.Fatalf("post-refit response still flagged: %s", data)
 	}
 	stz := s.statsz()
-	if stz.Jobs == nil || stz.Jobs.Jobs < 2 {
+	if stz.Jobs == nil || stz.Jobs.Jobs < 1 {
 		t.Fatalf("statsz jobs: %+v", stz.Jobs)
 	}
 

@@ -13,8 +13,8 @@ import (
 // This file is the degradation ladder serving deterministic responses —
 // the tiers a request tries before it computes — and the one home of
 // every address an artifact is stored under: the response journal's keys
-// and the content addresses of responses, calibrations and plan tables in
-// the CAS and on peers. The bytes of these addresses are pinned by the
+// and the content addresses of responses and calibrations in the CAS and
+// on peers. The bytes of these addresses are pinned by the
 // parent-written fixtures under testdata/parent-state.
 
 // casKey derives the content address of an artifact from its identity
@@ -27,8 +27,8 @@ func casKey(parts ...string) string {
 }
 
 // responseKey is the journal key of one endpoint's answer to a resolved
-// request: the endpoint plus core.KeyOf's wire form, so a re-fit or a
-// changed plan-table set recomputes instead of replaying.
+// request: the endpoint plus core.KeyOf's wire form, so a re-fit
+// recomputes instead of replaying.
 func responseKey(endpoint string, key core.CacheKey) string {
 	return endpoint + "/" + key.String()
 }
@@ -38,13 +38,6 @@ func responseAddr(responseKey string) string { return casKey("response", respons
 
 // calibrationAddr addresses a backend description's fitted calibration.
 func calibrationAddr(backendHash string) string { return casKey("calibration", backendHash) }
-
-// planTableAddr addresses a backend's latest built plan table: one slot
-// per backend and calibration, so a re-fit naturally orphans the stale
-// table instead of serving it.
-func planTableAddr(backendHash, calHash string) string {
-	return casKey("plantable", backendHash, calHash)
-}
 
 // persist stores an artifact in the local CAS and offers it to the fleet,
 // both best-effort: the next boot (here or on a peer) warm-starts from it.

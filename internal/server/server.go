@@ -17,8 +17,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,7 +31,6 @@ import (
 	"polyufc/internal/journal"
 	"polyufc/internal/parallel"
 	"polyufc/internal/pipeline"
-	"polyufc/internal/plantable"
 	"polyufc/internal/platform"
 	"polyufc/internal/roofline"
 	"polyufc/internal/tiling"
@@ -84,17 +81,10 @@ type Config struct {
 	// backend, so a machine added purely as JSON is served with zero code
 	// changes.
 	PlatformFiles []string
-	// PlanTables are precomputed capping-plan tables (internal/plantable)
-	// to load at boot. Each table must match a served backend's exact
-	// description and calibration hash — a stale table fails boot (so it
-	// gets rebuilt) rather than silently serving wrong caps. Loaded
-	// tables answer the search stage on the serve path; /statsz reports
-	// hit/fallback/staleness counters.
-	PlanTables []string
 	// JobsDir, when set, enables the crash-safe asynchronous job tier
-	// (/v1/jobs): sweeps, characterizations, plan-table builds and
-	// calibration re-fits run on a worker pool, journaled so a killed
-	// daemon resumes them on restart. JobWorkers sizes the pool.
+	// (/v1/jobs): sweeps, characterizations and calibration re-fits run
+	// on a worker pool, journaled so a killed daemon resumes them on
+	// restart. JobWorkers sizes the pool.
 	JobsDir    string
 	JobWorkers int
 	// Drift tunes the calibration-drift watchdog: live model-vs-measured
@@ -103,8 +93,8 @@ type Config struct {
 	// threshold. Zero fields select roofline.DefaultDriftOptions.
 	Drift roofline.DriftOptions
 	// CASDir, when set, enables the persistent content-addressed
-	// snapshot store: deterministic responses, calibration artifacts and
-	// plan tables persist across restarts (warm start) and are served to
+	// snapshot store: deterministic responses and calibration artifacts
+	// persist across restarts (warm start) and are served to
 	// fleet peers over GET/PUT /v1/cas/{key}. CASMaxBytes bounds the
 	// store's payload volume with LRU eviction (0 = unbounded).
 	CASDir      string
@@ -161,22 +151,12 @@ type Server struct {
 	// rungs is the response ladder over the three tiers above (ladder.go),
 	// built once at boot from whichever are configured.
 	rungs ladder
-	// plans holds the loaded plan tables; nil when none are configured
-	// and no job has built one, which keeps the compile pipeline's stage
-	// list (and memo keys) exactly as without plan tables. It is an
-	// atomic pointer because the plan-table job installs the first set
-	// at runtime.
-	plans atomic.Pointer[plantable.Set]
 	start time.Time
 
 	// drift is the calibration-drift watchdog; jobsMgr the async job
-	// tier (nil unless cfg.JobsDir is set). planJournal checkpoints
-	// plan-table sweep cells across job restarts — keys are
-	// content-addressed by backend/calibration hash, so rebuilt tables
-	// reuse every cell the re-fit did not invalidate.
-	drift       *roofline.DriftTracker
-	jobsMgr     *jobs.Manager
-	planJournal *journal.Journal
+	// tier (nil unless cfg.JobsDir is set).
+	drift   *roofline.DriftTracker
+	jobsMgr *jobs.Manager
 
 	// shutdown closes when the daemon begins draining; long-lived
 	// streams (job event SSE) terminate on it instead of holding the
@@ -306,30 +286,6 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
-	if len(cfg.PlanTables) > 0 {
-		set := plantable.NewSet()
-		for _, path := range cfg.PlanTables {
-			tb, err := plantable.Load(path)
-			if err != nil {
-				return nil, fmt.Errorf("server: %w", err)
-			}
-			t, ok := s.targets[tb.Backend]
-			if !ok {
-				return nil, fmt.Errorf("server: plan table %s is for backend %q, which this daemon does not serve", path, tb.Backend)
-			}
-			if err := tb.Matches(t); err != nil {
-				return nil, fmt.Errorf("server: plan table %s: %w", path, err)
-			}
-			if err := set.Add(tb); err != nil {
-				return nil, fmt.Errorf("server: plan table %s: %w", path, err)
-			}
-		}
-		s.plans.Store(set)
-	}
-	// Explicit -plan-table files win; the CAS probe fills the gaps with
-	// persisted tables still matching the live calibration.
-	s.warmPlanTables()
-
 	if cfg.JournalPath != "" {
 		j, err := journal.OpenResume(cfg.JournalPath, cfg.Resume)
 		if err != nil {
@@ -342,21 +298,12 @@ func New(cfg Config) (*Server, error) {
 	s.drift = roofline.NewDriftTracker(cfg.Drift)
 	s.drift.OnDegrade(s.onDrift)
 	if cfg.JobsDir != "" {
-		if err := os.MkdirAll(cfg.JobsDir, 0o755); err != nil {
-			return nil, fmt.Errorf("server: %w", err)
-		}
-		pj, err := journal.Open(filepath.Join(cfg.JobsDir, "plancells.journal"))
-		if err != nil {
-			return nil, fmt.Errorf("server: %w", err)
-		}
-		s.planJournal = pj
 		mgr, err := jobs.Open(jobs.Options{
 			Dir:              cfg.JobsDir,
 			Workers:          cfg.JobWorkers,
 			CompactThreshold: cfg.JobCompactThreshold,
 		}, s.executeJob)
 		if err != nil {
-			pj.Close()
 			return nil, fmt.Errorf("server: %w", err)
 		}
 		s.jobsMgr = mgr
@@ -365,27 +312,6 @@ func New(cfg Config) (*Server, error) {
 		mgr.Start()
 	}
 	return s, nil
-}
-
-// planSet returns the live plan-table set (nil when none loaded or
-// built).
-func (s *Server) planSet() *plantable.Set { return s.plans.Load() }
-
-// installPlanTable registers a freshly built table, creating the set on
-// first use.
-func (s *Server) installPlanTable(tb *plantable.Table) error {
-	for {
-		if set := s.plans.Load(); set != nil {
-			return set.Add(tb)
-		}
-		set := plantable.NewSet()
-		if err := set.Add(tb); err != nil {
-			return err
-		}
-		if s.plans.CompareAndSwap(nil, set) {
-			return nil
-		}
-	}
 }
 
 // target returns the live resolved target for a backend name.
@@ -398,8 +324,7 @@ func (s *Server) target(name string) (*roofline.Target, bool) {
 
 // swapTarget atomically replaces a backend's target with a re-fitted
 // one. In-flight requests keep the snapshot they resolved; new requests
-// see the new fit. Plan tables pinned to the old calibration hash go
-// stale automatically — Set.For refuses them via Matches/ErrStale.
+// see the new fit.
 func (s *Server) swapTarget(name string, t *roofline.Target) {
 	s.targetsMu.Lock()
 	s.targets[name] = t
@@ -455,9 +380,6 @@ func (s *Server) Close() error {
 				s.closeErr = err
 			}
 			cancel()
-			if err := s.planJournal.Close(); err != nil && s.closeErr == nil {
-				s.closeErr = err
-			}
 		}
 		// Every breaker — socket 0 and the #sK socket domains alike —
 		// must leave the machine at the driver default.
@@ -583,10 +505,6 @@ type Statsz struct {
 	// pipeline down by stage name (core.Stage* constants).
 	StageCache CacheStatsz
 	Stages     map[string]StageStatsz
-	// PlanTables reports the loaded capping-plan tables and their
-	// serve-path hit/fallback/staleness counters (all zero when no
-	// tables are configured).
-	PlanTables plantable.Stats
 	Journal    journal.Stats
 	// CAS is the persistent content-addressed store (warm_hits > 0
 	// proves a restart reused the previous run's artifacts); Fleet the
@@ -622,9 +540,6 @@ func (s *Server) statsz() Statsz {
 		Journal:       s.jrnl.Stats(),
 		CAS:           s.casStore.Stats(),
 		Fleet:         s.fleetCli.Stats(),
-	}
-	if plans := s.planSet(); plans != nil {
-		out.PlanTables = plans.Stats()
 	}
 	out.Drift = s.drift.Snapshot()
 	if s.jobsMgr != nil {

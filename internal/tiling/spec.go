@@ -24,9 +24,8 @@
 //     selected.
 //
 // A Spec is the parsed CLI/serve form of a strategy choice
-// ("-tiling latency:probe=3"); its Fingerprint feeds cache keys, stage
-// salts and plan-table identities so distinct strategies never share
-// memoized artifacts.
+// ("-tiling latency:probe=3"); its Fingerprint feeds cache keys and stage
+// salts so distinct strategies never share memoized artifacts.
 package tiling
 
 import (
@@ -80,9 +79,9 @@ func (s Spec) Normalize() Spec {
 	return s
 }
 
-// Fingerprint canonicalizes the spec for cache keys, stage salts and
-// plan-table identities: equal fingerprints select identical transforms,
-// distinct strategies (or options) never share memoized artifacts.
+// Fingerprint canonicalizes the spec for cache keys and stage salts:
+// equal fingerprints select identical transforms, distinct strategies
+// (or options) never share memoized artifacts.
 func (s Spec) Fingerprint() string {
 	s = s.Normalize()
 	switch s.Name {
