@@ -42,7 +42,6 @@ var testOnlyExports = map[string]string{
 	"isl.BasicSet.AddRange":        fixture,
 	"isl.Space.ParamExpr":          fixture,
 	"leakcheck.Main":               fixture,
-	"tiling.MustNew":               fixture,
 
 	"cachesim.Simulator.LLCStats":    accessor,
 	"core.StageNames":                accessor,

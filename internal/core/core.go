@@ -10,7 +10,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"time"
 
@@ -139,10 +138,10 @@ func DefaultConfig(t *roofline.Target) Config {
 }
 
 // Timings is the Table-IV compile-time breakdown: every executed pipeline
-// stage in order. The paper's four columns are sums over stage names,
-// stated once in Tab4.
+// stage's event, in order. The paper's four columns are sums over stage
+// names, stated once in Tab4.
 type Timings struct {
-	Stages []StageTiming
+	Stages []pipeline.Event
 }
 
 // Tab4 returns the paper's four Table-IV columns: preprocessing, Pluto
@@ -406,17 +405,70 @@ type Phase struct {
 // characterizes each structured op, and the affine view each nest (after
 // Pluto). It returns the per-level phase sequences.
 //
-// The study is a declared pipeline sharing the compile flow's
-// preprocess/tile/cachemodel stages (stages.go), followed by the
-// study-specific phase classification. Like Compile, it is pure: it
-// lowers a private clone.
+// The study is the compile pipeline's analysis prefix (up to cache-eval)
+// followed by the phase classification of the prefix's nests. Like
+// Compile, it is pure: it lowers a private clone.
 func PhaseStudy(mod *ir.Module, cfg Config) (map[ir.Dialect][]Phase, error) {
-	if cfg.Platform() == nil || cfg.Constants() == nil {
-		return nil, fmt.Errorf("core: config needs a resolved backend target (platform and calibrated constants)")
-	}
-	st := newCompileState(mod.Clone(), cfg)
-	if _, err := pipeline.New("core", phaseStages()...).Run(context.Background(), st, pipeline.RunOptions{}); err != nil {
+	res, err := CompilePipeline(context.Background(), mod, cfg, PipelineOptions{Until: StageCacheEval})
+	if err != nil {
 		return nil, err
 	}
-	return st.phases, nil
+	out := map[ir.Dialect][]Phase{}
+	type agg struct {
+		name  string
+		flops int64
+		qdram int64
+	}
+	var torchAggs []agg
+	i := 0 // the prefix reports one nest each, in module walk order
+	for _, f := range res.Module.Funcs {
+		for _, op := range f.Ops {
+			nest, ok := op.(*ir.Nest)
+			if !ok {
+				continue
+			}
+			cm := res.Reports[i].CM
+			i++
+			if cm == nil {
+				continue // degraded under BestEffort: no phase entry
+			}
+			// Linalg view: one phase per nest (our linalg ops lower 1:1 to
+			// nests).
+			out[ir.DialectLinalg] = append(out[ir.DialectLinalg], Phase{
+				Level: ir.DialectLinalg, Op: nest.Origin(),
+				Class: cfg.Constants().Classify(cm.OI), OI: cm.OI,
+			})
+			// Affine view: one phase per polyhedral statement — the finest
+			// granularity (Sec. VI-B notes its control overhead).
+			stRes, err := cachemodel.AnalyzeStatements(nest, cfg.Platform().Cache, cmOptions(cfg, nest))
+			if err != nil {
+				return nil, err
+			}
+			for _, sr := range stRes {
+				out[ir.DialectAffine] = append(out[ir.DialectAffine], Phase{
+					Level: ir.DialectAffine,
+					Op:    nest.Label + "/" + sr.Name,
+					Class: cfg.Constants().Classify(sr.OI), OI: sr.OI,
+				})
+			}
+			// Torch aggregation by origin.
+			root := torchOrigin(nest.Origin())
+			if len(torchAggs) == 0 || torchAggs[len(torchAggs)-1].name != root {
+				torchAggs = append(torchAggs, agg{name: root})
+			}
+			torchAggs[len(torchAggs)-1].flops += cm.Flops
+			torchAggs[len(torchAggs)-1].qdram += cm.QDRAM
+		}
+	}
+	for _, a := range torchAggs {
+		oi := 0.0
+		if a.qdram > 0 {
+			oi = float64(a.flops) / float64(a.qdram)
+		}
+		out[ir.DialectTorch] = append(out[ir.DialectTorch], Phase{
+			Level: ir.DialectTorch, Op: a.name,
+			Class: cfg.Constants().Classify(oi), OI: oi,
+		})
+	}
+	return out, nil
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"strings"
-	"time"
 
 	"polyufc/internal/cachemodel"
 	"polyufc/internal/ir"
@@ -55,9 +54,6 @@ const (
 	StageCapMerge = "cap-merge"
 	// StageRewriteCleanup drops shadowed and equal caps.
 	StageRewriteCleanup = "rewrite-cleanup"
-	// StagePhases is the PhaseStudy-specific per-dialect classification
-	// (Fig. 5); it replaces the capping suffix in the phase pipeline.
-	StagePhases = "phases"
 )
 
 // nestState is everything the pipeline knows about one loop nest, filled
@@ -123,9 +119,6 @@ type compileState struct {
 	// module since (changedModule). While it stands, the next snapshot
 	// shares it instead of cloning the module again.
 	snapMod *ir.Module
-
-	// phases is the PhaseStudy output (phase pipeline only).
-	phases map[ir.Dialect][]Phase
 }
 
 func newCompileState(mod *ir.Module, cfg Config) *compileState {
@@ -328,8 +321,7 @@ func stageTile() pipeline.Stage[*compileState] {
 		Name: StageTile,
 		Salt: func(st *compileState) string {
 			salt := "tiling=" + st.cfg.Tiling.Fingerprint()
-			strat, err := tiling.New(st.cfg.Tiling)
-			if err != nil || !strat.ReadsTarget() {
+			if !st.cfg.Tiling.ReadsTarget() {
 				// pluto and cacheoblivious tile from the nest alone: one
 				// snapshot serves every platform. (An unknown strategy
 				// fails in Run; its key is never stored under.)
@@ -337,7 +329,7 @@ func stageTile() pipeline.Stage[*compileState] {
 			}
 			// latency and auto score candidates on the target's hierarchy.
 			salt += "|" + platformSalt(st.cfg)
-			if strat.Name() == tiling.NameAuto {
+			if st.cfg.Tiling.Name == tiling.NameAuto {
 				// Auto's candidate ranking consults the cap search, so
 				// distinct search configurations must not share tiles.
 				salt += "|search=" + st.cfg.Search.Fingerprint()
@@ -346,15 +338,10 @@ func stageTile() pipeline.Stage[*compileState] {
 		},
 		Run: func(ctx context.Context, st *compileState) error {
 			st.changedModule()
-			strat, err := tiling.New(st.cfg.Tiling)
-			if err != nil {
+			if err := st.cfg.Tiling.Normalize().Validate(); err != nil {
 				return err
 			}
-			tctx := tiling.Context{
-				Cache:  st.cfg.Platform().Cache,
-				Faults: st.cfg.Faults,
-				CapEDP: capEDPScorer(ctx, st.cfg),
-			}
+			capEDP := capEDPScorer(ctx, st.cfg)
 			// BestEffort: a failed nest falls back to its untiled form and
 			// is still analyzed and capped downstream.
 			return st.eachNest(ctx, StageTile, func(ns *nestState) error {
@@ -364,7 +351,12 @@ func stageTile() pipeline.Stage[*compileState] {
 				if err := st.cfg.Faults.Hit(FaultPluto); err != nil {
 					return err
 				}
-				out, info, err := strat.Apply(ns.nest, tctx.WithDeps(ns.nest, ns.deps))
+				out, info, err := tiling.Apply(st.cfg.Tiling, ns.nest, tiling.Context{
+					Deps:   ns.deps,
+					Cache:  st.cfg.Platform().Cache,
+					Faults: st.cfg.Faults,
+					CapEDP: capEDP,
+				})
 				if err != nil {
 					return err
 				}
@@ -697,71 +689,6 @@ func stageRewriteCleanup() pipeline.Stage[*compileState] {
 	}
 }
 
-// stagePhases is the PhaseStudy tail: per-dialect phase sequences from
-// the shared preprocess/tile/cachemodel artifacts (Fig. 5).
-func stagePhases() pipeline.Stage[*compileState] {
-	return pipeline.Stage[*compileState]{
-		Name: StagePhases,
-		Run: func(ctx context.Context, st *compileState) error {
-			cfg := st.cfg
-			out := map[ir.Dialect][]Phase{}
-			type agg struct {
-				name  string
-				flops int64
-				qdram int64
-			}
-			var torchAggs []agg
-			for _, ns := range st.nests {
-				nest, cm := ns.nest, ns.cm
-				if cm == nil {
-					continue // degraded under BestEffort: no phase entry
-				}
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				// Linalg view: one phase per nest (our linalg ops lower 1:1
-				// to nests).
-				out[ir.DialectLinalg] = append(out[ir.DialectLinalg], Phase{
-					Level: ir.DialectLinalg, Op: nest.Origin(),
-					Class: cfg.Constants().Classify(cm.OI), OI: cm.OI,
-				})
-				// Affine view: one phase per polyhedral statement — the
-				// finest granularity (Sec. VI-B notes its control overhead).
-				stRes, err := cachemodel.AnalyzeStatements(nest, cfg.Platform().Cache, cmOptions(cfg, nest))
-				if err != nil {
-					return err
-				}
-				for _, sr := range stRes {
-					out[ir.DialectAffine] = append(out[ir.DialectAffine], Phase{
-						Level: ir.DialectAffine,
-						Op:    nest.Label + "/" + sr.Name,
-						Class: cfg.Constants().Classify(sr.OI), OI: sr.OI,
-					})
-				}
-				// Torch aggregation by origin.
-				root := torchOrigin(nest.Origin())
-				if len(torchAggs) == 0 || torchAggs[len(torchAggs)-1].name != root {
-					torchAggs = append(torchAggs, agg{name: root})
-				}
-				torchAggs[len(torchAggs)-1].flops += cm.Flops
-				torchAggs[len(torchAggs)-1].qdram += cm.QDRAM
-			}
-			for _, a := range torchAggs {
-				oi := 0.0
-				if a.qdram > 0 {
-					oi = float64(a.flops) / float64(a.qdram)
-				}
-				out[ir.DialectTorch] = append(out[ir.DialectTorch], Phase{
-					Level: ir.DialectTorch, Op: a.name,
-					Class: cfg.Constants().Classify(oi), OI: oi,
-				})
-			}
-			st.phases = out
-			return nil
-		},
-	}
-}
-
 // compileStages declares the compile pipeline for a configuration. The
 // torch cap-merge stage is present only at torch cap granularity.
 func compileStages(cfg Config) []pipeline.Stage[*compileState] {
@@ -779,18 +706,6 @@ func compileStages(cfg Config) []pipeline.Stage[*compileState] {
 		stages = append(stages, stageCapMerge())
 	}
 	return append(stages, stageRewriteCleanup())
-}
-
-// phaseStages declares the PhaseStudy pipeline: the shared analysis
-// prefix followed by the per-dialect phase classification.
-func phaseStages() []pipeline.Stage[*compileState] {
-	return append(memoized([]pipeline.Stage[*compileState]{
-		stagePreprocess(),
-		stageDeps(),
-		stageTile(),
-		stageCacheModel(),
-		stageCacheEval(),
-	}), stagePhases())
 }
 
 // StageNames returns the compile pipeline's stage names in declared
@@ -814,24 +729,6 @@ func stagePos(stages []pipeline.Stage[*compileState], name string) int {
 		}
 	}
 	return -1
-}
-
-// StageTiming is one recorded stage event of a compilation.
-type StageTiming struct {
-	Stage    string
-	Duration time.Duration
-	// CacheHit marks a stage satisfied from the per-stage memo.
-	CacheHit bool
-}
-
-// timingsFromEvents records the pipeline event stream as the Table-IV
-// breakdown.
-func timingsFromEvents(evs []pipeline.Event) Timings {
-	t := Timings{Stages: make([]StageTiming, 0, len(evs))}
-	for _, e := range evs {
-		t.Stages = append(t.Stages, StageTiming{Stage: e.Stage, Duration: e.Duration, CacheHit: e.CacheHit})
-	}
-	return t
 }
 
 // PipelineOptions parameterizes CompilePipeline beyond the Config.
@@ -876,7 +773,7 @@ func CompilePipeline(ctx context.Context, mod *ir.Module, cfg Config, opts Pipel
 	if err != nil {
 		return nil, err
 	}
-	st.res.Timings = timingsFromEvents(events)
+	st.res.Timings = Timings{Stages: events}
 	if opts.Until != "" {
 		if p := stagePos(stages, opts.Until); p >= 0 && p < stagePos(stages, StageCapInsert) {
 			// A prefix run stopped before cap insertion: report the analysis

@@ -7,10 +7,8 @@ import (
 	"strings"
 	"testing"
 
-	"polyufc/internal/cachemodel"
 	"polyufc/internal/faults"
 	"polyufc/internal/hw"
-	"polyufc/internal/ir"
 	"polyufc/internal/pipeline"
 	"polyufc/internal/tiling"
 	"polyufc/internal/workloads"
@@ -212,74 +210,65 @@ func TestAutoAllCandidatesFailed(t *testing.T) {
 
 // The divergence witness for auto's objective: candidates are ranked by
 // the EDP of the cap PolyUFC-SEARCH selects, not by predicted DRAM
-// volume. On bicg at Bench size on BDW the two objectives disagree —
-// the volume rule prefers one strategy, the cap-EDP rule another — and
-// the compile pipeline must follow the EDP argmin: auto's report names
-// the EDP winner and matches the best searched EDP over the concrete
-// strategies.
+// volume. On bicg at Bench size on BDW the two objectives disagree: the
+// three concrete strategies tie on QDRAM, latency has the fewest misses
+// (the volume rule auto once applied: least QDRAM, then fewest misses),
+// and pluto the lowest searched EDP. auto must follow the EDP argmin.
 func TestAutoSelectsByCapEDPNotDRAMVolume(t *testing.T) {
 	const kernel = "bicg"
 	p := hw.BDW()
 	cfg := DefaultConfig(targetFor(t, p))
 	cfg.AmortizeFactor = 0
 
-	// Unit level: replicate stageTile's context with a constant scorer
-	// (every candidate ties, so the DRAM-volume tie-break decides) and
-	// with the real one; the winners must differ (otherwise the fix is
-	// untestable on this input and the witness kernel must change).
-	mod := buildModule(t, kernel, workloads.Bench)
-	var nest *ir.Nest
-	for _, f := range mod.Funcs {
-		for _, op := range f.Ops {
-			if n, ok := op.(*ir.Nest); ok && nest == nil {
-				nest = n
-			}
-		}
-	}
-	if nest == nil {
-		t.Fatalf("%s has no nest", kernel)
-	}
-	auto := tiling.MustNew(tiling.Spec{Name: tiling.NameAuto})
-	tctx := tiling.Context{Cache: cfg.Platform().Cache,
-		CapEDP: func(*ir.Nest, *cachemodel.Result) (float64, bool) { return 0, true }}
-	_, volInfo, err := auto.Apply(nest, tctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tctx.CapEDP = capEDPScorer(context.Background(), cfg)
-	_, edpInfo, err := auto.Apply(nest, tctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if volInfo.Strategy == edpInfo.Strategy {
-		t.Fatalf("no divergence on %s: volume and cap-EDP rules both pick %s", kernel, volInfo.Strategy)
-	}
-
-	// Pipeline level: a full auto compile follows the EDP winner, and
-	// its searched EDP is the minimum over the concrete strategies.
-	cfgAuto := cfg
-	cfgAuto.Tiling = tiling.Spec{Name: tiling.NameAuto}
-	resAuto, err := CompileCtx(context.Background(), buildModule(t, kernel, workloads.Bench), cfgAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := resAuto.Reports[0]
-	if rep.Tiling != edpInfo.Strategy {
-		t.Fatalf("pipeline picked %s, want the cap-EDP winner %s", rep.Tiling, edpInfo.Strategy)
-	}
-	best := math.Inf(1)
-	for _, name := range []string{tiling.NamePluto, tiling.NameCacheOblivious, tiling.NameLatency} {
-		cfgC := cfg
-		cfgC.Tiling = tiling.Spec{Name: name}
-		resC, err := CompileCtx(context.Background(), buildModule(t, kernel, workloads.Bench), cfgC)
+	compile := func(name string) KernelReport {
+		t.Helper()
+		c := cfg
+		c.Tiling = tiling.Spec{Name: name}
+		res, err := CompileCtx(context.Background(), buildModule(t, kernel, workloads.Bench), c)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if edp := resC.Reports[0].Est.EDP; edp < best {
-			best = edp
+		return res.Reports[0]
+	}
+	type volume struct{ q, miss int64 }
+	var edpPick, volPick string
+	bestEDP, bestVol := math.Inf(1), volume{math.MaxInt64, math.MaxInt64}
+	for _, name := range []string{tiling.NamePluto, tiling.NameCacheOblivious, tiling.NameLatency} {
+		rep := compile(name)
+		if rep.Est.EDP < bestEDP {
+			edpPick, bestEDP = name, rep.Est.EDP
+		}
+		vol := volume{q: rep.CM.QDRAM}
+		for _, lv := range rep.CM.Levels {
+			vol.miss += lv.Misses
+		}
+		if vol.q < bestVol.q || vol.q == bestVol.q && vol.miss < bestVol.miss {
+			volPick, bestVol = name, vol
 		}
 	}
-	if rep.Est.EDP > best*(1+1e-9) {
-		t.Fatalf("auto's searched EDP %g exceeds the best concrete strategy's %g", rep.Est.EDP, best)
+	if volPick == edpPick {
+		t.Fatalf("no divergence on %s: %s has both the least DRAM volume and the lowest EDP", kernel, edpPick)
+	}
+	rep := compile(tiling.NameAuto)
+	if rep.Tiling != tiling.NameAuto+":"+edpPick {
+		t.Fatalf("auto picked %s, want the EDP argmin auto:%s (the volume argmin is %s)", rep.Tiling, edpPick, volPick)
+	}
+	if rep.Est.EDP > bestEDP*(1+1e-9) {
+		t.Fatalf("auto's searched EDP %g exceeds the best concrete strategy's %g", rep.Est.EDP, bestEDP)
+	}
+}
+
+// An unknown strategy name fails the compile before any nest is tiled,
+// under Strict and BestEffort alike: it is a bad configuration, not a
+// per-nest fault to degrade around.
+func TestUnknownTilingStrategyFailsCompile(t *testing.T) {
+	cfg := DefaultConfig(targetFor(t, hw.BDW()))
+	cfg.Tiling = tiling.Spec{Name: "bogus"}
+	for _, policy := range []DegradePolicy{Strict, BestEffort} {
+		cfg.Degrade = policy
+		_, err := CompileCtx(context.Background(), buildModule(t, "gemm", workloads.Test), cfg)
+		if err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+			t.Fatalf("degrade %v: err = %v, want a compile error naming the strategy", policy, err)
+		}
 	}
 }

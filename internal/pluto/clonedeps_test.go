@@ -13,7 +13,7 @@ import (
 // Optimize yields analysing the nest itself. core's dependence stage relies
 // on it: the analysis is memoized in a stage snapshot and every later
 // compile of the kernel tiles its own clone of the module with it.
-func TestTransformWithDepsOfAClone(t *testing.T) {
+func TestTransformTakesDepsOfAClone(t *testing.T) {
 	print := func(n *ir.Nest) string {
 		mod, f := ir.NewModule("m")
 		f.Ops = []ir.Op{n}

@@ -395,6 +395,7 @@ func (s *Server) runSweepJob(jb *jobs.Job, p JobParams, characterizeOnly bool) (
 			sweep.Kernels = append(sweep.Kernels, kr)
 		}
 		s.markServed(r.p.Name)
+		s.markTiling(r.cfg.Tiling)
 	}
 	if characterizeOnly {
 		chars.Kind = string(JobCharacterize)

@@ -328,6 +328,35 @@ func TestServerCharacterizeJobCountsServed(t *testing.T) {
 	}
 }
 
+// TestServerSweepJobCountsTiling: each sweep unit counts in /statsz
+// TilingServed under its strategy, as it counts in Platforms[*].Served.
+func TestServerSweepJobCountsTiling(t *testing.T) {
+	cfg := testConfig()
+	cfg.JobsDir = t.TempDir()
+	s := newServer(t, cfg)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	before := s.statsz()
+	resp, data := postJSON(t, ts, "/v1/jobs", JobSubmitRequest{
+		Kind: string(JobSweep),
+		JobParams: JobParams{Kernels: []string{"gemm", "atax"}, Platform: "rpl", Size: "test",
+			Tiling: "cacheoblivious"},
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d: %s", resp.StatusCode, data)
+	}
+	var st jobs.Status
+	mustUnmarshal(t, data, &st)
+	waitJobDone(t, ts, st.ID)
+	after := s.statsz()
+	if got := after.Platforms["RPL"].Served - before.Platforms["RPL"].Served; got != 2 {
+		t.Fatalf("a 2-kernel sweep job moved Served by %d, want 2", got)
+	}
+	if got := after.TilingServed["cacheoblivious"] - before.TilingServed["cacheoblivious"]; got != 2 {
+		t.Fatalf("a 2-kernel cacheoblivious sweep job moved TilingServed by %d, want 2", got)
+	}
+}
+
 // TestServerJobResultDurableAcrossRestart proves the result a client
 // fetches from a restarted daemon is byte-identical to the one the
 // original daemon recorded.

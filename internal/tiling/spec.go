@@ -1,27 +1,27 @@
-// Package tiling makes the tile stage of the compile pipeline pluggable:
-// a Strategy names a tile-size policy, transforms one nest at a time and
-// reports per-nest metadata (which strategy ran, whether it tiled, the
-// tile size it chose). The legality machinery — dependence analysis,
-// permutable-band detection, rectangular tiling math, parallel marking —
-// is shared with internal/pluto for every strategy; what varies is how
-// the tile size is chosen:
+// Package tiling is the tile stage of the compile pipeline: Apply tiles
+// one nest under a Spec and reports per-nest metadata (which strategy
+// ran, whether it tiled, the tile size it chose). The legality machinery —
+// dependence analysis, permutable-band detection, rectangular tiling
+// math, parallel marking — is internal/pluto's for every strategy; what
+// varies is how the tile size is chosen:
 //
 //   - "pluto" reproduces the paper's baseline exactly: the fixed tile
-//     size of the Config's pluto.Options (default 32). Byte-identical to
-//     the pre-strategy pipeline.
+//     size of pluto.DefaultOptions (32) or the spec's size.
 //   - "cacheoblivious" approximates PCOT-style recursive space
 //     partitioning: the tile size is a power of two derived from the
 //     nest's own iteration-space extent (the leaf a recursive bisection
 //     would bottom out at), independent of any cache parameter — its
 //     miss curve is size-robust where a fixed 32 is not.
 //   - "latency" derives the tile size from miss-ratio scaling: a small
-//     ladder of candidate sizes is probed through PolyUFC-CM (which
-//     routes small nests through the exact internal/cachesim trace) and
-//     the candidate with the lowest modeled access latency wins.
+//     ladder of candidate sizes is scored on the target's hierarchy (the
+//     exact internal/cachesim trace for small nests, PolyUFC-CM's counts
+//     for large ones) and the candidate with the lowest modeled access
+//     latency wins.
 //   - "auto" runs the three concrete strategies as candidates, scores
-//     each transformed nest by PolyUFC-CM-predicted DRAM miss volume,
-//     and keeps the winner. Candidates that error are skipped, never
-//     selected.
+//     each transformed nest by the EDP of the uncore cap PolyUFC-SEARCH
+//     would select for it (Context.CapEDP), and keeps the lowest; ties go
+//     to candidate order. Candidates that error or cannot be scored are
+//     skipped, never selected.
 //
 // A Spec is the parsed CLI/serve form of a strategy choice
 // ("-tiling latency:probe=3"); its Fingerprint feeds cache keys and stage
@@ -79,6 +79,27 @@ func (s Spec) Normalize() Spec {
 	return s
 }
 
+// Validate reports an unknown strategy name (the empty name is pluto only
+// once normalized). core's tile stage checks it before any nest, so a bad
+// name fails the compile under every degrade policy instead of degrading
+// each nest.
+func (s Spec) Validate() error {
+	switch s.Name {
+	case NamePluto, NameCacheOblivious, NameLatency, NameAuto:
+		return nil
+	}
+	return fmt.Errorf("tiling: unknown strategy %q (want one of %s)", s.Name, strings.Join(Names(), ", "))
+}
+
+// ReadsTarget reports whether the strategy consults the target through the
+// Context: latency and auto score candidates on its hierarchy (auto also
+// by Context.CapEDP). One that does not produces the same nest on every
+// platform, and the tile stage's memo key says so by leaving the platform
+// out.
+func (s Spec) ReadsTarget() bool {
+	return s.Name == NameLatency || s.Name == NameAuto
+}
+
 // Fingerprint canonicalizes the spec for cache keys and stage salts:
 // equal fingerprints select identical transforms, distinct strategies
 // (or options) never share memoized artifacts.
@@ -120,13 +141,9 @@ func ParseSpec(spec string) (Spec, error) {
 	}
 	name, opts, hasOpts := strings.Cut(spec, ":")
 	name = strings.TrimSpace(name)
-	var s Spec
-	switch name {
-	case NamePluto, NameCacheOblivious, NameLatency, NameAuto:
-		s.Name = name
-	default:
-		return Spec{}, fmt.Errorf("tiling: unknown strategy %q (want one of %s)",
-			name, strings.Join(Names(), ", "))
+	s := Spec{Name: name}
+	if err := s.Validate(); err != nil {
+		return Spec{}, err
 	}
 	if !hasOpts {
 		return s, nil

@@ -11,59 +11,36 @@ import (
 	"polyufc/internal/pluto"
 )
 
-// Fault-point names probed at the top of each concrete strategy's Apply
-// (and therefore inside auto's candidate runs). A nil registry is a
-// no-op, so production compiles pay nothing.
+// Fault-point names probed at the top of each concrete strategy (and
+// therefore inside auto's candidate runs). A nil registry is a no-op, so
+// production compiles pay nothing.
 const (
 	FaultPluto          = "tiling.pluto"
 	FaultCacheOblivious = "tiling.cacheoblivious"
 	FaultLatency        = "tiling.latency"
 )
 
-// Context carries the per-compile environment a strategy may consult:
-// the target's cache hierarchy (for model-scored strategies) and the
-// fault registry. Every strategy starts from pluto.DefaultOptions and
-// overrides only the tile size.
+// Context carries the per-nest environment of a tiling: the nest's
+// dependence analysis, the target's cache hierarchy (read by latency and
+// auto) and the fault registry. Every strategy starts from
+// pluto.DefaultOptions and overrides only the tile size.
 type Context struct {
+	// Deps is the nest's dependence analysis (pluto.Analyze), made once by
+	// the caller for every tile size a strategy tries. Nil stands for a
+	// nest outside pluto's class, which every strategy passes through
+	// untiled. Deps may come from a structurally identical clone of the
+	// nest.
+	Deps   *pluto.DepInfo
 	Cache  cachesim.Config
 	Faults *faults.Registry
 	// CapEDP scores a transformed nest by the EDP of the uncore cap
 	// PolyUFC-SEARCH would select for it (lower is better) — the
-	// objective the compiler actually optimizes, and the auto
-	// meta-strategy's score: a candidate that admits a deeper cap can win
-	// even with slightly more traffic, and minimizing QDRAM alone picks
-	// the wrong one exactly there. ok = false (the model fit or search
-	// failed) makes auto skip that candidate. Required by auto, ignored by
-	// the concrete strategies; populated by core's tile stage.
+	// objective the compiler actually optimizes, and auto's score: a
+	// candidate that admits a deeper cap can win even with slightly more
+	// traffic. ok = false (the model fit or search failed) makes auto skip
+	// that candidate. Required by auto, ignored by the concrete strategies;
+	// populated by core's tile stage.
 	CapEDP func(nest *ir.Nest, cm *cachemodel.Result) (edp float64, ok bool)
-
-	// analysed and deps carry a nest's dependence analysis to the strategy
-	// and the candidates it tries (see WithDeps).
-	analysed *ir.Nest
-	deps     *pluto.DepInfo
-}
-
-// WithDeps returns ctx carrying nest's dependence analysis, for callers
-// that already ran it — core's dependence stage analyses each nest once
-// for every tile size and platform. A nil deps stands for a nest
-// pluto.Analyze rejected, which pluto.Transform passes through untiled.
-// deps may come from a structurally identical clone of nest.
-func (ctx Context) WithDeps(nest *ir.Nest, deps *pluto.DepInfo) Context {
-	ctx.analysed, ctx.deps = nest, deps
-	return ctx
-}
-
-// withDeps returns ctx carrying nest's dependence analysis, running it only
-// when the caller did not supply it through WithDeps — a strategy applied
-// directly, without core's pipeline. The analysis does not depend on tile
-// size, so even then a strategy that tiles one nest several ways —
-// latency's ladder, auto's race — pays for it once per Apply.
-func (ctx Context) withDeps(nest *ir.Nest) Context {
-	if ctx.analysed != nest {
-		deps, _ := pluto.Analyze(nest) // the error means "outside the class": deps stay nil
-		ctx = ctx.WithDeps(nest, deps)
-	}
-	return ctx
 }
 
 // NestInfo is the per-nest tiling metadata a strategy reports; it is
@@ -80,75 +57,39 @@ type NestInfo struct {
 	TileSize int64 `json:"tile_size,omitempty"`
 }
 
-// Strategy is a pluggable tile-stage policy: a per-nest transform
-// returning the (possibly) tiled nest plus tiling metadata. Apply must
-// not modify the input nest.
-type Strategy interface {
-	// Name is the registered strategy name ("pluto", ...).
-	Name() string
-	// Fingerprint is the canonical options hash folded into cache keys
-	// and stage salts (see Spec.Fingerprint).
-	Fingerprint() string
-	// ReadsTarget reports whether Apply consults the target through the
-	// Context (Cache, CapEDP). A strategy that does not produces
-	// the same nest on every platform, and the tile stage's memo key says
-	// so by leaving the platform out.
-	ReadsTarget() bool
-	// Apply transforms one nest. On error the caller decides (via the
-	// degrade policy) whether to fail the compile or fall back untiled
-	// for that nest only.
-	Apply(nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo, error)
-}
-
-// New resolves a parsed spec to a Strategy. The zero-value spec yields
-// the pluto strategy.
-func New(spec Spec) (Strategy, error) {
+// Apply tiles one nest under spec and reports the tiling metadata; the
+// zero-value spec tiles as pluto. Apply does not modify the input nest. On
+// error the caller decides (via the degrade policy) whether to fail the
+// compile or fall back untiled for that nest only.
+func Apply(spec Spec, nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo, error) {
 	spec = spec.Normalize()
 	switch spec.Name {
 	case NamePluto:
-		return &plutoStrategy{spec: spec}, nil
+		return applyPluto(spec, nest, ctx)
 	case NameCacheOblivious:
-		return &cobStrategy{spec: spec}, nil
+		return applyCacheOblivious(spec, nest, ctx)
 	case NameLatency:
-		return &latencyStrategy{spec: spec}, nil
+		return applyLatency(spec, nest, ctx)
 	case NameAuto:
-		return &autoStrategy{spec: spec}, nil
-	default:
-		return nil, fmt.Errorf("tiling: unknown strategy %q", spec.Name)
+		return applyAuto(nest, ctx)
 	}
+	return nil, NestInfo{}, spec.Validate()
 }
 
-// MustNew is New for specs already validated by ParseSpec.
-func MustNew(spec Spec) Strategy {
-	s, err := New(spec)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// plutoStrategy reproduces the pre-strategy pipeline: pluto.Optimize
-// with the default pluto options, optionally overriding the tile size
-// from the spec. With a zero Size it is byte-identical to the old
-// hard-wired stageTile.
-type plutoStrategy struct{ spec Spec }
-
-func (s *plutoStrategy) Name() string        { return NamePluto }
-func (s *plutoStrategy) Fingerprint() string { return s.spec.Fingerprint() }
-func (s *plutoStrategy) ReadsTarget() bool   { return false }
-
-func (s *plutoStrategy) Apply(nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo, error) {
+// applyPluto is the paper's stage 2: pluto.Transform with the default
+// pluto options, optionally overriding the tile size from the spec.
+func applyPluto(spec Spec, nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo, error) {
 	if err := ctx.Faults.Hit(FaultPluto); err != nil {
 		return nil, NestInfo{}, fmt.Errorf("tiling: pluto on %s: %w", nest.Label, err)
 	}
 	opts := pluto.DefaultOptions()
-	if s.spec.Size > 0 {
-		opts.TileSize = s.spec.Size
+	if spec.Size > 0 {
+		opts.TileSize = spec.Size
 	}
 	return runPluto(nest, ctx, opts, NamePluto)
 }
 
-// cobStrategy approximates PCOT-style cache-oblivious tiling: a
+// applyCacheOblivious approximates PCOT-style cache-oblivious tiling: a
 // recursive space bisection halts once a sub-block's per-dimension
 // extent drops to the leaf size, so the effective tile is a power of
 // two derived from the nest's own iteration-space geometry — the
@@ -156,17 +97,11 @@ func (s *plutoStrategy) Apply(nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo, e
 // times, i.e. the largest power of two <= sqrt(E) — clamped to
 // [base, 256] and independent of any cache parameter. The resulting
 // miss curve tracks the problem size where a fixed 32 does not.
-type cobStrategy struct{ spec Spec }
-
-func (s *cobStrategy) Name() string        { return NameCacheOblivious }
-func (s *cobStrategy) Fingerprint() string { return s.spec.Fingerprint() }
-func (s *cobStrategy) ReadsTarget() bool   { return false }
-
-func (s *cobStrategy) Apply(nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo, error) {
+func applyCacheOblivious(spec Spec, nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo, error) {
 	if err := ctx.Faults.Hit(FaultCacheOblivious); err != nil {
 		return nil, NestInfo{}, fmt.Errorf("tiling: cacheoblivious on %s: %w", nest.Label, err)
 	}
-	base := s.spec.Base
+	base := spec.Base
 	if base <= 0 {
 		base = DefaultBase
 	}
@@ -238,25 +173,16 @@ func scoreRecord(nest *ir.Nest, cache cachesim.Config) (*cachemodel.Result, erro
 	return cachemodel.Analyze(nest, cache, cachemodel.DefaultOptions())
 }
 
-// latencyStrategy derives the tile size from miss-ratio scaling: each
-// candidate size on the ladder is tiled speculatively, its traffic
-// record taken from scoreRecord (exact cachesim trace for small nests,
-// analytic counts for large ones), and the candidate minimizing the modeled
-// total access latency wins. Ties break toward the smaller size.
-type latencyStrategy struct{ spec Spec }
-
-func (s *latencyStrategy) Name() string        { return NameLatency }
-func (s *latencyStrategy) Fingerprint() string { return s.spec.Fingerprint() }
-
-// ReadsTarget: every candidate on the ladder is scored on the target's
-// hierarchy.
-func (s *latencyStrategy) ReadsTarget() bool { return true }
-
-func (s *latencyStrategy) Apply(nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo, error) {
+// applyLatency derives the tile size from miss-ratio scaling: each
+// candidate size on the ladder is tiled speculatively, its traffic record
+// taken from scoreRecord (exact cachesim trace for small nests, analytic
+// counts for large ones), and the candidate minimizing the modeled total
+// access latency wins. Ties break toward the smaller size.
+func applyLatency(spec Spec, nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo, error) {
 	if err := ctx.Faults.Hit(FaultLatency); err != nil {
 		return nil, NestInfo{}, fmt.Errorf("tiling: latency on %s: %w", nest.Label, err)
 	}
-	probe := s.spec.Probe
+	probe := spec.Probe
 	if probe <= 0 {
 		probe = DefaultProbe
 	}
@@ -264,7 +190,6 @@ func (s *latencyStrategy) Apply(nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo,
 		probe = len(latencyLadder)
 	}
 
-	ctx = ctx.withDeps(nest)
 	var (
 		best     *ir.Nest
 		bestInfo NestInfo
@@ -321,60 +246,25 @@ func modeledLatency(nest *ir.Nest, ctx Context) (float64, error) {
 	return cost, nil
 }
 
-// autoStrategy races the three concrete strategies and keeps the winner.
-// A candidate is scored by Context.CapEDP — the EDP of the cap the search
-// selects for its transformed nest, the compiler's actual objective; the
-// raw DRAM miss volume (QDRAM) and total LLC misses only break ties, then
-// candidate order, so an across-the-board tie behaves like pluto.
-// Candidates that error or cannot be scored — including injected
-// tiling.<name> faults — are skipped and never selected; auto errors
-// only when every candidate failed.
-type autoStrategy struct{ spec Spec }
-
-func (s *autoStrategy) Name() string        { return NameAuto }
-func (s *autoStrategy) Fingerprint() string { return s.spec.Fingerprint() }
-
-// ReadsTarget: auto races latency and scores every candidate by
-// Context.CapEDP under the target's calibration.
-func (s *autoStrategy) ReadsTarget() bool { return true }
-
-// autoScore orders auto's candidates: lower EDP wins, then lower QDRAM,
-// then fewer total misses.
-type autoScore struct {
-	edp  float64
-	q    int64
-	miss int64
-}
-
-func (a autoScore) betterThan(b autoScore) bool {
-	if a.edp != b.edp {
-		return a.edp < b.edp
-	}
-	if a.q != b.q {
-		return a.q < b.q
-	}
-	return a.miss < b.miss
-}
-
-func (s *autoStrategy) Apply(nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo, error) {
-	candidates := []Strategy{
-		&plutoStrategy{spec: Spec{Name: NamePluto}},
-		&cobStrategy{spec: Spec{Name: NameCacheOblivious}},
-		&latencyStrategy{spec: Spec{Name: NameLatency}},
-	}
+// applyAuto races the three concrete strategies (pluto, cacheoblivious,
+// latency, in that order) and keeps the candidate with the lowest Context.CapEDP — the EDP of the cap the
+// search selects for its transformed nest, the compiler's actual
+// objective. Ties go to the earlier candidate, so an across-the-board tie
+// behaves like pluto. Candidates that error or cannot be scored —
+// including injected tiling.<name> faults — are skipped and never
+// selected; auto errors only when every candidate failed.
+func applyAuto(nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo, error) {
 	if ctx.CapEDP == nil {
 		return nil, NestInfo{}, fmt.Errorf("tiling: auto on %s: no EDP scorer", nest.Label)
 	}
-	ctx = ctx.withDeps(nest)
 	var (
-		best      *ir.Nest
-		bestInfo  NestInfo
-		bestScore autoScore
-		haveBest  bool
-		lastErr   error
+		best     *ir.Nest
+		bestInfo NestInfo
+		bestEDP  = math.Inf(1)
+		lastErr  error
 	)
-	for _, cand := range candidates {
-		out, info, err := cand.Apply(nest, ctx)
+	for _, name := range []string{NamePluto, NameCacheOblivious, NameLatency} {
+		out, info, err := Apply(Spec{Name: name}, nest, ctx)
 		if err != nil {
 			lastErr = err
 			continue
@@ -384,23 +274,17 @@ func (s *autoStrategy) Apply(nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo, er
 			lastErr = err
 			continue
 		}
-		score := autoScore{q: cm.QDRAM}
-		for _, lv := range cm.Levels {
-			score.miss += lv.Misses
-		}
-		var ok bool
-		if score.edp, ok = ctx.CapEDP(out, cm); !ok {
-			lastErr = fmt.Errorf("%s: no EDP score", cand.Name())
+		edp, ok := ctx.CapEDP(out, cm)
+		if !ok {
+			lastErr = fmt.Errorf("%s: no EDP score", name)
 			continue
 		}
-		if !haveBest || score.betterThan(bestScore) {
-			best = out
-			bestInfo = NestInfo{Strategy: NameAuto + ":" + cand.Name(), Tiled: info.Tiled, TileSize: info.TileSize}
-			bestScore = score
-			haveBest = true
+		if best == nil || edp < bestEDP {
+			best, bestEDP = out, edp
+			bestInfo = NestInfo{Strategy: NameAuto + ":" + name, Tiled: info.Tiled, TileSize: info.TileSize}
 		}
 	}
-	if !haveBest {
+	if best == nil {
 		return nil, NestInfo{}, fmt.Errorf("tiling: auto on %s: all candidates failed: %w", nest.Label, lastErr)
 	}
 	return best, bestInfo, nil
@@ -410,7 +294,7 @@ func (s *autoStrategy) Apply(nest *ir.Nest, ctx Context) (*ir.Nest, NestInfo, er
 // transform machinery with the given options, translating the pluto
 // result into strategy metadata.
 func runPluto(nest *ir.Nest, ctx Context, opts pluto.Options, name string) (*ir.Nest, NestInfo, error) {
-	res, err := pluto.Transform(nest, ctx.withDeps(nest).deps, opts)
+	res, err := pluto.Transform(nest, ctx.Deps, opts)
 	if err != nil {
 		return nil, NestInfo{}, fmt.Errorf("tiling: %s on %s: %w", name, nest.Label, err)
 	}

@@ -13,10 +13,17 @@ import (
 	"polyufc/internal/workloads"
 )
 
-// testCtx scores every auto candidate the same, so what the volume tests
-// pin is auto's tie-break order: QDRAM, total misses, candidate order.
-func testCtx() Context {
+// ctxFor is the context core's tile stage hands a strategy for nest: its
+// dependence analysis from pluto.Analyze (nil outside pluto's class) and a
+// scorer that rates every auto candidate the same, so auto's pick among
+// them is candidate order.
+func ctxFor(nest *ir.Nest) Context {
+	deps, err := pluto.Analyze(nest)
+	if err != nil {
+		deps = nil
+	}
 	return Context{
+		Deps:   deps,
 		Cache:  hw.BDW().Cache,
 		CapEDP: func(*ir.Nest, *cachemodel.Result) (float64, bool) { return 0, true },
 	}
@@ -52,13 +59,11 @@ func nestFrom(t *testing.T, kernel string, idx int) *ir.Nest {
 // metadata to calling pluto.Optimize directly with the same options.
 func TestPlutoStrategyWrapsOptimize(t *testing.T) {
 	nest := nestFrom(t, "gemm", 1)
-	ctx := testCtx()
 	want, err := pluto.Optimize(nest, pluto.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := MustNew(Spec{Name: NamePluto})
-	got, info, err := s.Apply(nest, ctx)
+	got, info, err := Apply(Spec{Name: NamePluto}, nest, ctxFor(nest))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +80,7 @@ func TestPlutoStrategyWrapsOptimize(t *testing.T) {
 
 func TestPlutoStrategySizeOverride(t *testing.T) {
 	nest := nestFrom(t, "gemm", 1)
-	s := MustNew(Spec{Name: NamePluto, Size: 16})
-	_, info, err := s.Apply(nest, testCtx())
+	_, info, err := Apply(Spec{Name: NamePluto, Size: 16}, nest, ctxFor(nest))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +98,7 @@ func TestCacheObliviousLeafTile(t *testing.T) {
 	if got := leafTile(nest, DefaultBase); got != 8 {
 		t.Fatalf("leafTile(gemm@Test) = %d, want 8", got)
 	}
-	s := MustNew(Spec{Name: NameCacheOblivious})
-	_, info, err := s.Apply(nest, testCtx())
+	_, info, err := Apply(Spec{Name: NameCacheOblivious}, nest, ctxFor(nest))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,9 +131,9 @@ func TestClampPow2(t *testing.T) {
 // ladder prefix and report the size it chose.
 func TestLatencyStrategyDeterministic(t *testing.T) {
 	nest := nestFrom(t, "gemm", 1)
-	ctx := testCtx()
-	s := MustNew(Spec{Name: NameLatency})
-	out1, info1, err := s.Apply(nest, ctx)
+	ctx := ctxFor(nest)
+	spec := Spec{Name: NameLatency}
+	out1, info1, err := Apply(spec, nest, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +149,7 @@ func TestLatencyStrategyDeterministic(t *testing.T) {
 	if !found {
 		t.Fatalf("tile size %d not on probed ladder %v", info1.TileSize, latencyLadder[:DefaultProbe])
 	}
-	out2, info2, err := s.Apply(nest, ctx)
+	out2, info2, err := Apply(spec, nest, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,8 +162,7 @@ func TestLatencyStrategyDeterministic(t *testing.T) {
 // pick it.
 func TestLatencyProbeBound(t *testing.T) {
 	nest := nestFrom(t, "gemm", 1)
-	s := MustNew(Spec{Name: NameLatency, Probe: 1})
-	_, info, err := s.Apply(nest, testCtx())
+	_, info, err := Apply(Spec{Name: NameLatency, Probe: 1}, nest, ctxFor(nest))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,9 +185,8 @@ func TestUntileableNestPassesThrough(t *testing.T) {
 				{Array: A, Write: true, Index: []ir.AffExpr{ir.AffVar("i")}},
 			},
 		})}
-	for _, name := range []string{NamePluto, NameCacheOblivious, NameLatency, NameAuto} {
-		s := MustNew(Spec{Name: name})
-		out, info, err := s.Apply(nest, testCtx())
+	for _, name := range Names() {
+		out, info, err := Apply(Spec{Name: name}, nest, ctxFor(nest))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -198,14 +199,23 @@ func TestUntileableNestPassesThrough(t *testing.T) {
 	}
 }
 
-// auto must break EDP ties by predicted DRAM volume, never select a
-// candidate that errored, and report the winner's name.
+// An unknown name is Apply's error too, and it names the strategy.
+func TestApplyUnknownStrategy(t *testing.T) {
+	nest := nestFrom(t, "gemm", 1)
+	_, _, err := Apply(Spec{Name: "bogus"}, nest, ctxFor(nest))
+	if err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+		t.Fatalf("Apply(bogus): err = %v, want an error naming the strategy", err)
+	}
+}
+
+// auto must never select a candidate that errored, must report the
+// winner's name, and errors only when every candidate failed.
 func TestAutoSkipsErroredCandidates(t *testing.T) {
 	nest := nestFrom(t, "gemm", 1)
-	ctx := testCtx()
-	s := MustNew(Spec{Name: NameAuto})
+	ctx := ctxFor(nest)
+	spec := Spec{Name: NameAuto}
 
-	_, info, err := s.Apply(nest, ctx)
+	_, info, err := Apply(spec, nest, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +227,7 @@ func TestAutoSkipsErroredCandidates(t *testing.T) {
 	// Poison the winner; auto must pick someone else.
 	ctx.Faults = faults.New(1)
 	ctx.Faults.Enable("tiling."+winner, faults.Spec{P: 1})
-	_, info2, err := s.Apply(nest, ctx)
+	_, info2, err := Apply(spec, nest, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,18 +241,17 @@ func TestAutoSkipsErroredCandidates(t *testing.T) {
 	for _, fp := range []string{FaultPluto, FaultCacheOblivious, FaultLatency} {
 		ctx.Faults.Enable(fp, faults.Spec{P: 1})
 	}
-	if _, _, err := s.Apply(nest, ctx); err == nil {
+	if _, _, err := Apply(spec, nest, ctx); err == nil {
 		t.Fatal("auto succeeded with every candidate poisoned")
 	}
 }
 
 // Strategies must not mutate their input nest.
 func TestApplyDoesNotMutateInput(t *testing.T) {
-	for _, name := range []string{NamePluto, NameCacheOblivious, NameLatency, NameAuto} {
+	for _, name := range Names() {
 		nest := nestFrom(t, "gemm", 1)
 		before := nest.Clone()
-		s := MustNew(Spec{Name: name})
-		if _, _, err := s.Apply(nest, testCtx()); err != nil {
+		if _, _, err := Apply(Spec{Name: name}, nest, ctxFor(nest)); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !reflect.DeepEqual(nest, before) {
@@ -251,39 +260,38 @@ func TestApplyDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-// The CapEDP score outranks the DRAM-volume tie-break. The stub
-// scores candidates by arrival order (auto tries pluto, cacheoblivious,
-// latency), so the first candidate gets the best EDP and must win even
-// though the volume rule prefers a different strategy for this nest.
-func TestAutoCapEDPOverridesVolumeScore(t *testing.T) {
+// auto keeps the candidate with the lowest CapEDP, and an EDP tie goes to
+// the earlier candidate (auto tries pluto, cacheoblivious, latency). The
+// stub scorer hands out each case's EDPs in that order.
+func TestAutoLowestCapEDPWins(t *testing.T) {
 	nest := nestFrom(t, "gemm", 1)
-	ctx := testCtx()
-	auto := MustNew(Spec{Name: NameAuto})
-	_, volInfo, err := auto.Apply(nest, ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if volInfo.Strategy == "auto:"+NamePluto {
-		t.Fatalf("precondition: the volume rule already picks pluto on this nest; choose one where it does not")
-	}
-
-	calls := 0
-	ctx.CapEDP = func(n *ir.Nest, cm *cachemodel.Result) (float64, bool) {
-		calls++
-		return float64(calls), true // ascending: first candidate scores best
-	}
-	_, edpInfo, err := auto.Apply(nest, ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 3 {
-		t.Fatalf("CapEDP consulted for %d candidates, want 3", calls)
-	}
-	if edpInfo.Strategy != "auto:"+NamePluto {
-		t.Fatalf("CapEDP-scored auto picked %s, want the best-EDP candidate auto:%s", edpInfo.Strategy, NamePluto)
-	}
-	if edpInfo.Strategy == volInfo.Strategy {
-		t.Fatal("CapEDP stub did not flip the selection")
+	for _, tc := range []struct {
+		edps []float64
+		want string
+	}{
+		{[]float64{3, 2, 1}, NameLatency},
+		{[]float64{1, 2, 3}, NamePluto},
+		{[]float64{2, 1, 3}, NameCacheOblivious},
+		{[]float64{1, 1, 1}, NamePluto},
+		{[]float64{2, 1, 1}, NameCacheOblivious},
+		{[]float64{2, 2, 1}, NameLatency},
+	} {
+		ctx := ctxFor(nest)
+		calls := 0
+		ctx.CapEDP = func(*ir.Nest, *cachemodel.Result) (float64, bool) {
+			calls++
+			return tc.edps[calls-1], true
+		}
+		_, info, err := Apply(Spec{Name: NameAuto}, nest, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != 3 {
+			t.Fatalf("EDPs %v: CapEDP consulted for %d candidates, want 3", tc.edps, calls)
+		}
+		if info.Strategy != "auto:"+tc.want {
+			t.Fatalf("EDPs %v: auto picked %s, want auto:%s", tc.edps, info.Strategy, tc.want)
+		}
 	}
 }
 
@@ -293,78 +301,69 @@ func TestAutoCapEDPOverridesVolumeScore(t *testing.T) {
 // error.
 func TestAutoCapEDPFallback(t *testing.T) {
 	nest := nestFrom(t, "gemm", 1)
-	ctx := testCtx()
-	auto := MustNew(Spec{Name: NameAuto})
-	_, volInfo, err := auto.Apply(nest, ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := ctxFor(nest)
+	auto := Spec{Name: NameAuto}
 
 	ctx.CapEDP = func(*ir.Nest, *cachemodel.Result) (float64, bool) { return 0, false }
-	if _, _, err := auto.Apply(nest, ctx); err == nil || !strings.Contains(err.Error(), "all candidates failed") {
+	if _, _, err := Apply(auto, nest, ctx); err == nil || !strings.Contains(err.Error(), "all candidates failed") {
 		t.Fatalf("auto with every candidate unscored: err = %v, want the all-candidates-failed error", err)
 	}
 
-	// Unscore only the tie-break winner, with the best EDP on offer.
-	candidates := []string{NamePluto, NameCacheOblivious, NameLatency}
+	// Unscore only pluto, the first candidate, which wins every tie.
 	calls := 0
 	ctx.CapEDP = func(*ir.Nest, *cachemodel.Result) (float64, bool) {
 		calls++
-		if "auto:"+candidates[calls-1] == volInfo.Strategy {
+		if calls == 1 {
 			return -1, false
 		}
 		return 0, true
 	}
-	_, oneInfo, err := auto.Apply(nest, ctx)
+	_, info, err := Apply(auto, nest, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 3 || oneInfo.Strategy == volInfo.Strategy {
-		t.Fatalf("auto picked %s after %d scorer calls, want any candidate but the unscored %s",
-			oneInfo.Strategy, calls, volInfo.Strategy)
+	if calls != 3 || info.Strategy != "auto:"+NameCacheOblivious {
+		t.Fatalf("auto picked %s after %d scorer calls, want auto:%s past the unscored pluto",
+			info.Strategy, calls, NameCacheOblivious)
 	}
 
 	ctx.CapEDP = nil
-	if _, _, err := auto.Apply(nest, ctx); err == nil || !strings.Contains(err.Error(), "no EDP scorer") {
+	if _, _, err := Apply(auto, nest, ctx); err == nil || !strings.Contains(err.Error(), "no EDP scorer") {
 		t.Fatalf("auto without a scorer: err = %v, want the no-EDP-scorer error", err)
 	}
 }
 
-// A nest's dependence analysis does not depend on tile size, so it travels
-// in the Context: a strategy that tiles one nest several ways (latency's
-// ladder, auto's race) analyses once per Apply. The shared analysis must
-// not leak to another nest.
+// A nest's dependence analysis travels in the Context and is never made
+// again inside a strategy: a tileable nest handed a nil Deps passes through
+// untiled under every strategy, and the analysis of a structurally
+// identical clone tiles the nest as its own analysis does.
 func TestDependenceAnalysisTravelsInContext(t *testing.T) {
-	gemm, lu := nestFrom(t, "gemm", 1), nestFrom(t, "lu", 0)
-	ctx := testCtx().withDeps(gemm)
-	if ctx.deps == nil {
-		t.Fatal("gemm was not analysed")
-	}
-	if again := ctx.withDeps(gemm); again.deps != ctx.deps {
-		t.Fatal("second withDeps on the same nest re-ran the analysis")
-	}
-	other := ctx.withDeps(lu)
-	want, err := pluto.Analyze(lu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if other.deps == ctx.deps || !reflect.DeepEqual(other.deps, want) {
-		t.Fatal("a context carrying gemm's dependences served them for lu")
-	}
-	// Candidates inside auto see the shared analysis and still produce what
-	// each produces alone.
-	for _, name := range []string{NamePluto, NameCacheOblivious, NameLatency} {
-		s := MustNew(Spec{Name: name})
-		alone, infoAlone, err := s.Apply(lu, testCtx())
+	lu := nestFrom(t, "lu", 0)
+	clone := lu.Clone()
+	for _, name := range Names() {
+		spec := Spec{Name: name}
+		own, ownInfo, err := Apply(spec, lu, ctxFor(lu))
 		if err != nil {
 			t.Fatal(err)
 		}
-		shared, infoShared, err := s.Apply(lu, other)
+		if !ownInfo.Tiled {
+			t.Fatalf("%s left lu untiled with its analysis: %+v", name, ownInfo)
+		}
+		shared, sharedInfo, err := Apply(spec, lu, ctxFor(clone))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(alone, shared) || infoAlone != infoShared {
-			t.Fatalf("%s: result with a shared analysis differs", name)
+		if !reflect.DeepEqual(own, shared) || ownInfo != sharedInfo {
+			t.Fatalf("%s: result with a clone's analysis differs", name)
+		}
+		ctx := ctxFor(lu)
+		ctx.Deps = nil
+		out, info, err := Apply(spec, lu, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Tiled || out != lu {
+			t.Fatalf("%s tiled lu without an analysis: %+v", name, info)
 		}
 	}
 }
