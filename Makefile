@@ -28,7 +28,8 @@ bench:
 
 # Micro-benchmarks, layer by layer, with allocation counts. The
 # exact-counting back end at bench size: polynomial summation, isl
-# counting, PolyUFC-CM per kernel, Pluto dependence analysis. The measured
+# counting, PolyUFC-CM per kernel (MeasureTiled*: the counting half alone,
+# on separable tiled domains), Pluto dependence analysis. The measured
 # path at test size: one kernel's tiled nests through interp and cachesim
 # (ProfileNest*, one per leaf shape, also reporting ns/access), what the
 # stage snapshots of one cold compile allocate (CompileSnapshots), and the
@@ -38,7 +39,7 @@ bench:
 # defaults are for reading.
 PERF_BENCHTIME ?= 20x
 perf-micro:
-	$(GO) test -run '^$$' -bench 'SumVar|Count(Lu|Cholesky|SdpaBert)|Analyze(Lu|Ludcmp|Conv2dWideresnet)|Deps(Lu|Conv2d|Adi)|ProfileNest(LmHead(Llama2|Gpt2)|Conv2d(Wideresnet|Convnext|Alexnet)|Gemm)|CompileSnapshots|CompileSweep' \
+	$(GO) test -run '^$$' -bench 'SumVar|Count(Lu|Cholesky|SdpaBert)|Analyze(Lu|Ludcmp|Conv2dWideresnet)|MeasureTiled(SdpaBert|3mm)|Deps(Lu|Conv2d|Adi)|ProfileNest(LmHead(Llama2|Gpt2)|Conv2d(Wideresnet|Convnext|Alexnet)|Gemm)|CompileSnapshots|CompileSweep' \
 		-benchmem -benchtime $(PERF_BENCHTIME) \
 		./internal/poly ./internal/isl ./internal/cachemodel ./internal/pluto ./internal/hw ./internal/core
 

@@ -22,11 +22,16 @@ func backend(t testing.TB, name string) *platform.Backend {
 // size after Pluto's transformation with the given options — what PolyUFC-CM
 // analyzes — and the label the nest had before it.
 func eachTiledNest(t testing.TB, kernel string, opts pluto.Options, visit func(label string, nest *ir.Nest)) {
+	eachTiledNestAt(t, kernel, workloads.Bench, opts, visit)
+}
+
+// eachTiledNestAt is eachTiledNest at the given size class.
+func eachTiledNestAt(t testing.TB, kernel string, size workloads.SizeClass, opts pluto.Options, visit func(label string, nest *ir.Nest)) {
 	k, err := workloads.ByName(kernel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod, err := k.BuildAffine(workloads.Bench)
+	mod, err := k.BuildAffine(size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,3 +69,25 @@ func benchAnalyze(b *testing.B, kernel string) {
 func BenchmarkAnalyzeLu(b *testing.B)               { benchAnalyze(b, "lu") }
 func BenchmarkAnalyzeLudcmp(b *testing.B)           { benchAnalyze(b, "ludcmp") }
 func BenchmarkAnalyzeConv2dWideresnet(b *testing.B) { benchAnalyze(b, "conv2d-wideresnet") }
+
+// benchMeasureTiled times Measure — the counting half of PolyUFC-CM, where
+// the prefix counts of every statement domain are taken — over the
+// Pluto-tiled nests of one kernel at bench size with tile size 32, the
+// separable rectangular domains the block-wise count splits.
+func benchMeasureTiled(b *testing.B, kernel string) {
+	var nests []*ir.Nest
+	eachTiledNest(b, kernel, pluto.Options{TileSize: 32}, func(_ string, nest *ir.Nest) { nests = append(nests, nest) })
+	lineSize := backend(b, "BDW").Sockets[0].CacheConfig().Levels[0].LineSize
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for _, nest := range nests {
+			if _, err := Measure(nest, lineSize); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+func BenchmarkMeasureTiledSdpaBert(b *testing.B) { benchMeasureTiled(b, "sdpa-bert") }
+func BenchmarkMeasureTiled3mm(b *testing.B)      { benchMeasureTiled(b, "3mm") }

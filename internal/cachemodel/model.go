@@ -383,27 +383,37 @@ func (sg *stmtGeometry) addMisses(cfg cachesim.Config, opts Options, levels []Le
 func prefixCounts(dom isl.Set, n int, counts *isl.CountMemo, budget int) ([]int64, error) {
 	cnt := make([]int64, n+1)
 	cnt[0] = 1
-	proj := dom
+	proj := prefixProjections(dom, n)
 	for k := n; k >= 1; k-- {
-		if k < n {
-			// Drop the innermost remaining dim. Where Fourier-Motzkin would
-			// over-approximate (non-unit coefficients on both sides of the
-			// dim) the prefix count would come out too large: keep the dim
-			// as an existential instead, which is exact and which Count
-			// handles by bounded enumeration.
-			next, exact := proj.ProjectOutVar(k)
-			if !exact {
-				next = proj.QuantifyVar(k)
-			}
-			proj = next
-		}
-		c, err := counts.Count(proj, budget)
+		c, err := counts.Count(proj[k], budget)
 		if err != nil {
 			return nil, err
 		}
 		cnt[k] = c
 	}
 	return cnt, nil
+}
+
+// prefixProjections returns proj[k], the projection of an n-dimensional
+// domain onto its k outermost dims, for k = 1..n (proj[0] is unset).
+// Where Fourier-Motzkin would over-approximate (non-unit coefficients on
+// both sides of the dim) the prefix count would come out too large: the
+// dim is kept as an existential instead, which is exact and which Count
+// handles by bounded enumeration.
+func prefixProjections(dom isl.Set, n int) []isl.Set {
+	proj := make([]isl.Set, n+1)
+	if n == 0 {
+		return proj
+	}
+	proj[n] = dom
+	for k := n - 1; k >= 1; k-- {
+		next, exact := proj[k+1].ProjectOutVar(k)
+		if !exact {
+			next = proj[k+1].QuantifyVar(k)
+		}
+		proj[k] = next
+	}
+	return proj
 }
 
 // StatementResult is a per-statement analysis outcome (the granularity

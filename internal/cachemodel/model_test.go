@@ -1,6 +1,7 @@
 package cachemodel
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"polyufc/internal/ir"
 	"polyufc/internal/isl"
 	"polyufc/internal/pluto"
+	"polyufc/internal/workloads"
 )
 
 func matmulNest(m, n, k int64) *ir.Nest {
@@ -403,4 +405,56 @@ func TestPrefixCountsHonourInexactProjection(t *testing.T) {
 	if _, err := prefixCounts(dom, 2, new(isl.CountMemo), 3); err == nil {
 		t.Fatal("prefix enumeration over budget did not fail")
 	}
+}
+
+// TestPrefixCountsMatchEnumeration: on every statement domain of every
+// workload kernel at test size, Pluto-tiled across the daemon's tile range,
+// each prefix count prefixCounts returns — taken block by block wherever a
+// tiled domain separates — is the enumerated size of the same projection.
+// Kernels and statements share most projections, so each distinct one is
+// enumerated once.
+func TestPrefixCountsMatchEnumeration(t *testing.T) {
+	tiles := []int64{4, 8, 16, 32, 64, 130}
+	if testing.Short() {
+		tiles = []int64{4, 32}
+	}
+	const budget = 1 << 24
+	type counted struct {
+		n     int64
+		where string
+	}
+	seen := map[string]counted{}
+	for _, k := range workloads.All() {
+		for _, tile := range tiles {
+			eachTiledNestAt(t, k.Name, workloads.Test, pluto.Options{TileSize: tile}, func(label string, nest *ir.Nest) {
+				var counts isl.CountMemo
+				for _, si := range nest.Statements() {
+					n := len(si.Loops)
+					cnt, err := prefixCounts(si.Domain, n, &counts, budget)
+					if err != nil {
+						t.Fatalf("%s/%s tile %d %s: %v", k.Name, label, tile, si.Stmt.Name, err)
+					}
+					for d, proj := range prefixProjections(si.Domain, n)[1:] {
+						where := fmt.Sprintf("%s/%s tile %d %s prefix %d", k.Name, label, tile, si.Stmt.Name, d+1)
+						key := proj.String()
+						if prev, ok := seen[key]; ok {
+							if prev.n != cnt[d+1] {
+								t.Fatalf("%s: count %d, but %d for the same set at %s", where, cnt[d+1], prev.n, prev.where)
+							}
+							continue
+						}
+						want, err := proj.CountEnumerate(budget)
+						if err != nil {
+							t.Fatalf("%s: enumerate: %v", where, err)
+						}
+						if cnt[d+1] != want {
+							t.Fatalf("%s: count %d, enumerated %d", where, cnt[d+1], want)
+						}
+						seen[key] = counted{want, where}
+					}
+				}
+			})
+		}
+	}
+	t.Logf("%d distinct prefix projections counted and enumerated", len(seen))
 }

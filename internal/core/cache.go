@@ -68,7 +68,7 @@ func KeyOf(kernel string, size int, cfg Config) CacheKey {
 	}
 	if p := cfg.Platform(); p != nil { // a target-less Config fails in CompilePipeline
 		key.Platform = p.Name
-		key.CalHash = cfg.Constants().Hash()
+		key.CalHash = cfg.Target.Keys().CalHash
 	}
 	return key
 }

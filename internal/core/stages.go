@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"strings"
 
 	"polyufc/internal/cachemodel"
 	"polyufc/internal/ir"
@@ -219,15 +218,15 @@ func stageBaseKey(mod *ir.Module, cfg Config) string {
 // and the calibrated constants. The first stage of a pipeline that reads
 // the target adds it to its salt — cache-eval always, tile before it when
 // the strategy reads the target — and every later stage inherits it
-// through the chain.
+// through the chain. The hashed and printed forms come from the target's
+// Keys, derived once per resolved target.
 func platformSalt(cfg Config) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "platform=%s", cfg.Platform().Name)
-	if b := cfg.Platform().Backend; b != nil {
-		fmt.Fprintf(&sb, "|backend=%s", b.Hash())
+	keys := cfg.Target.Keys()
+	salt := "platform=" + cfg.Platform().Name
+	if keys.BackendHash != "" {
+		salt += "|backend=" + keys.BackendHash
 	}
-	fmt.Fprintf(&sb, "|consts=%+v", *cfg.Constants())
-	return sb.String()
+	return salt + "|consts=" + keys.Constants
 }
 
 // lineSize is the target's cache line size in bytes (0 without a

@@ -78,8 +78,12 @@ func (s Set) DimRange(d int) (lo, hi int64, ok bool) {
 	return lo, hi, true
 }
 
-// colBoundsIn derives [lo, hi] bounds for column col from the projected
-// system, given fixed values for columns [0, col).
+// colBounds derives [lo, hi] bounds for column col from the projected
+// system, given fixed values for columns [0, col). A row over those
+// columns alone is not evaluated: elimination carries it from this system
+// into an earlier column's, so a column fixed within its own colBounds
+// already satisfies it, and searchExists checks every row of a point it
+// was handed.
 func (bs *boundSystems) colBounds(full []int64, col int) (lo, hi int64, ok bool) {
 	const inf = int64(1) << 62
 	lo, hi = -inf, inf
@@ -90,16 +94,12 @@ func (bs *boundSystems) colBounds(full []int64, col int) (lo, hi int64, ok bool)
 	for r, eq := range sys.eq {
 		row := sys.row(r)
 		a := row[col]
+		if a == 0 {
+			continue
+		}
 		rest := row[sys.n]
 		for j := 0; j < col; j++ {
 			rest += row[j] * full[j]
-		}
-		if a == 0 {
-			// A constraint over earlier columns only: check it now to prune.
-			if (eq && rest != 0) || (!eq && rest < 0) {
-				return 0, 0, false
-			}
-			continue
 		}
 		if eq {
 			if rest%a != 0 {

@@ -23,12 +23,13 @@ func (s Set) Count(enumLimit int) (int64, error) {
 	if s.Sp.NumParams() != 0 {
 		return 0, errors.New("isl: Count requires instantiated parameters")
 	}
-	return s.Coalesce().countCoalesced(enumLimit)
+	return s.Coalesce().countCoalesced(enumLimit, nil)
 }
 
 // countCoalesced is Count on a parameter-free set whose basic sets are
-// already deduplicated.
-func (s Set) countCoalesced(enumLimit int) (int64, error) {
+// already deduplicated. blocks, when not nil, remembers the count of every
+// independent variable block counted on the way (see countBlocks).
+func (s Set) countCoalesced(enumLimit int, blocks map[string]int64) (int64, error) {
 	var total int64
 	// Disjointify: piece_i = basic_i minus basics already counted.
 	var counted []BasicSet
@@ -45,7 +46,7 @@ func (s Set) countCoalesced(enumLimit int) (int64, error) {
 			}
 		}
 		for _, pb := range piece.Basics {
-			c, err := pb.Count(enumLimit)
+			c, err := pb.count(enumLimit, blocks)
 			if err != nil {
 				return 0, err
 			}
@@ -62,7 +63,10 @@ func (s Set) countCoalesced(enumLimit int) (int64, error) {
 // Count returns the number of integer points in the instantiated basic set,
 // using symbolic summation where possible and bounded enumeration
 // otherwise.
-func (b BasicSet) Count(enumLimit int) (int64, error) {
+func (b BasicSet) Count(enumLimit int) (int64, error) { return b.count(enumLimit, nil) }
+
+// count is Count with an optional memo of block counts (see countBlocks).
+func (b BasicSet) count(enumLimit int, blocks map[string]int64) (int64, error) {
 	if b.markedEmpty {
 		return 0, nil
 	}
@@ -77,11 +81,182 @@ func (b BasicSet) Count(enumLimit int) (int64, error) {
 		}
 		work = elim
 	}
-	n, err := countSymbolic(work)
+	n, err := countBlocks(work, blocks)
 	if errors.Is(err, ErrNotCountable) {
 		return FromBasic(b).CountEnumerate(enumLimit)
 	}
 	return n, err
+}
+
+// countBlocks counts a parameter-free, existential-free basic set as the
+// product of its independent variable blocks (splitBlocks): the set is
+// the Cartesian product of its blocks' sets. A Pluto-tiled rectangle
+// (it, jt, i, j) splits into {it, i} and {jt, j}; counted whole, its
+// chambers would multiply across the dimensions and every polynomial would
+// carry all of them. Each block is counted by countSymbolic on its own
+// columns — through blocks, when not nil, keyed by the block's canonical
+// constraint key, since the same blocks recur across the prefix
+// projections of a nest's statements. A failing constant row or an empty
+// block makes the count 0; otherwise the first block's error is returned,
+// and a product past int64 is ErrNotCountable, on which the caller
+// enumerates the whole set, as it does for a block outside the countable
+// class. A set of one block is counted as it is.
+func countBlocks(b BasicSet, blocks map[string]int64) (int64, error) {
+	parts, empty := splitBlocks(b)
+	if empty {
+		return 0, nil
+	}
+	if parts == nil {
+		return countSymbolic(b)
+	}
+	// An empty block empties the set whatever the other blocks hold, so it
+	// wins over their errors and over the product's overflow.
+	total, ok := int64(1), true
+	var firstErr error
+	var key []byte
+	for _, p := range parts {
+		n, hit := int64(0), false
+		if blocks != nil {
+			key = p.appendKey(key[:0])
+			n, hit = blocks[string(key)]
+		}
+		if !hit {
+			var err error
+			if n, err = countSymbolic(p); err != nil {
+				if firstErr == nil {
+					firstErr = err
+				}
+				continue
+			}
+			if blocks != nil {
+				blocks[string(key)] = n
+			}
+		}
+		if n == 0 {
+			return 0, nil
+		}
+		if ok {
+			total, ok = checked.Mul(total, n)
+		}
+	}
+	if firstErr != nil {
+		return 0, firstErr
+	}
+	if !ok {
+		return 0, ErrNotCountable
+	}
+	return total, nil
+}
+
+// splitBlocks partitions the variables of a parameter-free basic set into
+// independent blocks — two variables share a block when some row mentions
+// both (union-find over each row's non-zero columns) — and returns each
+// block as a basic set over its own variables, in their order, the blocks
+// ordered by their first variable. parts is nil when there is at most one
+// block; empty reports a constant row that fails.
+func splitBlocks(b BasicSet) (parts []BasicSet, empty bool) {
+	nv := b.Sp.NumVars()
+	idx := make([]int, 3*nv)
+	root, block, col := idx[:nv], idx[nv:2*nv], idx[2*nv:]
+	for v := range root {
+		root[v] = v
+	}
+	find := func(v int) int {
+		for root[v] != v {
+			root[v] = root[root[v]]
+			v = root[v]
+		}
+		return v
+	}
+	for _, r := range b.cons {
+		first := -1
+		for v, c := range r.coef {
+			if c == 0 {
+				continue
+			}
+			if rv := find(v); first < 0 {
+				first = rv
+			} else if rv != first {
+				// The smaller variable stays the root, so a block's root
+				// is its first variable.
+				root[max(rv, first)] = min(rv, first)
+				first = min(rv, first)
+			}
+		}
+		if first < 0 && ((r.kind == EQ && r.c != 0) || (r.kind == GE && r.c < 0)) {
+			return nil, true
+		}
+	}
+	nblocks := 0
+	for v := range root {
+		if r := find(v); r == v {
+			block[v] = nblocks
+			nblocks++
+		} else {
+			block[v] = block[r]
+		}
+	}
+	if nblocks <= 1 {
+		return nil, false
+	}
+	// One backing array each for the names, the rows and their
+	// coefficients, cut block by block: width[i] variables and rows[i]
+	// rows from offset nameAt[i] and rowAt[i].
+	counts := make([]int, 4*nblocks)
+	width, rows, nameAt, rowAt := counts[:nblocks], counts[nblocks:2*nblocks], counts[2*nblocks:3*nblocks], counts[3*nblocks:]
+	for v := range nv {
+		col[v] = width[block[v]]
+		width[block[v]]++
+	}
+	words := 0
+	for _, r := range b.cons {
+		if v := firstVar(r); v >= 0 {
+			rows[block[v]]++
+			words += width[block[v]]
+		}
+	}
+	for i := 1; i < nblocks; i++ {
+		nameAt[i] = nameAt[i-1] + width[i-1]
+		rowAt[i] = rowAt[i-1] + rows[i-1]
+	}
+	names := make([]string, nv)
+	for v := range nv {
+		names[nameAt[block[v]]+col[v]] = b.Sp.VarName(v)
+	}
+	cons := make([]con, rowAt[nblocks-1]+rows[nblocks-1])
+	slab := make([]int64, words)
+	parts = make([]BasicSet, nblocks)
+	for i := range parts {
+		parts[i].Sp.Out = names[nameAt[i] : nameAt[i]+width[i] : nameAt[i]+width[i]]
+		parts[i].cons = cons[rowAt[i] : rowAt[i] : rowAt[i]+rows[i]]
+	}
+	for _, r := range b.cons {
+		v := firstVar(r)
+		if v < 0 {
+			continue // a constant row that holds
+		}
+		p := &parts[block[v]]
+		coef := slab[:width[block[v]]:width[block[v]]]
+		slab = slab[len(coef):]
+		for v, c := range r.coef {
+			if c != 0 {
+				coef[col[v]] = c
+			}
+		}
+		p.cons = append(p.cons, con{kind: r.kind, coef: coef, c: r.c})
+	}
+	return parts, false
+}
+
+// firstVar returns the first column row r mentions, or -1 for a constant
+// row.
+func firstVar(r con) int {
+	for v, c := range r.coef {
+		if c != 0 {
+			return v
+		}
+	}
+	return -1
 }
 
 // countSymbolic counts a parameter-free, existential-free basic set: the

@@ -37,6 +37,106 @@ func TestCountOverflowFallsBack(t *testing.T) {
 			t.Fatalf("%s: count = %d, want %d", tc.name, got, tc.want)
 		}
 	}
+	// {0 <= i <= 2^32} x {0 <= j <= 2^32}: each block counts, but their
+	// product (2^32+1)^2 is past int64. Wrapped, it reads 2^33+1. The whole
+	// set goes to enumeration, which a small budget refuses.
+	prod := Universe(sp)
+	prod.AddRange(0, 0, 1<<32)
+	prod.AddRange(1, 0, 1<<32)
+	if _, err := countBlocks(prod, nil); !errors.Is(err, ErrNotCountable) {
+		t.Fatalf("product: block count err = %v, want ErrNotCountable", err)
+	}
+	if n, err := FromBasic(prod).Count(1 << 10); !errors.Is(err, ErrEnumLimit) {
+		t.Fatalf("product: count = %d, %v, want ErrEnumLimit from enumeration", n, err)
+	}
+}
+
+// skewBlock adds to b, over vars i and j, the block {0 <= i <= 10,
+// ceil(i/2) <= j <= floor((i+4)/3)}: non-unit coefficients on both sides
+// of j that do not divide, so the block is outside the symbolically
+// countable class. It has 10 points.
+func skewBlock(b *BasicSet, i, j int) {
+	x, y := b.Sp.VarExpr(i), b.Sp.VarExpr(j)
+	b.AddGE(x)
+	b.AddGE(x.Neg().AddConst(10))
+	b.AddGE(y.Scale(2).Sub(x))
+	b.AddGE(x.AddConst(4).Sub(y.Scale(3)))
+}
+
+// TestCountBlocks pins how a separable set's count is assembled from its
+// blocks' counts: an empty block empties the set ahead of any other
+// block's error and of an overflowing product, and a block outside the
+// countable class sends the whole set, not the block, to enumeration.
+func TestCountBlocks(t *testing.T) {
+	sp := NewSetSpace(nil, []string{"i", "j", "k"})
+	// 1 <= 3k <= 2 has no integer k; i and j range up to 2^40, so the
+	// product of the other two blocks alone would overflow.
+	empty := Universe(sp)
+	empty.AddRange(0, 0, 1<<40)
+	empty.AddRange(1, 0, 1<<40)
+	empty.AddGE(sp.VarExpr(2).Scale(3).AddConst(-1))
+	empty.AddGE(sp.VarExpr(2).Scale(-3).AddConst(2))
+	// The same empty block, now over j, beside the uncountable skew block
+	// over (i, k).
+	emptySkew := Universe(sp)
+	skewBlock(&emptySkew, 0, 2)
+	emptySkew.AddGE(sp.VarExpr(1).Scale(3).AddConst(-1))
+	emptySkew.AddGE(sp.VarExpr(1).Scale(-3).AddConst(2))
+	for name, b := range map[string]BasicSet{"overflow": empty, "uncountable": emptySkew} {
+		if n, err := countBlocks(b, nil); n != 0 || err != nil {
+			t.Fatalf("%s beside an empty block: %d, %v, want 0", name, n, err)
+		}
+		if n, err := FromBasic(b).Count(1); n != 0 || err != nil {
+			t.Fatalf("%s beside an empty block: Count = %d, %v, want 0", name, n, err)
+		}
+	}
+
+	// The skew block over (i, k) beside 0 <= j <= 5, which alone counts:
+	// the whole set is enumerated, 10 x 6 points.
+	skew := Universe(sp)
+	skewBlock(&skew, 0, 2)
+	skew.AddRange(1, 0, 5)
+	if _, err := countBlocks(skew, nil); !errors.Is(err, ErrNotCountable) {
+		t.Fatalf("skew: block count err = %v, want ErrNotCountable", err)
+	}
+	if got := mustCount(t, FromBasic(skew)); got != 60 {
+		t.Fatalf("skew: count = %d, want 60", got)
+	}
+	// Below the whole set's 60 points the enumeration refuses, though
+	// either block alone would fit the budget.
+	if n, err := FromBasic(skew).Count(40); !errors.Is(err, ErrEnumLimit) {
+		t.Fatalf("skew: count = %d, %v, want ErrEnumLimit", n, err)
+	}
+}
+
+// TestCountMemoSharesBlocks: two tiled rectangles that differ in one
+// dimension are different sets with a block in common; the memo counts
+// that block once, and both counts are the enumerated ones.
+func TestCountMemoSharesBlocks(t *testing.T) {
+	sp := NewSetSpace(nil, []string{"it", "jt", "i", "j"})
+	tiled := func(ni, nj int64) Set {
+		b := Universe(sp)
+		for d, n := range []int64{ni, nj} {
+			tv, v := sp.VarExpr(d), sp.VarExpr(d+2)
+			b.AddGE(v.Sub(tv.Scale(8)))
+			b.AddGE(tv.Scale(8).AddConst(7).Sub(v))
+			b.AddRange(d+2, 0, n-1)
+		}
+		return FromBasic(b)
+	}
+	var m CountMemo
+	for _, s := range []Set{tiled(30, 20), tiled(30, 45)} {
+		got, err := m.Count(s, 1<<16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := s.CountEnumerate(1 << 16); got != want {
+			t.Fatalf("%v: count %d, enumerated %d", s, got, want)
+		}
+	}
+	if len(m.counts) != 2 || len(m.blocks) != 3 {
+		t.Fatalf("memo holds %d sets and %d blocks, want 2 and 3", len(m.counts), len(m.blocks))
+	}
 }
 
 // TestInstantiateParamsOverflow: a parameter value whose product with its
@@ -157,13 +257,17 @@ func TestSymbolicMatchesInstantiatedRandom(t *testing.T) {
 }
 
 // FuzzCountAgainstEnumeration turns fuzz bytes into a small basic set over
-// one parameter and up to three dims, then checks Count of the instantiated
-// set against enumeration, and the parametric count against the
-// instantiated one.
+// one parameter, then checks Count of the instantiated set against
+// enumeration, and the parametric count against the instantiated one. The
+// first byte picks the shape: rows that may couple up to three dims, or a
+// product of independent blocks (separableDomain).
 func FuzzCountAgainstEnumeration(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add([]byte{0, 0, 0, 0})
-	f.Add([]byte{2, 9, 200, 17, 33, 4, 91, 12, 5, 77, 3})
+	f.Add([]byte{1, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{1, 0, 0, 0, 0})
+	f.Add([]byte{1, 2, 9, 200, 17, 33, 4, 91, 12, 5, 77, 3})
+	f.Add([]byte{0, 0, 1, 1, 3, 2, 0, 4, 1, 2, 3, 0})
+	f.Add([]byte{0, 1, 0, 2, 5, 4, 3, 2, 1, 0, 3, 9, 1, 4, 0, 2, 2, 3, 1})
+	f.Add([]byte{0, 2, 1, 0, 3, 1, 1, 1, 7, 0, 2, 6, 3, 1, 0, 4, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pos := 0
 		next := func(n int) int {
@@ -174,27 +278,11 @@ func FuzzCountAgainstEnumeration(f *testing.F) {
 			pos++
 			return v
 		}
-		dims := 1 + next(3)
-		sp := NewSetSpace([]string{"N"}, []string{"i", "j", "k"}[:dims])
-		b := Universe(sp)
-		for d := 0; d < dims; d++ {
-			// Bound every dim to [-4, N + 4] so enumeration stays small.
-			b.AddGE(sp.VarExpr(d).AddConst(4))
-			b.AddGE(sp.ParamExpr(0).Sub(sp.VarExpr(d)).AddConst(4))
-		}
-		for rows := next(6); rows > 0; rows-- {
-			e := sp.ConstExpr(int64(next(13) - 6))
-			if next(2) == 0 {
-				e = e.Add(sp.ParamExpr(0).Scale(int64(next(3) - 1)))
-			}
-			for d := 0; d < dims; d++ {
-				e = e.Add(sp.VarExpr(d).Scale(int64(next(5) - 2)))
-			}
-			if next(4) == 0 {
-				b.AddEQ(e)
-			} else {
-				b.AddGE(e)
-			}
+		var b BasicSet
+		if next(2) == 0 {
+			b = separableDomain(next)
+		} else {
+			b = coupledDomain(next)
 		}
 		pieces, symErr := b.CountSymbolic()
 		for _, n := range []int64{0, 1, 4, 7} {
@@ -220,4 +308,84 @@ func FuzzCountAgainstEnumeration(f *testing.F) {
 			}
 		}
 	})
+}
+
+// coupledDomain builds a set over N and up to three dims, each bounded to
+// [-4, N + 4], plus up to five rows over all of them.
+func coupledDomain(next func(int) int) BasicSet {
+	dims := 1 + next(3)
+	sp := NewSetSpace([]string{"N"}, []string{"i", "j", "k"}[:dims])
+	b := Universe(sp)
+	for d := 0; d < dims; d++ {
+		// Bound every dim to [-4, N + 4] so enumeration stays small.
+		b.AddGE(sp.VarExpr(d).AddConst(4))
+		b.AddGE(sp.ParamExpr(0).Sub(sp.VarExpr(d)).AddConst(4))
+	}
+	addRows(&b, next, next(6), []int{0, 1, 2}[:dims])
+	return b
+}
+
+// separableDomain builds a set over N that is the product of independent
+// blocks: a Pluto tile {(t, i) : T*t <= i <= T*t + T - 1, 0 <= i <= N}
+// with T in 2..4, a block of one or two dims and sometimes a third block
+// of one dim, each of their dims bounded to [-4, N + 4] and constrained by
+// up to three rows of its own. The dims are laid out in an order drawn
+// from the bytes, so blocks interleave as a tiled nest's do. At most
+// 8 x 13^2 x 13 points at N <= 7, inside the enumeration budget.
+func separableDomain(next func(int) int) BasicSet {
+	widths := []int{2, 1 + next(2)}
+	if next(2) == 0 {
+		widths = append(widths, 1)
+	}
+	nd := 0
+	for _, w := range widths {
+		nd += w
+	}
+	// col[d] is the column of the block-ordered dim d.
+	col := make([]int, nd)
+	for d := range col {
+		col[d] = d
+	}
+	for d := nd - 1; d > 0; d-- {
+		e := next(d + 1)
+		col[d], col[e] = col[e], col[d]
+	}
+	sp := NewSetSpace([]string{"N"}, []string{"a", "b", "c", "d", "e"}[:nd])
+	b := Universe(sp)
+	tile := int64(2 + next(3))
+	tv, iv := sp.VarExpr(col[0]), sp.VarExpr(col[1])
+	b.AddGE(iv.Sub(tv.Scale(tile)))
+	b.AddGE(tv.Scale(tile).AddConst(tile - 1).Sub(iv))
+	b.AddGE(iv)
+	b.AddGE(sp.ParamExpr(0).Sub(iv))
+	first := widths[0]
+	for _, w := range widths[1:] {
+		cols := col[first : first+w]
+		for _, c := range cols {
+			b.AddGE(sp.VarExpr(c).AddConst(4))
+			b.AddGE(sp.ParamExpr(0).Sub(sp.VarExpr(c)).AddConst(4))
+		}
+		addRows(&b, next, next(4), cols)
+		first += w
+	}
+	return b
+}
+
+// addRows adds n random rows over the given dims of b (and N).
+func addRows(b *BasicSet, next func(int) int, n int, cols []int) {
+	sp := b.Sp
+	for ; n > 0; n-- {
+		e := sp.ConstExpr(int64(next(13) - 6))
+		if next(2) == 0 {
+			e = e.Add(sp.ParamExpr(0).Scale(int64(next(3) - 1)))
+		}
+		for _, c := range cols {
+			e = e.Add(sp.VarExpr(c).Scale(int64(next(5) - 2)))
+		}
+		if next(4) == 0 {
+			b.AddEQ(e)
+		} else {
+			b.AddGE(e)
+		}
+	}
 }

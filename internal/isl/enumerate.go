@@ -15,10 +15,18 @@ var ErrUnbounded = errors.New("isl: set is unbounded")
 
 // Enumerate yields each distinct integer point of the (parameter-free) set,
 // in no particular order, until yield returns false or limit points have
-// been produced. Points are deduplicated across the union's basic sets.
+// been produced. Points are deduplicated across the union's basic sets; a
+// single basic set yields every point once by construction. The slice
+// handed to yield is reused for the next point: yield must not keep it.
 func (s Set) Enumerate(limit int, yield func(pt []int64) bool) error {
 	if s.Sp.NumParams() != 0 {
 		return errors.New("isl: Enumerate requires instantiated parameters")
+	}
+	live := 0
+	for _, b := range s.Basics {
+		if !b.markedEmpty {
+			live++
+		}
 	}
 	seen := map[string]bool{}
 	count := 0
@@ -27,11 +35,13 @@ func (s Set) Enumerate(limit int, yield func(pt []int64) bool) error {
 			continue
 		}
 		stop, err := b.enumerate(limit, func(pt []int64) bool {
-			key := fmt.Sprint(pt)
-			if seen[key] {
-				return true
+			if live > 1 {
+				key := fmt.Sprint(pt)
+				if seen[key] {
+					return true
+				}
+				seen[key] = true
 			}
-			seen[key] = true
 			count++
 			if count > limit {
 				return false
@@ -61,10 +71,10 @@ func (b BasicSet) enumerate(limit int, yield func(pt []int64) bool) (bool, error
 	var rec func(col int) (bool, error)
 	rec = func(col int) (bool, error) {
 		if col == nv {
-			// All dims fixed; verify with existential search.
-			if b.searchExists(sys, full, nv) {
-				pt := append([]int64(nil), full[:nv]...)
-				if !yield(pt) {
+			// All dims fixed, each within its colBounds: every row over the
+			// dims holds, and only existentials are left to verify.
+			if b.NExist == 0 || b.searchExists(sys, full, nv) {
+				if !yield(full[:nv:nv]) {
 					return true, nil
 				}
 			}

@@ -7,5 +7,5 @@ func (b BasicSet) CountSymbolicOnly() (int64, error) {
 	if !exact {
 		return 0, ErrNotCountable
 	}
-	return countSymbolic(elim)
+	return countBlocks(elim, nil)
 }

@@ -226,7 +226,9 @@ func TestExistsViaAddExists(t *testing.T) {
 	if err != nil || n != 8 {
 		t.Fatalf("count = %d (%v), want 8", n, err)
 	}
-	if !s.EvalPoint(nil, []int64{8}) || s.EvalPoint(nil, []int64{9}) {
+	// 40 = 4*10 has its witness but is outside the range: EvalPoint is
+	// handed the point, so it checks the rows over i itself.
+	if !s.EvalPoint(nil, []int64{8}) || s.EvalPoint(nil, []int64{9}) || s.EvalPoint(nil, []int64{40}) {
 		t.Fatal("EvalPoint existential search wrong")
 	}
 }

@@ -275,10 +275,14 @@ func (b BasicSet) appendKey(key []byte) []byte {
 // CountMemo counts sets and remembers each cardinality under the set's
 // canonical constraint key, for callers that count many sets of which most
 // are repeats: the statements of one nest share their outer loops, so their
-// prefix projections are the same sets. It is meant to live as long as one
-// analysis does.
+// prefix projections are the same sets. Beneath the whole-set key it
+// remembers the count of every independent variable block (see
+// countBlocks) under the block's own key: sets that differ as wholes still
+// share blocks, as the prefix projections of a tiled nest do. It is meant
+// to live as long as one analysis does.
 type CountMemo struct {
 	counts map[string]int64
+	blocks map[string]int64
 	key    []byte
 }
 
@@ -292,12 +296,12 @@ func (m *CountMemo) Count(s Set, enumLimit int) (int64, error) {
 	if n, ok := m.counts[string(m.key)]; ok {
 		return n, nil
 	}
-	n, err := co.countCoalesced(enumLimit)
+	if m.counts == nil {
+		m.counts, m.blocks = map[string]int64{}, map[string]int64{}
+	}
+	n, err := co.countCoalesced(enumLimit, m.blocks)
 	if err != nil {
 		return 0, err
-	}
-	if m.counts == nil {
-		m.counts = map[string]int64{}
 	}
 	m.counts[string(m.key)] = n
 	return n, nil

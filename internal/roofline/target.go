@@ -31,6 +31,65 @@ type Target struct {
 	// cluster-sweep premise — while heterogeneous sockets get their own
 	// micro-benchmark pass. Nil only on hand-built targets.
 	Sockets []*Constants
+	// keys is Keys as the constructors derived it, nil on hand-built
+	// targets.
+	keys *targetKeys
+}
+
+// Keys is what a compilation's cache keys read of its target, in the
+// forms they read it: the hash of the platform's description (its
+// Backend.Hash(), "" without one), the calibrated constants printed with
+// %+v, and their hash (Constants.Hash()). Every compile request reads
+// them; Resolve, Refit and FromCalibration derive them once per target
+// instead of marshalling and hashing on each request. A resolved target's
+// description and constants are therefore never edited in place: a new
+// fit is a new Target (Refit).
+type Keys struct {
+	BackendHash string
+	Constants   string
+	CalHash     string
+}
+
+// targetKeys is Keys with the description and constants they were
+// derived from.
+type targetKeys struct {
+	Keys
+	backend *platform.Backend
+	consts  *Constants
+}
+
+// Keys returns the target's key material. A target whose description or
+// constants pointer differs from the ones its keys were derived from — a
+// hand-built target, or a copy given other constants — derives them on
+// the spot.
+func (t *Target) Keys() Keys {
+	var b *platform.Backend
+	if t.Platform != nil {
+		b = t.Platform.Backend
+	}
+	if k := t.keys; k != nil && k.backend == b && k.consts == t.Constants {
+		return k.Keys
+	}
+	return deriveKeys(b, t.Constants).Keys
+}
+
+// deriveKeys computes the key material of a description and constants.
+func deriveKeys(b *platform.Backend, c *Constants) *targetKeys {
+	k := &targetKeys{backend: b, consts: c}
+	if b != nil {
+		k.BackendHash = b.Hash()
+	}
+	if c != nil {
+		k.Constants = fmt.Sprintf("%+v", *c)
+	}
+	k.CalHash = c.Hash()
+	return k
+}
+
+// withKeys derives t's key material once, for a target the package built.
+func (t *Target) withKeys() *Target {
+	t.keys = deriveKeys(t.Platform.Backend, t.Constants)
+	return t
 }
 
 // NumSockets returns the socket count of the target's topology (1 for
@@ -117,7 +176,7 @@ func Resolve(b *platform.Backend) (*Target, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Target{Backend: b, Platform: p, Constants: &cal.Constants, Calibration: cal, Sockets: sockets}, nil
+	return (&Target{Backend: b, Platform: p, Constants: &cal.Constants, Calibration: cal, Sockets: sockets}).withKeys(), nil
 }
 
 // ResolveOrLoad is the tools' -calibration switch: with a calibration
@@ -185,7 +244,7 @@ func Refit(t *Target, reg *faults.Registry) (*Target, error) {
 		}
 		nt.Sockets = sockets
 	}
-	return nt, nil
+	return nt.withKeys(), nil
 }
 
 // FromCalibration builds a target from a persisted calibration artifact
@@ -203,5 +262,5 @@ func FromCalibration(b *platform.Backend, cal *platform.Calibration) (*Target, e
 	if err != nil {
 		return nil, err
 	}
-	return &Target{Backend: b, Platform: p, Constants: &cal.Constants, Calibration: cal, Sockets: sockets}, nil
+	return (&Target{Backend: b, Platform: p, Constants: &cal.Constants, Calibration: cal, Sockets: sockets}).withKeys(), nil
 }
