@@ -23,23 +23,15 @@ type ivExtent struct {
 	stride int64 // |bytes| the address moves per iteration
 }
 
-// accessStrides computes the byte stride of each window IV for an access
-// (the absolute linearized address coefficient).
-func accessStrides(acc ir.Access) map[string]int64 {
+// accessAddr linearizes an access into its byte address: the absolute
+// coefficient of an IV is the byte stride of that loop.
+func accessAddr(acc ir.Access) ir.AffExpr {
 	lin := ir.AffConst(0)
 	strides := acc.Array.Strides()
 	for d, e := range acc.Index {
 		lin = lin.Add(e.Scale(strides[d]))
 	}
-	lin = lin.Scale(acc.Array.ElemSize)
-	out := map[string]int64{}
-	for iv, c := range lin.Coef {
-		if c < 0 {
-			c = -c
-		}
-		out[iv] = c
-	}
-	return out
+	return lin.Scale(acc.Array.ElemSize)
 }
 
 // Footprint is the structured distinct-lines estimate of one access over a
@@ -124,10 +116,11 @@ func computeFootprint(elemSize, lineSize int64, exts []ivExtent) Footprint {
 // accessFootprint estimates the footprint of one access over the window
 // IVs with the given average trip counts.
 func accessFootprint(acc ir.Access, windowIVs []string, trips map[string]int64, lineSize int64) Footprint {
-	strides := accessStrides(acc)
+	addr := accessAddr(acc)
 	exts := make([]ivExtent, 0, len(windowIVs))
 	for _, iv := range windowIVs {
-		exts = append(exts, ivExtent{trips: trips[iv], stride: strides[iv]})
+		c := addr.Coeff(iv)
+		exts = append(exts, ivExtent{trips: trips[iv], stride: max(c, -c)})
 	}
 	return computeFootprint(acc.Array.ElemSize, lineSize, exts)
 }

@@ -464,8 +464,8 @@ func boundClosure(loops []*ir.Loop, ivs []string) []map[int]bool {
 	for d, l := range loops {
 		direct[d] = map[int]bool{}
 		for _, b := range append(append([]ir.Bound(nil), l.Lo...), l.Hi...) {
-			for iv := range b.Expr.Coef {
-				if o, ok := idx[iv]; ok && o != d {
+			for _, t := range b.Expr.Terms() {
+				if o, ok := idx[t.IV]; ok && o != d {
 					direct[d][o] = true
 				}
 			}

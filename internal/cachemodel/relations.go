@@ -33,12 +33,12 @@ func AccessLineSetMap(si ir.StatementInfo, acc ir.Access, base, lineSize, numSet
 	addr := sp.ConstExpr(base)
 	for d, e := range acc.Index {
 		scale := strides[d] * acc.Array.ElemSize
-		for iv, c := range e.Coef {
-			idx := sp.VarIndex(iv)
+		for _, t := range e.Terms() {
+			idx := sp.VarIndex(t.IV)
 			if idx < 0 || idx >= nIn {
-				return isl.Map{}, fmt.Errorf("cachemodel: unknown IV %q", iv)
+				return isl.Map{}, fmt.Errorf("cachemodel: unknown IV %q", t.IV)
 			}
-			addr.VarCoef[idx] += c * scale
+			addr.VarCoef[idx] += t.C * scale
 		}
 		addr.Const += e.Const * scale
 	}

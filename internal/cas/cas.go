@@ -342,14 +342,6 @@ func (s *Store) Len() int {
 	return len(s.entries)
 }
 
-// Dir returns the store directory ("" on a nil store).
-func (s *Store) Dir() string {
-	if s == nil {
-		return ""
-	}
-	return s.dir
-}
-
 // Stats returns the store's counters.
 func (s *Store) Stats() Stats {
 	if s == nil {

@@ -260,7 +260,7 @@ func (s *Suite) Dedup(kernelName string) (*DedupResult, error) {
 func shrinkNest(nest *ir.Nest, max int64) {
 	nest.WalkLoops(func(l *ir.Loop, _ int) {
 		for i, b := range l.Hi {
-			if len(b.Expr.Coef) == 0 && b.Div == 1 && b.Expr.Const > max-1 {
+			if b.Expr.IsConst() && b.Div == 1 && b.Expr.Const > max-1 {
 				l.Hi[i] = ir.BExpr(ir.AffConst(max - 1))
 			}
 		}

@@ -399,18 +399,6 @@ func (c *Client) put(p *peer, key string, payload []byte) error {
 	return nil
 }
 
-// Peers returns the configured peer URLs.
-func (c *Client) Peers() []string {
-	if c == nil {
-		return nil
-	}
-	out := make([]string, len(c.peers))
-	for i, p := range c.peers {
-		out[i] = p.base
-	}
-	return out
-}
-
 // Stats snapshots the client's counters.
 func (c *Client) Stats() Stats {
 	if c == nil {

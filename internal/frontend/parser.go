@@ -96,7 +96,7 @@ func (p *parser) parseParam() error {
 	if err != nil {
 		return err
 	}
-	if len(e.Coef) != 0 {
+	if !e.IsConst() {
 		return fmt.Errorf("frontend: line %d: parameter %s must be constant", name.line, name.text)
 	}
 	p.params[name.text] = e.Const
@@ -120,7 +120,7 @@ func (p *parser) parseArray() error {
 		if err != nil {
 			return err
 		}
-		if len(e.Coef) != 0 {
+		if !e.IsConst() {
 			return fmt.Errorf("frontend: line %d: array extent must be constant", name.line)
 		}
 		if e.Const <= 0 {
@@ -485,9 +485,9 @@ func (p *parser) parseAffTerm(ivs []string) (ir.AffExpr, error) {
 		}
 		// Affine: one side must be constant.
 		switch {
-		case len(e.Coef) == 0:
+		case e.IsConst():
 			e = r.Scale(e.Const)
-		case len(r.Coef) == 0:
+		case r.IsConst():
 			e = e.Scale(r.Const)
 		default:
 			return e, fmt.Errorf("frontend: non-affine product near line %d", p.peek().line)

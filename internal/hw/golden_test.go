@@ -25,12 +25,17 @@ var goldenTiles = []int64{4, 32, 130}
 // eachTiledNest visits the Pluto-tiled nests of every workload kernel at
 // test size over goldenTiles — the nests a measured search profiles.
 func eachTiledNest(t testing.TB, visit func(key string, nest *ir.Nest)) {
+	eachTiledNestAt(t, goldenTiles, visit)
+}
+
+// eachTiledNestAt is eachTiledNest over the given tile sizes.
+func eachTiledNestAt(t testing.TB, tiles []int64, visit func(key string, nest *ir.Nest)) {
 	for _, k := range workloads.All() {
 		mod, err := k.BuildAffine(workloads.Test)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, tile := range goldenTiles {
+		for _, tile := range tiles {
 			opts := pluto.DefaultOptions()
 			opts.TileSize = tile
 			for _, f := range mod.Funcs {

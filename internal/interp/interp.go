@@ -174,7 +174,7 @@ func isShort(l *ir.Loop) bool {
 	for _, lo := range l.Lo {
 		for _, hi := range l.Hi {
 			d := hi.Expr.Add(lo.Expr.Scale(-1))
-			if len(d.Coef) == 0 && lo.Div == hi.Div && floorDiv(d.Const, hi.Div) < foldTrip {
+			if d.IsConst() && lo.Div == hi.Div && floorDiv(d.Const, hi.Div) < foldTrip {
 				return true
 			}
 		}
@@ -266,18 +266,15 @@ func Compile(nest *ir.Nest, layout *Layout) (*Program, error) {
 func (c *compiler) value(e ir.AffExpr, skip *cLoop) (id int32, stride int64, err error) {
 	id = int32(len(c.init))
 	c.init = append(c.init, e.Const)
-	for iv, coef := range e.Coef {
-		if coef == 0 {
-			continue
-		}
-		l := c.resolve(iv)
+	for _, t := range e.Terms() {
+		l := c.resolve(t.IV)
 		switch {
 		case l == nil:
-			return 0, 0, fmt.Errorf("interp: IV %q is not an enclosing loop", iv)
+			return 0, 0, fmt.Errorf("interp: IV %q is not an enclosing loop", t.IV)
 		case l == skip:
-			stride = coef
+			stride = t.C
 		default:
-			l.deps = append(l.deps, dep{id: id, coef: coef})
+			l.deps = append(l.deps, dep{id: id, coef: t.C})
 		}
 	}
 	return id, stride, nil

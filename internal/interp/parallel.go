@@ -60,7 +60,7 @@ func constantBounds(l *ir.Loop) (lo, hi int64, err error) {
 	if len(l.Lo) != 1 || len(l.Hi) != 1 {
 		return 0, 0, fmt.Errorf("interp: loop %s has composite bounds", l.IV)
 	}
-	if len(l.Lo[0].Expr.Coef) != 0 || len(l.Hi[0].Expr.Coef) != 0 {
+	if !l.Lo[0].Expr.IsConst() || !l.Hi[0].Expr.IsConst() {
 		return 0, 0, fmt.Errorf("interp: loop %s bounds are not constant", l.IV)
 	}
 	lo = ceilDiv(l.Lo[0].Expr.Const, l.Lo[0].Div)

@@ -2,103 +2,168 @@ package ir
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 
 	"polyufc/internal/isl"
 )
 
 // AffExpr is an affine expression over loop induction variables:
-// sum(Coef[iv] * iv) + Const. Coefficients for absent IVs are zero.
+// sum(c * iv) + Const over its terms. An AffExpr is an immutable value:
+// every operation builds a new one, and values may share their terms, so a
+// copy of a module can share every expression with the original. Its terms
+// are kept in one canonical form, sorted by IV with no zero coefficient and
+// nil for a constant expression, so equal expressions are DeepEqual.
 type AffExpr struct {
-	Coef  map[string]int64
+	terms []Term
 	Const int64
+}
+
+// Term is one non-zero coefficient of an affine expression: C * IV.
+type Term struct {
+	IV string
+	C  int64
 }
 
 // AffConst returns the constant affine expression c.
 func AffConst(c int64) AffExpr { return AffExpr{Const: c} }
 
 // AffVar returns the affine expression consisting of one IV.
-func AffVar(iv string) AffExpr { return AffExpr{Coef: map[string]int64{iv: 1}} }
+func AffVar(iv string) AffExpr { return AffTerm(1, iv) }
 
 // AffTerm returns c * iv.
-func AffTerm(c int64, iv string) AffExpr { return AffExpr{Coef: map[string]int64{iv: c}} }
-
-// Add returns e + f.
-func (e AffExpr) Add(f AffExpr) AffExpr {
-	g := AffExpr{Coef: map[string]int64{}, Const: e.Const + f.Const}
-	for k, v := range e.Coef {
-		g.Coef[k] += v
+func AffTerm(c int64, iv string) AffExpr {
+	if c == 0 {
+		return AffExpr{}
 	}
-	for k, v := range f.Coef {
-		g.Coef[k] += v
-	}
-	for k, v := range g.Coef {
-		if v == 0 {
-			delete(g.Coef, k)
-		}
-	}
-	return g
+	return AffExpr{terms: []Term{{IV: iv, C: c}}}
 }
 
-// AddConst returns e + c.
-func (e AffExpr) AddConst(c int64) AffExpr { return e.Add(AffConst(c)) }
+// Add returns e + f. A constant operand shares the other one's terms.
+func (e AffExpr) Add(f AffExpr) AffExpr {
+	c := e.Const + f.Const
+	switch {
+	case f.terms == nil:
+		return AffExpr{terms: e.terms, Const: c}
+	case e.terms == nil:
+		return AffExpr{terms: f.terms, Const: c}
+	}
+	ts := make([]Term, 0, len(e.terms)+len(f.terms))
+	i, j := 0, 0
+	for i < len(e.terms) && j < len(f.terms) {
+		a, b := e.terms[i], f.terms[j]
+		switch {
+		case a.IV < b.IV:
+			ts = append(ts, a)
+			i++
+		case a.IV > b.IV:
+			ts = append(ts, b)
+			j++
+		default:
+			if s := a.C + b.C; s != 0 {
+				ts = append(ts, Term{IV: a.IV, C: s})
+			}
+			i++
+			j++
+		}
+	}
+	ts = append(ts, e.terms[i:]...)
+	ts = append(ts, f.terms[j:]...)
+	if len(ts) == 0 {
+		ts = nil
+	}
+	return AffExpr{terms: ts, Const: c}
+}
+
+// AddConst returns e + c, sharing e's terms.
+func (e AffExpr) AddConst(c int64) AffExpr { return AffExpr{terms: e.terms, Const: e.Const + c} }
 
 // Scale returns c * e.
 func (e AffExpr) Scale(c int64) AffExpr {
-	g := AffExpr{Coef: map[string]int64{}, Const: e.Const * c}
-	if c != 0 {
-		for k, v := range e.Coef {
-			g.Coef[k] = v * c
+	switch {
+	case c == 1:
+		return e
+	case c == 0 || e.terms == nil:
+		return AffExpr{Const: e.Const * c}
+	}
+	ts := make([]Term, 0, len(e.terms))
+	for _, t := range e.terms {
+		if p := t.C * c; p != 0 { // zero only on overflow
+			ts = append(ts, Term{IV: t.IV, C: p})
 		}
 	}
-	return g
+	if len(ts) == 0 {
+		ts = nil
+	}
+	return AffExpr{terms: ts, Const: e.Const * c}
+}
+
+// IsConst reports whether e has no IV term.
+func (e AffExpr) IsConst() bool { return e.terms == nil }
+
+// Terms returns a copy of e's terms: its IVs with their non-zero
+// coefficients, sorted by IV, and nil for a constant expression.
+func (e AffExpr) Terms() []Term { return slices.Clone(e.terms) }
+
+// Coeff returns the coefficient of iv in e (zero when iv is absent).
+func (e AffExpr) Coeff(iv string) int64 {
+	for _, t := range e.terms {
+		if t.IV == iv {
+			return t.C
+		}
+	}
+	return 0
 }
 
 // Eval evaluates e under the IV assignment env.
 func (e AffExpr) Eval(env map[string]int64) int64 {
 	v := e.Const
-	for k, c := range e.Coef {
-		v += c * env[k]
+	for _, t := range e.terms {
+		v += t.C * env[t.IV]
 	}
 	return v
 }
 
-// IVs returns the induction variables appearing in e, sorted.
-func (e AffExpr) IVs() []string {
-	out := make([]string, 0, len(e.Coef))
-	for k := range e.Coef {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+func (e AffExpr) String() string {
+	return string(e.appendTo(nil))
 }
 
-func (e AffExpr) String() string {
-	var parts []string
-	for _, iv := range e.IVs() {
-		c := e.Coef[iv]
-		switch c {
-		case 1:
-			parts = append(parts, iv)
-		case -1:
-			parts = append(parts, "-"+iv)
-		default:
-			parts = append(parts, fmt.Sprintf("%d*%s", c, iv))
+// appendTo appends e's text to b: its terms in IV order, then its
+// constant unless it is zero and a term precedes it.
+func (e AffExpr) appendTo(b []byte) []byte {
+	for i, t := range e.terms {
+		switch {
+		case t.C < 0 && i == 0:
+			b = append(b, '-')
+		case t.C < 0:
+			b = append(b, " - "...)
+		case i > 0:
+			b = append(b, " + "...)
 		}
-	}
-	if e.Const != 0 || len(parts) == 0 {
-		parts = append(parts, fmt.Sprint(e.Const))
-	}
-	out := parts[0]
-	for _, p := range parts[1:] {
-		if strings.HasPrefix(p, "-") {
-			out += " - " + p[1:]
-		} else {
-			out += " + " + p
+		if t.C != 1 && t.C != -1 {
+			b = appendAbs(b, t.C)
+			b = append(b, '*')
 		}
+		b = append(b, t.IV...)
 	}
-	return out
+	switch {
+	case e.terms == nil:
+		b = strconv.AppendInt(b, e.Const, 10)
+	case e.Const < 0:
+		b = appendAbs(append(b, " - "...), e.Const)
+	case e.Const > 0:
+		b = appendAbs(append(b, " + "...), e.Const)
+	}
+	return b
+}
+
+// appendAbs appends |v| in decimal, math.MinInt64 included.
+func appendAbs(b []byte, v int64) []byte {
+	u := uint64(v)
+	if v < 0 {
+		u = -u
+	}
+	return strconv.AppendUint(b, u, 10)
 }
 
 // Node is an element of an affine loop body: either a nested *Loop or a
@@ -125,11 +190,16 @@ func BDiv(e AffExpr, div int64) Bound {
 	return Bound{Expr: e, Div: div}
 }
 
-func (b Bound) String() string {
+func (b Bound) String() string { return string(b.appendTo(nil)) }
+
+// appendTo appends b's text: its expression, or (expr) floordiv div.
+func (b Bound) appendTo(out []byte) []byte {
 	if b.Div == 1 {
-		return b.Expr.String()
+		return b.Expr.appendTo(out)
 	}
-	return fmt.Sprintf("(%s) floordiv %d", b.Expr, b.Div)
+	out = b.Expr.appendTo(append(out, '('))
+	out = append(out, ") floordiv "...)
+	return strconv.AppendInt(out, b.Div, 10)
 }
 
 // Loop is an affine for loop with unit step; the lower bound is the max of
@@ -312,12 +382,12 @@ func domainOf(stack []*Loop) isl.Set {
 	b := isl.Universe(sp)
 	toLin := func(e AffExpr) isl.LinExpr {
 		le := sp.ConstExpr(e.Const)
-		for iv, c := range e.Coef {
-			idx := sp.VarIndex(iv)
+		for _, t := range e.terms {
+			idx := sp.VarIndex(t.IV)
 			if idx < 0 {
-				panic(fmt.Sprintf("ir: bound references unknown IV %q", iv))
+				panic(fmt.Sprintf("ir: bound references unknown IV %q", t.IV))
 			}
-			le.VarCoef[idx] += c
+			le.VarCoef[idx] += t.C
 		}
 		return le
 	}

@@ -1,13 +1,17 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Clone returns a deep copy of the module sharing no mutable state with
-// the original: ops, nests, loops, statements, bounds and arrays are all
-// copied, and array identity is preserved (two ops referencing the same
-// *Array reference the same clone). core.Compile clones its input through
-// this before lowering, which keeps Compile pure — the property the
-// parallel engine's memo cache relies on.
+// the original: ops, nests, loops, statements, arrays and every bound and
+// index slice are copied, and array identity is preserved (two ops
+// referencing the same *Array reference the same clone). Affine
+// expressions are immutable values, so the copy shares them. core.Compile
+// clones its input through this before lowering, which keeps Compile pure
+// — the property the parallel engine's memo cache relies on.
 func (m *Module) Clone() *Module {
 	if m == nil {
 		return nil
@@ -131,7 +135,7 @@ func (c *cloner) loop(l *Loop) *Loop {
 		return nil
 	}
 	out := &Loop{IV: l.IV, Parallel: l.Parallel,
-		Lo: c.bounds(l.Lo), Hi: c.bounds(l.Hi)}
+		Lo: slices.Clone(l.Lo), Hi: slices.Clone(l.Hi)}
 	if l.Body != nil {
 		out.Body = make([]Node, len(l.Body))
 		for i, nd := range l.Body {
@@ -160,40 +164,7 @@ func (c *cloner) stmt(s *Statement) *Statement {
 		out.Accesses = make([]Access, len(s.Accesses))
 		for i, a := range s.Accesses {
 			out.Accesses[i] = Access{Array: c.array(a.Array), Write: a.Write,
-				Index: c.exprs(a.Index)}
-		}
-	}
-	return out
-}
-
-func (c *cloner) bounds(bs []Bound) []Bound {
-	if bs == nil {
-		return nil
-	}
-	out := make([]Bound, len(bs))
-	for i, b := range bs {
-		out[i] = Bound{Expr: c.expr(b.Expr), Div: b.Div}
-	}
-	return out
-}
-
-func (c *cloner) exprs(es []AffExpr) []AffExpr {
-	if es == nil {
-		return nil
-	}
-	out := make([]AffExpr, len(es))
-	for i, e := range es {
-		out[i] = c.expr(e)
-	}
-	return out
-}
-
-func (c *cloner) expr(e AffExpr) AffExpr {
-	out := AffExpr{Const: e.Const}
-	if e.Coef != nil {
-		out.Coef = make(map[string]int64, len(e.Coef))
-		for k, v := range e.Coef {
-			out.Coef[k] = v
+				Index: slices.Clone(a.Index)}
 		}
 	}
 	return out

@@ -73,7 +73,7 @@ func TestCloneSharesNothingMutable(t *testing.T) {
 	var st *Statement
 	cloneNest.WalkStatements(func(s *Statement, _ []*Loop) { st = s })
 	st.Accesses[0].Array.Dims[0] = 12345
-	st.Accesses[0].Index[0].Coef["i"] = 7
+	st.Accesses[0].Index[0] = AffTerm(7, "i")
 
 	if origNest.Root.Hi[0].Expr.Const == 999 || origNest.Root.IV == "zz" {
 		t.Fatal("loop state shared with clone")
@@ -83,8 +83,8 @@ func TestCloneSharesNothingMutable(t *testing.T) {
 	if ost.Accesses[0].Array.Dims[0] == 12345 {
 		t.Fatal("arrays shared with clone")
 	}
-	if ost.Accesses[0].Index[0].Coef["i"] == 7 {
-		t.Fatal("affine coefficient maps shared with clone")
+	if ost.Accesses[0].Index[0].Coeff("i") == 7 {
+		t.Fatal("index slices shared with clone")
 	}
 }
 

@@ -8,7 +8,7 @@ package ir
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Dialect identifies the abstraction level of an operation or function.
@@ -97,12 +97,19 @@ func (a *Array) Strides() []int64 {
 	return s
 }
 
-func (a *Array) String() string {
-	parts := make([]string, len(a.Dims))
+func (a *Array) String() string { return string(a.appendTo(nil)) }
+
+// appendTo appends a's text: name: memref<d1xd2x...xfBITS>.
+func (a *Array) appendTo(b []byte) []byte {
+	b = append(append(b, a.Name...), ": memref<"...)
 	for i, d := range a.Dims {
-		parts[i] = fmt.Sprint(d)
+		if i > 0 {
+			b = append(b, 'x')
+		}
+		b = strconv.AppendInt(b, d, 10)
 	}
-	return fmt.Sprintf("%s: memref<%sxf%d>", a.Name, strings.Join(parts, "x"), a.ElemSize*8)
+	b = strconv.AppendInt(append(b, "xf"...), a.ElemSize*8, 10)
+	return append(b, '>')
 }
 
 // Func is a function body: an ordered list of operations at one dialect

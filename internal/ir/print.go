@@ -1,8 +1,9 @@
 package ir
 
 import (
-	"fmt"
+	"bytes"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -18,33 +19,59 @@ func (m *Module) Print() string {
 // holds the whole text. It returns the first write error.
 func (m *Module) Fprint(w io.Writer) error {
 	p := printer{w: w}
-	p.linef(0, "module @%s {", m.Name)
+	p.s("module @").s(m.Name).s(" {").flush(0)
 	for _, f := range m.Funcs {
 		p.fn(2, f)
 	}
-	p.linef(0, "}")
+	p.s("}").flush(0)
 	return p.err
 }
 
-// printer emits the textual form line by line at a given indentation.
+// printer emits the textual form line by line at a given indentation. A
+// line's text is appended to line, with strconv rather than fmt, and flush
+// writes it.
 type printer struct {
-	w   io.Writer
-	buf []byte // the line being assembled, reused across lines
-	err error  // the first write error; later lines are dropped
+	w    io.Writer
+	line []byte // the text of the line being assembled
+	buf  []byte // the line as written, indented; reused across lines
+	err  error  // the first write error; later lines are dropped
 }
 
-// linef writes one formatted line indented by indent spaces. Text with
+func (p *printer) s(text string) *printer {
+	p.line = append(p.line, text...)
+	return p
+}
+
+// q appends text quoted as %q does.
+func (p *printer) q(text string) *printer {
+	p.line = strconv.AppendQuote(p.line, text)
+	return p
+}
+
+func (p *printer) int(v int64) *printer {
+	p.line = strconv.AppendInt(p.line, v, 10)
+	return p
+}
+
+// ghz appends a frequency as %.1f does.
+func (p *printer) ghz(v float64) *printer {
+	p.line = strconv.AppendFloat(p.line, v, 'f', 1, 64)
+	return p
+}
+
+// flush writes the assembled line indented by indent spaces. Text with
 // embedded newlines (a name containing one) is indented line by line, and
 // an empty line carries no padding.
-func (p *printer) linef(indent int, format string, args ...any) {
+func (p *printer) flush(indent int) {
+	text := p.line
+	p.line = p.line[:0]
 	if p.err != nil {
 		return
 	}
-	text := fmt.Sprintf(format, args...)
 	p.buf = p.buf[:0]
 	for len(text) > 0 || len(p.buf) == 0 {
-		line, rest, _ := strings.Cut(text, "\n")
-		if line != "" {
+		line, rest, _ := bytes.Cut(text, []byte{'\n'})
+		if len(line) > 0 {
 			for i := 0; i < indent; i++ {
 				p.buf = append(p.buf, ' ')
 			}
@@ -57,51 +84,72 @@ func (p *printer) linef(indent int, format string, args ...any) {
 }
 
 func (p *printer) fn(indent int, f *Func) {
-	arrays := f.Arrays()
-	parts := make([]string, len(arrays))
-	for i, a := range arrays {
-		parts[i] = "%" + a.String()
+	p.s("func.func @").s(f.Name).s("(")
+	for i, a := range f.Arrays() {
+		if i > 0 {
+			p.s(", ")
+		}
+		p.line = a.appendTo(append(p.line, '%'))
 	}
-	p.linef(indent, "func.func @%s(%s) {", f.Name, strings.Join(parts, ", "))
+	p.s(") {").flush(indent)
 	for _, op := range f.Ops {
 		p.op(indent+2, op)
 	}
-	p.linef(indent, "}")
+	p.s("}").flush(indent)
 }
 
 func (p *printer) op(indent int, op Op) {
 	switch x := op.(type) {
 	case *SetUncoreCap:
-		p.linef(indent, "%s {ghz = %.1f, for = %q}", x.OpName(), x.GHz, x.From)
+		p.s(x.OpName()).s(" {ghz = ").ghz(x.GHz).s(", for = ").q(x.From).s("}")
 	case *Nest:
 		label := x.Label
 		if label == "" {
 			label = "nest"
 		}
-		from := ""
+		p.s("// affine nest ").q(label)
 		if x.Origin() != "" {
-			from = fmt.Sprintf(" (from %s)", x.Origin())
+			p.s(" (from ").s(x.Origin()).s(")")
 		}
-		p.linef(indent, "// affine nest %q%s", label, from)
+		p.flush(indent)
 		p.loop(indent, x.Root)
+		return
 	case *TorchSDPA:
-		p.linef(indent, "%s(%s, %s, %s) -> %s %s", x.OpName(), x.Q.Name, x.K.Name, x.V.Name, x.Out.Name, torchShape(x.Out))
+		p.s(x.OpName()).s("(").s(x.Q.Name).s(", ").s(x.K.Name).s(", ").s(x.V.Name).s(") -> ")
+		p.torchOut(x.Out)
 	case *TorchMatMul:
-		p.linef(indent, "%s(%s, %s) -> %s %s", x.OpName(), x.A.Name, x.B.Name, x.Out.Name, torchShape(x.Out))
+		p.s(x.OpName()).s("(").s(x.A.Name).s(", ").s(x.B.Name).s(") -> ")
+		p.torchOut(x.Out)
 	case *TorchConv2D:
-		p.linef(indent, "%s(%s, %s) -> %s %s", x.OpName(), x.Input.Name, x.Filter.Name, x.Out.Name, torchShape(x.Out))
+		p.s(x.OpName()).s("(").s(x.Input.Name).s(", ").s(x.Filter.Name).s(") -> ")
+		p.torchOut(x.Out)
 	default:
-		ops := op.Operands()
-		names := make([]string, len(ops))
-		for i, a := range ops {
-			names[i] = a.Name
+		p.s(op.OpName()).s("(")
+		for i, a := range op.Operands() {
+			if i > 0 {
+				p.s(", ")
+			}
+			p.s(a.Name)
 		}
-		origin := ""
+		p.s(")")
 		if op.Origin() != "" {
-			origin = fmt.Sprintf(" {origin = %q}", op.Origin())
+			p.s(" {origin = ").q(op.Origin()).s("}")
 		}
-		p.linef(indent, "%s(%s)%s", op.OpName(), strings.Join(names, ", "), origin)
 	}
+	p.flush(indent)
+}
+
+// torchOut appends a torch op's result: its name and its shape as %v
+// prints the extents.
+func (p *printer) torchOut(a *Array) {
+	p.s(a.Name).s(" [")
+	for i, d := range a.Dims {
+		if i > 0 {
+			p.s(" ")
+		}
+		p.int(d)
+	}
+	p.s("]")
 }
 
 func (p *printer) loop(indent int, l *Loop) {
@@ -112,7 +160,11 @@ func (p *printer) loop(indent int, l *Loop) {
 	if l.Parallel {
 		kw = "affine.parallel"
 	}
-	p.linef(indent, "%s %%%s = %s to %s {", kw, l.IV, boundStr(l.Lo, "max"), boundStr(l.Hi, "min"))
+	p.s(kw).s(" %").s(l.IV).s(" = ")
+	p.bounds(l.Lo, "max")
+	p.s(" to ")
+	p.bounds(l.Hi, "min")
+	p.s(" {").flush(indent)
 	for _, node := range l.Body {
 		switch x := node.(type) {
 		case *Loop:
@@ -120,41 +172,54 @@ func (p *printer) loop(indent int, l *Loop) {
 		case *Statement:
 			p.statement(indent+2, x)
 		case *CapNode:
-			p.linef(indent+2, "polyufc.set_uncore_cap {ghz = %.1f}", x.Cap.GHz)
+			p.s("polyufc.set_uncore_cap {ghz = ").ghz(x.Cap.GHz).s("}").flush(indent + 2)
 		}
 	}
-	p.linef(indent, "}")
+	p.s("}").flush(indent)
 }
 
-func boundStr(bounds []Bound, combiner string) string {
+// bounds appends a bound list: its one bound, or combiner(b1, b2, ...).
+func (p *printer) bounds(bounds []Bound, combiner string) {
 	if len(bounds) == 1 {
-		return bounds[0].String()
+		p.line = bounds[0].appendTo(p.line)
+		return
 	}
-	parts := make([]string, len(bounds))
+	p.s(combiner).s("(")
 	for i, b := range bounds {
-		parts[i] = b.String()
+		if i > 0 {
+			p.s(", ")
+		}
+		p.line = b.appendTo(p.line)
 	}
-	return combiner + "(" + strings.Join(parts, ", ") + ")"
+	p.s(")")
 }
 
 func (p *printer) statement(indent int, s *Statement) {
 	for _, a := range s.Accesses {
 		if !a.Write {
-			p.linef(indent, "%%v = affine.load %%%s[%s]", a.Array.Name, idxStr(a.Index))
+			p.s("%v = affine.load %").s(a.Array.Name)
+			p.index(a.Index)
+			p.flush(indent)
 		}
 	}
-	p.linef(indent, "// %s: %d flops", s.Name, s.Flops)
+	p.s("// ").s(s.Name).s(": ").int(s.Flops).s(" flops").flush(indent)
 	for _, a := range s.Accesses {
 		if a.Write {
-			p.linef(indent, "affine.store %%v, %%%s[%s]", a.Array.Name, idxStr(a.Index))
+			p.s("affine.store %v, %").s(a.Array.Name)
+			p.index(a.Index)
+			p.flush(indent)
 		}
 	}
 }
 
-func idxStr(idx []AffExpr) string {
-	parts := make([]string, len(idx))
+// index appends an access's index list in brackets.
+func (p *printer) index(idx []AffExpr) {
+	p.s("[")
 	for i, e := range idx {
-		parts[i] = e.String()
+		if i > 0 {
+			p.s(", ")
+		}
+		p.line = e.appendTo(p.line)
 	}
-	return strings.Join(parts, ", ")
+	p.s("]")
 }

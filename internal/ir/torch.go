@@ -1,7 +1,5 @@
 package ir
 
-import "fmt"
-
 // torchBase provides the shared Op plumbing for torch-dialect operations.
 type torchBase struct {
 	name   string
@@ -59,8 +57,4 @@ func NewTorchSDPA(q, k, v, out *Array) *TorchSDPA {
 		torchBase: torchBase{name: "sdpa", args: []*Array{q, k, v, out}},
 		Q:         q, K: k, V: v, Out: out,
 	}
-}
-
-func torchShape(a *Array) string {
-	return fmt.Sprintf("%v", a.Dims)
 }

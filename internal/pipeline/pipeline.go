@@ -138,18 +138,6 @@ func New[S any](name string, stages ...Stage[S]) *Pipeline[S] {
 	return &Pipeline[S]{name: name, stages: stages}
 }
 
-// Name returns the pipeline name.
-func (p *Pipeline[S]) Name() string { return p.name }
-
-// Stages returns the declared stage names in order.
-func (p *Pipeline[S]) Stages() []string {
-	out := make([]string, len(p.stages))
-	for i, st := range p.stages {
-		out[i] = st.Name
-	}
-	return out
-}
-
 // Run executes the stages in order on s. Before each stage the context
 // is checked; a cancelled context aborts with ctx.Err() unwrapped
 // (cancellation is a caller decision, not a stage fault). Each stage

@@ -161,7 +161,7 @@ func systemKey(key []byte, ivs []string, s1, s2 ir.StatementInfo, a1, a2 ir.Acce
 		key = append(key, '|')
 		for _, e := range a.Index {
 			for _, iv := range ivs {
-				key = binary.AppendVarint(key, e.Coef[iv])
+				key = binary.AppendVarint(key, e.Coeff(iv))
 			}
 			key = binary.AppendVarint(key, e.Const)
 		}
@@ -276,18 +276,12 @@ func embedDomain(b *isl.BasicSet, dom isl.Set, offset, width int) {
 // addAff accumulates sign * aff (over the named IVs at the given column
 // offset) into a LinExpr of the dependence space.
 func addAff(e *isl.LinExpr, aff ir.AffExpr, ivs []string, offset int, sign int64) {
-	for iv, c := range aff.Coef {
-		idx := -1
-		for i, name := range ivs {
-			if name == iv {
-				idx = i
-				break
-			}
-		}
+	for _, t := range aff.Terms() {
+		idx := slices.Index(ivs, t.IV)
 		if idx < 0 {
-			panic(fmt.Sprintf("pluto: access references unknown IV %q", iv))
+			panic(fmt.Sprintf("pluto: access references unknown IV %q", t.IV))
 		}
-		e.VarCoef[offset+idx] += sign * c
+		e.VarCoef[offset+idx] += sign * t.C
 	}
 	e.Const += sign * aff.Const
 }

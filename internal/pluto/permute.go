@@ -43,8 +43,8 @@ func Permute(nest *ir.Nest, parLevels []bool) (*ir.Nest, []int, error) {
 	for d, l := range band {
 		deps[d] = map[int]bool{}
 		for _, b := range append(append([]ir.Bound(nil), l.Lo...), l.Hi...) {
-			for iv := range b.Expr.Coef {
-				if o, ok := ivLevel[iv]; ok && o != d {
+			for _, t := range b.Expr.Terms() {
+				if o, ok := ivLevel[t.IV]; ok && o != d {
 					deps[d][o] = true
 				}
 			}
@@ -149,9 +149,9 @@ func loopCosts(band []*ir.Loop, body []ir.Node) []float64 {
 				visit(x.Body)
 			case *ir.Statement:
 				for _, acc := range x.Accesses {
-					strides := accStrides(acc)
+					addr := accAddr(acc)
 					for d, l := range band {
-						s := strides[l.IV]
+						s := addr.Coeff(l.IV)
 						if s < 0 {
 							s = -s
 						}
@@ -171,13 +171,13 @@ func loopCosts(band []*ir.Loop, body []ir.Node) []float64 {
 	return costs
 }
 
-// accStrides computes the byte stride of each IV for an access.
-func accStrides(acc ir.Access) map[string]int64 {
+// accAddr linearizes an access into its byte address: the coefficient of
+// an IV is the byte stride of that loop.
+func accAddr(acc ir.Access) ir.AffExpr {
 	lin := ir.AffConst(0)
 	strides := acc.Array.Strides()
 	for d, e := range acc.Index {
 		lin = lin.Add(e.Scale(strides[d]))
 	}
-	lin = lin.Scale(acc.Array.ElemSize)
-	return lin.Coef
+	return lin.Scale(acc.Array.ElemSize)
 }

@@ -145,7 +145,8 @@ func TileNest(nest *ir.Nest, t int64) (*ir.Nest, error) {
 // tile-loop bound over-approximates the original bound.
 func substituteTileExtreme(e ir.AffExpr, tileIV map[string]string, t int64, upper bool) ir.AffExpr {
 	out := ir.AffConst(e.Const)
-	for iv, c := range e.Coef {
+	for _, term := range e.Terms() {
+		iv, c := term.IV, term.C
 		tv, ok := tileIV[iv]
 		if !ok {
 			out = out.Add(ir.AffTerm(c, iv))

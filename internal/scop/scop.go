@@ -121,12 +121,12 @@ func exportStatement(si ir.StatementInfo) (Statement, error) {
 		rel := AccessRel{Array: acc.Array.Name, Write: acc.Write}
 		for _, e := range acc.Index {
 			row := make([]int64, width)
-			for iv, c := range e.Coef {
-				idx := indexOf(ivs, iv)
+			for _, t := range e.Terms() {
+				idx := indexOf(ivs, t.IV)
 				if idx < 0 {
-					return st, fmt.Errorf("access references unknown iterator %q", iv)
+					return st, fmt.Errorf("access references unknown iterator %q", t.IV)
 				}
-				row[idx] = c
+				row[idx] = t.C
 			}
 			row[width-1] = e.Const
 			rel.Index = append(rel.Index, row)
