@@ -32,14 +32,15 @@ bench:
 # on separable tiled domains), Pluto dependence analysis. The measured
 # path at test size: one kernel's tiled nests through interp and cachesim
 # (ProfileNest*, one per leaf shape, also reporting ns/access), what the
-# stage snapshots of one cold compile allocate (CompileSnapshots), and the
-# in-process shape of the cold-compile workload — every kernel x {BDW, RPL} x a tile ladder
-# through one bounded stage cache (CompileSweep, also reporting
-# stagehits/op). CI runs them at PERF_BENCHTIME=1x so they cannot rot; the
+# stage snapshots of one cold compile allocate (CompileSnapshots), the
+# in-process shape of the stage-reuse workload — a compile over a cached
+# characterize prefix (CompileStageReuse) — and that of the cold-compile
+# workload — every kernel x {BDW, RPL} x a tile ladder through one
+# bounded stage cache (CompileSweep, also reporting stagehits/op). CI runs them at PERF_BENCHTIME=1x so they cannot rot; the
 # defaults are for reading.
 PERF_BENCHTIME ?= 20x
 perf-micro:
-	$(GO) test -run '^$$' -bench 'SumVar|Count(Lu|Cholesky|SdpaBert)|Analyze(Lu|Ludcmp|Conv2dWideresnet)|MeasureTiled(SdpaBert|3mm)|Deps(Lu|Conv2d|Adi)|ProfileNest(LmHead(Llama2|Gpt2)|Conv2d(Wideresnet|Convnext|Alexnet)|Gemm)|CompileSnapshots|CompileSweep' \
+	$(GO) test -run '^$$' -bench 'SumVar|Count(Lu|Cholesky|SdpaBert)|Analyze(Lu|Ludcmp|Conv2dWideresnet)|MeasureTiled(SdpaBert|3mm)|Deps(Lu|Conv2d|Adi)|ProfileNest(LmHead(Llama2|Gpt2)|Conv2d(Wideresnet|Convnext|Alexnet)|Gemm)|CompileSnapshots|CompileStageReuse|CompileSweep' \
 		-benchmem -benchtime $(PERF_BENCHTIME) \
 		./internal/poly ./internal/isl ./internal/cachemodel ./internal/pluto ./internal/hw ./internal/core
 

@@ -88,8 +88,6 @@ var testOnlyExports = map[string]string{
 	"isl.Piece.Format":               accessor,
 	"jobs.Job.UnitKeys":              accessor,
 	"journal.Journal.Len":            accessor,
-	"parallel.Memo.Evictions":        accessor,
-	"parallel.Memo.Len":              accessor,
 	"platform.Backend.Marshal":       accessor,
 	"poly.Poly.Coeff":                accessor,
 	"poly.Poly.Degree":               accessor,

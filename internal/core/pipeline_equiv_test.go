@@ -202,8 +202,8 @@ func TestFaultsDisableStageMemo(t *testing.T) {
 	if !res.Reports[0].Degraded {
 		t.Fatal("fault did not fire")
 	}
-	if cache.Len() != 0 {
-		t.Fatalf("stage cache holds %d snapshots from a fault-armed run, want 0", cache.Len())
+	if n := cache.Counters().Len; n != 0 {
+		t.Fatalf("stage cache holds %d snapshots from a fault-armed run, want 0", n)
 	}
 }
 

@@ -201,11 +201,11 @@ func TestCacheKeyDistinguishesConfigs(t *testing.T) {
 	if rSA == rFA {
 		t.Fatal("distinct keys returned the same Result")
 	}
-	if cache.Len() != 2 {
-		t.Fatalf("len = %d", cache.Len())
+	if n := cache.Counters().Len; n != 2 {
+		t.Fatalf("len = %d", n)
 	}
 	cache.Reset()
-	if cache.Len() != 0 {
+	if cache.Counters().Len != 0 {
 		t.Fatal("reset did not clear the cache")
 	}
 }

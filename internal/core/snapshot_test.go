@@ -8,6 +8,7 @@ import (
 	"polyufc/internal/hw"
 	"polyufc/internal/ir"
 	"polyufc/internal/pipeline"
+	"polyufc/internal/roofline"
 	"polyufc/internal/workloads"
 )
 
@@ -118,6 +119,37 @@ func BenchmarkCompileSnapshots(b *testing.B) {
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		if _, err := CompilePipeline(ctx, mod, cfg, PipelineOptions{Stages: &pipeline.Cache{}}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCompileStageReuse is the in-process shape of the repo
+// benchmark's stage-reuse workload: a full compile over a primed
+// characterize prefix, each op with an epsilon no earlier op used, so the
+// stages up to model-fit hit (model-fit after the first op) and search
+// onward runs. The target comes from roofline.ResolveName, like the
+// daemon's, so its key material is derived once. B/op and allocs/op are
+// the whole compile: the cached prefix's lookups and snapshot load, then
+// search and cap insertion.
+func BenchmarkCompileStageReuse(b *testing.B) {
+	tg, err := roofline.ResolveName("bdw")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig(tg)
+	mod := buildModule(b, "gemm", workloads.Bench)
+	ctx := context.Background()
+	cache := &pipeline.Cache{}
+	cache.SetLimit(1024)
+	if _, err := CompilePipeline(ctx, mod, cfg, PipelineOptions{Stages: cache, Until: StageCharacterize}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		cfg.Search.Epsilon = 0.001 + float64(n)*1e-9
+		if _, err := CompilePipeline(ctx, mod, cfg, PipelineOptions{Stages: cache}); err != nil {
 			b.Fatal(err)
 		}
 	}

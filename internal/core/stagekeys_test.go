@@ -238,7 +238,7 @@ func TestInterleavedCompilesEqualMemoOff(t *testing.T) {
 		if hits == 0 {
 			t.Fatalf("limit %d: no stage was ever served from the cache; the test compares nothing", limit)
 		}
-		if limit == 8 && cache.Evictions() == 0 {
+		if limit == 8 && cache.Counters().Evictions == 0 {
 			t.Fatal("limit 8: nothing was evicted; the eviction paths did not run")
 		}
 	}

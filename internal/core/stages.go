@@ -108,7 +108,9 @@ func (ns *nestState) searched() bool {
 
 // compileState is the shared state the compile pipeline's stages operate
 // on: the module under transformation plus one record per nest, in module
-// walk order (stable across tiling, which replaces nests in place).
+// walk order (stable across tiling, which replaces nests in place). Until
+// preprocess runs or a snapshot is loaded, res.Module is the caller's
+// input, which no stage writes; both replace it with a private clone.
 type compileState struct {
 	cfg   Config
 	res   *Result
@@ -174,15 +176,13 @@ func snapSave(st *compileState) any {
 }
 
 // snapLoad installs a clone of the snapshot's module as the working
-// module, so the compile cannot touch the snapshot — unless the working
-// module already is an unchanged clone of that very module (the previous
-// stage loaded or saved a snapshot sharing it). The snapshot's own module
-// is what the next save shares.
+// module, so the compile cannot touch the snapshot; the snapshot's own
+// module is what the next save shares. The runner loads only the deepest
+// snapshot of a chain of hits, so a compile over a cached prefix clones
+// the module once, here.
 func snapLoad(st *compileState, v any) {
 	snap := v.(*stageSnap)
-	if st.snapMod != snap.mod {
-		st.res.Module, st.snapMod = snap.mod.Clone(), snap.mod
-	}
+	st.res.Module, st.snapMod = snap.mod.Clone(), snap.mod
 	st.nests = rebound(st.res.Module, snap.nests)
 }
 
@@ -286,6 +286,9 @@ func stagePreprocess() pipeline.Stage[*compileState] {
 	return pipeline.Stage[*compileState]{
 		Name: StagePreprocess,
 		Run: func(_ context.Context, st *compileState) error {
+			// The input module is the caller's: lowering works on a
+			// private clone of it.
+			st.res.Module = st.res.Module.Clone()
 			st.changedModule()
 			if err := lower.TorchToLinalg(st.res.Module); err != nil {
 				return err
@@ -762,7 +765,7 @@ func CompilePipeline(ctx context.Context, mod *ir.Module, cfg Config, opts Pipel
 		return nil, err
 	}
 	stages := compileStages(cfg)
-	st := newCompileState(mod.Clone(), cfg)
+	st := newCompileState(mod, cfg)
 	ro := pipeline.RunOptions{Until: opts.Until, Observe: opts.Observe}
 	if opts.Stages != nil {
 		ro.Cache = opts.Stages

@@ -350,7 +350,7 @@ func TestMachineRetainsNoProfilesBeyondSharedCache(t *testing.T) {
 	for i := 0; i < 4*limit; i++ {
 		profileFresh(i)
 	}
-	if n := cache.Len(); n != limit {
+	if n := cache.Counters().Len; n != limit {
 		t.Fatalf("shared cache holds %d profiles, limit %d", n, limit)
 	}
 	// Finalizers run on their own goroutine after a collection finds the

@@ -28,10 +28,10 @@ func TestMemoLRUEvictionOrder(t *testing.T) {
 	memoGet(t, &m, 0) // 0 becomes most recent: order 0,2,1
 	memoGet(t, &m, 3) // evicts 1
 	memoGet(t, &m, 1) // miss (recompute), evicts 2
-	if got := m.Len(); got != 3 {
+	if got := m.Counters().Len; got != 3 {
 		t.Fatalf("len = %d, want 3", got)
 	}
-	if got := m.Evictions(); got != 2 {
+	if got := m.Counters().Evictions; got != 2 {
 		t.Fatalf("evictions = %d, want 2", got)
 	}
 	hits, misses := m.Stats()
@@ -56,15 +56,15 @@ func TestMemoSetLimitShrinkAndUnbound(t *testing.T) {
 		memoGet(t, &m, k)
 	}
 	m.SetLimit(2)
-	if m.Len() != 2 || m.Evictions() != 6 {
-		t.Fatalf("len %d evictions %d after shrink", m.Len(), m.Evictions())
+	if c := m.Counters(); c.Len != 2 || c.Evictions != 6 {
+		t.Fatalf("len %d evictions %d after shrink", c.Len, c.Evictions)
 	}
 	m.SetLimit(0)
 	for k := 10; k < 20; k++ {
 		memoGet(t, &m, k)
 	}
-	if m.Len() != 12 {
-		t.Fatalf("unbounded memo evicted: len %d", m.Len())
+	if n := m.Counters().Len; n != 12 {
+		t.Fatalf("unbounded memo evicted: len %d", n)
 	}
 }
 
@@ -109,8 +109,8 @@ func TestMemoLRUInFlightSurvivesEviction(t *testing.T) {
 	}
 	// Once settled it lands in the LRU and is evictable again.
 	memoGet(t, &m, 100)
-	if m.Len() != 1 {
-		t.Fatalf("len = %d, want 1", m.Len())
+	if n := m.Counters().Len; n != 1 {
+		t.Fatalf("len = %d, want 1", n)
 	}
 }
 
@@ -122,14 +122,14 @@ func TestMemoResetKeepsLimit(t *testing.T) {
 		memoGet(t, &m, k)
 	}
 	m.Reset()
-	if m.Len() != 0 || m.Evictions() != 0 {
-		t.Fatalf("reset left len %d evictions %d", m.Len(), m.Evictions())
+	if c := m.Counters(); c.Len != 0 || c.Evictions != 0 {
+		t.Fatalf("reset left len %d evictions %d", c.Len, c.Evictions)
 	}
 	for k := 0; k < 4; k++ {
 		memoGet(t, &m, k)
 	}
-	if m.Len() != 2 || m.Evictions() != 2 {
-		t.Fatalf("limit lost across Reset: len %d evictions %d", m.Len(), m.Evictions())
+	if c := m.Counters(); c.Len != 2 || c.Evictions != 2 {
+		t.Fatalf("limit lost across Reset: len %d evictions %d", c.Len, c.Evictions)
 	}
 }
 
@@ -156,7 +156,7 @@ func TestMemoLRUConcurrentChurn(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if m.Len() > 4 {
-		t.Fatalf("len = %d exceeds limit", m.Len())
+	if n := m.Counters().Len; n > 4 {
+		t.Fatalf("len = %d exceeds limit", n)
 	}
 }

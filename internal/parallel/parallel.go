@@ -264,12 +264,6 @@ func (m *Memo[K, V]) Stats() (hits, misses int64) {
 	return c.Hits, c.Misses
 }
 
-// Evictions returns how many settled entries the LRU bound has dropped.
-func (m *Memo[K, V]) Evictions() int64 { return m.Counters().Evictions }
-
-// Len returns the number of cached (settled or in-flight) entries.
-func (m *Memo[K, V]) Len() int { return m.Counters().Len }
-
 // Reset drops every cached entry and zeroes the statistics. In-flight
 // computations finish but are not re-registered. The limit persists.
 func (m *Memo[K, V]) Reset() {

@@ -183,8 +183,8 @@ func TestMemoComputesOncePerKey(t *testing.T) {
 	if misses != 1 || hits != 31 {
 		t.Fatalf("stats = %d hits / %d misses", hits, misses)
 	}
-	if m.Len() != 1 {
-		t.Fatalf("len = %d", m.Len())
+	if n := m.Counters().Len; n != 1 {
+		t.Fatalf("len = %d", n)
 	}
 }
 
@@ -260,7 +260,7 @@ func TestMemoWaiterHonorsCancellation(t *testing.T) {
 		<-block
 		return 7, nil
 	})
-	for m.Len() == 0 {
+	for m.Counters().Len == 0 {
 		time.Sleep(100 * time.Microsecond)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -281,8 +281,8 @@ func TestMemoReset(t *testing.T) {
 	var m Memo[int, int]
 	m.Do(context.Background(), 1, func() (int, error) { return 1, nil })
 	m.Reset()
-	if m.Len() != 0 {
-		t.Fatalf("len after reset = %d", m.Len())
+	if n := m.Counters().Len; n != 0 {
+		t.Fatalf("len after reset = %d", n)
 	}
 	calls := 0
 	m.Do(context.Background(), 1, func() (int, error) { calls++; return 1, nil })
@@ -312,7 +312,7 @@ func TestMemoManyKeysUnderContention(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if m.Len() != 100 {
-		t.Fatalf("len = %d", m.Len())
+	if n := m.Counters().Len; n != 100 {
+		t.Fatalf("len = %d", n)
 	}
 }

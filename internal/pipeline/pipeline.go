@@ -10,7 +10,9 @@
 // preprocess. The serving daemon runs pipeline prefixes (a characterize
 // request stops after the characterize stage), and memoized stage
 // snapshots let a later full compile of the same module resume from the
-// deepest cached stage instead of redoing pluto and the cache model.
+// deepest cached stage instead of redoing pluto and the cache model: the
+// hits before it only look their keys up, and that stage's snapshot is
+// the one installed.
 package pipeline
 
 import (
@@ -35,13 +37,19 @@ type Stage[S any] struct {
 	// Salt contributes stage-specific configuration (tile sizes, search
 	// objective, ...) to the memo key chain. Optional; the empty salt
 	// means the stage is fully determined by its name and upstream key.
+	// A salt reads configuration only, never state that a Load installs:
+	// Run derives the keys of a chain of hits before it installs any of
+	// their snapshots.
 	Salt func(s S) string
-	// Save snapshots the stage's outputs for memoization. Optional: a
-	// stage without Save always runs. The snapshot must be safe to share
-	// across pipelines — clone anything downstream stages mutate.
+	// Save snapshots the state as of the end of the stage for memoization.
+	// Optional: a stage without Save always runs. The snapshot must be
+	// safe to share across pipelines — clone anything downstream stages
+	// mutate — and complete: Run installs only the deepest snapshot of a
+	// chain of hits, so a Load must not rely on an earlier stage's.
 	Save func(s S) any
 	// Load installs a memoized snapshot into the state in place of
-	// running the stage. Required when Save is set.
+	// running the stage (and every stage before it). Required when Save
+	// is set.
 	Load func(s S, snap any)
 }
 
@@ -64,8 +72,8 @@ type Event struct {
 // RunOptions parameterizes one pipeline execution.
 type RunOptions struct {
 	// Cache enables per-stage memoization when non-nil and BaseKey is
-	// set. Stages without Save/Load still execute and contribute to the
-	// key chain.
+	// set. Stages without Save/Load still execute, and those ahead of a
+	// memoizable stage contribute to its key.
 	Cache *Cache
 	// BaseKey is the content hash of what every stage reads (for core: the
 	// module text and the degrade policy); configuration only some stages
@@ -145,17 +153,61 @@ func New[S any](name string, stages ...Stage[S]) *Pipeline[S] {
 // on failure, then the error is returned wrapped with the pipeline and
 // stage name. With a cache and base key, memoizable stages are satisfied
 // from snapshots when the chained content key hits.
+//
+// A hit's snapshot is installed only when something needs the state:
+// before a later stage runs, or when the run returns successfully. A
+// chain of hits therefore calls Load once, with the deepest hit's
+// snapshot, and a run that ends in an error or a cancellation before
+// any stage needed the state installs nothing. The hit events of a
+// chain are held back from Observe until the install, whose duration is
+// added to the event of the stage whose snapshot it installed.
 func (p *Pipeline[S]) Run(ctx context.Context, s S, opts RunOptions) ([]Event, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	// Keys are chained only as far as the last memoizable stage: no later
+	// key is ever looked up.
+	last := -1
+	if opts.Cache != nil && opts.BaseKey != "" {
+		for i, st := range p.stages {
+			if st.Memoizable() {
+				last = i
+			}
+		}
+	}
 	events := make([]Event, 0, len(p.stages))
+	observed := 0 // events[:observed] have been handed to Observe
+	observe := func() {
+		for ; observed < len(events); observed++ {
+			if opts.Observe != nil {
+				opts.Observe(events[observed])
+			}
+		}
+	}
+	// pending is the deepest hit not yet installed (its event is the last
+	// one recorded); install loads it and returns how long that took.
+	var pending *Stage[S]
+	var pendingSnap any
+	install := func() time.Duration {
+		if pending == nil {
+			return 0
+		}
+		start := time.Now()
+		pending.Load(s, pendingSnap)
+		d := time.Since(start)
+		events[len(events)-1].Duration += d
+		pending, pendingSnap = nil, nil
+		observe()
+		return d
+	}
 	key := opts.BaseKey
-	for _, st := range p.stages {
+	for i := range p.stages {
+		st := &p.stages[i]
 		if err := ctx.Err(); err != nil {
+			observe()
 			return events, err
 		}
-		if opts.BaseKey != "" {
+		if i <= last {
 			salt := ""
 			if st.Salt != nil {
 				salt = st.Salt(s)
@@ -163,31 +215,33 @@ func (p *Pipeline[S]) Run(ctx context.Context, s S, opts RunOptions) ([]Event, e
 			key = ChainKey(key, st.Name+"\x00"+salt)
 		}
 		start := time.Now()
+		var loaded time.Duration
 		var hit bool
 		var err error
-		if opts.Cache != nil && opts.BaseKey != "" && st.Memoizable() {
+		if i <= last && st.Memoizable() {
 			var snap any
 			var shared bool
 			snap, shared, err = opts.Cache.DoShared(ctx, key, func() (any, error) {
-				if rerr := runStage(ctx, st, s); rerr != nil {
+				loaded = install()
+				if rerr := runStage(ctx, *st, s); rerr != nil {
 					return nil, rerr
 				}
 				return st.Save(s), nil
 			})
 			if err == nil && shared {
-				st.Load(s, snap)
-				hit = true
+				pending, pendingSnap, hit = st, snap, true
 			}
 		} else {
-			err = runStage(ctx, st, s)
+			loaded = install()
+			err = runStage(ctx, *st, s)
 		}
-		ev := Event{Stage: st.Name, Duration: time.Since(start), CacheHit: hit}
+		ev := Event{Stage: st.Name, Duration: time.Since(start) - loaded, CacheHit: hit}
 		if err != nil {
 			ev.Err = err.Error()
 		}
 		events = append(events, ev)
-		if opts.Observe != nil {
-			opts.Observe(ev)
+		if !hit {
+			observe()
 		}
 		if err != nil {
 			return events, p.wrapErr(st.Name, err)
@@ -196,6 +250,7 @@ func (p *Pipeline[S]) Run(ctx context.Context, s S, opts RunOptions) ([]Event, e
 			break
 		}
 	}
+	install()
 	return events, nil
 }
 

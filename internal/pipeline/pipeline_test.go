@@ -237,8 +237,8 @@ func TestEmptyBaseKeyDisablesMemo(t *testing.T) {
 	if ran != 2 {
 		t.Fatalf("stage ran %d times, want 2 (no base key => no memo)", ran)
 	}
-	if cache.Len() != 0 {
-		t.Fatalf("cache holds %d entries, want 0", cache.Len())
+	if n := cache.Counters().Len; n != 0 {
+		t.Fatalf("cache holds %d entries, want 0", n)
 	}
 }
 
