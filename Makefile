@@ -36,13 +36,16 @@ bench:
 # in-process shape of the stage-reuse workload — a compile over a cached
 # characterize prefix (CompileStageReuse) — and that of the cold-compile
 # workload — every kernel x {BDW, RPL} x a tile ladder through one
-# bounded stage cache (CompileSweep, also reporting stagehits/op). CI runs them at PERF_BENCHTIME=1x so they cannot rot; the
-# defaults are for reading.
+# bounded stage cache (CompileSweep, also reporting stagehits/op) — and
+# the stage-reuse workload through the daemon's real handler, request
+# decoding, kernel build and response encoding included (ServeStageReuse).
+# CI runs them at PERF_BENCHTIME=1x so they cannot rot; the defaults are
+# for reading.
 PERF_BENCHTIME ?= 20x
 perf-micro:
-	$(GO) test -run '^$$' -bench 'SumVar|Count(Lu|Cholesky|SdpaBert)|Analyze(Lu|Ludcmp|Conv2dWideresnet)|MeasureTiled(SdpaBert|3mm)|Deps(Lu|Conv2d|Adi)|ProfileNest(LmHead(Llama2|Gpt2)|Conv2d(Wideresnet|Convnext|Alexnet)|Gemm)|CompileSnapshots|CompileStageReuse|CompileSweep' \
+	$(GO) test -run '^$$' -bench 'SumVar|Count(Lu|Cholesky|SdpaBert)|Analyze(Lu|Ludcmp|Conv2dWideresnet)|MeasureTiled(SdpaBert|3mm)|Deps(Lu|Conv2d|Adi)|ProfileNest(LmHead(Llama2|Gpt2)|Conv2d(Wideresnet|Convnext|Alexnet)|Gemm)|CompileSnapshots|CompileStageReuse|CompileSweep|ServeStageReuse' \
 		-benchmem -benchtime $(PERF_BENCHTIME) \
-		./internal/poly ./internal/isl ./internal/cachemodel ./internal/pluto ./internal/hw ./internal/core
+		./internal/poly ./internal/isl ./internal/cachemodel ./internal/pluto ./internal/hw ./internal/core ./internal/server
 
 # Regenerate every table and figure at evaluation size.
 experiments:

@@ -50,20 +50,18 @@ var testOnlyExports = map[string]string{
 	"hw.BDW":                       fixture,
 	"hw.Platforms":                 fixture,
 	"hw.RPL":                       fixture,
+	"ir.Module.Clone":              fixture,
 	"ir.Nest.Clone":                fixture,
 	"isl.BasicSet.AddRange":        fixture,
 	"isl.Set.Apply":                fixture,
 	"isl.Space.ParamExpr":          fixture,
 	"leakcheck.Main":               fixture,
 	"pipeline.Metrics.Reset":       fixture,
-	"poly.Poly.Neg":                fixture,
 	"poly.Poly.Pow":                fixture,
 
 	"cachesim.Counts.LLC":            accessor,
 	"cachesim.Simulator.LLCStats":    accessor,
 	"cachesim.Simulator.LineSize":    accessor,
-	"cachesim.Stats.HitRatio":        accessor,
-	"cachesim.Stats.MissRatio":       accessor,
 	"cas.Store.Has":                  accessor,
 	"cas.Store.Keys":                 accessor,
 	"cas.Store.Len":                  accessor,

@@ -85,22 +85,6 @@ type Stats struct {
 	ColdMisses int64
 }
 
-// MissRatio returns misses/accesses, or 0 for an idle level.
-func (s Stats) MissRatio() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
-// HitRatio returns hits/accesses, or 0 for an idle level.
-func (s Stats) HitRatio() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Accesses)
-}
-
 // Stream is one reference of a loop body, repeated over the loop's
 // iterations: Addr in the first iteration, Stride further in each one
 // after. A consumer of streams (Simulator.AccessStreams, interp.Consumer)

@@ -240,13 +240,8 @@ func TestAccessorHelpers(t *testing.T) {
 	}
 	s.Access(0, 8, false)
 	s.Access(0, 8, false)
-	st := s.LLCStats()
-	if st.MissRatio() != 0.5 || st.HitRatio() != 0.5 {
-		t.Fatalf("ratios = %f/%f", st.MissRatio(), st.HitRatio())
-	}
-	var idle Stats
-	if idle.MissRatio() != 0 || idle.HitRatio() != 0 {
-		t.Fatal("idle ratios must be zero")
+	if st := s.LLCStats(); st.Accesses != 2 || st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("LLC stats = %+v, want 2 accesses, 1 hit, 1 miss", st)
 	}
 	fa := smallCfg(2).FullyAssociative()
 	if fa.Levels[0].Assoc != 0 {

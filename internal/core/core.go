@@ -277,10 +277,11 @@ func (r *Result) FinalSocketCaps() []float64 {
 // Compile runs the full PolyUFC flow on a module (torch, linalg or affine
 // level) and returns the transformed module with uncore caps inserted.
 //
-// Compile is pure: the input module is deep-cloned before lowering, so two
-// calls on the same module yield independent, deep-equal Results (modulo
-// wall-clock Timings). The parallel engine's memo cache (Cache) relies on
-// this property to share Results across sweeps.
+// Compile is pure: it never writes the input module (lowering rewrites a
+// private spine copy, ir.Module.CopySpine), so two calls on the same module
+// yield independent, deep-equal Results (modulo wall-clock Timings). The
+// parallel engine's memo cache (Cache) relies on this property to share
+// Results across sweeps.
 func Compile(mod *ir.Module, cfg Config) (*Result, error) {
 	return CompileCtx(context.Background(), mod, cfg)
 }
@@ -407,7 +408,7 @@ type Phase struct {
 //
 // The study is the compile pipeline's analysis prefix (up to cache-eval)
 // followed by the phase classification of the prefix's nests. Like
-// Compile, it is pure: it lowers a private clone.
+// Compile, it is pure: it lowers a private spine copy.
 func PhaseStudy(mod *ir.Module, cfg Config) (map[ir.Dialect][]Phase, error) {
 	res, err := CompilePipeline(context.Background(), mod, cfg, PipelineOptions{Until: StageCacheEval})
 	if err != nil {

@@ -108,8 +108,8 @@ func TestSnapshotModuleSharingIsInvisible(t *testing.T) {
 
 // BenchmarkCompileSnapshots is one cold compile with the stage cache on:
 // every memoizable stage runs and saves its snapshot, so B/op is what the
-// snapshots cost on top of the compile (a module clone per stage that
-// changed the module, a record slice per stage).
+// snapshots cost on top of the compile (a module spine copy and a record
+// slice per stage).
 func BenchmarkCompileSnapshots(b *testing.B) {
 	cfg := DefaultConfig(targetFor(b, hw.BDW()))
 	cfg.AmortizeFactor = 0
@@ -130,8 +130,10 @@ func BenchmarkCompileSnapshots(b *testing.B) {
 // stages up to model-fit hit (model-fit after the first op) and search
 // onward runs. The target comes from roofline.ResolveName, like the
 // daemon's, so its key material is derived once. B/op and allocs/op are
-// the whole compile: the cached prefix's lookups and snapshot load, then
-// search and cap insertion.
+// the whole compile: the cached prefix's lookups and snapshot load (one
+// spine copy), then search and cap insertion. The compile is handed one
+// prebuilt sealed module, so the kernel build and the base-key hash are
+// not in it: internal/server's BenchmarkServeStageReuse covers those.
 func BenchmarkCompileStageReuse(b *testing.B) {
 	tg, err := roofline.ResolveName("bdw")
 	if err != nil {

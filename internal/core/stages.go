@@ -2,9 +2,9 @@ package core
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 
 	"polyufc/internal/cachemodel"
 	"polyufc/internal/ir"
@@ -110,16 +110,12 @@ func (ns *nestState) searched() bool {
 // on: the module under transformation plus one record per nest, in module
 // walk order (stable across tiling, which replaces nests in place). Until
 // preprocess runs or a snapshot is loaded, res.Module is the caller's
-// input, which no stage writes; both replace it with a private clone.
+// input, which no stage writes; both replace it with a private spine copy
+// (ir.Module.CopySpine), the only part of a module a stage writes.
 type compileState struct {
 	cfg   Config
 	res   *Result
 	nests []nestState
-	// snapMod is the immutable clone of res.Module that the last stage
-	// snapshot saved or loaded holds, nil once a stage has changed the
-	// module since (changedModule). While it stands, the next snapshot
-	// shares it instead of cloning the module again.
-	snapMod *ir.Module
 }
 
 func newCompileState(mod *ir.Module, cfg Config) *compileState {
@@ -148,8 +144,8 @@ func bindNests(mod *ir.Module, recs []nestState) []nestState {
 // stageSnap is the memoized snapshot of a stage's outputs: the module as
 // of the stage plus the per-nest records, bound to that module's nests.
 // One snapshot type serves all memoizable stages. A snapshot is immutable
-// once saved — a running compile only ever works on a clone of its module
-// — so consecutive snapshots of an unchanged module share one clone.
+// once saved: its module is a spine of its own, and the bodies under it
+// are never written by anyone.
 type stageSnap struct {
 	mod   *ir.Module
 	nests []nestState
@@ -160,29 +156,20 @@ func rebound(mod *ir.Module, recs []nestState) []nestState {
 	return bindNests(mod, append([]nestState(nil), recs...))
 }
 
-// changedModule is called by the stages that rewrite the module
-// (preprocess and tile; every other memoized stage — deps, cachemodel and
-// cache-eval among them — fills the per-nest records alone): the next
-// snapshot must clone it afresh.
-func (st *compileState) changedModule() { st.snapMod = nil }
-
-// snapSave clones the module only if the stage changed it; otherwise the
-// snapshot shares the previous snapshot's clone.
+// snapSave gives the snapshot a spine copy of the working module, which
+// later stages go on writing; the bodies under both spines are shared.
 func snapSave(st *compileState) any {
-	if st.snapMod == nil {
-		st.snapMod = st.res.Module.Clone()
-	}
-	return &stageSnap{mod: st.snapMod, nests: rebound(st.snapMod, st.nests)}
+	mod := st.res.Module.CopySpine()
+	return &stageSnap{mod: mod, nests: rebound(mod, st.nests)}
 }
 
-// snapLoad installs a clone of the snapshot's module as the working
-// module, so the compile cannot touch the snapshot; the snapshot's own
-// module is what the next save shares. The runner loads only the deepest
-// snapshot of a chain of hits, so a compile over a cached prefix clones
-// the module once, here.
+// snapLoad installs a spine copy of the snapshot's module as the working
+// module, so the compile cannot touch the snapshot. The runner loads only
+// the deepest snapshot of a chain of hits, so a compile over a cached
+// prefix copies one spine, here.
 func snapLoad(st *compileState, v any) {
 	snap := v.(*stageSnap)
-	st.res.Module, st.snapMod = snap.mod.Clone(), snap.mod
+	st.res.Module = snap.mod.CopySpine()
 	st.nests = rebound(st.res.Module, snap.nests)
 }
 
@@ -196,20 +183,19 @@ func memoized(stages []pipeline.Stage[*compileState]) []pipeline.Stage[*compileS
 	return stages
 }
 
-// stageBaseKey is the content hash anchoring the stage memo key chain:
-// the module text plus the one thing every stage reads from the config,
-// the degrade policy (eachNest). Everything else enters the chain as the
-// salt of the first stage that reads it — the target included, see
-// platformSalt. Fault-injection runs return "", which disables stage
-// memoization (see Config.memoizable).
+// stageBaseKey anchors the stage memo key chain: the module's content hash
+// (stored on a sealed module, so a workloads kernel is never printed here)
+// plus the one thing every stage reads from the config, the degrade policy
+// (eachNest). Everything else enters the chain as the salt of the first
+// stage that reads it — the target included, see platformSalt.
+// Fault-injection runs return "", which disables stage memoization (see
+// Config.memoizable).
 func stageBaseKey(mod *ir.Module, cfg Config) string {
 	if !cfg.memoizable() {
 		return ""
 	}
-	h := sha256.New()
-	mod.Fprint(h) // a hash does not fail
-	fmt.Fprintf(h, "|degrade=%d", cfg.Degrade)
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	sum := mod.ContentHash()
+	return hex.EncodeToString(sum[:16]) + "|degrade=" + strconv.Itoa(int(cfg.Degrade))
 }
 
 // platformSalt is the target's contribution to the stage key chain: the
@@ -286,10 +272,9 @@ func stagePreprocess() pipeline.Stage[*compileState] {
 	return pipeline.Stage[*compileState]{
 		Name: StagePreprocess,
 		Run: func(_ context.Context, st *compileState) error {
-			// The input module is the caller's: lowering works on a
-			// private clone of it.
-			st.res.Module = st.res.Module.Clone()
-			st.changedModule()
+			// The input module is the caller's: lowering rewrites the op
+			// lists of a private spine copy of it.
+			st.res.Module = st.res.Module.CopySpine()
 			if err := lower.TorchToLinalg(st.res.Module); err != nil {
 				return err
 			}
@@ -305,7 +290,7 @@ func stagePreprocess() pipeline.Stage[*compileState] {
 // stageDeps analyses every nest's dependences once, ahead of tiling: the
 // analysis reads the lowered nest alone, so its snapshot is shared by every
 // tile size, strategy and platform a kernel is compiled for. It does not
-// change the module (its snapshot shares preprocess's clone).
+// change the module.
 func stageDeps() pipeline.Stage[*compileState] {
 	return pipeline.Stage[*compileState]{
 		Name: StageDeps,
@@ -339,7 +324,6 @@ func stageTile() pipeline.Stage[*compileState] {
 			return salt
 		},
 		Run: func(ctx context.Context, st *compileState) error {
-			st.changedModule()
 			if err := st.cfg.Tiling.Normalize().Validate(); err != nil {
 				return err
 			}
@@ -391,7 +375,7 @@ func capEDPScorer(ctx context.Context, cfg Config) func(nest *ir.Nest, cm *cache
 // stageCacheModel is the counting half of PolyUFC-CM. Of the target it
 // reads the line size only, so a tiled nest is counted once for every
 // platform sharing that line size; neither it nor cache-eval changes the
-// module (their snapshots share tile's clone).
+// module.
 func stageCacheModel() pipeline.Stage[*compileState] {
 	return pipeline.Stage[*compileState]{
 		Name: StageCacheModel,

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"strings"
 	"testing"
 
@@ -198,6 +199,19 @@ func TestDedupStudy(t *testing.T) {
 	}
 	if !r.PairCountsEqual {
 		t.Fatal("dedup changed the reuse-pair count")
+	}
+	// The study shrinks copies of the kernel's loops, never the module
+	// workloads shares with every other caller.
+	k, err := workloads.ByName("gemm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := k.Build(workloads.Test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mod.ContentHash() != sha256.Sum256([]byte(mod.Print())) {
+		t.Fatal("the dedup study wrote the shared gemm module")
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -10,7 +11,6 @@ import (
 	"polyufc/internal/hw"
 	"polyufc/internal/interp"
 	"polyufc/internal/ir"
-	"polyufc/internal/lower"
 	"polyufc/internal/workloads"
 )
 
@@ -186,14 +186,8 @@ func (s *Suite) Dedup(kernelName string) (*DedupResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	mod, err := k.Build(workloads.Test)
+	mod, err := k.BuildAffine(workloads.Test)
 	if err != nil {
-		return nil, err
-	}
-	if err := lower.TorchToLinalg(mod); err != nil {
-		return nil, err
-	}
-	if err := lower.LinalgToAffine(mod); err != nil {
 		return nil, err
 	}
 	var nest *ir.Nest
@@ -215,7 +209,7 @@ func (s *Suite) Dedup(kernelName string) (*DedupResult, error) {
 	// the domain so exhaustive pair counting stays tractable (the study
 	// measures the structural effect of duplicate elimination, which is
 	// size-independent).
-	shrinkNest(nest, 9)
+	nest = shrinkNest(nest, 9)
 	si := nest.Statements()[0]
 	layout := interp.NewLayout(nest.Operands())
 	const budget = 1 << 22
@@ -255,16 +249,29 @@ func (s *Suite) Dedup(kernelName string) (*DedupResult, error) {
 	}, nil
 }
 
-// shrinkNest clamps every constant upper loop bound so each loop runs at
-// most max iterations.
-func shrinkNest(nest *ir.Nest, max int64) {
-	nest.WalkLoops(func(l *ir.Loop, _ int) {
-		for i, b := range l.Hi {
+// shrinkNest returns a copy of nest whose constant upper loop bounds are
+// clamped so each loop runs at most max iterations. It builds the loops it
+// clamps and shares the statements: the kernel's own nest is not written.
+func shrinkNest(nest *ir.Nest, max int64) *ir.Nest {
+	var shrink func(l *ir.Loop) *ir.Loop
+	shrink = func(l *ir.Loop) *ir.Loop {
+		out := &ir.Loop{IV: l.IV, Lo: l.Lo, Hi: slices.Clone(l.Hi), Parallel: l.Parallel,
+			Body: slices.Clone(l.Body)}
+		for i, b := range out.Hi {
 			if b.Expr.IsConst() && b.Div == 1 && b.Expr.Const > max-1 {
-				l.Hi[i] = ir.BExpr(ir.AffConst(max - 1))
+				out.Hi[i] = ir.BExpr(ir.AffConst(max - 1))
 			}
 		}
-	})
+		for i, nd := range out.Body {
+			if sub, ok := nd.(*ir.Loop); ok {
+				out.Body[i] = shrink(sub)
+			}
+		}
+		return out
+	}
+	out := *nest
+	out.Root = shrink(nest.Root)
+	return &out
 }
 
 // RenderDedup prints the study over a few reuse-heavy kernels.

@@ -9,15 +9,16 @@ import (
 // the original: ops, nests, loops, statements, arrays and every bound and
 // index slice are copied, and array identity is preserved (two ops
 // referencing the same *Array reference the same clone). Affine
-// expressions are immutable values, so the copy shares them. core.Compile
-// clones its input through this before lowering, which keeps Compile pure
-// — the property the parallel engine's memo cache relies on.
+// expressions are immutable values, so the copy shares them, and so is a
+// sealed module's content hash, which the copy keeps: a clone is
+// reflect.DeepEqual to its original. The compiler copies only a module's
+// spine (CopySpine); tests take a deep "before" snapshot with Clone.
 func (m *Module) Clone() *Module {
 	if m == nil {
 		return nil
 	}
 	c := &cloner{arrays: map[*Array]*Array{}}
-	out := &Module{Name: m.Name}
+	out := &Module{Name: m.Name, hash: m.hash}
 	for _, f := range m.Funcs {
 		out.Funcs = append(out.Funcs, c.fn(f))
 	}

@@ -7,7 +7,9 @@
 package ir
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -120,15 +122,69 @@ type Func struct {
 }
 
 // Module is a compilation unit.
+//
+// Nothing below a nest header is written once it is built: loops,
+// statements, accesses, arrays and expressions, and the torch, linalg and
+// cap ops, are shared freely between modules. A pass writes only a
+// module's spine — its Funcs, their op lists and its Nest headers — and
+// only a spine it owns: one it built or took with CopySpine. A module
+// shared after it is built (a workloads kernel) is sealed first, and
+// nobody writes a sealed module.
 type Module struct {
 	Name  string
 	Funcs []*Func
+	// hash is the content hash Seal stored; nil on a module never sealed.
+	hash *[sha256.Size]byte
 }
 
 // NewModule returns a module with a single empty function of the same name.
 func NewModule(name string) (*Module, *Func) {
 	f := &Func{Name: name}
 	return &Module{Name: name, Funcs: []*Func{f}}, f
+}
+
+// CopySpine returns a module the caller owns over m's shared bodies: a new
+// Module, new Funcs, new op lists and a new header for every Nest, while
+// each Nest's loops and every other op stay m's. It costs O(ops). The copy
+// is not sealed: it is made to be written.
+func (m *Module) CopySpine() *Module {
+	out := &Module{Name: m.Name, Funcs: make([]*Func, len(m.Funcs))}
+	for i, f := range m.Funcs {
+		ops := slices.Clone(f.Ops)
+		for j, op := range ops {
+			if n, ok := op.(*Nest); ok {
+				hdr := *n
+				ops[j] = &hdr
+			}
+		}
+		out.Funcs[i] = &Func{Name: f.Name, Ops: ops}
+	}
+	return out
+}
+
+// Seal stores m's content hash on m. Call it once m is built and before
+// it is shared: a sealed module is never written, so the stored hash stays
+// its content's and ContentHash reads it without a lock.
+func (m *Module) Seal() {
+	sum := m.hashText()
+	m.hash = &sum
+}
+
+// ContentHash returns the sha256 of m's printed text: the hash Seal stored,
+// or, on a module never sealed, a fresh hash of its text.
+func (m *Module) ContentHash() [sha256.Size]byte {
+	if m.hash != nil {
+		return *m.hash
+	}
+	return m.hashText()
+}
+
+func (m *Module) hashText() [sha256.Size]byte {
+	h := sha256.New()
+	m.Fprint(h) // a hash does not fail
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
 // Arrays returns the distinct arrays referenced by the function, in first-

@@ -7,7 +7,8 @@ import (
 )
 
 // LinalgToAffine lowers every linalg op in the module to an affine loop
-// nest. Caps and affine ops pass through.
+// nest. Caps and affine ops pass through. Like TorchToLinalg it replaces
+// m's op lists, so m must be a spine the caller owns.
 func LinalgToAffine(m *ir.Module) error {
 	for _, f := range m.Funcs {
 		var out []ir.Op

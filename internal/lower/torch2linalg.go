@@ -13,6 +13,8 @@ import (
 
 // TorchToLinalg lowers every torch op in the module to linalg ops,
 // recording provenance in each op's Origin. Non-torch ops pass through.
+// It replaces m's op lists, so m must be a spine the caller owns (see
+// ir.Module); the ops it passes through are shared, not copied.
 func TorchToLinalg(m *ir.Module) error {
 	for _, f := range m.Funcs {
 		var out []ir.Op

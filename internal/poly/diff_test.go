@@ -414,7 +414,7 @@ func diffOps(t testing.TB, r *rand.Rand, n, maxExp int, wild bool, st *overflowS
 	}{
 		{"Add", a.Add(b), ra.add(rb, 1), ao || bo},
 		{"Sub", a.Sub(b), ra.add(rb, -1), ao || bo},
-		{"Neg", a.Neg(), ra.scale(big.NewRat(-1, 1)), ao},
+		{"ScaleInt(-1)", a.ScaleInt(-1), ra.scale(big.NewRat(-1, 1)), ao},
 		{"scale", a.scale(cn, cd), ra.scale(c), ao},
 		{"ScaleInt", a.ScaleInt(ci), ra.scale(new(big.Rat).SetInt64(ci)), ao},
 		{"Mul", a.Mul(b), ra.mul(rb), ao || bo},

@@ -290,9 +290,6 @@ func (p Poly) addScaled(q Poly, sign int64) Poly {
 	return p.normalized(out, den)
 }
 
-// Neg returns -p.
-func (p Poly) Neg() Poly { return p.ScaleInt(-1) }
-
 // ScaleInt returns c * p.
 func (p Poly) ScaleInt(c int64) Poly { return p.scale(c, 1) }
 

@@ -2,8 +2,11 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"polyufc/internal/core"
@@ -95,5 +98,50 @@ func TestCharacterizeThenSearchReusesPrefixStages(t *testing.T) {
 	}
 	if after := s.statsz().Stages[core.StageSearch].Runs; after != before {
 		t.Fatalf("whole-result hit still ran the pipeline: runs %d -> %d", before, after)
+	}
+}
+
+// BenchmarkServeStageReuse is the in-process shape of the repo benchmark's
+// stage-reuse workload, through the real Server.Handler: a few kernels at
+// the default (bench) size on a 1- and a 2-socket backend are primed with
+// /v1/characterize, then every op is a /v1/compile or /v1/search with an
+// objective and epsilon no earlier op used, so it misses the whole-result
+// cache and runs search onward over the cached analysis prefix. Unlike
+// core's BenchmarkCompileStageReuse, which hands the compile one prebuilt
+// module, an op here also pays request decoding, Kernel.Build, the stage
+// base key and response encoding, so a request path that rebuilds or
+// re-hashes its kernel shows here.
+func BenchmarkServeStageReuse(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.PlatformFiles = []string{filepath.Join("..", "..", "platforms", "2-socket-bdw.json")}
+	s, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	serve := func(path, body string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%s %s: %d %s", path, body, rec.Code, rec.Body.Bytes())
+		}
+	}
+	type pair struct{ kernel, platform string }
+	var pairs []pair
+	for _, kernel := range []string{"gemm", "2mm", "atax", "jacobi-2d"} {
+		for _, platform := range []string{"bdw", "2s-bdw"} {
+			pairs = append(pairs, pair{kernel, platform})
+			serve("/v1/characterize", fmt.Sprintf(`{"kernel":%q,"platform":%q}`, kernel, platform))
+		}
+	}
+	objectives := []string{"edp", "energy", "performance"}
+	endpoints := []string{"/v1/compile", "/v1/search"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		p := pairs[n%len(pairs)]
+		serve(endpoints[n/len(pairs)%len(endpoints)], fmt.Sprintf(`{"kernel":%q,"platform":%q,"objective":%q,"epsilon":%g}`,
+			p.kernel, p.platform, objectives[n%len(objectives)], 0.001+float64(n)*1e-9))
 	}
 }

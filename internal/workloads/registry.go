@@ -8,6 +8,7 @@ package workloads
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"polyufc/internal/ir"
 	"polyufc/internal/lower"
@@ -63,8 +64,11 @@ type Kernel struct {
 	// sizes for the Fig. 8 conflict analysis); they are reachable by name
 	// but excluded from All().
 	Hidden bool
-	// Build constructs the kernel module at the given size class. ML
-	// kernels are built at the torch dialect; PolyBench at affine.
+	// Build returns the kernel module at the given size class. ML
+	// kernels are built at the torch dialect; PolyBench at affine. A
+	// registered kernel builds each size class once and hands every caller
+	// the same sealed module (ir.Module.Seal), which nobody may write: a
+	// caller that rewrites it takes a spine copy (ir.Module.CopySpine).
 	Build func(SizeClass) (*ir.Module, error)
 }
 
@@ -74,7 +78,33 @@ func register(k Kernel) {
 	if _, dup := registry[k.Name]; dup {
 		panic("workloads: duplicate kernel " + k.Name)
 	}
+	k.Build = buildOnce(k.Name, k.Build)
 	registry[k.Name] = k
+}
+
+// buildOnce wraps a kernel's builder so that each size class is built and
+// sealed once, then shared; a failed build is kept too. A size outside the
+// three classes is handed to build on every call.
+func buildOnce(name string, build func(SizeClass) (*ir.Module, error)) func(SizeClass) (*ir.Module, error) {
+	var built [Full + 1]struct {
+		once sync.Once
+		mod  *ir.Module
+		err  error
+	}
+	return func(size SizeClass) (*ir.Module, error) {
+		if size < Test || size > Full {
+			return build(size)
+		}
+		b := &built[size]
+		b.once.Do(func() {
+			// A panicking build leaves this error behind, not a nil module.
+			b.err = fmt.Errorf("workloads: building %s at %s panicked", name, size)
+			if b.mod, b.err = build(size); b.err == nil {
+				b.mod.Seal()
+			}
+		})
+		return b.mod, b.err
+	}
 }
 
 // All returns every registered non-hidden kernel, sorted by suite then
@@ -128,11 +158,13 @@ func ByName(name string) (Kernel, error) {
 }
 
 // BuildAffine builds the kernel and lowers it all the way to affine nests.
+// The result is the caller's own spine over the shared module's bodies.
 func (k Kernel) BuildAffine(size SizeClass) (*ir.Module, error) {
-	mod, err := k.Build(size)
+	built, err := k.Build(size)
 	if err != nil {
 		return nil, err
 	}
+	mod := built.CopySpine()
 	if err := lower.TorchToLinalg(mod); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,9 @@
 package workloads
 
 import (
+	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"polyufc/internal/ir"
@@ -185,5 +188,75 @@ func TestParseSize(t *testing.T) {
 	}
 	if _, ok := ParseSize("huge"); ok {
 		t.Error("ParseSize accepted an unknown class")
+	}
+}
+
+// A registered kernel builds each size class once: every caller gets the
+// same sealed module, and BuildAffine a spine of its own over it.
+func TestBuildOnceSharesOneSealedModule(t *testing.T) {
+	k := ByNameMust("sdpa-bert")
+	a, err := k.Build(Test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := k.Build(Test); b != a {
+		t.Fatal("the module was built twice")
+	}
+	if c, _ := k.Build(Bench); c == a {
+		t.Fatal("two size classes share a module")
+	}
+	text := a.Print()
+	lowered, err := k.BuildAffine(Test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lowered == a || lowered.Funcs[0] == a.Funcs[0] || a.Print() != text {
+		t.Fatal("BuildAffine lowered the shared module")
+	}
+}
+
+func TestBuildOnceKeepsAFailure(t *testing.T) {
+	calls := 0
+	build := buildOnce("broken", func(SizeClass) (*ir.Module, error) {
+		calls++
+		return nil, errors.New("no such shape")
+	})
+	for i := 0; i < 3; i++ {
+		if mod, err := build(Bench); mod != nil || err == nil {
+			t.Fatalf("call %d: (%v, %v), want the build error", i, mod, err)
+		}
+	}
+	if calls != 1 {
+		t.Fatalf("a failed build ran %d times, want 1", calls)
+	}
+}
+
+// Callers racing for a size class that was never built get one build and
+// one module between them.
+func TestBuildOnceUnderConcurrentCallers(t *testing.T) {
+	var calls atomic.Int32
+	build := buildOnce("fresh", func(SizeClass) (*ir.Module, error) {
+		calls.Add(1)
+		mod, _ := ir.NewModule("fresh")
+		return mod, nil
+	})
+	const callers = 8
+	mods := make([]*ir.Module, callers)
+	var wg sync.WaitGroup
+	for i := range mods {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			mods[i], _ = build(Test)
+		}(i)
+	}
+	wg.Wait()
+	if calls.Load() != 1 {
+		t.Fatalf("%d builds, want 1", calls.Load())
+	}
+	for i, mod := range mods {
+		if mod == nil || mod != mods[0] {
+			t.Fatalf("caller %d got %p, caller 0 %p", i, mod, mods[0])
+		}
 	}
 }
