@@ -29,8 +29,8 @@ bench:
 # Micro-benchmarks, layer by layer, with allocation counts. The
 # exact-counting back end at bench size: polynomial summation, isl
 # counting, PolyUFC-CM per kernel (MeasureTiled*: the counting half alone,
-# on separable tiled domains), Pluto dependence analysis. The measured
-# path at test size: one kernel's tiled nests through interp and cachesim
+# on separable tiled domains; Seidel's nine reads are one reference
+# group), Pluto dependence analysis. The measured path at test size: one kernel's tiled nests through interp and cachesim
 # (ProfileNest*, one per leaf shape, also reporting ns/access), what the
 # stage snapshots of one cold compile allocate (CompileSnapshots), the
 # in-process shape of the stage-reuse workload — a compile over a cached
@@ -43,7 +43,7 @@ bench:
 # for reading.
 PERF_BENCHTIME ?= 20x
 perf-micro:
-	$(GO) test -run '^$$' -bench 'SumVar|Count(Lu|Cholesky|SdpaBert)|Analyze(Lu|Ludcmp|Conv2dWideresnet)|MeasureTiled(SdpaBert|3mm)|Deps(Lu|Conv2d|Adi)|ProfileNest(LmHead(Llama2|Gpt2)|Conv2d(Wideresnet|Convnext|Alexnet)|Gemm)|CompileSnapshots|CompileStageReuse|CompileSweep|ServeStageReuse' \
+	$(GO) test -run '^$$' -bench 'SumVar|Count(Lu|Cholesky|SdpaBert)|Analyze(Lu|Ludcmp|Conv2dWideresnet)|MeasureTiled(SdpaBert|3mm|Seidel)|Deps(Lu|Conv2d|Adi)|ProfileNest(LmHead(Llama2|Gpt2)|Conv2d(Wideresnet|Convnext|Alexnet)|Gemm)|CompileSnapshots|CompileStageReuse|CompileSweep|ServeStageReuse' \
 		-benchmem -benchtime $(PERF_BENCHTIME) \
 		./internal/poly ./internal/isl ./internal/cachemodel ./internal/pluto ./internal/hw ./internal/core ./internal/server
 

@@ -60,12 +60,8 @@ var testOnlyExports = map[string]string{
 	"poly.Poly.Pow":                fixture,
 
 	"cachesim.Counts.LLC":            accessor,
-	"cachesim.Simulator.LLCStats":    accessor,
-	"cachesim.Simulator.LineSize":    accessor,
 	"cas.Store.Has":                  accessor,
 	"cas.Store.Keys":                 accessor,
-	"cas.Store.Len":                  accessor,
-	"cas.Store.Quarantined":          accessor,
 	"core.StageNames":                accessor,
 	"experiments.Suite.CacheStats":   accessor,
 	"experiments.Suite.Fig5Pattern":  accessor,
@@ -85,7 +81,6 @@ var testOnlyExports = map[string]string{
 	"isl.LinExpr.IsConst":            accessor,
 	"isl.Piece.Format":               accessor,
 	"jobs.Job.UnitKeys":              accessor,
-	"journal.Journal.Len":            accessor,
 	"platform.Backend.Marshal":       accessor,
 	"poly.Poly.Coeff":                accessor,
 	"poly.Poly.Degree":               accessor,

@@ -91,3 +91,7 @@ func benchMeasureTiled(b *testing.B, kernel string) {
 
 func BenchmarkMeasureTiledSdpaBert(b *testing.B) { benchMeasureTiled(b, "sdpa-bert") }
 func BenchmarkMeasureTiled3mm(b *testing.B)      { benchMeasureTiled(b, "3mm") }
+
+// BenchmarkMeasureTiledSeidel is a stencil whose nine reads of one array
+// form one reference group: Measure keeps one footprint row for them.
+func BenchmarkMeasureTiledSeidel(b *testing.B) { benchMeasureTiled(b, "seidel-2d") }

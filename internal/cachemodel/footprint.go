@@ -113,16 +113,23 @@ func computeFootprint(elemSize, lineSize int64, exts []ivExtent) Footprint {
 	return Footprint{Blocks: blocks, DenseLines: dense, BlockStride: blockStride}
 }
 
-// accessFootprint estimates the footprint of one access over the window
-// IVs with the given average trip counts.
-func accessFootprint(acc ir.Access, windowIVs []string, trips map[string]int64, lineSize int64) Footprint {
+// accessFootprint estimates the footprint of one access over every suffix
+// window ivs[l:] of a loop stack, l = 0..len(ivs): trips[l][i] is the trip
+// count of ivs[l+i] within window l. It reads the access's IV coefficients
+// and element size, never its constant offsets.
+func accessFootprint(acc ir.Access, ivs []string, trips [][]int64, lineSize int64) []Footprint {
 	addr := accessAddr(acc)
-	exts := make([]ivExtent, 0, len(windowIVs))
-	for _, iv := range windowIVs {
-		c := addr.Coeff(iv)
-		exts = append(exts, ivExtent{trips: trips[iv], stride: max(c, -c)})
+	exts := make([]ivExtent, len(ivs))
+	fps := make([]Footprint, len(trips))
+	for l, tr := range trips {
+		w := exts[:len(tr)]
+		for i, iv := range ivs[l:] {
+			c := addr.Coeff(iv)
+			w[i] = ivExtent{trips: tr[i], stride: max(c, -c)}
+		}
+		fps[l] = computeFootprint(acc.Array.ElemSize, lineSize, w)
 	}
-	return computeFootprint(acc.Array.ElemSize, lineSize, exts)
+	return fps
 }
 
 func gcd(a, b int64) int64 {

@@ -2,6 +2,7 @@ package cachemodel
 
 import (
 	"fmt"
+	"slices"
 
 	"polyufc/internal/cachesim"
 	"polyufc/internal/ir"
@@ -137,16 +138,23 @@ type stmtGeometry struct {
 	// tripAt[k] is the average trip count of loop k across the executions
 	// of its prefix.
 	tripAt []int64
-	// fps[ai][l] is access ai's footprint over the suffix window of loops
-	// l..n-1 (l = n is the empty window: one instance).
-	fps [][]Footprint
+	groups []groupGeometry
+}
+
+// groupGeometry is one reference group of a statement: its member count
+// and fps[l], the footprint of every member over the suffix window of loops
+// l..n-1 (l = n is the empty window: one instance). A footprint never reads
+// constant offsets, so one row serves all the members exactly.
+type groupGeometry struct {
+	members int64
+	fps     []Footprint
 }
 
 // Measure runs the counting half of PolyUFC-CM over one affine nest:
-// prefix cardinalities, average trip counts, per-access suffix-window
-// footprints in lines of lineSize bytes, and the flop, access and byte
-// totals. Duplicate accesses (same array, same index expressions) are
-// counted once, the paper's footnote-17 optimization.
+// prefix cardinalities, average trip counts, per-reference-group
+// suffix-window footprints in lines of lineSize bytes, and the flop, access
+// and byte totals. Duplicate accesses (same array, same index expressions)
+// are counted once, the paper's footnote-17 optimization.
 func Measure(nest *ir.Nest, lineSize int64) (*Geometry, error) {
 	if lineSize <= 0 {
 		return nil, fmt.Errorf("cachemodel: line size %d not positive", lineSize)
@@ -238,8 +246,8 @@ func shareAcrossThreads(levels []LevelResult, threads int) {
 }
 
 // measureStatement counts one statement: its instances, the average trip
-// count of each enclosing loop, and every access's footprint over every
-// suffix window of the loop stack.
+// count of each enclosing loop, and every reference group's footprint over
+// every suffix window of the loop stack.
 func measureStatement(si ir.StatementInfo, lineSize int64, counts *isl.CountMemo) (stmtGeometry, error) {
 	n := len(si.Loops)
 	ivs := si.IVNames()
@@ -278,37 +286,37 @@ func measureStatement(si ir.StatementInfo, lineSize int64, counts *isl.CountMemo
 		}
 	}
 
-	accs := dedupAccesses(si.Stmt.Accesses)
-	// Per-access footprints over every suffix window ivs[l:] for
-	// l = 0..n. Within a window, an IV whose bounds depend on other IVs
-	// *inside* the window covers its full swept range: its trips multiply
-	// by the trips of those bounding IVs.
-	sg.fps = make([][]Footprint, len(accs))
-	for ai, a := range accs {
-		sg.fps[ai] = make([]Footprint, n+1)
-		for l := 0; l <= n; l++ {
-			wTrips := map[string]int64{}
-			for d := l; d < n; d++ {
-				eff := tripAt[d]
-				for o := range deps[d] {
-					if o >= l && o < d {
-						eff *= tripAt[o]
-					}
+	// trips[l][i] is the trip count ivs[l+i] sweeps within the suffix window
+	// ivs[l:], l = 0..n. Within a window, an IV whose bounds depend on other
+	// IVs *inside* the window covers its full swept range: its trips
+	// multiply by the trips of those bounding IVs.
+	trips := make([][]int64, n+1)
+	for l := 0; l <= n; l++ {
+		trips[l] = make([]int64, n-l)
+		for d := l; d < n; d++ {
+			eff := tripAt[d]
+			for o := range deps[d] {
+				if o >= l && o < d {
+					eff *= tripAt[o]
 				}
-				if globalRange[d] > 0 && eff > globalRange[d] {
-					eff = globalRange[d]
-				}
-				wTrips[ivs[d]] = eff
 			}
-			sg.fps[ai][l] = accessFootprint(a, ivs[l:], wTrips, lineSize)
+			if globalRange[d] > 0 && eff > globalRange[d] {
+				eff = globalRange[d]
+			}
+			trips[l][d-l] = eff
 		}
+	}
+	for _, g := range referenceGroups(si.Stmt.Accesses) {
+		fps := accessFootprint(g[0], ivs, trips, lineSize)
+		sg.groups = append(sg.groups, groupGeometry{members: int64(len(g)), fps: fps})
 	}
 	return sg, nil
 }
 
 // addMisses applies the recursive reuse model to one statement and
 // accumulates its cold and capacity/conflict misses into levels. For each
-// cache level and access, the misses over the subtree rooted at loop l are
+// cache level and reference group, each member's misses over the subtree
+// rooted at loop l are
 //
 //	M(l) = footprint(loops l..n-1)        if the body of l fits the level
 //	     = trips(l) * M(l+1)              otherwise,
@@ -336,10 +344,10 @@ func (sg *stmtGeometry) addMisses(cfg cachesim.Config, opts Options, levels []Le
 		fitWindow := 0
 		for l := n - 1; l >= 0; l-- {
 			var totalLines, totalOcc int64
-			for ai := range sg.fps {
-				fp := sg.fps[ai][l+1]
-				totalLines += fp.Lines()
-				totalOcc += fp.PerSetOccupancy(lineSize, numSets)
+			for _, g := range sg.groups {
+				fp := g.fps[l+1]
+				totalLines += g.members * fp.Lines()
+				totalOcc += g.members * fp.PerSetOccupancy(lineSize, numSets)
 			}
 			if opts.FullyAssoc {
 				bodyFits[l] = totalLines <= capacityLines
@@ -357,20 +365,20 @@ func (sg *stmtGeometry) addMisses(cfg cachesim.Config, opts Options, levels []Le
 		}
 
 		var cold, total int64
-		for ai := range sg.fps {
-			m := sg.fps[ai][n].Lines() // one instance
+		for _, g := range sg.groups {
+			m := g.fps[n].Lines() // one instance
 			for l := n - 1; l >= 0; l-- {
 				if bodyFits[l] {
-					m = sg.fps[ai][l].Lines()
+					m = g.fps[l].Lines()
 				} else {
 					m = sg.tripAt[l] * m
 				}
 			}
-			all := sg.fps[ai][0].Lines()
+			all := g.fps[0].Lines()
 			m = maxI64(m, all)     // at least one miss per distinct line
 			m = minI64(m, sg.full) // at most one miss per instance
-			cold += all
-			total += m
+			cold += g.members * all
+			total += g.members * m
 		}
 		levels[li].ColdMisses += cold
 		levels[li].CapConfMisses += maxI64(total-cold, 0)
@@ -486,23 +494,31 @@ func boundClosure(loops []*ir.Loop, ivs []string) []map[int]bool {
 	return out
 }
 
-// dedupAccesses merges accesses with identical array and index functions
-// (footnote 17: duplicate elimination before symbolic counting).
-func dedupAccesses(accs []ir.Access) []ir.Access {
-	seen := map[string]bool{}
-	var out []ir.Access
+// referenceGroups partitions a statement's accesses into reference groups:
+// the accesses to one array whose index functions differ only in their
+// constants. An access identical to a member (same array, same index
+// functions, read or write) is not added again — footnote 17's duplicate
+// elimination — so a group's members are distinct. Groups and members keep
+// their first appearance's order.
+func referenceGroups(accs []ir.Access) [][]ir.Access {
+	var groups [][]ir.Access
+next:
 	for _, a := range accs {
-		key := a.Array.Name
-		for _, e := range a.Index {
-			key += "|" + e.String()
+		for gi, g := range groups {
+			if g[0].Array != a.Array || !slices.EqualFunc(g[0].Index, a.Index, ir.AffExpr.SameTerms) {
+				continue
+			}
+			for _, m := range g {
+				if slices.EqualFunc(m.Index, a.Index, func(x, y ir.AffExpr) bool { return x.Const == y.Const }) {
+					continue next
+				}
+			}
+			groups[gi] = append(g, a)
+			continue next
 		}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, a)
+		groups = append(groups, []ir.Access{a})
 	}
-	return out
+	return groups
 }
 
 func sumAccessBytes(accs []ir.Access, instances int64) int64 {

@@ -2,6 +2,7 @@ package cachemodel
 
 import (
 	"fmt"
+	"slices"
 
 	"polyufc/internal/ir"
 	"polyufc/internal/isl"
@@ -124,7 +125,7 @@ func ReusePairRelation(si ir.StatementInfo, acc ir.Access, base, lineSize, numSe
 func ReusePairUnion(si ir.StatementInfo, bases map[*ir.Array]int64, lineSize, numSets int64, dedup bool) (isl.Map, int, error) {
 	accs := si.Stmt.Accesses
 	if dedup {
-		accs = dedupAccesses(accs)
+		accs = slices.Concat(referenceGroups(accs)...)
 	}
 	var u isl.Map
 	first := true

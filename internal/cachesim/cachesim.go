@@ -326,9 +326,6 @@ func New(cfg Config) (*Simulator, error) {
 	return s, nil
 }
 
-// LineSize returns the hierarchy's cache line size in bytes.
-func (s *Simulator) LineSize() int64 { return s.lineSize }
-
 // Access simulates one memory access of the given byte size. Accesses
 // spanning multiple lines touch each line. Per the modeled write-through
 // policy, a write is forwarded through every level to memory; reads walk
@@ -471,9 +468,6 @@ func (s *Simulator) LevelStats(i int) Stats {
 	st.ColdMisses = s.cold
 	return st
 }
-
-// LLCStats returns the last-level cache statistics.
-func (s *Simulator) LLCStats() Stats { return s.LevelStats(len(s.levels) - 1) }
 
 // Reset clears all cache state and statistics, visiting only the sets and
 // seen-lines the trace since the last reset dirtied.

@@ -234,13 +234,11 @@ func TestPropertyLRUInclusion(t *testing.T) {
 }
 
 func TestAccessorHelpers(t *testing.T) {
-	s := mustNew(t, smallCfg(2))
-	if s.LineSize() != 64 {
-		t.Fatalf("LineSize = %d", s.LineSize())
-	}
+	cfg := smallCfg(2)
+	s := mustNew(t, cfg)
 	s.Access(0, 8, false)
 	s.Access(0, 8, false)
-	if st := s.LLCStats(); st.Accesses != 2 || st.Hits != 1 || st.Misses != 1 {
+	if st := s.LevelStats(len(cfg.Levels) - 1); st.Accesses != 2 || st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("LLC stats = %+v, want 2 accesses, 1 hit, 1 miss", st)
 	}
 	fa := smallCfg(2).FullyAssociative()

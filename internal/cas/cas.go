@@ -28,7 +28,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 
 	"polyufc/internal/faults"
@@ -332,16 +331,6 @@ func (s *Store) Keys() []string {
 	return out
 }
 
-// Len returns the live entry count.
-func (s *Store) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
-
 // Stats returns the store's counters.
 func (s *Store) Stats() Stats {
 	if s == nil {
@@ -353,19 +342,4 @@ func (s *Store) Stats() Stats {
 	st.Entries = len(s.entries)
 	st.TotalBytes = s.total
 	return st
-}
-
-// Quarantined lists the ".quarantine" sidecars currently in the store
-// directory (tests and operators inspecting damage).
-func (s *Store) Quarantined() []string {
-	if s == nil {
-		return nil
-	}
-	names, _ := filepath.Glob(filepath.Join(s.dir, "*.quarantine"))
-	sort.Strings(names)
-	out := make([]string, 0, len(names))
-	for _, n := range names {
-		out = append(out, strings.TrimSuffix(filepath.Base(n), ".cas.quarantine"))
-	}
-	return out
 }

@@ -24,13 +24,17 @@ func scribble(mod *ir.Module) {
 	}
 }
 
-// Consecutive stage snapshots share one module clone (only preprocess and
-// tile change the module). The sharing must stay invisible: scribbling on
-// the module a compile worked on — the cold one that saved the snapshots,
-// or a prefix run loaded from any one stage's snapshot — changes no
-// stage's snapshot and no later compile's result. Mutation-checked: a
-// snapSave that shares the working module (st.snapMod = st.res.Module)
-// instead of a clone of it fails here at the first prefix comparison.
+// Every stage snapshot holds its own spine copy of the module
+// (ir.Module.CopySpine: new funcs, op lists and nest headers over shared
+// loop bodies), and a compile that loads one works on a further spine
+// copy. The sharing of the bodies must stay invisible: scribbling on the
+// spine of the module a compile worked on — the cold one that saved the
+// snapshots, or a prefix run loaded from any one stage's snapshot —
+// changes no stage's snapshot and no later compile's result.
+// Mutation-checked: a snapSave that keeps the working module itself
+// (mod := st.res.Module) fails here at the first prefix comparison, and a
+// snapLoad that installs the snapshot's module (st.res.Module = snap.mod)
+// after scribbling on the module loaded from the preprocess snapshot.
 func TestSnapshotModuleSharingIsInvisible(t *testing.T) {
 	cfg := DefaultConfig(targetFor(t, hw.BDW()))
 	cfg.AmortizeFactor = 0

@@ -71,7 +71,7 @@ func TestJournaledSweepResumesByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	resumed.Journal = openJournal(t, crashPath)
-	preloaded := resumed.Journal.Len()
+	preloaded := resumed.Journal.Stats().Entries
 	if preloaded == 0 || preloaded >= st.Entries {
 		t.Fatalf("truncation produced %d of %d entries", preloaded, st.Entries)
 	}
@@ -104,7 +104,7 @@ func TestJournaledSweepFullReplay(t *testing.T) {
 	}
 	first.Journal = openJournal(t, path)
 	want := renderAll(t, first, "fig1")
-	entries := first.Journal.Len()
+	entries := first.Journal.Stats().Entries
 	if entries == 0 {
 		t.Fatal("no journal entries written")
 	}
@@ -155,8 +155,8 @@ func TestJournaledSweepFractionalGrid(t *testing.T) {
 	if got := render(j); !bytes.Equal(want, got) {
 		t.Fatal("journaled Fig. 1 on the 0.05 GHz grid differs from the unjournaled run")
 	}
-	if j.Len() != steps*len(Fig1Kernels) {
-		t.Fatalf("journal holds %d entries, want one per (kernel, frequency): %d", j.Len(), steps*len(Fig1Kernels))
+	if j.Stats().Entries != steps*len(Fig1Kernels) {
+		t.Fatalf("journal holds %d entries, want one per (kernel, frequency): %d", j.Stats().Entries, steps*len(Fig1Kernels))
 	}
 }
 

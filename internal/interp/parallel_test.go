@@ -88,7 +88,7 @@ func TestSharingHeuristicAgainstMultiCoreSim(t *testing.T) {
 	})); err != nil {
 		t.Fatal(err)
 	}
-	seqLLC := seqSim.LLCStats().Misses
+	seqLLC := seqSim.LevelStats(len(cfg.Levels) - 1).Misses
 
 	multi, err := cachesim.NewMulti(cfg, threads)
 	if err != nil {

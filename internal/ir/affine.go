@@ -105,6 +105,10 @@ func (e AffExpr) IsConst() bool { return e.terms == nil }
 // coefficients, sorted by IV, and nil for a constant expression.
 func (e AffExpr) Terms() []Term { return slices.Clone(e.terms) }
 
+// SameTerms reports whether e and f have the same IV terms: they differ at
+// most in their constants.
+func (e AffExpr) SameTerms(f AffExpr) bool { return slices.Equal(e.terms, f.terms) }
+
 // Coeff returns the coefficient of iv in e (zero when iv is absent).
 func (e AffExpr) Coeff(iv string) int64 {
 	for _, t := range e.terms {

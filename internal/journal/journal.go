@@ -402,16 +402,6 @@ func (j *Journal) Keys() []string {
 	return append([]string(nil), j.order...)
 }
 
-// Len returns the number of distinct completed keys known.
-func (j *Journal) Len() int {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.done)
-}
-
 // Stats returns the journal's counters.
 func (j *Journal) Stats() Stats {
 	if j == nil {

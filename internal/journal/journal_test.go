@@ -41,8 +41,8 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Len() != 10 {
-		t.Fatalf("len = %d, want 10", r.Len())
+	if r.Stats().Entries != 10 {
+		t.Fatalf("len = %d, want 10", r.Stats().Entries)
 	}
 	for k, w := range want {
 		var got point
@@ -89,8 +89,8 @@ func TestJournalTornTailDroppedAndCompacted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Len() != 5 || r.Stats().Dropped != 1 {
-		t.Fatalf("after torn tail: len %d, stats %+v", r.Len(), r.Stats())
+	if r.Stats().Entries != 5 || r.Stats().Dropped != 1 {
+		t.Fatalf("after torn tail: len %d, stats %+v", r.Stats().Entries, r.Stats())
 	}
 	if r.Has("k5") {
 		t.Fatal("torn entry replayed")
@@ -114,8 +114,8 @@ func TestJournalTornTailDroppedAndCompacted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	if r2.Len() != 6 || r2.Stats().Dropped != 0 {
-		t.Fatalf("after compaction: len %d, stats %+v", r2.Len(), r2.Stats())
+	if r2.Stats().Entries != 6 || r2.Stats().Dropped != 0 {
+		t.Fatalf("after compaction: len %d, stats %+v", r2.Stats().Entries, r2.Stats())
 	}
 }
 
@@ -139,8 +139,8 @@ func TestJournalQuarantinesMidFileCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if !j.Has("a") || !j.Has("b") || !j.Has("c") || j.Len() != 3 {
-		t.Fatalf("len %d, has(a)=%v has(b)=%v has(c)=%v", j.Len(), j.Has("a"), j.Has("b"), j.Has("c"))
+	if !j.Has("a") || !j.Has("b") || !j.Has("c") || j.Stats().Entries != 3 {
+		t.Fatalf("len %d, has(a)=%v has(b)=%v has(c)=%v", j.Stats().Entries, j.Has("a"), j.Has("b"), j.Has("c"))
 	}
 	if st := j.Stats(); st.Quarantined != 2 || st.Dropped != 0 {
 		t.Fatalf("stats = %+v, want 2 quarantined, 0 dropped", st)
@@ -162,8 +162,8 @@ func TestJournalQuarantinesMidFileCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if st := r.Stats(); r.Len() != 3 || st.Quarantined != 0 || st.Dropped != 0 {
-		t.Fatalf("after compaction: len %d, stats %+v", r.Len(), st)
+	if st := r.Stats(); r.Stats().Entries != 3 || st.Quarantined != 0 || st.Dropped != 0 {
+		t.Fatalf("after compaction: len %d, stats %+v", r.Stats().Entries, st)
 	}
 }
 
@@ -183,8 +183,8 @@ func TestJournalQuarantineAndTornTailTogether(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if !j.Has("a") || !j.Has("b") || j.Has("c") || j.Len() != 2 {
-		t.Fatalf("len %d, has(a)=%v has(b)=%v has(c)=%v", j.Len(), j.Has("a"), j.Has("b"), j.Has("c"))
+	if !j.Has("a") || !j.Has("b") || j.Has("c") || j.Stats().Entries != 2 {
+		t.Fatalf("len %d, has(a)=%v has(b)=%v has(c)=%v", j.Stats().Entries, j.Has("a"), j.Has("b"), j.Has("c"))
 	}
 	if st := j.Stats(); st.Quarantined != 1 || st.Dropped != 1 {
 		t.Fatalf("stats = %+v, want 1 quarantined, 1 dropped", st)
@@ -210,8 +210,8 @@ func TestJournalLastWriteWins(t *testing.T) {
 	if ok, _ := r.Get("k", &got); !ok || got.F != 2 {
 		t.Fatalf("Get = %v %+v, want f=2", ok, got)
 	}
-	if r.Len() != 1 {
-		t.Fatalf("len = %d", r.Len())
+	if r.Stats().Entries != 1 {
+		t.Fatalf("len = %d", r.Stats().Entries)
 	}
 }
 
@@ -244,8 +244,8 @@ func TestJournalConcurrentRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Len() != 200 || r.Stats().Dropped != 0 {
-		t.Fatalf("len %d, stats %+v", r.Len(), r.Stats())
+	if r.Stats().Entries != 200 || r.Stats().Dropped != 0 {
+		t.Fatalf("len %d, stats %+v", r.Stats().Entries, r.Stats())
 	}
 }
 
@@ -258,7 +258,7 @@ func TestJournalNilAndClosed(t *testing.T) {
 	if ok, err := j.Get("k", nil); ok || err != nil {
 		t.Fatal("nil journal has entries")
 	}
-	if j.Len() != 0 || j.Has("k") || j.Close() != nil {
+	if j.Stats().Entries != 0 || j.Has("k") || j.Close() != nil {
 		t.Fatal("nil journal misbehaves")
 	}
 	path := filepath.Join(t.TempDir(), "j.jsonl")
@@ -329,8 +329,8 @@ func TestJournalCompactRetain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Len() != 4 {
-		t.Fatalf("reopened len = %d, want 4 (k0,k2,k4,k9): %v", r.Len(), r.Keys())
+	if r.Stats().Entries != 4 {
+		t.Fatalf("reopened len = %d, want 4 (k0,k2,k4,k9): %v", r.Stats().Entries, r.Keys())
 	}
 	for _, k := range []string{"k0", "k2", "k4", "k9"} {
 		if !r.Has(k) {
@@ -550,10 +550,10 @@ func TestOpenResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if j.Len() != tc.want {
-			t.Fatalf("OpenResume(resume=%v) sees %d entries, want %d", tc.resume, j.Len(), tc.want)
+		if j.Stats().Entries != tc.want {
+			t.Fatalf("OpenResume(resume=%v) sees %d entries, want %d", tc.resume, j.Stats().Entries, tc.want)
 		}
-		if err := j.Record(fmt.Sprintf("k%d", j.Len()), 1); err != nil {
+		if err := j.Record(fmt.Sprintf("k%d", j.Stats().Entries), 1); err != nil {
 			t.Fatal(err)
 		}
 		j.Close()
