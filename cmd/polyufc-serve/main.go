@@ -58,7 +58,7 @@ func main() {
 		drain       = flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight requests on shutdown")
 		brkThresh   = flag.Int("breaker-threshold", 3, "consecutive driver failures that trip the cap breaker")
 		brkCooldown = flag.Duration("breaker-cooldown", time.Second, "how long a tripped breaker stays open before probing")
-		cacheLimit  = flag.Int("cache-limit", 1024, "LRU bound on the compile and profile caches")
+		cacheLimit  = flag.Int("cache-limit", 1024, "LRU bound on the answer memo, the stage cache and the profile cache")
 		degrade     = flag.String("degrade", "strict", "compilation failure policy: strict or best-effort")
 		tilingSpec  = flag.String("tiling", "", `default tiling strategy for requests that omit one: pluto, pluto:size=64, cacheoblivious[:base=N], latency[:probe=N], auto`)
 		fault       = flag.String("fault", "", `inject failures, e.g. "ufs.write.ebusy=0.5; core.pluto=@2"`)

@@ -2,6 +2,7 @@ package cachemodel
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"polyufc/internal/cachesim"
@@ -252,6 +253,9 @@ func measureStatement(si ir.StatementInfo, lineSize int64, counts *isl.CountMemo
 	n := len(si.Loops)
 	ivs := si.IVNames()
 	sg := stmtGeometry{name: si.Stmt.Name}
+	if n > maxDepth {
+		return sg, fmt.Errorf("%d loops deep; the model handles at most %d", n, maxDepth)
+	}
 
 	cnt, err := prefixCounts(si.Domain, n, counts, countBudget)
 	if err != nil {
@@ -269,8 +273,8 @@ func measureStatement(si ir.StatementInfo, lineSize int64, counts *isl.CountMemo
 	}
 	sg.tripAt = tripAt
 
-	// Bound-dependence closure: deps[d] is the set of outer loop indices
-	// whose IVs (transitively) appear in loop d's bounds. A tile IV never
+	// Bound-dependence closure: deps[d] has bit o set for each outer loop o
+	// whose IV (transitively) appears in loop d's bounds. A tile IV never
 	// appears in an access function, but it moves the ranges of the intra
 	// IVs it bounds; footprints over a window containing both must expand
 	// the intra IV's trips accordingly.
@@ -295,10 +299,8 @@ func measureStatement(si ir.StatementInfo, lineSize int64, counts *isl.CountMemo
 		trips[l] = make([]int64, n-l)
 		for d := l; d < n; d++ {
 			eff := tripAt[d]
-			for o := range deps[d] {
-				if o >= l && o < d {
-					eff *= tripAt[o]
-				}
+			for m := deps[d] &^ (1<<l - 1) & (1<<d - 1); m != 0; m &= m - 1 {
+				eff *= tripAt[bits.TrailingZeros64(m)]
 			}
 			if globalRange[d] > 0 && eff > globalRange[d] {
 				eff = globalRange[d]
@@ -461,37 +463,40 @@ func AnalyzeStatements(nest *ir.Nest, cfg cachesim.Config, opts Options) ([]Stat
 	return out, nil
 }
 
-// boundClosure computes, for each loop d, the set of loop indices whose
-// IVs transitively appear in d's bounds.
-func boundClosure(loops []*ir.Loop, ivs []string) []map[int]bool {
-	idx := map[string]int{}
-	for i, iv := range ivs {
-		idx[iv] = i
-	}
-	direct := make([]map[int]bool, len(loops))
+// maxDepth is the deepest statement the model handles: boundClosure keeps
+// one bit per loop in a uint64.
+const maxDepth = 64
+
+// boundClosure computes, for each loop d, the mask of loops (bit o for
+// loop o) whose IVs transitively appear in d's bounds. len(loops) is at
+// most maxDepth.
+func boundClosure(loops []*ir.Loop, ivs []string) []uint64 {
+	out := make([]uint64, len(loops))
 	for d, l := range loops {
-		direct[d] = map[int]bool{}
-		for _, b := range append(append([]ir.Bound(nil), l.Lo...), l.Hi...) {
-			for _, t := range b.Expr.Terms() {
-				if o, ok := idx[t.IV]; ok && o != d {
-					direct[d][o] = true
-				}
+		var direct uint64
+		for o, iv := range ivs {
+			if o != d && (boundsRead(l.Lo, iv) || boundsRead(l.Hi, iv)) {
+				direct |= 1 << o
 			}
 		}
-	}
-	// Transitive closure (bounds reference outer loops only, so one pass
-	// outer-to-inner suffices).
-	out := make([]map[int]bool, len(loops))
-	for d := range loops {
-		out[d] = map[int]bool{}
-		for o := range direct[d] {
-			out[d][o] = true
-			for oo := range out[o] {
-				out[d][oo] = true
-			}
+		// Transitive closure (bounds reference outer loops only, so one
+		// pass outer-to-inner suffices).
+		out[d] = direct
+		for m := direct; m != 0; m &= m - 1 {
+			out[d] |= out[bits.TrailingZeros64(m)]
 		}
 	}
 	return out
+}
+
+// boundsRead reports whether any of bs reads iv.
+func boundsRead(bs []ir.Bound, iv string) bool {
+	for _, b := range bs {
+		if b.Expr.Coeff(iv) != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // referenceGroups partitions a statement's accesses into reference groups:

@@ -3,6 +3,7 @@ package cachemodel
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"polyufc/internal/cachesim"
@@ -457,4 +458,22 @@ func TestPrefixCountsMatchEnumeration(t *testing.T) {
 		}
 	}
 	t.Logf("%d distinct prefix projections counted and enumerated", len(seen))
+}
+
+// A statement deeper than boundClosure's 64-bit masks is an error, not a
+// truncated bound closure.
+func TestMeasureRejectsStatementsDeeperThan64Loops(t *testing.T) {
+	for _, depth := range []int{maxDepth, maxDepth + 1} {
+		var body ir.Node = &ir.Statement{Name: "S"}
+		for d := depth - 1; d >= 0; d-- {
+			body = ir.SimpleLoop(fmt.Sprintf("i%d", d), ir.AffConst(0), ir.AffConst(0), body)
+		}
+		_, err := Measure(&ir.Nest{Label: "deep", Root: body.(*ir.Loop)}, 64)
+		if depth <= maxDepth && err != nil {
+			t.Fatalf("%d loops deep: %v", depth, err)
+		}
+		if depth > maxDepth && (err == nil || !strings.Contains(err.Error(), "at most 64")) {
+			t.Fatalf("%d loops deep: err = %v, want the depth bound", depth, err)
+		}
+	}
 }

@@ -52,8 +52,8 @@ type CacheKey struct {
 // cfg, reading every result-changing bit from the Config: the target and
 // its calibration, the tiling, cache-model, search and cap settings and
 // the degrade policy. It is the single place a compilation's identity is
-// decided — the whole-result cache, the daemon's response journal and its
-// CAS all key on it.
+// decided — the suite's whole-result cache and every rung of the daemon's
+// response ladder (answer memo, journal, CAS) key on it.
 func KeyOf(kernel string, size int, cfg Config) CacheKey {
 	key := CacheKey{
 		Kernel:     kernel,

@@ -167,14 +167,6 @@ func retryAfterSeconds(d time.Duration) string {
 	return strconv.Itoa(secs)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
 type errBody struct {
 	Error string `json:"error"`
 }
@@ -213,8 +205,9 @@ func (s *Server) Handler() http.Handler {
 // wrap is the middleware chain of one compute endpoint: recover panics to
 // a 500 without killing the daemon, acquire an admission slot (429 +
 // Retry-After on saturation), bound the request with RequestTimeout, and
-// translate handler errors to statuses.
-func (s *Server) wrap(h func(ctx context.Context, req Request) (any, error)) http.HandlerFunc {
+// translate handler errors to statuses. A handler answers with compact
+// JSON bytes, which wrap writes indented.
+func (s *Server) wrap(h func(ctx context.Context, req Request) ([]byte, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if rec := recover(); rec != nil {
@@ -281,7 +274,7 @@ func (s *Server) wrap(h func(ctx context.Context, req Request) (any, error)) htt
 			return
 		}
 		s.served.Add(1)
-		writeJSON(w, http.StatusOK, out)
+		writeBody(w, http.StatusOK, out)
 	}
 }
 
@@ -292,8 +285,8 @@ type resolved struct {
 	p      *hw.Platform
 	sz     workloads.SizeClass
 	cfg    core.Config
-	// key is core.KeyOf the request: the whole-result cache keys on it and
-	// the response journal on its wire form (responseKey).
+	// key is core.KeyOf the request: the ladder keys each endpoint's
+	// answer on its wire form (responseKey).
 	key core.CacheKey
 	// degraded is set by serve when the request was admitted while the
 	// backend's calibration is in a degradation episode (driftGate).
@@ -365,23 +358,23 @@ func (s *Server) resolve(req Request) (resolved, error) {
 	return r, nil
 }
 
-// compile runs one resolved request through the shared bounded cache and
-// the daemon's stage cache and stage-event aggregation. until, when set,
+// compile runs one resolved request through the pipeline over the
+// daemon's stage cache and stage-event aggregation. until, when set,
 // bounds the run to the pipeline prefix ending at that stage — the
-// characterize endpoint stops at core.StageCharacterize. core decides
-// what the whole-result cache may hold (not prefix runs, nothing while
-// faults are armed); misses still reuse memoized stage snapshots, so a
-// compile after a characterize of the same kernel skips the analysis
-// prefix.
+// characterize endpoint stops at core.StageCharacterize. The daemon
+// memoizes answers, not Results (the ladder); a compile reuses memoized
+// stage snapshots, so one after a characterize of the same kernel skips
+// the analysis prefix.
 func (s *Server) compile(ctx context.Context, r resolved, until string) (*core.Result, error) {
 	k, err := workloads.ByName(r.key.Kernel)
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
-	opts := core.PipelineOptions{Stages: &s.stages, Until: until, Observe: s.stageStats.Observe}
-	return s.cache.CompileStaged(ctx, r.key, r.cfg, opts, func() (*ir.Module, error) {
-		return k.Build(r.sz)
-	})
+	mod, err := k.Build(r.sz)
+	if err != nil {
+		return nil, err
+	}
+	return core.CompilePipeline(ctx, mod, r.cfg, core.PipelineOptions{Stages: &s.stages, Until: until, Observe: s.stageStats.Observe})
 }
 
 func nestResponses(res *core.Result) []NestResponse {
@@ -445,22 +438,40 @@ func (s *Server) driftGate(r resolved) (bool, error) {
 // under the request's response key, and count the answer. body builds the
 // endpoint's response on a ladder miss. The returned resolved carries the
 // drift gate's degraded flag, which handlers copy into the response
-// OUTSIDE the ladder because degradation is live state.
-func serve[T any](ctx context.Context, s *Server, endpoint string, req Request, body func(context.Context, resolved) (T, error)) (resolved, T, error) {
-	var resp T
+// OUTSIDE the ladder because degradation is live state (withLive).
+func serve[T any](ctx context.Context, s *Server, endpoint string, req Request, body func(context.Context, resolved) (T, error)) (resolved, answer[T], error) {
+	var a answer[T]
 	r, err := s.resolve(req)
 	if err != nil {
-		return r, resp, err
+		return r, a, err
 	}
 	if r.degraded, err = s.driftGate(r); err != nil {
-		return r, resp, err
+		return r, a, err
 	}
-	if resp, err = cached(ctx, s, responseKey(endpoint, r.key), func() (T, error) { return body(ctx, r) }); err != nil {
-		return r, resp, err
+	if a, err = cached(ctx, s, responseKey(endpoint, r.key), func() (T, error) { return body(ctx, r) }); err != nil {
+		return r, a, err
 	}
 	s.markServed(r.p.Name)
 	s.markTiling(r.cfg.Tiling)
-	return r, resp, nil
+	return r, a, nil
+}
+
+// withLive returns the bytes of a's response with live state applied.
+// Without live state (need false) they are the ladder's bytes as they
+// stand; otherwise the response is decoded only now, apply sets the live
+// fields, and the result is marshalled again.
+func withLive[T any](a answer[T], need bool, apply func(*T) error) ([]byte, error) {
+	if !need {
+		return a.bytes, nil
+	}
+	v, err := a.value()
+	if err != nil {
+		return nil, err
+	}
+	if err := apply(&v); err != nil {
+		return nil, err
+	}
+	return json.Marshal(v)
 }
 
 // The three functions below build each endpoint's deterministic body from
@@ -520,39 +531,54 @@ func (s *Server) searchResponse(ctx context.Context, r resolved) (SearchResponse
 	}, res, nil
 }
 
-func (s *Server) handleCompile(ctx context.Context, req Request) (any, error) {
-	r, resp, err := serve(ctx, s, "v1/compile", req, s.compileResponse)
-	resp.CalibrationDegraded = r.degraded
-	return resp, err
+func (s *Server) handleCompile(ctx context.Context, req Request) ([]byte, error) {
+	r, a, err := serve(ctx, s, "v1/compile", req, s.compileResponse)
+	if err != nil {
+		return nil, err
+	}
+	return withLive(a, r.degraded, func(resp *CompileResponse) error {
+		resp.CalibrationDegraded = true
+		return nil
+	})
 }
 
-func (s *Server) handleCharacterize(ctx context.Context, req Request) (any, error) {
-	r, resp, err := serve(ctx, s, "v1/characterize", req, s.characterizeResponse)
-	resp.CalibrationDegraded = r.degraded
-	return resp, err
+func (s *Server) handleCharacterize(ctx context.Context, req Request) ([]byte, error) {
+	r, a, err := serve(ctx, s, "v1/characterize", req, s.characterizeResponse)
+	if err != nil {
+		return nil, err
+	}
+	return withLive(a, r.degraded, func(resp *CharacterizeResponse) error {
+		resp.CalibrationDegraded = true
+		return nil
+	})
 }
 
-func (s *Server) handleSearch(ctx context.Context, req Request) (any, error) {
+func (s *Server) handleSearch(ctx context.Context, req Request) ([]byte, error) {
 	// The model half is deterministic and journaled; the measured half
 	// never is — it exercises the live driver every time.
 	var res *core.Result
-	r, resp, err := serve(ctx, s, "v1/search", req, func(ctx context.Context, r resolved) (resp SearchResponse, err error) {
+	r, a, err := serve(ctx, s, "v1/search", req, func(ctx context.Context, r resolved) (resp SearchResponse, err error) {
 		resp, res, err = s.searchResponse(ctx, r)
 		return resp, err
 	})
-	resp.CalibrationDegraded = r.degraded
-	if err != nil || !req.Measure {
-		return resp, err
+	if err != nil {
+		return nil, err
 	}
-	// A ladder replay skipped the compile; the measured path needs the
-	// compiled module regardless.
-	if res == nil {
-		if res, err = s.compile(ctx, r, ""); err != nil {
-			return nil, err
+	return withLive(a, r.degraded || req.Measure, func(resp *SearchResponse) error {
+		resp.CalibrationDegraded = r.degraded
+		if !req.Measure {
+			return nil
 		}
-	}
-	s.measure(res, r, &resp)
-	return resp, nil
+		// A ladder hit skipped the compile; the measured path needs the
+		// compiled module regardless.
+		if res == nil {
+			if res, err = s.compile(ctx, r, ""); err != nil {
+				return err
+			}
+		}
+		s.measure(res, r, resp)
+		return nil
+	})
 }
 
 // measure runs the baseline and the capped program on the platform's

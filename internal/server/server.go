@@ -51,8 +51,9 @@ type Config struct {
 	// Breaker tunes the per-platform circuit breaker quarantining the
 	// UFS driver after consecutive verified-write failures.
 	Breaker breaker.Options
-	// CacheLimit is the LRU bound on the compile and profile caches —
-	// mandatory hygiene for a process meant to run forever.
+	// CacheLimit is the LRU bound on the answer memo (the ladder's
+	// in-memory rung), the stage cache and the profile cache — mandatory
+	// hygiene for a process meant to run forever.
 	CacheLimit int
 	// Degrade is the compilation failure policy for served requests.
 	Degrade core.DegradePolicy
@@ -139,7 +140,6 @@ type Server struct {
 	// whole compilation.
 	targetsMu sync.RWMutex
 	targets   map[string]*roofline.Target
-	cache     core.Cache
 	profiles  hw.ProfileCache
 	breakers  map[string]*hw.CapBreaker
 	jrnl      *journal.Journal
@@ -148,10 +148,12 @@ type Server struct {
 	// the daemon runs without -cas-dir / -peer.
 	casStore *cas.Store
 	fleetCli *fleet.Client
-	// rungs is the response ladder over the three tiers above (ladder.go),
-	// built once at boot from whichever are configured.
-	rungs ladder
-	start time.Time
+	// ladder answers deterministic responses (ladder.go): the in-memory
+	// answer memo on top of whichever of the three tiers above are
+	// configured. It is the only whole-response memo; the daemon keeps no
+	// core.Result between requests.
+	ladder ladder
+	start  time.Time
 
 	// drift is the calibration-drift watchdog; jobsMgr the async job
 	// tier (nil unless cfg.JobsDir is set).
@@ -222,7 +224,6 @@ func New(cfg Config) (*Server, error) {
 	for _, name := range tiling.Names() {
 		s.tilingServed[name] = &atomic.Int64{}
 	}
-	s.cache.SetLimit(cfg.CacheLimit)
 	s.profiles.SetLimit(cfg.CacheLimit)
 	s.stages.SetLimit(cfg.CacheLimit)
 
@@ -293,7 +294,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.jrnl = j
 	}
-	s.rungs = s.buildRungs()
+	s.buildRungs()
 
 	s.drift = roofline.NewDriftTracker(cfg.Drift)
 	s.drift.OnDegrade(s.onDrift)
@@ -499,8 +500,12 @@ type Statsz struct {
 	Degraded      int64
 	Gate          parallel.GateStats
 	Breakers      map[string]BreakerStatsz
-	CompileCache  CacheStatsz
-	ProfileCache  CacheStatsz
+	// CompileCache counts the answer memo, the ladder's in-memory rung:
+	// a hit is a response served from its stored bytes, a miss one that
+	// walked the persistent rungs or computed. It does not count
+	// compilations — Stages does (every compile runs or hits preprocess).
+	CompileCache CacheStatsz
+	ProfileCache CacheStatsz
 	// StageCache counts per-stage snapshot reuse; Stages breaks the
 	// pipeline down by stage name (core.Stage* constants).
 	StageCache CacheStatsz
@@ -534,7 +539,7 @@ func (s *Server) statsz() Statsz {
 		Degraded:      s.degraded.Load(),
 		Gate:          s.gate.Stats(),
 		Breakers:      map[string]BreakerStatsz{},
-		CompileCache:  s.cache.Counters(),
+		CompileCache:  s.ladder.memory.Counters(),
 		ProfileCache:  s.profiles.Counters(),
 		StageCache:    s.stages.Counters(),
 		Journal:       s.jrnl.Stats(),

@@ -91,13 +91,13 @@ func TestCharacterizeThenSearchReusesPrefixStages(t *testing.T) {
 		t.Fatal("stage cache is empty")
 	}
 
-	// A repeated search is a whole-result hit and adds no stage runs.
+	// A repeated search is an answer-memo hit and adds no stage runs.
 	before := s.statsz().Stages[core.StageSearch].Runs
 	if resp, data := post(t, ts, "/v1/search", req); resp.StatusCode != http.StatusOK {
 		t.Fatalf("second search: %d %s", resp.StatusCode, data)
 	}
 	if after := s.statsz().Stages[core.StageSearch].Runs; after != before {
-		t.Fatalf("whole-result hit still ran the pipeline: runs %d -> %d", before, after)
+		t.Fatalf("answer-memo hit still ran the pipeline: runs %d -> %d", before, after)
 	}
 }
 
@@ -105,8 +105,8 @@ func TestCharacterizeThenSearchReusesPrefixStages(t *testing.T) {
 // stage-reuse workload, through the real Server.Handler: a few kernels at
 // the default (bench) size on a 1- and a 2-socket backend are primed with
 // /v1/characterize, then every op is a /v1/compile or /v1/search with an
-// objective and epsilon no earlier op used, so it misses the whole-result
-// cache and runs search onward over the cached analysis prefix. Unlike
+// objective and epsilon no earlier op used, so it misses the answer
+// memo and runs search onward over the cached analysis prefix. Unlike
 // core's BenchmarkCompileStageReuse, which hands the compile one prebuilt
 // module, an op here also pays request decoding, Kernel.Build, the stage
 // base key and response encoding, so a request path that rebuilds or
