@@ -180,9 +180,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/statsz", s.handleStatsz)
 	mux.HandleFunc("/v1/platforms", s.handlePlatforms)
-	mux.HandleFunc("/v1/compile", s.wrap(s.handleCompile))
-	mux.HandleFunc("/v1/characterize", s.wrap(s.handleCharacterize))
-	mux.HandleFunc("/v1/search", s.wrap(s.handleSearch))
+	mux.HandleFunc("/v1/compile", s.wrap(s.compileAnswer))
+	mux.HandleFunc("/v1/characterize", s.wrap(s.characterizeAnswer))
+	mux.HandleFunc("/v1/search", s.wrap(s.searchAnswer))
 	// The async job tier. Submission and status are cheap bookkeeping —
 	// the actual work runs on the job worker pool — so like the
 	// observability endpoints they bypass the admission gate: inspecting
@@ -205,9 +205,10 @@ func (s *Server) Handler() http.Handler {
 // wrap is the middleware chain of one compute endpoint: recover panics to
 // a 500 without killing the daemon, acquire an admission slot (429 +
 // Retry-After on saturation), bound the request with RequestTimeout, and
-// translate handler errors to statuses. A handler answers with compact
-// JSON bytes, which wrap writes indented.
-func (s *Server) wrap(h func(ctx context.Context, req Request) ([]byte, error)) http.HandlerFunc {
+// translate errors to statuses. The request is resolved and handed to the
+// endpoint's answer function, whose compact JSON bytes wrap writes
+// indented.
+func (s *Server) wrap(answer func(context.Context, resolved) ([]byte, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if rec := recover(); rec != nil {
@@ -251,7 +252,11 @@ func (s *Server) wrap(h func(ctx context.Context, req Request) ([]byte, error)) 
 		if s.testHook != nil {
 			s.testHook()
 		}
-		out, err := h(ctx, req)
+		rv, err := s.resolve(req)
+		var out []byte
+		if err == nil {
+			out, err = answer(ctx, rv)
+		}
 		if err != nil {
 			var he *httpError
 			switch {
@@ -288,9 +293,8 @@ type resolved struct {
 	// key is core.KeyOf the request: the ladder keys each endpoint's
 	// answer on its wire form (responseKey).
 	key core.CacheKey
-	// degraded is set by serve when the request was admitted while the
-	// backend's calibration is in a degradation episode (driftGate).
-	degraded bool
+	// measure asks a search answer for its measured half.
+	measure bool
 }
 
 // servedNames lists the backends this daemon calibrated, in boot order.
@@ -355,6 +359,7 @@ func (s *Server) resolve(req Request) (resolved, error) {
 	cfg.Faults = s.cfg.Faults
 	r.cfg = cfg
 	r.key = core.KeyOf(req.Kernel, int(r.sz), cfg)
+	r.measure = req.Measure
 	return r, nil
 }
 
@@ -433,27 +438,21 @@ func (s *Server) driftGate(r resolved) (bool, error) {
 	return true, nil
 }
 
-// serve is the spine the three compute endpoints share: resolve the
-// request, apply the drift gate, answer through the degradation ladder
-// under the request's response key, and count the answer. body builds the
-// endpoint's response on a ladder miss. The returned resolved carries the
-// drift gate's degraded flag, which handlers copy into the response
-// OUTSIDE the ladder because degradation is live state (withLive).
-func serve[T any](ctx context.Context, s *Server, endpoint string, req Request, body func(context.Context, resolved) (T, error)) (resolved, answer[T], error) {
-	var a answer[T]
-	r, err := s.resolve(req)
-	if err != nil {
-		return r, a, err
-	}
-	if r.degraded, err = s.driftGate(r); err != nil {
-		return r, a, err
+// serve is the spine every answer shares: apply the drift gate, answer
+// through the degradation ladder under the request's response key, and
+// count the answer as served. body builds the endpoint's response on a
+// ladder miss. degraded is the drift gate's verdict, which the answer
+// applies OUTSIDE the ladder because degradation is live state (withLive).
+func serve[T any](ctx context.Context, s *Server, endpoint string, r resolved, body func(context.Context, resolved) (T, error)) (degraded bool, a answer[T], err error) {
+	if degraded, err = s.driftGate(r); err != nil {
+		return false, a, err
 	}
 	if a, err = cached(ctx, s, responseKey(endpoint, r.key), func() (T, error) { return body(ctx, r) }); err != nil {
-		return r, a, err
+		return false, a, err
 	}
 	s.markServed(r.p.Name)
 	s.markTiling(r.cfg.Tiling)
-	return r, a, nil
+	return degraded, a, nil
 }
 
 // withLive returns the bytes of a's response with live state applied.
@@ -475,9 +474,7 @@ func withLive[T any](a answer[T], need bool, apply func(*T) error) ([]byte, erro
 }
 
 // The three functions below build each endpoint's deterministic body from
-// a resolved request. The HTTP handlers call them on a ladder miss and the
-// sweep and characterize jobs call them per kernel, so a job unit and the
-// endpoint answer the same request with the same bytes.
+// a resolved request; serve calls them on a ladder miss.
 
 func (s *Server) compileResponse(ctx context.Context, r resolved) (CompileResponse, error) {
 	res, err := s.compile(ctx, r, "")
@@ -531,42 +528,47 @@ func (s *Server) searchResponse(ctx context.Context, r resolved) (SearchResponse
 	}, res, nil
 }
 
-func (s *Server) handleCompile(ctx context.Context, req Request) ([]byte, error) {
-	r, a, err := serve(ctx, s, "v1/compile", req, s.compileResponse)
+// The three answer functions below are each endpoint's whole path over a
+// resolved request: serve, then live state. The HTTP handler and the sweep
+// and characterize job units call the same one, so a unit is the answer
+// its endpoint gives, and jobs and endpoints share the ladder both ways.
+
+func (s *Server) compileAnswer(ctx context.Context, r resolved) ([]byte, error) {
+	degraded, a, err := serve(ctx, s, "v1/compile", r, s.compileResponse)
 	if err != nil {
 		return nil, err
 	}
-	return withLive(a, r.degraded, func(resp *CompileResponse) error {
+	return withLive(a, degraded, func(resp *CompileResponse) error {
 		resp.CalibrationDegraded = true
 		return nil
 	})
 }
 
-func (s *Server) handleCharacterize(ctx context.Context, req Request) ([]byte, error) {
-	r, a, err := serve(ctx, s, "v1/characterize", req, s.characterizeResponse)
+func (s *Server) characterizeAnswer(ctx context.Context, r resolved) ([]byte, error) {
+	degraded, a, err := serve(ctx, s, "v1/characterize", r, s.characterizeResponse)
 	if err != nil {
 		return nil, err
 	}
-	return withLive(a, r.degraded, func(resp *CharacterizeResponse) error {
+	return withLive(a, degraded, func(resp *CharacterizeResponse) error {
 		resp.CalibrationDegraded = true
 		return nil
 	})
 }
 
-func (s *Server) handleSearch(ctx context.Context, req Request) ([]byte, error) {
+func (s *Server) searchAnswer(ctx context.Context, r resolved) ([]byte, error) {
 	// The model half is deterministic and journaled; the measured half
 	// never is — it exercises the live driver every time.
 	var res *core.Result
-	r, a, err := serve(ctx, s, "v1/search", req, func(ctx context.Context, r resolved) (resp SearchResponse, err error) {
+	degraded, a, err := serve(ctx, s, "v1/search", r, func(ctx context.Context, r resolved) (resp SearchResponse, err error) {
 		resp, res, err = s.searchResponse(ctx, r)
 		return resp, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return withLive(a, r.degraded || req.Measure, func(resp *SearchResponse) error {
-		resp.CalibrationDegraded = r.degraded
-		if !req.Measure {
+	return withLive(a, degraded || r.measure, func(resp *SearchResponse) error {
+		resp.CalibrationDegraded = degraded
+		if !r.measure {
 			return nil
 		}
 		// A ladder hit skipped the compile; the measured path needs the

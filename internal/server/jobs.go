@@ -1,6 +1,8 @@
 package server
 
 import (
+	"cmp"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -254,16 +256,18 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	if jb == nil {
 		return
 	}
+	// The cursor is ?after= or else Last-Event-ID; one that is not a
+	// sequence number is a 400, not a silent replay from the start.
+	cursor := cmp.Or(r.URL.Query().Get("after"), r.Header.Get("Last-Event-ID"), "0")
+	after, err := strconv.ParseInt(cursor, 10, 64)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errBody{fmt.Sprintf("bad event cursor %q (after= or Last-Event-ID): want a sequence number", cursor)})
+		return
+	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeJSON(w, http.StatusNotImplemented, errBody{"streaming unsupported by this connection"})
 		return
-	}
-	var after int64
-	if v := r.URL.Query().Get("after"); v != "" {
-		after, _ = strconv.ParseInt(v, 10, 64)
-	} else if v := r.Header.Get("Last-Event-ID"); v != "" {
-		after, _ = strconv.ParseInt(v, 10, 64)
 	}
 	backlog, live, cancel := jb.Subscribe(after)
 	defer cancel()
@@ -325,9 +329,25 @@ func (s *Server) executeJob(jb *jobs.Job) (any, error) {
 	}
 	switch jb.Spec().Kind {
 	case JobSweep:
-		return s.runSweepJob(jb, p, false)
+		units, err := runUnits[SearchResponse](s, jb, p, s.searchAnswer)
+		if err != nil {
+			return nil, err
+		}
+		out := SweepJobResult{Kind: string(JobSweep), Objective: p.Objective, Kernels: units}
+		if len(units) > 0 {
+			out.Platform, out.Objective = units[0].Arch, units[0].Objective
+		}
+		return out, nil
 	case JobCharacterize:
-		return s.runSweepJob(jb, p, true)
+		units, err := runUnits[CharacterizeResponse](s, jb, p, s.characterizeAnswer)
+		if err != nil {
+			return nil, err
+		}
+		out := CharacterizeJobResult{Kind: string(JobCharacterize), Kernels: units}
+		if len(units) > 0 {
+			out.Platform = units[0].Arch
+		}
+		return out, nil
 	case JobRefit:
 		return s.runRefitJob(jb, p)
 	}
@@ -349,18 +369,20 @@ type CharacterizeJobResult struct {
 	Kernels  []CharacterizeResponse `json:"kernels"`
 }
 
-// runSweepJob fans the request shape across the kernel list, one
-// journal unit per kernel: a resumed job replays finished kernels
-// byte-identically and computes only the rest.
-func (s *Server) runSweepJob(jb *jobs.Job, p JobParams, characterizeOnly bool) (any, error) {
+// runUnits fans the job's request shape across its kernel list, one
+// journal unit per kernel. A unit is exactly the answer the endpoint gives
+// for p.request(kernel): answer is that endpoint's own path, so a unit
+// passes the drift gate, is served from or fills the ladder, and counts as
+// served. A resumed job replays finished units byte-identically from the
+// job journal — not counted as served again — and answers only the rest.
+func runUnits[T any](s *Server, jb *jobs.Job, p JobParams, answer func(context.Context, resolved) ([]byte, error)) ([]T, error) {
 	kernels, err := expandKernels(p)
 	if err != nil {
 		return nil, err
 	}
 	jb.Total(len(kernels))
 	jb.Log("sweep", fmt.Sprintf("%d kernels", len(kernels)))
-	var sweep SweepJobResult
-	var chars CharacterizeJobResult
+	var units []T
 	for _, kernel := range kernels {
 		r, err := s.resolve(p.request(kernel))
 		if err != nil {
@@ -369,48 +391,19 @@ func (s *Server) runSweepJob(jb *jobs.Job, p JobParams, characterizeOnly bool) (
 		// The unit is keyed by the resolved request's compile identity, so
 		// a job resumed by a daemon booted with another -tiling, after a
 		// re-fit or over an edited size recomputes instead of replaying.
-		unit := "kernel/" + r.key.String()
-		if characterizeOnly {
-			kr, _, err := jobs.Step(jb, unit, func() (CharacterizeResponse, error) {
-				return s.characterizeResponse(jb.Context(), r)
-			})
-			if err != nil {
-				return nil, err
+		u, _, err := jobs.Step(jb, "kernel/"+r.key.String(), func() (u T, err error) {
+			body, err := answer(jb.Context(), r)
+			if err == nil {
+				err = json.Unmarshal(body, &u)
 			}
-			chars.Kernels = append(chars.Kernels, kr)
-		} else {
-			kr, _, err := jobs.Step(jb, unit, func() (SearchResponse, error) {
-				out, res, err := s.searchResponse(jb.Context(), r)
-				// The measured half runs the kernel on the live machine
-				// through the breaker — and feeds the drift watchdog, so a
-				// measured sweep is also a calibration health check.
-				if err == nil && p.Measure {
-					s.measure(res, r, &out)
-				}
-				return out, err
-			})
-			if err != nil {
-				return nil, err
-			}
-			sweep.Kernels = append(sweep.Kernels, kr)
+			return u, err
+		})
+		if err != nil {
+			return nil, err
 		}
-		s.markServed(r.p.Name)
-		s.markTiling(r.cfg.Tiling)
+		units = append(units, u)
 	}
-	if characterizeOnly {
-		chars.Kind = string(JobCharacterize)
-		if len(chars.Kernels) > 0 {
-			chars.Platform = chars.Kernels[0].Arch
-		}
-		return chars, nil
-	}
-	sweep.Kind = string(JobSweep)
-	sweep.Objective = p.Objective
-	if len(sweep.Kernels) > 0 {
-		sweep.Platform = sweep.Kernels[0].Arch
-		sweep.Objective = sweep.Kernels[0].Objective
-	}
-	return sweep, nil
+	return units, nil
 }
 
 // RefitJobResult is a refit job's recorded result.

@@ -151,6 +151,33 @@ func TestServerJobsSweepRoundTrip(t *testing.T) {
 			t.Fatalf("SSE stream missing %q:\n%s", want, stream)
 		}
 	}
+	// A cursor resumes past the events it names; one that is not a
+	// sequence number is a 400 naming it, not a replay from the start.
+	if _, tail := get(t, ts, "/v1/jobs/"+st.ID+"/events?after=2"); strings.Contains(string(tail), "id: 2\n") || !strings.Contains(string(tail), "id: 3\n") {
+		t.Fatalf("after=2 did not resume at event 3:\n%s", tail)
+	}
+	for _, c := range []struct{ query, header, bad string }{
+		{query: "?after=abc", bad: "abc"},
+		{query: "?after=1.5", bad: "1.5"},
+		{header: "three", bad: "three"},
+	} {
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/jobs/"+st.ID+"/events"+c.query, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.header != "" {
+			req.Header.Set("Last-Event-ID", c.header)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `\"`+c.bad+`\"`) {
+			t.Fatalf("event cursor %q%q: %d %s, want 400 naming it", c.query, c.header, resp.StatusCode, body)
+		}
+	}
 
 	// Malformed submissions fail synchronously.
 	for _, bad := range []JobSubmitRequest{
@@ -249,6 +276,7 @@ func TestServerJobsSweepUnitMatchesSearchEndpoint(t *testing.T) {
 	if len(sweep.Kernels) != len(kernels) {
 		t.Fatalf("sweep result: %s", data)
 	}
+	before := s.statsz()
 	for i, kernel := range kernels {
 		if sweep.Kernels[i].Topology == nil {
 			t.Fatalf("sweep unit %s on a 2-socket backend has no topology rollup", kernel)
@@ -264,6 +292,100 @@ func TestServerJobsSweepUnitMatchesSearchEndpoint(t *testing.T) {
 		if !bytes.Equal(unit, endpoint) {
 			t.Fatalf("%s answered two ways:\n  sweep:  %s\n  search: %s", kernel, unit, endpoint)
 		}
+	}
+	// Job first, endpoint second: each search was the unit's memo hit.
+	assertMemoHits(t, "searches after the sweep", before, s.statsz(), len(kernels))
+	req := func(kernel string) Request { return Request{Kernel: kernel, Platform: "2s-bdw", Size: "test"} }
+
+	// The same on the characterize kind: the endpoint after the job is
+	// the unit's memo hit, with the unit's bytes.
+	units := jobUnits(t, ts, JobCharacterize, JobParams{Kernels: kernels, Platform: "2s-bdw", Size: "test"})
+	before = s.statsz()
+	for i, kernel := range kernels {
+		assertSameAnswer(t, kernel, units[i], compactAnswer(t, ts, "/v1/characterize", req(kernel)))
+	}
+	assertMemoHits(t, "characterizes after the characterize job", before, s.statsz(), len(kernels))
+
+	// Endpoints first, jobs second: each unit is the endpoint's memo hit
+	// and its bytes.
+	answered := []string{"atax", "bicg"}
+	want := map[string][][]byte{}
+	for _, kernel := range answered {
+		for _, path := range []string{"/v1/search", "/v1/characterize"} {
+			want[path] = append(want[path], compactAnswer(t, ts, path, req(kernel)))
+		}
+	}
+	for _, c := range []struct {
+		kind jobs.Kind
+		path string
+	}{{JobSweep, "/v1/search"}, {JobCharacterize, "/v1/characterize"}} {
+		before := s.statsz()
+		units := jobUnits(t, ts, c.kind, JobParams{Kernels: answered, Platform: "2s-bdw", Size: "test"})
+		assertMemoHits(t, string(c.kind)+" job after the endpoints", before, s.statsz(), len(answered))
+		for i, kernel := range answered {
+			assertSameAnswer(t, kernel, units[i], want[c.path][i])
+		}
+	}
+}
+
+// jobUnits submits a job, waits for it to finish and returns its result's
+// units, compacted.
+func jobUnits(t *testing.T, ts *httptest.Server, kind jobs.Kind, p JobParams) [][]byte {
+	t.Helper()
+	resp, data := postJSON(t, ts, "/v1/jobs", JobSubmitRequest{Kind: string(kind), JobParams: p})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit %s: %d: %s", kind, resp.StatusCode, data)
+	}
+	var st jobs.Status
+	mustUnmarshal(t, data, &st)
+	waitJobDone(t, ts, st.ID)
+	_, data = get(t, ts, "/v1/jobs/"+st.ID+"/result")
+	var result struct {
+		Kernels []json.RawMessage `json:"kernels"`
+	}
+	mustUnmarshal(t, data, &result)
+	var units [][]byte
+	for _, raw := range result.Kernels {
+		var buf bytes.Buffer
+		if err := json.Compact(&buf, raw); err != nil {
+			t.Fatal(err)
+		}
+		units = append(units, buf.Bytes())
+	}
+	return units
+}
+
+// compactAnswer posts req to a compute endpoint and returns its 200
+// answer, compacted.
+func compactAnswer(t *testing.T, ts *httptest.Server, path string, req Request) []byte {
+	t.Helper()
+	resp, body := post(t, ts, path, req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s %s: %d %s", path, req.Kernel, resp.StatusCode, body)
+	}
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, body); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func assertSameAnswer(t *testing.T, kernel string, unit, endpoint []byte) {
+	t.Helper()
+	if !bytes.Equal(unit, endpoint) {
+		t.Fatalf("%s answered two ways:\n  job unit: %s\n  endpoint: %s", kernel, unit, endpoint)
+	}
+}
+
+// assertMemoHits checks that what ran between two snapshots compiled
+// nothing and was n answer-memo hits.
+func assertMemoHits(t *testing.T, what string, before, after Statsz, n int) {
+	t.Helper()
+	if c := compiles(after) - compiles(before); c != 0 {
+		t.Fatalf("%s compiled %d times, want 0", what, c)
+	}
+	if h := after.CompileCache.Hits - before.CompileCache.Hits; h != int64(n) {
+		t.Fatalf("%s moved the answer memo's hits by %d, want %d", what, h, n)
 	}
 }
 
@@ -565,5 +687,88 @@ func TestServerDriftAutoRefitRecovers(t *testing.T) {
 	measureN(t, ts, "bdw", 3)
 	if ds := s.drift.Snapshot()["BDW"]; ds.State != roofline.DriftOK.String() || ds.MeanAbsRelErr > 0.10 {
 		t.Fatalf("post-refit residuals still high: %+v", ds)
+	}
+}
+
+// A measured sweep's units pass the drift gate, as every request does:
+// the units' own baselines trip the watchdog, and the units after the trip
+// meet the episode. A Strict daemon fails the job with the gate's message,
+// a BestEffort one finishes it and flags each unit computed during the
+// episode; either way the re-fit the trip enqueued completes. One job
+// worker keeps that re-fit queued behind the sweep, so the episode lasts
+// to the sweep's end.
+func TestServerSweepJobUnitsPassTheDriftGate(t *testing.T) {
+	kernels := []string{"gemm", "atax", "mvt", "bicg", "gesummv"}
+	for _, c := range []struct {
+		name   string
+		policy core.DegradePolicy
+	}{{"strict", core.Strict}, {"best-effort", core.BestEffort}} {
+		t.Run(c.name, func(t *testing.T) {
+			s, ts := driftServer(t, func(cfg *Config) {
+				cfg.Degrade = c.policy
+				cfg.JobsDir = filepath.Join(t.TempDir(), "jobs")
+				cfg.JobWorkers = 1
+			})
+			resp, data := postJSON(t, ts, "/v1/jobs", JobSubmitRequest{
+				Kind:      string(JobSweep),
+				JobParams: JobParams{Kernels: kernels, Platform: "bdw", Size: "test", Measure: true},
+			})
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("submit: %d: %s", resp.StatusCode, data)
+			}
+			var st jobs.Status
+			mustUnmarshal(t, data, &st)
+			final := waitJob(t, ts, st.ID)
+			if c.policy == core.Strict {
+				if final.State != jobs.StateFailed || !strings.Contains(final.Error, `calibration for "BDW" is degraded`) {
+					t.Fatalf("sweep over a drifting backend: %s (%s), want failed by the drift gate", final.State, final.Error)
+				}
+				if final.UnitsDone == 0 || final.UnitsDone >= len(kernels) {
+					t.Fatalf("sweep failed after %d/%d units, want a unit past the trip refused", final.UnitsDone, len(kernels))
+				}
+			} else {
+				if final.State != jobs.StateDone {
+					t.Fatalf("best-effort sweep: %s (%s), want done", final.State, final.Error)
+				}
+				var sweep SweepJobResult
+				mustUnmarshal(t, final.Result, &sweep)
+				if len(sweep.Kernels) != len(kernels) {
+					t.Fatalf("sweep result: %s", final.Result)
+				}
+				flags := make([]bool, len(kernels))
+				for i, kr := range sweep.Kernels {
+					flags[i] = kr.CalibrationDegraded
+					if kr.Measured == nil {
+						t.Fatalf("unit %s not measured: %+v", kr.Kernel, kr)
+					}
+				}
+				// Healthy until the trip, flagged from the trip on.
+				tripped := 0
+				for tripped < len(flags) && !flags[tripped] {
+					tripped++
+				}
+				if tripped == 0 || tripped == len(flags) {
+					t.Fatalf("calibration_degraded per unit %v, want the first unit healthy and the last flagged", flags)
+				}
+				for i := tripped; i < len(flags); i++ {
+					if !flags[i] {
+						t.Fatalf("calibration_degraded per unit %v: unit %d unflagged during the episode", flags, i)
+					}
+				}
+			}
+			refits := 0
+			for _, js := range s.jobsMgr.List() {
+				if js.Kind != JobRefit {
+					continue
+				}
+				refits++
+				if final := waitJob(t, ts, js.ID); final.State != jobs.StateDone {
+					t.Fatalf("refit job %s: %s (%s)", js.ID, final.State, final.Error)
+				}
+			}
+			if refits != 1 {
+				t.Fatalf("%d refit jobs enqueued, want 1", refits)
+			}
+		})
 	}
 }

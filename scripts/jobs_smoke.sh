@@ -17,7 +17,10 @@
 set -eu
 
 tmp="$(mktemp -d)"
-trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$tmp"' EXIT
+# dash leaves the jobs table empty inside EXIT traps, so a failing step
+# kills the daemon by its tracked pid.
+daemon_pid=
+trap '{ [ -n "$daemon_pid" ] && kill "$daemon_pid" 2>/dev/null; } || true; rm -rf "$tmp"' EXIT
 cd "$(dirname "$0")/.."
 
 echo "== building polyufc-serve"
@@ -58,6 +61,15 @@ start_daemon "$tmp/jobs-control" "$tmp/control.log"
 job="$(submit_sweep)"
 wait_done "$job"
 curl -s "$base/v1/jobs/$job/result" >"$tmp/control.json"
+# A unit is the answer its endpoint gives: a search for a swept kernel is
+# the sweep's answer-memo hit and compiles nothing.
+stat() { curl -s "$base/statsz" | jq "$1"; }
+hits="$(stat .CompileCache.Hits)"; runs="$(stat .Stages.preprocess.Runs)"
+curl -sf -o /dev/null -X POST "$base/v1/search" -d '{"kernel":"gemm","platform":"bdw","size":"test"}'
+hits=$(( $(stat .CompileCache.Hits) - hits )); runs=$(( $(stat .Stages.preprocess.Runs) - runs ))
+[ "$hits" = 1 ] && [ "$runs" = 0 ] || {
+    echo "search for a swept kernel: answer-memo hits +$hits, preprocess runs +$runs (want +1, +0)"; exit 1; }
+echo "   search for a swept kernel: one answer-memo hit, no compile"
 kill "$daemon_pid"; wait "$daemon_pid" 2>/dev/null || true
 jq -e '.kernels | length > 3' "$tmp/control.json" >/dev/null || {
     echo "control sweep result looks empty:"; head -c 300 "$tmp/control.json"; exit 1; }
