@@ -71,14 +71,15 @@ func benchSuiteSweep(b *testing.B, concurrency int, keepCache bool) {
 	}
 }
 
-// BenchmarkSuiteSerial is the cold baseline: one worker, and the compile
+// BenchmarkSuiteSerial is the cold baseline: one worker, and the stage
 // and profile caches are dropped before every sweep, so each pass
 // recompiles and re-simulates every kernel from scratch.
 func BenchmarkSuiteSerial(b *testing.B) { benchSuiteSweep(b, 1, false) }
 
 // BenchmarkSuiteParallel is the evaluation engine at steady state:
-// GOMAXPROCS workers with the memoizing compile and profile caches kept
-// warm across sweeps, as in repeated evaluation runs.
+// GOMAXPROCS workers with the stage and profile caches kept warm across
+// sweeps, as in repeated evaluation runs: every compile after the first
+// pass is a chain of stage hits.
 func BenchmarkSuiteParallel(b *testing.B) { benchSuiteSweep(b, 0, true) }
 
 // BenchmarkSuiteParallelColdCache isolates the worker pool's contribution:

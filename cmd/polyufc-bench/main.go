@@ -48,7 +48,7 @@ func main() {
 		faultSeed = flag.Int64("fault-seed", 1, "seed for probabilistic fault triggers")
 		jpath     = flag.String("journal", "", "checkpoint sweep progress to this JSONL file")
 		resume    = flag.Bool("resume", false, "replay completed entries from an existing -journal instead of truncating it")
-		stageInfo = flag.Bool("stage-stats", false, "print per-stage pipeline aggregates and stage-cache reuse to stderr after the run")
+		stageInfo = flag.Bool("stage-stats", false, "print per-stage pipeline aggregates, stage-cache and profile-cache reuse to stderr after the run")
 		platSet   = flag.String("platforms", "paper", `backend set to sweep: "paper" (the two Table-III machines) or "all" registered backends`)
 		platFiles = flag.String("platform-file", "", "comma-separated backend description files (platforms/*.json) to register before the sweep")
 		topo      = flag.Bool("topology", false, "print the swept backends' topologies (sockets, interconnect, nodes) and exit")
@@ -138,11 +138,13 @@ func main() {
 	}
 }
 
-// printStageStats renders the sweep's per-stage pipeline aggregates on
-// stderr (stdout stays byte-identical for figure diffing).
+// printStageStats renders the sweep's per-stage pipeline aggregates and
+// cache reuse on stderr (stdout stays byte-identical for figure diffing).
 func printStageStats(s *experiments.Suite) {
 	sh, sm := s.StageCacheStats()
 	fmt.Fprintf(os.Stderr, "polyufc-bench: stage cache: %d hits, %d misses\n", sh, sm)
+	ph, pm := s.ProfileStats()
+	fmt.Fprintf(os.Stderr, "polyufc-bench: profile cache: %d hits, %d misses\n", ph, pm)
 	stats := s.StageStats()
 	for _, name := range s.StageNames() {
 		st := stats[name]

@@ -59,34 +59,31 @@ var testOnlyExports = map[string]string{
 	"pipeline.Metrics.Reset":       fixture,
 	"poly.Poly.Pow":                fixture,
 
-	"cachesim.Counts.LLC":            accessor,
-	"cas.Store.Has":                  accessor,
-	"cas.Store.Keys":                 accessor,
-	"core.StageNames":                accessor,
-	"experiments.Suite.CacheStats":   accessor,
-	"experiments.Suite.Fig5Pattern":  accessor,
-	"experiments.Suite.ProfileStats": accessor,
-	"experiments.Suite.Target":       accessor,
-	"faults.Registry.Calls":          accessor,
-	"faults.Registry.Fired":          accessor,
-	"hw.CapBreaker.Reassert":         accessor,
-	"hw.Machine.Faults":              accessor,
-	"hw.Machine.RAPL":                accessor,
-	"hw.Node.NumSockets":             accessor,
-	"hw.Node.Socket":                 accessor,
-	"ir.AffExpr.Eval":                accessor,
-	"ir.Nest.Flops":                  accessor,
-	"isl.BasicSet.Count":             accessor,
-	"isl.LinExpr.Format":             accessor,
-	"isl.LinExpr.IsConst":            accessor,
-	"isl.Piece.Format":               accessor,
-	"jobs.Job.UnitKeys":              accessor,
-	"platform.Backend.Marshal":       accessor,
-	"poly.Poly.Coeff":                accessor,
-	"poly.Poly.Degree":               accessor,
-	"poly.Poly.NumVars":              accessor,
-	"poly.SumPow":                    accessor,
-	"scop.Statement.DomainSet":       accessor,
+	"cachesim.Counts.LLC":           accessor,
+	"cas.Store.Has":                 accessor,
+	"cas.Store.Keys":                accessor,
+	"core.StageNames":               accessor,
+	"experiments.Suite.Fig5Pattern": accessor,
+	"experiments.Suite.Target":      accessor,
+	"faults.Registry.Calls":         accessor,
+	"faults.Registry.Fired":         accessor,
+	"hw.Machine.Faults":             accessor,
+	"hw.Machine.RAPL":               accessor,
+	"hw.Node.NumSockets":            accessor,
+	"hw.Node.Socket":                accessor,
+	"ir.AffExpr.Eval":               accessor,
+	"ir.Nest.Flops":                 accessor,
+	"isl.BasicSet.Count":            accessor,
+	"isl.LinExpr.Format":            accessor,
+	"isl.LinExpr.IsConst":           accessor,
+	"isl.Piece.Format":              accessor,
+	"jobs.Job.UnitKeys":             accessor,
+	"platform.Backend.Marshal":      accessor,
+	"poly.Poly.Coeff":               accessor,
+	"poly.Poly.Degree":              accessor,
+	"poly.Poly.NumVars":             accessor,
+	"poly.SumPow":                   accessor,
+	"scop.Statement.DomainSet":      accessor,
 
 	"faults.Error.Unwrap":       ifaceImpl,
 	"pipeline.UnitError.Unwrap": ifaceImpl,

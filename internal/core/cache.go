@@ -52,8 +52,8 @@ type CacheKey struct {
 // cfg, reading every result-changing bit from the Config: the target and
 // its calibration, the tiling, cache-model, search and cap settings and
 // the degrade policy. It is the single place a compilation's identity is
-// decided — the suite's whole-result cache and every rung of the daemon's
-// response ladder (answer memo, journal, CAS) key on it.
+// decided — every rung of the daemon's response ladder (answer memo,
+// journal, CAS) and every checkpoint journal (CacheKey.UnitKey) key on it.
 func KeyOf(kernel string, size int, cfg Config) CacheKey {
 	key := CacheKey{
 		Kernel:     kernel,
@@ -98,10 +98,16 @@ func (k CacheKey) UnitKey(tool, backendHash string) string {
 	return strings.Join([]string{tool, backendHash, k.String(), k.Degrade.String()}, "/")
 }
 
-// Cache memoizes PolyUFC compilations across evaluation sweeps. It is safe
-// for concurrent use: concurrent requests for the same key build once and
+// Cache memoizes whole PolyUFC compilations by CacheKey. It is safe for
+// concurrent use: concurrent requests for the same key build once and
 // share the Result (singleflight). Shared Results must be treated as
-// immutable by callers — the experiment renderers only read them.
+// immutable by callers.
+//
+// Its one user is the benchmark harness's traced mirror of the daemon's
+// compile path (bench/trace.go); the daemon and the evaluation suite call
+// CompilePipeline over a stage cache, where a configuration compiled
+// before is a chain of stage hits. ROADMAP items 4 and 5 replace the
+// mirror, and Cache and CompileStaged are deleted with it.
 //
 // The embedded Memo supplies SetLimit, the counters and Reset; long-running
 // processes must SetLimit — an unbounded memo is a memory leak under

@@ -128,34 +128,41 @@ func TestJointDegradesUncharacterizedKernel(t *testing.T) {
 	}
 }
 
-// With faults armed the compile cache is bypassed, so injection state
-// never leaks into memoized results.
+// With faults armed the stage cache is bypassed, so injection state never
+// leaks into memoized snapshots; disarmed, a configuration compiled again is
+// a chain of stage hits.
 func TestFaultsBypassCompileCache(t *testing.T) {
 	s, err := New(workloads.Test, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	compile := func() {
+		t.Helper()
+		if _, err := s.compile("gemm", core.DefaultConfig(s.Target(s.Platforms()[0].Name))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// New's calibrations are the only stage-cache traffic so far.
+	hits0, misses0 := s.StageCacheStats()
 	s.Faults = faults.New(1)
-	p := s.Platforms()[0]
-	if _, err := s.compile("gemm", core.DefaultConfig(s.Target(p.Name))); err != nil {
-		t.Fatal(err)
+	compile()
+	compile()
+	if hits, misses := s.StageCacheStats(); hits != hits0 || misses != misses0 {
+		t.Fatalf("stage cache touched while faults armed: %d/%d hits/misses, want %d/%d",
+			hits, misses, hits0, misses0)
 	}
-	if _, err := s.compile("gemm", core.DefaultConfig(s.Target(p.Name))); err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses := s.CacheStats(); hits != 0 || misses != 0 {
-		t.Fatalf("cache touched while faults armed: %d hits, %d misses", hits, misses)
-	}
-	// Disarmed, the cache works as before.
+	// Disarmed, the stage cache works as before: the second compile is a
+	// chain of stage hits that misses nothing.
 	s.Faults = nil
-	if _, err := s.compile("gemm", core.DefaultConfig(s.Target(p.Name))); err != nil {
-		t.Fatal(err)
+	compile()
+	hits, misses := s.StageCacheStats()
+	compile()
+	if h, m := s.StageCacheStats(); h == hits || m != misses {
+		t.Fatalf("second disarmed compile: stage hits %d -> %d, misses %d -> %d, want more hits and no miss",
+			hits, h, misses, m)
 	}
-	if _, err := s.compile("gemm", core.DefaultConfig(s.Target(p.Name))); err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses := s.CacheStats(); hits != 1 || misses != 1 {
-		t.Fatalf("cache stats after disarm: %d hits, %d misses", hits, misses)
+	if pre := s.StageStats()[core.StagePreprocess]; pre.Runs != 4 || pre.CacheHits != 1 {
+		t.Fatalf("preprocess %+v, want 4 runs (two armed, two disarmed) and 1 cache hit", pre)
 	}
 }
 

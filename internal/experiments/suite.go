@@ -9,8 +9,9 @@
 // experiment returns structured data and can render the paper-style rows.
 //
 // The sweeps fan out through the internal/parallel worker pool and share
-// one compile cache and one nest-profile cache per Suite: workers compute,
-// the renderers print from index-ordered results, so output is
+// one stage cache and one nest-profile cache per Suite, compiling as the
+// serving daemon does (core.CompilePipeline over the stage cache). Workers
+// compute, the renderers print from index-ordered results, so output is
 // byte-identical at any concurrency.
 package experiments
 
@@ -49,8 +50,8 @@ type Suite struct {
 	// degrade per nest.
 	Degrade core.DegradePolicy
 	// Faults, when non-nil, arms the injectable failure modes on every
-	// machine and compilation the suite runs (core bypasses its memos
-	// while armed).
+	// machine and compilation the suite runs (core bypasses the stage
+	// cache while armed).
 	Faults *faults.Registry
 	// Tiling selects the tile-stage strategy every sweep compiles with
 	// (internal/tiling); the zero value is the paper's Pluto baseline, so
@@ -67,11 +68,11 @@ type Suite struct {
 	Journal *journal.Journal
 	plats   []*hw.Platform
 	targets map[string]*roofline.Target
-	cache   core.Cache
 	// stages memoizes per-stage compile snapshots across the sweep's
-	// configurations: ablation runs that only vary downstream knobs
-	// (objective, amortize factor) reuse the analysis prefix of the
-	// default configuration. stageStats aggregates the stage events.
+	// configurations: a configuration compiled again is a chain of stage
+	// hits, and ablation runs that only vary downstream knobs (objective,
+	// amortize factor) reuse the analysis prefix of the default
+	// configuration. stageStats aggregates the stage events.
 	stages     pipeline.Cache
 	stageStats pipeline.Metrics
 	profiles   hw.ProfileCache
@@ -126,9 +127,6 @@ func (s *Suite) Constants(name string) *roofline.Constants {
 	return nil
 }
 
-// CacheStats reports compile-cache hits and misses so far.
-func (s *Suite) CacheStats() (hits, misses int64) { return s.cache.Stats() }
-
 // ProfileStats reports profile-cache hits and misses so far.
 func (s *Suite) ProfileStats() (hits, misses int64) { return s.profiles.Stats() }
 
@@ -142,11 +140,10 @@ func (s *Suite) StageStats() map[string]pipeline.StageStats { return s.stageStat
 // StageNames returns the observed stage names sorted.
 func (s *Suite) StageNames() []string { return s.stageStats.StageNames() }
 
-// ResetCache drops all memoized compilations, stage snapshots and nest
-// profiles (used by benchmarks to measure cold-sweep behaviour). The
-// caches reset together, so a reset sweep compiles and simulates anew.
+// ResetCache drops all memoized stage snapshots and nest profiles (used
+// by benchmarks to measure cold-sweep behaviour). The caches reset
+// together, so a reset sweep compiles and simulates anew.
 func (s *Suite) ResetCache() {
-	s.cache.Reset()
 	s.stages.Reset()
 	s.profiles.Reset()
 }
@@ -170,8 +167,8 @@ type measuredKernel struct {
 	profs []*hw.CacheProfile // one per nest, in module order
 }
 
-// measure compiles a kernel under cfg through the suite memo, boots a
-// fresh machine for cfg's platform and profiles every nest.
+// measure compiles a kernel under cfg over the suite's stage cache, boots
+// a fresh machine for cfg's platform and profiles every nest.
 func (s *Suite) measure(kernel string, cfg core.Config) (*measuredKernel, error) {
 	res, err := s.compile(kernel, cfg)
 	if err != nil {
@@ -296,20 +293,21 @@ func (s *Suite) printf(format string, args ...interface{}) {
 	}
 }
 
-// compile builds, lowers and PolyUFC-compiles one kernel through the
-// suite's memo cache under any of the evaluation's configurations.
-// core.KeyOf reads the key off the final Config, so every bit a sweep
-// varies is in it; core bypasses the memo while faults are armed.
+// compile builds one kernel and PolyUFC-compiles it under any of the
+// evaluation's configurations over the suite's stage cache, as the daemon
+// compiles a request: a configuration compiled before is a chain of stage
+// hits. core bypasses the stage cache while faults are armed.
 func (s *Suite) compile(kernelName string, cfg core.Config) (*core.Result, error) {
 	k, err := workloads.ByName(kernelName)
 	if err != nil {
 		return nil, err
 	}
-	cfg = s.sweepConfig(cfg)
+	mod, err := k.Build(s.Size)
+	if err != nil {
+		return nil, err
+	}
 	opts := core.PipelineOptions{Stages: &s.stages, Observe: s.stageStats.Observe}
-	return s.cache.CompileStaged(s.ctx(), core.KeyOf(kernelName, int(s.Size), cfg), cfg, opts, func() (*ir.Module, error) {
-		return k.Build(s.Size)
-	})
+	return core.CompilePipeline(s.ctx(), mod, s.sweepConfig(cfg), opts)
 }
 
 // sweepConfig stamps the suite-wide settings onto one of the evaluation's

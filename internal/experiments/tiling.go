@@ -69,8 +69,8 @@ type TilingCapRow struct {
 // both platforms, at test and bench sizes alike.
 var TilingWitnessKernels = []string{"gemm", "cholesky", "ludcmp"}
 
-// TilingCapSweep compiles each kernel under every strategy through the
-// suite's memo cache and flags the rows that diverge from pluto,
+// TilingCapSweep compiles each kernel under every strategy over the
+// suite's stage cache and flags the rows that diverge from pluto,
 // comparing nest by nest. The first nest always appears in the output;
 // deeper nests appear only where some strategy diverges.
 func (s *Suite) TilingCapSweep(p *hw.Platform, kernels []string) ([]TilingCapRow, error) {

@@ -46,19 +46,6 @@ func (b *CapBreaker) SetCap(ghz float64) (float64, error) {
 	return got, err
 }
 
-// Reassert runs the watchdog through the breaker: quarantined drivers
-// are not hammered with reasserts either.
-func (b *CapBreaker) Reassert() (bool, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if err := b.brk.Allow(); err != nil {
-		return false, ErrBreakerOpen
-	}
-	fixed, err := b.ctl.Reassert()
-	b.brk.Record(err != nil)
-	return fixed, err
-}
-
 // RunFunc executes a compiled function through the hardened controller,
 // gated by the breaker. Verified-write failures during the run — even
 // ones BestEffort degraded around — feed the trip logic.

@@ -8,6 +8,7 @@ import (
 
 	"polyufc/internal/breaker"
 	"polyufc/internal/faults"
+	"polyufc/internal/ir"
 )
 
 // fakeClock is a manually-advanced clock for deterministic breaker tests.
@@ -63,14 +64,11 @@ func TestCapBreakerTripsDegradesAndRecovers(t *testing.T) {
 	if _, err := b.SetCap(1.5); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("open breaker err = %v, want ErrBreakerOpen", err)
 	}
-	if _, err := b.Reassert(); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("open Reassert err = %v, want ErrBreakerOpen", err)
-	}
 	if got := b.ControllerStats().Applies; got != applies {
 		t.Fatalf("open breaker reached the driver: applies %d -> %d", applies, got)
 	}
-	if b.Stats().Rejected != 2 {
-		t.Fatalf("rejected = %d, want 2", b.Stats().Rejected)
+	if b.Stats().Rejected != 1 {
+		t.Fatalf("rejected = %d, want 1", b.Stats().Rejected)
 	}
 
 	// Cooldown elapses with the driver still sick: the probe fails and
@@ -160,15 +158,18 @@ func TestCapBreakerSuccessResetsStreak(t *testing.T) {
 	}
 }
 
-// The satellite race test: concurrent SetCap calls racing the watchdog's
-// Reassert loop under injected ufs.write.ebusy, with the run finishing in
-// a Restore. Run under -race this pins the breaker as the concurrency-safe
-// front door to the (deliberately unsynchronized) CapController.
+// Concurrent SetCap calls racing capped runs under injected
+// ufs.write.ebusy, with the run finishing in a Restore. A run reasserts the
+// cap after every nest (the watchdog, CapController.RunFunc) under the
+// breaker's lock, which is where the watchdog runs in the serving daemon.
+// Run under -race this pins the breaker as the concurrency-safe front door
+// to the (deliberately unsynchronized) CapController.
 func TestCapBreakerReassertRacesSetCapUnderFaults(t *testing.T) {
 	p := RPL()
 	m := NewMachine(p)
 	reg := faults.New(13)
 	reg.Enable(FaultCapWriteBusy, faults.Spec{P: 0.5})
+	reg.Enable(FaultThermalOverride, faults.Spec{P: 0.5})
 	m.SetFaults(reg)
 	// A generous threshold keeps the breaker mostly closed so the race
 	// exercises the driver path, not the fast-fail path.
@@ -185,11 +186,12 @@ func TestCapBreakerReassertRacesSetCapUnderFaults(t *testing.T) {
 			}
 		}(w)
 	}
+	f := cappedCopy(steps[0])
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			b.Reassert()
+			b.RunFunc(f) // an exhausted cap write fails the run, as expected
 		}
 	}()
 	wg.Wait()
@@ -203,4 +205,21 @@ func TestCapBreakerReassertRacesSetCapUnderFaults(t *testing.T) {
 	if b.ControllerStats().Retries == 0 {
 		t.Fatal("no retries at 50% fault rate (faults not exercised)")
 	}
+	if b.ControllerStats().Overrides == 0 {
+		t.Fatal("the watchdog corrected no thermal override (reassert not exercised)")
+	}
+}
+
+// cappedCopy is a one-nest function that caps the uncore at ghz and then
+// streams a 64-element array copy.
+func cappedCopy(ghz float64) *ir.Func {
+	A := ir.NewArray("A", 8, 64)
+	B := ir.NewArray("B", 8, 64)
+	i := ir.AffVar("i")
+	stmt := &ir.Statement{Name: "S", Flops: 1, Accesses: []ir.Access{
+		{Array: A, Index: []ir.AffExpr{i}},
+		{Array: B, Write: true, Index: []ir.AffExpr{i}},
+	}}
+	nest := &ir.Nest{Label: "copy", Root: ir.SimpleLoop("i", ir.AffConst(0), ir.AffConst(63), stmt)}
+	return &ir.Func{Name: "k", Ops: []ir.Op{&ir.SetUncoreCap{GHz: ghz}, nest}}
 }

@@ -278,7 +278,6 @@ func (s *Server) wrap(answer func(context.Context, resolved) ([]byte, error)) ht
 			}
 			return
 		}
-		s.served.Add(1)
 		writeBody(w, http.StatusOK, out)
 	}
 }
@@ -450,8 +449,7 @@ func serve[T any](ctx context.Context, s *Server, endpoint string, r resolved, b
 	if a, err = cached(ctx, s, responseKey(endpoint, r.key), func() (T, error) { return body(ctx, r) }); err != nil {
 		return false, a, err
 	}
-	s.markServed(r.p.Name)
-	s.markTiling(r.cfg.Tiling)
+	s.markServed(r.p.Name, r.cfg.Tiling)
 	return degraded, a, nil
 }
 

@@ -427,14 +427,16 @@ func TestServerJobSubmitValidatesLikeComputeEndpoints(t *testing.T) {
 }
 
 // TestServerCharacterizeJobCountsServed: each characterize unit counts in
-// /statsz Platforms[*].Served, as each sweep unit does.
+// /statsz Platforms[*].Served, as each sweep unit does, and in the total:
+// after a mix of job units and HTTP answers, Served is the sum over
+// Platforms and the sum over TilingServed.
 func TestServerCharacterizeJobCountsServed(t *testing.T) {
 	cfg := testConfig()
 	cfg.JobsDir = t.TempDir()
 	s := newServer(t, cfg)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	before := s.statsz().Platforms["RPL"].Served
+	before := s.statsz()
 	resp, data := postJSON(t, ts, "/v1/jobs", JobSubmitRequest{
 		Kind:      string(JobCharacterize),
 		JobParams: JobParams{Kernels: []string{"gemm", "atax"}, Platform: "rpl", Size: "test"},
@@ -445,8 +447,28 @@ func TestServerCharacterizeJobCountsServed(t *testing.T) {
 	var st jobs.Status
 	mustUnmarshal(t, data, &st)
 	waitJobDone(t, ts, st.ID)
-	if got := s.statsz().Platforms["RPL"].Served - before; got != 2 {
+	after := s.statsz()
+	if got := after.Platforms["RPL"].Served - before.Platforms["RPL"].Served; got != 2 {
 		t.Fatalf("a 2-kernel characterize job moved Served by %d, want 2", got)
+	}
+	if got := after.Served - before.Served; got != 2 {
+		t.Fatalf("a 2-kernel characterize job moved the total Served by %d, want 2", got)
+	}
+	// One HTTP answer on top: a ladder hit of the job's gemm unit.
+	if resp, data := post(t, ts, "/v1/characterize", Request{Kernel: "gemm", Platform: "rpl", Size: "test"}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("characterize: %d: %s", resp.StatusCode, data)
+	}
+	after = s.statsz()
+	var platforms, tilings int64
+	for _, p := range after.Platforms {
+		platforms += p.Served
+	}
+	for _, n := range after.TilingServed {
+		tilings += n
+	}
+	if after.Served != 3 || platforms != after.Served || tilings != after.Served {
+		t.Fatalf("Served %d, sum over Platforms %d, sum over TilingServed %d, want 3 each",
+			after.Served, platforms, tilings)
 	}
 }
 

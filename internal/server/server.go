@@ -166,9 +166,9 @@ type Server struct {
 	shutdown     chan struct{}
 	shutdownOnce sync.Once
 
-	// platServed counts requests served per backend and tilingServed per
+	// platServed counts answers served per backend and tilingServed per
 	// tiling strategy (both prefilled at boot, so handlers update without
-	// locking).
+	// locking); markServed counts them with served.
 	platServed   map[string]*atomic.Int64
 	tilingServed map[string]*atomic.Int64
 
@@ -415,16 +415,16 @@ func (s *Server) socketBreaker(plat string, socket int) *hw.CapBreaker {
 	return s.breakers[socketBreakerName(plat, socket)]
 }
 
-// markServed bumps the per-backend served counter.
-func (s *Server) markServed(name string) {
-	if c, ok := s.platServed[name]; ok {
+// markServed counts one answer the ladder gave — an HTTP response or a job
+// unit — in the total, under its backend and under its tiling strategy
+// (keyed by the spec's strategy name, so "latency:probe=3" counts under
+// "latency"). It is the one place all three count, so Served equals the
+// sum over Platforms and the sum over TilingServed.
+func (s *Server) markServed(platform string, spec tiling.Spec) {
+	s.served.Add(1)
+	if c, ok := s.platServed[platform]; ok {
 		c.Add(1)
 	}
-}
-
-// markTiling bumps the per-strategy served counter (keyed by the spec's
-// strategy name, so "latency:probe=3" counts under "latency").
-func (s *Server) markTiling(spec tiling.Spec) {
 	if c, ok := s.tilingServed[spec.Normalize().Name]; ok {
 		c.Add(1)
 	}
@@ -475,8 +475,9 @@ type StageStatsz struct {
 // provenance: which machine model answered, fitted when, from which
 // description, how well the curves fit.
 type PlatformStatsz struct {
-	CPU         string
-	Paper       bool
+	CPU   string
+	Paper bool
+	// Served is this backend's share of Statsz.Served.
 	Served      int64
 	BackendHash string
 	FitDate     string
@@ -494,12 +495,17 @@ type PlatformStatsz struct {
 // Statsz is the /statsz payload.
 type Statsz struct {
 	UptimeSeconds float64
-	Served        int64
-	Rejected      int64
-	Panics        int64
-	Degraded      int64
-	Gate          parallel.GateStats
-	Breakers      map[string]BreakerStatsz
+	// Served counts the answers the ladder gave (replayed or computed) to
+	// compile, characterize and search requests and to sweep and
+	// characterize job units, counted before live state is applied. A
+	// job unit replayed from its job journal on resume is not counted
+	// again.
+	Served   int64
+	Rejected int64
+	Panics   int64
+	Degraded int64
+	Gate     parallel.GateStats
+	Breakers map[string]BreakerStatsz
 	// CompileCache counts the answer memo, the ladder's in-memory rung:
 	// a hit is a response served from its stored bytes, a miss one that
 	// walked the persistent rungs or computed. It does not count
@@ -517,9 +523,9 @@ type Statsz struct {
 	CAS   cas.Stats
 	Fleet fleet.Stats
 	// Platforms maps each served backend to its calibration provenance
-	// and per-backend served count.
+	// and its share of Served.
 	Platforms map[string]PlatformStatsz
-	// TilingServed counts requests served per tiling strategy (pluto,
+	// TilingServed splits Served by tiling strategy (pluto,
 	// cacheoblivious, latency, auto).
 	TilingServed map[string]int64
 	// Drift is the calibration-drift watchdog's per-backend residuals
