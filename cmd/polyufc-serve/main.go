@@ -70,7 +70,6 @@ func main() {
 		platFiles   = flag.String("platform-file", "", "comma-separated backend description files (platforms/*.json); the daemon serves every registered backend")
 		jobsDir     = flag.String("jobs-dir", "", "enable the async job tier, journaling jobs under this directory")
 		jobWorkers  = flag.Int("job-workers", 2, "concurrent job executors (with -jobs-dir)")
-		jobCompact  = flag.Int("job-compact-threshold", 0, "prunable terminal-job records that trigger jobs-journal compaction (0 = default 512, negative disables)")
 		driftThresh = flag.Float64("drift-threshold", 0, "model-vs-measured EWMA residual that marks a backend's calibration degraded (0 = default 0.25)")
 		driftMin    = flag.Int64("drift-min-samples", 0, "measured samples before the drift threshold applies (0 = default 3)")
 		casDir      = flag.String("cas-dir", "", "enable the persistent content-addressed cache under this directory (responses and calibrations survive restarts)")
@@ -122,7 +121,6 @@ func main() {
 	cfg.Resume = *resume
 	cfg.JobsDir = *jobsDir
 	cfg.JobWorkers = *jobWorkers
-	cfg.JobCompactThreshold = *jobCompact
 	cfg.Drift.Threshold = *driftThresh
 	cfg.Drift.MinSamples = *driftMin
 	cfg.CASDir = *casDir

@@ -44,9 +44,7 @@ var testOnlyExports = map[string]string{
 	"isl.Set.InstantiateParams":           oracle,
 	"poly.Poly.Equal":                     oracle,
 
-	"breaker.Breaker.Do":           fixture,
 	"experiments.Suite.ResetCache": fixture,
-	"faults.Registry.Disable":      fixture,
 	"hw.BDW":                       fixture,
 	"hw.Platforms":                 fixture,
 	"hw.RPL":                       fixture,
@@ -56,28 +54,19 @@ var testOnlyExports = map[string]string{
 	"isl.Set.Apply":                fixture,
 	"isl.Space.ParamExpr":          fixture,
 	"leakcheck.Main":               fixture,
-	"pipeline.Metrics.Reset":       fixture,
 	"poly.Poly.Pow":                fixture,
 
-	"cachesim.Counts.LLC":           accessor,
-	"cas.Store.Has":                 accessor,
-	"cas.Store.Keys":                accessor,
-	"core.StageNames":               accessor,
 	"experiments.Suite.Fig5Pattern": accessor,
 	"experiments.Suite.Target":      accessor,
 	"faults.Registry.Calls":         accessor,
 	"faults.Registry.Fired":         accessor,
-	"hw.Machine.Faults":             accessor,
 	"hw.Machine.RAPL":               accessor,
-	"hw.Node.NumSockets":            accessor,
-	"hw.Node.Socket":                accessor,
 	"ir.AffExpr.Eval":               accessor,
 	"ir.Nest.Flops":                 accessor,
 	"isl.BasicSet.Count":            accessor,
 	"isl.LinExpr.Format":            accessor,
 	"isl.LinExpr.IsConst":           accessor,
 	"isl.Piece.Format":              accessor,
-	"jobs.Job.UnitKeys":             accessor,
 	"platform.Backend.Marshal":      accessor,
 	"poly.Poly.Coeff":               accessor,
 	"poly.Poly.Degree":              accessor,

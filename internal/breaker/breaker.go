@@ -168,17 +168,6 @@ func (b *Breaker) Record(failed bool) {
 	}
 }
 
-// Do runs one operation bracketed by Allow/Record: the common case for
-// callers with no extra locking of their own.
-func (b *Breaker) Do(op func() error) error {
-	if err := b.Allow(); err != nil {
-		return err
-	}
-	err := op()
-	b.Record(err != nil)
-	return err
-}
-
 // State returns the breaker position, reporting half-open once an open
 // breaker's cooldown has elapsed (the next operation will probe).
 func (b *Breaker) State() State {

@@ -103,20 +103,33 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	}
 }
 
+// An operation bracketed by Allow and Record — the way every caller
+// drives a breaker — trips it, is not run while it is open, and closes it
+// as the probe after the cooldown.
 func TestBreakerDo(t *testing.T) {
 	b, clk := newTest(2, time.Second)
+	ran := 0
+	do := func(op func() error) error {
+		if err := b.Allow(); err != nil {
+			return err
+		}
+		ran++
+		err := op()
+		b.Record(err != nil)
+		return err
+	}
 	boom := errors.New("boom")
 	for i := 0; i < 2; i++ {
-		if err := b.Do(func() error { return boom }); !errors.Is(err, boom) {
-			t.Fatalf("Do = %v, want boom", err)
+		if err := do(func() error { return boom }); !errors.Is(err, boom) {
+			t.Fatalf("do = %v, want boom", err)
 		}
 	}
-	if err := b.Do(func() error { return nil }); !errors.Is(err, ErrOpen) {
-		t.Fatalf("Do while open = %v, want ErrOpen (op must not run)", err)
+	if err := do(func() error { return nil }); !errors.Is(err, ErrOpen) || ran != 2 {
+		t.Fatalf("do while open = %v after %d runs, want ErrOpen and the op not run", err, ran)
 	}
 	clk.Advance(time.Second)
-	if err := b.Do(func() error { return nil }); err != nil {
-		t.Fatalf("probe Do = %v, want nil", err)
+	if err := do(func() error { return nil }); err != nil {
+		t.Fatalf("probe = %v, want nil", err)
 	}
 	if got := b.State(); got != Closed {
 		t.Fatalf("state = %v, want closed", got)

@@ -488,9 +488,6 @@ type Counts struct {
 	DRAMWriteBytes int64
 }
 
-// LLC returns the last-level cache statistics.
-func (c Counts) LLC() Stats { return c.Levels[len(c.Levels)-1] }
-
 // Counts snapshots the simulator's statistics.
 func (s *Simulator) Counts() Counts {
 	c := Counts{Levels: make([]Stats, len(s.levels)), DRAMReadBytes: s.DRAMReadBytes, DRAMWriteBytes: s.DRAMWriteBytes}

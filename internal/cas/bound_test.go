@@ -4,8 +4,30 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"sort"
 	"testing"
 )
+
+// indexed reports whether a key is in the store's index, without reading
+// or verifying its entry and without counting a hit.
+func indexed(s *Store, key string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.entries[key]
+	return ok
+}
+
+// indexedKeys returns the store's indexed keys, sorted.
+func indexedKeys(s *Store) []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]string, 0, len(s.entries))
+	for k := range s.entries {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
 
 // payloadOf builds a payload of a fixed size whose content identifies i.
 func payloadOf(i, size int) []byte {
@@ -48,7 +70,7 @@ func TestBoundedStoreConvergesUnderChurn(t *testing.T) {
 		t.Fatalf("%d entry files on disk; want 10", len(files))
 	}
 	for i := 0; i < n-10; i++ {
-		if s.Has(testKey(i)) {
+		if indexed(s, testKey(i)) {
 			t.Fatalf("evicted key %d still indexed", i)
 		}
 	}
@@ -77,11 +99,11 @@ func TestEvictionIsLRUNotFIFO(t *testing.T) {
 	if err := s.Put(testKey(3), payloadOf(3, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if s.Has(testKey(1)) {
+	if indexed(s, testKey(1)) {
 		t.Fatal("key 1 survived eviction despite being least recently used")
 	}
 	for _, i := range []int{0, 2, 3} {
-		if !s.Has(testKey(i)) {
+		if !indexed(s, testKey(i)) {
 			t.Fatalf("key %d evicted; want it kept", i)
 		}
 	}
@@ -97,14 +119,14 @@ func TestOversizedEntrySurvivesAlone(t *testing.T) {
 	}
 	// A single entry over the bound is kept (never thrash to empty), but
 	// the next put displaces it.
-	if !s.Has(testKey(0)) {
+	if !indexed(s, testKey(0)) {
 		t.Fatal("oversized sole entry was evicted")
 	}
 	if err := s.Put(testKey(1), payloadOf(1, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if s.Has(testKey(0)) || !s.Has(testKey(1)) {
-		t.Fatalf("after second put: has0=%v has1=%v; want false/true", s.Has(testKey(0)), s.Has(testKey(1)))
+	if indexed(s, testKey(0)) || !indexed(s, testKey(1)) {
+		t.Fatalf("after second put: has0=%v has1=%v; want false/true", indexed(s, testKey(0)), indexed(s, testKey(1)))
 	}
 }
 
@@ -129,7 +151,7 @@ func TestWarmStartTrimsToNewBound(t *testing.T) {
 	if st.Entries != 3 || st.TotalBytes != 300 || st.Evictions != 5 {
 		t.Fatalf("after bounded re-open: %+v", st)
 	}
-	for _, key := range s2.Keys() {
+	for _, key := range indexedKeys(s2) {
 		if _, ok := s2.Get(key); !ok {
 			t.Fatalf("warm survivor %s failed verification", key)
 		}

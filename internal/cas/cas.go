@@ -304,33 +304,6 @@ func (s *Store) Put(key string, payload []byte) error {
 	return nil
 }
 
-// Has reports whether a key is indexed (without reading or verifying
-// the entry body, and without counting a hit).
-func (s *Store) Has(key string) bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.entries[key]
-	return ok
-}
-
-// Keys returns the indexed keys, sorted (diagnostics and tests).
-func (s *Store) Keys() []string {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.entries))
-	for k := range s.entries {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Stats returns the store's counters.
 func (s *Store) Stats() Stats {
 	if s == nil {

@@ -9,7 +9,7 @@ import (
 	"polyufc/internal/workloads"
 )
 
-// An already-cancelled context aborts CompileCtx before any stage runs.
+// An already-cancelled context aborts CompilePipeline before any stage runs.
 func TestCompileCtxCancelledBeforeStart(t *testing.T) {
 	p := hw.RPL()
 	cfg := DefaultConfig(targetFor(t, p))
@@ -23,7 +23,7 @@ func TestCompileCtxCancelledBeforeStart(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CompileCtx(ctx, mod, cfg); !errors.Is(err, context.Canceled) {
+	if _, err := CompilePipeline(ctx, mod, cfg, PipelineOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -44,7 +44,7 @@ func TestCompileCtxCancellationBeatsBestEffort(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := CompileCtx(ctx, mod, cfg)
+	res, err := CompilePipeline(ctx, mod, cfg, PipelineOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -53,8 +53,8 @@ func TestCompileCtxCancellationBeatsBestEffort(t *testing.T) {
 	}
 }
 
-// The Compile wrapper stays uncancellable and identical to CompileCtx with
-// Background.
+// The Compile wrapper stays uncancellable and identical to CompilePipeline
+// with Background.
 func TestCompileMatchesCompileCtxBackground(t *testing.T) {
 	p := hw.RPL()
 	cfg := DefaultConfig(targetFor(t, p))
@@ -70,7 +70,7 @@ func TestCompileMatchesCompileCtxBackground(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CompileCtx(context.Background(), mod, cfg)
+	b, err := CompilePipeline(context.Background(), mod, cfg, PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

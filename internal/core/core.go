@@ -283,20 +283,7 @@ func (r *Result) FinalSocketCaps() []float64 {
 // parallel engine's memo cache (Cache) relies on this property to share
 // Results across sweeps.
 func Compile(mod *ir.Module, cfg Config) (*Result, error) {
-	return CompileCtx(context.Background(), mod, cfg)
-}
-
-// CompileCtx is Compile with a deadline: the context is checked between
-// pipeline stages and between nests, and propagated into PolyUFC-SEARCH,
-// so a serving daemon's per-request timeout bounds the whole compilation.
-// Cancellation always aborts — it is a caller decision, not a stage fault,
-// so BestEffort does not degrade around it.
-//
-// The body is the declared stage list of stages.go run by
-// internal/pipeline (see CompilePipeline for the staged-execution
-// controls: stage memoization, prefix runs, event observers).
-func CompileCtx(ctx context.Context, mod *ir.Module, cfg Config) (*Result, error) {
-	return CompilePipeline(ctx, mod, cfg, PipelineOptions{})
+	return CompilePipeline(context.Background(), mod, cfg, PipelineOptions{})
 }
 
 // torchOrigin extracts the torch-level ancestor from an origin chain like

@@ -140,10 +140,11 @@ func TestCompiledModuleRunsAndImprovesEDP(t *testing.T) {
 	m.SetUncoreCap(p.UncoreMax)
 	for _, op := range res.Module.Funcs[0].Ops {
 		if nest, ok := op.(*ir.Nest); ok {
-			r, err := m.RunNest(nest)
+			prof, err := m.Profile(nest)
 			if err != nil {
 				t.Fatal(err)
 			}
+			r := m.Measure(prof)
 			baseline.Seconds += r.Seconds
 			baseline.PkgJoules += r.PkgJoules
 		}

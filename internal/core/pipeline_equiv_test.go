@@ -50,7 +50,7 @@ func TestStageMemoOnVsOffIdenticalResults(t *testing.T) {
 	} {
 		for _, name := range []string{"gemm", "2mm", "sdpa-bert"} {
 			mod := buildModule(t, name, workloads.Test)
-			plain, err := CompileCtx(context.Background(), mod, tc.cfg)
+			plain, err := CompilePipeline(context.Background(), mod, tc.cfg, PipelineOptions{})
 			if err != nil {
 				t.Fatalf("%s/%s plain: %v", tc.name, name, err)
 			}
@@ -143,7 +143,7 @@ func TestPrefixRunSeedsFullCompile(t *testing.T) {
 		}
 	}
 	// And the seeded full compile equals a from-scratch one.
-	plain, err := CompileCtx(context.Background(), mod, cfg)
+	plain, err := CompilePipeline(context.Background(), mod, cfg, PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,10 @@ func TestFaultsDisableStageMemo(t *testing.T) {
 // under-report the Table-IV breakdown.
 func TestTimingsTotalDerivesFromStageEvents(t *testing.T) {
 	res := compileKernel(t, "gemm", workloads.Test, hw.BDW())
-	names := StageNames(DefaultConfig(targetFor(t, hw.BDW())))
+	var names []string
+	for _, st := range compileStages(DefaultConfig(targetFor(t, hw.BDW()))) {
+		names = append(names, st.Name)
+	}
 	if len(res.Timings.Stages) != len(names) {
 		t.Fatalf("recorded %d stage events, want %d", len(res.Timings.Stages), len(names))
 	}

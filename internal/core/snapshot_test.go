@@ -41,7 +41,7 @@ func TestSnapshotModuleSharingIsInvisible(t *testing.T) {
 	ctx := context.Background()
 	for _, name := range []string{"2mm", "sdpa-bert"} {
 		mod := buildModule(t, name, workloads.Test)
-		plain, err := CompileCtx(ctx, mod, cfg)
+		plain, err := CompilePipeline(ctx, mod, cfg, PipelineOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

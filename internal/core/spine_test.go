@@ -36,7 +36,7 @@ func TestGoroutinesCompileOneSharedModule(t *testing.T) {
 			for _, obj := range objectives {
 				cfg := DefaultConfig(tg)
 				cfg.Search.Objective = obj
-				res, err := CompileCtx(ctx, mod, cfg)
+				res, err := CompilePipeline(ctx, mod, cfg, PipelineOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -210,7 +210,7 @@ func TestInterleavedCompilesEqualMemoOff(t *testing.T) {
 		if mods[r.kernel] == nil {
 			mods[r.kernel] = buildModule(t, r.kernel, workloads.Test)
 		}
-		res, err := CompileCtx(ctx, mods[r.kernel], r.cfg)
+		res, err := CompilePipeline(ctx, mods[r.kernel], r.cfg, PipelineOptions{})
 		if err != nil {
 			t.Fatalf("%v: %v", r, err)
 		}
@@ -256,7 +256,7 @@ func TestConcurrentPlatformsShareOnePrefix(t *testing.T) {
 		mod := buildModule(t, kernel, workloads.Test)
 		var want [2]*Result
 		for i, cfg := range cfgs {
-			res, err := CompileCtx(ctx, mod, cfg)
+			res, err := CompilePipeline(ctx, mod, cfg, PipelineOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

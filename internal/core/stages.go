@@ -694,18 +694,6 @@ func compileStages(cfg Config) []pipeline.Stage[*compileState] {
 	return append(stages, stageRewriteCleanup())
 }
 
-// StageNames returns the compile pipeline's stage names in declared
-// order for a configuration — the vocabulary shared by Timings.Stages,
-// statsz and degrade reports.
-func StageNames(cfg Config) []string {
-	stages := compileStages(cfg)
-	out := make([]string, len(stages))
-	for i, st := range stages {
-		out[i] = st.Name
-	}
-	return out
-}
-
 // stagePos returns the position of a stage name in the declared order,
 // or -1.
 func stagePos(stages []pipeline.Stage[*compileState], name string) int {
@@ -733,11 +721,15 @@ type PipelineOptions struct {
 	Observe func(pipeline.Event)
 }
 
-// CompilePipeline is CompileCtx with staged-execution controls: an
-// optional shared stage cache, a prefix bound, and an event observer.
-// A prefix run (Until set before cap insertion) returns a Result whose
-// Reports carry the analysis computed so far and whose module is the
-// (lowered, tiled) input without caps.
+// CompilePipeline is Compile with a deadline and staged-execution
+// controls: an optional shared stage cache, a prefix bound, and an event
+// observer. The context is checked between pipeline stages and between
+// nests, and propagated into PolyUFC-SEARCH, so a serving daemon's
+// per-request timeout bounds the whole compilation. Cancellation always
+// aborts — it is a caller decision, not a stage fault, so BestEffort does
+// not degrade around it. A prefix run (Until set before cap insertion)
+// returns a Result whose Reports carry the analysis computed so far and
+// whose module is the (lowered, tiled) input without caps.
 func CompilePipeline(ctx context.Context, mod *ir.Module, cfg Config, opts PipelineOptions) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

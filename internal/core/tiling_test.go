@@ -22,13 +22,13 @@ func TestDefaultTilingEqualsExplicitPluto(t *testing.T) {
 	cfg := DefaultConfig(targetFor(t, p))
 	cfg.AmortizeFactor = 0
 	for _, name := range []string{"gemm", "2mm", "sdpa-bert"} {
-		def, err := CompileCtx(context.Background(), buildModule(t, name, workloads.Test), cfg)
+		def, err := CompilePipeline(context.Background(), buildModule(t, name, workloads.Test), cfg, PipelineOptions{})
 		if err != nil {
 			t.Fatalf("%s default: %v", name, err)
 		}
 		cfgP := cfg
 		cfgP.Tiling = tiling.Spec{Name: tiling.NamePluto}
-		exp, err := CompileCtx(context.Background(), buildModule(t, name, workloads.Test), cfgP)
+		exp, err := CompilePipeline(context.Background(), buildModule(t, name, workloads.Test), cfgP, PipelineOptions{})
 		if err != nil {
 			t.Fatalf("%s explicit pluto: %v", name, err)
 		}
@@ -224,7 +224,7 @@ func TestAutoSelectsByCapEDPNotDRAMVolume(t *testing.T) {
 		t.Helper()
 		c := cfg
 		c.Tiling = tiling.Spec{Name: name}
-		res, err := CompileCtx(context.Background(), buildModule(t, kernel, workloads.Bench), c)
+		res, err := CompilePipeline(context.Background(), buildModule(t, kernel, workloads.Bench), c, PipelineOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -266,7 +266,7 @@ func TestUnknownTilingStrategyFailsCompile(t *testing.T) {
 	cfg.Tiling = tiling.Spec{Name: "bogus"}
 	for _, policy := range []DegradePolicy{Strict, BestEffort} {
 		cfg.Degrade = policy
-		_, err := CompileCtx(context.Background(), buildModule(t, "gemm", workloads.Test), cfg)
+		_, err := CompilePipeline(context.Background(), buildModule(t, "gemm", workloads.Test), cfg, PipelineOptions{})
 		if err == nil || !strings.Contains(err.Error(), `"bogus"`) {
 			t.Fatalf("degrade %v: err = %v, want a compile error naming the strategy", policy, err)
 		}

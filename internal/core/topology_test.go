@@ -220,13 +220,13 @@ func TestV2SpellingCompileEquivalence(t *testing.T) {
 		for _, kernel := range []string{"gemm", "mvt"} {
 			cfg1 := DefaultConfig(tg1)
 			cfg1.AmortizeFactor = 0
-			r1, err := CompileCtx(context.Background(), buildModule(t, kernel, workloads.Test), cfg1)
+			r1, err := CompilePipeline(context.Background(), buildModule(t, kernel, workloads.Test), cfg1, PipelineOptions{})
 			if err != nil {
 				t.Fatalf("%s/%s v1: %v", name, kernel, err)
 			}
 			cfg2 := DefaultConfig(tg2)
 			cfg2.AmortizeFactor = 0
-			r2, err := CompileCtx(context.Background(), buildModule(t, kernel, workloads.Test), cfg2)
+			r2, err := CompilePipeline(context.Background(), buildModule(t, kernel, workloads.Test), cfg2, PipelineOptions{})
 			if err != nil {
 				t.Fatalf("%s/%s v2: %v", name, kernel, err)
 			}

@@ -122,7 +122,7 @@ func (s *Suite) RenderValidate() error {
 		if b.NumSockets() < 2 {
 			continue
 		}
-		t, err := roofline.ResolveCached(s.ctx(), &s.stages, b)
+		t, err := s.calibrate(s.ctx(), b)
 		if err != nil {
 			return err
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"polyufc/internal/platform"
-	"polyufc/internal/roofline"
 )
 
 func TestTileSizeSweep(t *testing.T) {
@@ -64,7 +63,7 @@ func TestValidationChargesLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tg, err := roofline.ResolveCached(s.ctx(), &s.stages, b)
+	tg, err := s.calibrate(s.ctx(), b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,7 +126,7 @@ func (s *Suite) RenderCluster() error {
 		return err
 	}
 	for _, b := range backends {
-		t, err := roofline.ResolveCached(s.ctx(), &s.stages, b)
+		t, err := s.calibrate(s.ctx(), b)
 		if err != nil {
 			return err
 		}

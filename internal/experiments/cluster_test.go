@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"polyufc/internal/platform"
-	"polyufc/internal/roofline"
+	"polyufc/internal/workloads"
 )
 
 func TestClusterSweepShapes(t *testing.T) {
@@ -22,7 +22,7 @@ func TestClusterSweepShapes(t *testing.T) {
 	if len(backends) != 1 || backends[0].NumSockets() != 2 {
 		t.Fatalf("cluster backends: %+v", backends)
 	}
-	tg, err := roofline.ResolveCached(s.ctx(), &s.stages, backends[0])
+	tg, err := s.calibrate(s.ctx(), backends[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestClusterSweepFromJSONDescription(t *testing.T) {
 	if b.NumNodes() != 8 || b.NumSockets() != 2 {
 		t.Fatalf("cluster description shape: %d nodes, %d sockets", b.NumNodes(), b.NumSockets())
 	}
-	tg, err := roofline.ResolveCached(s.ctx(), &s.stages, b)
+	tg, err := s.calibrate(s.ctx(), b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,5 +105,43 @@ func TestRenderCluster(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render misses %q:\n%s", want, out)
 		}
+	}
+}
+
+// RenderCluster and RenderValidate share one fit per multi-socket backend:
+// the cluster block calibrates each, the validation block that follows
+// hits the suite's calibration memo and fits nothing anew.
+func TestClusterAndValidateShareOneCalibration(t *testing.T) {
+	s, err := New(workloads.Test, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends, err := clusterBackends()
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi := 0
+	for _, b := range backends {
+		if b.NumSockets() > 1 {
+			multi++
+		}
+	}
+	if multi == 0 {
+		t.Fatal("no multi-socket backend to validate on")
+	}
+	_, misses0 := s.calibrations.Stats()
+	if err := s.RenderCluster(); err != nil {
+		t.Fatal(err)
+	}
+	hits1, misses1 := s.calibrations.Stats()
+	if misses1-misses0 != int64(len(backends)) {
+		t.Fatalf("RenderCluster calibrated %d backends, want %d", misses1-misses0, len(backends))
+	}
+	if err := s.RenderValidate(); err != nil {
+		t.Fatal(err)
+	}
+	hits2, misses2 := s.calibrations.Stats()
+	if misses2 != misses1 || hits2-hits1 != int64(multi) {
+		t.Fatalf("RenderValidate: %d new fits and %d memo hits, want 0 and %d", misses2-misses1, hits2-hits1, multi)
 	}
 }

@@ -142,7 +142,8 @@ func TestFaultsBypassCompileCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// New's calibrations are the only stage-cache traffic so far.
+	// New calibrates through the suite's calibration memo, not the stage
+	// cache, so nothing has touched the stage cache so far.
 	hits0, misses0 := s.StageCacheStats()
 	s.Faults = faults.New(1)
 	compile()

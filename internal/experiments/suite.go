@@ -76,8 +76,12 @@ type Suite struct {
 	stages     pipeline.Cache
 	stageStats pipeline.Metrics
 	profiles   hw.ProfileCache
-	mu         sync.Mutex
-	notes      []string
+	// calibrations memoizes each backend's roofline fit by description
+	// hash: the 2-socket fits New, RenderCluster and RenderValidate ask
+	// for are fitted once, and an edited description is fitted anew.
+	calibrations parallel.Memo[string, *roofline.Target]
+	mu           sync.Mutex
+	notes        []string
 }
 
 // New builds a suite over both Table-III platforms, calibrating their
@@ -88,8 +92,7 @@ func New(size workloads.SizeClass, out io.Writer) (*Suite, error) {
 
 // NewBackends builds a suite over an explicit backend set — any mix of
 // embedded descriptions and registry entries loaded from platforms/*.json
-// files — calibrating each one concurrently through the suite's stage
-// cache.
+// files — calibrating each one concurrently (Suite.calibrate).
 func NewBackends(size workloads.SizeClass, out io.Writer, backends []*platform.Backend) (*Suite, error) {
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("experiments: no backends to evaluate")
@@ -97,7 +100,7 @@ func NewBackends(size workloads.SizeClass, out io.Writer, backends []*platform.B
 	s := &Suite{Size: size, Out: out, targets: map[string]*roofline.Target{}}
 	targets, err := parallel.Map(context.Background(), len(backends), 0,
 		func(ctx context.Context, i int) (*roofline.Target, error) {
-			t, err := roofline.ResolveCached(ctx, &s.stages, backends[i])
+			t, err := s.calibrate(ctx, backends[i])
 			if err != nil {
 				return nil, fmt.Errorf("experiments: calibrate %s: %w", backends[i].Name, err)
 			}
@@ -111,6 +114,11 @@ func NewBackends(size workloads.SizeClass, out io.Writer, backends []*platform.B
 		s.targets[t.Platform.Name] = t
 	}
 	return s, nil
+}
+
+// calibrate resolves a backend through the suite's calibration memo.
+func (s *Suite) calibrate(ctx context.Context, b *platform.Backend) (*roofline.Target, error) {
+	return s.calibrations.Do(ctx, b.Hash(), func() (*roofline.Target, error) { return roofline.Resolve(b) })
 }
 
 // Platforms returns the suite's platforms.
@@ -142,7 +150,8 @@ func (s *Suite) StageNames() []string { return s.stageStats.StageNames() }
 
 // ResetCache drops all memoized stage snapshots and nest profiles (used
 // by benchmarks to measure cold-sweep behaviour). The caches reset
-// together, so a reset sweep compiles and simulates anew.
+// together, so a reset sweep compiles and simulates anew; calibrations
+// are kept.
 func (s *Suite) ResetCache() {
 	s.stages.Reset()
 	s.profiles.Reset()

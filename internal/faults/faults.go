@@ -82,16 +82,6 @@ func (r *Registry) Enable(name string, s Spec) {
 	r.mu.Unlock()
 }
 
-// Disable disarms a fault point.
-func (r *Registry) Disable(name string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	delete(r.points, name)
-	r.mu.Unlock()
-}
-
 // Hit probes a fault point: it returns nil when the registry is nil, the
 // point is not enabled, or the trigger does not fire on this call;
 // otherwise it returns (or panics with, per Spec.Panic) an *Error for the

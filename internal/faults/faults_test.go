@@ -11,7 +11,6 @@ func TestNilRegistryIsDisabled(t *testing.T) {
 		t.Fatalf("nil registry fired: %v", err)
 	}
 	r.Enable("any.point", Spec{P: 1})
-	r.Disable("any.point")
 	if r.Calls("any.point") != 0 || r.Fired("any.point") != 0 {
 		t.Fatal("nil registry kept counters")
 	}

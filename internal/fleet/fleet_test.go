@@ -271,8 +271,9 @@ func TestInjectedTimeoutFault(t *testing.T) {
 		t.Fatal("injected timeout still reached the wire")
 	}
 
-	// Disarming the fault restores service once the breaker reprobes.
-	reg.Disable(FaultPeerTimeout)
+	// Disarming the fault (a spec with no trigger never fires) restores
+	// service once the breaker reprobes.
+	reg.Enable(FaultPeerTimeout, faults.Spec{})
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if _, ok := c.Lookup(context.Background(), key); ok {

@@ -88,7 +88,7 @@ func TestCapBreakerTripsDegradesAndRecovers(t *testing.T) {
 	}
 
 	// Driver recovers; the next probe closes the breaker.
-	reg.Disable(FaultCapWriteBusy)
+	m.SetFaults(nil)
 	clk.Advance(time.Second)
 	got, err := b.SetCap(1.5)
 	if err != nil || got != 1.5 {
@@ -141,15 +141,15 @@ func TestCapBreakerSuccessResetsStreak(t *testing.T) {
 	p := RPL()
 	m := NewMachine(p)
 	reg := faults.New(8)
-	m.SetFaults(reg)
+	reg.Enable(FaultCapWriteBusy, faults.Spec{P: 1})
 	clk := &fakeClock{}
 	b := testBreaker(m, 3, clk)
 	for i := 0; i < 10; i++ {
 		// Alternate: two failures, then a success, forever.
 		if i%3 == 2 {
-			reg.Disable(FaultCapWriteBusy)
+			m.SetFaults(nil)
 		} else {
-			reg.Enable(FaultCapWriteBusy, faults.Spec{P: 1})
+			m.SetFaults(reg)
 		}
 		b.SetCap(1.5)
 	}

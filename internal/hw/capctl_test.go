@@ -183,7 +183,7 @@ func TestCapControllerRunFuncBestEffortDegrades(t *testing.T) {
 	opts.BestEffort = false
 	m2 := NewMachine(p)
 	m2.SetFaults(faults.New(9))
-	m2.Faults().Enable(FaultCapWriteBusy, faults.Spec{P: 1})
+	m2.faults.Enable(FaultCapWriteBusy, faults.Spec{P: 1})
 	if _, err := NewCapController(m2, opts).RunFunc(f); !errors.Is(err, ErrCapBusy) {
 		t.Fatalf("strict run err = %v", err)
 	}

@@ -194,7 +194,7 @@ func TestRunFuncWithCaps(t *testing.T) {
 
 // RunBaseline is the uncapped reference: whatever cap was in force it
 // runs every nest at the driver default, skips the cap ops, and sums what
-// RunNest reports.
+// measuring each nest's profile reports.
 func TestRunBaselineIgnoresCapsAndSums(t *testing.T) {
 	A := ir.NewArray("A", 8, 64)
 	stmt := &ir.Statement{Name: "S", Flops: 1}
@@ -203,10 +203,11 @@ func TestRunBaselineIgnoresCapsAndSums(t *testing.T) {
 	f := &ir.Func{Name: "k", Ops: []ir.Op{&ir.SetUncoreCap{GHz: 1.5}, nest, nest}}
 
 	ref := NewMachine(BDW())
-	one, err := ref.RunNest(nest) // a fresh machine sits at the driver default
+	prof, err := ref.Profile(nest)
 	if err != nil {
 		t.Fatal(err)
 	}
+	one := ref.Measure(prof) // a fresh machine sits at the driver default
 	m := NewMachine(BDW())
 	m.SetUncoreCap(1.5)
 	base, err := m.RunBaseline(f, f)
@@ -221,6 +222,45 @@ func TestRunBaselineIgnoresCapsAndSums(t *testing.T) {
 	}
 	if base.EDP != base.PkgJoules*base.Seconds {
 		t.Fatalf("EDP %g != J*s", base.EDP)
+	}
+}
+
+// A function that repeats one nest asks the profile memo once per run,
+// not once per op, and measures what a nest-by-nest walk measures.
+func TestRepeatedNestLooksUpOneProfile(t *testing.T) {
+	A := ir.NewArray("A", 8, 64)
+	stmt := &ir.Statement{Name: "S", Flops: 1}
+	stmt.Accesses = []ir.Access{{Array: A, Write: true, Index: []ir.AffExpr{ir.AffVar("i")}}}
+	nest := &ir.Nest{Label: "w", Root: ir.SimpleLoop("i", ir.AffConst(0), ir.AffConst(63), stmt)}
+	f := &ir.Func{Name: "k", Ops: []ir.Op{&ir.SetUncoreCap{GHz: 1.5}}}
+	for i := 0; i < 100; i++ {
+		f.Ops = append(f.Ops, nest)
+	}
+
+	var cache ProfileCache
+	m := NewMachine(BDW())
+	m.SetProfileCache(&cache)
+	got, err := m.RunFunc(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := cache.Stats(); hits+misses != 1 {
+		t.Fatalf("%d profile-cache lookups (%d hits, %d misses), want 1", hits+misses, hits, misses)
+	}
+
+	ref := NewMachine(BDW())
+	want := RunResult{UncoreGHz: ref.UncoreCap()}
+	want.Add(RunResult{Seconds: ref.P.CapLatency, PkgJoules: ref.P.CapLatency * ref.P.truth.PConstW})
+	ref.SetUncoreCap(1.5)
+	prof, err := ref.Profile(nest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		want.Add(ref.Measure(prof))
+	}
+	if got != want {
+		t.Fatalf("repeated run %+v, want %+v", got, want)
 	}
 }
 

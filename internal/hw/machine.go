@@ -118,9 +118,6 @@ var ErrCapBusy = errors.New("hw: uncore cap write: device busy")
 // failure modes.
 func (m *Machine) SetFaults(r *faults.Registry) { m.faults = r }
 
-// Faults returns the armed registry, nil when disabled.
-func (m *Machine) Faults() *faults.Registry { return m.faults }
-
 // ThermalOverrides counts silent firmware cap raises so far.
 func (m *Machine) ThermalOverrides() int64 { return m.thermalOverrides }
 
@@ -352,23 +349,17 @@ func (m *Machine) bandwidth(fU float64) float64 {
 	return t.BWPeakGBs * fU / (fU + t.BWKneeGHz) * 1e9
 }
 
-// RunNest profiles (memoized) and measures a nest at the current cap.
-func (m *Machine) RunNest(nest *ir.Nest) (RunResult, error) {
-	p, err := m.Profile(nest)
-	if err != nil {
-		return RunResult{}, err
-	}
-	return m.Measure(p), nil
-}
-
 // runOps is the one op walk behind Machine.RunFunc, Machine.RunBaseline
-// and CapController.RunFunc: the functions' ops run in order, nests on the
-// machine, and the runs aggregate by RunResult.Add. The walk leaves one decision to its caller — what
-// a SetUncoreCap op does (setCap) and what watches the cap after each nest
-// (afterNest). Both are charged by counter delta: whatever busy time and
-// package energy they put on the machine's counters (cap-switch latency,
-// retry backoff) lands in the aggregate; one that touches nothing adds
-// exactly zero.
+// and CapController.RunFunc: the functions' ops run in order, each nest
+// measured (Measure) at the cap of the moment, and the runs aggregate by
+// RunResult.Add. A nest is profiled (Profile) the first time the walk
+// meets it and its profile reused after, so a function that repeats its
+// ops asks the profile memo once per distinct nest, not once per op. The
+// walk leaves one decision to its caller — what a SetUncoreCap op does
+// (setCap) and what watches the cap after each nest (afterNest). Both are
+// charged by counter delta: whatever busy time and package energy they
+// put on the machine's counters (cap-switch latency, retry backoff) lands
+// in the aggregate; one that touches nothing adds exactly zero.
 func (m *Machine) runOps(funcs []*ir.Func, setCap func(ghz float64) error, afterNest func() error) (RunResult, error) {
 	agg := RunResult{UncoreGHz: m.uncoreCap}
 	charge := func(run func() error) error {
@@ -377,6 +368,7 @@ func (m *Machine) runOps(funcs []*ir.Func, setCap func(ghz float64) error, after
 		agg.Add(RunResult{Seconds: m.busyTime - before, PkgJoules: m.pkgEnergy - beforeE})
 		return err
 	}
+	profs := map[*ir.Nest]*CacheProfile{}
 	for _, f := range funcs {
 		for _, op := range f.Ops {
 			switch x := op.(type) {
@@ -385,11 +377,15 @@ func (m *Machine) runOps(funcs []*ir.Func, setCap func(ghz float64) error, after
 					return agg, err
 				}
 			case *ir.Nest:
-				r, err := m.RunNest(x)
-				if err != nil {
-					return agg, err
+				p, ok := profs[x]
+				if !ok {
+					var err error
+					if p, err = m.Profile(x); err != nil {
+						return agg, err
+					}
+					profs[x] = p
 				}
-				agg.Add(r)
+				agg.Add(m.Measure(p))
 				if err := charge(afterNest); err != nil {
 					return agg, err
 				}

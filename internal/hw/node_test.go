@@ -31,22 +31,39 @@ func twoSocketBackend(t *testing.T) *platform.Backend {
 	return b
 }
 
-func TestNodeBootAndSocketViews(t *testing.T) {
-	b := twoSocketBackend(t)
-	n, err := NewNode(b)
+// socketMachines boots a backend's sockets and returns their machines.
+func socketMachines(t *testing.T, b *platform.Backend) []*Machine {
+	t.Helper()
+	ctls, err := SocketControllers(b, CapControllerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.NumSockets() != 2 {
-		t.Fatalf("NumSockets = %d", n.NumSockets())
+	out := make([]*Machine, len(ctls))
+	for i, c := range ctls {
+		out[i] = c.Machine()
+	}
+	return out
+}
+
+func TestNodeBootAndSocketViews(t *testing.T) {
+	b := twoSocketBackend(t)
+	ctls, err := SocketControllers(b, CapControllerOptions{JitterSeed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ctls) != 2 {
+		t.Fatalf("%d socket controllers, want 2", len(ctls))
 	}
 	if b.TotalThreads() != 2*b.Sockets[0].Threads {
 		t.Fatalf("TotalThreads = %d, want %d", b.TotalThreads(), 2*b.Sockets[0].Threads)
 	}
-	s0, _ := n.Socket(0)
-	s1, _ := n.Socket(1)
+	s0, s1 := ctls[0].Machine(), ctls[1].Machine()
 	if s0.P.Socket != 0 || s1.P.Socket != 1 {
 		t.Fatalf("socket indices %d/%d", s0.P.Socket, s1.P.Socket)
+	}
+	// Each socket's controller draws its own backoff jitter.
+	if ctls[0].opts.JitterSeed != 7 || ctls[1].opts.JitterSeed != 8 {
+		t.Fatalf("jitter seeds %d/%d, want 7/8", ctls[0].opts.JitterSeed, ctls[1].opts.JitterSeed)
 	}
 	// Identical sockets give identical platform views, index aside.
 	p1 := *s1.P
@@ -54,17 +71,13 @@ func TestNodeBootAndSocketViews(t *testing.T) {
 	if !reflect.DeepEqual(s0.P, &p1) {
 		t.Fatal("identical sockets produced different platform views")
 	}
-	if _, err := n.Socket(2); err == nil {
+	if _, err := SocketPlatform(b, 2); err == nil {
 		t.Fatal("out-of-range socket resolved")
 	}
-	// Single-socket backends boot as 1-socket nodes.
+	// Single-socket backends boot one socket.
 	bdw, _ := platform.Lookup("BDW")
-	nb, err := NewNode(bdw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nb.NumSockets() != 1 || nb.B.Interconnect != nil {
-		t.Fatalf("BDW node: %d sockets, ic=%v", nb.NumSockets(), nb.B.Interconnect)
+	if ms := socketMachines(t, bdw); len(ms) != 1 || ms[0].P.Backend.Interconnect != nil {
+		t.Fatalf("BDW: %d sockets, ic=%v", len(ms), bdw.Interconnect)
 	}
 }
 
@@ -74,12 +87,7 @@ func TestNodeBootAndSocketViews(t *testing.T) {
 // a link pays nothing), every extra share costs time and energy, and
 // Measure accumulates RAPL like any run.
 func TestRemoteShareChargesLink(t *testing.T) {
-	b := twoSocketBackend(t)
-	n, err := NewNode(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, _ := n.Socket(0)
+	m := socketMachines(t, twoSocketBackend(t))[0]
 	bdw := NewMachine(BDW())
 	p := &CacheProfile{Result: cachemodel.Result{
 		Flops:  1 << 24,
@@ -121,11 +129,7 @@ func TestRemoteShareChargesLink(t *testing.T) {
 // a parallel nest on a 2-socket machine carries the (S-1)/S share, a
 // serial one and any nest on one socket carry none.
 func TestProfileCarriesPlacement(t *testing.T) {
-	n, err := NewNode(twoSocketBackend(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	two, _ := n.Socket(0)
+	two := socketMachines(t, twoSocketBackend(t))[0]
 	A := ir.NewArray("A", 8, 128)
 	for _, parallel := range []bool{false, true} {
 		stmt := &ir.Statement{Name: "S", Flops: 1}
@@ -154,19 +158,15 @@ func TestProfileCarriesPlacement(t *testing.T) {
 
 func TestNodePerSocketFaultIsolation(t *testing.T) {
 	b := twoSocketBackend(t)
-	n, err := NewNode(b)
+	ctls, err := SocketControllers(b, CapControllerOptions{MaxRetries: 2, BestEffort: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Arm a hard EBUSY fault on socket 1 only.
 	reg := faults.New(1)
 	reg.Enable(FaultCapWriteBusy, faults.Spec{P: 1})
-	s1, err := n.Socket(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s0, s1 := ctls[0].Machine(), ctls[1].Machine()
 	s1.SetFaults(reg)
-	ctls := n.Controllers(CapControllerOptions{MaxRetries: 2, BestEffort: true})
 	target := 1.6
 	got0, err0 := ctls[0].Apply(target)
 	_, err1 := ctls[1].Apply(target)
@@ -176,18 +176,17 @@ func TestNodePerSocketFaultIsolation(t *testing.T) {
 	if err1 == nil {
 		t.Fatal("faulty socket 1 applied the cap despite a hard EBUSY fault")
 	}
-	s0, _ := n.Socket(0)
 	if s0.UncoreCap() != target {
 		t.Fatalf("socket 0 cap = %g, want %g", s0.UncoreCap(), target)
 	}
 	if s1.UncoreCap() != s1.P.UncoreMax {
 		t.Fatalf("socket 1 cap moved to %g despite write failures", s1.UncoreCap())
 	}
-	// A fresh controller set surfaces the failure on socket 1 but still
-	// drives socket 0.
-	ctls = n.Controllers(CapControllerOptions{MaxRetries: 1, BestEffort: true})
-	applied0, err0 := ctls[0].Apply(1.4)
-	if _, err1 := ctls[1].Apply(1.4); err1 == nil {
+	// A fresh controller per socket over the same machines surfaces the
+	// failure on socket 1 but still drives socket 0.
+	opts := CapControllerOptions{MaxRetries: 1, BestEffort: true}
+	applied0, err0 := NewCapController(s0, opts).Apply(1.4)
+	if _, err1 := NewCapController(s1, opts).Apply(1.4); err1 == nil {
 		t.Fatal("the socket-1 failure was swallowed")
 	}
 	if err0 != nil || applied0 != 1.4 {

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -742,18 +741,4 @@ func (jb *Job) emit(ev Event) {
 // subscription.
 func (jb *Job) Subscribe(afterSeq int64) (backlog []Event, live <-chan Event, cancel func()) {
 	return jb.events.subscribe(afterSeq)
-}
-
-// UnitKeys returns the journal keys of the job's checkpointed units,
-// sorted (diagnostics and tests).
-func (jb *Job) UnitKeys() []string {
-	prefix := unitPrefix(jb.spec.ID)
-	var out []string
-	for _, k := range jb.m.jnl.Keys() {
-		if s, ok := strings.CutPrefix(k, prefix); ok {
-			out = append(out, s)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

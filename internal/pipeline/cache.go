@@ -9,10 +9,7 @@ import "polyufc/internal/parallel"
 // daemon relies on this when a characterize request and a search request
 // for the same kernel race through the shared prefix.
 //
-// The embedded Memo supplies SetLimit, Counters, Stats and Reset, and its
-// Do memoizes arbitrary computations in the same store: callers outside
-// the stage runner (backend calibration, for one) key their entries by
-// content hash so they coexist with chained stage keys.
+// The embedded Memo supplies SetLimit, Counters, Stats and Reset.
 //
 // The zero value is ready to use. Long-running processes must SetLimit —
 // an unbounded snapshot cache is a memory leak under open-ended traffic.

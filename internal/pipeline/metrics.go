@@ -68,10 +68,3 @@ func (mx *Metrics) StageNames() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Reset drops all aggregates.
-func (mx *Metrics) Reset() {
-	mx.mu.Lock()
-	defer mx.mu.Unlock()
-	mx.m = nil
-}

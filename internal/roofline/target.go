@@ -1,13 +1,11 @@
 package roofline
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"polyufc/internal/faults"
 	"polyufc/internal/hw"
-	"polyufc/internal/pipeline"
 	"polyufc/internal/platform"
 )
 
@@ -200,23 +198,6 @@ func ResolveName(name string) (*Target, error) {
 		return nil, err
 	}
 	return Resolve(b)
-}
-
-// ResolveCached memoizes Resolve through a pipeline stage cache, keyed
-// by the description's content hash: sweeps over many configurations of
-// one backend calibrate once, and an edited description re-calibrates
-// instead of reusing a stale fit.
-func ResolveCached(ctx context.Context, cache *pipeline.Cache, b *platform.Backend) (*Target, error) {
-	if cache == nil {
-		return Resolve(b)
-	}
-	v, err := cache.Do(ctx, "calibrate/"+b.Name+"/"+b.Hash(), func() (any, error) {
-		return Resolve(b)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*Target), nil
 }
 
 // Refit re-runs the calibration micro-benchmarks for an already-resolved

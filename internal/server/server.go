@@ -109,10 +109,6 @@ type Config struct {
 	Peers       []string
 	PeerTimeout time.Duration
 	PeerRetries int
-	// JobCompactThreshold triggers the jobs-journal compaction once that
-	// many prunable records (per-unit history of terminal jobs)
-	// accumulate; 0 selects the jobs default, negative disables.
-	JobCompactThreshold int
 }
 
 // DefaultConfig returns production-shaped defaults.
@@ -249,11 +245,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	backends := platform.All()
 	targets, err := parallel.Map(context.Background(), len(backends), 0,
-		func(ctx context.Context, i int) (*roofline.Target, error) {
+		func(_ context.Context, i int) (*roofline.Target, error) {
 			if t := s.warmCalibration(backends[i]); t != nil {
 				return t, nil
 			}
-			t, err := roofline.ResolveCached(ctx, &s.stages, backends[i])
+			t, err := roofline.Resolve(backends[i])
 			if err != nil {
 				return nil, fmt.Errorf("server: calibrate %s: %w", backends[i].Name, err)
 			}
@@ -274,11 +270,11 @@ func New(cfg Config) (*Server, error) {
 		// that socket. Socket 0 keeps the bare platform key, socket k >= 1
 		// is "name#sK" — single-socket daemons are byte-identical to the
 		// pre-topology ones.
-		node, err := hw.NewNode(t.Backend)
+		ctls, err := hw.SocketControllers(t.Backend, hw.CapControllerOptions{JitterSeed: cfg.FaultSeed})
 		if err != nil {
 			return nil, fmt.Errorf("server: %s: %w", p.Name, err)
 		}
-		for i, ctl := range node.Controllers(hw.CapControllerOptions{JitterSeed: cfg.FaultSeed}) {
+		for i, ctl := range ctls {
 			ctl.Machine().SetProfileCache(&s.profiles)
 			if cfg.FaultSocket < 0 || cfg.FaultSocket == i {
 				ctl.Machine().SetFaults(cfg.Faults)
@@ -299,11 +295,7 @@ func New(cfg Config) (*Server, error) {
 	s.drift = roofline.NewDriftTracker(cfg.Drift)
 	s.drift.OnDegrade(s.onDrift)
 	if cfg.JobsDir != "" {
-		mgr, err := jobs.Open(jobs.Options{
-			Dir:              cfg.JobsDir,
-			Workers:          cfg.JobWorkers,
-			CompactThreshold: cfg.JobCompactThreshold,
-		}, s.executeJob)
+		mgr, err := jobs.Open(jobs.Options{Dir: cfg.JobsDir, Workers: cfg.JobWorkers}, s.executeJob)
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
@@ -395,9 +387,6 @@ func (s *Server) Close() error {
 	})
 	return s.closeErr
 }
-
-// breaker returns the platform's breaker (tests reach through this).
-func (s *Server) breaker(plat string) *hw.CapBreaker { return s.breakers[plat] }
 
 // socketBreakerName keys one socket's uncore-domain breaker. Socket 0
 // keeps the bare platform name (the pre-topology key); socket k >= 1 is

@@ -279,7 +279,7 @@ func TestServerBreakerDegradesToModelOnly(t *testing.T) {
 	defer ts.Close()
 
 	// Trip the RPL breaker within the configured failure budget.
-	b := s.breaker("RPL")
+	b := s.breakers["RPL"]
 	for i := 0; i < 2; i++ {
 		if _, err := b.SetCap(1.5); !errors.Is(err, hw.ErrCapBusy) {
 			t.Fatalf("SetCap: %v", err)
@@ -543,7 +543,7 @@ func TestServerGracefulDrain(t *testing.T) {
 		t.Fatal("Run did not drain")
 	}
 	for _, plat := range []string{"BDW", "RPL"} {
-		s.breaker(plat).WithMachine(func(m *hw.Machine) error {
+		s.breakers[plat].WithMachine(func(m *hw.Machine) error {
 			if m.UncoreCap() != m.P.UncoreMax {
 				t.Fatalf("%s cap left at %.1f after drain", plat, m.UncoreCap())
 			}

@@ -107,7 +107,7 @@ func TestServerConcurrentSmokeWithFaultsAndDrain(t *testing.T) {
 		t.Fatal("daemon did not drain")
 	}
 	for _, plat := range []string{"BDW", "RPL"} {
-		s.breaker(plat).WithMachine(func(m *hw.Machine) error {
+		s.breakers[plat].WithMachine(func(m *hw.Machine) error {
 			if m.UncoreCap() != m.P.UncoreMax {
 				t.Fatalf("%s cap left at %.1f after drain", plat, m.UncoreCap())
 			}

@@ -29,10 +29,10 @@ func TestServerTopologyPerSocketBreakers(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	if s.breaker("2S-BDW") == nil || s.socketBreaker("2S-BDW", 1) == nil {
+	if s.breakers["2S-BDW"] == nil || s.socketBreaker("2S-BDW", 1) == nil {
 		t.Fatal("2-socket backend did not boot per-socket breakers")
 	}
-	if s.socketBreaker("2S-BDW", 0) != s.breaker("2S-BDW") {
+	if s.socketBreaker("2S-BDW", 0) != s.breakers["2S-BDW"] {
 		t.Fatal("socket 0 must keep the bare platform breaker key")
 	}
 	if s.socketBreaker("2S-BDW", 2) != nil {
@@ -93,7 +93,7 @@ func TestServerTopologySingleSocketFaultDegradesOnlyThatSocket(t *testing.T) {
 		t.Fatalf("socket-1 breaker %v after failure budget", b1.State())
 	}
 	// Socket 0's domain is healthy: the fault never armed its machine.
-	if _, err := s.breaker("2S-BDW").SetCap(1.5); err != nil {
+	if _, err := s.breakers["2S-BDW"].SetCap(1.5); err != nil {
 		t.Fatalf("socket-0 SetCap under socket-1 fault: %v", err)
 	}
 
