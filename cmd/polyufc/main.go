@@ -266,9 +266,6 @@ func run(kernel, file, platName, objective, size, capLevel, degrade, fault, jpat
 	fmt.Printf("  compute roof %.1f GF/s, memory roof %.1f GB/s, balance %.1f FpB\n",
 		consts.PeakGFlops, consts.PeakGBs, consts.BtDRAM)
 	if saveCal != "" {
-		if target.Calibration == nil {
-			return fmt.Errorf("nothing to save: target carries no calibration artifact")
-		}
 		if err := target.Calibration.Save(saveCal); err != nil {
 			return err
 		}

@@ -55,7 +55,7 @@ type CacheKey struct {
 // decided — every rung of the daemon's response ladder (answer memo,
 // journal, CAS) and every checkpoint journal (CacheKey.UnitKey) key on it.
 func KeyOf(kernel string, size int, cfg Config) CacheKey {
-	key := CacheKey{
+	return CacheKey{
 		Kernel:     kernel,
 		Size:       size,
 		CapLevel:   cfg.CapLevel,
@@ -65,12 +65,9 @@ func KeyOf(kernel string, size int, cfg Config) CacheKey {
 		Objective:  cfg.Search.Objective,
 		Epsilon:    cfg.Search.Epsilon,
 		Degrade:    cfg.Degrade,
+		Platform:   cfg.Target.Platform.Name,
+		CalHash:    cfg.Target.Keys().CalHash,
 	}
-	if p := cfg.Platform(); p != nil { // a target-less Config fails in CompilePipeline
-		key.Platform = p.Name
-		key.CalHash = cfg.Target.Keys().CalHash
-	}
-	return key
 }
 
 // String renders the key in the response journal's wire layout:

@@ -15,7 +15,6 @@ import (
 
 	"polyufc/internal/cachemodel"
 	"polyufc/internal/faults"
-	"polyufc/internal/hw"
 	"polyufc/internal/ir"
 	"polyufc/internal/model"
 	"polyufc/internal/pipeline"
@@ -102,23 +101,6 @@ const (
 	// FaultCacheModel poisons the PolyUFC-CM stage of the next nest.
 	FaultCacheModel = "core.cachemodel"
 )
-
-// Platform returns the target's platform (nil without a target).
-func (c Config) Platform() *hw.Platform {
-	if c.Target == nil {
-		return nil
-	}
-	return c.Target.Platform
-}
-
-// Constants returns the target's calibrated roofline constants (nil
-// without a target).
-func (c Config) Constants() *roofline.Constants {
-	if c.Target == nil {
-		return nil
-	}
-	return c.Target.Constants
-}
 
 // memoizable reports whether compilations under c may be memoized — whole
 // Results and stage snapshots alike. Armed faults forbid it: injection
@@ -380,6 +362,36 @@ func mergeTorchCaps(mod *ir.Module, reports []KernelReport, minSec float64) int 
 	return removed
 }
 
+// dropRedundantCaps is the redundant-cap rewrite: in each function it
+// drops a cap directly followed by another cap (the second shadows it)
+// and a cap whose frequency equals the last cap kept (no change, so the
+// runtime call is wasted). It filters each op list in place — cap-insert
+// and cap-merge build those lists fresh in every compile — and returns
+// how many caps it dropped.
+func dropRedundantCaps(mod *ir.Module) int {
+	removed := 0
+	for _, f := range mod.Funcs {
+		kept := f.Ops[:0]
+		var last *ir.SetUncoreCap
+		for i, op := range f.Ops {
+			if c, ok := op.(*ir.SetUncoreCap); ok {
+				shadowed := false
+				if i+1 < len(f.Ops) {
+					_, shadowed = f.Ops[i+1].(*ir.SetUncoreCap)
+				}
+				if shadowed || (last != nil && last.GHz == c.GHz) {
+					removed++
+					continue
+				}
+				last = c
+			}
+			kept = append(kept, op)
+		}
+		f.Ops = kept
+	}
+	return removed
+}
+
 // Phase is one entry of the Fig. 5 phase-change study.
 type Phase struct {
 	Level ir.Dialect
@@ -424,11 +436,11 @@ func PhaseStudy(mod *ir.Module, cfg Config) (map[ir.Dialect][]Phase, error) {
 			// nests).
 			out[ir.DialectLinalg] = append(out[ir.DialectLinalg], Phase{
 				Level: ir.DialectLinalg, Op: nest.Origin(),
-				Class: cfg.Constants().Classify(cm.OI), OI: cm.OI,
+				Class: cfg.Target.Constants.Classify(cm.OI), OI: cm.OI,
 			})
 			// Affine view: one phase per polyhedral statement — the finest
 			// granularity (Sec. VI-B notes its control overhead).
-			stRes, err := cachemodel.AnalyzeStatements(nest, cfg.Platform().Cache, cmOptions(cfg, nest))
+			stRes, err := cachemodel.AnalyzeStatements(nest, cfg.Target.Platform.Cache, cmOptions(cfg, nest))
 			if err != nil {
 				return nil, err
 			}
@@ -436,7 +448,7 @@ func PhaseStudy(mod *ir.Module, cfg Config) (map[ir.Dialect][]Phase, error) {
 				out[ir.DialectAffine] = append(out[ir.DialectAffine], Phase{
 					Level: ir.DialectAffine,
 					Op:    nest.Label + "/" + sr.Name,
-					Class: cfg.Constants().Classify(sr.OI), OI: sr.OI,
+					Class: cfg.Target.Constants.Classify(sr.OI), OI: sr.OI,
 				})
 			}
 			// Torch aggregation by origin.
@@ -455,7 +467,7 @@ func PhaseStudy(mod *ir.Module, cfg Config) (map[ir.Dialect][]Phase, error) {
 		}
 		out[ir.DialectTorch] = append(out[ir.DialectTorch], Phase{
 			Level: ir.DialectTorch, Op: a.name,
-			Class: cfg.Constants().Classify(oi), OI: oi,
+			Class: cfg.Target.Constants.Classify(oi), OI: oi,
 		})
 	}
 	return out, nil

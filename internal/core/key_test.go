@@ -9,6 +9,7 @@ import (
 	"polyufc/internal/faults"
 	"polyufc/internal/hw"
 	"polyufc/internal/ir"
+	"polyufc/internal/roofline"
 	"polyufc/internal/search"
 	"polyufc/internal/tiling"
 	"polyufc/internal/workloads"
@@ -20,10 +21,12 @@ import (
 // mutation.
 func TestKeyOfSeparatesEveryResultChangingField(t *testing.T) {
 	tg := targetFor(t, hw.BDW())
-	refit := *tg
-	consts := *tg.Constants
-	consts.PeakGFlops *= 1.01
-	refit.Constants = &consts
+	cal := *tg.Calibration
+	cal.Constants.PeakGFlops *= 1.01
+	refit, err := roofline.FromCalibration(tg.Backend, &cal)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	base := DefaultConfig(tg)
 	mutations := []struct {
@@ -38,7 +41,7 @@ func TestKeyOfSeparatesEveryResultChangingField(t *testing.T) {
 		{"Search.Epsilon", func(c *Config) { c.Search.Epsilon = 5e-3 }},
 		{"CapLevel", func(c *Config) { c.CapLevel = ir.DialectTorch }},
 		{"Degrade", func(c *Config) { c.Degrade = BestEffort }},
-		{"calibration", func(c *Config) { c.Target = &refit }},
+		{"calibration", func(c *Config) { c.Target = refit }},
 		{"platform", func(c *Config) { c.Target = targetFor(t, hw.RPL()) }},
 	}
 	seen := map[CacheKey]string{KeyOf("gemm", int(workloads.Test), base): "base"}
@@ -75,7 +78,7 @@ func TestKeyOfDefaultTilingIsPluto(t *testing.T) {
 // reproducing them byte for byte.
 func legacyJournalKey(endpoint, kernel string, size int, cfg Config) string {
 	return strings.Join([]string{
-		endpoint, cfg.Platform().Name, "cal" + cfg.Constants().Hash(), kernel,
+		endpoint, cfg.Target.Platform.Name, "cal" + cfg.Target.Constants.Hash(), kernel,
 		fmt.Sprintf("sz%d", size), cfg.Search.Objective.String(),
 		fmt.Sprintf("lvl%d", int(cfg.CapLevel)), fmt.Sprintf("eps%g", cfg.Search.Epsilon),
 		"tiling=" + cfg.Tiling.Fingerprint(),
@@ -96,7 +99,7 @@ func TestCacheKeyStringIsTheJournalLayout(t *testing.T) {
 	}
 	// Pin one literal too, so the reference above cannot drift with it.
 	got := KeyOf("gemm", int(workloads.Bench), v1).String()
-	want := "RPL/cal" + v1.Constants().Hash() + "/gemm/sz1/edp/lvl1/eps0.001/tiling=pluto"
+	want := "RPL/cal" + v1.Target.Constants.Hash() + "/gemm/sz1/edp/lvl1/eps0.001/tiling=pluto"
 	if got != want {
 		t.Errorf("v1 key = %s, want %s", got, want)
 	}

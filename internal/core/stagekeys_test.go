@@ -160,7 +160,7 @@ type interleaveRequest struct {
 }
 
 func (r interleaveRequest) String() string {
-	return fmt.Sprintf("%s on %s, %s, %s, fully-assoc %t", r.kernel, r.cfg.Platform().Name, r.cfg.Tiling.Fingerprint(), r.cfg.Degrade, r.cfg.FullyAssoc)
+	return fmt.Sprintf("%s on %s, %s, %s, fully-assoc %t", r.kernel, r.cfg.Target.Platform.Name, r.cfg.Tiling.Fingerprint(), r.cfg.Degrade, r.cfg.FullyAssoc)
 }
 
 // TestInterleavedCompilesEqualMemoOff fences the re-keying from the
@@ -278,7 +278,7 @@ func TestConcurrentPlatformsShareOnePrefix(t *testing.T) {
 			shared := 0
 			for i := range cfgs {
 				if errs[i] != nil {
-					t.Fatalf("%s on %s: %v", kernel, cfgs[i].Platform().Name, errs[i])
+					t.Fatalf("%s on %s: %v", kernel, cfgs[i].Target.Platform.Name, errs[i])
 				}
 				for _, s := range got[i].Timings.Stages {
 					if s.CacheHit {
@@ -286,7 +286,7 @@ func TestConcurrentPlatformsShareOnePrefix(t *testing.T) {
 					}
 				}
 				if !reflect.DeepEqual(zeroTimings(got[i]), want[i]) {
-					t.Fatalf("%s on %s, round %d: concurrent compile differs from the memo-off compile", kernel, cfgs[i].Platform().Name, round)
+					t.Fatalf("%s on %s, round %d: concurrent compile differs from the memo-off compile", kernel, cfgs[i].Target.Platform.Name, round)
 				}
 			}
 			if shared != 4 {

@@ -208,18 +208,14 @@ func stageBaseKey(mod *ir.Module, cfg Config) string {
 // Keys, derived once per resolved target.
 func platformSalt(cfg Config) string {
 	keys := cfg.Target.Keys()
-	salt := "platform=" + cfg.Platform().Name
-	if keys.BackendHash != "" {
-		salt += "|backend=" + keys.BackendHash
-	}
-	return salt + "|consts=" + keys.Constants
+	return "platform=" + cfg.Target.Platform.Name + "|backend=" + keys.BackendHash + "|consts=" + keys.Constants
 }
 
 // lineSize is the target's cache line size in bytes (0 without a
 // hierarchy, which cachemodel.Measure rejects): the one machine parameter
 // PolyUFC-CM's counting reads.
 func lineSize(cfg Config) int64 {
-	if lv := cfg.Platform().Cache.Levels; len(lv) > 0 {
+	if lv := cfg.Target.Platform.Cache.Levels; len(lv) > 0 {
 		return lv[0].LineSize
 	}
 	return 0
@@ -339,7 +335,7 @@ func stageTile() pipeline.Stage[*compileState] {
 				}
 				out, info, err := tiling.Apply(st.cfg.Tiling, ns.nest, tiling.Context{
 					Deps:   ns.deps,
-					Cache:  st.cfg.Platform().Cache,
+					Cache:  st.cfg.Target.Platform.Cache,
 					Faults: st.cfg.Faults,
 					CapEDP: capEDP,
 				})
@@ -363,8 +359,8 @@ func stageTile() pipeline.Stage[*compileState] {
 func capEDPScorer(ctx context.Context, cfg Config) func(nest *ir.Nest, cm *cachemodel.Result) (float64, bool) {
 	return func(nest *ir.Nest, cm *cachemodel.Result) (float64, bool) {
 		ks := model.FromCacheModel(cm, nestThreads(cfg, nest))
-		m := model.New(cfg.Constants(), ks)
-		res, err := search.Run(ctx, m, cfg.Platform().UncoreSteps(), cfg.Search)
+		m := model.New(cfg.Target.Constants, ks)
+		res, err := search.Run(ctx, m, cfg.Target.Platform.UncoreSteps(), cfg.Search)
 		if err != nil {
 			return 0, false
 		}
@@ -416,7 +412,7 @@ func stageCacheEval() pipeline.Stage[*compileState] {
 				if ns.geom == nil {
 					return nil // counting degraded it
 				}
-				cm, err := ns.geom.Evaluate(st.cfg.Platform().Cache, cmOptions(st.cfg, ns.nest))
+				cm, err := ns.geom.Evaluate(st.cfg.Target.Platform.Cache, cmOptions(st.cfg, ns.nest))
 				if err != nil {
 					return err
 				}
@@ -451,7 +447,7 @@ func stageCharacterize() pipeline.Stage[*compileState] {
 					}
 				}
 				if ns.cm != nil {
-					ns.class = st.cfg.Constants().Classify(ns.cm.OI)
+					ns.class = st.cfg.Target.Constants.Classify(ns.cm.OI)
 				}
 			}
 			return nil
@@ -479,7 +475,7 @@ func stageModelFit() pipeline.Stage[*compileState] {
 				m := model.New(st.cfg.Target.SocketConstants(ns.socket), ks)
 				m.Remote = link
 				ns.model = m
-				ns.defEst = m.At(st.cfg.Platform().UncoreMax)
+				ns.defEst = m.At(st.cfg.Target.Platform.UncoreMax)
 				return nil
 			}, func(ns *nestState, err error) {
 				ns.model, ns.serr = nil, err
@@ -493,7 +489,7 @@ func stageSearch() pipeline.Stage[*compileState] {
 		Name: StageSearch,
 		Salt: func(st *compileState) string { return st.cfg.Search.Fingerprint() },
 		Run: func(ctx context.Context, st *compileState) error {
-			freqs := st.cfg.Platform().UncoreSteps()
+			freqs := st.cfg.Target.Platform.UncoreSteps()
 			return st.eachNest(ctx, StageSearch, func(ns *nestState) (err error) {
 				if ns.model == nil {
 					return nil
@@ -569,7 +565,7 @@ func stageCapInsert() pipeline.Stage[*compileState] {
 			idx := 0
 			for _, f := range st.res.Module.Funcs {
 				var out []ir.Op
-				activeCap := cfg.Platform().UncoreMax // the driver default
+				activeCap := cfg.Target.Platform.UncoreMax // the driver default
 				for _, op := range f.Ops {
 					nest, ok := op.(*ir.Nest)
 					if !ok {
@@ -585,7 +581,7 @@ func stageCapInsert() pipeline.Stage[*compileState] {
 					// grid) never inserts a cap.
 					sres := ns.sres
 					profitable := cfg.AmortizeFactor <= 0 ||
-						sres.Best.Seconds >= cfg.AmortizeFactor*cfg.Platform().CapLatency
+						sres.Best.Seconds >= cfg.AmortizeFactor*cfg.Target.Platform.CapLatency
 					if ns.searched() && profitable && sres.BestGHz > 0 && sres.BestGHz != activeCap {
 						out = append(out,
 							&ir.SetUncoreCap{GHz: sres.BestGHz, Level: cfg.CapLevel, From: nest.Label})
@@ -607,12 +603,8 @@ func stageCapInsert() pipeline.Stage[*compileState] {
 // EDP of Nodes identical replicas running the module data-parallel.
 // Nil for single-socket, single-node targets.
 func (st *compileState) topologyResult() *TopologyResult {
-	t := st.cfg.Target
-	S := t.NumSockets()
-	nodes := 1
-	if t != nil && t.Backend != nil {
-		nodes = t.Backend.NumNodes()
-	}
+	S := st.cfg.Target.NumSockets()
+	nodes := st.cfg.Target.Backend.NumNodes()
 	if S <= 1 && nodes <= 1 {
 		return nil
 	}
@@ -657,7 +649,7 @@ func stageCapMerge() pipeline.Stage[*compileState] {
 	return pipeline.Stage[*compileState]{
 		Name: StageCapMerge,
 		Run: func(_ context.Context, st *compileState) error {
-			minSec := st.cfg.AmortizeFactor * st.cfg.Platform().CapLatency
+			minSec := st.cfg.AmortizeFactor * st.cfg.Target.Platform.CapLatency
 			st.res.CapsRemoved += mergeTorchCaps(st.res.Module, st.res.Reports, minSec)
 			return nil
 		},
@@ -668,8 +660,7 @@ func stageRewriteCleanup() pipeline.Stage[*compileState] {
 	return pipeline.Stage[*compileState]{
 		Name: StageRewriteCleanup,
 		Run: func(_ context.Context, st *compileState) error {
-			st.res.CapsRemoved += ir.ApplyPatterns(st.res.Module,
-				ir.RedundantCapPattern{}, ir.EqualCapPattern{})
+			st.res.CapsRemoved += dropRedundantCaps(st.res.Module)
 			return nil
 		},
 	}
@@ -734,8 +725,8 @@ func CompilePipeline(ctx context.Context, mod *ir.Module, cfg Config, opts Pipel
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.Platform() == nil || cfg.Constants() == nil {
-		return nil, fmt.Errorf("core: config needs platform and calibrated constants")
+	if cfg.Target == nil {
+		return nil, fmt.Errorf("core: config needs a resolved target")
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -183,7 +183,7 @@ func (s *Suite) measure(kernel string, cfg core.Config) (*measuredKernel, error)
 	if err != nil {
 		return nil, err
 	}
-	k := &measuredKernel{res: res, m: s.machine(cfg.Platform())}
+	k := &measuredKernel{res: res, m: s.machine(cfg.Target.Platform)}
 	for _, f := range res.Module.Funcs {
 		for _, op := range f.Ops {
 			if nest, ok := op.(*ir.Nest); ok {

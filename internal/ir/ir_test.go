@@ -116,31 +116,6 @@ func TestPrintModule(t *testing.T) {
 	}
 }
 
-func TestRedundantCapRemoval(t *testing.T) {
-	mod, f := NewModule("caps")
-	nest, _, _, _ := buildMatmulNest(2, 2, 2)
-	f.Ops = []Op{
-		&SetUncoreCap{GHz: 1.2},
-		&SetUncoreCap{GHz: 2.0}, // shadows the previous cap
-		nest,
-		&SetUncoreCap{GHz: 2.0}, // equals active cap: redundant
-		nest,
-	}
-	n := ApplyPatterns(mod, RedundantCapPattern{}, EqualCapPattern{})
-	if n != 2 {
-		t.Fatalf("rewrites = %d, want 2", n)
-	}
-	caps := 0
-	for _, op := range f.Ops {
-		if _, ok := op.(*SetUncoreCap); ok {
-			caps++
-		}
-	}
-	if caps != 1 {
-		t.Fatalf("remaining caps = %d, want 1", caps)
-	}
-}
-
 func TestDialectStrings(t *testing.T) {
 	if DialectTorch.String() != "torch" || DialectLinalg.String() != "linalg" || DialectAffine.String() != "affine" {
 		t.Fatal("dialect names wrong")

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
+
+	"polyufc/internal/journal"
 )
 
 // CalibrationSchemaVersion is the persisted-calibration format version.
@@ -83,28 +85,19 @@ func (c *Calibration) Matches(b *Backend) error {
 	return nil
 }
 
-// Save writes the artifact atomically (temp file + rename).
+// Save writes the artifact crash-safely through journal.AtomicWrite: an
+// fsynced temporary file renamed over path, so path always holds a whole
+// artifact, the old one or the new one.
 func (c *Calibration) Save(path string) error {
 	data, err := c.Marshal()
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".calibration-*.json")
+	err = journal.AtomicWrite(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("platform: save calibration: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("platform: save calibration: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("platform: save calibration: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
 		return fmt.Errorf("platform: save calibration: %w", err)
 	}
 	return nil

@@ -336,6 +336,20 @@ func TestCalibrationSaveLoad(t *testing.T) {
 	if err := got.Matches(validBackend()); err != nil {
 		t.Fatalf("Matches rejected its own backend: %v", err)
 	}
+	// A second save replaces the file whole and leaves nothing beside it.
+	if err := got.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != filepath.Base(path) {
+		t.Fatalf("directory after a second save holds %v, want only %s", entries, filepath.Base(path))
+	}
+	if again, err := LoadCalibration(path); err != nil || !reflect.DeepEqual(cal, again) {
+		t.Fatalf("artifact after a second save: %+v, %v", again, err)
+	}
 	if _, err := LoadCalibration(filepath.Join(t.TempDir(), "absent.json")); err == nil {
 		t.Fatal("missing file accepted")
 	}

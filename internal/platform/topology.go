@@ -156,7 +156,7 @@ type LinkCost struct{ SecPerByte, JoulesPerByte float64 }
 // Without an interconnect (one socket) it is zero.
 func (b *Backend) Link() LinkCost {
 	const remoteLineBytes = 64 // remote DRAM traffic crosses the link line by line
-	if b == nil || b.Interconnect == nil || b.Interconnect.BWGBs <= 0 {
+	if b.Interconnect == nil || b.Interconnect.BWGBs <= 0 {
 		return LinkCost{}
 	}
 	ic := b.Interconnect
@@ -171,7 +171,7 @@ func (b *Backend) Link() LinkCost {
 // interleaved, so (S-1)/S of its DRAM traffic crosses the link; a serial
 // nest is pinned with its data local, and one socket shares nothing.
 func (b *Backend) RemoteShare(parallel bool) float64 {
-	if b == nil || !parallel || len(b.Sockets) < 2 {
+	if !parallel || len(b.Sockets) < 2 {
 		return 0
 	}
 	S := float64(len(b.Sockets))

@@ -13,33 +13,31 @@ import (
 // simulated platform built from it, and the calibrated roofline
 // constants — everything a compilation needs to know about its machine,
 // as a single handle. Constants points into Calibration so the fit and
-// its provenance travel together.
+// its provenance travel together. Resolve, Refit and FromCalibration are
+// its only constructors, so every field is always set: there is no
+// target without a description, a calibration or key material.
 type Target struct {
-	// Backend is the source description; nil for hand-built targets
-	// (tests that construct Constants directly).
+	// Backend is the source description.
 	Backend   *platform.Backend
 	Platform  *hw.Platform
 	Constants *Constants
-	// Calibration carries the fit provenance; nil when the constants
-	// were not produced by Resolve or loaded from an artifact.
+	// Calibration carries the fit provenance.
 	Calibration *platform.Calibration
 	// Sockets holds per-socket constants: Sockets[i] is socket i's
 	// calibration and Sockets[0] is Constants. Homogeneous topologies
 	// share the socket-0 fit — one calibration serves the whole node, the
 	// cluster-sweep premise — while heterogeneous sockets get their own
-	// micro-benchmark pass. Nil only on hand-built targets.
+	// micro-benchmark pass.
 	Sockets []*Constants
-	// keys is Keys as the constructors derived it, nil on hand-built
-	// targets.
-	keys *targetKeys
+	keys    Keys
 }
 
 // Keys is what a compilation's cache keys read of its target, in the
-// forms they read it: the hash of the platform's description (its
-// Backend.Hash(), "" without one), the calibrated constants printed with
-// %+v, and their hash (Constants.Hash()). Every compile request reads
-// them; Resolve, Refit and FromCalibration derive them once per target
-// instead of marshalling and hashing on each request. A resolved target's
+// forms they read it: the hash of the platform's description
+// (Backend.Hash()), the calibrated constants printed with %+v, and their
+// hash (Constants.Hash()). Every compile request reads them; Resolve,
+// Refit and FromCalibration derive them once per target instead of
+// marshalling and hashing on each request. A resolved target's
 // description and constants are therefore never edited in place: a new
 // fit is a new Target (Refit).
 type Keys struct {
@@ -48,67 +46,33 @@ type Keys struct {
 	CalHash     string
 }
 
-// targetKeys is Keys with the description and constants they were
-// derived from.
-type targetKeys struct {
-	Keys
-	backend *platform.Backend
-	consts  *Constants
+// Keys returns the target's key material.
+func (t *Target) Keys() Keys { return t.keys }
+
+// newTarget assembles a target around a fitted calibration artifact and
+// derives its key material once.
+func newTarget(b *platform.Backend, p *hw.Platform, cal *platform.Calibration) (*Target, error) {
+	c := &cal.Constants
+	sockets, err := resolveSockets(b, c)
+	if err != nil {
+		return nil, err
+	}
+	return &Target{
+		Backend: b, Platform: p, Constants: c, Calibration: cal, Sockets: sockets,
+		keys: Keys{BackendHash: b.Hash(), Constants: fmt.Sprintf("%+v", *c), CalHash: c.Hash()},
+	}, nil
 }
 
-// Keys returns the target's key material. A target whose description or
-// constants pointer differs from the ones its keys were derived from — a
-// hand-built target, or a copy given other constants — derives them on
-// the spot.
-func (t *Target) Keys() Keys {
-	var b *platform.Backend
-	if t.Platform != nil {
-		b = t.Platform.Backend
-	}
-	if k := t.keys; k != nil && k.backend == b && k.consts == t.Constants {
-		return k.Keys
-	}
-	return deriveKeys(b, t.Constants).Keys
-}
+// NumSockets returns the socket count of the target's topology.
+func (t *Target) NumSockets() int { return t.Backend.NumSockets() }
 
-// deriveKeys computes the key material of a description and constants.
-func deriveKeys(b *platform.Backend, c *Constants) *targetKeys {
-	k := &targetKeys{backend: b, consts: c}
-	if b != nil {
-		k.BackendHash = b.Hash()
-	}
-	if c != nil {
-		k.Constants = fmt.Sprintf("%+v", *c)
-	}
-	k.CalHash = c.Hash()
-	return k
-}
-
-// withKeys derives t's key material once, for a target the package built.
-func (t *Target) withKeys() *Target {
-	t.keys = deriveKeys(t.Platform.Backend, t.Constants)
-	return t
-}
-
-// NumSockets returns the socket count of the target's topology (1 for
-// hand-built targets).
-func (t *Target) NumSockets() int {
-	if t == nil || t.Backend == nil {
-		return 1
-	}
-	return t.Backend.NumSockets()
-}
-
-// SocketConstants returns socket i's calibrated constants; lookups
-// outside the socket table fall back to the primary Constants.
+// SocketConstants returns socket i's calibrated constants; a spanning
+// nest (i < 0) reads the primary Constants.
 func (t *Target) SocketConstants(i int) *Constants {
-	if t == nil {
-		return nil
+	if i < 0 {
+		return t.Constants
 	}
-	if i >= 0 && i < len(t.Sockets) {
-		return t.Sockets[i]
-	}
-	return t.Constants
+	return t.Sockets[i]
 }
 
 // resolveSockets builds the per-socket constants of a backend around the
@@ -136,13 +100,15 @@ func resolveSockets(b *platform.Backend, c0 *Constants) ([]*Constants, error) {
 }
 
 // stamp wraps freshly fitted constants in a calibration artifact with
-// provenance: when, by which tool, with what fit residuals, and — for a
-// registry backend (b non-nil) — against which description. The
-// calibration machine runs noiseless, so the seed is 0.
+// provenance: when, by which tool, with what fit residuals, and against
+// which description. The calibration machine runs noiseless, so the seed
+// is 0.
 func stamp(b *platform.Backend, c *Constants, tool string) *platform.Calibration {
-	cal := &platform.Calibration{
-		Schema:    platform.CalibrationSchemaVersion,
-		Constants: *c,
+	return &platform.Calibration{
+		Schema:      platform.CalibrationSchemaVersion,
+		Backend:     b.Name,
+		BackendHash: b.Hash(),
+		Constants:   *c,
 		Provenance: platform.Provenance{
 			FitDate: time.Now().UTC().Format(time.RFC3339),
 			Residuals: map[string]float64{
@@ -152,10 +118,6 @@ func stamp(b *platform.Backend, c *Constants, tool string) *platform.Calibration
 			Tool: tool,
 		},
 	}
-	if b != nil {
-		cal.Backend, cal.BackendHash = b.Name, b.Hash()
-	}
-	return cal
 }
 
 // Resolve builds the platform for a backend description and runs the
@@ -169,12 +131,7 @@ func Resolve(b *platform.Backend) (*Target, error) {
 	if err != nil {
 		return nil, fmt.Errorf("roofline: resolve %s: %w", b.Name, err)
 	}
-	cal := stamp(b, c, "polyufc/roofline")
-	sockets, err := resolveSockets(b, &cal.Constants)
-	if err != nil {
-		return nil, err
-	}
-	return (&Target{Backend: b, Platform: p, Constants: &cal.Constants, Calibration: cal, Sockets: sockets}).withKeys(), nil
+	return newTarget(b, p, stamp(b, c, "polyufc/roofline"))
 }
 
 // ResolveOrLoad is the tools' -calibration switch: with a calibration
@@ -207,25 +164,13 @@ func ResolveName(name string) (*Target, error) {
 // live measurement path sees; that is what makes online recalibration
 // actually recover residuals instead of reproducing the stale fit.
 func Refit(t *Target, reg *faults.Registry) (*Target, error) {
-	if t == nil || t.Platform == nil {
-		return nil, fmt.Errorf("roofline: refit: target has no platform")
-	}
 	m := hw.NewMachine(t.Platform)
 	m.SetFaults(reg)
 	c, err := Calibrate(m)
 	if err != nil {
 		return nil, fmt.Errorf("roofline: refit %s: %w", t.Platform.Name, err)
 	}
-	cal := stamp(t.Backend, c, "polyufc/roofline-refit")
-	nt := &Target{Backend: t.Backend, Platform: t.Platform, Constants: &cal.Constants, Calibration: cal}
-	if t.Backend != nil {
-		sockets, err := resolveSockets(t.Backend, &cal.Constants)
-		if err != nil {
-			return nil, err
-		}
-		nt.Sockets = sockets
-	}
-	return nt.withKeys(), nil
+	return newTarget(t.Backend, t.Platform, stamp(t.Backend, c, "polyufc/roofline-refit"))
 }
 
 // FromCalibration builds a target from a persisted calibration artifact
@@ -239,9 +184,5 @@ func FromCalibration(b *platform.Backend, cal *platform.Calibration) (*Target, e
 	if err != nil {
 		return nil, err
 	}
-	sockets, err := resolveSockets(b, &cal.Constants)
-	if err != nil {
-		return nil, err
-	}
-	return (&Target{Backend: b, Platform: p, Constants: &cal.Constants, Calibration: cal, Sockets: sockets}).withKeys(), nil
+	return newTarget(b, p, cal)
 }

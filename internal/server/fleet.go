@@ -19,28 +19,25 @@ import (
 
 // warmCalibration tries to boot a backend from a persisted calibration
 // artifact instead of re-running the micro-benchmarks. Any failure —
-// no entry, undecodable payload, artifact/backend mismatch — returns
-// nil and the caller calibrates from scratch.
-func (s *Server) warmCalibration(b *platform.Backend) *roofline.Target {
+// no entry, undecodable payload, artifact/backend mismatch — is not ok,
+// and the caller calibrates from scratch.
+func (s *Server) warmCalibration(b *platform.Backend) (*roofline.Target, bool) {
 	payload, ok := s.casStore.Get(calibrationAddr(b.Hash()))
 	if !ok {
-		return nil
+		return nil, false
 	}
 	var cal platform.Calibration
 	if err := json.Unmarshal(payload, &cal); err != nil {
-		return nil
+		return nil, false
 	}
 	t, err := roofline.FromCalibration(b, &cal)
-	if err != nil {
-		return nil
-	}
-	return t
+	return t, err == nil
 }
 
 // storeCalibration persists a resolved target's calibration artifact so
 // the next boot (local or a peer's) warm-starts from it.
 func (s *Server) storeCalibration(t *roofline.Target) {
-	if s.casStore == nil || t == nil || t.Backend == nil || t.Calibration == nil {
+	if s.casStore == nil {
 		return
 	}
 	payload, err := json.Marshal(t.Calibration)

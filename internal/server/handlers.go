@@ -644,7 +644,7 @@ func (s *Server) measure(res *core.Result, r resolved, resp *SearchResponse) {
 // driver failure degrades only that socket — it is recorded, counted,
 // and the measured answer stands.
 func (s *Server) applySocketCaps(res *core.Result, r resolved, m *MeasuredResponse) {
-	if r.target == nil || r.target.NumSockets() <= 1 {
+	if r.target.NumSockets() <= 1 {
 		return
 	}
 	caps := res.FinalSocketCaps()
@@ -715,34 +715,21 @@ func (s *Server) handlePlatforms(w http.ResponseWriter, r *http.Request) {
 }
 
 func platformResponse(t *roofline.Target) PlatformResponse {
-	p := t.Platform
+	p, c, b, prov := t.Platform, t.Constants, t.Backend, t.Calibration.Provenance
 	out := PlatformResponse{
 		Name: p.Name, CPU: p.CPU, Cores: p.Cores, Threads: p.Threads,
 		UncoreMinGHz: p.UncoreMin, UncoreMaxGHz: p.UncoreMax, CapStepGHz: p.CapStep,
+		PeakGFlops: c.PeakGFlops, PeakGBs: c.PeakGBs, BtDRAM: c.BtDRAM,
+		Aliases: b.Aliases, Paper: b.Paper, BackendHash: b.Hash(),
+		FitDate: prov.FitDate, FitSeed: prov.Seed, FitTool: prov.Tool, FitResiduals: prov.Residuals,
 	}
-	if c := t.Constants; c != nil {
-		out.PeakGFlops = c.PeakGFlops
-		out.PeakGBs = c.PeakGBs
-		out.BtDRAM = c.BtDRAM
-	}
-	if b := t.Backend; b != nil {
-		out.Aliases = b.Aliases
-		out.Paper = b.Paper
-		out.BackendHash = b.Hash()
-		if b.NumSockets() > 1 || b.NumNodes() > 1 {
-			out.Sockets = b.NumSockets()
-			out.Nodes = b.NumNodes()
-			out.TotalThreads = b.TotalThreads()
-			if b.Interconnect != nil {
-				out.InterconnectGBs = b.Interconnect.BWGBs
-			}
+	if b.NumSockets() > 1 || b.NumNodes() > 1 {
+		out.Sockets = b.NumSockets()
+		out.Nodes = b.NumNodes()
+		out.TotalThreads = b.TotalThreads()
+		if b.Interconnect != nil {
+			out.InterconnectGBs = b.Interconnect.BWGBs
 		}
-	}
-	if cal := t.Calibration; cal != nil {
-		out.FitDate = cal.Provenance.FitDate
-		out.FitSeed = cal.Provenance.Seed
-		out.FitTool = cal.Provenance.Tool
-		out.FitResiduals = cal.Provenance.Residuals
 	}
 	return out
 }

@@ -246,7 +246,7 @@ func New(cfg Config) (*Server, error) {
 	backends := platform.All()
 	targets, err := parallel.Map(context.Background(), len(backends), 0,
 		func(_ context.Context, i int) (*roofline.Target, error) {
-			if t := s.warmCalibration(backends[i]); t != nil {
+			if t, ok := s.warmCalibration(backends[i]); ok {
 				return t, nil
 			}
 			t, err := roofline.Resolve(backends[i])
@@ -577,22 +577,14 @@ func (s *Server) statsz() Statsz {
 	}
 	s.targetsMu.RUnlock()
 	for name, t := range targets {
-		ps := PlatformStatsz{Served: s.platServed[name].Load()}
-		if b := t.Backend; b != nil {
-			ps.CPU = b.CPU
-			ps.Paper = b.Paper
-			ps.BackendHash = b.Hash()
-			ps.Sockets = b.NumSockets()
-			ps.Nodes = b.NumNodes()
-			if b.Interconnect != nil {
-				ps.InterconnectGBs = b.Interconnect.BWGBs
-			}
+		b, prov := t.Backend, t.Calibration.Provenance
+		ps := PlatformStatsz{
+			Served: s.platServed[name].Load(), CPU: b.CPU, Paper: b.Paper, BackendHash: b.Hash(),
+			Sockets: b.NumSockets(), Nodes: b.NumNodes(),
+			FitDate: prov.FitDate, FitSeed: prov.Seed, FitTool: prov.Tool, Residuals: prov.Residuals,
 		}
-		if cal := t.Calibration; cal != nil {
-			ps.FitDate = cal.Provenance.FitDate
-			ps.FitSeed = cal.Provenance.Seed
-			ps.FitTool = cal.Provenance.Tool
-			ps.Residuals = cal.Provenance.Residuals
+		if b.Interconnect != nil {
+			ps.InterconnectGBs = b.Interconnect.BWGBs
 		}
 		out.Platforms[name] = ps
 	}
