@@ -70,8 +70,9 @@ faults:
 pipeline:
 	$(GO) test -race ./internal/pipeline ./internal/core ./internal/server ./internal/parallel ./internal/ir
 
-# Platform backends: schema validation of the embedded and
-# platforms/*.json descriptions, pinned content hashes and serialized
+# Platform backends: validation of the embedded and platforms/*.json
+# descriptions against the one sockets-only schema (older layouts are
+# refused with the conversion hint), pinned content hashes and serialized
 # bytes (TestBackendHashesPinned), a JSON-only backend end to end, and the
 # golden figures through the registry path.
 platforms:
@@ -109,10 +110,9 @@ tiling: tiling-e2e
 tiling-e2e:
 	$(GO) test -fuzz FuzzParseTilingSpec -fuzztime 5s ./internal/tiling
 
-# Topology: both document layouts, the schema-1 vs schema-2 spelling
-# equivalence properties (constants, compile results), socket
-# placement and cluster rollups, per-socket breaker isolation; e2e is the
-# backend-decoder fuzz session and the real daemon on the 2-socket
+# Topology: the sockets/interconnect/nodes document and its validation,
+# socket placement and cluster rollups, per-socket breaker isolation; e2e
+# is the backend-decoder fuzz session and the real daemon on the 2-socket
 # description (socket-scoped fault, only the sick domain's breaker opens).
 topology: topology-e2e
 	$(GO) test -race ./internal/platform ./internal/roofline ./internal/model ./internal/hw ./internal/core \

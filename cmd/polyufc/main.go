@@ -294,7 +294,7 @@ func run(kernel, file, platName, objective, size, capLevel, degrade, fault, jpat
 		defer jrnl.Close()
 	}
 	var res *core.Result
-	rec, replayed, err := journal.Step(jrnl, core.KeyOf(kernel, int(sz), cfg).UnitKey("polyufc", b.Hash()),
+	rec, replayed, err := journal.Step(jrnl, core.KeyOf(kernel, int(sz), cfg).UnitKey("polyufc"),
 		func() (reportRecord, error) {
 			mod, err := buildModule(kernel, file, sz)
 			if err != nil {

@@ -19,6 +19,12 @@ import (
 type CacheKey struct {
 	Kernel   string
 	Platform string
+	// BackendHash pins the exact backend description
+	// (platform.Backend.Hash): fields outside the calibrated constants —
+	// the cap latency, the cap grid, the topology — change compiled
+	// artifacts too, so an edited description must not share entries with
+	// the one it replaced.
+	BackendHash string
 	// CalHash pins the calibrated constants (platform.Constants.Hash) the
 	// compilation ran against. A daemon that re-fits a drifted backend
 	// swaps its target; compilations against the new fit must not share
@@ -55,30 +61,31 @@ type CacheKey struct {
 // decided — every rung of the daemon's response ladder (answer memo,
 // journal, CAS) and every checkpoint journal (CacheKey.UnitKey) key on it.
 func KeyOf(kernel string, size int, cfg Config) CacheKey {
+	keys := cfg.Target.Keys()
 	return CacheKey{
-		Kernel:     kernel,
-		Size:       size,
-		CapLevel:   cfg.CapLevel,
-		FullyAssoc: cfg.FullyAssoc,
-		Tiling:     cfg.Tiling.Fingerprint(),
-		NoAmortize: cfg.AmortizeFactor == 0,
-		Objective:  cfg.Search.Objective,
-		Epsilon:    cfg.Search.Epsilon,
-		Degrade:    cfg.Degrade,
-		Platform:   cfg.Target.Platform.Name,
-		CalHash:    cfg.Target.Keys().CalHash,
+		Kernel:      kernel,
+		Size:        size,
+		CapLevel:    cfg.CapLevel,
+		FullyAssoc:  cfg.FullyAssoc,
+		Tiling:      cfg.Tiling.Fingerprint(),
+		NoAmortize:  cfg.AmortizeFactor == 0,
+		Objective:   cfg.Search.Objective,
+		Epsilon:     cfg.Search.Epsilon,
+		Degrade:     cfg.Degrade,
+		Platform:    cfg.Target.Platform.Name,
+		BackendHash: keys.BackendHash,
+		CalHash:     keys.CalHash,
 	}
 }
 
 // String renders the key in the response journal's wire layout:
-// platform/cal<hash>/kernel/sz<n>/objective/lvl<n>/eps<g>/tiling=<fp>.
+// platform/be<hash>/cal<hash>/kernel/sz<n>/objective/lvl<n>/eps<g>/tiling=<fp>.
 // Only the components a served request can vary are rendered — FullyAssoc,
-// NoAmortize and Degrade are process-wide settings of the daemon and were
-// never part of the layout — so journals written before KeyOf existed
-// still replay. It is a wire format, not a substitute for key equality.
+// NoAmortize and Degrade are process-wide settings of the daemon. It is a
+// wire format, not a substitute for key equality.
 func (k CacheKey) String() string {
 	return strings.Join([]string{
-		k.Platform, "cal" + k.CalHash, k.Kernel,
+		k.Platform, "be" + k.BackendHash, "cal" + k.CalHash, k.Kernel,
 		fmt.Sprintf("sz%d", k.Size), k.Objective.String(),
 		fmt.Sprintf("lvl%d", int(k.CapLevel)), fmt.Sprintf("eps%g", k.Epsilon),
 		"tiling=" + k.Tiling,
@@ -88,11 +95,10 @@ func (k CacheKey) String() string {
 // UnitKey is the journal identity of one checkpointed unit of a tool's
 // work (a sweep point, a comparison row, a compile report), built from
 // what the unit computed rather than what it was called: the experiment or
-// tool name, the backend description hash — which the key itself does not
-// carry — the key's wire form, and the degrade policy String leaves out.
-// A caller sweeping a coordinate appends it, printed exactly (%g).
-func (k CacheKey) UnitKey(tool, backendHash string) string {
-	return strings.Join([]string{tool, backendHash, k.String(), k.Degrade.String()}, "/")
+// tool name, the key's wire form, and the degrade policy String leaves
+// out. A caller sweeping a coordinate appends it, printed exactly (%g).
+func (k CacheKey) UnitKey(tool string) string {
+	return strings.Join([]string{tool, k.String(), k.Degrade.String()}, "/")
 }
 
 // Cache memoizes whole PolyUFC compilations by CacheKey. It is safe for

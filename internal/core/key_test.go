@@ -9,6 +9,7 @@ import (
 	"polyufc/internal/faults"
 	"polyufc/internal/hw"
 	"polyufc/internal/ir"
+	"polyufc/internal/platform"
 	"polyufc/internal/roofline"
 	"polyufc/internal/search"
 	"polyufc/internal/tiling"
@@ -27,6 +28,14 @@ func TestKeyOfSeparatesEveryResultChangingField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// An edit outside the calibrated constants still moves the answer.
+	desc := *tg.Backend
+	desc.Sockets = append([]platform.Socket(nil), desc.Sockets...)
+	desc.Sockets[0].CapLatencySec *= 1000
+	edited, err := roofline.Resolve(&desc)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	base := DefaultConfig(tg)
 	mutations := []struct {
@@ -42,6 +51,7 @@ func TestKeyOfSeparatesEveryResultChangingField(t *testing.T) {
 		{"CapLevel", func(c *Config) { c.CapLevel = ir.DialectTorch }},
 		{"Degrade", func(c *Config) { c.Degrade = BestEffort }},
 		{"calibration", func(c *Config) { c.Target = refit }},
+		{"description", func(c *Config) { c.Target = edited }},
 		{"platform", func(c *Config) { c.Target = targetFor(t, hw.RPL()) }},
 	}
 	seen := map[CacheKey]string{KeyOf("gemm", int(workloads.Test), base): "base"}
@@ -72,13 +82,13 @@ func TestKeyOfDefaultTilingIsPluto(t *testing.T) {
 	}
 }
 
-// legacyJournalKey is the response-journal key layout exactly as the
-// daemon's journalKey wrote it before KeyOf existed. Journals and CAS
-// entries on disk carry these strings, so CacheKey.String must keep
-// reproducing them byte for byte.
-func legacyJournalKey(endpoint, kernel string, size int, cfg Config) string {
+// journalLayout restates the response-journal key layout from the
+// target's own description and constants. Journals and CAS entries on
+// disk carry these strings, so CacheKey.String must reproduce them byte
+// for byte.
+func journalLayout(endpoint, kernel string, size int, cfg Config) string {
 	return strings.Join([]string{
-		endpoint, cfg.Target.Platform.Name, "cal" + cfg.Target.Constants.Hash(), kernel,
+		endpoint, cfg.Target.Platform.Name, "be" + cfg.Target.Backend.Hash(), "cal" + cfg.Target.Constants.Hash(), kernel,
 		fmt.Sprintf("sz%d", size), cfg.Search.Objective.String(),
 		fmt.Sprintf("lvl%d", int(cfg.CapLevel)), fmt.Sprintf("eps%g", cfg.Search.Epsilon),
 		"tiling=" + cfg.Tiling.Fingerprint(),
@@ -93,13 +103,13 @@ func TestCacheKeyStringIsTheJournalLayout(t *testing.T) {
 	tuned.Tiling = tiling.Spec{Name: tiling.NameLatency, Probe: 3}
 	for _, cfg := range []Config{v1, tuned} {
 		got := "v1/compile/" + KeyOf("gemm", int(workloads.Bench), cfg).String()
-		if want := legacyJournalKey("v1/compile", "gemm", int(workloads.Bench), cfg); got != want {
+		if want := journalLayout("v1/compile", "gemm", int(workloads.Bench), cfg); got != want {
 			t.Errorf("journal key drifted:\n got %s\nwant %s", got, want)
 		}
 	}
 	// Pin one literal too, so the reference above cannot drift with it.
 	got := KeyOf("gemm", int(workloads.Bench), v1).String()
-	want := "RPL/cal" + v1.Target.Constants.Hash() + "/gemm/sz1/edp/lvl1/eps0.001/tiling=pluto"
+	want := "RPL/bef8b76626d134bf7a/cal" + v1.Target.Constants.Hash() + "/gemm/sz1/edp/lvl1/eps0.001/tiling=pluto"
 	if got != want {
 		t.Errorf("v1 key = %s, want %s", got, want)
 	}

@@ -201,14 +201,13 @@ func stageBaseKey(mod *ir.Module, cfg Config) string {
 // platformSalt is the target's contribution to the stage key chain: the
 // platform name, the exact backend description (fields outside the
 // constants — CapLatency, the cap grid, the topology — feed stages too)
-// and the calibrated constants. The first stage of a pipeline that reads
-// the target adds it to its salt — cache-eval always, tile before it when
-// the strategy reads the target — and every later stage inherits it
-// through the chain. The hashed and printed forms come from the target's
-// Keys, derived once per resolved target.
+// and the calibrated constants, both by their hashes in the target's Keys.
+// The first stage of a pipeline that reads the target adds it to its salt
+// — cache-eval always, tile before it when the strategy reads the target —
+// and every later stage inherits it through the chain.
 func platformSalt(cfg Config) string {
 	keys := cfg.Target.Keys()
-	return "platform=" + cfg.Target.Platform.Name + "|backend=" + keys.BackendHash + "|consts=" + keys.Constants
+	return "platform=" + cfg.Target.Platform.Name + "|backend=" + keys.BackendHash + "|cal=" + keys.CalHash
 }
 
 // lineSize is the target's cache line size in bytes (0 without a

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"context"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"polyufc/internal/hw"
@@ -32,8 +30,7 @@ func twoSocketTarget(t *testing.T, nodes int) *roofline.Target {
 	}
 	sock := bdw.Sockets[0]
 	b := &platform.Backend{
-		Schema: platform.SchemaVersion, Name: name,
-		CPU: "test 2S", Released: 2026,
+		Name: name, CPU: "test 2S", Released: 2026,
 		Sockets:      []platform.Socket{sock, sock},
 		Interconnect: &platform.Interconnect{BWGBs: 19.2, LatencyNs: 120, EnergyPJPerByte: 15},
 		Nodes:        nodes,
@@ -49,8 +46,8 @@ func twoSocketTarget(t *testing.T, nodes int) *roofline.Target {
 	return tg
 }
 
-// TestSingleSocketPathUnchanged pins the v1 surface: a single-socket
-// compile has no topology rollup and zero-valued placement fields.
+// TestSingleSocketPathUnchanged pins the single-socket surface: a
+// one-socket compile has no topology rollup and zero-valued placement fields.
 func TestSingleSocketPathUnchanged(t *testing.T) {
 	res := compileKernel(t, "gemm", workloads.Test, hw.BDW())
 	if res.Topology != nil {
@@ -180,60 +177,6 @@ func TestClusterScaling(t *testing.T) {
 	}
 	if tr.ClusterEDPDefault <= 0 {
 		t.Fatal("no default-driver cluster EDP to compare against")
-	}
-}
-
-// TestV2SpellingCompileEquivalence is the compile-level v1→v2
-// equivalence suite: re-spelling an embedded v1 description as an
-// explicit one-socket schema-v2 topology changes nothing observable.
-// The calibration constants and every compile Result are identical to
-// the v1 build (only the description's own content hash differs — the
-// spelling is part of the hashed document).
-func TestV2SpellingCompileEquivalence(t *testing.T) {
-	for _, name := range []string{"BDW", "RPL"} {
-		v1b, err := platform.Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v2b := &platform.Backend{
-			Schema:   platform.SchemaVersion,
-			Name:     v1b.Name,
-			CPU:      v1b.CPU,
-			Released: v1b.Released,
-			Sockets:  v1b.Sockets,
-		}
-		if err := v2b.Validate(); err != nil {
-			t.Fatalf("%s v2 spelling: %v", name, err)
-		}
-		tg1, err := roofline.Resolve(v1b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tg2, err := roofline.Resolve(v2b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(tg1.Constants, tg2.Constants) {
-			t.Fatalf("%s: v2 spelling calibrated differently:\nv1 %+v\nv2 %+v", name, tg1.Constants, tg2.Constants)
-		}
-
-		for _, kernel := range []string{"gemm", "mvt"} {
-			cfg1 := DefaultConfig(tg1)
-			cfg1.AmortizeFactor = 0
-			r1, err := CompilePipeline(context.Background(), buildModule(t, kernel, workloads.Test), cfg1, PipelineOptions{})
-			if err != nil {
-				t.Fatalf("%s/%s v1: %v", name, kernel, err)
-			}
-			cfg2 := DefaultConfig(tg2)
-			cfg2.AmortizeFactor = 0
-			r2, err := CompilePipeline(context.Background(), buildModule(t, kernel, workloads.Test), cfg2, PipelineOptions{})
-			if err != nil {
-				t.Fatalf("%s/%s v2: %v", name, kernel, err)
-			}
-			if !reflect.DeepEqual(zeroTimings(r1), zeroTimings(r2)) {
-				t.Fatalf("%s/%s: v2 spelling compiled differently", name, kernel)
-			}
-		}
 	}
 }
 

@@ -64,8 +64,7 @@ func clusterBackends() ([]*platform.Backend, error) {
 	}
 	sock := bdw.Sockets[0]
 	b := &platform.Backend{
-		Schema: platform.SchemaVersion, Name: "BDW-2S",
-		CPU: "2x " + bdw.CPU, Released: bdw.Released,
+		Name: "BDW-2S", CPU: "2x " + bdw.CPU, Released: bdw.Released,
 		Sockets:      []platform.Socket{sock, sock},
 		Interconnect: &platform.Interconnect{BWGBs: 19.2, LatencyNs: 120, EnergyPJPerByte: 15},
 	}

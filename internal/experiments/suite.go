@@ -253,13 +253,12 @@ func sweepKernels[R any](s *Suite, exp string, kernels []string, row func(i int)
 func (s *Suite) bestEffort() bool { return s.Degrade == core.BestEffort }
 
 // unitKey is the journal identity of one sweep unit of experiment exp:
-// core.CacheKey.UnitKey over the backend's description hash and the
-// identity of the compilation the unit measures, so a journal resumed
-// under another size, tiling, calibration, description or degrade policy
-// misses and recomputes instead of answering for the wrong run.
+// core.CacheKey.UnitKey over the identity of the compilation the unit
+// measures, so a journal resumed under another size, tiling, calibration,
+// description or degrade policy misses and recomputes instead of
+// answering for the wrong run.
 func (s *Suite) unitKey(exp, kernel string, p *hw.Platform) string {
-	t := s.targets[p.Name]
-	return core.KeyOf(kernel, int(s.Size), s.sweepConfig(core.DefaultConfig(t))).UnitKey(exp, t.Backend.Hash())
+	return core.KeyOf(kernel, int(s.Size), s.sweepConfig(core.DefaultConfig(s.targets[p.Name]))).UnitKey(exp)
 }
 
 // noteDegraded records one tolerated per-kernel failure for the

@@ -127,23 +127,25 @@ func TestClampCapOnGrid(t *testing.T) {
 // grid.
 func TestHalfStepBackendViaRegistry(t *testing.T) {
 	b, err := platform.Parse([]byte(`{
-		"schema": 1, "name": "HALFSTEP-TEST", "cpu": "synthetic", "released": 2026,
-		"cores": 4, "threads": 8,
-		"core_min_ghz": 1.0, "core_max_ghz": 3.0, "core_base_ghz": 2.5,
-		"uncore_min_ghz": 1.25, "uncore_max_ghz": 2.8, "cap_step_ghz": 0.05,
-		"cap_latency_sec": 20e-6, "has_uncore_rapl": true,
-		"cache": [
-			{"name": "L1", "size_bytes": 32768, "line_size": 64, "assoc": 8},
-			{"name": "LLC", "size_bytes": 4194304, "line_size": 64, "assoc": 16}
-		],
-		"truth": {
-			"flops_per_cycle": 8, "hit_latency_ns": [1.0, 10.0],
-			"dram_lat_coef_ns_ghz": 40, "dram_lat_base_ns": 50,
-			"bw_peak_gbs": 40, "bw_knee_ghz": 0.8,
-			"mlp": 8, "mlp_system": 32, "ilp": 4, "overlap": 0.2,
-			"p_const_w": 20, "core_idle_w_per_ghz": 2.0, "core_j_per_flop": 2e-10,
-			"uncore_idle_w_per_ghz": 3.0, "uncore_act_w_per_ghz": 6.0, "uncore_act_base_w": 1.5
-		}
+		"schema": 2, "name": "HALFSTEP-TEST", "cpu": "synthetic", "released": 2026,
+		"sockets": [{
+			"cores": 4, "threads": 8,
+			"core_min_ghz": 1.0, "core_max_ghz": 3.0, "core_base_ghz": 2.5,
+			"uncore_min_ghz": 1.25, "uncore_max_ghz": 2.8, "cap_step_ghz": 0.05,
+			"cap_latency_sec": 20e-6, "has_uncore_rapl": true,
+			"cache": [
+				{"name": "L1", "size_bytes": 32768, "line_size": 64, "assoc": 8},
+				{"name": "LLC", "size_bytes": 4194304, "line_size": 64, "assoc": 16}
+			],
+			"truth": {
+				"flops_per_cycle": 8, "hit_latency_ns": [1.0, 10.0],
+				"dram_lat_coef_ns_ghz": 40, "dram_lat_base_ns": 50,
+				"bw_peak_gbs": 40, "bw_knee_ghz": 0.8,
+				"mlp": 8, "mlp_system": 32, "ilp": 4, "overlap": 0.2,
+				"p_const_w": 20, "core_idle_w_per_ghz": 2.0, "core_j_per_flop": 2e-10,
+				"uncore_idle_w_per_ghz": 3.0, "uncore_act_w_per_ghz": 6.0, "uncore_act_base_w": 1.5
+			}
+		}]
 	}`))
 	if err != nil {
 		t.Fatal(err)

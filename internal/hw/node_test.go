@@ -20,8 +20,7 @@ func twoSocketBackend(t *testing.T) *platform.Backend {
 	}
 	sock := bdw.Sockets[0]
 	b := &platform.Backend{
-		Schema: platform.SchemaVersion, Name: "2S-TEST",
-		CPU: "test 2S", Released: 2026,
+		Name: "2S-TEST", CPU: "test 2S", Released: 2026,
 		Sockets:      []platform.Socket{sock, sock},
 		Interconnect: &platform.Interconnect{BWGBs: 19.2, LatencyNs: 120, EnergyPJPerByte: 15},
 	}

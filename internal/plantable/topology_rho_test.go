@@ -25,8 +25,7 @@ func rhoTarget(t testing.TB) *roofline.Target {
 	}
 	sock := bdw.Sockets[0]
 	b := &platform.Backend{
-		Schema: platform.SchemaVersion, Name: "2S-PLAN-TEST",
-		CPU: "test 2S", Released: 2026,
+		Name: "2S-PLAN-TEST", CPU: "test 2S", Released: 2026,
 		Sockets:      []platform.Socket{sock, sock},
 		Interconnect: &platform.Interconnect{BWGBs: 19.2, LatencyNs: 120, EnergyPJPerByte: 15},
 	}

@@ -7,14 +7,14 @@ import (
 	"testing"
 )
 
-// FuzzParseBackend drives the v2 schema decoder with arbitrary bytes:
+// FuzzParseBackend drives the description decoder with arbitrary bytes:
 // whatever comes out must either be a clean error or a description that
 // passes Validate, has a well-formed topology view, and round-trips
 // bit-stably (same content hash, deterministic marshal). Seeds cover the
-// v1 and v2 happy paths plus the edge cases the validator must catch:
-// unknown fields, an empty sockets array, grid and interconnect
-// degeneracies, topology fields smuggled into a v1 file, and a flat
-// block contradicting sockets[0].
+// one- and two-socket happy paths plus the inputs the decoder must
+// refuse: schema-1 documents (socket fields at the top level), a socket
+// field beside the sockets array, unknown fields, an empty sockets
+// array, and grid and interconnect degeneracies.
 func FuzzParseBackend(f *testing.F) {
 	if good, err := validBackend().Marshal(); err == nil {
 		f.Add(good)
@@ -25,13 +25,15 @@ func FuzzParseBackend(f *testing.F) {
 	f.Add([]byte(`{"schema": 2, "name": "EMPTY", "sockets": []}`))
 	f.Add([]byte(`{"schema": 2, "name": "NOIC", "sockets": [{}, {}]}`))
 	f.Add([]byte(`{"schema": 1, "name": "SMUGGLE", "nodes": 3}`))
+	f.Add([]byte(`{"schema": 1, "name": "FLAT", "cores": 4, "threads": 8, "cap_step_ghz": 0.1, "cache": []}`))
+	f.Add([]byte(`{"schema": 2, "name": "FLAT", "cores": 4, "sockets": [{"cores": 4}]}`))
 	f.Add([]byte(`{"schema": 2, "name": "X", "sockets": [{"cores": 1, "threads": 1, "cap_step_ghz": 0}]}`))
 	f.Add([]byte(`{"schema": 2, "name": "X", "sockets": [{"cores": 1}], "interconnect": {"bw_gbs": -1}}`))
 	f.Add([]byte(`{"schema": 2, "name": "X", "sockets": [{"cores": 1}], "nodes": -7}`))
 	f.Add([]byte(`{"schema": 99, "name": "FUTURE"}`))
 	f.Add([]byte(`{"schema": 2, "name": "TYPO", "sokets": []}`))
 	if doc, err := os.ReadFile(filepath.Join("..", "..", "platforms", "2-socket-bdw.json")); err == nil {
-		f.Add(contradictFlat(doc))
+		f.Add(doc)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := Parse(data)

@@ -20,19 +20,13 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"reflect"
+	"strings"
 )
 
-// SchemaVersion is the current backend-description schema (v2:
-// topology-aware — a sockets array plus an interconnect section).
-// SchemaVersionV1 single-socket files are still read, load as a
-// 1-socket topology and re-serialize as schema 1 (their content hashes
-// pin artifacts in the wild); any other "schema" value is rejected at
-// parse time.
-const (
-	SchemaVersionV1 = 1
-	SchemaVersion   = 2
-)
+// schemaVersion is the one backend-description schema: a sockets array
+// plus an optional interconnect section and node count. Parse rejects any
+// other "schema" value and any socket field spelled at the top level.
+const schemaVersion = 2
 
 // Truth holds the hidden machine constants the hardware simulator uses.
 // They are not exported to the analytic model; PolyUFC must recover
@@ -87,86 +81,38 @@ type CacheLevel struct {
 }
 
 // Backend is the declarative description of one machine: everything the
-// constructors in hw hardcoded, as data. In memory a machine is always a
-// socket list — Sockets[0] is the machine of a single-socket description —
-// and only the JSON codec below knows the flat single-socket spelling.
-// Decode with Parse, encode with Marshal.
+// constructors in hw hardcoded, as data. Decode with Parse, encode with
+// Marshal. The JSON field order and omitempty are load-bearing — Hash is
+// taken over these bytes, and it pins calibrations, journals and CAS
+// addresses.
 type Backend struct {
-	// Schema is the wire layout Marshal emits (SchemaVersionV1: one socket
-	// spelled flat at the top level; SchemaVersion: a sockets array).
-	Schema int
 	// Name is the canonical registry name ("BDW"); Aliases resolve too
 	// (lookups are case-insensitive either way).
-	Name    string
-	Aliases []string
-	CPU     string
+	Name    string   `json:"name"`
+	Aliases []string `json:"aliases,omitempty"`
+	CPU     string   `json:"cpu"`
 	// Released is the launch year (Table III).
-	Released int
+	Released int `json:"released"`
 	// Paper marks the two Table-III evaluation machines; golden outputs
 	// sweep exactly the paper set.
-	Paper bool
+	Paper bool `json:"paper,omitempty"`
 	// Sockets is the topology: one entry per socket, each with its own
 	// uncore domain, cap grid and truth constants. Never empty in a valid
-	// description.
-	Sockets []Socket
+	// description; Sockets[0] is the machine of a single-socket one.
+	Sockets []Socket `json:"sockets"`
 	// Interconnect models the inter-socket link; required when the
 	// topology has more than one socket.
-	Interconnect *Interconnect
+	Interconnect *Interconnect `json:"interconnect,omitempty"`
 	// Nodes models an N-node cluster of identical replicas of this
 	// topology sharing one calibration; 0 (absent) means one node.
-	Nodes int
+	Nodes int `json:"nodes,omitempty"`
 }
 
-// wireBackend is the JSON layout of both schema versions. The embedded
-// Socket is the flat top-level block: the whole machine of a schema-1
-// document, a repeat of sockets[0] in a schema-2 one. Field order and
-// omitempty are load-bearing — Hash is taken over these bytes, and it
-// pins calibrations, journals and CAS addresses.
+// wireBackend is the document layout: the schema version, then the
+// description's own fields.
 type wireBackend struct {
-	Schema   int      `json:"schema"`
-	Name     string   `json:"name"`
-	Aliases  []string `json:"aliases,omitempty"`
-	CPU      string   `json:"cpu"`
-	Released int      `json:"released"`
-	Paper    bool     `json:"paper,omitempty"`
-	Socket
-	Sockets      []Socket      `json:"sockets,omitempty"`
-	Interconnect *Interconnect `json:"interconnect,omitempty"`
-	Nodes        int           `json:"nodes,omitempty"`
-}
-
-// wire lays the description out for encoding: the flat socket-0 block
-// first, and the sockets array only for schema-2 descriptions.
-func (b *Backend) wire() wireBackend {
-	w := wireBackend{
-		Schema: b.Schema, Name: b.Name, Aliases: b.Aliases, CPU: b.CPU,
-		Released: b.Released, Paper: b.Paper,
-		Interconnect: b.Interconnect, Nodes: b.Nodes,
-	}
-	if len(b.Sockets) > 0 {
-		w.Socket = b.Sockets[0]
-	}
-	if b.Schema != SchemaVersionV1 {
-		w.Sockets = b.Sockets
-	}
-	return w
-}
-
-// flatContradiction checks the flat block of a schema-2 document against
-// socket 0: it may be omitted or repeat socket 0 exactly; anything else
-// is an error naming the first differing field.
-func flatContradiction(backend string, flat, s0 Socket) error {
-	if reflect.DeepEqual(flat, Socket{}) {
-		return nil
-	}
-	fv, sv := reflect.ValueOf(flat), reflect.ValueOf(s0)
-	for i := 0; i < fv.NumField(); i++ {
-		if f, s := fv.Field(i).Interface(), sv.Field(i).Interface(); !reflect.DeepEqual(f, s) {
-			field := fv.Type().Field(i).Tag.Get("json")
-			return fmt.Errorf("platform: backend %q: %s: top-level value %v contradicts sockets[0].%s %v", backend, field, f, field, s)
-		}
-	}
-	return nil
+	Schema int `json:"schema"`
+	*Backend
 }
 
 // Validate checks a description for internal consistency and returns a
@@ -175,14 +121,6 @@ func (b *Backend) Validate() error {
 	if b == nil {
 		return fmt.Errorf("platform: nil backend")
 	}
-	if b.Schema != SchemaVersionV1 && b.Schema != SchemaVersion {
-		return fmt.Errorf("platform: backend %q: schema: got version %d, this build reads versions %d and %d (re-export the description or upgrade)",
-			b.Name, b.Schema, SchemaVersionV1, SchemaVersion)
-	}
-	if b.Schema == SchemaVersionV1 && (len(b.Sockets) > 1 || b.Interconnect != nil || b.Nodes != 0) {
-		return fmt.Errorf("platform: backend %q: schema: version %d descriptions cannot carry sockets/interconnect/nodes (re-export as schema %d)",
-			b.Name, SchemaVersionV1, SchemaVersion)
-	}
 	if b.Name == "" {
 		return fmt.Errorf("platform: backend description: name: must be non-empty")
 	}
@@ -190,12 +128,7 @@ func (b *Backend) Validate() error {
 		return fmt.Errorf("platform: backend %q: sockets: need at least one socket", b.Name)
 	}
 	for i := range b.Sockets {
-		// Errors name fields the way the document spells them.
-		prefix := ""
-		if b.Schema != SchemaVersionV1 {
-			prefix = fmt.Sprintf("sockets[%d].", i)
-		}
-		if err := b.Sockets[i].validate(b.Name, prefix); err != nil {
+		if err := b.Sockets[i].validate(b.Name, i); err != nil {
 			return err
 		}
 	}
@@ -213,40 +146,39 @@ func (b *Backend) Validate() error {
 	return nil
 }
 
-// Parse decodes one backend description, rejecting unknown fields (typos
-// in hand-written files surface as errors, not silent zeros) and
-// validating the result. A schema-1 document is upgraded to a one-socket
-// topology here, once.
+// Parse decodes one backend description, rejecting another schema
+// version and unknown fields (typos in hand-written files, and socket
+// fields outside "sockets", surface as errors, not silent zeros), and
+// validates the result.
 func Parse(data []byte) (*Backend, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var w wireBackend
-	if err := dec.Decode(&w); err != nil {
+	var head struct {
+		Schema int `json:"schema"`
+	}
+	if err := json.Unmarshal(data, &head); err != nil {
 		return nil, fmt.Errorf("platform: parse backend description: %w", err)
 	}
-	b := &Backend{
-		Schema: w.Schema, Name: w.Name, Aliases: w.Aliases, CPU: w.CPU,
-		Released: w.Released, Paper: w.Paper,
-		Sockets: w.Sockets, Interconnect: w.Interconnect, Nodes: w.Nodes,
+	if head.Schema != schemaVersion {
+		return nil, fmt.Errorf("platform: backend description: schema: got version %d, this build reads version %d only (to convert, set \"schema\": %[2]d and move the top-level socket fields into \"sockets\": [{…}])",
+			head.Schema, schemaVersion)
 	}
-	if w.Schema == SchemaVersionV1 {
-		// Validate rejects the second socket a smuggled sockets array adds.
-		b.Sockets = append([]Socket{w.Socket}, w.Sockets...)
+	b := new(Backend)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&wireBackend{Backend: b}); err != nil {
+		if strings.HasPrefix(err.Error(), "json: unknown field") {
+			return nil, fmt.Errorf("platform: parse backend description: %w (socket fields belong in \"sockets\": [{…}])", err)
+		}
+		return nil, fmt.Errorf("platform: parse backend description: %w", err)
 	}
 	if err := b.Validate(); err != nil {
 		return nil, err
-	}
-	if w.Schema != SchemaVersionV1 {
-		if err := flatContradiction(w.Name, w.Socket, w.Sockets[0]); err != nil {
-			return nil, err
-		}
 	}
 	return b, nil
 }
 
 // Marshal renders the description as indented, field-stable JSON.
 func (b *Backend) Marshal() ([]byte, error) {
-	out, err := json.MarshalIndent(b.wire(), "", "  ")
+	out, err := json.MarshalIndent(wireBackend{schemaVersion, b}, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("platform: marshal backend %q: %w", b.Name, err)
 	}
@@ -257,7 +189,7 @@ func (b *Backend) Marshal() ([]byte, error) {
 // used to key memoized calibrations and to pin a Calibration artifact to
 // the exact description it was fitted against.
 func (b *Backend) Hash() string {
-	data, err := json.Marshal(b.wire())
+	data, err := json.Marshal(wireBackend{schemaVersion, b})
 	if err != nil {
 		// Backend has no unmarshalable fields; keep the signature clean.
 		panic(fmt.Sprintf("platform: hash backend %q: %v", b.Name, err))

@@ -9,8 +9,7 @@ import (
 )
 
 // Socket describes one socket of a backend: its cores, frequency ranges,
-// uncore cap grid, cache hierarchy and hidden truth constants. A schema-1
-// document *is* one Socket spelled at the top level.
+// uncore cap grid, cache hierarchy and hidden truth constants.
 type Socket struct {
 	Cores   int `json:"cores"`
 	Threads int `json:"threads"`
@@ -45,11 +44,12 @@ func (s *Socket) CacheConfig() cachesim.Config {
 	return cachesim.Config{Levels: levels}
 }
 
-// validate checks the per-socket constraints. prefix scopes field names
-// in errors ("sockets[1]." or "" for a schema-1 document's flat block).
-func (s *Socket) validate(backend, prefix string) error {
+// validate checks the per-socket constraints of the backend's socket
+// index; errors name fields the way the document spells them
+// ("sockets[1].cores").
+func (s *Socket) validate(backend string, index int) error {
 	bad := func(field, format string, args ...interface{}) error {
-		return fmt.Errorf("platform: backend %q: %s%s: %s", backend, prefix, field, fmt.Sprintf(format, args...))
+		return fmt.Errorf("platform: backend %q: sockets[%d].%s: %s", backend, index, field, fmt.Sprintf(format, args...))
 	}
 	if s.Cores <= 0 {
 		return bad("cores", "must be > 0, got %d", s.Cores)

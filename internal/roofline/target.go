@@ -32,17 +32,15 @@ type Target struct {
 	keys    Keys
 }
 
-// Keys is what a compilation's cache keys read of its target, in the
-// forms they read it: the hash of the platform's description
-// (Backend.Hash()), the calibrated constants printed with %+v, and their
-// hash (Constants.Hash()). Every compile request reads them; Resolve,
-// Refit and FromCalibration derive them once per target instead of
-// marshalling and hashing on each request. A resolved target's
+// Keys is what a compilation's cache keys read of its target: the hash
+// of the platform's description (Backend.Hash()) and the hash of its
+// calibrated constants (Constants.Hash()). Every compile request reads
+// them; Resolve, Refit and FromCalibration derive them once per target
+// instead of marshalling and hashing on each request. A resolved target's
 // description and constants are therefore never edited in place: a new
 // fit is a new Target (Refit).
 type Keys struct {
 	BackendHash string
-	Constants   string
 	CalHash     string
 }
 
@@ -59,7 +57,7 @@ func newTarget(b *platform.Backend, p *hw.Platform, cal *platform.Calibration) (
 	}
 	return &Target{
 		Backend: b, Platform: p, Constants: c, Calibration: cal, Sockets: sockets,
-		keys: Keys{BackendHash: b.Hash(), Constants: fmt.Sprintf("%+v", *c), CalHash: c.Hash()},
+		keys: Keys{BackendHash: b.Hash(), CalHash: c.Hash()},
 	}, nil
 }
 

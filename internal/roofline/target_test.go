@@ -1,9 +1,6 @@
 package roofline
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // TestKeysFollowTheConstants: every constructor derives a target's key
 // material once, and Keys reads it back equal to deriving it afresh; a
@@ -23,7 +20,7 @@ func TestKeysFollowTheConstants(t *testing.T) {
 		t.Fatal(err)
 	}
 	derive := func(c *Constants) Keys {
-		return Keys{BackendHash: tg.Backend.Hash(), Constants: fmt.Sprintf("%+v", *c), CalHash: c.Hash()}
+		return Keys{BackendHash: tg.Backend.Hash(), CalHash: c.Hash()}
 	}
 	for name, x := range map[string]*Target{"Resolve": tg, "Refit": refit, "FromCalibration": loaded} {
 		if x.keys == (Keys{}) {

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -400,13 +401,16 @@ func waitJobDone(t *testing.T, ts *httptest.Server, id string) {
 	t.Fatalf("job %s never finished", id)
 }
 
-// parentState is a snapshot of what daemons built at the commit before
-// the platform codec change wrote to disk (testdata/parent-state/README.md
-// has the recipe): a CAS directory holding four calibration artifacts, a
-// BDW plan table and three responses computed with that table installed;
-// a response journal from a table-less daemon; the served bytes of each
-// request; and that daemon's /v1/platforms answer. Its tableless/
-// directory is the same CAS case written without the plan table.
+// parentState is a snapshot of what daemons, built before the backend
+// description codec became sockets-only, wrote to disk
+// (testdata/parent-state/README.md has the recipe): a CAS directory
+// holding four calibration artifacts, a BDW plan table and three
+// responses computed with that table installed; a response journal from
+// a table-less daemon; the served bytes of each request; and that
+// daemon's /v1/platforms answer. Every address in it was derived from a
+// description hash this build no longer derives, so a boot on it is the
+// migration case: each old entry is a miss, never a wrong answer, and
+// each recomputed answer is the parent's to the byte.
 const parentState = "testdata/parent-state"
 
 var parentStatePlatforms = []string{
@@ -422,19 +426,21 @@ var parentCASRequests = map[string]struct{ path, body string }{
 	"cas-bicg-wide": {"/v1/search", `{"kernel":"bicg","platform":"wide","size":"test"}`},
 }
 
-// bootOnParentCAS boots this build on a copy of a parent-written CAS
-// directory and checks that every persisted fit warm-started its
-// backend: the platform entries — description hash, constants, fit date
-// — are the parent's, and boot read one warm entry per calibration.
-func bootOnParentCAS(t *testing.T, fixture string) (*Server, *httptest.Server, cas.Stats) {
+// bootOnParentCAS boots this build on a copy of the parent-written CAS
+// directory and checks the calibration half of the migration: every
+// persisted fit is at an address this build does not derive, so boot
+// reads no warm entry and re-fits every backend — to the parent's
+// constants, since each platform entry equals the parent's in every
+// field but the description hash and the fit date.
+func bootOnParentCAS(t *testing.T) (*Server, *httptest.Server, cas.Stats) {
 	t.Helper()
 	dir := t.TempDir()
-	ents, err := os.ReadDir(filepath.Join(fixture, "cas"))
+	ents, err := os.ReadDir(filepath.Join(parentState, "cas"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range ents {
-		data, err := os.ReadFile(filepath.Join(fixture, "cas", e.Name()))
+		data, err := os.ReadFile(filepath.Join(parentState, "cas", e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -450,9 +456,9 @@ func bootOnParentCAS(t *testing.T, fixture string) (*Server, *httptest.Server, c
 	t.Cleanup(ts.Close)
 
 	var want, got struct {
-		Platforms []json.RawMessage `json:"platforms"`
+		Platforms []map[string]any `json:"platforms"`
 	}
-	data, err := os.ReadFile(filepath.Join(fixture, "platforms.json"))
+	data, err := os.ReadFile(filepath.Join(parentState, "platforms.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,60 +471,49 @@ func bootOnParentCAS(t *testing.T, fixture string) (*Server, *httptest.Server, c
 	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
-	served := map[string]bool{}
+	served := map[any]map[string]any{}
 	for _, p := range got.Platforms {
-		served[string(p)] = true
+		served[p["name"]] = p
 	}
-	for _, p := range want.Platforms {
-		if !served[string(p)] {
-			t.Fatalf("a backend was re-fitted or changed identity; the parent served\n%s", p)
+	for _, w := range want.Platforms {
+		g := served[w["name"]]
+		if g == nil || g["backend_hash"] == w["backend_hash"] {
+			t.Fatalf("%v: served %v, want the parent's entry under a new description hash", w["name"], g)
+		}
+		for _, moved := range []string{"backend_hash", "fit_date"} {
+			delete(g, moved)
+			delete(w, moved)
+		}
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("%v: the re-fit differs from the parent's platform entry:\n got  %v\n want %v", w["name"], g, w)
 		}
 	}
 	boot := s.CASStats()
-	if boot.WarmHits < int64(len(want.Platforms)) {
-		t.Fatalf("boot read %d warm entries, want %d calibrations: %+v", boot.WarmHits, len(want.Platforms), boot)
+	if boot.WarmHits != 0 || boot.Misses < int64(len(want.Platforms)) || boot.Puts < int64(len(want.Platforms)) {
+		t.Fatalf("boot answered from a parent-written calibration: %+v, want %d misses and puts", boot, len(want.Platforms))
 	}
 	return s, ts, boot
 }
 
-// Every address the parent derived from a backend description — the
-// calibration slot and the response key — must still be the address this
-// build derives, on schema-1 and schema-2 backends alike. The parent
-// computed this case's responses with a plan table installed, so their
-// response keys end in a plans<hash> component this build never derives:
-// a boot on that CAS directory re-fits nothing, and each of those
-// responses misses and recomputes to the parent's exact bytes — an old
-// entry becomes a miss, never a wrong answer.
+// The response half of the CAS case: every response address the parent
+// wrote is one this build does not derive, so each request misses,
+// recomputes to the parent's exact bytes and stores the answer under its
+// new address.
 func TestServerCASBootsOnParentWrittenState(t *testing.T) {
-	s, ts, boot := bootOnParentCAS(t, parentState)
+	s, ts, boot := bootOnParentCAS(t)
 	for name, req := range parentCASRequests {
-		assertParentResponse(t, ts, parentState, name, req.path, req.body)
+		assertParentResponse(t, ts, name, req.path, req.body)
 	}
 	st := s.CASStats()
 	n := int64(len(parentCASRequests))
-	if st.WarmHits != boot.WarmHits || st.Misses < boot.Misses+n || st.Puts != boot.Puts+n {
-		t.Fatalf("the plan-keyed responses were not recomputed: boot %+v, now %+v", boot, st)
+	if st.WarmHits != 0 || st.Misses < boot.Misses+n || st.Puts != boot.Puts+n {
+		t.Fatalf("the parent's responses were not recomputed: boot %+v, now %+v", boot, st)
 	}
 }
 
-// The table-less half of the CAS case, written by the same parent build:
-// its response keys carry no plans<hash> component, so this build answers
-// all three from warm entries, byte for byte, and stores nothing.
-func TestServerCASBootsOnParentWrittenTablelessState(t *testing.T) {
-	fixture := filepath.Join(parentState, "tableless")
-	s, ts, boot := bootOnParentCAS(t, fixture)
-	for name, req := range parentCASRequests {
-		assertParentResponse(t, ts, fixture, name, req.path, req.body)
-	}
-	st := s.CASStats()
-	if st.WarmHits != boot.WarmHits+int64(len(parentCASRequests)) || st.Puts != boot.Puts {
-		t.Fatalf("the parent's responses were recomputed, not replayed: boot %+v, now %+v", boot, st)
-	}
-}
-
-// The journal half: its keys carry the calibration hash, so replaying the
-// parent's journal also proves a fresh fit of the same descriptions lands
-// on the parent's constants.
+// The journal half: the parent's journal keys carry no description hash,
+// so a resume replays neither entry, recomputes both to the parent's
+// bytes and appends them under the new keys.
 func TestServerJournalReplaysParentWrittenState(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join(parentState, "journal.jsonl"))
 	if err != nil {
@@ -534,18 +529,18 @@ func TestServerJournalReplaysParentWrittenState(t *testing.T) {
 	s := newServer(t, cfg)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	assertParentResponse(t, ts, parentState, "jrnl-atax-rpl", "/v1/compile", `{"kernel":"atax","platform":"rpl","size":"test"}`)
-	assertParentResponse(t, ts, parentState, "jrnl-gemm-2s", "/v1/search", `{"kernel":"gemm","platform":"2s-bdw","size":"test"}`)
-	if st := s.JournalStats(); st.Replayed != 2 || st.Appended != 0 {
-		t.Fatalf("the parent's journal entries were orphaned: %+v", st)
+	assertParentResponse(t, ts, "jrnl-atax-rpl", "/v1/compile", `{"kernel":"atax","platform":"rpl","size":"test"}`)
+	assertParentResponse(t, ts, "jrnl-gemm-2s", "/v1/search", `{"kernel":"gemm","platform":"2s-bdw","size":"test"}`)
+	if st := s.JournalStats(); st.Replayed != 0 || st.Appended != 2 {
+		t.Fatalf("a parent journal entry answered under the moved key layout: %+v", st)
 	}
 }
 
 // assertParentResponse posts one request and compares the served bytes
-// with what the parent daemon served for it, under fixture/responses.
-func assertParentResponse(t *testing.T, ts *httptest.Server, fixture, name, path, body string) {
+// with what the parent daemon served for it, under parentState/responses.
+func assertParentResponse(t *testing.T, ts *httptest.Server, name, path, body string) {
 	t.Helper()
-	want, err := os.ReadFile(filepath.Join(fixture, "responses", name+".json"))
+	want, err := os.ReadFile(filepath.Join(parentState, "responses", name+".json"))
 	if err != nil {
 		t.Fatal(err)
 	}

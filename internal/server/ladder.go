@@ -28,8 +28,8 @@ func casKey(parts ...string) string {
 }
 
 // responseKey is the journal key of one endpoint's answer to a resolved
-// request: the endpoint plus core.KeyOf's wire form, so a re-fit
-// recomputes instead of replaying.
+// request: the endpoint plus core.KeyOf's wire form, so a re-fit or an
+// edited description recomputes instead of replaying.
 func responseKey(endpoint string, key core.CacheKey) string {
 	return endpoint + "/" + key.String()
 }

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -20,6 +21,7 @@ import (
 	"polyufc/internal/breaker"
 	"polyufc/internal/faults"
 	"polyufc/internal/hw"
+	"polyufc/internal/platform"
 )
 
 func testConfig() Config {
@@ -393,6 +395,67 @@ func TestServerJournalReplayAcrossRestart(t *testing.T) {
 	s3 := newServer(t, cfg3)
 	if s3.JournalStats().Entries != 0 {
 		t.Fatalf("truncating open kept %d entries", s3.JournalStats().Entries)
+	}
+}
+
+// An edit to a description outside its calibrated constants moves the
+// served answer, so a resumed journal must not replay the answer to the
+// old description: the journal key names the description hash. Only
+// cap_latency_sec changes (18 µs to 18 ms): the fit stays as it was, and
+// adi's one cap is no longer worth inserting.
+func TestServerJournalMissesAfterDescriptionEdit(t *testing.T) {
+	orig := filepath.Join("..", "..", "platforms", "wide-uncore.json")
+	doc, err := os.ReadFile(orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		// The registry is process-wide: put the shipped WIDE back.
+		if _, err := platform.LoadFile(orig); err != nil {
+			t.Error(err)
+		}
+	})
+	desc := filepath.Join(t.TempDir(), "wide-uncore.json")
+	write := func(data []byte) {
+		if err := os.WriteFile(desc, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const req = `{"kernel":"adi","platform":"wide","size":"test"}`
+	serve := func(journal string, resume bool) (*Server, []byte) {
+		cfg := testConfig()
+		cfg.PlatformFiles = []string{desc}
+		cfg.JournalPath, cfg.Resume = journal, resume
+		s := newServer(t, cfg)
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		resp, body := postJSONBody(t, ts, "/v1/compile", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%d %s", resp.StatusCode, body)
+		}
+		return s, body
+	}
+	journal := filepath.Join(t.TempDir(), "serve.jsonl")
+	write(doc)
+	s1, before := serve(journal, false)
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	edited := bytes.Replace(doc, []byte(`"cap_latency_sec": 18e-6`), []byte(`"cap_latency_sec": 18e-3`), 1)
+	if bytes.Equal(edited, doc) {
+		t.Fatal("the description no longer spells cap_latency_sec as 18e-6")
+	}
+	write(edited)
+	resumed, got := serve(journal, true)
+	if st := resumed.JournalStats(); st.Replayed != 0 || st.Appended != 1 {
+		t.Fatalf("journal after the edit: %+v, want 0 replayed and 1 appended", st)
+	}
+	_, fresh := serve("", false)
+	if !bytes.Equal(got, fresh) {
+		t.Fatalf("resumed answer differs from a fresh daemon's on the edited description:\n got   %s\n fresh %s", got, fresh)
+	}
+	if bytes.Equal(before, fresh) {
+		t.Fatal("the edit no longer moves adi's answer; the test shows nothing")
 	}
 }
 

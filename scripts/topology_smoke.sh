@@ -4,7 +4,7 @@
 #   1. polyufc-serve boots the 2-socket description from JSON alone:
 #      /statsz reports the socket/link shape, /healthz one breaker per
 #      socket domain, and a 2-socket search answers with a topology
-#      rollup and per-socket cap vectors while the v1 single-socket
+#      rollup and per-socket cap vectors while the single-socket
 #      response stays free of every topology key.
 #   2. Measured searches are measured where the compiler placed the
 #      nest: four measured 2-socket searches (gemm, mvt, atax, gemver)
@@ -60,14 +60,14 @@ grep -q '"topology"' "$tmp/topo.json" || { echo "2-socket search has no topology
 grep -q '"socket_caps"' "$tmp/topo.json" || { echo "2-socket search has no cap vectors:"; cat "$tmp/topo.json"; exit 1; }
 grep -q '"cluster_edp"' "$tmp/topo.json" || { echo "2-socket search has no cluster EDP:"; cat "$tmp/topo.json"; exit 1; }
 
-curl -s -X POST "$addr/v1/search" -d '{"kernel":"gemm","size":"test"}' >"$tmp/v1.json"
-grep -q '"nests"' "$tmp/v1.json" || { echo "v1 request got no answer:"; cat "$tmp/v1.json"; exit 1; }
+curl -s -X POST "$addr/v1/search" -d '{"kernel":"gemm","size":"test"}' >"$tmp/one.json"
+grep -q '"nests"' "$tmp/one.json" || { echo "single-socket request got no answer:"; cat "$tmp/one.json"; exit 1; }
 for key in topology socket_caps remote_ratio socket_degraded; do
-    if grep -q "\"$key\"" "$tmp/v1.json"; then
-        echo "v1 single-socket response grew a $key key:"; cat "$tmp/v1.json"; exit 1
+    if grep -q "\"$key\"" "$tmp/one.json"; then
+        echo "single-socket response grew a $key key:"; cat "$tmp/one.json"; exit 1
     fi
 done
-echo "   2-socket boot OK (per-socket breakers, topology rollup, clean v1 surface)"
+echo "   2-socket boot OK (per-socket breakers, topology rollup, clean single-socket surface)"
 
 kill -TERM "$serve_pid"
 wait "$serve_pid" || { echo "daemon exited non-zero"; cat "$tmp/serve1.log"; exit 1; }
